@@ -32,7 +32,7 @@ basis = build_zonal_basis(2, n, rng=5, cond_threshold=1e3)
 
 def smin(phi):
     tup = [planar_rotation(2, 1, 2, float(phi))] + [planar_rotation(2, 1, 2, a) for a in fixed]
-    svals = weighted_singular_values(operator_matrix(basis, tup), basis.gram)
+    svals = weighted_singular_values(operator_matrix(basis, tup))
     return float(svals[-1])
 
 

@@ -37,7 +37,6 @@ from .divisibility import (
     make_divisor,
     operator_gram,
     operator_matrix,
-    sigma_min_ratio,
     verify_divisor,
     weighted_singular_values,
 )
@@ -60,9 +59,7 @@ from .experiments import (
 )
 from .harmonics import (
     GegenbauerTable,
-    SphereConstants,
     dim_harmonic,
-    gegenbauer_eval,
     projection_density,
     sphere_area,
     zonal_eval,

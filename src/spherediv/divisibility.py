@@ -7,13 +7,16 @@ question becomes finite-dimensional:
 
     gram_ij = P_n(v_i . v_j) / N_n                (basis Gram matrix, scaled)
     L_ij    = sum_s P_n(v_i . (gamma_s v_j)) / N_n
-    A       = L @ gram^{-1}
+    M       = B L B^T,  B = W^{-1/2} Q^T  for  gram = Q W Q^T
 
-and the operator is singular iff A (equivalently L) is.  Near-zero smallest
+B is an orthonormal frame (B gram B^T = I), so M is the operator in
+orthonormal coordinates: its singular values are the operator's L^2 ones and
+it is singular iff L is.  Each degree takes one SVD of M.  Near-zero smallest
 singular values only *trigger* certificate extraction; the certificate itself
-is the basis-free residual of a concrete kernel witness g, propagated into an
-explicit divisor f = 1/r + c g whose rotated copies must sum to 1 everywhere.
-A report never claims divisibility without a passing residual.
+is the basis-free residual of a concrete kernel witness g (coefficients
+B^T v_min for the smallest right-singular vector v_min of M), propagated into
+an explicit divisor f = 1/r + c g whose rotated copies must sum to 1
+everywhere.  A report never claims divisibility without a passing residual.
 
 The n_max cutoff makes the test one-sided: invertibility at every tested
 degree does not prove non-divisibility.
@@ -27,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BasisConstructionError, InputDomainError, NotSingularError
-from .harmonics import GegenbauerTable, dim_harmonic, sphere_area
+from .harmonics import GegenbauerTable, dim_harmonic
 from .rotations import Rotation, RotationTuple
 from .sampling import as_rng, derive_rng, resolve_seed, uniform_sphere
 
@@ -46,7 +49,6 @@ __all__ = [
     "operator_gram",
     "operator_matrix",
     "report_hooks",
-    "sigma_min_ratio",
     "verify_divisor",
     "weighted_singular_values",
 ]
@@ -73,7 +75,9 @@ class ZonalBasis:
 
     ``points`` holds the N_n unit poles v_i (rows); ``gram`` is the scaled
     Gram matrix P_n(v_i . v_j) / N_n, symmetric positive definite with
-    diagonal 1/N_n; ``cond`` its 2-norm condition number.
+    diagonal 1/N_n; ``cond`` its 2-norm condition number; ``frame`` the
+    orthonormal frame B = W^{-1/2} Q^T of gram = Q W Q^T, so that
+    B @ gram @ B.T = I.
     """
 
     d: int
@@ -82,10 +86,12 @@ class ZonalBasis:
     gram: np.ndarray
     cond: float
     table: GegenbauerTable
+    frame: np.ndarray
 
     def __post_init__(self):
         self.points.setflags(write=False)
         self.gram.setflags(write=False)
+        self.frame.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -96,7 +102,10 @@ def axis_basis(d: int) -> ZonalBasis:
     """The degree-1 zonal basis with coordinate-axis poles (gram = I/d)."""
     points = np.eye(d)
     gram = np.eye(d) / d
-    return ZonalBasis(d=d, n=1, points=points, gram=gram, cond=1.0, table=GegenbauerTable(d, 1))
+    return ZonalBasis(
+        d=d, n=1, points=points, gram=gram, cond=1.0, table=GegenbauerTable(d, 1),
+        frame=np.sqrt(d) * np.eye(d),
+    )
 
 
 def build_zonal_basis(
@@ -111,7 +120,8 @@ def build_zonal_basis(
     Draws N_n uniform points per attempt and admits the set when the scaled
     Gram matrix is positive definite with condition number below
     ``cond_threshold``.  Random poles form a basis almost surely, so a
-    handful of attempts suffices in practice.
+    handful of attempts suffices in practice.  One eigendecomposition per
+    attempt gives positivity, the condition number and the frame.
     """
     if n < 1:
         raise InputDomainError(f"zonal bases are built for degrees n >= 1, got n={n}")
@@ -124,9 +134,12 @@ def build_zonal_basis(
         dots = np.clip(points @ points.T, -1.0, 1.0)
         gram = table.eval(n, dots) / size
         gram = (gram + gram.T) / 2.0
-        cond = float(np.linalg.cond(gram))
-        if cond < cond_threshold and np.linalg.eigvalsh(gram)[0] > 0.0:
-            return ZonalBasis(d=d, n=n, points=points, gram=gram, cond=cond, table=table)
+        w, q = np.linalg.eigh(gram)
+        mags = np.abs(w)
+        cond = float(mags.max() / mags.min()) if mags.min() > 0.0 else np.inf
+        if cond < cond_threshold and w[0] > 0.0:
+            frame = (q / np.sqrt(w)).T
+            return ZonalBasis(d=d, n=n, points=points, gram=gram, cond=cond, table=table, frame=frame)
         best = min(best, cond)
     raise BasisConstructionError(
         f"no admissible zonal basis for d={d}, n={n} in {max_attempts} attempts "
@@ -164,37 +177,19 @@ def operator_gram(basis: ZonalBasis, rotations) -> np.ndarray:
 
 
 def operator_matrix(basis: ZonalBasis, rotations) -> np.ndarray:
-    """Coordinate matrix A of the summed-translate operator: A @ gram = operator_gram."""
+    """The summed-translate operator in the basis's orthonormal frame: M = B L B^T."""
     lmat = operator_gram(basis, rotations)
-    return np.linalg.solve(basis.gram, lmat.T).T
+    return basis.frame @ lmat @ basis.frame.T
 
 
-def sigma_min_ratio(matrix: np.ndarray) -> float:
-    """Smallest over largest singular value, with a zero-operator guard.
+def weighted_singular_values(matrix: np.ndarray) -> np.ndarray:
+    """Singular values of ``operator_matrix``, the operator's L^2 singular values.
 
-    If the largest singular value is below an absolute floor the matrix is
-    the zero operator to round-off and the ratio is reported as 0 rather
-    than noise/noise.
+    The frame is orthonormal, so the Euclidean singular values of M are the
+    genuine L^2 singular values of the operator, independent of the basis
+    draw up to round-off.
     """
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals[0] <= ZERO_OPERATOR_FLOOR:
-        return 0.0
-    return float(svals[-1] / svals[0])
-
-
-def weighted_singular_values(matrix: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Singular values of the operator in the norm induced by the Gram matrix.
-
-    For a coefficient-space matrix A these are the Euclidean singular values
-    of gram^{-1/2} A gram^{1/2}; they are the genuine L^2 singular values of
-    the operator the basis coordinates represent.
-    """
-    w, q = np.linalg.eigh(gram)
-    if w[0] <= 0:
-        raise InputDomainError("gram matrix is not positive definite")
-    root = q @ np.diag(np.sqrt(w)) @ q.T
-    inv_root = q @ np.diag(1.0 / np.sqrt(w)) @ q.T
-    return np.linalg.svd(inv_root @ matrix @ root, compute_uv=False)
+    return np.linalg.svd(matrix, compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -229,11 +224,6 @@ class HarmonicFunction:
         """Rigorous sup-norm bound sum_j |c_j| (the zonal factors satisfy |P_n| <= 1)."""
         return float(np.sum(np.abs(self.coeffs)))
 
-    def l2_norm(self) -> float:
-        """Exact L^2 norm sqrt(sigma_d * c^T gram c) via the zonal inner-product formula."""
-        quad = float(self.coeffs @ self.basis.gram @ self.coeffs)
-        return float(np.sqrt(max(0.0, quad) * sphere_area(self.basis.d)))
-
     def degree_one_pole(self) -> np.ndarray:
         """For n = 1 the function is x -> w . x; returns w normalized."""
         if self.basis.n != 1:
@@ -252,20 +242,20 @@ class HarmonicFunction:
         }
 
 
-def _near_singular(amat: np.ndarray, gram: np.ndarray, r: int, sing_tol: float):
+def _near_singular(svals: np.ndarray, r: int, sing_tol: float):
     """Dual singularity trigger: (ratio, weighted smallest value, fired).
 
-    Both quantities come from the weighted singular values, i.e. the
-    operator's true L^2 spectrum, which is independent of the basis draw up
-    to round-off (the plain coordinate-matrix ratio can be crushed by the
-    admitted Gram conditioning alone).  Fires when sigma_min/sigma_max
-    drops below sing_tol, or when the whole operator is uniformly dead: its
-    smallest singular value below sing_tol * r (r is the operator's natural
-    scale, a sum of r isometries).  The second clause matters at degrees
-    where the operator acts conformally and all singular values collapse
-    together, leaving the ratio near 1 arbitrarily close to singularity.
+    ``svals`` are the operator's L^2 singular values in descending order
+    (``weighted_singular_values``), which are independent of the basis draw
+    up to round-off.  Fires when sigma_min/sigma_max drops below sing_tol,
+    or when the whole operator is uniformly dead: its smallest singular
+    value below sing_tol * r (r is the operator's natural scale, a sum of r
+    isometries).  The second clause matters at degrees where the operator
+    acts conformally and all singular values collapse together, leaving the
+    ratio near 1 arbitrarily close to singularity.  If the largest singular
+    value is below an absolute floor the operator is zero to round-off and
+    the ratio is reported as 0 rather than noise/noise.
     """
-    svals = weighted_singular_values(amat, gram)
     weighted_min = float(svals[-1])
     if svals[0] <= ZERO_OPERATOR_FLOOR:
         ratio = 0.0
@@ -276,49 +266,31 @@ def _near_singular(amat: np.ndarray, gram: np.ndarray, r: int, sing_tol: float):
 
 def kernel_witness(
     basis: ZonalBasis,
-    rotations,
+    matrix: np.ndarray,
+    r: int,
     sing_tol: float = DEFAULT_SING_TOL,
-    rng=None,
-    samples: int = 10_000,
 ) -> HarmonicFunction:
-    """Extract and residual-check a kernel element of the summed-translate operator.
+    """A kernel element of the r-rotation operator whose ``operator_matrix`` is ``matrix``.
 
-    Requires the operator matrix to be near-singular per ``sing_tol`` (see
-    ``_near_singular``).  The coefficients are the right-singular direction
-    of the operator-gram matrix for its smallest singular value, normalized
-    so that sum_j |c_j| = 1.  The witness must pass a Monte-Carlo residual
-    check
-
-        max_x |sum_s g(gamma_s^T x)| <= 1e-6 * N_n
-
-    over ``samples`` uniform points; otherwise NotSingularError is raised.
+    Raises NotSingularError unless ``matrix`` is near-singular per
+    ``sing_tol`` (see ``_near_singular``).  The coefficients are B^T v_min,
+    v_min the right-singular vector of M for its smallest singular value,
+    normalized so that sum_j |c_j| = 1 with a positive largest entry.  The
+    witness is not residual-checked here: divisibility_test and
+    search_divisible check the residual of its divisor.
     """
-    mats = _rotation_matrices(rotations)
-    lmat = operator_gram(basis, rotations)
-    amat = np.linalg.solve(basis.gram, lmat.T).T
-    ratio, weighted_min, fired = _near_singular(amat, basis.gram, len(mats), sing_tol)
+    _, svals, vt = np.linalg.svd(matrix)
+    ratio, weighted_min, fired = _near_singular(svals, r, sing_tol)
     if not fired:
         raise NotSingularError(
             f"not singular per sing_tol={sing_tol:.3e}: sigma ratio {ratio:.3e}, "
             f"weighted sigma_min {weighted_min:.3e}"
         )
-    _, _, vt = np.linalg.svd(lmat)
-    coeffs = vt[-1]
+    coeffs = basis.frame.T @ vt[-1]
     coeffs = coeffs / np.sum(np.abs(coeffs))
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
         coeffs = -coeffs
-    witness = HarmonicFunction(basis, coeffs)
-    pts = uniform_sphere(basis.d, samples, rng)
-    total = np.zeros(samples)
-    for mat in mats:
-        total += witness(pts @ mat)
-    residual = float(np.max(np.abs(total)))
-    if residual > 1e-6 * basis.dim:
-        raise NotSingularError(
-            f"witness residual {residual:.3e} exceeds {1e-6 * basis.dim:.3e}; "
-            "the near-singular trigger was spurious"
-        )
-    return witness
+    return HarmonicFunction(basis, coeffs)
 
 
 @dataclass(frozen=True)
@@ -421,13 +393,33 @@ def verify_divisor(
     )
 
 
+def _certify(basis, matrix, rotations, sing_tol, rng, samples=10_000, margin=0.5):
+    """Witness, divisor and verification of a degree whose trigger fired.
+
+    The witness g must have cancelling translates, max_x |sum_s g(gamma_s^T x)|
+    <= 1e-6 * N_n; since f = 1/r + scale * g, that maximum is the divisor's
+    max_residual / scale on the verification points.  Raises
+    NotSingularError when the trigger does not fire or the witness fails.
+    """
+    witness = kernel_witness(basis, matrix, rotations.r, sing_tol)
+    divisor = make_divisor(witness, rotations.r, margin)
+    ver = verify_divisor(rotations, divisor, samples, rng)
+    residual = ver.max_residual / divisor.scale
+    if residual > 1e-6 * basis.dim:
+        raise NotSingularError(
+            f"witness residual {residual:.3e} exceeds {1e-6 * basis.dim:.3e}; "
+            "the near-singular trigger was spurious"
+        )
+    return witness, divisor, ver
+
+
 @dataclass(frozen=True)
 class DegreeRecord:
     """Outcome of the singularity check at one degree.
 
     ``sigma_min_rel`` is the smallest over largest singular value of the
-    degree-n operator in the L^2 geometry (weighted by the basis Gram
-    matrix), the ratio that determined the verdict; when a borderline first
+    degree-n operator in the L^2 geometry (its matrix in an orthonormal
+    frame), the ratio that determined the verdict; when a borderline first
     pass forced a rerun on a fresh basis, the first-pass ratio is kept in
     ``initial_sigma_min_rel``.
     """
@@ -508,7 +500,6 @@ def divisibility_test(
     *,
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    witness_samples: int = 10_000,
     verify_samples: int = 10_000,
 ) -> DivisibilityReport:
     """Run the per-degree singularity check for n = 1 .. n_max.
@@ -531,37 +522,28 @@ def divisibility_test(
     divisor = None
     verification = None
 
-    for n in range(1, n_max + 1):
+    def probe(n, *stream):
         basis = build_zonal_basis(
-            rotations.d, n, derive_rng(seed, 2, n), cond_threshold, max_attempts
+            rotations.d, n, derive_rng(seed, 2, n, *stream), cond_threshold, max_attempts
         )
-        amat = operator_matrix(basis, rotations)
-        ratio, wmin, fired = _near_singular(amat, basis.gram, rotations.r, sing_tol)
+        matrix = operator_matrix(basis, rotations)
+        ratio, wmin, fired = _near_singular(weighted_singular_values(matrix), rotations.r, sing_tol)
         near_band = ratio < 10.0 * sing_tol or wmin < 10.0 * sing_tol * rotations.r
+        return basis, matrix, ratio, fired, near_band
+
+    for n in range(1, n_max + 1):
+        basis, matrix, ratio, fired, near_band = probe(n)
         initial_ratio = None
         if near_band and not fired:
             # within 10x of the trigger: rerun on a fresh basis rather than
             # handing down a hard verdict from a possibly unlucky basis
             initial_ratio = ratio
-            basis = build_zonal_basis(
-                rotations.d, n, derive_rng(seed, 2, n, 1), cond_threshold, max_attempts
-            )
-            amat = operator_matrix(basis, rotations)
-            ratio, wmin, fired = _near_singular(amat, basis.gram, rotations.r, sing_tol)
-            near_band = ratio < 10.0 * sing_tol or wmin < 10.0 * sing_tol * rotations.r
+            basis, matrix, ratio, fired, near_band = probe(n, 1)
 
         if fired:
             try:
-                g = kernel_witness(
-                    basis,
-                    rotations,
-                    sing_tol,
-                    rng=derive_rng(seed, 2, n, 2),
-                    samples=witness_samples,
-                )
-                f = make_divisor(g, rotations.r)
-                ver = verify_divisor(
-                    rotations, f, verify_samples, derive_rng(seed, 2, n, 3)
+                g, f, ver = _certify(
+                    basis, matrix, rotations, sing_tol, derive_rng(seed, 2, n, 3), verify_samples
                 )
             except NotSingularError:
                 verdict = VERDICT_BORDERLINE

@@ -30,17 +30,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .divisibility import (
     DEFAULT_SING_TOL,
     DivisibilityReport,
+    _certify,
     build_zonal_basis,
     divisibility_test,
-    kernel_witness,
-    make_divisor,
-    operator_gram,
-    verify_divisor,
+    operator_matrix,
     weighted_singular_values,
 )
 from .errors import BasisConstructionError, InputDomainError, NotSingularError
@@ -220,22 +217,25 @@ def run_genericity(study: GenericityStudy) -> GenericityResult:
 
 
 def _skew_from_params(theta: np.ndarray, d: int) -> np.ndarray:
-    s = np.zeros((d, d))
+    theta = np.asarray(theta)
+    s = np.zeros(theta.shape[:-1] + (d, d))
     iu = np.triu_indices(d, k=1)
-    s[iu] = theta
-    return s - s.T
+    s[..., iu[0], iu[1]] = theta
+    return s - np.swapaxes(s, -1, -2)
 
 
 def cayley_rotation(base: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Rotation base @ (I - S)(I + S)^{-1} for the skew matrix S packed in theta.
 
     The Cayley factor is exactly special orthogonal up to solve round-off; it
-    charts a neighborhood of the base point rationally and cheaply.
+    charts a neighborhood of the base point rationally and cheaply.  Stacks
+    broadcast: bases (k, d, d) with parameters (k, d(d-1)/2) give k rotations
+    from one stacked solve.
     """
-    d = base.shape[0]
+    d = base.shape[-1]
     s = _skew_from_params(theta, d)
     eye = np.eye(d)
-    factor = np.linalg.solve(eye - s, eye + s).T
+    factor = np.swapaxes(np.linalg.solve(eye - s, eye + s), -1, -2)
     return base @ factor
 
 
@@ -319,6 +319,8 @@ def search_divisible(
     and verify_divisor before the run may claim a divisible tuple; budget
     exhaustion returns the best tuple found with ``certified=False``.
     """
+    from scipy.optimize import minimize  # only the search needs scipy
+
     if n < 1:
         raise InputDomainError(f"target degree must be >= 1, got n={n}")
     settings = settings or SearchSettings()
@@ -328,36 +330,31 @@ def search_divisible(
     basis = build_zonal_basis(d, n, derive_rng(seed, 3), settings.cond_threshold)
     n_params = d * (d - 1) // 2
 
-    def objective_of(mats) -> float:
-        lmat = operator_gram(basis, mats)
-        amat = np.linalg.solve(basis.gram, lmat.T).T
-        return float(weighted_singular_values(amat, basis.gram)[-1]) / r
+    def objective(matrix) -> float:
+        return float(weighted_singular_values(matrix)[-1]) / r
 
     trace: list = []
 
     def log_objective_factory(bases):
         def log_objective(theta):
-            mats = [
-                cayley_rotation(bases[s], theta[s * n_params : (s + 1) * n_params])
-                for s in range(r)
-            ]
-            val = objective_of(mats)
+            mats = cayley_rotation(bases, theta.reshape(r, n_params))
+            val = objective(operator_matrix(basis, mats))
             trace.append(val if not trace else min(trace[-1], val))
             return math.log10(val + 1e-300)
 
         return log_objective
 
     best_ratio = math.inf
-    best_mats = None
+    best_mats = best_matrix = None
     restart_ratios = []
     for j in range(settings.restarts):
         rng_j = derive_rng(seed, 4, j)
         if j == 0 and settings.base_tuple is not None:
             if settings.base_tuple.d != d or settings.base_tuple.r != r:
                 raise InputDomainError("base_tuple shape does not match (d, r)")
-            bases = [g.matrix for g in settings.base_tuple]
+            bases = np.array([g.matrix for g in settings.base_tuple])
         else:
-            bases = [haar_sample(d, rng_j).matrix for _ in range(r)]
+            bases = np.array([haar_sample(d, rng_j).matrix for _ in range(r)])
         dim = r * n_params
         x0 = np.zeros(dim)
         simplex = np.vstack([x0, x0 + settings.simplex_scale * np.eye(dim)])
@@ -373,15 +370,12 @@ def search_divisible(
                 "fatol": 1e-15,
             },
         )
-        mats = [
-            cayley_rotation(bases[s], res.x[s * n_params : (s + 1) * n_params])
-            for s in range(r)
-        ]
-        val = objective_of(mats)
+        mats = cayley_rotation(bases, res.x.reshape(r, n_params))
+        matrix = operator_matrix(basis, mats)
+        val = objective(matrix)
         restart_ratios.append(val)
         if val < best_ratio:
-            best_ratio = val
-            best_mats = mats
+            best_ratio, best_mats, best_matrix = val, mats, matrix
         if best_ratio < settings.target_ratio:
             break
 
@@ -390,11 +384,10 @@ def search_divisible(
     residual_max = None
     if best_ratio < settings.target_ratio:
         try:
-            witness = kernel_witness(
-                basis, best_tuple, settings.target_ratio, rng=derive_rng(seed, 5)
+            _, _, ver = _certify(
+                basis, best_matrix, best_tuple, settings.target_ratio,
+                derive_rng(seed, 6), margin=settings.margin,
             )
-            divisor = make_divisor(witness, r, settings.margin)
-            ver = verify_divisor(best_tuple, divisor, 10_000, derive_rng(seed, 6))
             certified = ver.passed
             residual_max = ver.max_residual
         except NotSingularError:

@@ -18,7 +18,6 @@ with N_n the dimension of the degree-n harmonic space.  Everything downstream
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -27,9 +26,7 @@ from .errors import InputDomainError
 
 __all__ = [
     "GegenbauerTable",
-    "SphereConstants",
     "dim_harmonic",
-    "gegenbauer_eval",
     "projection_density",
     "sphere_area",
     "unit_vector",
@@ -78,20 +75,6 @@ def projection_density(d: int, t):
     inside = np.abs(arr) < 1.0
     out[inside] = _sigma(d - 1) * (1.0 - arr[inside] ** 2) ** ((d - 3) / 2.0)
     return out if arr.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class SphereConstants:
-    """Measure constants of the unit sphere in R^d."""
-
-    d: int
-    sigma: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", sphere_area(self.d))
-
-    def density(self, t):
-        return projection_density(self.d, t)
 
 
 class GegenbauerTable:
@@ -152,16 +135,6 @@ class GegenbauerTable:
 @lru_cache(maxsize=128)
 def _table(d: int, n_max: int) -> GegenbauerTable:
     return GegenbauerTable(d, n_max)
-
-
-def gegenbauer_eval(table: GegenbauerTable, n: int, t, *, slack: float = 1e-12):
-    """Evaluate the table's P_n at t, rejecting arguments outside [-1, 1] + slack."""
-    arr = np.asarray(t, dtype=float)
-    over = np.abs(arr) - 1.0
-    if np.any(over > slack):
-        worst = float(np.max(np.abs(arr)))
-        raise InputDomainError(f"argument {worst} outside [-1, 1] beyond slack {slack}")
-    return table.eval(n, np.clip(arr, -1.0, 1.0) if arr.ndim else min(1.0, max(-1.0, float(arr))))
 
 
 def unit_vector(v, *, name: str = "vector", tol: float = UNIT_TOL) -> np.ndarray:

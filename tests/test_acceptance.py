@@ -98,7 +98,7 @@ def test_criterion_4_circle_singular_direction():
     report = divisibility_test(pair, 1, rng=811)
     assert report.degrees[0].verdict == "singular"
     basis = build_zonal_basis(2, 1, rng=821, cond_threshold=1e3)
-    witness = kernel_witness(basis, pair, rng=823)
+    witness = kernel_witness(basis, operator_matrix(basis, pair), pair.r)
     pts = uniform_sphere(2, 10_000, 827)
     residual = float(np.max(np.abs(sum(witness(pts @ g.matrix) for g in pair))))
     assert residual <= 1e-10
@@ -127,7 +127,7 @@ def test_criterion_4_circle_singular_direction():
                 planar_rotation(2, 1, 2, a) for a in fixed
             ]
             amat = operator_matrix(basis, tup)
-            svals = weighted_singular_values(amat, basis.gram)
+            svals = weighted_singular_values(amat)
             return 0.0 if svals[0] <= 1e-12 else float(svals[-1] / svals[0])
 
         for phi in bad:
@@ -188,7 +188,7 @@ def test_criterion_7_invertibility_lower_bound():
         rest = [haar_sample(3, rng) for _ in range(r - ell - 1)]
         tup = RotationTuple(tuple([shared] * (ell + 1) + rest))
         basis = build_zonal_basis(3, n, rng=rng)
-        svals = weighted_singular_values(operator_matrix(basis, tup), basis.gram)
+        svals = weighted_singular_values(operator_matrix(basis, tup))
         bound = 2 * ell + 2 - r
         assert svals[-1] >= bound - 1e-6, (r, n, svals[-1], bound)
     elapsed = time.time() - start

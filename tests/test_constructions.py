@@ -19,6 +19,7 @@ from spherediv import (
     kernel_witness,
     odd_d4_suffix,
     odd_d4_tuple,
+    operator_matrix,
     planar_division,
     planar_rotation,
     uniform_sphere,
@@ -194,7 +195,7 @@ class TestCircleBadAngles:
                     (planar_rotation(2, 1, 2, float(phi)), planar_rotation(2, 1, 2, fixed[0]))
                 )
                 basis = build_zonal_basis(2, n, rng=rng, cond_threshold=1e3)
-                witness = kernel_witness(basis, tup, rng=rng)
+                witness = kernel_witness(basis, operator_matrix(basis, tup), tup.r)
                 pts = uniform_sphere(2, 5_000, rng)
                 total = sum(witness(pts @ g.matrix) for g in tup)
                 assert np.max(np.abs(total)) <= 1e-8
@@ -212,7 +213,7 @@ class TestCircleBadAngles:
                 (planar_rotation(2, 1, 2, float(phi)), planar_rotation(2, 1, 2, fixed[0]))
             )
             with pytest.raises(NotSingularError):
-                kernel_witness(basis, tup, sing_tol=1e-8, rng=rng)
+                kernel_witness(basis, operator_matrix(basis, tup), tup.r, sing_tol=1e-8)
 
     def test_analysis_bundle(self):
         analysis = analyze_circle(1, [math.pi])

