@@ -217,7 +217,7 @@ def cmd_experiment(args) -> int:
             d, r = int(config["d"]), int(config["r"])
             ell = config.get("ell")
             n_max = int(config.get("n_max", 8))
-            trials = int(config.get("trials", args.trials or 100))
+            trials = int(config.get("trials", args.trials if args.trials is not None else 100))
             sing_tol = float(config.get("sing_tol", args.sing_tol))
             count = r - (int(ell) if ell is not None else default_free_count(d, r))
             study = GenericityStudy(

@@ -148,10 +148,11 @@ def build_zonal_basis(
     )
 
 
-def _rotation_matrices(rotations) -> list:
-    if isinstance(rotations, RotationTuple):
-        return [g.matrix for g in rotations]
-    return [g.matrix if isinstance(g, Rotation) else np.asarray(g, dtype=float) for g in rotations]
+def _rotation_matrices(rotations) -> np.ndarray:
+    """The matrices of a tuple as one (r, d, d) array; arrays pass through."""
+    if isinstance(rotations, np.ndarray):
+        return rotations
+    return np.array([g.matrix if isinstance(g, Rotation) else g for g in rotations], dtype=float)
 
 
 def operator_gram(basis: ZonalBasis, rotations) -> np.ndarray:
@@ -159,25 +160,30 @@ def operator_gram(basis: ZonalBasis, rotations) -> np.ndarray:
 
     Entry (i, j) is sum_s P_n(v_i . (gamma_s v_j)) / N_n, i.e. the scaled
     inner product of the adjoint image of P_n(v_i . ) with P_n(v_j . ).
-    Accepts a RotationTuple or any sequence of rotations (matrices allowed),
-    all of the basis dimension.
+    Accepts a RotationTuple, any sequence of rotations (matrices allowed),
+    or an array (..., r, d, d) of tuples, all of the basis dimension; the
+    result has shape (..., N_n, N_n).  The r translates accumulate into one
+    output, so a stack holds one N_n x N_n array per tuple, not per rotation.
     """
     mats = _rotation_matrices(rotations)
+    if mats.ndim < 3 or mats.shape[-2:] != (basis.d, basis.d):
+        raise InputDomainError(
+            f"rotation shape {mats.shape[-2:]} does not match basis dimension d={basis.d}"
+        )
     v = basis.points
     size = basis.dim
-    out = np.zeros((size, size))
-    for mat in mats:
-        if mat.shape != (basis.d, basis.d):
-            raise InputDomainError(
-                f"rotation shape {mat.shape} does not match basis dimension d={basis.d}"
-            )
-        dots = np.clip(v @ (mat @ v.T), -1.0, 1.0)
+    out = np.zeros(mats.shape[:-3] + (size, size))
+    for s in range(mats.shape[-3]):
+        dots = np.clip(v @ (mats[..., s, :, :] @ v.T), -1.0, 1.0)
         out += basis.table.eval(basis.n, dots)
     return out / size
 
 
 def operator_matrix(basis: ZonalBasis, rotations) -> np.ndarray:
-    """The summed-translate operator in the basis's orthonormal frame: M = B L B^T."""
+    """The summed-translate operator in the basis's orthonormal frame: M = B L B^T.
+
+    Broadcasts like ``operator_gram``: a stack of tuples gives a stack of M.
+    """
     lmat = operator_gram(basis, rotations)
     return basis.frame @ lmat @ basis.frame.T
 
@@ -187,7 +193,7 @@ def weighted_singular_values(matrix: np.ndarray) -> np.ndarray:
 
     The frame is orthonormal, so the Euclidean singular values of M are the
     genuine L^2 singular values of the operator, independent of the basis
-    draw up to round-off.
+    draw up to round-off.  A stack of M gives a stack of descending rows.
     """
     return np.linalg.svd(matrix, compute_uv=False)
 
@@ -243,7 +249,7 @@ class HarmonicFunction:
 
 
 def _near_singular(svals: np.ndarray, r: int, sing_tol: float):
-    """Dual singularity trigger: (ratio, weighted smallest value, fired).
+    """Dual singularity trigger: (ratio, weighted smallest value, fired, near band).
 
     ``svals`` are the operator's L^2 singular values in descending order
     (``weighted_singular_values``), which are independent of the basis draw
@@ -254,14 +260,30 @@ def _near_singular(svals: np.ndarray, r: int, sing_tol: float):
     acts conformally and all singular values collapse together, leaving the
     ratio near 1 arbitrarily close to singularity.  If the largest singular
     value is below an absolute floor the operator is zero to round-off and
-    the ratio is reported as 0 rather than noise/noise.
+    the ratio is reported as 0 rather than noise/noise.  The near band is
+    the same test with 10 sing_tol.  Vectorised over leading axes of
+    ``svals``: one value per row.
     """
-    weighted_min = float(svals[-1])
-    if svals[0] <= ZERO_OPERATOR_FLOOR:
-        ratio = 0.0
-    else:
-        ratio = float(svals[-1] / svals[0])
-    return ratio, weighted_min, bool(ratio < sing_tol or weighted_min < sing_tol * r)
+    smax, weighted_min = svals[..., 0], svals[..., -1]
+    live = smax > ZERO_OPERATOR_FLOOR
+    ratio = np.divide(weighted_min, smax, out=np.zeros(np.shape(smax)), where=live)
+
+    def below(tol):
+        return (ratio < tol) | (weighted_min < tol * r)
+
+    return ratio, weighted_min, below(sing_tol), below(10.0 * sing_tol)
+
+
+def _probe(basis: ZonalBasis, rotations, r: int, sing_tol: float):
+    """Operator matrix and trigger of one tuple, or of a stack (..., r, d, d) of tuples.
+
+    Returns (M, ratio, fired, near band) as ``operator_matrix`` and
+    ``_near_singular`` give them; divisibility_test and run_genericity both
+    decide a degree through this one call.
+    """
+    matrix = operator_matrix(basis, rotations)
+    ratio, _, fired, near_band = _near_singular(weighted_singular_values(matrix), r, sing_tol)
+    return matrix, ratio, fired, near_band
 
 
 def kernel_witness(
@@ -280,10 +302,10 @@ def kernel_witness(
     search_divisible check the residual of its divisor.
     """
     _, svals, vt = np.linalg.svd(matrix)
-    ratio, weighted_min, fired = _near_singular(svals, r, sing_tol)
+    ratio, weighted_min, fired, _ = _near_singular(svals, r, sing_tol)
     if not fired:
         raise NotSingularError(
-            f"not singular per sing_tol={sing_tol:.3e}: sigma ratio {ratio:.3e}, "
+            f"not singular per sing_tol={sing_tol:.3e}: sigma ratio {float(ratio):.3e}, "
             f"weighted sigma_min {weighted_min:.3e}"
         )
     coeffs = basis.frame.T @ vt[-1]
@@ -526,10 +548,8 @@ def divisibility_test(
         basis = build_zonal_basis(
             rotations.d, n, derive_rng(seed, 2, n, *stream), cond_threshold, max_attempts
         )
-        matrix = operator_matrix(basis, rotations)
-        ratio, wmin, fired = _near_singular(weighted_singular_values(matrix), rotations.r, sing_tol)
-        near_band = ratio < 10.0 * sing_tol or wmin < 10.0 * sing_tol * rotations.r
-        return basis, matrix, ratio, fired, near_band
+        matrix, ratio, fired, near_band = _probe(basis, rotations, rotations.r, sing_tol)
+        return basis, matrix, float(ratio), bool(fired), bool(near_band)
 
     for n in range(1, n_max + 1):
         basis, matrix, ratio, fired, near_band = probe(n)

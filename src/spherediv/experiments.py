@@ -6,6 +6,19 @@ tuple comes to singularity.  Sections over a generic suffix are null sets,
 so Haar sampling is expected to produce zero certified-singular trials
 (the odd-d four-rotation diagonal suffix is the designed exception).
 
+A study is batched.  The zonal basis does not depend on the tuple, so the
+study draws one basis per degree, from derive_rng(seed, 2, n), and decides
+every trial against it: per block of trials and degree, one stacked
+assembly, one whitening, one stacked values-only SVD and one vectorised
+trigger.  Blocks are sized so that a stacked N_n x N_n array stays within
+BLOCK_BYTES.  A trial whose trigger fires or lands in the near band at any
+degree, and every trial of a study whose basis of some degree cannot be
+built, is re-run alone through divisibility_test(tuple, rng=trial seed),
+which certifies it or marks it borderline exactly as a standalone run
+would.  The other trials' ratios come from the study bases, so they match a
+standalone divisibility_test to basis round-off (within about 1e-7
+relative at d=3), not bitwise.
+
 The search minimizes how singular the degree-n operator is over tuples
 parametrized by Cayley charts around restart base points, with a
 Nelder-Mead simplex (the objective is nonsmooth exactly at its zero set).
@@ -16,9 +29,10 @@ at conformal degrees, where all singular values collapse together.)
 Optimizer minima are never reported as divisible on their own: a candidate
 counts only after its kernel witness and divisor pass the residual check.
 
-Everything is reproducible from the root seed: trial k draws from
-derive_rng(seed, 1, k), restart j from derive_rng(seed, 4, j), so results
-do not depend on execution order.
+Everything is reproducible from the root seed: trial k draws its free
+rotations and then its trial seed from derive_rng(seed, 1, k), restart j
+from derive_rng(seed, 4, j), so results do not depend on execution order
+or block size.
 """
 
 from __future__ import annotations
@@ -33,15 +47,17 @@ import numpy as np
 
 from .divisibility import (
     DEFAULT_SING_TOL,
+    VERDICT_INVERTIBLE,
     DivisibilityReport,
     _certify,
+    _probe,
     build_zonal_basis,
     divisibility_test,
     operator_matrix,
     weighted_singular_values,
 )
 from .errors import BasisConstructionError, InputDomainError, NotSingularError
-from .rotations import Rotation, RotationTuple, haar_sample
+from .rotations import Rotation, RotationTuple, haar_from_gaussian, haar_sample
 from .sampling import derive_rng, resolve_seed
 
 __all__ = [
@@ -57,6 +73,11 @@ __all__ = [
     "search_divisible",
     "trial_csv_text",
 ]
+
+
+# byte budget of one stacked (trials, N_n, N_n) array in a genericity study;
+# sets how many trials share one stacked assembly and SVD
+BLOCK_BYTES = 1 << 16
 
 
 def default_free_count(d: int, r: int) -> int:
@@ -95,6 +116,8 @@ class GenericityStudy:
                 raise InputDomainError(f"suffix rotation has dimension {g.d}, expected {self.d}")
         if self.trials < 1:
             raise InputDomainError(f"trials must be >= 1, got {self.trials}")
+        if self.n_max < 1:
+            raise InputDomainError(f"n_max must be >= 1, got {self.n_max}")
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "suffix", suffix)
 
@@ -166,37 +189,70 @@ def trial_csv_text(result: GenericityResult) -> str:
     return buf.getvalue()
 
 
+def _draw_trials(study: GenericityStudy):
+    """Every trial's tuple as one (trials, r, d, d) stack, and the trial seeds.
+
+    Trial k draws its ell Gaussian (d, d) blocks and then its seed from
+    derive_rng(seed, 1, k), the stream haar_sample would read, so the free
+    rotations equal haar_sample's bitwise.
+    """
+    gauss = np.empty((study.trials, study.ell, study.d, study.d))
+    seeds = []
+    for k in range(study.trials):
+        rng = derive_rng(study.seed, 1, k)
+        gauss[k] = rng.standard_normal((study.ell, study.d, study.d))
+        seeds.append(int(rng.integers(0, 2**63)))
+    suffix = np.array([g.matrix for g in study.suffix]).reshape(-1, study.d, study.d)
+    suffix = np.broadcast_to(suffix, (study.trials,) + suffix.shape)
+    return np.concatenate([haar_from_gaussian(gauss), suffix], axis=1), seeds
+
+
 def run_genericity(study: GenericityStudy) -> GenericityResult:
     """Execute the study; basis failures mark single trials failed, never abort."""
+    tuples, seeds = _draw_trials(study)
+    sigma_rel = np.empty((study.trials, study.n_max))
+    rerun = np.zeros(study.trials, dtype=bool)
+    try:
+        for n in range(1, study.n_max + 1):
+            basis = build_zonal_basis(study.d, n, derive_rng(study.seed, 2, n))
+            step = max(1, BLOCK_BYTES // (8 * basis.dim**2))
+            for lo in range(0, study.trials, step):
+                _, ratio, fired, near_band = _probe(
+                    basis, tuples[lo:lo + step], study.r, study.sing_tol
+                )
+                sigma_rel[lo:lo + step, n - 1] = ratio
+                rerun[lo:lo + step] |= fired | near_band
+    except BasisConstructionError:
+        rerun[:] = True
+
     records = []
     n_singular = 0
     n_failed = 0
     for k in range(study.trials):
-        rng = derive_rng(study.seed, 1, k)
-        free = tuple(haar_sample(study.d, rng) for _ in range(study.ell))
-        extended = RotationTuple(free + study.suffix)
-        try:
-            report: DivisibilityReport = divisibility_test(
-                extended,
-                study.n_max,
-                study.sing_tol,
-                rng=int(rng.integers(0, 2**63)),
+        if rerun[k]:
+            extended = RotationTuple(tuple(Rotation(m) for m in tuples[k, : study.ell]) + study.suffix)
+            try:
+                report: DivisibilityReport = divisibility_test(
+                    extended, study.n_max, study.sing_tol, rng=seeds[k]
+                )
+            except BasisConstructionError:
+                n_failed += 1
+                records.append(
+                    TrialRecord(trial=k, min_ratio=float("nan"), singular=False, failed=True, degrees=())
+                )
+                continue
+            degrees = tuple((rec.n, rec.sigma_min_rel, rec.verdict) for rec in report.degrees)
+            singular = report.divisible
+        else:
+            degrees = tuple(
+                (n, ratio, VERDICT_INVERTIBLE) for n, ratio in enumerate(sigma_rel[k].tolist(), start=1)
             )
-        except BasisConstructionError:
-            n_failed += 1
-            records.append(
-                TrialRecord(trial=k, min_ratio=float("nan"), singular=False, failed=True, degrees=())
-            )
-            continue
-        degrees = tuple(
-            (rec.n, rec.sigma_min_rel, rec.verdict) for rec in report.degrees
-        )
-        singular = report.divisible
+            singular = False
         n_singular += int(singular)
         records.append(
             TrialRecord(
                 trial=k,
-                min_ratio=report.min_ratio,
+                min_ratio=min(ratio for _, ratio, _ in degrees),
                 singular=singular,
                 failed=False,
                 degrees=degrees,

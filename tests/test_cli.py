@@ -201,6 +201,17 @@ class TestCmdExperiment:
         assert summary["certified"] is True
         assert summary["residual_max"] <= 1e-8
 
+    def test_zero_trials_rejected(self, tmp_path, capsys):
+        # --trials 0 is a request for zero trials, not for the default 100
+        config = {"kind": "genericity", "d": 3, "r": 3, "n_max": 1, "seed": 37}
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(config))
+        out = tmp_path / "study"
+        code = main(["experiment", "--config", str(cpath), "--trials", "0", "--out", str(out)])
+        assert code == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "study.csv").exists()
+
     def test_unknown_kind(self, tmp_path):
         cpath = tmp_path / "config.json"
         cpath.write_text(json.dumps({"kind": "nonsense", "seed": 1}))

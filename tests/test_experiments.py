@@ -15,6 +15,8 @@ from spherediv import (
     SearchSettings,
     cayley_rotation,
     default_free_count,
+    derive_rng,
+    divisibility_test,
     haar_sample,
     odd_d4_suffix,
     planar_rotation,
@@ -22,6 +24,7 @@ from spherediv import (
     search_divisible,
 )
 from spherediv.experiments import search_csv_text, trial_csv_text
+from spherediv.rotations import haar_from_gaussian
 
 
 class TestCayleyChart:
@@ -94,10 +97,19 @@ class TestGenericity:
             GenericityStudy(
                 d=3, r=3, suffix=(haar_sample(4, 1), haar_sample(4, 2)), trials=2, n_max=2, seed=1, ell=1
             )
+        with pytest.raises(InputDomainError):
+            GenericityStudy(
+                d=3, r=3, suffix=(haar_sample(3, 1), haar_sample(3, 2)), trials=2, n_max=0, seed=1, ell=1
+            )
 
     def test_basis_failures_mark_trials_not_abort(self, monkeypatch):
         import spherediv.experiments as exp
         from spherediv import BasisConstructionError
+
+        # the study basis fails, so every trial falls back to its own
+        # divisibility_test; the second of those fails too
+        def no_basis(*args, **kwargs):
+            raise BasisConstructionError("forced study-basis failure")
 
         real_test = exp.divisibility_test
         calls = {"count": 0}
@@ -108,6 +120,7 @@ class TestGenericity:
                 raise BasisConstructionError("forced failure")
             return real_test(*args, **kwargs)
 
+        monkeypatch.setattr(exp, "build_zonal_basis", no_basis)
         monkeypatch.setattr(exp, "divisibility_test", flaky)
         suffix = (haar_sample(3, 419), haar_sample(3, 421))
         study = GenericityStudy(d=3, r=3, suffix=suffix, trials=4, n_max=1, seed=431, ell=1)
@@ -117,6 +130,37 @@ class TestGenericity:
         assert result.records[1].failed and math.isnan(result.records[1].min_ratio)
         rows = result.trial_rows()
         assert any(row[3] == "failed" for row in rows)
+        assert calls["count"] == 4
+
+    @pytest.mark.parametrize(
+        "d, r, ell, trials, n_max, seed",
+        [(3, 3, 1, 40, 4, 443), (4, 4, 2, 12, 3, 449)],
+    )
+    def test_batched_matches_per_trial_test(self, d, r, ell, trials, n_max, seed):
+        # each trial's tuple and seed come from derive_rng(seed, 1, k); the
+        # batched study must reach the standalone verdicts, with ratios equal
+        # up to the round-off of its own per-degree bases
+        rng = np.random.default_rng(seed)
+        suffix = tuple(haar_sample(d, rng) for _ in range(r - ell))
+        study = GenericityStudy(d=d, r=r, suffix=suffix, trials=trials, n_max=n_max, seed=seed, ell=ell)
+        result = run_genericity(study)
+        for k, rec in enumerate(result.records):
+            trial_rng = derive_rng(seed, 1, k)
+            free = tuple(haar_sample(d, trial_rng) for _ in range(ell))
+            report = divisibility_test(
+                RotationTuple(free + suffix), n_max, rng=int(trial_rng.integers(0, 2**63))
+            )
+            expected = [(deg.n, deg.sigma_min_rel, deg.verdict) for deg in report.degrees]
+            assert [(n, v) for n, _, v in rec.degrees] == [(n, v) for n, _, v in expected]
+            for (_, got, _), (_, want, _) in zip(rec.degrees, expected):
+                assert math.isclose(got, want, rel_tol=1e-6)
+
+    def test_stacked_haar_equals_haar_sample(self):
+        d, ell, trials = 3, 2, 25
+        stacked = haar_from_gaussian(np.random.default_rng(457).standard_normal((trials, ell, d, d)))
+        rng = np.random.default_rng(457)
+        single = np.array([[haar_sample(d, rng).matrix for _ in range(ell)] for _ in range(trials)])
+        assert np.array_equal(stacked, single)
 
 
 class TestSearch:

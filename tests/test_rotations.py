@@ -19,6 +19,7 @@ from spherediv import (
     uniform_sphere,
     zonal_eval,
 )
+from spherediv.rotations import haar_from_gaussian
 
 
 class TestRotationValidation:
@@ -146,17 +147,16 @@ class TestHaarSampling:
         # sign symmetry of Haar measure forces zero-mean entries
         rng = np.random.default_rng(29)
         m = 20_000
-        vals = np.array([haar_sample(3, rng).matrix[0, 0] for _ in range(m)])
+        # one stacked draw reads the same stream as m haar_sample calls
+        vals = haar_from_gaussian(rng.standard_normal((m, 3, 3)))[:, 0, 0]
         se = vals.std(ddof=1) / math.sqrt(m)
         assert abs(vals.mean()) <= 5 * se
 
     def test_circle_angles_uniform(self):
         rng = np.random.default_rng(31)
         m = 100_000
-        angles = np.empty(m)
-        for i in range(m):
-            mat = haar_sample(2, rng).matrix
-            angles[i] = math.atan2(mat[1, 0], mat[0, 0]) % (2 * math.pi)
+        mats = haar_from_gaussian(rng.standard_normal((m, 2, 2)))
+        angles = np.arctan2(mats[:, 1, 0], mats[:, 0, 0]) % (2 * math.pi)
         stat, pvalue = stats.kstest(angles / (2 * math.pi), "uniform")
         assert pvalue > 0.01
 
