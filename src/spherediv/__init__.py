@@ -30,7 +30,6 @@ from .divisibility import (
     HarmonicFunction,
     VerificationResult,
     ZonalBasis,
-    axis_basis,
     build_zonal_basis,
     divisibility_test,
     kernel_witness,

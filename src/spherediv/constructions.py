@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divisibility import HarmonicFunction, axis_basis
+from .divisibility import HarmonicFunction
 from .errors import InputDomainError, InternalInconsistencyError
+from .fischer import fischer_frame
 from .rotations import Rotation, RotationTuple, fixed_point, planar_rotation
 
 __all__ = [
@@ -134,7 +135,7 @@ def odd_d4_tuple(d: int, gamma1: Rotation):
     if gamma1.d != d:
         raise InputDomainError(f"gamma1 has dimension {gamma1.d}, expected {d}")
     u = fixed_point(gamma1)
-    witness = HarmonicFunction(axis_basis(d), u)
+    witness = HarmonicFunction(fischer_frame(d, 1), u)
     return RotationTuple((gamma1,) + family.suffix), witness
 
 

@@ -2,21 +2,32 @@
 
 An r-tuple of rotations fractionally divides the sphere exactly when, for
 some degree n >= 1, the operator g -> sum_s g(gamma_s^T .) on the degree-n
-harmonic space fails to be invertible.  With a zonal basis P_n(v_i . ) the
-question becomes finite-dimensional:
+harmonic space fails to be invertible.  divisibility_test decides each degree
+in the exact Fischer frame of ``fischer``: one pass of the symmetric-power
+recurrence gives S_n = sum_s Sym^n(gamma_s) for every degree, and
+
+    M = U^T S_n U
+
+is the operator in orthonormal coordinates, so its singular values are the
+operator's L^2 ones.  Each degree takes one SVD of M.  The frame is
+deterministic, so verdicts do not depend on the seed, which drives only the
+verification points.  Near-zero smallest singular values only *trigger*
+certificate extraction; the certificate itself is the residual of a concrete
+kernel witness g (the harmonic polynomial with frame coordinates v_min, the
+smallest right-singular vector of M), propagated into an explicit divisor
+f = 1/r + c g whose rotated copies must sum to 1 everywhere.  A report never
+claims divisibility without a passing residual.
+
+Zonal bases P_n(v_i . ) of random poles are kept as a reference that tests
+compare against:
 
     gram_ij = P_n(v_i . v_j) / N_n                (basis Gram matrix, scaled)
     L_ij    = sum_s P_n(v_i . (gamma_s v_j)) / N_n
     M       = B L B^T,  B = W^{-1/2} Q^T  for  gram = Q W Q^T
 
-B is an orthonormal frame (B gram B^T = I), so M is the operator in
-orthonormal coordinates: its singular values are the operator's L^2 ones and
-it is singular iff L is.  Each degree takes one SVD of M.  Near-zero smallest
-singular values only *trigger* certificate extraction; the certificate itself
-is the basis-free residual of a concrete kernel witness g (coefficients
-B^T v_min for the smallest right-singular vector v_min of M), propagated into
-an explicit divisor f = 1/r + c g whose rotated copies must sum to 1
-everywhere.  A report never claims divisibility without a passing residual.
+B is an orthonormal frame (B gram B^T = I), so this M has the same singular
+values up to the round-off of the pole draw.  HarmonicFunction and
+kernel_witness work over either kind of frame.
 
 The n_max cutoff makes the test one-sided: invertibility at every tested
 degree does not prove non-divisibility.
@@ -30,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BasisConstructionError, InputDomainError, NotSingularError
+from .fischer import fischer_frame, summed_powers
 from .harmonics import GegenbauerTable, dim_harmonic
 from .rotations import Rotation, RotationTuple
 from .sampling import as_rng, derive_rng, resolve_seed, uniform_sphere
@@ -41,7 +53,6 @@ __all__ = [
     "HarmonicFunction",
     "VerificationResult",
     "ZonalBasis",
-    "axis_basis",
     "build_zonal_basis",
     "divisibility_test",
     "kernel_witness",
@@ -56,6 +67,8 @@ __all__ = [
 DEFAULT_SING_TOL = 1e-10
 DEFAULT_COND_THRESHOLD = 1e8
 DEFAULT_MAX_ATTEMPTS = 50
+# points on which every certificate's divisor is checked
+VERIFY_SAMPLES = 10_000
 # below this absolute scale the whole operator matrix is numerically zero and
 # the sigma_min / sigma_max ratio would be noise over noise
 ZERO_OPERATOR_FLOOR = 1e-12
@@ -97,15 +110,18 @@ class ZonalBasis:
     def dim(self) -> int:
         return self.points.shape[0]
 
+    @property
+    def size(self) -> int:
+        """The coefficient count of a HarmonicFunction: one per pole."""
+        return self.dim
 
-def axis_basis(d: int) -> ZonalBasis:
-    """The degree-1 zonal basis with coordinate-axis poles (gram = I/d)."""
-    points = np.eye(d)
-    gram = np.eye(d) / d
-    return ZonalBasis(
-        d=d, n=1, points=points, gram=gram, cond=1.0, table=GegenbauerTable(d, 1),
-        frame=np.sqrt(d) * np.eye(d),
-    )
+    def coefficients(self, coords: np.ndarray) -> np.ndarray:
+        """Zonal coefficients B^T y of the harmonic with frame coordinates ``coords``."""
+        return self.frame.T @ coords
+
+    def terms(self, x: np.ndarray) -> np.ndarray:
+        """Values P_n(v_j . x) of every zonal function at the points ``x`` (m, d)."""
+        return self.table.eval(self.n, np.clip(x @ self.points.T, -1.0, 1.0))
 
 
 def build_zonal_basis(
@@ -200,20 +216,23 @@ def weighted_singular_values(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HarmonicFunction:
-    """A degree-n harmonic given by coefficients over a zonal basis.
+    """A degree-n harmonic g(x) = sum_k coeffs[k] * phi_k(x) over the functions of a frame.
 
-    Evaluates as g(x) = sum_j coeffs[j] * P_n(v_j . x); callable on a single
-    point (d,) or a batch (m, d) of unit vectors.
+    ``basis`` is a FischerFrame, whose functions phi_k are the monomials
+    x^a (the coefficients must then form a harmonic polynomial), or a
+    ZonalBasis, whose functions are P_n(v_k . x).  Callable on a single
+    point (d,) or a batch (m, d) of unit vectors.  Only Fischer-frame
+    functions have a JSON form.
     """
 
-    basis: ZonalBasis
+    basis: object
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=float)
-        if c.shape != (self.basis.dim,):
+        if c.shape != (self.basis.size,):
             raise InputDomainError(
-                f"coefficient vector has shape {c.shape}, basis dimension is {self.basis.dim}"
+                f"coefficient vector has shape {c.shape}, the frame has {self.basis.size} functions"
             )
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -221,31 +240,25 @@ class HarmonicFunction:
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
         single = arr.ndim == 1
-        pts = np.atleast_2d(arr)
-        dots = np.clip(pts @ self.basis.points.T, -1.0, 1.0)
-        vals = self.basis.table.eval(self.basis.n, dots) @ self.coeffs
+        vals = self.basis.terms(np.atleast_2d(arr)) @ self.coeffs
         return float(vals[0]) if single else vals
 
     def sup_bound(self) -> float:
-        """Rigorous sup-norm bound sum_j |c_j| (the zonal factors satisfy |P_n| <= 1)."""
+        """Rigorous sup-norm bound sum_k |c_k|: on the sphere |x^a| <= 1 and |P_n| <= 1."""
         return float(np.sum(np.abs(self.coeffs)))
 
     def degree_one_pole(self) -> np.ndarray:
         """For n = 1 the function is x -> w . x; returns w normalized."""
         if self.basis.n != 1:
             raise InputDomainError(f"degree_one_pole needs a degree-1 function, got n={self.basis.n}")
-        w = self.basis.points.T @ self.coeffs
+        w = self(np.eye(self.basis.d))
         norm = np.linalg.norm(w)
         if norm == 0:
             raise InputDomainError("zero harmonic has no pole")
         return w / norm
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.basis.n,
-            "poles": [list(map(float, row)) for row in self.basis.points],
-            "coeffs": [float(c) for c in self.coeffs],
-        }
+        return self.basis.function_json(self.coeffs)
 
 
 def _near_singular(svals: np.ndarray, r: int, sing_tol: float):
@@ -274,32 +287,22 @@ def _near_singular(svals: np.ndarray, r: int, sing_tol: float):
     return ratio, weighted_min, below(sing_tol), below(10.0 * sing_tol)
 
 
-def _probe(basis: ZonalBasis, rotations, r: int, sing_tol: float):
-    """Operator matrix and trigger of one tuple, or of a stack (..., r, d, d) of tuples.
-
-    Returns (M, ratio, fired, near band) as ``operator_matrix`` and
-    ``_near_singular`` give them; divisibility_test and run_genericity both
-    decide a degree through this one call.
-    """
-    matrix = operator_matrix(basis, rotations)
-    ratio, _, fired, near_band = _near_singular(weighted_singular_values(matrix), r, sing_tol)
-    return matrix, ratio, fired, near_band
-
-
 def kernel_witness(
-    basis: ZonalBasis,
+    basis,
     matrix: np.ndarray,
     r: int,
     sing_tol: float = DEFAULT_SING_TOL,
 ) -> HarmonicFunction:
-    """A kernel element of the r-rotation operator whose ``operator_matrix`` is ``matrix``.
+    """A kernel element of the r-rotation operator whose matrix in ``basis``'s frame is ``matrix``.
 
-    Raises NotSingularError unless ``matrix`` is near-singular per
-    ``sing_tol`` (see ``_near_singular``).  The coefficients are B^T v_min,
-    v_min the right-singular vector of M for its smallest singular value,
-    normalized so that sum_j |c_j| = 1 with a positive largest entry.  The
-    witness is not residual-checked here: divisibility_test and
-    search_divisible check the residual of its divisor.
+    ``basis`` is a FischerFrame (with M = U^T S_n U) or a ZonalBasis (with
+    M from ``operator_matrix``).  Raises NotSingularError unless ``matrix``
+    is near-singular per ``sing_tol`` (see ``_near_singular``).  The
+    witness has frame coordinates v_min, the right-singular vector of M for
+    its smallest singular value; its coefficients are normalized so that
+    sum_k |c_k| = 1 with a positive largest entry.  The witness is not
+    residual-checked here: divisibility_test and search_divisible check the
+    residual of its divisor.
     """
     _, svals, vt = np.linalg.svd(matrix)
     ratio, weighted_min, fired, _ = _near_singular(svals, r, sing_tol)
@@ -308,7 +311,7 @@ def kernel_witness(
             f"not singular per sing_tol={sing_tol:.3e}: sigma ratio {float(ratio):.3e}, "
             f"weighted sigma_min {weighted_min:.3e}"
         )
-    coeffs = basis.frame.T @ vt[-1]
+    coeffs = basis.coefficients(vt[-1])
     coeffs = coeffs / np.sum(np.abs(coeffs))
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
         coeffs = -coeffs
@@ -415,7 +418,7 @@ def verify_divisor(
     )
 
 
-def _certify(basis, matrix, rotations, sing_tol, rng, samples=10_000, margin=0.5):
+def _certify(basis, matrix, rotations, sing_tol, rng):
     """Witness, divisor and verification of a degree whose trigger fired.
 
     The witness g must have cancelling translates, max_x |sum_s g(gamma_s^T x)|
@@ -424,8 +427,8 @@ def _certify(basis, matrix, rotations, sing_tol, rng, samples=10_000, margin=0.5
     NotSingularError when the trigger does not fire or the witness fails.
     """
     witness = kernel_witness(basis, matrix, rotations.r, sing_tol)
-    divisor = make_divisor(witness, rotations.r, margin)
-    ver = verify_divisor(rotations, divisor, samples, rng)
+    divisor = make_divisor(witness, rotations.r)
+    ver = verify_divisor(rotations, divisor, VERIFY_SAMPLES, rng)
     residual = ver.max_residual / divisor.scale
     if residual > 1e-6 * basis.dim:
         raise NotSingularError(
@@ -440,28 +443,22 @@ class DegreeRecord:
     """Outcome of the singularity check at one degree.
 
     ``sigma_min_rel`` is the smallest over largest singular value of the
-    degree-n operator in the L^2 geometry (its matrix in an orthonormal
-    frame), the ratio that determined the verdict; when a borderline first
-    pass forced a rerun on a fresh basis, the first-pass ratio is kept in
-    ``initial_sigma_min_rel``.
+    degree-n operator in the L^2 geometry (its matrix in the Fischer frame),
+    the ratio that determined the verdict; ``dim`` is N_n.
     """
 
     n: int
     dim: int
     sigma_min_rel: float
     verdict: str
-    initial_sigma_min_rel: Optional[float] = None
 
     def to_json_obj(self) -> dict:
-        obj = {
+        return {
             "n": self.n,
             "N_n": self.dim,
             "sigma_min_rel": self.sigma_min_rel,
             "verdict": self.verdict,
         }
-        if self.initial_sigma_min_rel is not None:
-            obj["sigma_min_rel_initial"] = self.initial_sigma_min_rel
-        return obj
 
 
 @dataclass(frozen=True)
@@ -519,20 +516,16 @@ def divisibility_test(
     n_max: int,
     sing_tol: float = DEFAULT_SING_TOL,
     rng=None,
-    *,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    verify_samples: int = 10_000,
 ) -> DivisibilityReport:
     """Run the per-degree singularity check for n = 1 .. n_max.
 
     A degree is recorded ``singular`` only when the near-zero trigger
     (sigma_min / sigma_max below ``sing_tol``) is confirmed by a kernel
     witness whose divisor passes ``verify_divisor``; a trigger that fails
-    certification is downgraded to ``borderline``.  Ratios in
-    [sing_tol, 10 sing_tol) are re-run once on a fresh basis instead of
-    being given a hard verdict.  The test is one-sided: ``invertible`` at
-    all tested degrees does not prove non-divisibility.
+    certification is downgraded to ``borderline``, and so is a degree within
+    10x of the trigger.  The verdicts and ratios do not depend on ``rng``,
+    which draws only the verification points.  The test is one-sided:
+    ``invertible`` at all tested degrees does not prove non-divisibility.
     """
     if not isinstance(rotations, RotationTuple):
         rotations = RotationTuple(tuple(rotations))
@@ -544,27 +537,15 @@ def divisibility_test(
     divisor = None
     verification = None
 
-    def probe(n, *stream):
-        basis = build_zonal_basis(
-            rotations.d, n, derive_rng(seed, 2, n, *stream), cond_threshold, max_attempts
+    for n, sums in summed_powers(_rotation_matrices(rotations), n_max):
+        frame = fischer_frame(rotations.d, n)
+        matrix = frame.operator(sums)
+        ratio, _, fired, near_band = _near_singular(
+            weighted_singular_values(matrix), rotations.r, sing_tol
         )
-        matrix, ratio, fired, near_band = _probe(basis, rotations, rotations.r, sing_tol)
-        return basis, matrix, float(ratio), bool(fired), bool(near_band)
-
-    for n in range(1, n_max + 1):
-        basis, matrix, ratio, fired, near_band = probe(n)
-        initial_ratio = None
-        if near_band and not fired:
-            # within 10x of the trigger: rerun on a fresh basis rather than
-            # handing down a hard verdict from a possibly unlucky basis
-            initial_ratio = ratio
-            basis, matrix, ratio, fired, near_band = probe(n, 1)
-
         if fired:
             try:
-                g, f, ver = _certify(
-                    basis, matrix, rotations, sing_tol, derive_rng(seed, 2, n, 3), verify_samples
-                )
+                g, f, ver = _certify(frame, matrix, rotations, sing_tol, derive_rng(seed, 2, n, 3))
             except NotSingularError:
                 verdict = VERDICT_BORDERLINE
             else:
@@ -578,16 +559,7 @@ def divisibility_test(
             verdict = VERDICT_BORDERLINE
         else:
             verdict = VERDICT_INVERTIBLE
-
-        records.append(
-            DegreeRecord(
-                n=n,
-                dim=basis.dim,
-                sigma_min_rel=ratio,
-                verdict=verdict,
-                initial_sigma_min_rel=initial_ratio,
-            )
-        )
+        records.append(DegreeRecord(n=n, dim=frame.dim, sigma_min_rel=float(ratio), verdict=verdict))
 
     report = DivisibilityReport(
         d=rotations.d,

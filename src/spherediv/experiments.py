@@ -6,18 +6,18 @@ tuple comes to singularity.  Sections over a generic suffix are null sets,
 so Haar sampling is expected to produce zero certified-singular trials
 (the odd-d four-rotation diagonal suffix is the designed exception).
 
-A study is batched.  The zonal basis does not depend on the tuple, so the
-study draws one basis per degree, from derive_rng(seed, 2, n), and decides
-every trial against it: per block of trials and degree, one stacked
-assembly, one whitening, one stacked values-only SVD and one vectorised
-trigger.  Blocks are sized so that a stacked N_n x N_n array stays within
-BLOCK_BYTES.  A trial whose trigger fires or lands in the near band at any
-degree, and every trial of a study whose basis of some degree cannot be
-built, is re-run alone through divisibility_test(tuple, rng=trial seed),
-which certifies it or marks it borderline exactly as a standalone run
-would.  The other trials' ratios come from the study bases, so they match a
-standalone divisibility_test to basis round-off (within about 1e-7
-relative at d=3), not bitwise.
+A study is batched in the exact Fischer frame (see ``fischer``).  The
+frozen suffix's operator U^T (sum_s Sym^n) U is built once per study for
+every degree; each block of trials runs one pass of the symmetric-power
+recurrence over its free rotations, and per degree one stacked operator
+M = U^T S U plus the suffix's, one stacked values-only SVD and one
+vectorised trigger.  Blocks hold as many
+trials as fit one gather of the recurrence in BLOCK_BYTES.  A trial whose
+trigger fires or lands in the near band at any degree is re-run alone
+through divisibility_test(tuple, rng=trial seed), which certifies it or
+marks it borderline exactly as a standalone run would.  The frame is
+deterministic, so every trial's ratios equal a standalone
+divisibility_test's up to summation order (within 1e-13).
 
 The search minimizes how singular the degree-n operator is over tuples
 parametrized by Cayley charts around restart base points, with a
@@ -32,7 +32,8 @@ counts only after its kernel witness and divisor pass the residual check.
 Everything is reproducible from the root seed: trial k draws its free
 rotations and then its trial seed from derive_rng(seed, 1, k), restart j
 from derive_rng(seed, 4, j), so results do not depend on execution order
-or block size.
+or block size.  Seeds draw rotations and verification points only; no
+frame is random.
 """
 
 from __future__ import annotations
@@ -50,13 +51,12 @@ from .divisibility import (
     VERDICT_INVERTIBLE,
     DivisibilityReport,
     _certify,
-    _probe,
-    build_zonal_basis,
+    _near_singular,
     divisibility_test,
-    operator_matrix,
     weighted_singular_values,
 )
-from .errors import BasisConstructionError, InputDomainError, NotSingularError
+from .errors import InputDomainError, NotSingularError
+from .fischer import BLOCK_BYTES, fischer_frame, summed_powers
 from .rotations import Rotation, RotationTuple, haar_from_gaussian, haar_sample
 from .sampling import derive_rng, resolve_seed
 
@@ -75,13 +75,13 @@ __all__ = [
 ]
 
 
-# byte budget of one stacked (trials, N_n, N_n) array in a genericity study;
-# sets how many trials share one stacked assembly and SVD
-BLOCK_BYTES = 1 << 16
-
-
 def default_free_count(d: int, r: int) -> int:
-    """Free-rotation count for which sections are expected null: floor(r/2) if d >= 3, else 1."""
+    """Free-rotation count for which sections are expected null: floor(r/2) if d >= 3, else 1.
+
+    The paper's theorem assumes at least r/2 generic rotations, which is
+    ceil(r/2) for odd r.  At odd r the default floor(r/2) leaves one
+    rotation fewer free, so such studies are empirical beyond the theorem.
+    """
     return r // 2 if d >= 3 else 1
 
 
@@ -91,6 +91,9 @@ class GenericityStudy:
 
     ``suffix`` holds the r - ell frozen rotations; each trial prepends ell
     fresh Haar rotations and runs the divisibility test up to ``n_max``.
+    The paper's theorem covers ell >= r/2; a study with odd r and the
+    default ell = floor(r/2) (acceptance criterion 8: r = 3, ell = 1) is
+    empirical beyond it.
     """
 
     d: int
@@ -139,8 +142,9 @@ class TrialRecord:
     trial: int
     min_ratio: float
     singular: bool
-    failed: bool
-    degrees: tuple  # (n, sigma_min_rel, verdict) triples; empty when failed
+    degrees: tuple  # (n, sigma_min_rel, verdict) triples
+    # every frame is exact, so no trial can fail; kept for readers of studies
+    failed = False
 
 
 @dataclass(frozen=True)
@@ -148,18 +152,12 @@ class GenericityResult:
     study: GenericityStudy
     records: tuple
     n_singular: int
-    n_failed: int
-    ratio_quartiles: tuple  # (min, q25, median, q75, max) over completed trials
+    ratio_quartiles: tuple  # (min, q25, median, q75, max) over all trials
+    # every frame is exact, so no trial can fail; kept for readers of studies
+    n_failed = 0
 
     def trial_rows(self) -> list:
-        rows = []
-        for rec in self.records:
-            if rec.failed:
-                rows.append((rec.trial, -1, float("nan"), "failed"))
-                continue
-            for n, ratio, verdict in rec.degrees:
-                rows.append((rec.trial, n, ratio, verdict))
-        return rows
+        return [(rec.trial, n, ratio, verdict) for rec in self.records for n, ratio, verdict in rec.degrees]
 
     def write_trial_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -190,7 +188,7 @@ def trial_csv_text(result: GenericityResult) -> str:
 
 
 def _draw_trials(study: GenericityStudy):
-    """Every trial's tuple as one (trials, r, d, d) stack, and the trial seeds.
+    """Every trial's free rotations as one (trials, ell, d, d) stack, and the trial seeds.
 
     Trial k draws its ell Gaussian (d, d) blocks and then its seed from
     derive_rng(seed, 1, k), the stream haar_sample would read, so the free
@@ -202,73 +200,53 @@ def _draw_trials(study: GenericityStudy):
         rng = derive_rng(study.seed, 1, k)
         gauss[k] = rng.standard_normal((study.ell, study.d, study.d))
         seeds.append(int(rng.integers(0, 2**63)))
-    suffix = np.array([g.matrix for g in study.suffix]).reshape(-1, study.d, study.d)
-    suffix = np.broadcast_to(suffix, (study.trials,) + suffix.shape)
-    return np.concatenate([haar_from_gaussian(gauss), suffix], axis=1), seeds
+    return haar_from_gaussian(gauss), seeds
 
 
 def run_genericity(study: GenericityStudy) -> GenericityResult:
-    """Execute the study; basis failures mark single trials failed, never abort."""
-    tuples, seeds = _draw_trials(study)
+    """Execute the study: every trial is decided, and fired or near-band trials are certified alone."""
+    free, seeds = _draw_trials(study)
+    suffix = np.array([g.matrix for g in study.suffix]).reshape(-1, study.d, study.d)
+    fixed = [fischer_frame(study.d, n).operator(sums) for n, sums in summed_powers(suffix, study.n_max)]
+    size = fischer_frame(study.d, study.n_max).size
+    step = max(1, BLOCK_BYTES // (8 * study.ell * study.d * size * size))
     sigma_rel = np.empty((study.trials, study.n_max))
     rerun = np.zeros(study.trials, dtype=bool)
-    try:
-        for n in range(1, study.n_max + 1):
-            basis = build_zonal_basis(study.d, n, derive_rng(study.seed, 2, n))
-            step = max(1, BLOCK_BYTES // (8 * basis.dim**2))
-            for lo in range(0, study.trials, step):
-                _, ratio, fired, near_band = _probe(
-                    basis, tuples[lo:lo + step], study.r, study.sing_tol
-                )
-                sigma_rel[lo:lo + step, n - 1] = ratio
-                rerun[lo:lo + step] |= fired | near_band
-    except BasisConstructionError:
-        rerun[:] = True
+    for lo in range(0, study.trials, step):
+        for n, sums in summed_powers(free[lo:lo + step], study.n_max):
+            matrix = fischer_frame(study.d, n).operator(sums) + fixed[n - 1]
+            ratio, _, fired, near_band = _near_singular(
+                weighted_singular_values(matrix), study.r, study.sing_tol
+            )
+            sigma_rel[lo:lo + step, n - 1] = ratio
+            rerun[lo:lo + step] |= fired | near_band
 
     records = []
-    n_singular = 0
-    n_failed = 0
-    for k in range(study.trials):
+    for k, row in enumerate(sigma_rel.tolist()):
         if rerun[k]:
-            extended = RotationTuple(tuple(Rotation(m) for m in tuples[k, : study.ell]) + study.suffix)
-            try:
-                report: DivisibilityReport = divisibility_test(
-                    extended, study.n_max, study.sing_tol, rng=seeds[k]
-                )
-            except BasisConstructionError:
-                n_failed += 1
-                records.append(
-                    TrialRecord(trial=k, min_ratio=float("nan"), singular=False, failed=True, degrees=())
-                )
-                continue
+            extended = RotationTuple(tuple(Rotation(m) for m in free[k]) + study.suffix)
+            report: DivisibilityReport = divisibility_test(
+                extended, study.n_max, study.sing_tol, rng=seeds[k]
+            )
             degrees = tuple((rec.n, rec.sigma_min_rel, rec.verdict) for rec in report.degrees)
             singular = report.divisible
         else:
-            degrees = tuple(
-                (n, ratio, VERDICT_INVERTIBLE) for n, ratio in enumerate(sigma_rel[k].tolist(), start=1)
-            )
+            degrees = tuple(zip(range(1, study.n_max + 1), row, [VERDICT_INVERTIBLE] * study.n_max))
             singular = False
-        n_singular += int(singular)
         records.append(
             TrialRecord(
                 trial=k,
                 min_ratio=min(ratio for _, ratio, _ in degrees),
                 singular=singular,
-                failed=False,
                 degrees=degrees,
             )
         )
-    ratios = [rec.min_ratio for rec in records if not rec.failed]
-    if ratios:
-        quart = tuple(float(q) for q in np.percentile(ratios, [0, 25, 50, 75, 100]))
-    else:
-        quart = (math.nan,) * 5
+    quart = np.percentile([rec.min_ratio for rec in records], [0, 25, 50, 75, 100])
     return GenericityResult(
         study=study,
         records=tuple(records),
-        n_singular=n_singular,
-        n_failed=n_failed,
-        ratio_quartiles=quart,
+        n_singular=sum(rec.singular for rec in records),
+        ratio_quartiles=tuple(float(q) for q in quart),
     )
 
 
@@ -301,9 +279,7 @@ class SearchSettings:
     max_iter: int = 400
     simplex_scale: float = 0.35
     target_ratio: float = DEFAULT_SING_TOL
-    cond_threshold: float = 1e6
     base_tuple: Optional[RotationTuple] = None
-    margin: float = 0.5
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -311,8 +287,6 @@ class SearchSettings:
             "max_iter": self.max_iter,
             "simplex_scale": self.simplex_scale,
             "target_ratio": self.target_ratio,
-            "cond_threshold": self.cond_threshold,
-            "margin": self.margin,
         }
         if self.base_tuple is not None:
             obj["base_tuple"] = self.base_tuple.to_json_obj()
@@ -383,8 +357,13 @@ def search_divisible(
     if settings.restarts < 1:
         raise InputDomainError(f"restarts must be >= 1, got {settings.restarts}")
     seed = resolve_seed(rng)
-    basis = build_zonal_basis(d, n, derive_rng(seed, 3), settings.cond_threshold)
+    frame = fischer_frame(d, n)
     n_params = d * (d - 1) // 2
+
+    def operator(mats) -> np.ndarray:
+        for _, sums in summed_powers(mats, n):
+            pass
+        return frame.operator(sums)
 
     def objective(matrix) -> float:
         return float(weighted_singular_values(matrix)[-1]) / r
@@ -394,7 +373,7 @@ def search_divisible(
     def log_objective_factory(bases):
         def log_objective(theta):
             mats = cayley_rotation(bases, theta.reshape(r, n_params))
-            val = objective(operator_matrix(basis, mats))
+            val = objective(operator(mats))
             trace.append(val if not trace else min(trace[-1], val))
             return math.log10(val + 1e-300)
 
@@ -427,7 +406,7 @@ def search_divisible(
             },
         )
         mats = cayley_rotation(bases, res.x.reshape(r, n_params))
-        matrix = operator_matrix(basis, mats)
+        matrix = operator(mats)
         val = objective(matrix)
         restart_ratios.append(val)
         if val < best_ratio:
@@ -440,10 +419,7 @@ def search_divisible(
     residual_max = None
     if best_ratio < settings.target_ratio:
         try:
-            _, _, ver = _certify(
-                basis, best_matrix, best_tuple, settings.target_ratio,
-                derive_rng(seed, 6), margin=settings.margin,
-            )
+            _, _, ver = _certify(frame, best_matrix, best_tuple, settings.target_ratio, derive_rng(seed, 6))
             certified = ver.passed
             residual_max = ver.max_residual
         except NotSingularError:

@@ -185,6 +185,17 @@ def act_function(rotation: Rotation, f):
     return moved
 
 
+def _sign_fixed_qr(z: np.ndarray):
+    """Q of a QR of ``z`` with the R-diagonal signs made positive, moved into SO(d); and det of the sign-fixed Q."""
+    q, r = np.linalg.qr(z)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    q = q * signs[..., None, :]
+    det = np.linalg.det(q)
+    q[..., -1] *= np.where(det < 0, -1.0, 1.0)[..., None]
+    return q, det
+
+
 def haar_from_gaussian(z) -> np.ndarray:
     """Haar-distributed elements of SO(d) from standard Gaussian matrices.
 
@@ -199,15 +210,9 @@ def haar_from_gaussian(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim < 2 or z.shape[-1] != z.shape[-2] or z.shape[-1] < 2:
         raise InputDomainError(f"Haar draws need square (..., d, d) input with d >= 2, got {z.shape}")
-    d = z.shape[-1]
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0] = 1.0
-    q = q * signs[..., None, :]
-    det = np.linalg.det(q)
-    q[..., -1] *= np.where(det < 0, -1.0, 1.0)[..., None]
+    q, det = _sign_fixed_qr(z)
     # the column flip leaves det(q) = |det|
-    err = float(np.max(np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(d))))
+    err = float(np.max(np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(z.shape[-1]))))
     det_err = float(np.max(np.abs(np.abs(det) - 1.0)))
     if err > ORTHO_TOL or det_err > DET_TOL:
         raise InputDomainError(
@@ -217,10 +222,14 @@ def haar_from_gaussian(z) -> np.ndarray:
 
 
 def haar_sample(d: int, rng) -> Rotation:
-    """Haar-distributed element of SO(d): ``haar_from_gaussian`` of one (d, d) draw."""
+    """Haar-distributed element of SO(d), equal to ``haar_from_gaussian`` of one (d, d) draw.
+
+    The draw is validated once, by ``Rotation``.
+    """
     if d < 2:
         raise InputDomainError(f"haar_sample requires d >= 2, got d={d}")
-    return Rotation(haar_from_gaussian(as_rng(rng).standard_normal((d, d))))
+    q, _ = _sign_fixed_qr(as_rng(rng).standard_normal((d, d)))
+    return Rotation(q)
 
 
 def planar_rotation(d: int, i: int, j: int, angle: float) -> Rotation:

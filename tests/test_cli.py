@@ -22,7 +22,8 @@ def check_report_schema(obj):
         assert DEGREE_KEYS <= set(rec)
         assert rec["verdict"] in {"invertible", "singular", "borderline"}
     if "witness" in obj:
-        assert {"n", "poles", "coeffs"} <= set(obj["witness"])
+        assert {"format", "d", "n", "exponents", "coeffs"} <= set(obj["witness"])
+        assert obj["witness"]["format"] == "monomial-v1"
         assert "residual_max" in obj
 
 

@@ -8,6 +8,7 @@ from spherediv import (
     BasisConstructionError,
     InputDomainError,
     NotSingularError,
+    Rotation,
     RotationTuple,
     build_zonal_basis,
     divisibility_test,
@@ -27,6 +28,7 @@ from spherediv import (
     weighted_singular_values,
     zonal_inner_product,
 )
+from spherediv.fischer import fischer_frame, summed_powers
 
 
 def circle_tuple(*angles):
@@ -197,9 +199,9 @@ class TestDivisor:
         assert abs(vals.mean() - 1.0 / tup.r) <= 5 * se
 
     def test_zero_witness_rejected(self):
-        from spherediv import HarmonicFunction, axis_basis
+        from spherediv import HarmonicFunction
 
-        zero = HarmonicFunction(axis_basis(3), np.zeros(3))
+        zero = HarmonicFunction(fischer_frame(3, 1), np.zeros(3))
         with pytest.raises(InputDomainError):
             make_divisor(zero, 3)
 
@@ -246,19 +248,20 @@ class TestDivisibilityTest:
         assert report.degrees[0].sigma_min_rel == 0.0
 
     def test_one_assembly_per_basis(self, monkeypatch):
-        # a certified degree reuses the operator matrix its trigger read
-        from spherediv import divisibility
+        # one operator build per degree: a certified degree reuses the
+        # operator matrix its trigger read
+        from spherediv.fischer import FischerFrame
 
         calls = []
-        original = divisibility.operator_gram
+        original = FischerFrame.operator
 
-        def counted(basis, rotations):
-            calls.append(basis.n)
-            return original(basis, rotations)
+        def counted(frame, sums):
+            calls.append(frame.n)
+            return original(frame, sums)
 
-        monkeypatch.setattr(divisibility, "operator_gram", counted)
+        monkeypatch.setattr(FischerFrame, "operator", counted)
         report = divisibility_test(circle_tuple(0.0, math.pi), 3, rng=179)
-        assert report.divisible
+        assert report.singular_degrees() == [1, 3]
         assert calls == [1, 2, 3]
 
     def test_proposition_tuple_singular_degree_one(self):
@@ -303,3 +306,44 @@ class TestDivisibilityTest:
         assert obj["witness"]["n"] == 1
         assert len(obj["witness"]["coeffs"]) == dim_harmonic(3, 1)
         assert obj["residual_max"] <= 1e-8
+        # the versioned witness is sum_k coeffs[k] prod_i x_i^exponents[k][i]
+        assert obj["witness"]["format"] == "monomial-v1"
+        pts = uniform_sphere(3, 50, 243)
+        exps = np.array(obj["witness"]["exponents"])
+        values = np.prod(pts[:, None, :] ** exps[None], axis=2) @ np.array(obj["witness"]["coeffs"])
+        assert np.max(np.abs(values - report.witness(pts))) <= 1e-15
+
+
+class TestFischerFrame:
+    def test_single_rotation_is_orthogonal(self):
+        # Sym^n(g) restricted to the harmonics is orthogonal: every singular value is 1
+        g = haar_sample(8, 251).matrix
+        for n, sums in summed_powers(g[None], 6):
+            pass
+        svals = weighted_singular_values(fischer_frame(8, 6).operator(sums))
+        assert svals.shape == (dim_harmonic(8, 6),)
+        assert np.max(np.abs(svals - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("d, n_max", [(3, 5), (4, 3), (5, 4), (8, 3)])
+    def test_matches_zonal_reference(self, d, n_max):
+        rng = np.random.default_rng(257 + d)
+        tup = RotationTuple(tuple(haar_sample(d, rng) for _ in range(3)))
+        for n, sums in summed_powers(np.array([g.matrix for g in tup]), n_max):
+            frame = fischer_frame(d, n)
+            assert np.max(np.abs(frame.basis.T @ frame.basis - np.eye(frame.dim))) <= 1e-14
+            fischer = weighted_singular_values(frame.operator(sums))
+            zonal = weighted_singular_values(operator_matrix(build_zonal_basis(d, n, rng=rng), tup))
+            assert np.max(np.abs(fischer - zonal)) <= 1e-9 * fischer[0], (d, n)
+
+    def test_verdicts_ignore_rng(self):
+        half_turn = planar_rotation(6, 1, 2, math.pi).matrix
+        h = haar_sample(6, 263).matrix
+        pair = RotationTuple((identity_rotation(6), Rotation(h @ half_turn @ h.T)))
+        triple = RotationTuple(tuple(haar_sample(4, 269 + k) for k in range(3)))
+        for tup, n_max in [(triple, 4), (pair, 3)]:
+            rows = [
+                [(rec.n, rec.dim, rec.sigma_min_rel, rec.verdict) for rec in report.degrees]
+                for report in (divisibility_test(tup, n_max, rng=seed) for seed in (271, 277))
+            ]
+            assert rows[0] == rows[1]
+        assert [verdict for *_, verdict in rows[0]] == ["singular", "singular", "singular"]
