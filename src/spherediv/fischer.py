@@ -228,7 +228,7 @@ def summed_powers(mats, n_max: int):
     """Yield (n, sum_s Sym^n(g_s)) for n = 1 .. n_max in one pass of the recurrence.
 
     ``mats`` is a stack (..., r, d, d) of rotation tuples; each sum has shape
-    (..., P_n, P_n) in the orthonormal monomial basis.  Sym^n(g) is built from
+    (..., P_n, P_n) in the orthonormal monomial basis, and is zero if r = 0.  Sym^n(g) is built from
     Sym^(n-1)(g) by one multiplication by a linear form per column: degree n
     costs d maps of P_n x P_(n-1) per rotation and no Gegenbauer
     evaluation.  While the copies of every rotation fit in BLOCK_BYTES, one
@@ -243,6 +243,11 @@ def summed_powers(mats, n_max: int):
     sym, count = flat, len(flat)  # Sym^1(g) = g
     forms = flat.transpose(0, 2, 1).reshape(-1, d)  # row (k, i): the linear form g_i of rotation k
     yield 1, mats.sum(axis=-3)
+    if count == 0:  # an empty sum, as for the suffix of an all-free study
+        for n in range(2, n_max + 1):
+            size = len(_exponents(d, n))
+            yield n, np.zeros(lead_shape + (size, size))
+        return
     for n in range(2, n_max + 1):
         step = _step(d, n)
         size = len(step.lead)

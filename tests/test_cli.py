@@ -184,6 +184,17 @@ class TestCmdExperiment:
         main(["experiment", "--config", str(cpath), "--out", str(tmp_path / "b")])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_genericity_all_free_default(self, tmp_path):
+        # d = 2, r = 1 frees the only rotation by default: the frozen suffix is empty
+        config = {"kind": "genericity", "d": 2, "r": 1, "trials": 3, "n_max": 3, "seed": 41}
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(config))
+        code = main(["experiment", "--config", str(cpath), "--out", str(tmp_path / "study")])
+        assert code == 0
+        summary = json.loads((tmp_path / "study.json").read_text())
+        assert summary["n_singular"] == 0
+        assert len((tmp_path / "study.csv").read_text().splitlines()) == 1 + 3 * 3
+
     def test_search_finds_circle_pair(self, tmp_path):
         base = RotationTuple(
             (planar_rotation(2, 1, 2, 0.2), planar_rotation(2, 1, 2, math.pi - 0.1))
