@@ -15,8 +15,13 @@ verification points.  Near-zero smallest singular values only *trigger*
 certificate extraction; the certificate itself is the residual of a concrete
 kernel witness g (the harmonic polynomial with frame coordinates v_min, the
 smallest right-singular vector of M), propagated into an explicit divisor
-f = 1/r + c g whose rotated copies must sum to 1 everywhere.  A report never
-claims divisibility without a passing residual.
+f = 1/r + c g whose rotated copies must sum to 1 everywhere.  The frame
+bounds that residual over the whole sphere: its polynomial has Fischer
+coordinates R = S_n v, and |p(x)| <= ||p||_F / sqrt(n!) for every degree-n p
+and unit x, so one matvec per fired degree certifies
+sup |sum_s f(gamma_s^T x) - 1| (``_certify``).  The first certified degree,
+whose divisor a report keeps, is also spot-checked on VERIFY_SAMPLES random
+points.  A report never claims divisibility without a passing residual.
 
 Zonal bases P_n(v_i . ) of random poles are kept as a reference that tests
 compare against:
@@ -35,11 +40,13 @@ degree does not prove non-divisibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from . import fischer
 from .errors import BasisConstructionError, InputDomainError, NotSingularError
 from .fischer import fischer_frame, summed_powers
 from .harmonics import GegenbauerTable, dim_harmonic
@@ -67,8 +74,13 @@ __all__ = [
 DEFAULT_SING_TOL = 1e-10
 DEFAULT_COND_THRESHOLD = 1e8
 DEFAULT_MAX_ATTEMPTS = 50
-# points on which every certificate's divisor is checked
+# points on which the divisor a report keeps is spot-checked
 VERIFY_SAMPLES = 10_000
+# largest |sum_s f(gamma_s^T x) - 1| a certified divisor may have
+RESIDUAL_TOL = 1e-8
+# estimated working set (see _peak_bytes) above which a run is refused before
+# it allocates: d = 8 is admitted up to n_max = 7 for r <= 3, not at n_max = 8
+COST_BUDGET_BYTES = 1 << 30
 # below this absolute scale the whole operator matrix is numerically zero and
 # the sigma_min / sigma_max ratio would be noise over noise
 ZERO_OPERATOR_FLOOR = 1e-12
@@ -237,6 +249,11 @@ class HarmonicFunction:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
+    @property
+    def size(self) -> int:
+        """Values one evaluation holds per point: the frame's function count."""
+        return self.basis.size
+
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
         single = arr.ndim == 1
@@ -330,6 +347,11 @@ class DivisorFunction:
     r: int
     scale: float
 
+    @property
+    def size(self) -> int:
+        """Values one evaluation holds per point, as for the witness."""
+        return self.witness.size
+
     def __call__(self, x):
         return 1.0 / self.r + self.scale * self.witness(x)
 
@@ -352,7 +374,14 @@ def make_divisor(witness: HarmonicFunction, r: int, margin: float = 0.5) -> Divi
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Residual statistics of a divisor candidate over random sphere samples."""
+    """Residual statistics of a divisor candidate over random sphere samples.
+
+    ``residual_bound`` is the whole-sphere bound of a certificate (see
+    ``_certify``) and None for a sampled check alone; when it is set,
+    ``max_residual`` is the larger of the bound and the sampled maximum.  A
+    result with ``n_samples`` 0 rests on the bound alone, and its sample
+    statistics read 0.
+    """
 
     max_residual: float
     mean_residual: float
@@ -361,6 +390,7 @@ class VerificationResult:
     n_skipped: int
     residual_tol: float
     passed: bool
+    residual_bound: Optional[float] = None
 
     def to_json_obj(self) -> dict:
         return {
@@ -371,6 +401,7 @@ class VerificationResult:
             "n_skipped": self.n_skipped,
             "residual_tol": self.residual_tol,
             "passed": self.passed,
+            "residual_bound": self.residual_bound,
         }
 
 
@@ -381,7 +412,7 @@ def verify_divisor(
     rng=None,
     *,
     skip=None,
-    residual_tol: float = 1e-8,
+    residual_tol: float = RESIDUAL_TOL,
 ) -> VerificationResult:
     """Check |sum_s f(gamma_s^T x) - 1| on random samples; never raises on failure.
 
@@ -389,7 +420,12 @@ def verify_divisor(
     points to exclude (e.g. within 1e-12 of an indicator's boundary, a
     measure-zero set on which almost-everywhere equality says nothing).
     Passing requires max residual <= ``residual_tol`` and a strictly
-    positive sample variance of f (nonconstancy evidence).
+    positive sample variance of f (nonconstancy evidence).  f is evaluated
+    on blocks of points holding at most ``fischer.BLOCK_BYTES`` of values,
+    taking ``f.size`` values per point where f has one (HarmonicFunction and
+    DivisorFunction do) and d otherwise; only the per-point sums and values
+    are kept whole.  This is a sampled check, not a bound over the
+    sphere: divisibility_test certifies its degrees through ``_certify``.
     """
     mats = _rotation_matrices(rotations)
     d = mats[0].shape[0]
@@ -399,11 +435,15 @@ def verify_divisor(
         mask = np.asarray(skip(pts), dtype=bool)
         skipped = int(mask.sum())
         pts = pts[~mask]
+    rows = max(1, fischer.BLOCK_BYTES // (8 * getattr(f, "size", d)))
     total = np.zeros(len(pts))
-    for mat in mats:
-        total += np.asarray(f(pts @ mat), dtype=float)
+    fvals = np.empty(len(pts))
+    for lo in range(0, len(pts), rows):
+        block = pts[lo:lo + rows]
+        for mat in mats:
+            total[lo:lo + rows] += np.asarray(f(block @ mat), dtype=float)
+        fvals[lo:lo + rows] = f(block)
     residuals = np.abs(total - 1.0)
-    fvals = np.asarray(f(pts), dtype=float)
     max_res = float(residuals.max()) if len(pts) else 0.0
     mean_res = float(residuals.mean()) if len(pts) else 0.0
     var = float(fvals.var()) if len(pts) else 0.0
@@ -418,22 +458,46 @@ def verify_divisor(
     )
 
 
-def _certify(basis, matrix, rotations, sing_tol, rng):
-    """Witness, divisor and verification of a degree whose trigger fired.
+def _certify(frame, matrix, sums, rotations, sing_tol, rng):
+    """Witness, divisor and certificate of a degree whose trigger fired.
 
-    The witness g must have cancelling translates, max_x |sum_s g(gamma_s^T x)|
-    <= 1e-6 * N_n; since f = 1/r + scale * g, that maximum is the divisor's
-    max_residual / scale on the verification points.  Raises
-    NotSingularError when the trigger does not fire or the witness fails.
+    ``frame`` is the degree's FischerFrame, ``matrix`` its M = U^T S_n U and
+    ``sums`` the S_n = sum_s Sym^n(gamma_s) it came from.  The divisor
+    f = 1/r + scale * g of the kernel witness g has the residual
+    sum_s f(gamma_s^T x) - 1 = scale * sum_s g(gamma_s^T x), a polynomial
+    with orthonormal-monomial coordinates R = S_n v, v = sqrt(a!) c for the
+    witness's coefficients c.  ``FischerFrame.residual_bound`` turns one
+    matvec into
+
+        sup_{|x| = 1} |sum_s f(gamma_s^T x) - 1| <= scale (||R|| + delta) / sqrt(n!),
+
+    delta an explicit round-off allowance derived there.  The certificate
+    passes when that bound is at most RESIDUAL_TOL and the witness's
+    translates cancel, bound / scale <= 1e-6 N_n.  Given ``rng``, a passing
+    bound is also spot-checked by verify_divisor on VERIFY_SAMPLES points
+    from ``rng``: the result then passes only if the samples do too, and its
+    max_residual is the larger of the bound and the sampled maximum.  With
+    ``rng`` None nothing is sampled and the result holds the bound alone.
+    Raises NotSingularError when the trigger does not fire.
     """
-    witness = kernel_witness(basis, matrix, rotations.r, sing_tol)
+    witness = kernel_witness(frame, matrix, rotations.r, sing_tol)
     divisor = make_divisor(witness, rotations.r)
-    ver = verify_divisor(rotations, divisor, VERIFY_SAMPLES, rng)
-    residual = ver.max_residual / divisor.scale
-    if residual > 1e-6 * basis.dim:
-        raise NotSingularError(
-            f"witness residual {residual:.3e} exceeds {1e-6 * basis.dim:.3e}; "
-            "the near-singular trigger was spurious"
+    sup = frame.residual_bound(sums, witness.coeffs, _rotation_matrices(rotations))
+    bound = divisor.scale * sup
+    passed = bound <= RESIDUAL_TOL and sup <= 1e-6 * frame.dim
+    if passed and rng is not None:
+        ver = verify_divisor(rotations, divisor, VERIFY_SAMPLES, rng)
+        ver = replace(ver, max_residual=max(bound, ver.max_residual), residual_bound=bound)
+    else:
+        ver = VerificationResult(
+            max_residual=bound,
+            mean_residual=0.0,
+            function_variance=0.0,
+            n_samples=0,
+            n_skipped=0,
+            residual_tol=RESIDUAL_TOL,
+            passed=passed,
+            residual_bound=bound,
         )
     return witness, divisor, ver
 
@@ -444,13 +508,16 @@ class DegreeRecord:
 
     ``sigma_min_rel`` is the smallest over largest singular value of the
     degree-n operator in the L^2 geometry (its matrix in the Fischer frame),
-    the ratio that determined the verdict; ``dim`` is N_n.
+    the ratio that determined the verdict; ``dim`` is N_n.  ``residual_bound``
+    is the whole-sphere bound on the residual of the degree's divisor
+    (see ``_certify``) when its trigger fired, and None otherwise.
     """
 
     n: int
     dim: int
     sigma_min_rel: float
     verdict: str
+    residual_bound: Optional[float] = None
 
     def to_json_obj(self) -> dict:
         return {
@@ -458,6 +525,7 @@ class DegreeRecord:
             "N_n": self.dim,
             "sigma_min_rel": self.sigma_min_rel,
             "verdict": self.verdict,
+            "residual_bound": self.residual_bound,
         }
 
 
@@ -505,6 +573,27 @@ class DivisibilityReport:
         return obj
 
 
+def _peak_bytes(d: int, r: int, n: int) -> int:
+    """Estimated peak bytes of deciding and certifying degree n for r rotations in dimension d.
+
+    The recurrence's last step holds the r copies of Sym^(n-1) and the sum,
+    at most (r + 1) P_n^2 doubles; the operator U^T S U and the full SVD of
+    M add about P_n N_n + 4 N_n^2.  Degrees below n cost less.
+    """
+    size, dim = math.comb(n + d - 1, d - 1), dim_harmonic(d, n)
+    return 8 * ((r + 1) * size * size + size * dim + 4 * dim * dim)
+
+
+def _check_cost(d: int, r: int, n_max: int) -> None:
+    """Refuse, before anything is allocated, a run whose estimate exceeds COST_BUDGET_BYTES."""
+    need = _peak_bytes(d, r, n_max)
+    if need > COST_BUDGET_BYTES:
+        raise InputDomainError(
+            f"d={d}, r={r}, n_max={n_max} would need about {need / 2**30:.1f} GiB, over the "
+            f"{COST_BUDGET_BYTES / 2**30:.0f} GiB budget; lower n_max"
+        )
+
+
 def _overall_text(divisible: bool, n_max: int) -> str:
     if divisible:
         return f"fractionally divisible (certified up to degree {n_max})"
@@ -521,16 +610,24 @@ def divisibility_test(
 
     A degree is recorded ``singular`` only when the near-zero trigger
     (sigma_min / sigma_max below ``sing_tol``) is confirmed by a kernel
-    witness whose divisor passes ``verify_divisor``; a trigger that fails
-    certification is downgraded to ``borderline``, and so is a degree within
-    10x of the trigger.  The verdicts and ratios do not depend on ``rng``,
-    which draws only the verification points.  The test is one-sided:
-    ``invertible`` at all tested degrees does not prove non-divisibility.
+    witness whose divisor ``_certify`` bounds over the whole sphere: a
+    residual of at most RESIDUAL_TOL from the Fischer frame, recorded as the
+    degree's ``residual_bound``.  Only the first certified degree, whose
+    divisor the report keeps, is also spot-checked by ``verify_divisor`` on
+    VERIFY_SAMPLES points, so a report makes at most one sampled check in
+    normal runs.  A trigger that fails certification is downgraded to
+    ``borderline``, and so is a degree within 10x of the trigger.  The
+    verdicts and ratios do not depend on ``rng``, which draws only the
+    verification points.  Runs whose estimated working set exceeds
+    COST_BUDGET_BYTES are refused with InputDomainError before anything is
+    allocated.  The test is one-sided: ``invertible`` at all tested degrees
+    does not prove non-divisibility.
     """
     if not isinstance(rotations, RotationTuple):
         rotations = RotationTuple(tuple(rotations))
     if n_max < 1:
         raise InputDomainError(f"n_max must be >= 1, got {n_max}")
+    _check_cost(rotations.d, rotations.r, n_max)
     seed = resolve_seed(rng)
     records = []
     witness = None
@@ -543,12 +640,15 @@ def divisibility_test(
         ratio, _, fired, near_band = _near_singular(
             weighted_singular_values(matrix), rotations.r, sing_tol
         )
+        bound = None
         if fired:
+            sample_rng = derive_rng(seed, 2, n, 3) if witness is None else None
             try:
-                g, f, ver = _certify(frame, matrix, rotations, sing_tol, derive_rng(seed, 2, n, 3))
+                g, f, ver = _certify(frame, matrix, sums, rotations, sing_tol, sample_rng)
             except NotSingularError:
                 verdict = VERDICT_BORDERLINE
             else:
+                bound = ver.residual_bound
                 if ver.passed:
                     verdict = VERDICT_SINGULAR
                     if witness is None:
@@ -559,7 +659,9 @@ def divisibility_test(
             verdict = VERDICT_BORDERLINE
         else:
             verdict = VERDICT_INVERTIBLE
-        records.append(DegreeRecord(n=n, dim=frame.dim, sigma_min_rel=float(ratio), verdict=verdict))
+        records.append(
+            DegreeRecord(n=n, dim=frame.dim, sigma_min_rel=float(ratio), verdict=verdict, residual_bound=bound)
+        )
 
     report = DivisibilityReport(
         d=rotations.d,

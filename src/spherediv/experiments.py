@@ -51,6 +51,7 @@ from .divisibility import (
     VERDICT_INVERTIBLE,
     DivisibilityReport,
     _certify,
+    _check_cost,
     _near_singular,
     divisibility_test,
     weighted_singular_values,
@@ -121,6 +122,7 @@ class GenericityStudy:
             raise InputDomainError(f"trials must be >= 1, got {self.trials}")
         if self.n_max < 1:
             raise InputDomainError(f"n_max must be >= 1, got {self.n_max}")
+        _check_cost(self.d, self.r, self.n_max)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "suffix", suffix)
 
@@ -344,15 +346,18 @@ def search_divisible(
     Runs Nelder-Mead restarts in Cayley charts.  Internally the simplex
     compares log-objective values: Nelder-Mead is comparison-based, so the
     iterates are unchanged, but the flat termination plateau around the
-    zero set disappears and the simplex keeps contracting into it.  Any
-    point reaching ``target_ratio`` is re-verified through kernel_witness
-    and verify_divisor before the run may claim a divisible tuple; budget
+    zero set disappears and the simplex keeps contracting into it.  A best
+    tuple reaching ``target_ratio`` is certified like a report's first
+    singular degree before the run may claim a divisible tuple: its kernel
+    witness's divisor must pass the Fischer-frame residual bound and one
+    sampled check (``divisibility._certify`` on the kept S_n); budget
     exhaustion returns the best tuple found with ``certified=False``.
     """
     from scipy.optimize import minimize  # only the search needs scipy
 
     if n < 1:
         raise InputDomainError(f"target degree must be >= 1, got n={n}")
+    _check_cost(d, r, n)
     settings = settings or SearchSettings()
     if settings.restarts < 1:
         raise InputDomainError(f"restarts must be >= 1, got {settings.restarts}")
@@ -360,10 +365,10 @@ def search_divisible(
     frame = fischer_frame(d, n)
     n_params = d * (d - 1) // 2
 
-    def operator(mats) -> np.ndarray:
+    def summed(mats) -> np.ndarray:
         for _, sums in summed_powers(mats, n):
             pass
-        return frame.operator(sums)
+        return sums
 
     def objective(matrix) -> float:
         return float(weighted_singular_values(matrix)[-1]) / r
@@ -373,14 +378,14 @@ def search_divisible(
     def log_objective_factory(bases):
         def log_objective(theta):
             mats = cayley_rotation(bases, theta.reshape(r, n_params))
-            val = objective(operator(mats))
+            val = objective(frame.operator(summed(mats)))
             trace.append(val if not trace else min(trace[-1], val))
             return math.log10(val + 1e-300)
 
         return log_objective
 
     best_ratio = math.inf
-    best_mats = best_matrix = None
+    best_mats = best_sums = best_matrix = None
     restart_ratios = []
     for j in range(settings.restarts):
         rng_j = derive_rng(seed, 4, j)
@@ -406,11 +411,12 @@ def search_divisible(
             },
         )
         mats = cayley_rotation(bases, res.x.reshape(r, n_params))
-        matrix = operator(mats)
+        sums = summed(mats)
+        matrix = frame.operator(sums)
         val = objective(matrix)
         restart_ratios.append(val)
         if val < best_ratio:
-            best_ratio, best_mats, best_matrix = val, mats, matrix
+            best_ratio, best_mats, best_sums, best_matrix = val, mats, sums, matrix
         if best_ratio < settings.target_ratio:
             break
 
@@ -419,7 +425,9 @@ def search_divisible(
     residual_max = None
     if best_ratio < settings.target_ratio:
         try:
-            _, _, ver = _certify(frame, best_matrix, best_tuple, settings.target_ratio, derive_rng(seed, 6))
+            _, _, ver = _certify(
+                frame, best_matrix, best_sums, best_tuple, settings.target_ratio, derive_rng(seed, 6)
+            )
             certified = ver.passed
             residual_max = ver.max_residual
         except NotSingularError:

@@ -25,6 +25,7 @@ their exponents, so degree one is x_1, ..., x_d and Sym^1(g) = g.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -164,6 +165,50 @@ class FischerFrame:
     def coefficients(self, coords: np.ndarray) -> np.ndarray:
         """Monomial coefficients of the harmonic with frame coordinates ``coords``."""
         return (self.basis @ coords) / np.sqrt(_factorials(self.exponents))
+
+    def residual_bound(self, sums: np.ndarray, coeffs: np.ndarray, mats: np.ndarray) -> float:
+        """A bound on max_{|x| = 1} |sum_s p(g_s^T x)| for p = sum_k coeffs[k] x^exponents[k].
+
+        ``sums`` is S = sum_s Sym^n(g_s) as ``summed_powers`` computed it for
+        the stack ``mats`` (r, d, d).  The bound holds for every p in P_n,
+        harmonic or not, so round-off that moves p or its residual out of
+        the harmonics does not void it.
+
+        Exact part.  p has orthonormal-monomial coordinates v = sqrt(a!) c
+        and q = sum_s p(g_s^T .) has R = S v.  For |y| = 1,
+        q(y) = <q, (y . x)^n / n!>_F and ||(y . x)^n||_F^2 = n!, so
+        |q(y)| <= ||R|| / sqrt(n!) by Cauchy-Schwarz; x_1^n attains it.
+
+        Round-off (Higham, Accuracy and Stability of Numerical Algorithms,
+        2nd ed., ch. 3), with u = 2^-53 and gamma_k = k u / (1 - k u).  The
+        recurrence reaches an entry of Sym^m from Sym^(m-1) through at most
+        P_(m-1) + d + 5 roundings (a sum of at most P_(m-1) products or d
+        shifts, the square-root weights and one division) and the sum over
+        the rotations adds at most r d, so with
+        k = C(n + d - 1, d) + n (d + 5) + r d the computed S' satisfies
+        |S' - S| <= gamma_k sum_s Sym^n(|g_s|) entrywise: every step only
+        adds products with positive weights.  Sym^n(G) is G^(tensor n) on
+        the symmetric tensors, so ||Sym^n(|g|)|| <= || |g| ||^n, and
+        || |g| || <= sqrt(||g||_1 ||g||_inf) (Schur); let
+        A = sum_s (||g_s||_1 ||g_s||_inf)^(n/2).  The product S' v' adds at most
+        gamma_(P_n) A ||v'||, and v' = sqrt(a!) c is within gamma_(n + d + 2)
+        of v entrywise.  So ||R' - R|| <= gamma_K A ||v'|| (1 + O(gamma_K))
+        for K = k + P_n + n + d + 2.  The allowance delta = 3 gamma_K A ||v'||
+        covers that, the second-order terms, and the roundings of the norm
+        and the final products, each at most
+        gamma_K (||R'|| + delta) <= gamma_K A ||v'|| (1 + O(gamma_K)).
+        Returns (||R'|| + delta) / sqrt(n!).
+        """
+        coords = coeffs * np.sqrt(_factorials(self.exponents))
+        residual = float(np.linalg.norm(sums @ coords))
+        d, n, r = self.d, self.n, len(mats)
+        k = math.comb(n + d - 1, d) + n * (d + 5) + r * d + self.size + n + d + 2
+        gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+        absolute = np.abs(mats)
+        schur = absolute.sum(axis=-2).max(axis=-1) * absolute.sum(axis=-1).max(axis=-1)
+        growth = float(np.sum(schur ** (n / 2)))
+        delta = 3.0 * gamma * growth * float(np.linalg.norm(coords))
+        return (residual + delta) / math.sqrt(math.factorial(n))
 
     def terms(self, x: np.ndarray) -> np.ndarray:
         """Values x^a of every monomial at the points ``x`` (m, d), shape (m, P_n)."""

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 
@@ -13,7 +14,7 @@ def write_tuple(path, rotations):
 
 
 REPORT_KEYS = {"d", "r", "n_max", "sing_tol", "seed", "degrees", "overall", "version"}
-DEGREE_KEYS = {"n", "N_n", "sigma_min_rel", "verdict"}
+DEGREE_KEYS = {"n", "N_n", "sigma_min_rel", "verdict", "residual_bound"}
 
 
 def check_report_schema(obj):
@@ -25,6 +26,7 @@ def check_report_schema(obj):
         assert {"format", "d", "n", "exponents", "coeffs"} <= set(obj["witness"])
         assert obj["witness"]["format"] == "monomial-v1"
         assert "residual_max" in obj
+        assert {"max_residual", "residual_bound", "n_samples", "passed"} <= set(obj["verification"])
 
 
 class TestCmdTest:
@@ -60,6 +62,13 @@ class TestCmdTest:
         code = main(["test", "--input", str(path), "--seed", "1"])
         assert code == 2
         assert "determinant" in capsys.readouterr().err
+
+    def test_oversized_run_refused_fast(self, tmp_path, capsys):
+        inp = write_tuple(tmp_path / "tuple.json", [haar_sample(8, 19), haar_sample(8, 23)])
+        start = time.perf_counter()
+        code = main(["test", "--input", inp, "--n-max", "10", "--seed", "1"])
+        assert code == 2 and time.perf_counter() - start < 1.0
+        assert "budget" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["test", "--input", "/nonexistent/tuple.json", "--seed", "1"]) == 2

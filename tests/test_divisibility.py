@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherediv import (
     BasisConstructionError,
+    HarmonicFunction,
     InputDomainError,
     NotSingularError,
     Rotation,
@@ -28,6 +31,7 @@ from spherediv import (
     weighted_singular_values,
     zonal_inner_product,
 )
+from spherediv import divisibility, fischer
 from spherediv.fischer import fischer_frame, summed_powers
 
 
@@ -37,6 +41,13 @@ def circle_tuple(*angles):
 
 def identity_tuple(d, r):
     return RotationTuple(tuple(identity_rotation(d) for _ in range(r)))
+
+
+def half_turn_pair(d, seed):
+    """{I, R} with R a half-turn in one plane conjugated by a Haar rotation: singular at every degree."""
+    half_turn = planar_rotation(d, 1, 2, math.pi).matrix
+    h = haar_sample(d, seed).matrix
+    return RotationTuple((identity_rotation(d), Rotation(h @ half_turn @ h.T)))
 
 
 class TestZonalBasis:
@@ -199,8 +210,6 @@ class TestDivisor:
         assert abs(vals.mean() - 1.0 / tup.r) <= 5 * se
 
     def test_zero_witness_rejected(self):
-        from spherediv import HarmonicFunction
-
         zero = HarmonicFunction(fischer_frame(3, 1), np.zeros(3))
         with pytest.raises(InputDomainError):
             make_divisor(zero, 3)
@@ -226,6 +235,69 @@ class TestVerifyDivisor:
         result = verify_divisor(tup, f, 20_000, 167)
         assert result.passed and result.max_residual <= 1e-8
         assert result.function_variance > 0
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        tup = half_turn_pair(4, 149)
+        report = divisibility_test(tup, 3, rng=163)
+        monkeypatch.setattr(fischer, "BLOCK_BYTES", 1 << 30)
+        whole = verify_divisor(tup, report.divisor, 5_000, 167)
+        monkeypatch.setattr(fischer, "BLOCK_BYTES", 4096)  # 128 points per block
+        blocks = verify_divisor(tup, report.divisor, 5_000, 167)
+        assert blocks.max_residual == whole.max_residual
+        assert math.isclose(blocks.mean_residual, whole.mean_residual, rel_tol=1e-14)
+        assert math.isclose(blocks.function_variance, whole.function_variance, rel_tol=1e-14)
+        assert blocks.n_samples == whole.n_samples == 5_000
+
+
+class TestResidualBound:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n=st.integers(1, 5),
+        r=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_covers_sampled_residual(self, d, n, r, seed):
+        # sound for any harmonic, not only kernel witnesses
+        rng = np.random.default_rng(seed)
+        mats = np.array([haar_sample(d, rng).matrix for _ in range(r)])
+        for _, sums in summed_powers(mats, n):
+            pass
+        frame = fischer_frame(d, n)
+        h = HarmonicFunction(frame, frame.coefficients(rng.standard_normal(frame.dim)))
+        pts = uniform_sphere(d, 2_000, rng)
+        sampled = np.max(np.abs(sum(h(pts @ g) for g in mats)))
+        assert sampled <= frame.residual_bound(sums, h.coeffs, mats)
+
+    @pytest.mark.parametrize("d, n", [(2, 1), (3, 4), (8, 3)])
+    def test_bound_is_attained(self, d, n):
+        # x_1^n reaches 1 at the first axis, and its bound is 1 up to the round-off allowance
+        frame = fischer_frame(d, n)
+        coeffs = np.zeros(frame.size)
+        coeffs[0] = 1.0  # exponents are listed in descending order: x_1^n first
+        mats = np.eye(d)[None]
+        for _, sums in summed_powers(mats, n):
+            pass
+        assert 1.0 <= frame.residual_bound(sums, coeffs, mats) <= 1.0 + 1e-10
+
+    def test_top_singular_vector_rejected(self, monkeypatch):
+        tup = half_turn_pair(6, 263)
+
+        def top_witness(basis, matrix, r, sing_tol=None):
+            coeffs = basis.coefficients(np.linalg.svd(matrix)[2][0])
+            return HarmonicFunction(basis, coeffs / np.sum(np.abs(coeffs)))
+
+        for _, sums in summed_powers(np.array([g.matrix for g in tup]), 1):
+            pass
+        frame = fischer_frame(6, 1)
+        monkeypatch.setattr(divisibility, "kernel_witness", top_witness)
+        _, _, ver = divisibility._certify(frame, frame.operator(sums), sums, tup, 1e-10, 283)
+        assert not ver.passed and ver.n_samples == 0
+        assert ver.residual_bound > 1e-2
+        report = divisibility_test(tup, 1, rng=283)
+        assert report.degrees[0].verdict == "borderline"
+        assert report.degrees[0].residual_bound == ver.residual_bound
+        assert not report.divisible and report.verification is None
 
 
 class TestDivisibilityTest:
@@ -263,6 +335,31 @@ class TestDivisibilityTest:
         report = divisibility_test(circle_tuple(0.0, math.pi), 3, rng=179)
         assert report.singular_degrees() == [1, 3]
         assert calls == [1, 2, 3]
+
+    def test_one_sampled_check_per_report(self, monkeypatch):
+        calls = []
+        original = divisibility.verify_divisor
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(divisibility, "verify_divisor", counted)
+        report = divisibility_test(half_turn_pair(6, 263), 4, rng=281)
+        assert len(calls) == 1
+        assert report.singular_degrees() == [1, 2, 3, 4]
+        assert all(rec.residual_bound <= 1e-8 for rec in report.degrees)
+        assert report.verification.residual_bound == report.degrees[0].residual_bound
+        assert report.verification.n_samples == divisibility.VERIFY_SAMPLES
+
+    def test_cost_guard_refuses_before_allocating(self):
+        budget = divisibility.COST_BUDGET_BYTES
+        # the benchmark's runs and d = 8 at n_max = 6 fit; d = 8 at n_max = 10 does not
+        for d, r, n in [(8, 3, 6), (8, 2, 5), (3, 3, 5), (3, 3, 2)]:
+            assert divisibility._peak_bytes(d, r, n) <= budget
+        assert divisibility._peak_bytes(8, 2, 10) > budget
+        with pytest.raises(InputDomainError, match="budget"):
+            divisibility_test(half_turn_pair(8, 293), 10, rng=1)
 
     def test_proposition_tuple_singular_degree_one(self):
         rng = np.random.default_rng(181)
@@ -306,6 +403,9 @@ class TestDivisibilityTest:
         assert obj["witness"]["n"] == 1
         assert len(obj["witness"]["coeffs"]) == dim_harmonic(3, 1)
         assert obj["residual_max"] <= 1e-8
+        assert obj["degrees"][0]["residual_bound"] <= 1e-8
+        assert obj["degrees"][1]["residual_bound"] is None
+        assert obj["verification"]["residual_bound"] == obj["degrees"][0]["residual_bound"]
         # the versioned witness is sum_k coeffs[k] prod_i x_i^exponents[k][i]
         assert obj["witness"]["format"] == "monomial-v1"
         pts = uniform_sphere(3, 50, 243)
@@ -336,9 +436,7 @@ class TestFischerFrame:
             assert np.max(np.abs(fischer - zonal)) <= 1e-9 * fischer[0], (d, n)
 
     def test_verdicts_ignore_rng(self):
-        half_turn = planar_rotation(6, 1, 2, math.pi).matrix
-        h = haar_sample(6, 263).matrix
-        pair = RotationTuple((identity_rotation(6), Rotation(h @ half_turn @ h.T)))
+        pair = half_turn_pair(6, 263)
         triple = RotationTuple(tuple(haar_sample(4, 269 + k) for k in range(3)))
         for tup, n_max in [(triple, 4), (pair, 3)]:
             rows = [

@@ -101,6 +101,8 @@ class TestGenericity:
             GenericityStudy(
                 d=3, r=3, suffix=(haar_sample(3, 1), haar_sample(3, 2)), trials=2, n_max=0, seed=1, ell=1
             )
+        with pytest.raises(InputDomainError, match="budget"):
+            GenericityStudy(d=8, r=2, suffix=(haar_sample(8, 1),), trials=2, n_max=10, seed=1, ell=1)
 
     @pytest.mark.parametrize(
         "d, r, ell, trials, n_max, seed",
@@ -188,6 +190,8 @@ class TestSearch:
     def test_rejects_bad_degree(self):
         with pytest.raises(InputDomainError):
             search_divisible(2, 2, 0, SearchSettings(), rng=409)
+        with pytest.raises(InputDomainError, match="budget"):
+            search_divisible(8, 2, 10, SearchSettings(), rng=409)
 
 
 def test_hot_paths_skip_zonal_machinery(monkeypatch):
