@@ -13,9 +13,10 @@ operator's L^2 ones.  Each degree takes one SVD of M.  The frame is
 deterministic, so verdicts do not depend on the seed, which drives only the
 verification points.  Near-zero smallest singular values only *trigger*
 certificate extraction; the certificate itself is the residual of a concrete
-kernel witness g (the harmonic polynomial with frame coordinates v_min, the
-smallest right-singular vector of M), propagated into an explicit divisor
-f = 1/r + c g whose rotated copies must sum to 1 everywhere.  The frame
+kernel witness g, propagated into an explicit divisor f = 1/r + c g whose
+rotated copies must sum to 1 everywhere.  A fired degree takes no second SVD:
+g has frame coordinates v from two steps of inverse iteration on the shifted
+matrix M + mu I (``_kernel_vector``), one pair of solves per step.  The frame
 bounds that residual over the whole sphere: its polynomial has Fischer
 coordinates R = S_n v, and |p(x)| <= ||p||_F / sqrt(n!) for every degree-n p
 and unit x, so one matvec per fired degree certifies
@@ -304,6 +305,65 @@ def _near_singular(svals: np.ndarray, r: int, sing_tol: float):
     return ratio, weighted_min, below(sing_tol), below(10.0 * sing_tol)
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    """Refuse a singularity tolerance that is not a finite number in (0, 1)."""
+    if not 0.0 < value < 1.0:  # false for NaN and both infinities as well
+        raise InputDomainError(f"{name} must be a finite number in (0, 1), got {value}")
+
+
+# golden ratio: the witness's start vector cos(k phi) has no zero entry and no period
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _kernel_vector(matrix: np.ndarray, svals: np.ndarray, r: int) -> np.ndarray:
+    """A unit vector v with M v near zero for a near-singular M, by shifted inverse iteration.
+
+    ``svals`` are M's singular values in descending order, as the trigger
+    read them, so no factorization repeats the SVD.  With A = M + mu I, each
+    of two steps is x <- A^-1 (A^-T x), normalized: inverse iteration on
+    A^T A, which draws x towards the right-singular vector of A's smallest
+    singular value (Ipsen, SIAM Review 39, 1997), at the cost of two LU
+    solves.  A kernel vector k of M has ||A k|| = mu, so A's smallest
+    singular value is at most mu and the result has
+    ||M v|| <= ||A v|| + mu, about 2 mu at most.  The
+    shift mu = 1e-13 max(sigma_max, r) is far above the ulp of every
+    diagonal entry (|M_ii| <= sigma_max), so it changes each of them and
+    keeps the LU clear of the exact zero pivots an unshifted or ulp-shifted
+    M can meet.  The start cos(k phi) is fixed, so the witness does not
+    depend on any seed; the first step may start nearly orthogonal to the
+    kernel, and the second removes what rounding left.  Nothing here is
+    trusted: ``_certify`` bounds the residual of whatever v comes out.
+    """
+    size = len(matrix)
+    shifted = matrix + 1e-13 * max(float(svals[0]), r) * np.eye(size)
+    x = np.cos(_GOLDEN * np.arange(1, size + 1))
+    for _ in range(2):
+        x = np.linalg.solve(shifted, np.linalg.solve(shifted.T, x))
+        x /= np.linalg.norm(x)
+    return x
+
+
+def _witness(basis, matrix: np.ndarray, svals: np.ndarray, r: int, sing_tol: float) -> HarmonicFunction:
+    """The kernel witness of ``matrix``, whose singular values ``svals`` must fire the trigger.
+
+    Raises NotSingularError unless ``svals`` are near-singular per
+    ``sing_tol`` (see ``_near_singular``).  The witness has the frame
+    coordinates of ``_kernel_vector``; its coefficients are normalized so
+    that sum_k |c_k| = 1 with a positive largest entry.
+    """
+    ratio, weighted_min, fired, _ = _near_singular(svals, r, sing_tol)
+    if not fired:
+        raise NotSingularError(
+            f"not singular per sing_tol={sing_tol:.3e}: sigma ratio {float(ratio):.3e}, "
+            f"weighted sigma_min {weighted_min:.3e}"
+        )
+    coeffs = basis.coefficients(_kernel_vector(matrix, svals, r))
+    coeffs = coeffs / np.sum(np.abs(coeffs))
+    if coeffs[np.argmax(np.abs(coeffs))] < 0:
+        coeffs = -coeffs
+    return HarmonicFunction(basis, coeffs)
+
+
 def kernel_witness(
     basis,
     matrix: np.ndarray,
@@ -313,26 +373,16 @@ def kernel_witness(
     """A kernel element of the r-rotation operator whose matrix in ``basis``'s frame is ``matrix``.
 
     ``basis`` is a FischerFrame (with M = U^T S_n U) or a ZonalBasis (with
-    M from ``operator_matrix``).  Raises NotSingularError unless ``matrix``
-    is near-singular per ``sing_tol`` (see ``_near_singular``).  The
-    witness has frame coordinates v_min, the right-singular vector of M for
-    its smallest singular value; its coefficients are normalized so that
-    sum_k |c_k| = 1 with a positive largest entry.  The witness is not
-    residual-checked here: divisibility_test and search_divisible check the
-    residual of its divisor.
+    M from ``operator_matrix``).  Takes the values-only SVD of M and raises
+    NotSingularError unless M is near-singular per ``sing_tol`` (see
+    ``_near_singular``).  The witness's frame coordinates come from shifted
+    inverse iteration (``_kernel_vector``), not from a second SVD; its
+    coefficients are normalized so that sum_k |c_k| = 1 with a positive
+    largest entry.  The witness is not residual-checked here:
+    divisibility_test and search_divisible certify the residual of its
+    divisor.
     """
-    _, svals, vt = np.linalg.svd(matrix)
-    ratio, weighted_min, fired, _ = _near_singular(svals, r, sing_tol)
-    if not fired:
-        raise NotSingularError(
-            f"not singular per sing_tol={sing_tol:.3e}: sigma ratio {float(ratio):.3e}, "
-            f"weighted sigma_min {weighted_min:.3e}"
-        )
-    coeffs = basis.coefficients(vt[-1])
-    coeffs = coeffs / np.sum(np.abs(coeffs))
-    if coeffs[np.argmax(np.abs(coeffs))] < 0:
-        coeffs = -coeffs
-    return HarmonicFunction(basis, coeffs)
+    return _witness(basis, matrix, weighted_singular_values(matrix), r, sing_tol)
 
 
 @dataclass(frozen=True)
@@ -458,11 +508,13 @@ def verify_divisor(
     )
 
 
-def _certify(frame, matrix, sums, rotations, sing_tol, rng):
+def _certify(frame, matrix, svals, sums, rotations, sing_tol, rng):
     """Witness, divisor and certificate of a degree whose trigger fired.
 
-    ``frame`` is the degree's FischerFrame, ``matrix`` its M = U^T S_n U and
-    ``sums`` the S_n = sum_s Sym^n(gamma_s) it came from.  The divisor
+    ``frame`` is the degree's FischerFrame, ``matrix`` its M = U^T S_n U,
+    ``svals`` the singular values of M that the trigger read and ``sums``
+    the S_n = sum_s Sym^n(gamma_s) it came from.  The witness g takes no
+    second SVD: its coordinates come from ``_kernel_vector``.  The divisor
     f = 1/r + scale * g of the kernel witness g has the residual
     sum_s f(gamma_s^T x) - 1 = scale * sum_s g(gamma_s^T x), a polynomial
     with orthonormal-monomial coordinates R = S_n v, v = sqrt(a!) c for the
@@ -478,9 +530,9 @@ def _certify(frame, matrix, sums, rotations, sing_tol, rng):
     from ``rng``: the result then passes only if the samples do too, and its
     max_residual is the larger of the bound and the sampled maximum.  With
     ``rng`` None nothing is sampled and the result holds the bound alone.
-    Raises NotSingularError when the trigger does not fire.
+    Raises NotSingularError when ``svals`` do not fire the trigger.
     """
-    witness = kernel_witness(frame, matrix, rotations.r, sing_tol)
+    witness = _witness(frame, matrix, svals, rotations.r, sing_tol)
     divisor = make_divisor(witness, rotations.r)
     sup = frame.residual_bound(sums, witness.coeffs, _rotation_matrices(rotations))
     bound = divisor.scale * sup
@@ -577,8 +629,10 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
     """Estimated peak bytes of deciding and certifying degree n for r rotations in dimension d.
 
     The recurrence's last step holds the r copies of Sym^(n-1) and the sum,
-    at most (r + 1) P_n^2 doubles; the operator U^T S U and the full SVD of
-    M add about P_n N_n + 4 N_n^2.  Degrees below n cost less.
+    at most (r + 1) P_n^2 doubles; the operator U^T S U adds P_n N_n, and
+    the values-only SVD of M and the witness's shifted solves a few N_n^2
+    more, within the 4 N_n^2 that a full SVD of M would take and that the
+    estimate keeps as an upper bound.  Degrees below n cost less.
     """
     size, dim = math.comb(n + d - 1, d - 1), dim_harmonic(d, n)
     return 8 * ((r + 1) * size * size + size * dim + 4 * dim * dim)
@@ -618,15 +672,17 @@ def divisibility_test(
     normal runs.  A trigger that fails certification is downgraded to
     ``borderline``, and so is a degree within 10x of the trigger.  The
     verdicts and ratios do not depend on ``rng``, which draws only the
-    verification points.  Runs whose estimated working set exceeds
-    COST_BUDGET_BYTES are refused with InputDomainError before anything is
-    allocated.  The test is one-sided: ``invertible`` at all tested degrees
-    does not prove non-divisibility.
+    verification points.  A ``sing_tol`` outside (0, 1), NaN included, and
+    runs whose estimated working set exceeds COST_BUDGET_BYTES are refused
+    with InputDomainError before anything is allocated.  The test is
+    one-sided: ``invertible`` at all tested degrees does not prove
+    non-divisibility.
     """
     if not isinstance(rotations, RotationTuple):
         rotations = RotationTuple(tuple(rotations))
     if n_max < 1:
         raise InputDomainError(f"n_max must be >= 1, got {n_max}")
+    _check_tolerance("sing_tol", sing_tol)
     _check_cost(rotations.d, rotations.r, n_max)
     seed = resolve_seed(rng)
     records = []
@@ -637,14 +693,13 @@ def divisibility_test(
     for n, sums in summed_powers(_rotation_matrices(rotations), n_max):
         frame = fischer_frame(rotations.d, n)
         matrix = frame.operator(sums)
-        ratio, _, fired, near_band = _near_singular(
-            weighted_singular_values(matrix), rotations.r, sing_tol
-        )
+        svals = weighted_singular_values(matrix)
+        ratio, _, fired, near_band = _near_singular(svals, rotations.r, sing_tol)
         bound = None
         if fired:
             sample_rng = derive_rng(seed, 2, n, 3) if witness is None else None
             try:
-                g, f, ver = _certify(frame, matrix, sums, rotations, sing_tol, sample_rng)
+                g, f, ver = _certify(frame, matrix, svals, sums, rotations, sing_tol, sample_rng)
             except NotSingularError:
                 verdict = VERDICT_BORDERLINE
             else:

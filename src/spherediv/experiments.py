@@ -52,6 +52,7 @@ from .divisibility import (
     DivisibilityReport,
     _certify,
     _check_cost,
+    _check_tolerance,
     _near_singular,
     divisibility_test,
     weighted_singular_values,
@@ -94,7 +95,7 @@ class GenericityStudy:
     fresh Haar rotations and runs the divisibility test up to ``n_max``.
     The paper's theorem covers ell >= r/2; a study with odd r and the
     default ell = floor(r/2) (acceptance criterion 8: r = 3, ell = 1) is
-    empirical beyond it.
+    empirical beyond it.  ``sing_tol`` must be a finite number in (0, 1).
     """
 
     d: int
@@ -122,6 +123,7 @@ class GenericityStudy:
             raise InputDomainError(f"trials must be >= 1, got {self.trials}")
         if self.n_max < 1:
             raise InputDomainError(f"n_max must be >= 1, got {self.n_max}")
+        _check_tolerance("sing_tol", self.sing_tol)
         _check_cost(self.d, self.r, self.n_max)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "suffix", suffix)
@@ -277,11 +279,16 @@ def cayley_rotation(base: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SearchSettings:
+    """Search budget and target; ``target_ratio`` must be a finite number in (0, 1)."""
+
     restarts: int = 4
     max_iter: int = 400
     simplex_scale: float = 0.35
     target_ratio: float = DEFAULT_SING_TOL
     base_tuple: Optional[RotationTuple] = None
+
+    def __post_init__(self):
+        _check_tolerance("target_ratio", self.target_ratio)
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -350,7 +357,8 @@ def search_divisible(
     tuple reaching ``target_ratio`` is certified like a report's first
     singular degree before the run may claim a divisible tuple: its kernel
     witness's divisor must pass the Fischer-frame residual bound and one
-    sampled check (``divisibility._certify`` on the kept S_n); budget
+    sampled check (``divisibility._certify`` on the S_n and the singular
+    values kept from the best evaluation, so no SVD repeats); budget
     exhaustion returns the best tuple found with ``certified=False``.
     """
     from scipy.optimize import minimize  # only the search needs scipy
@@ -370,22 +378,22 @@ def search_divisible(
             pass
         return sums
 
-    def objective(matrix) -> float:
-        return float(weighted_singular_values(matrix)[-1]) / r
+    def objective(svals) -> float:
+        return float(svals[-1]) / r
 
     trace: list = []
 
     def log_objective_factory(bases):
         def log_objective(theta):
             mats = cayley_rotation(bases, theta.reshape(r, n_params))
-            val = objective(frame.operator(summed(mats)))
+            val = objective(weighted_singular_values(frame.operator(summed(mats))))
             trace.append(val if not trace else min(trace[-1], val))
             return math.log10(val + 1e-300)
 
         return log_objective
 
     best_ratio = math.inf
-    best_mats = best_sums = best_matrix = None
+    best_mats = best_sums = best_matrix = best_svals = None
     restart_ratios = []
     for j in range(settings.restarts):
         rng_j = derive_rng(seed, 4, j)
@@ -413,10 +421,11 @@ def search_divisible(
         mats = cayley_rotation(bases, res.x.reshape(r, n_params))
         sums = summed(mats)
         matrix = frame.operator(sums)
-        val = objective(matrix)
+        svals = weighted_singular_values(matrix)
+        val = objective(svals)
         restart_ratios.append(val)
         if val < best_ratio:
-            best_ratio, best_mats, best_sums, best_matrix = val, mats, sums, matrix
+            best_ratio, best_mats, best_sums, best_matrix, best_svals = val, mats, sums, matrix, svals
         if best_ratio < settings.target_ratio:
             break
 
@@ -426,7 +435,8 @@ def search_divisible(
     if best_ratio < settings.target_ratio:
         try:
             _, _, ver = _certify(
-                frame, best_matrix, best_sums, best_tuple, settings.target_ratio, derive_rng(seed, 6)
+                frame, best_matrix, best_svals, best_sums, best_tuple, settings.target_ratio,
+                derive_rng(seed, 6),
             )
             certified = ver.passed
             residual_max = ver.max_residual

@@ -70,6 +70,11 @@ class TestCmdTest:
         assert code == 2 and time.perf_counter() - start < 1.0
         assert "budget" in capsys.readouterr().err
 
+    def test_nan_tolerance_rejected(self, tmp_path, capsys):
+        inp = write_tuple(tmp_path / "tuple.json", [haar_sample(3, k) for k in (1, 2, 3)])
+        assert main(["test", "--input", inp, "--n-max", "2", "--sing-tol", "nan", "--seed", "1"]) == 2
+        assert "sing_tol must be a finite number in (0, 1)" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["test", "--input", "/nonexistent/tuple.json", "--seed", "1"]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -232,6 +237,17 @@ class TestCmdExperiment:
         assert code == 2
         assert "trials must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "study.csv").exists()
+
+    def test_tolerance_outside_unit_interval_rejected(self, tmp_path, capsys):
+        for config, name in [
+            ({"kind": "genericity", "d": 3, "r": 3, "n_max": 1, "seed": 37}, "sing_tol"),
+            ({"kind": "search", "d": 2, "r": 2, "n": 1, "seed": 37}, "target_ratio"),
+        ]:
+            cpath = tmp_path / "config.json"
+            cpath.write_text(json.dumps(config))
+            code = main(["experiment", "--config", str(cpath), "--sing-tol", "2", "--out", str(tmp_path / "x")])
+            assert code == 2
+            assert f"{name} must be a finite number in (0, 1)" in capsys.readouterr().err
 
     def test_unknown_kind(self, tmp_path):
         cpath = tmp_path / "config.json"

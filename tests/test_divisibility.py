@@ -283,21 +283,82 @@ class TestResidualBound:
     def test_top_singular_vector_rejected(self, monkeypatch):
         tup = half_turn_pair(6, 263)
 
-        def top_witness(basis, matrix, r, sing_tol=None):
-            coeffs = basis.coefficients(np.linalg.svd(matrix)[2][0])
-            return HarmonicFunction(basis, coeffs / np.sum(np.abs(coeffs)))
+        def top_vector(matrix, svals, r):
+            return np.linalg.svd(matrix)[2][0]
 
         for _, sums in summed_powers(np.array([g.matrix for g in tup]), 1):
             pass
         frame = fischer_frame(6, 1)
-        monkeypatch.setattr(divisibility, "kernel_witness", top_witness)
-        _, _, ver = divisibility._certify(frame, frame.operator(sums), sums, tup, 1e-10, 283)
+        matrix = frame.operator(sums)
+        monkeypatch.setattr(divisibility, "_kernel_vector", top_vector)
+        _, _, ver = divisibility._certify(
+            frame, matrix, weighted_singular_values(matrix), sums, tup, 1e-10, 283
+        )
         assert not ver.passed and ver.n_samples == 0
         assert ver.residual_bound > 1e-2
         report = divisibility_test(tup, 1, rng=283)
         assert report.degrees[0].verdict == "borderline"
         assert report.degrees[0].residual_bound == ver.residual_bound
         assert not report.divisible and report.verification is None
+
+
+def full_svd_vector(matrix, svals, r):
+    """The reference witness coordinates: the last right-singular vector of a full SVD."""
+    return np.linalg.svd(matrix)[2][-1]
+
+
+def degree_matrices(tup, n_max):
+    """(n, M, singular values of M) in the Fischer frame for n = 1 .. n_max."""
+    for n, sums in summed_powers(np.array([g.matrix for g in tup]), n_max):
+        matrix = fischer_frame(tup.d, n).operator(sums)
+        yield n, matrix, weighted_singular_values(matrix)
+
+
+class TestKernelVector:
+    def assert_near_kernel(self, matrix, svals, r):
+        v = divisibility._kernel_vector(matrix, svals, r)
+        assert np.all(np.isfinite(v)) and math.isclose(np.linalg.norm(v), 1.0, rel_tol=1e-12)
+        assert np.linalg.norm(matrix @ v) <= 1e-12 * max(svals[0], r)
+
+    def test_exactly_zero_operator(self):
+        # the {0, pi} circle pair, with the half-turn written as -I, cancels exactly at odd
+        # degrees: M is 0 there and every vector is a witness
+        tup = RotationTuple((identity_rotation(2), Rotation(-np.eye(2))))
+        for n, matrix, svals in degree_matrices(tup, 5):
+            if n % 2:
+                assert not np.any(matrix)
+                self.assert_near_kernel(matrix, svals, tup.r)
+        assert divisibility_test(tup, 5, rng=317).singular_degrees() == [1, 3, 5]
+
+    def test_search_tuple_without_zero_pivot(self):
+        # demo 06's near tuple: at n = 3 the LU of M + 2^-52 max(sigma_max, r) I meets an exact zero pivot
+        from spherediv import SearchSettings, derive_rng, search_divisible
+
+        suffix_rng = np.random.default_rng(859)
+        suffix = (haar_sample(3, suffix_rng), haar_sample(3, suffix_rng))
+        near = RotationTuple((haar_sample(3, derive_rng(863, 1, 556)),) + suffix)
+        settings = SearchSettings(restarts=1, max_iter=4000, simplex_scale=1e-4, base_tuple=near)
+        run = search_divisible(3, 3, 3, settings, rng=12)
+        assert run.certified
+        *_, (n, matrix, svals) = degree_matrices(run.best_tuple, 3)
+        self.assert_near_kernel(matrix, svals, 3)
+        report = divisibility_test(run.best_tuple, 3, rng=77)
+        assert 3 in report.singular_degrees()
+        assert report.degrees[2].residual_bound <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(3, 7), n_max=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_half_turn_pairs_match_full_svd_witness(self, d, n_max, seed):
+        tup = half_turn_pair(d, seed)
+        for n, matrix, svals in degree_matrices(tup, n_max):
+            self.assert_near_kernel(matrix, svals, tup.r)
+        report = divisibility_test(tup, n_max, rng=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(divisibility, "_kernel_vector", full_svd_vector)
+            reference = divisibility_test(tup, n_max, rng=seed)
+        assert [rec.verdict for rec in report.degrees] == [rec.verdict for rec in reference.degrees]
+        assert report.singular_degrees() == reference.singular_degrees() == list(range(1, n_max + 1))
+        assert all(rec.residual_bound <= 1e-10 for rec in report.degrees)
 
 
 class TestDivisibilityTest:
@@ -351,6 +412,29 @@ class TestDivisibilityTest:
         assert all(rec.residual_bound <= 1e-8 for rec in report.degrees)
         assert report.verification.residual_bound == report.degrees[0].residual_bound
         assert report.verification.n_samples == divisibility.VERIFY_SAMPLES
+
+    def test_one_values_only_svd_per_degree(self, monkeypatch):
+        # every degree of this pair fires; the witness reuses the trigger's
+        # singular values instead of taking a second SVD with vectors
+        tup = half_turn_pair(6, 263)
+        calls = []
+        original = np.linalg.svd
+
+        def counted(a, full_matrices=True, compute_uv=True, hermitian=False):
+            calls.append(compute_uv)
+            return original(a, full_matrices, compute_uv, hermitian)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        report = divisibility_test(tup, 4, rng=281)
+        assert report.singular_degrees() == [1, 2, 3, 4]
+        assert calls == [False] * 4
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, 1.0, 2.0])
+    def test_rejects_tolerance_outside_unit_interval(self, tol):
+        # 0, -1 and NaN would report every degree invertible, 2 every degree borderline
+        tup = RotationTuple(tuple(haar_sample(3, 311 + k) for k in range(3)))
+        with pytest.raises(InputDomainError, match="sing_tol"):
+            divisibility_test(tup, 2, sing_tol=tol, rng=313)
 
     def test_cost_guard_refuses_before_allocating(self):
         budget = divisibility.COST_BUDGET_BYTES

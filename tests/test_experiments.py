@@ -104,6 +104,12 @@ class TestGenericity:
         with pytest.raises(InputDomainError, match="budget"):
             GenericityStudy(d=8, r=2, suffix=(haar_sample(8, 1),), trials=2, n_max=10, seed=1, ell=1)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, 1.0, 2.0])
+    def test_rejects_tolerance_outside_unit_interval(self, tol):
+        suffix = (haar_sample(3, 1), haar_sample(3, 2))
+        with pytest.raises(InputDomainError, match="sing_tol"):
+            GenericityStudy(d=3, r=3, suffix=suffix, trials=2, n_max=2, seed=1, ell=1, sing_tol=tol)
+
     @pytest.mark.parametrize(
         "d, r, ell, trials, n_max, seed",
         [(3, 3, 1, 40, 4, 443), (4, 4, 2, 12, 3, 449), (3, 2, 2, 10, 3, 461)],
@@ -186,6 +192,11 @@ class TestSearch:
         b = search_divisible(2, 2, 1, settings, rng=401)
         assert a.best_ratio == b.best_ratio
         assert search_csv_text(a) == search_csv_text(b)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, 1.0, 2.0])
+    def test_rejects_target_outside_unit_interval(self, tol):
+        with pytest.raises(InputDomainError, match="target_ratio"):
+            SearchSettings(target_ratio=tol)
 
     def test_rejects_bad_degree(self):
         with pytest.raises(InputDomainError):
