@@ -10,7 +10,9 @@ Haar-random d=3, r=3 tuple that happened to pass within ~2e-7 of the degree-3
 singular variety.  Descending from that neighborhood produces a tuple whose
 degree-3 operator is singular to machine precision, i.e. a numerically
 certified fractionally-3-dividing tuple of the 2-sphere.  (A candidate: the
-certificate is a 1e-8 residual over samples, not a symbolic proof.)
+certificate bounds the divisor's residual by 1e-8 over the whole sphere from
+the Fischer frame, with explicit round-off, and one sampled check confirms
+it; it is not a symbolic proof.)
 """
 
 import math

@@ -201,25 +201,37 @@ def _suffix_from_config(config, d, count, seed):
     return tuple(haar_sample(d, rng) for _ in range(count))
 
 
+def _number(key, value, kind):
+    """The config value ``value`` of ``key`` read as ``kind`` (int or float).
+
+    A value that does not convert is an InputDomainError that names the key.
+    """
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise InputDomainError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from exc
+
+
 def cmd_experiment(args) -> int:
     config = _load_json(args.config)
     if not isinstance(config, dict) or "kind" not in config:
         raise InputDomainError(f'{args.config}: config must be an object with a "kind" key')
     kind = config["kind"]
     seed = config.get("seed", args.seed)
-    seed = _resolve_seed_arg(seed)
+    seed = _resolve_seed_arg(None if seed is None else _number("seed", seed, int))
     out = args.out or f"experiment-{kind}"
     json_path = out if out.endswith(".json") else out + ".json"
     csv_path = (out[:-5] if out.endswith(".json") else out) + ".csv"
 
     try:
         if kind == "genericity":
-            d, r = int(config["d"]), int(config["r"])
+            d, r = _number("d", config["d"], int), _number("r", config["r"], int)
             ell = config.get("ell")
-            n_max = int(config.get("n_max", 8))
-            trials = int(config.get("trials", args.trials if args.trials is not None else 100))
-            sing_tol = float(config.get("sing_tol", args.sing_tol))
-            count = r - (int(ell) if ell is not None else default_free_count(d, r))
+            ell = None if ell is None else _number("ell", ell, int)
+            n_max = _number("n_max", config.get("n_max", 8), int)
+            trials = _number("trials", config.get("trials", args.trials if args.trials is not None else 100), int)
+            sing_tol = _number("sing_tol", config.get("sing_tol", args.sing_tol), float)
+            count = r - (ell if ell is not None else default_free_count(d, r))
             study = GenericityStudy(
                 d=d,
                 r=r,
@@ -227,7 +239,7 @@ def cmd_experiment(args) -> int:
                 trials=trials,
                 n_max=n_max,
                 seed=seed,
-                ell=int(ell) if ell is not None else None,
+                ell=ell,
                 sing_tol=sing_tol,
             )
             result = run_genericity(study)
@@ -242,12 +254,12 @@ def cmd_experiment(args) -> int:
             return EXIT_OK
 
         if kind == "search":
-            d, r, n = int(config["d"]), int(config["r"]), int(config["n"])
+            d, r, n = (_number(key, config[key], int) for key in ("d", "r", "n"))
             settings = SearchSettings(
-                restarts=int(config.get("restarts", 4)),
-                max_iter=int(config.get("max_iter", 400)),
-                simplex_scale=float(config.get("simplex_scale", 0.35)),
-                target_ratio=float(config.get("target_ratio", args.sing_tol)),
+                restarts=_number("restarts", config.get("restarts", 4), int),
+                max_iter=_number("max_iter", config.get("max_iter", 400), int),
+                simplex_scale=_number("simplex_scale", config.get("simplex_scale", 0.35), float),
+                target_ratio=_number("target_ratio", config.get("target_ratio", args.sing_tol), float),
                 base_tuple=(
                     RotationTuple.from_json_obj(config["base_tuple"])
                     if "base_tuple" in config

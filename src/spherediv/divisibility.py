@@ -476,7 +476,10 @@ def verify_divisor(
     DivisorFunction do) and d otherwise; only the per-point sums and values
     are kept whole.  This is a sampled check, not a bound over the
     sphere: divisibility_test certifies its degrees through ``_certify``.
+    A ``samples`` below 1 is refused with InputDomainError.
     """
+    if samples < 1:
+        raise InputDomainError(f"samples must be >= 1, got {samples}")
     mats = _rotation_matrices(rotations)
     d = mats[0].shape[0]
     pts = uniform_sphere(d, samples, rng)
@@ -628,11 +631,19 @@ class DivisibilityReport:
 def _peak_bytes(d: int, r: int, n: int) -> int:
     """Estimated peak bytes of deciding and certifying degree n for r rotations in dimension d.
 
-    The recurrence's last step holds the r copies of Sym^(n-1) and the sum,
-    at most (r + 1) P_n^2 doubles; the operator U^T S U adds P_n N_n, and
-    the values-only SVD of M and the witness's shifted solves a few N_n^2
-    more, within the 4 N_n^2 that a full SVD of M would take and that the
-    estimate keeps as an upper bound.  Degrees below n cost less.
+    The estimate, 8 ((r + 1) P_n^2 + P_n N_n + 4 N_n^2) bytes, bounds each
+    stage of degree n apart from temporaries of at most ``fischer.BLOCK_BYTES``:
+    - the recurrence step holds the r copies of Sym^(n-1) and the sum S_n,
+      at most (r + 1) P_n^2, and works in column slabs; the previous
+      degree's S and M are freed before it starts;
+    - the operator keeps S_n and adds U^T S_n (N_n P_n) and M (N_n^2), and
+      a dense U (only at P_n <= ``fischer.DENSE_MAX_SIZE``) P_n N_n more;
+      the parity blocks gather S_n a chunk of classes at a time;
+    - the values-only SVD of M and the witness's shifted solves take a few
+      N_n^2 more, within the 4 N_n^2 that a full SVD of M would take.
+    Degrees below n cost less at d >= 5.  At d <= 4 and large n, where P_n
+    grows slowly, the step to degree n - 1 holds r copies of both Sym^(n-2)
+    and Sym^(n-1), up to 1.8 times the estimate.
     """
     size, dim = math.comb(n + d - 1, d - 1), dim_harmonic(d, n)
     return 8 * ((r + 1) * size * size + size * dim + 4 * dim * dim)
@@ -717,6 +728,7 @@ def divisibility_test(
         records.append(
             DegreeRecord(n=n, dim=frame.dim, sigma_min_rel=float(ratio), verdict=verdict, residual_bound=bound)
         )
+        del sums, matrix  # free degree n before the recurrence builds degree n + 1 (see _peak_bytes)
 
     report = DivisibilityReport(
         d=rotations.d,

@@ -12,11 +12,21 @@ Spaces, ch. IV).  In that basis the Laplacian has the entries
 sqrt(a_i (a_i - 1)); complete QRs of its transpose, one per parity class of
 the exponents, give U, an orthonormal basis of H_n with N_n columns.
 
+The Laplacian keeps the parity pattern a mod 2, so U is block diagonal over
+the parity classes: a monomial and a frame column meet only inside one
+class.  A frame keeps those QR blocks, stacked by shape (at d = 8, n = 6 the
+127 classes come in 4 shapes and hold 42 252 of U's 2 378 376 entries), and
+applies U through a few stacked products per shape.  Only a frame with at
+most DENSE_MAX_SIZE monomials, where one dense product is cheaper, also
+keeps the dense U.
+
 The summed-translate operator of a tuple restricted to H_n is then
 M = U^T (sum_s Sym^n(g_s)) U in exactly orthonormal coordinates.  H_n is
 irreducible, so every invariant inner product on it is a multiple of the L^2
-one and M has the operator's L^2 singular values.  Nothing is drawn at
-random: frames and index tables are deterministic and built once per
+one and M has the operator's L^2 singular values.  ``summed_powers`` gives
+every S_n = sum_s Sym^n(g_s) up to n_max in one pass of a recurrence, with
+the large steps run in column slabs of at most BLOCK_BYTES.  Nothing is drawn
+at random: frames and index tables are deterministic and built once per
 (d, n) per process.
 
 Monomials of each degree are listed in descending lexicographic order of
@@ -28,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -36,9 +47,18 @@ from .errors import InputDomainError
 __all__ = ["BLOCK_BYTES", "FischerFrame", "fischer_frame", "summed_powers"]
 
 # byte budget of one stacked temporary: a Sym^n step treats every rotation
-# in one call while d P_n^2 doubles per rotation fit, and one (rotation,
-# shift) slab at a time otherwise; studies size trial blocks by it
+# in one call while d P_n^2 doubles per rotation fit, and goes through column
+# slabs of at most this many bytes of parent columns otherwise; the block
+# operator gathers rows and columns of this many bytes at a time, studies size
+# trial blocks and verify_divisor sizes point blocks by it
 BLOCK_BYTES = 1 << 20
+
+# frames with at most this many monomials keep a dense U: below it one dense
+# U^T S U beats the stacked block products.  One BLAS thread on a 2-core Xeon:
+# dense 24 us vs blocks 100 us at P_n = 70; about even at P_n = 120 (63 vs
+# 89 us at d = 4, 175 vs 161 us at d = 8); blocks 2.6x faster at P_n = 330,
+# 5.2x at 792 and 6.1x at 1716
+DENSE_MAX_SIZE = 120
 
 
 def _choose(m: np.ndarray, k: int) -> np.ndarray:
@@ -133,38 +153,84 @@ def _moves(d: int, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _Group:
+    """The K parity classes of one frame that share a shape P_c x N_c.
+
+    ``monomials`` (K, P_c) lists each class's monomials, ``columns``
+    (K, N_c) its frame columns, and ``basis`` (K, P_c, N_c) its QR block:
+    U restricted to those rows and columns.  U is zero off the blocks.
+    """
+
+    monomials: np.ndarray
+    columns: np.ndarray
+    basis: np.ndarray
+
+
+@dataclass(frozen=True)
 class FischerFrame:
     """The exact orthonormal frame of the degree-n harmonics on S^(d-1).
 
-    ``exponents`` lists the P_n monomials x^a of degree n; ``basis`` is U,
-    P_n x N_n with orthonormal columns spanning the harmonics in the
-    orthonormal monomial basis x^a / sqrt(a!).  A harmonic with frame
-    coordinates y is the polynomial with monomial coefficients
+    ``exponents`` lists the P_n monomials x^a of degree n.  U, P_n x N_n
+    with orthonormal columns spanning the harmonics in the orthonormal
+    monomial basis x^a / sqrt(a!), is block diagonal over the parity
+    classes of the exponents: ``groups`` holds its QR blocks, stacked by
+    shape (at d = 8, n = 6 its 127 classes fall into 4 shapes and hold
+    42 252 of U's 2 378 376 entries).  ``basis`` is the dense U while
+    P_n <= DENSE_MAX_SIZE, where one dense product beats a few stacked ones,
+    and None above it; ``operator`` uses it where it is kept.  A harmonic
+    with frame coordinates y is the polynomial with monomial coefficients
     U y / sqrt(a!).  Build frames through the cached ``fischer_frame``.
     """
 
     d: int
     n: int
     exponents: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        """N_n, the dimension of the harmonic space."""
-        return self.basis.shape[1]
+    groups: tuple
+    basis: Optional[np.ndarray]
 
     @property
     def size(self) -> int:
         """P_n, the number of monomials: the coefficient count of a HarmonicFunction."""
-        return self.basis.shape[0]
+        return len(self.exponents)
+
+    @property
+    def dim(self) -> int:
+        """N_n, the number of frame columns."""
+        return sum(g.columns.size for g in self.groups)
 
     def operator(self, sums: np.ndarray) -> np.ndarray:
-        """M = U^T S U for S = sum_s Sym^n(g_s), or for a stack of such sums."""
-        return self.basis.T @ sums @ self.basis
+        """M = U^T S U for S = sum_s Sym^n(g_s), or for a stack (..., P_n, P_n) of such sums."""
+        if self.basis is not None:
+            return self.basis.T @ sums @ self.basis
+        lead = sums.shape[:-2]
+        left = np.empty(lead + (self.dim, self.size))  # U^T S
+        for g, part in self._chunks(math.prod(lead) * self.size):
+            # rows of K classes, (..., K, P_c, P_n), projected by their blocks
+            left[..., g.columns[part], :] = np.swapaxes(g.basis[part], -1, -2) @ sums[..., g.monomials[part], :]
+        out = np.empty(lead + (self.dim, self.dim))
+        for g, part in self._chunks(math.prod(lead) * self.dim):
+            # columns of K classes, (..., K, N_n, P_c), times their blocks
+            prod = np.moveaxis(left[..., g.monomials[part]], -3, -2) @ g.basis[part]
+            out[..., g.columns[part]] = np.moveaxis(prod, -3, -2)
+        return out
+
+    def _chunks(self, width: int):
+        """(group, slice of its classes) whose P_c rows of ``width`` doubles each fit in BLOCK_BYTES.
+
+        Gathering a whole shape at once holds up to P_n^2 more: on a Haar
+        triple in SO(8) up to n = 6 that raised peak RSS from 115 to 139 MB.
+        """
+        for g in self.groups:
+            step = max(1, BLOCK_BYTES // (8 * g.basis.shape[1] * width))
+            for lo in range(0, len(g.basis), step):
+                yield g, slice(lo, lo + step)
 
     def coefficients(self, coords: np.ndarray) -> np.ndarray:
         """Monomial coefficients of the harmonic with frame coordinates ``coords``."""
-        return (self.basis @ coords) / np.sqrt(_factorials(self.exponents))
+        vals = np.empty(self.size)
+        for g in self.groups:
+            vals[g.monomials] = (g.basis @ coords[g.columns][..., None])[..., 0]
+        return vals / np.sqrt(_factorials(self.exponents))
 
     def residual_bound(self, sums: np.ndarray, coeffs: np.ndarray, mats: np.ndarray) -> float:
         """A bound on max_{|x| = 1} |sum_s p(g_s^T x)| for p = sum_k coeffs[k] x^exponents[k].
@@ -240,11 +306,13 @@ def fischer_frame(d: int, n: int) -> FischerFrame:
     if d < 2 or n < 1:
         raise InputDomainError(f"Fischer frames need d >= 2 and n >= 1, got d={d}, n={n}")
     exps = _exponents(d, n)
+    size = len(exps)
     if n < 2:
-        basis = np.eye(len(exps))
+        every = np.arange(size)
+        groups = (_Group(every[:, None], every[:, None], np.ones((size, 1, 1))),)
     else:
         lower = _exponents(d, n - 2)
-        lap = np.zeros((len(lower), len(exps)))
+        lap = np.zeros((len(lower), size))
         for i in range(d):
             hit = np.nonzero(exps[:, i] >= 2)[0]
             rows = exps[hit].copy()
@@ -257,30 +325,42 @@ def fischer_frame(d: int, n: int) -> FischerFrame:
         parity = np.concatenate([exps, lower]) % 2
         key = _index(parity) + _choose(parity.sum(axis=1) + d - 1, d)
         _, pattern = np.unique(key, return_inverse=True)
-        cols_of, rows_of = pattern[: len(exps)], pattern[len(exps):]
-        basis = np.zeros((len(exps), len(exps) - len(lower)))
+        cols_of, rows_of = pattern[:size], pattern[size:]
+        shapes = {}
         filled = 0
         for c in range(pattern.max() + 1):
             cols, rows = np.nonzero(cols_of == c)[0], np.nonzero(rows_of == c)[0]
             q, _ = np.linalg.qr(lap[np.ix_(rows, cols)].T, mode="complete")
-            basis[cols, filled:filled + len(cols) - len(rows)] = q[:, len(rows):]
-            filled += len(cols) - len(rows)
-    basis.setflags(write=False)
-    return FischerFrame(d=d, n=n, exponents=exps, basis=basis)
+            kept = len(cols) - len(rows)
+            block = (cols, np.arange(filled, filled + kept), q[:, len(rows):])
+            shapes.setdefault((len(cols), kept), []).append(block)
+            filled += kept
+        groups = tuple(_Group(*(np.stack(part) for part in zip(*members))) for members in shapes.values())
+    basis = None
+    if size <= DENSE_MAX_SIZE:
+        basis = np.zeros((size, sum(g.columns.size for g in groups)))
+        for g in groups:
+            basis[g.monomials[:, :, None], g.columns[:, None, :]] = g.basis
+        basis.setflags(write=False)
+    for g in groups:
+        for part in (g.monomials, g.columns, g.basis):
+            part.setflags(write=False)
+    return FischerFrame(d=d, n=n, exponents=exps, groups=groups, basis=basis)
 
 
 def summed_powers(mats, n_max: int):
     """Yield (n, sum_s Sym^n(g_s)) for n = 1 .. n_max in one pass of the recurrence.
 
     ``mats`` is a stack (..., r, d, d) of rotation tuples; each sum has shape
-    (..., P_n, P_n) in the orthonormal monomial basis, and is zero if r = 0.  Sym^n(g) is built from
-    Sym^(n-1)(g) by one multiplication by a linear form per column: degree n
-    costs d maps of P_n x P_(n-1) per rotation and no Gegenbauer
-    evaluation.  While the copies of every rotation fit in BLOCK_BYTES, one
-    product with ``_moves`` gives every rotation's d multiplication maps and
-    one stacked product per lead block applies them; otherwise each
-    rotation and shift is scattered in place, one at a time, and the last
-    degree keeps only the sum.
+    (..., P_n, P_n) in the orthonormal monomial basis, and is zero if r = 0.
+    Sym^n(g) is built from Sym^(n-1)(g) by one multiplication by a linear
+    form per column: degree n costs d maps of P_n x P_(n-1) per rotation and
+    no Gegenbauer evaluation.  While the d maps of every rotation fit in
+    BLOCK_BYTES, one product with ``_moves`` gives them all and one stacked
+    product per lead block applies them.  Otherwise the columns go in slabs
+    whose parent columns, for every rotation at once, fit in BLOCK_BYTES;
+    each slab makes one row scatter per shift x_j, and the last degree,
+    which keeps only the sums, adds a tuple's r rotations before scattering.
     """
     mats = np.asarray(mats, dtype=float)
     lead_shape, r, d = mats.shape[:-3], mats.shape[-3], mats.shape[-1]
@@ -305,17 +385,27 @@ def summed_powers(mats, n_max: int):
                 np.matmul(lifts[:, i], prev[:, :, tail:], out=sym[:, :, lo:hi])
             sym /= step.root_lead
         else:
-            col = flat[:, :, step.lead] / step.root_lead  # (K, d, P_n): g[j, i(a)] / sqrt(a_i)
-            out = np.zeros((count // r if last else count, size, size))
-            shifted = np.empty((sym.shape[-1], size))
-            for k in range(count):
-                spread = sym[k][:, step.parent]
-                target = out[k // r if last else k]
-                for j in range(d):
-                    np.multiply(spread, col[k, j], out=shifted)
-                    shifted *= step.up_root[j][:, None]
-                    target[step.up[j]] += shifted
-            del spread, shifted
+            # column slabs of one lead block i, whose parents are a contiguous
+            # run of degree n - 1: ``part`` is the slab times the term
+            # g[j, i] x_j of the form g_i, summed over each tuple's r rotations
+            # at the last degree, and multiplying by x_j scatters its rows
+            prev = sym.shape[-1]
+            group = r if last else 1
+            out = np.zeros((count // group, size, size))
+            width = max(1, BLOCK_BYTES // (8 * count * prev))
+            for i, (lo, hi, tail) in enumerate(step.blocks):
+                for a in range(lo, hi, width):
+                    b = min(a + width, hi)
+                    src = sym[:, :, tail + a - lo:tail + b - lo] / step.root_lead[a:b]
+                    grouped = src.reshape(len(out), group, -1)
+                    target = out[:, :, a:b]
+                    for j in range(d):
+                        if last:
+                            part = flat[:, j, i].reshape(-1, 1, group) @ grouped
+                            part = part.reshape(len(out), prev, b - a) * step.up_root[j][:, None]
+                        else:
+                            part = src * (flat[:, j, i, None, None] * step.up_root[j][:, None])
+                        target[:, step.up[j]] += part
             sym = out
             if last:
                 yield n, out.reshape(lead_shape + (size, size))

@@ -155,6 +155,12 @@ class TestCmdConstruct:
     def test_d2_analyze_requires_angles(self):
         assert main(["construct", "d2-analyze", "--n", "1"]) == 2
 
+    def test_nonpositive_samples_rejected(self, capsys):
+        for kind, dims in [("planar", ["--d", "3", "--r", "2"]), ("odd-d4", ["--d", "3"])]:
+            for samples in ("0", "-5"):
+                assert main(["construct", kind, *dims, "--samples", samples, "--seed", "1"]) == 2
+                assert "samples must be >= 1" in capsys.readouterr().err
+
     def test_planar_requires_dimensions(self):
         assert main(["construct", "planar", "--d", "3"]) == 2
 
@@ -259,3 +265,15 @@ class TestCmdExperiment:
         cpath.write_text(json.dumps({"kind": "genericity", "d": 3, "seed": 1}))
         assert main(["experiment", "--config", str(cpath)]) == 2
         assert "missing config key" in capsys.readouterr().err
+
+    def test_uncoercible_value_rejected(self, tmp_path, capsys):
+        for config, key in [
+            ({"kind": "genericity", "d": "x", "r": 3}, "d"),
+            ({"kind": "genericity", "d": 3, "r": 3, "n_max": 1, "sing_tol": [1e-10]}, "sing_tol"),
+            ({"kind": "search", "d": 2, "r": 2, "n": 1, "restarts": "many"}, "restarts"),
+            ({"kind": "search", "d": 2, "r": 2, "n": 1, "seed": "abc"}, "seed"),
+        ]:
+            cpath = tmp_path / "config.json"
+            cpath.write_text(json.dumps(config))
+            assert main(["experiment", "--config", str(cpath), "--seed", "1", "--out", str(tmp_path / "x")]) == 2
+            assert f"config key {key!r}" in capsys.readouterr().err

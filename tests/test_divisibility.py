@@ -236,6 +236,12 @@ class TestVerifyDivisor:
         assert result.passed and result.max_residual <= 1e-8
         assert result.function_variance > 0
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_nonpositive_samples_rejected(self, samples):
+        tup = circle_tuple(0.0, math.pi)
+        with pytest.raises(InputDomainError, match="samples must be >= 1"):
+            verify_divisor(tup, lambda x: np.full(len(np.atleast_2d(x)), 0.5), samples, 151)
+
     def test_blocks_match_one_block(self, monkeypatch):
         tup = half_turn_pair(4, 149)
         report = divisibility_test(tup, 3, rng=163)
