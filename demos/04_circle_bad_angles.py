@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """The circle is fully analytic: finitely many singular angles per degree.
 
-Fix all rotations of a circle tuple but one.  At degree n the remaining
-angle phi makes the summed operator singular exactly when e^{i n phi} cancels
-the fixed sum, i.e. on a finite set computable from a quadratic in cos(n phi).
+Fix all rotations of a circle tuple but one.  At degree n each rotation acts
+as a complex number, the fixed ones as k = sum_s e^{i n psi_s}, and the
+remaining angle phi makes the summed operator singular exactly when
+e^{i n phi} = -k: the n angles (arg(-k) + 2 pi j) / n when |k| = 1, and none
+otherwise.
 The demo prints the analytic bad angles and scans the numeric singular-value
 profile across them.
 """

@@ -16,7 +16,6 @@ from .constructions import (
     PlanarDivision,
     analyze_circle,
     circle_bad_angles,
-    circle_det,
     circle_rotation_block,
     circle_sum_matrix,
     odd_d4_suffix,
@@ -42,7 +41,6 @@ from .divisibility import (
 from .errors import (
     BasisConstructionError,
     InputDomainError,
-    InternalInconsistencyError,
     NoFixedPointError,
     NotSingularError,
 )

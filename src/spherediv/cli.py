@@ -9,9 +9,9 @@ Subcommands:
 * ``experiment`` - run a genericity study or a singularity search from a
                    JSON config file; writes a JSON summary and a CSV log.
 
-Exit codes: 0 = ran, 2 = invalid input, 3 = internal inconsistency.  Every
-report carries the resolved seed, the tolerances used, and the library
-version, so any certificate can be reproduced.
+Exit codes: 0 = ran, 2 = invalid input.  Every report carries the resolved
+seed, the tolerances used, and the library version, so any certificate can
+be reproduced.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .divisibility import (
     make_divisor,
     verify_divisor,
 )
-from .errors import InputDomainError, InternalInconsistencyError
+from .errors import InputDomainError
 from .experiments import (
     GenericityStudy,
     SearchSettings,
@@ -44,7 +44,6 @@ from .sampling import derive_rng, fresh_seed
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_INTERNAL = 3
 
 
 def _load_json(path):
@@ -333,9 +332,6 @@ def main(argv=None) -> int:
     except InputDomainError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InternalInconsistencyError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 def entry() -> None:

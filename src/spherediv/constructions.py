@@ -12,9 +12,10 @@ and the fully analytic circle (d = 2) machinery.
 
 * circle analysis: on S^1 the degree-n harmonic space is 2-dimensional and
   the rotation by phi acts on the (cos n., sin n.) basis as the 2x2 rotation
-  by n phi.  With r - 1 angles held fixed, the angles phi of the remaining
-  rotation that make the summed operator singular form a finite set,
-  computable from a quadratic in cos(n phi).
+  by n phi, that is as the complex number e^{i n phi}.  With r - 1 angles
+  psi_s held fixed, their sum acts as k = sum_s e^{i n psi_s}, and the
+  remaining rotation makes the summed operator singular iff
+  e^{i n phi} = -k: n angles when |k| = 1 and none otherwise.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divisibility import HarmonicFunction
-from .errors import InputDomainError, InternalInconsistencyError
+from .divisibility import DEFAULT_SING_TOL, HarmonicFunction
+from .errors import InputDomainError
 from .fischer import fischer_frame
 from .rotations import Rotation, RotationTuple, fixed_point, planar_rotation
 
@@ -35,7 +36,6 @@ __all__ = [
     "PlanarDivision",
     "analyze_circle",
     "circle_bad_angles",
-    "circle_det",
     "circle_rotation_block",
     "circle_sum_matrix",
     "odd_d4_suffix",
@@ -51,8 +51,8 @@ class PlanarDivision:
     """Sector indicator whose rotated copies tile the sphere.
 
     ``indicator`` is 1 on points whose (x_1, x_2) angle lies in
-    [0, 2 pi / r) and 0 elsewhere; ``near_boundary`` marks points within a
-    tolerance of the sector endpoints or of the degenerate x_1 = x_2 = 0
+    [0, 2 pi / r) and 0 elsewhere; ``near_boundary`` marks points within
+    BOUNDARY_TOL of the sector endpoints or of the degenerate x_1 = x_2 = 0
     fiber, where almost-everywhere equality makes no claim.
     """
 
@@ -72,16 +72,16 @@ class PlanarDivision:
         vals = inside.astype(float)
         return float(vals[0]) if single else vals
 
-    def near_boundary(self, x, tol: float = BOUNDARY_TOL):
+    def near_boundary(self, x):
         arr = np.asarray(x, dtype=float)
         single = arr.ndim == 1
         pts = np.atleast_2d(arr)
-        radial = np.hypot(pts[:, 0], pts[:, 1]) <= tol
+        radial = np.hypot(pts[:, 0], pts[:, 1]) <= BOUNDARY_TOL
         theta = self._angles(pts)
         # circular distance to the nearest sector endpoint {2 pi k / r}
         width = self.sector_width
         dist = np.abs(np.mod(theta + width / 2.0, width) - width / 2.0)
-        mask = radial | (dist <= tol)
+        mask = radial | (dist <= BOUNDARY_TOL)
         return bool(mask[0]) if single else mask
 
 
@@ -159,86 +159,27 @@ def circle_sum_matrix(n: int, fixed_angles) -> np.ndarray:
     return out
 
 
-def circle_det(x: float, branch_sign: int, kmat: np.ndarray) -> float:
-    """det of (rotation block + fixed sum) as a function of x = cos(n phi).
+def circle_bad_angles(n: int, fixed_angles) -> np.ndarray:
+    """All phi in [0, 2 pi) making the full circle tuple singular at degree n, sorted.
 
-    Equals +-sqrt(1-x^2) (K_21 - K_12) + x (K_11 + K_22) + det K + 1, with
-    the sign chosen by the sin(n phi) branch.
-    """
-    if abs(x) > 1.0 + 1e-12:
-        raise InputDomainError(f"x = {x} outside [-1, 1]")
-    xx = min(1.0, max(-1.0, float(x)))
-    sign = 1.0 if branch_sign >= 0 else -1.0
-    kmat = np.asarray(kmat, dtype=float)
-    return float(
-        sign * math.sqrt(1.0 - xx * xx) * (kmat[1, 0] - kmat[0, 1])
-        + xx * (kmat[0, 0] + kmat[1, 1])
-        + np.linalg.det(kmat)
-        + 1.0
-    )
-
-
-def circle_bad_angles(n: int, fixed_angles, *, dedupe_tol: float = 1e-9) -> np.ndarray:
-    """All phi in [0, 2 pi) making the full circle tuple singular at degree n.
-
-    Substituting x = cos(n phi), y = sin(n phi) into det = 0 and squaring
-    leaves a quadratic in x; its roots are mapped back to angles after
-    discarding sign-spurious solutions by direct evaluation of the unsquared
-    expression (tolerance 1e-10).  The identically-zero quadratic would
-    contradict the structure of the fixed-rotation sum and raises
-    InternalInconsistencyError.
+    Rotation blocks are complex numbers: the block by theta acts as
+    e^{i theta}, so the fixed rotations act at degree n as
+    k = sum_s e^{i n psi_s} = K_00 + i K_10 (``circle_sum_matrix``) and the
+    free rotation by phi adds e^{i n phi}.  The 2x2 operator is then
+    multiplication by e^{i n phi} + k, singular iff e^{i n phi} = -k.  That
+    needs |k| = 1, judged by the trigger of ``divisibility_test``: at the
+    best phi the operator has sigma_min = ||k| - 1| and sigma_max = 1 + |k|,
+    so no angle is returned unless their ratio is below DEFAULT_SING_TOL.
+    Otherwise the n angles are (arg(-k) + 2 pi j) / n.
     """
     kmat = circle_sum_matrix(n, fixed_angles)
-    trace = kmat[0, 0] + kmat[1, 1]
-    skew = kmat[1, 0] - kmat[0, 1]
-    shift = float(np.linalg.det(kmat)) + 1.0
-    # w y + t x + shift = 0 with x^2 + y^2 = 1 squares to
-    # (t^2 + w^2) x^2 + 2 t shift x + shift^2 - w^2 = 0
-    a2 = trace * trace + skew * skew
-    a1 = 2.0 * trace * shift
-    a0 = shift * shift - skew * skew
-    if max(abs(a2), abs(a1), abs(a0)) <= 1e-12:
-        raise InternalInconsistencyError(
-            "the squared determinant equation vanished identically; this case is "
-            "impossible for sums of rotation blocks"
-        )
-    roots = []
-    if a2 <= 1e-15:
-        if abs(a1) > 1e-15:
-            roots.append(-a0 / a1)
-    else:
-        disc = a1 * a1 - 4.0 * a2 * a0
-        scale = max(a1 * a1, abs(4.0 * a2 * a0), 1e-300)
-        if abs(disc) <= 1e-12 * scale:
-            # singular configurations are tangency points of a line and the
-            # unit circle, so the quadratic has a double root; the vertex is
-            # accurate where the sqrt of the tiny discriminant would lose
-            # half the digits
-            roots.append(-a1 / (2.0 * a2))
-        elif disc > 0.0:
-            sq = math.sqrt(disc)
-            roots.extend([(-a1 + sq) / (2.0 * a2), (-a1 - sq) / (2.0 * a2)])
-    angles = []
-    for x in roots:
-        if abs(x) > 1.0 + 1e-9:
-            continue
-        x = min(1.0, max(-1.0, x))
-        for sign in (1, -1):
-            y = sign * math.sqrt(max(0.0, 1.0 - x * x))
-            if abs(skew * y + trace * x + shift) > 1e-10:
-                continue
-            base = math.atan2(y, x) % (2.0 * math.pi)
-            for k in range(n):
-                angles.append((base + 2.0 * math.pi * k) / n)
-    angles.sort()
-    result = []
-    for phi in angles:
-        if phi >= 2.0 * math.pi - dedupe_tol:
-            phi -= 2.0 * math.pi
-        if not result or all(abs(phi - prev) > dedupe_tol for prev in result):
-            result.append(phi)
-    result.sort()
-    return np.asarray(result)
+    k = complex(kmat[0, 0], kmat[1, 0])
+    if abs(abs(k) - 1.0) >= DEFAULT_SING_TOL * (1.0 + abs(k)):
+        return np.empty(0)
+    phi = np.mod((math.atan2(-k.imag, -k.real) + 2.0 * math.pi * np.arange(n)) / n, 2.0 * math.pi)
+    # np.mod rounds an angle just below 0 up to 2 pi itself, which is 0 on the circle
+    phi[phi == 2.0 * math.pi] = 0.0
+    return np.sort(phi)
 
 
 @dataclass(frozen=True)

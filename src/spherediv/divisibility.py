@@ -79,6 +79,8 @@ DEFAULT_MAX_ATTEMPTS = 50
 VERIFY_SAMPLES = 10_000
 # largest |sum_s f(gamma_s^T x) - 1| a certified divisor may have
 RESIDUAL_TOL = 1e-8
+# share of 1/r a divisor f = 1/r + scale g may move away from 1/r (make_divisor)
+_DIVISOR_MARGIN = 0.5
 # estimated working set (see _peak_bytes) above which a run is refused before
 # it allocates: d = 8 is admitted up to n_max = 7 for r <= 3, not at n_max = 8
 COST_BUDGET_BYTES = 1 << 30
@@ -343,20 +345,13 @@ def _kernel_vector(matrix: np.ndarray, svals: np.ndarray, r: int) -> np.ndarray:
     return x
 
 
-def _witness(basis, matrix: np.ndarray, svals: np.ndarray, r: int, sing_tol: float) -> HarmonicFunction:
-    """The kernel witness of ``matrix``, whose singular values ``svals`` must fire the trigger.
+def _witness(basis, matrix: np.ndarray, svals: np.ndarray, r: int) -> HarmonicFunction:
+    """The kernel witness of ``matrix``, whose singular values ``svals`` fired the trigger.
 
-    Raises NotSingularError unless ``svals`` are near-singular per
-    ``sing_tol`` (see ``_near_singular``).  The witness has the frame
-    coordinates of ``_kernel_vector``; its coefficients are normalized so
-    that sum_k |c_k| = 1 with a positive largest entry.
+    The witness has the frame coordinates of ``_kernel_vector``; its
+    coefficients are normalized so that sum_k |c_k| = 1 with a positive
+    largest entry.
     """
-    ratio, weighted_min, fired, _ = _near_singular(svals, r, sing_tol)
-    if not fired:
-        raise NotSingularError(
-            f"not singular per sing_tol={sing_tol:.3e}: sigma ratio {float(ratio):.3e}, "
-            f"weighted sigma_min {weighted_min:.3e}"
-        )
     coeffs = basis.coefficients(_kernel_vector(matrix, svals, r))
     coeffs = coeffs / np.sum(np.abs(coeffs))
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
@@ -382,7 +377,14 @@ def kernel_witness(
     divisibility_test and search_divisible certify the residual of its
     divisor.
     """
-    return _witness(basis, matrix, weighted_singular_values(matrix), r, sing_tol)
+    svals = weighted_singular_values(matrix)
+    ratio, weighted_min, fired, _ = _near_singular(svals, r, sing_tol)
+    if not fired:
+        raise NotSingularError(
+            f"not singular per sing_tol={sing_tol:.3e}: sigma ratio {float(ratio):.3e}, "
+            f"weighted sigma_min {weighted_min:.3e}"
+        )
+    return _witness(basis, matrix, svals, r)
 
 
 @dataclass(frozen=True)
@@ -410,16 +412,17 @@ class DivisorFunction:
         return (1.0 / self.r - spread, 1.0 / self.r + spread)
 
 
-def make_divisor(witness: HarmonicFunction, r: int, margin: float = 0.5) -> DivisorFunction:
-    """Scale a kernel witness into a divisor with values strictly inside (0, 1)."""
-    if not 0.0 < margin < 1.0:
-        raise InputDomainError(f"margin must lie in (0, 1), got {margin}")
+def make_divisor(witness: HarmonicFunction, r: int) -> DivisorFunction:
+    """Scale a kernel witness into a divisor with values strictly inside (0, 1).
+
+    The scale is _DIVISOR_MARGIN / (r sup|g|), so |f - 1/r| <= 1/(2r).
+    """
     if r < 2:
         raise InputDomainError(f"divisors need r >= 2, got r={r}")
     bound = witness.sup_bound()
     if bound == 0.0:
         raise InputDomainError("witness is identically zero")
-    return DivisorFunction(witness=witness, r=r, scale=margin / (r * bound))
+    return DivisorFunction(witness=witness, r=r, scale=_DIVISOR_MARGIN / (r * bound))
 
 
 @dataclass(frozen=True)
@@ -462,14 +465,13 @@ def verify_divisor(
     rng=None,
     *,
     skip=None,
-    residual_tol: float = RESIDUAL_TOL,
 ) -> VerificationResult:
     """Check |sum_s f(gamma_s^T x) - 1| on random samples; never raises on failure.
 
     ``f`` is any callable on batches of unit points.  ``skip`` may mark
     points to exclude (e.g. within 1e-12 of an indicator's boundary, a
     measure-zero set on which almost-everywhere equality says nothing).
-    Passing requires max residual <= ``residual_tol`` and a strictly
+    Passing requires max residual <= RESIDUAL_TOL and a strictly
     positive sample variance of f (nonconstancy evidence).  f is evaluated
     on blocks of points holding at most ``fischer.BLOCK_BYTES`` of values,
     taking ``f.size`` values per point where f has one (HarmonicFunction and
@@ -506,12 +508,12 @@ def verify_divisor(
         function_variance=var,
         n_samples=int(len(pts)),
         n_skipped=skipped,
-        residual_tol=residual_tol,
-        passed=bool(max_res <= residual_tol and var > 0.0),
+        residual_tol=RESIDUAL_TOL,
+        passed=bool(max_res <= RESIDUAL_TOL and var > 0.0),
     )
 
 
-def _certify(frame, matrix, svals, sums, rotations, sing_tol, rng):
+def _certify(frame, matrix, svals, sums, rotations, rng):
     """Witness, divisor and certificate of a degree whose trigger fired.
 
     ``frame`` is the degree's FischerFrame, ``matrix`` its M = U^T S_n U,
@@ -533,9 +535,8 @@ def _certify(frame, matrix, svals, sums, rotations, sing_tol, rng):
     from ``rng``: the result then passes only if the samples do too, and its
     max_residual is the larger of the bound and the sampled maximum.  With
     ``rng`` None nothing is sampled and the result holds the bound alone.
-    Raises NotSingularError when ``svals`` do not fire the trigger.
     """
-    witness = _witness(frame, matrix, svals, rotations.r, sing_tol)
+    witness = _witness(frame, matrix, svals, rotations.r)
     divisor = make_divisor(witness, rotations.r)
     sup = frame.residual_bound(sums, witness.coeffs, _rotation_matrices(rotations))
     bound = divisor.scale * sup
@@ -631,22 +632,27 @@ class DivisibilityReport:
 def _peak_bytes(d: int, r: int, n: int) -> int:
     """Estimated peak bytes of deciding and certifying degree n for r rotations in dimension d.
 
-    The estimate, 8 ((r + 1) P_n^2 + P_n N_n + 4 N_n^2) bytes, bounds each
-    stage of degree n apart from temporaries of at most ``fischer.BLOCK_BYTES``:
-    - the recurrence step holds the r copies of Sym^(n-1) and the sum S_n,
-      at most (r + 1) P_n^2, and works in column slabs; the previous
-      degree's S and M are freed before it starts;
+    The estimate, 8 max((r + 1) P_n^2 + P_n N_n + 4 N_n^2, r (P_(n-1)^2 + P_(n-2)^2))
+    bytes, bounds each stage apart from temporaries of at most
+    ``fischer.BLOCK_BYTES``:
+    - the recurrence step to degree n holds the r copies of Sym^(n-1) and
+      the sum S_n, at most (r + 1) P_n^2, and works in column slabs; the
+      previous degree's S and M are freed before it starts;
     - the operator keeps S_n and adds U^T S_n (N_n P_n) and M (N_n^2), and
       a dense U (only at P_n <= ``fischer.DENSE_MAX_SIZE``) P_n N_n more;
       the parity blocks gather S_n a chunk of classes at a time;
     - the values-only SVD of M and the witness's shifted solves take a few
-      N_n^2 more, within the 4 N_n^2 that a full SVD of M would take.
-    Degrees below n cost less at d >= 5.  At d <= 4 and large n, where P_n
-    grows slowly, the step to degree n - 1 holds r copies of both Sym^(n-2)
-    and Sym^(n-1), up to 1.8 times the estimate.
+      N_n^2 more, within the 4 N_n^2 that a full SVD of M would take;
+    - the step to degree n - 1 holds the r copies of both Sym^(n-2) and
+      Sym^(n-1).  At d <= 4 and large n, where P_n grows slowly, it is the
+      peak, close to 2 r P_n^2.
+    Every other stage of a degree below n costs less than its counterpart
+    at degree n.
     """
-    size, dim = math.comb(n + d - 1, d - 1), dim_harmonic(d, n)
-    return 8 * ((r + 1) * size * size + size * dim + 4 * dim * dim)
+    size = [math.comb(m + d - 1, d - 1) if m >= 0 else 0 for m in (n, n - 1, n - 2)]
+    dim = dim_harmonic(d, n)
+    degree_n = (r + 1) * size[0] ** 2 + size[0] * dim + 4 * dim * dim
+    return 8 * max(degree_n, r * (size[1] ** 2 + size[2] ** 2))
 
 
 def _check_cost(d: int, r: int, n_max: int) -> None:
@@ -709,18 +715,14 @@ def divisibility_test(
         bound = None
         if fired:
             sample_rng = derive_rng(seed, 2, n, 3) if witness is None else None
-            try:
-                g, f, ver = _certify(frame, matrix, svals, sums, rotations, sing_tol, sample_rng)
-            except NotSingularError:
-                verdict = VERDICT_BORDERLINE
+            g, f, ver = _certify(frame, matrix, svals, sums, rotations, sample_rng)
+            bound = ver.residual_bound
+            if ver.passed:
+                verdict = VERDICT_SINGULAR
+                if witness is None:
+                    witness, divisor, verification = g, f, ver
             else:
-                bound = ver.residual_bound
-                if ver.passed:
-                    verdict = VERDICT_SINGULAR
-                    if witness is None:
-                        witness, divisor, verification = g, f, ver
-                else:
-                    verdict = VERDICT_BORDERLINE
+                verdict = VERDICT_BORDERLINE
         elif near_band:
             verdict = VERDICT_BORDERLINE
         else:

@@ -19,7 +19,3 @@ class NotSingularError(RuntimeError):
 
 class NoFixedPointError(RuntimeError):
     """The rotation has no eigenvalue-1 eigenvector within tolerance (possible only in even dimension)."""
-
-
-class InternalInconsistencyError(RuntimeError):
-    """A case that the underlying theory rules out was reached numerically."""

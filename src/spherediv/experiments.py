@@ -57,7 +57,7 @@ from .divisibility import (
     divisibility_test,
     weighted_singular_values,
 )
-from .errors import InputDomainError, NotSingularError
+from .errors import InputDomainError
 from .fischer import BLOCK_BYTES, fischer_frame, summed_powers
 from .rotations import Rotation, RotationTuple, haar_from_gaussian, haar_sample
 from .sampling import derive_rng, resolve_seed
@@ -162,10 +162,6 @@ class GenericityResult:
 
     def trial_rows(self) -> list:
         return [(rec.trial, n, ratio, verdict) for rec in self.records for n, ratio, verdict in rec.degrees]
-
-    def write_trial_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(trial_csv_text(self))
 
     def to_json_obj(self) -> dict:
         qmin, q25, q50, q75, qmax = self.ratio_quartiles
@@ -433,15 +429,10 @@ def search_divisible(
     certified = False
     residual_max = None
     if best_ratio < settings.target_ratio:
-        try:
-            _, _, ver = _certify(
-                frame, best_matrix, best_svals, best_sums, best_tuple, settings.target_ratio,
-                derive_rng(seed, 6),
-            )
-            certified = ver.passed
-            residual_max = ver.max_residual
-        except NotSingularError:
-            certified = False
+        # best_ratio is sigma_min / r, so this gate is the trigger's dead-operator clause
+        _, _, ver = _certify(frame, best_matrix, best_svals, best_sums, best_tuple, derive_rng(seed, 6))
+        certified = ver.passed
+        residual_max = ver.max_residual
     return SearchRun(
         d=d,
         r=r,

@@ -137,14 +137,14 @@ def _table(d: int, n_max: int) -> GegenbauerTable:
     return GegenbauerTable(d, n_max)
 
 
-def unit_vector(v, *, name: str = "vector", tol: float = UNIT_TOL) -> np.ndarray:
-    """Validate that v is a unit vector within tol and return it renormalized."""
+def unit_vector(v, *, name: str = "vector") -> np.ndarray:
+    """Validate that v is a unit vector within UNIT_TOL and return it renormalized."""
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise InputDomainError(f"{name} must be one-dimensional, got shape {arr.shape}")
     norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > tol:
-        raise InputDomainError(f"{name} has norm {norm}, not a unit vector within {tol}")
+    if abs(norm - 1.0) > UNIT_TOL:
+        raise InputDomainError(f"{name} has norm {norm}, not a unit vector within {UNIT_TOL}")
     return arr / norm
 
 

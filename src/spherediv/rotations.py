@@ -37,6 +37,10 @@ __all__ = [
 ORTHO_TOL = 1e-9
 REPAIR_TOL = 1e-4
 DET_TOL = 1e-9
+# fixed_point: singular values of g - I up to this span the fixed space, and
+# the returned u must have |g u - u| up to the residual tolerance
+_FIXED_SINGULAR_TOL = 1e-6
+_FIXED_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -248,7 +252,7 @@ def planar_rotation(d: int, i: int, j: int, angle: float) -> Rotation:
     return Rotation(m)
 
 
-def fixed_point(rotation: Rotation, *, singular_tol: float = 1e-6, residual_tol: float = 1e-8) -> np.ndarray:
+def fixed_point(rotation: Rotation) -> np.ndarray:
     """A unit vector u with g u = u, via the null space of (g - I).
 
     Always exists for odd d (an SO(d) matrix then has eigenvalue 1); for even
@@ -259,12 +263,12 @@ def fixed_point(rotation: Rotation, *, singular_tol: float = 1e-6, residual_tol:
     """
     d = rotation.d
     _, svals, vt = np.linalg.svd(rotation.matrix - np.eye(d))
-    if svals[-1] > singular_tol:
+    if svals[-1] > _FIXED_SINGULAR_TOL:
         raise NoFixedPointError(
-            f"smallest singular value of (g - I) is {svals[-1]:.3e} > {singular_tol}; "
+            f"smallest singular value of (g - I) is {svals[-1]:.3e} > {_FIXED_SINGULAR_TOL}; "
             "no fixed point (dimension must be even)"
         )
-    null_rows = vt[svals <= singular_tol]
+    null_rows = vt[svals <= _FIXED_SINGULAR_TOL]
     # columns of null_rows give the coordinates of each axis in the null space
     col_norms = np.linalg.norm(null_rows, axis=0)
     candidates = np.nonzero(col_norms >= 0.5 / np.sqrt(d))[0]
@@ -275,6 +279,6 @@ def fixed_point(rotation: Rotation, *, singular_tol: float = 1e-6, residual_tol:
     if nz.size and u[nz[0]] < 0:
         u = -u
     residual = float(np.linalg.norm(rotation.matrix @ u - u))
-    if residual > residual_tol:
-        raise NoFixedPointError(f"candidate fixed point has residual {residual:.3e} > {residual_tol}")
+    if residual > _FIXED_RESIDUAL_TOL:
+        raise NoFixedPointError(f"candidate fixed point has residual {residual:.3e} > {_FIXED_RESIDUAL_TOL}")
     return u

@@ -164,18 +164,13 @@ class TestCmdConstruct:
     def test_planar_requires_dimensions(self):
         assert main(["construct", "planar", "--d", "3"]) == 2
 
-    def test_internal_inconsistency_exit_code(self, monkeypatch, capsys):
-        # the theory rules this case out; the exit path still must exist
-        from spherediv import cli
-        from spherediv.errors import InternalInconsistencyError
-
-        def boom(n, angles):
-            raise InternalInconsistencyError("degenerate polynomial")
-
-        monkeypatch.setattr(cli, "analyze_circle", boom)
-        code = main(["construct", "d2-analyze", "--n", "1", "--angles", "3.14"])
-        assert code == 3
-        assert "internal inconsistency" in capsys.readouterr().err
+    def test_d2_analyze_single_angle_prints_n_angles(self, capsys):
+        # one fixed angle psi leaves the n bad angles psi + (pi + 2 pi j) / n
+        code = main(["construct", "d2-analyze", "--n", "4", "--angles", "1.1765425947969412"])
+        assert code == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("bad angles: ")
+        assert len(json.loads(last[len("bad angles: "):])) == 4
 
 
 class TestCmdExperiment:

@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherediv import (
     InputDomainError,
@@ -10,7 +13,6 @@ from spherediv import (
     analyze_circle,
     build_zonal_basis,
     circle_bad_angles,
-    circle_det,
     circle_rotation_block,
     circle_sum_matrix,
     divisibility_test,
@@ -132,27 +134,6 @@ class TestCircleMatrices:
             assert math.isclose(k[0, 0], k[1, 1], abs_tol=1e-14)
             assert math.isclose(k[0, 1], -k[1, 0], abs_tol=1e-14)
 
-    def test_det_with_zero_sum(self):
-        k = np.zeros((2, 2))
-        for x in np.linspace(-1, 1, 11):
-            assert math.isclose(circle_det(x, +1, k), 1.0, abs_tol=1e-15)
-
-    def test_det_vanishes_at_aligned_angle(self):
-        assert abs(circle_det(1.0, +1, -np.eye(2))) <= 1e-15
-
-    def test_det_matches_direct_determinant(self):
-        rng = np.random.default_rng(283)
-        k = circle_sum_matrix(2, rng.uniform(0, 2 * math.pi, size=3))
-        for phi in rng.uniform(0, 2 * math.pi, size=1000):
-            block = circle_rotation_block(2, phi)
-            direct = np.linalg.det(block + k)
-            sign = 1 if math.sin(2 * phi) >= 0 else -1
-            assert abs(circle_det(math.cos(2 * phi), sign, k) - direct) <= 1e-12
-
-    def test_det_domain_error(self):
-        with pytest.raises(InputDomainError):
-            circle_det(1.5, 1, np.zeros((2, 2)))
-
 
 class TestCircleActionModel:
     def test_rotation_moves_cosine_harmonic(self):
@@ -222,3 +203,61 @@ class TestCircleBadAngles:
         assert np.allclose(analysis.bad_angles, [0.0])
         obj = analysis.to_json_obj()
         assert obj["bad_angles"] == [0.0]
+
+    def test_single_angle_regressions(self):
+        # the squared-quadratic form lost these roots (first) and split one
+        # root in two (second); one fixed angle always leaves n angles
+        assert len(circle_bad_angles(4, [1.1765425947969412])) == 4
+        assert len(circle_bad_angles(1, [4.719616265218331])) == 1
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_angle_near_zero_stays_exact(self, n):
+        # arg(-k) near pi: reading it off cos(n phi) loses half the digits
+        # (an error of 1e-9 here), enough to leave the tuple borderline
+        bad = circle_bad_angles(n, [1e-9])
+        assert len(bad) == n
+        assert all(circle_singular_at(n, phi, [1e-9]) for phi in bad)
+
+
+def circle_singular_at(n, phi, fixed):
+    """Whether divisibility_test marks degree n of the planar tuple (phi, *fixed) singular."""
+    tup = RotationTuple(tuple(planar_rotation(2, 1, 2, float(a)) for a in [phi, *fixed]))
+    return divisibility_test(tup, n, rng=1).degrees[n - 1].verdict == "singular"
+
+
+@st.composite
+def circle_configs(draw):
+    """(n, kind, fixed angles, probe angle) for one of three kinds of fixed set."""
+    angle = st.floats(0.0, 2 * math.pi)
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["one", "pair", "random"]))
+    psi = draw(angle)
+    if kind == "one":
+        fixed = [psi]
+    elif kind == "pair":
+        # |1 + e^{-2 pi i / 3}| = 1, so the pair acts at degree n like one rotation
+        fixed = [psi, psi - 2 * math.pi / (3 * n)]
+    else:
+        fixed = draw(st.lists(angle, min_size=2, max_size=4))
+    return n, kind, fixed, draw(angle)
+
+
+class TestCircleClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(config=circle_configs())
+    def test_bad_angles_are_the_roots_of_minus_k(self, config):
+        n, kind, fixed, probe = config
+        kmat = circle_sum_matrix(n, fixed)
+        k = complex(kmat[0, 0], kmat[1, 0])
+        # the 2x2 operator is multiplication by e^{i n phi} + k
+        direct = np.linalg.det(circle_rotation_block(n, probe) + kmat)
+        assert abs(direct - abs(cmath.exp(1j * n * probe) + k) ** 2) <= 1e-12 * (1 + abs(k)) ** 2
+        bad = circle_bad_angles(n, fixed)
+        if kind != "random":
+            assert len(bad) == n
+        elif abs(abs(k) - 1.0) > 1e-6:
+            assert len(bad) == 0
+        assert np.all((bad >= 0.0) & (bad < 2 * math.pi))
+        assert np.all(np.diff(bad) > 0.0)
+        for phi in bad:
+            assert circle_singular_at(n, phi, fixed)

@@ -189,7 +189,7 @@ class TestDivisor:
 
     def test_scale_arithmetic(self):
         _, g = self._witness()
-        f = make_divisor(g, 4, margin=0.5)
+        f = make_divisor(g, 4)
         assert math.isclose(f.scale, 0.5 / 4.0 / g.sup_bound(), rel_tol=1e-12)
         lo, hi = f.bounds()
         assert math.isclose(lo, 0.25 - 0.125, rel_tol=1e-12)
@@ -213,11 +213,6 @@ class TestDivisor:
         zero = HarmonicFunction(fischer_frame(3, 1), np.zeros(3))
         with pytest.raises(InputDomainError):
             make_divisor(zero, 3)
-
-    def test_margin_domain(self):
-        _, g = self._witness()
-        with pytest.raises(InputDomainError):
-            make_divisor(g, 2, margin=1.0)
 
 
 class TestVerifyDivisor:
@@ -298,7 +293,7 @@ class TestResidualBound:
         matrix = frame.operator(sums)
         monkeypatch.setattr(divisibility, "_kernel_vector", top_vector)
         _, _, ver = divisibility._certify(
-            frame, matrix, weighted_singular_values(matrix), sums, tup, 1e-10, 283
+            frame, matrix, weighted_singular_values(matrix), sums, tup, 283
         )
         assert not ver.passed and ver.n_samples == 0
         assert ver.residual_bound > 1e-2
@@ -450,6 +445,16 @@ class TestDivisibilityTest:
         assert divisibility._peak_bytes(8, 2, 10) > budget
         with pytest.raises(InputDomainError, match="budget"):
             divisibility_test(half_turn_pair(8, 293), 10, rng=1)
+
+    def test_cost_estimate_covers_the_step_below(self):
+        # at d <= 4 and large n the step to degree n - 1, which holds r copies
+        # of both Sym^(n-2) and Sym^(n-1), is the peak of the recurrence
+        for d in (2, 3, 4):
+            sizes = [math.comb(m + d - 1, d - 1) for m in range(41)]
+            for r in (2, 8):
+                for n in range(2, 41):
+                    step = 8 * r * (sizes[n - 1] ** 2 + sizes[n - 2] ** 2)
+                    assert divisibility._peak_bytes(d, r, n) >= step, (d, r, n)
 
     def test_proposition_tuple_singular_degree_one(self):
         rng = np.random.default_rng(181)
