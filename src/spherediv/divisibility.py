@@ -9,12 +9,19 @@ recurrence gives S_n = sum_s Sym^n(gamma_s) for every degree, and
     M = U^T S_n U
 
 is the operator in orthonormal coordinates, so its singular values are the
-operator's L^2 ones.  Each degree takes one SVD of M.  The frame is
-deterministic, so verdicts do not depend on the seed, which drives only the
-verification points.  Near-zero smallest singular values only *trigger*
-certificate extraction; the certificate itself is the residual of a concrete
-kernel witness g, propagated into an explicit divisor f = 1/r + c g whose
-rotated copies must sum to 1 everywhere.  A fired degree takes no second SVD:
+operator's L^2 ones.  The trigger reads only sigma_max and sigma_min of M
+(``_spectrum``).  A degree with fewer than _GRAM_MIN_DIM harmonics takes one
+values-only SVD of M.  A larger one is decided from the Gram matrix
+G = M^T M: one symmetric eigenvalue solve gives sigma_max and an estimate
+of sigma_min, and one shifted solve refines it into a Rayleigh quotient,
+checked against that estimate within the Gram's round-off allowance.  Where
+the round-off could hide sigma_min (every fired or near-band degree at the
+default tolerance), or the check fails, the degree takes the SVD after all.
+The frame is deterministic, so verdicts do not depend on the seed, which
+drives only the verification points.  Near-zero smallest singular values
+only *trigger* certificate extraction; the certificate itself is the
+residual of a concrete kernel witness g, propagated into an explicit divisor
+f = 1/r + c g whose rotated copies must sum to 1 everywhere.  A fired degree takes no second SVD:
 g has frame coordinates v from two steps of inverse iteration on the shifted
 matrix M + mu I (``_kernel_vector``), one pair of solves per step.  The frame
 bounds that residual over the whole sphere: its polynomial has Fischer
@@ -41,7 +48,9 @@ degree does not prove non-divisibility.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -91,6 +100,30 @@ ZERO_OPERATOR_FLOOR = 1e-12
 VERDICT_INVERTIBLE = "invertible"
 VERDICT_SINGULAR = "singular"
 VERDICT_BORDERLINE = "borderline"
+
+# degrees with at least this many harmonics take the Gram step of _spectrum
+# instead of a values-only SVD.  One BLAS thread on a 2-core Xeon, the sum of
+# three Haar-random orthogonal N x N matrices, best of 3 (SVD vs the whole
+# Gram step): N = 400: 0.016 vs 0.013 s; 672: 0.099 vs 0.049; 825: 0.17 vs
+# 0.094; 1015: 0.33 vs 0.15; 1210: 0.54 vs 0.28; 1386: 0.84 vs 0.36.  A
+# fired degree pays for the Gram step, a second assembly of M and the SVD,
+# so the step is kept to sizes where it saves at least 0.15 s per generic
+# degree: d = 8 from n = 6, d = 5 from n = 13, d = 4 from n = 31.  It stays
+# above 672 (d = 8, n = 5), where the conjugated half-turn pairs of the
+# benchmark are singular.
+_GRAM_MIN_DIM = 1000
+
+# highest degree admitted at d = 2 and d = 3, where the recurrence loses
+# orthogonality exponentially in n.  Worst |sigma - 1| over the singular values
+# of U^T Sym^n(g) U for one rotation g: d = 2, 400 angles in (0, pi]: 5.9e-13
+# at n = 50, 1.1e-12 at 54, 3.3e-12 at 60, 1.9e-11 at 70; d = 3, 30 Haar
+# draws: 2.9e-13 at n = 34, 9.4e-13 at 38, 1.7e-12 at 40, 5.7e-12 at 44.
+# Each cap keeps that drift below 1e-12, two decades under DEFAULT_SING_TOL.
+# d >= 4 needs no cap inside COST_BUDGET_BYTES (d = 4, 3 Haar draws: 1e-13
+# at n = 28; the budget admits n <= 31).
+_STABLE_MAX_DEGREE = {2: 50, 3: 34}
+
+_log = logging.getLogger("spherediv")
 
 # observers called with every finished DivisibilityReport (used by the test
 # suite's certificate-soundness gate); each must accept one argument
@@ -286,7 +319,8 @@ def _near_singular(svals: np.ndarray, r: int, sing_tol: float):
 
     ``svals`` are the operator's L^2 singular values in descending order
     (``weighted_singular_values``), which are independent of the basis draw
-    up to round-off.  Fires when sigma_min/sigma_max drops below sing_tol,
+    up to round-off; only the first and the last are read, so the
+    [sigma_max, sigma_min] of ``_gram_extremes`` serve as well.  Fires when sigma_min/sigma_max drops below sing_tol,
     or when the whole operator is uniformly dead: its smallest singular
     value below sing_tol * r (r is the operator's natural scale, a sum of r
     isometries).  The second clause matters at degrees where the operator
@@ -317,6 +351,11 @@ def _check_tolerance(name: str, value: float) -> None:
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+def _start(size: int) -> np.ndarray:
+    """The fixed start cos(k phi), k = 1 .. size, of every inverse-iteration step here."""
+    return np.cos(_GOLDEN * np.arange(1, size + 1))
+
+
 def _kernel_vector(matrix: np.ndarray, svals: np.ndarray, r: int) -> np.ndarray:
     """A unit vector v with M v near zero for a near-singular M, by shifted inverse iteration.
 
@@ -336,13 +375,88 @@ def _kernel_vector(matrix: np.ndarray, svals: np.ndarray, r: int) -> np.ndarray:
     kernel, and the second removes what rounding left.  Nothing here is
     trusted: ``_certify`` bounds the residual of whatever v comes out.
     """
-    size = len(matrix)
-    shifted = matrix + 1e-13 * max(float(svals[0]), r) * np.eye(size)
-    x = np.cos(_GOLDEN * np.arange(1, size + 1))
+    shifted = matrix.copy()
+    shifted[np.diag_indices(len(matrix))] += 1e-13 * max(float(svals[0]), r)
+    x = _start(len(matrix))
     for _ in range(2):
         x = np.linalg.solve(shifted, np.linalg.solve(shifted.T, x))
         x /= np.linalg.norm(x)
     return x
+
+
+def _gram_refinement(shifted: np.ndarray) -> np.ndarray:
+    """One step of inverse iteration, x = (G - w_0 I)^-1 cos(k phi), normalized."""
+    x = np.linalg.solve(shifted, _start(len(shifted)))
+    return x / np.linalg.norm(x)
+
+
+def _gram_extremes(frame, sums: np.ndarray, gram: np.ndarray) -> Optional[np.ndarray]:
+    """[sigma_max, sigma_min] of M = U^T S U from G = M^T M, or None where the SVD must decide.
+
+    ``gram`` is G as computed from M (it is overwritten).  Its eigenvalues
+    w, ascending, give sigma_max = sqrt(w[-1]).  Round-off bounds the rest
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., chs. 3
+    and 8), with u = 2^-53 and N = N_n: the computed G differs from M^T M by
+    at most gamma_N |M|^T |M| entrywise, whose 2-norm is at most
+    gamma_N ||M||_F^2 = gamma_N trace(G), and ``eigvalsh`` is backward
+    stable, which moves each eigenvalue by at most about N u w[-1].  With
+    that allowance, w[0] within max(1e3 N u w[-1], 2 allowance) of zero
+    says nothing about sigma_min, and the SVD decides (None).  Otherwise one
+    step of inverse iteration with the shift w[0] (``_gram_refinement``)
+    gives a unit x, and M x, applied through the frame's parity blocks,
+    gives the Rayleigh quotient ||M x||^2 >= sigma_min^2.  sqrt(w[0]) alone
+    is off by up to about 1e-9 relative; the quotient agrees with the SVD to
+    about 1e-12.  It is kept only if it is within the allowance of w[0]:
+    ``eigvalsh`` is dense and cannot skip an eigenvalue, so that check is
+    the whole guard, and a refinement that failed returns None.
+    """
+    size = len(gram)
+    trace = float(np.trace(gram))
+    w = np.linalg.eigvalsh(gram)
+    unit = 2.0**-53
+    allowance = size * unit / (1.0 - size * unit) * trace + size * unit * w[-1]
+    if w[0] <= max(1e3 * size * unit * w[-1], 2.0 * allowance):
+        return None
+    gram[np.diag_indices(size)] -= w[0]
+    try:
+        x = _gram_refinement(gram)
+    except np.linalg.LinAlgError:  # an exact zero pivot
+        return None
+    image = frame.apply(sums, x)
+    rayleigh = float(image @ image) / float(x @ x)
+    if not abs(rayleigh - w[0]) <= allowance:  # NaN fails too
+        return None
+    return np.array([math.sqrt(w[-1]), math.sqrt(rayleigh)])
+
+
+def _spectrum(frame, sums: np.ndarray):
+    """(svals, M) of one degree: the singular values its trigger reads, and M where one is kept.
+
+    Below _GRAM_MIN_DIM harmonics, svals are all singular values of M from
+    one values-only SVD.  From there, M = U^T S U gives G = M^T M and is
+    freed, and ``_gram_extremes`` gives svals = [sigma_max, sigma_min]
+    with M None; where it declines, M is assembled again from ``sums`` for
+    the SVD.  ``_near_singular`` and ``_kernel_vector`` read only the first
+    and last entries, so both kinds serve.  Logs one debug line on the
+    "spherediv" logger with N_n, the path (svd, gram or gram→svd) and the
+    step's wall time after the first assembly.
+    """
+    matrix = frame.operator(sums)
+    start = time.perf_counter()
+    if frame.dim < _GRAM_MIN_DIM:
+        svals, path = weighted_singular_values(matrix), "svd"
+    else:
+        gram = matrix.T @ matrix
+        del matrix  # G replaces M (see _peak_bytes)
+        svals = _gram_extremes(frame, sums, gram)
+        del gram
+        if svals is None:
+            matrix = frame.operator(sums)
+            svals, path = weighted_singular_values(matrix), "gram→svd"
+        else:
+            matrix, path = None, "gram"
+    _log.debug("degree %d: N=%d, %s, %.4f s", frame.n, frame.dim, path, time.perf_counter() - start)
+    return svals, matrix
 
 
 def _witness(basis, matrix: np.ndarray, svals: np.ndarray, r: int) -> HarmonicFunction:
@@ -632,31 +746,67 @@ class DivisibilityReport:
 def _peak_bytes(d: int, r: int, n: int) -> int:
     """Estimated peak bytes of deciding and certifying degree n for r rotations in dimension d.
 
-    The estimate, 8 max((r + 1) P_n^2 + P_n N_n + 4 N_n^2, r (P_(n-1)^2 + P_(n-2)^2))
-    bytes, bounds each stage apart from temporaries of at most
-    ``fischer.BLOCK_BYTES``:
+    The estimate is 8 max((r + 1) P_n^2 + P_n N_n + 4 N_n^2, r (P_(n-1)^2 + P_(n-2)^2),
+    (r + 1) P_(n-1)^2 + P_(n-3) P_(n-1)) bytes for the stages below, plus
+    4 ``fischer.BLOCK_BYTES`` of temporaries and the per-process caches:
     - the recurrence step to degree n holds the r copies of Sym^(n-1) and
       the sum S_n, at most (r + 1) P_n^2, and works in column slabs; the
       previous degree's S and M are freed before it starts;
     - the operator keeps S_n and adds U^T S_n (N_n P_n) and M (N_n^2), and
       a dense U (only at P_n <= ``fischer.DENSE_MAX_SIZE``) P_n N_n more;
       the parity blocks gather S_n a chunk of classes at a time;
-    - the values-only SVD of M and the witness's shifted solves take a few
-      N_n^2 more, within the 4 N_n^2 that a full SVD of M would take;
+    - the spectral step (``_spectrum``) holds a few N_n^2, within 4 N_n^2:
+      M and LAPACK's copy for the values-only SVD; from _GRAM_MIN_DIM on,
+      M and G = M^T M while G is formed, then G and LAPACK's copy in the
+      eigenvalue solve and again in the shifted solve, and M again with its
+      SVD copy where the step falls back; a fired degree's witness takes M,
+      its shifted copy and LAPACK's copy of that;
     - the step to degree n - 1 holds the r copies of both Sym^(n-2) and
       Sym^(n-1).  At d <= 4 and large n, where P_n grows slowly, it is the
-      peak, close to 2 r P_n^2.
+      peak, close to 2 r P_n^2;
+    - building the frame of degree n - 1, on a first run, holds those r
+      copies of Sym^(n-1), S_(n-1) and the dense Laplacian, P_(n-3) P_(n-1);
+    - temporaries: a recurrence slab holds its parent columns, their
+      product with one shift and the target rows it gathers, and an
+      operator chunk its gathered rows and their product, each at most
+      ``fischer.BLOCK_BYTES``;
+    - caches, kept for every degree m <= n: the step tables and exponents,
+      (d + 4) P_m + 2 d P_(m-1) entries; the frame's QR blocks, at most N_m
+      times the largest parity class C(m // 2 + d - 1, d - 1), its index
+      arrays and, where P_m <= DENSE_MAX_SIZE, the dense U; and the d
+      P_m x P_(m-1) moves of the steps small enough to build them.
     Every other stage of a degree below n costs less than its counterpart
     at degree n.
     """
-    size = [math.comb(m + d - 1, d - 1) if m >= 0 else 0 for m in (n, n - 1, n - 2)]
+    def monomials(m):
+        return math.comb(m + d - 1, d - 1) if m >= 0 else 0
+
+    size = [monomials(m) for m in (n, n - 1, n - 2, n - 3)]
     dim = dim_harmonic(d, n)
     degree_n = (r + 1) * size[0] ** 2 + size[0] * dim + 4 * dim * dim
-    return 8 * max(degree_n, r * (size[1] ** 2 + size[2] ** 2))
+    step_below = r * (size[1] ** 2 + size[2] ** 2)
+    frame_below = (r + 1) * size[1] ** 2 + size[3] * size[1]
+    cached = 0
+    for m in range(1, n + 1):
+        here, below, harmonics = monomials(m), monomials(m - 1), dim_harmonic(d, m)
+        cached += (d + 4) * here + 2 * d * below + here + harmonics
+        cached += monomials(m // 2) * harmonics
+        if here <= fischer.DENSE_MAX_SIZE:
+            cached += here * harmonics
+        if 8 * r * d * here * here <= fischer.BLOCK_BYTES:
+            cached += d * here * below
+    return 8 * (max(degree_n, step_below, frame_below) + cached) + 4 * fischer.BLOCK_BYTES
 
 
 def _check_cost(d: int, r: int, n_max: int) -> None:
-    """Refuse, before anything is allocated, a run whose estimate exceeds COST_BUDGET_BYTES."""
+    """Refuse, before anything is allocated, a degree the frame cannot carry or a run over COST_BUDGET_BYTES."""
+    limit = _STABLE_MAX_DEGREE.get(d)
+    if limit is not None and n_max > limit:
+        raise InputDomainError(
+            f"d={d}, n_max={n_max}: above degree {limit} the symmetric-power recurrence loses "
+            f"orthogonality (its frame drifts past 1e-12, near sing_tol), so verdicts there mean "
+            f"nothing; lower n_max to at most {limit}"
+        )
     need = _peak_bytes(d, r, n_max)
     if need > COST_BUDGET_BYTES:
         raise InputDomainError(
@@ -691,9 +841,10 @@ def divisibility_test(
     verdicts and ratios do not depend on ``rng``, which draws only the
     verification points.  A ``sing_tol`` outside (0, 1), NaN included, and
     runs whose estimated working set exceeds COST_BUDGET_BYTES are refused
-    with InputDomainError before anything is allocated.  The test is
-    one-sided: ``invertible`` at all tested degrees does not prove
-    non-divisibility.
+    with InputDomainError before anything is allocated, as is an n_max
+    above the degree the frame carries at d <= 3 (_STABLE_MAX_DEGREE).
+    The test is one-sided: ``invertible`` at all tested degrees does not
+    prove non-divisibility.
     """
     if not isinstance(rotations, RotationTuple):
         rotations = RotationTuple(tuple(rotations))
@@ -709,11 +860,12 @@ def divisibility_test(
 
     for n, sums in summed_powers(_rotation_matrices(rotations), n_max):
         frame = fischer_frame(rotations.d, n)
-        matrix = frame.operator(sums)
-        svals = weighted_singular_values(matrix)
+        svals, matrix = _spectrum(frame, sums)
         ratio, _, fired, near_band = _near_singular(svals, rotations.r, sing_tol)
         bound = None
         if fired:
+            if matrix is None:  # a Gram-step degree that fires at a large sing_tol
+                matrix = frame.operator(sums)
             sample_rng = derive_rng(seed, 2, n, 3) if witness is None else None
             g, f, ver = _certify(frame, matrix, svals, sums, rotations, sample_rng)
             bound = ver.residual_bound

@@ -225,12 +225,24 @@ class FischerFrame:
             for lo in range(0, len(g.basis), step):
                 yield g, slice(lo, lo + step)
 
-    def coefficients(self, coords: np.ndarray) -> np.ndarray:
-        """Monomial coefficients of the harmonic with frame coordinates ``coords``."""
+    def _lift(self, coords: np.ndarray) -> np.ndarray:
+        """U y: the orthonormal-monomial coordinates of frame coordinates ``coords``."""
         vals = np.empty(self.size)
         for g in self.groups:
             vals[g.monomials] = (g.basis @ coords[g.columns][..., None])[..., 0]
-        return vals / np.sqrt(_factorials(self.exponents))
+        return vals
+
+    def apply(self, sums: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """M y = U^T (S (U y)) for one vector y, through the parity blocks, without forming M."""
+        image = sums @ self._lift(coords)
+        out = np.empty(self.dim)
+        for g in self.groups:
+            out[g.columns] = (np.swapaxes(g.basis, -1, -2) @ image[g.monomials][..., None])[..., 0]
+        return out
+
+    def coefficients(self, coords: np.ndarray) -> np.ndarray:
+        """Monomial coefficients of the harmonic with frame coordinates ``coords``."""
+        return self._lift(coords) * np.exp(-0.5 * _log_factorials(self.exponents))
 
     def residual_bound(self, sums: np.ndarray, coeffs: np.ndarray, mats: np.ndarray) -> float:
         """A bound on max_{|x| = 1} |sum_s p(g_s^T x)| for p = sum_k coeffs[k] x^exponents[k].
@@ -257,24 +269,32 @@ class FischerFrame:
         the symmetric tensors, so ||Sym^n(|g|)|| <= || |g| ||^n, and
         || |g| || <= sqrt(||g||_1 ||g||_inf) (Schur); let
         A = sum_s (||g_s||_1 ||g_s||_inf)^(n/2).  The product S' v' adds at most
-        gamma_(P_n) A ||v'||, and v' = sqrt(a!) c is within gamma_(n + d + 2)
-        of v entrywise.  So ||R' - R|| <= gamma_K A ||v'|| (1 + O(gamma_K))
-        for K = k + P_n + n + d + 2.  The allowance delta = 3 gamma_K A ||v'||
-        covers that, the second-order terms, and the roundings of the norm
-        and the final products, each at most
-        gamma_K (||R'|| + delta) <= gamma_K A ||v'|| (1 + O(gamma_K)).
-        Returns (||R'|| + delta) / sqrt(n!).
+        gamma_(P_n) A ||v'||.  Everything is scaled by 1 / sqrt(n!) up front,
+        so no factorial is formed and nothing overflows: v' = exp((L_a -
+        log n!) / 2) c with L_a = sum_i lgamma(a_i + 1) <= log n! = 2 Y.
+        Allowing 4 ulps (8 u relative) per lgamma value and one rounding per
+        addition and for the difference, the exponent is off by at most
+        (d + 16) Y u; allowing 4 ulps for exp and one rounding for the
+        product, v' is within gamma_J of v / sqrt(n!) entrywise for
+        J = ceil((d + 16) Y) + 9.
+        So ||R' - R / sqrt(n!)|| <= gamma_K A ||v'|| (1 + O(gamma_K)) for
+        K = k + P_n + J.  The allowance delta = 3 gamma_K A ||v'|| covers
+        that, the second-order terms, and the roundings of the norm and the
+        final sum, each at most gamma_K (||R'|| + delta) <= gamma_K A ||v'||
+        (1 + O(gamma_K)).  Returns ||R'|| + delta.
         """
-        coords = coeffs * np.sqrt(_factorials(self.exponents))
-        residual = float(np.linalg.norm(sums @ coords))
         d, n, r = self.d, self.n, len(mats)
-        k = math.comb(n + d - 1, d) + n * (d + 5) + r * d + self.size + n + d + 2
+        log_n = math.lgamma(n + 1)
+        coords = coeffs * np.exp(0.5 * (_log_factorials(self.exponents) - log_n))
+        residual = float(np.linalg.norm(sums @ coords))
+        scaling = math.ceil((d + 16) * 0.5 * log_n) + 9
+        k = math.comb(n + d - 1, d) + n * (d + 5) + r * d + self.size + scaling
         gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
         absolute = np.abs(mats)
         schur = absolute.sum(axis=-2).max(axis=-1) * absolute.sum(axis=-1).max(axis=-1)
         growth = float(np.sum(schur ** (n / 2)))
         delta = 3.0 * gamma * growth * float(np.linalg.norm(coords))
-        return (residual + delta) / math.sqrt(math.factorial(n))
+        return residual + delta
 
     def terms(self, x: np.ndarray) -> np.ndarray:
         """Values x^a of every monomial at the points ``x`` (m, d), shape (m, P_n)."""
@@ -295,9 +315,10 @@ class FischerFrame:
         }
 
 
-def _factorials(exps: np.ndarray) -> np.ndarray:
-    table = np.cumprod(np.concatenate([[1.0], np.arange(1.0, exps.max(initial=0) + 1)]))
-    return table[exps].prod(axis=1)
+def _log_factorials(exps: np.ndarray) -> np.ndarray:
+    """log(a!) = sum_i lgamma(a_i + 1) of every exponent row a: no factorial is formed, none overflows."""
+    table = np.array([math.lgamma(m + 1.0) for m in range(int(exps.max(initial=0)) + 1)])
+    return table[exps].sum(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -410,5 +431,10 @@ def summed_powers(mats, n_max: int):
             if last:
                 yield n, out.reshape(lead_shape + (size, size))
                 return
-        stack = sym.reshape(lead_shape + (r, size, size))
-        yield n, stack[..., 0, :, :] if r == 1 else stack.sum(axis=-3)
+        # no name may keep this degree's stack alive while the next one is
+        # built: at the last degree it would hold r P_(n-1)^2 through the
+        # frame, the operator and the spectral step
+        if r == 1:
+            yield n, sym.reshape(lead_shape + (size, size))
+        else:
+            yield n, sym.reshape(lead_shape + (r, size, size)).sum(axis=-3)

@@ -1,0 +1,235 @@
+"""The Gram step of large degrees, the degree cap of d <= 3 and the working-set estimate."""
+
+import logging
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import spherediv
+from spherediv import (
+    InputDomainError,
+    Rotation,
+    RotationTuple,
+    divisibility_test,
+    haar_sample,
+    identity_rotation,
+    planar_rotation,
+)
+from spherediv import divisibility
+from spherediv.fischer import fischer_frame, summed_powers
+from test_divisibility import half_turn_pair
+
+SRC = str(Path(spherediv.__file__).resolve().parents[1])
+
+
+def haar_tuple(d, r, seed):
+    rng = np.random.default_rng(seed)
+    return RotationTuple(tuple(haar_sample(d, rng) for _ in range(r)))
+
+
+def rows(report):
+    return [(rec.n, rec.dim, rec.verdict) for rec in report.degrees]
+
+
+def paths(caplog):
+    """The spectral path of every degree, from the debug lines of the spherediv logger."""
+    return [rec.getMessage().split(", ")[1] for rec in caplog.records if rec.name == "spherediv"]
+
+
+class TestGramStep:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(3, 8),
+        r=st.integers(2, 4),
+        n_max=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_haar_tuples_match_the_svd(self, d, r, n_max, seed):
+        tup = haar_tuple(d, r, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(divisibility, "_GRAM_MIN_DIM", 1)  # the Gram step at every degree
+            gram = divisibility_test(tup, n_max, rng=seed)
+            patch.setattr(divisibility, "_GRAM_MIN_DIM", 10**9)  # the SVD at every degree
+            svd = divisibility_test(tup, n_max, rng=seed)
+        assert rows(gram) == rows(svd)
+        for a, b in zip(gram.degrees, svd.degrees):
+            assert math.isclose(a.sigma_min_rel, b.sigma_min_rel, rel_tol=1e-10), (a, b)
+
+    def test_singular_pair_falls_back_and_certifies(self, monkeypatch, caplog):
+        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 1)
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            report = divisibility_test(half_turn_pair(6, 263), 3, rng=281)
+        assert paths(caplog) == ["gram→svd"] * 3
+        assert report.singular_degrees() == [1, 2, 3]
+        assert all(rec.residual_bound <= 1e-8 for rec in report.degrees)
+        assert report.verification.passed
+
+    def test_planted_refinement_is_caught(self, monkeypatch, caplog):
+        tup = haar_tuple(5, 3, 601)
+        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 1)
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            honest = divisibility_test(tup, 3, rng=603)
+        assert paths(caplog) == ["gram"] * 3
+        caplog.clear()
+
+        def planted(shifted):
+            x = np.random.default_rng(607).standard_normal(len(shifted))
+            return x / np.linalg.norm(x)
+
+        monkeypatch.setattr(divisibility, "_gram_refinement", planted)
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            caught = divisibility_test(tup, 3, rng=603)
+        # the consistency check, not the round-off floor, sent every degree to the SVD
+        assert paths(caplog) == ["gram→svd"] * 3
+        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 10**9)
+        reference = divisibility_test(tup, 3, rng=603)
+        assert [rec.sigma_min_rel for rec in caught.degrees] == [rec.sigma_min_rel for rec in reference.degrees]
+        for a, b in zip(honest.degrees, reference.degrees):
+            assert math.isclose(a.sigma_min_rel, b.sigma_min_rel, rel_tol=1e-10)
+
+    def test_large_sing_tol_fires_from_the_gram_step(self, monkeypatch, caplog):
+        # a generic degree that fires only because sing_tol is large rebuilds M for its witness
+        tup = haar_tuple(3, 3, 611)
+        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 1)
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            report = divisibility_test(tup, 2, sing_tol=0.99, rng=613)
+        assert paths(caplog) == ["gram"] * 2
+        assert all(rec.verdict == "borderline" for rec in report.degrees)
+        assert all(rec.residual_bound > 1e-8 for rec in report.degrees)
+
+    def test_one_debug_line_per_degree(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            divisibility_test(haar_tuple(4, 3, 617), 3, rng=619)
+        lines = [rec.getMessage() for rec in caplog.records if rec.name == "spherediv"]
+        assert len(lines) == 3
+        for n, line in enumerate(lines, 1):
+            head, path, seconds = line.split(", ")
+            assert head == f"degree {n}: N={fischer_frame(4, n).dim}"
+            assert path == "svd"
+            assert seconds.endswith(" s") and float(seconds[:-2]) >= 0.0
+
+
+@pytest.fixture(scope="module")
+def full_size():
+    """A Haar triple in SO(8) decided up to n = 6, with the shapes of every np.linalg.svd call it made."""
+    tup = haar_tuple(8, 3, 621)
+    shapes = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counted)
+        report = divisibility_test(tup, 6, rng=623)
+    return tup, report, shapes
+
+
+class TestFullSize:
+    def test_degree_six_matches_the_svd(self, full_size):
+        tup, report, _ = full_size
+        for n, sums in summed_powers(np.array([g.matrix for g in tup]), 6):
+            pass
+        svals = np.linalg.svd(fischer_frame(8, 6).operator(sums), compute_uv=False)
+        assert report.degrees[5].dim == 1386 >= divisibility._GRAM_MIN_DIM
+        assert report.degrees[5].verdict == "invertible"
+        assert math.isclose(report.degrees[5].sigma_min_rel, svals[-1] / svals[0], rel_tol=1e-10)
+
+    def test_degree_six_takes_no_svd(self, full_size):
+        _, report, shapes = full_size
+        assert [rec.verdict for rec in report.degrees] == ["invertible"] * 6
+        assert shapes == [(rec.dim, rec.dim) for rec in report.degrees[:5]]
+
+
+class TestDegreeCap:
+    @pytest.mark.parametrize("n0", [61, 151])
+    def test_planar_pairs_refused_or_singular(self, n0):
+        # angles 1.2 and 1.2 + pi / n0 cancel exactly at degree n0; above the cap the
+        # recurrence read them borderline (61, 101, 131) or invertible (151)
+        pair = RotationTuple((planar_rotation(2, 1, 2, 1.2), planar_rotation(2, 1, 2, 1.2 + math.pi / n0)))
+        try:
+            report = divisibility_test(pair, n0, rng=631)
+        except InputDomainError as err:
+            assert "orthogonality" in str(err)
+        else:
+            assert report.degrees[n0 - 1].verdict == "singular"
+
+    def test_table_keeps_drift_below_1e12(self):
+        # on 3 fixed Haar draws, every admitted degree keeps U^T Sym^n(g) U orthogonal to 1e-12
+        for d, limit in divisibility._STABLE_MAX_DEGREE.items():
+            for seed in (641, 643, 647):
+                g = haar_sample(d, seed).matrix
+                for n, sums in summed_powers(g[None], limit):
+                    svals = np.linalg.svd(fischer_frame(d, n).operator(sums), compute_uv=False)
+                    assert np.max(np.abs(svals - 1.0)) <= 1e-12, (d, n, seed)
+
+    def test_cap_refuses_above_and_admits_at_the_limit(self):
+        for d, limit in divisibility._STABLE_MAX_DEGREE.items():
+            divisibility._check_cost(d, 3, limit)
+            with pytest.raises(InputDomainError, match="orthogonality"):
+                divisibility._check_cost(d, 3, limit + 1)
+        # the {0, pi} pair at n_max = 175 once overflowed in sqrt(n!); now it is refused
+        with pytest.raises(InputDomainError, match="orthogonality"):
+            divisibility_test(RotationTuple((identity_rotation(2), Rotation(-np.eye(2)))), 175, rng=1)
+
+    def test_residual_bound_does_not_overflow(self):
+        # x_1^n at n = 175, far above the cap: sqrt(175!) overflowed in factorial space
+        frame = fischer_frame(2, 175)
+        coeffs = np.zeros(frame.size)
+        coeffs[0] = 1.0
+        mats = np.eye(2)[None]
+        for _, sums in summed_powers(mats, 175):
+            pass
+        assert 1.0 <= frame.residual_bound(sums, coeffs, mats) <= 1.0 + 1e-10
+        assert np.all(np.isfinite(frame.coefficients(np.ones(frame.dim))))
+
+
+def run_python(code):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True).stdout
+
+
+@pytest.mark.parametrize("d, r, n", [(3, 8, 34), (8, 3, 6)])
+def test_peak_within_estimate(d, r, n):
+    # a fresh process, so that the frame and step caches are built inside the traced call
+    code = f"""
+import tracemalloc
+import numpy as np
+from spherediv import RotationTuple, divisibility, divisibility_test, haar_sample
+rng = np.random.default_rng(653)
+tup = RotationTuple(tuple(haar_sample({d}, rng) for _ in range({r})))
+tracemalloc.start()
+divisibility_test(tup, {n}, rng=659)
+print(tracemalloc.get_traced_memory()[1], divisibility._peak_bytes({d}, {r}, {n}))
+"""
+    peak, estimate = map(int, run_python(code).split())
+    assert peak <= estimate, (peak, estimate)
+
+
+def test_gram_step_imports_no_scipy():
+    # scipy would add about 28 MB of RSS and 0.2-0.35 s to every import
+    code = """
+import logging, sys
+import spherediv
+from spherediv import RotationTuple, divisibility, divisibility_test, haar_sample
+lines = []
+handler = logging.Handler()
+handler.emit = lambda record: lines.append(record.getMessage())
+logger = logging.getLogger("spherediv")
+logger.addHandler(handler)
+logger.setLevel(logging.DEBUG)
+divisibility._GRAM_MIN_DIM = 1
+divisibility_test(RotationTuple(tuple(haar_sample(4, 661 + k) for k in range(3))), 3, rng=663)
+assert [line.split(", ")[1] for line in lines] == ["gram"] * 3, lines
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+assert not loaded, loaded
+"""
+    run_python(code)
