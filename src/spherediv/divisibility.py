@@ -17,6 +17,12 @@ of sigma_min, and one shifted solve refines it into a Rayleigh quotient,
 checked against that estimate within the Gram's round-off allowance.  Where
 the round-off could hide sigma_min (every fired or near-band degree at the
 default tolerance), or the check fails, the degree takes the SVD after all.
+A pair takes none of this: with h = gamma_1^T gamma_2, M = rho(gamma_1)
+(I + rho(h)) and I + rho(h) is normal, so every degree's sigma_max and
+sigma_min are 2 |cos(k . theta / 2)| over the torus weights k of H_n, with
+theta the rotation angles of h (``_pair_spectrum``).  A pair runs the
+recurrence only up to the last degree that fires and assembles M only at
+fired degrees, for their witnesses; a generic pair runs no recurrence.
 The frame is deterministic, so verdicts do not depend on the seed, which
 drives only the verification points.  Near-zero smallest singular values
 only *trigger* certificate extraction; the certificate itself is the
@@ -108,9 +114,8 @@ VERDICT_BORDERLINE = "borderline"
 # 0.094; 1015: 0.33 vs 0.15; 1210: 0.54 vs 0.28; 1386: 0.84 vs 0.36.  A
 # fired degree pays for the Gram step, a second assembly of M and the SVD,
 # so the step is kept to sizes where it saves at least 0.15 s per generic
-# degree: d = 8 from n = 6, d = 5 from n = 13, d = 4 from n = 31.  It stays
-# above 672 (d = 8, n = 5), where the conjugated half-turn pairs of the
-# benchmark are singular.
+# degree: d = 8 from n = 6, d = 5 from n = 13, d = 4 from n = 31.  Pairs
+# never take it (``_pair_spectrum``).
 _GRAM_MIN_DIM = 1000
 
 # highest degree admitted at d = 2 and d = 3, where the recurrence loses
@@ -320,7 +325,8 @@ def _near_singular(svals: np.ndarray, r: int, sing_tol: float):
     ``svals`` are the operator's L^2 singular values in descending order
     (``weighted_singular_values``), which are independent of the basis draw
     up to round-off; only the first and the last are read, so the
-    [sigma_max, sigma_min] of ``_gram_extremes`` serve as well.  Fires when sigma_min/sigma_max drops below sing_tol,
+    [sigma_max, sigma_min] of ``_gram_extremes`` and ``_pair_spectrum``
+    serve as well.  Fires when sigma_min/sigma_max drops below sing_tol,
     or when the whole operator is uniformly dead: its smallest singular
     value below sing_tol * r (r is the operator's natural scale, a sum of r
     isometries).  The second clause matters at degrees where the operator
@@ -457,6 +463,35 @@ def _spectrum(frame, sums: np.ndarray):
             matrix, path = None, "gram"
     _log.debug("degree %d: N=%d, %s, %.4f s", frame.n, frame.dim, path, time.perf_counter() - start)
     return svals, matrix
+
+
+def _torus_angles(mats: np.ndarray) -> np.ndarray:
+    """Rotation angles theta_1..theta_m in [0, pi] of h = g_1^T g_2, for a pair (2, d, d) or a stack (..., 2, d, d).
+
+    h has the eigenvalues e^(+-i theta_j), j = 1..m = d // 2, and one more 1
+    at odd d.  ``eigvals`` returns each conjugate pair exactly conjugate, a
+    real eigenvalue's angle is exactly 0 or pi, and det h = 1 makes the
+    eigenvalues near -1 even in number, so the sorted |angles| come in equal
+    pairs after one 0 at odd d: every second one is theta.
+    """
+    h = np.swapaxes(mats[..., 0, :, :], -1, -2) @ mats[..., 1, :, :]
+    angles = np.sort(np.abs(np.angle(np.linalg.eigvals(h))), axis=-1)
+    return angles[..., mats.shape[-1] % 2::2]
+
+
+def _pair_spectrum(mats: np.ndarray, n: int) -> np.ndarray:
+    """[sigma_max, sigma_min] of a pair's degree-n operator, or a stack (..., 2) of them, without forming M.
+
+    M = rho(g_1) + rho(g_2) = rho(g_1) (I + rho(h)) with h = g_1^T g_2, and
+    rho(g_1) is orthogonal, so M has the singular values of I + rho(h), which
+    is normal: rho(h) has the eigenvalue e^(i k . theta) for every torus weight
+    k of H_n (``fischer._torus_weights``), so the singular values are
+    |1 + e^(i k . theta)| = 2 |cos(k . theta / 2)|.  ``mats`` is a pair
+    (2, d, d) or a stack (..., 2, d, d) of pairs.
+    """
+    weights, _ = fischer._torus_weights(mats.shape[-1], n)
+    values = 2.0 * np.abs(np.cos(0.5 * (_torus_angles(mats) @ weights.T)))
+    return np.stack([values.max(axis=-1), values.min(axis=-1)], axis=-1)
 
 
 def _witness(basis, matrix: np.ndarray, svals: np.ndarray, r: int) -> HarmonicFunction:
@@ -833,7 +868,10 @@ def divisibility_test(
     (sigma_min / sigma_max below ``sing_tol``) is confirmed by a kernel
     witness whose divisor ``_certify`` bounds over the whole sphere: a
     residual of at most RESIDUAL_TOL from the Fischer frame, recorded as the
-    degree's ``residual_bound``.  Only the first certified degree, whose
+    degree's ``residual_bound``.  A pair reads each degree's sigma_max and
+    sigma_min from ``_pair_spectrum``, a larger tuple from ``_spectrum``; one
+    "spherediv" debug line per degree names the path (pair, svd, gram or
+    gram→svd).  Only the first certified degree, whose
     divisor the report keeps, is also spot-checked by ``verify_divisor`` on
     VERIFY_SAMPLES points, so a report makes at most one sampled check in
     normal runs.  A trigger that fails certification is downgraded to
@@ -858,13 +896,29 @@ def divisibility_test(
     divisor = None
     verification = None
 
-    for n, sums in summed_powers(_rotation_matrices(rotations), n_max):
-        frame = fischer_frame(rotations.d, n)
-        svals, matrix = _spectrum(frame, sums)
+    mats = _rotation_matrices(rotations)
+    spectra, last = None, n_max
+    if rotations.r == 2:
+        spectra = []
+        for n in range(1, n_max + 1):
+            start = time.perf_counter()
+            spectra.append(_pair_spectrum(mats, n))
+            _log.debug("degree %d: N=%d, pair, %.4f s", n, dim_harmonic(rotations.d, n), time.perf_counter() - start)
+        # a pair's recurrence serves only its witnesses, so it stops at the last degree that fires
+        last = max((n for n, svals in enumerate(spectra, 1) if _near_singular(svals, 2, sing_tol)[2]), default=0)
+    powers = summed_powers(mats, last)
+
+    for n in range(1, n_max + 1):
+        sums = next(powers)[1] if n <= last else None
+        if spectra is None:
+            svals, matrix = _spectrum(fischer_frame(rotations.d, n), sums)
+        else:
+            svals, matrix = spectra[n - 1], None
         ratio, _, fired, near_band = _near_singular(svals, rotations.r, sing_tol)
         bound = None
         if fired:
-            if matrix is None:  # a Gram-step degree that fires at a large sing_tol
+            frame = fischer_frame(rotations.d, n)
+            if matrix is None:  # a pair, or a Gram-step degree that fires at a large sing_tol
                 matrix = frame.operator(sums)
             sample_rng = derive_rng(seed, 2, n, 3) if witness is None else None
             g, f, ver = _certify(frame, matrix, svals, sums, rotations, sample_rng)
@@ -879,8 +933,9 @@ def divisibility_test(
             verdict = VERDICT_BORDERLINE
         else:
             verdict = VERDICT_INVERTIBLE
+        dim = dim_harmonic(rotations.d, n)
         records.append(
-            DegreeRecord(n=n, dim=frame.dim, sigma_min_rel=float(ratio), verdict=verdict, residual_bound=bound)
+            DegreeRecord(n=n, dim=dim, sigma_min_rel=float(ratio), verdict=verdict, residual_bound=bound)
         )
         del sums, matrix  # free degree n before the recurrence builds degree n + 1 (see _peak_bytes)
 

@@ -12,7 +12,11 @@ every degree; each block of trials runs one pass of the symmetric-power
 recurrence over its free rotations, and per degree one stacked operator
 M = U^T S U plus the suffix's, one stacked values-only SVD and one
 vectorised trigger.  Blocks hold as many
-trials as fit one gather of the recurrence in BLOCK_BYTES.  A trial whose
+trials as fit one gather of the recurrence in BLOCK_BYTES.  A study of pairs
+(r = 2) runs neither: per block and degree, one stacked eigenvalue solve
+gives every trial's torus angles and one product with the degree's weights
+its sigma_max and sigma_min (``_pair_spectrum``); a block holds as many
+trials as have their phases fit BLOCK_BYTES.  A trial whose
 trigger fires or lands in the near band at any degree is re-run alone
 through divisibility_test(tuple, rng=trial seed), which certifies it or
 marks it borderline exactly as a standalone run would.  The frame is
@@ -54,11 +58,12 @@ from .divisibility import (
     _check_cost,
     _check_tolerance,
     _near_singular,
+    _pair_spectrum,
     divisibility_test,
     weighted_singular_values,
 )
 from .errors import InputDomainError
-from .fischer import BLOCK_BYTES, fischer_frame, summed_powers
+from .fischer import BLOCK_BYTES, _torus_weights, fischer_frame, summed_powers
 from .rotations import Rotation, RotationTuple, haar_from_gaussian, haar_sample
 from .sampling import derive_rng, resolve_seed
 
@@ -207,17 +212,27 @@ def run_genericity(study: GenericityStudy) -> GenericityResult:
     """Execute the study: every trial is decided, and fired or near-band trials are certified alone."""
     free, seeds = _draw_trials(study)
     suffix = np.array([g.matrix for g in study.suffix]).reshape(-1, study.d, study.d)
-    fixed = [fischer_frame(study.d, n).operator(sums) for n, sums in summed_powers(suffix, study.n_max)]
-    size = fischer_frame(study.d, study.n_max).size
-    step = max(1, BLOCK_BYTES // (8 * study.ell * study.d * size * size))
+    if study.r == 2:
+        # a block holds each trial's phases k . theta, one per torus weight of the top degree
+        width = len(_torus_weights(study.d, study.n_max)[0])
+    else:
+        fixed = [fischer_frame(study.d, n).operator(sums) for n, sums in summed_powers(suffix, study.n_max)]
+        width = study.ell * study.d * fischer_frame(study.d, study.n_max).size ** 2
+    step = max(1, BLOCK_BYTES // (8 * width))
     sigma_rel = np.empty((study.trials, study.n_max))
     rerun = np.zeros(study.trials, dtype=bool)
     for lo in range(0, study.trials, step):
-        for n, sums in summed_powers(free[lo:lo + step], study.n_max):
-            matrix = fischer_frame(study.d, n).operator(sums) + fixed[n - 1]
-            ratio, _, fired, near_band = _near_singular(
-                weighted_singular_values(matrix), study.r, study.sing_tol
+        block = free[lo:lo + step]
+        if study.r == 2:  # pairs are decided from their torus angles, with no operator
+            pairs = np.concatenate([block, np.broadcast_to(suffix, (len(block),) + suffix.shape)], axis=1)
+            spectra = (_pair_spectrum(pairs, n) for n in range(1, study.n_max + 1))
+        else:
+            spectra = (
+                weighted_singular_values(fischer_frame(study.d, n).operator(sums) + fixed[n - 1])
+                for n, sums in summed_powers(block, study.n_max)
             )
+        for n, svals in enumerate(spectra, 1):
+            ratio, _, fired, near_band = _near_singular(svals, study.r, study.sing_tol)
             sigma_rel[lo:lo + step, n - 1] = ratio
             rerun[lo:lo + step] |= fired | near_band
 

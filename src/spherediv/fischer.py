@@ -96,6 +96,35 @@ def _exponents(d: int, n: int) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=None)
+def _torus_weights(d: int, n: int) -> tuple:
+    """The weights of the maximal torus on H_n(S^(d-1)): (weights (K, m), multiplicities (K,)).
+
+    The torus rotates the planes (x_1, x_2), (x_3, x_4), ... of the m = d // 2
+    pairs of coordinates by angles theta_1..theta_m.  In z_j = x_(2j-1) + i x_(2j)
+    and its conjugate, a monomial of P_n has the weight
+    k = (a_1 - a_2, a_3 - a_4, ...), so counting the exponent rows of
+    ``_exponents`` counts P_n's weights.  H_n = P_n - |x|^2 P_(n-2) and |x|^2
+    has weight 0, so H_n's weights are those of P_n less those of P_(n-2), as
+    multisets; each distinct k with positive multiplicity is kept.  At d = 2
+    that leaves k = +-n; at d >= 3 it is every k with |k|_1 <= n, with
+    |k|_1 = n mod 2 for even d (Broecker & tom Dieck, Representations of
+    Compact Lie Groups, GTM 98, ch. VI).
+    """
+    m = d // 2
+    parts = [_exponents(d, k) for k in (n, n - 2) if k >= 0]
+    rows = np.concatenate([e[:, 0:2 * m:2] - e[:, 1:2 * m:2] for e in parts])
+    signs = np.concatenate([np.full(len(e), sign) for e, sign in zip(parts, (1, -1))])
+    found, inverse = np.unique(rows, axis=0, return_inverse=True)
+    count = np.zeros(len(found), dtype=np.int64)
+    np.add.at(count, inverse.ravel(), signs)
+    kept = count > 0
+    out = (found[kept], count[kept])
+    for part in out:
+        part.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class _Step:
     """Index tables of the step from degree n - 1 to degree n.

@@ -1,11 +1,18 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from spherediv import divisibility
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# CI runs with HYPOTHESIS_PROFILE=ci, so a failing example there reproduces
+# on every rerun; local runs keep hypothesis's random exploration
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 collected_reports = []
 

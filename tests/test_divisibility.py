@@ -24,6 +24,7 @@ from spherediv import (
     odd_d4_tuple,
     operator_gram,
     operator_matrix,
+    planar_division,
     planar_rotation,
     sphere_area,
     uniform_sphere,
@@ -394,8 +395,8 @@ class TestDivisibilityTest:
             return original(frame, sums)
 
         monkeypatch.setattr(FischerFrame, "operator", counted)
-        report = divisibility_test(circle_tuple(0.0, math.pi), 3, rng=179)
-        assert report.singular_degrees() == [1, 3]
+        report = divisibility_test(planar_division(6, 3).rotations, 3, rng=179)
+        assert report.singular_degrees() == [1, 2, 3]
         assert calls == [1, 2, 3]
 
     def test_one_sampled_check_per_report(self, monkeypatch):
@@ -415,9 +416,9 @@ class TestDivisibilityTest:
         assert report.verification.n_samples == divisibility.VERIFY_SAMPLES
 
     def test_one_values_only_svd_per_degree(self, monkeypatch):
-        # every degree of this pair fires; the witness reuses the trigger's
+        # every degree of this triple fires; the witness reuses the trigger's
         # singular values instead of taking a second SVD with vectors
-        tup = half_turn_pair(6, 263)
+        tup = planar_division(6, 3).rotations
         calls = []
         original = np.linalg.svd
 

@@ -20,11 +20,11 @@ from spherediv import (
     divisibility_test,
     haar_sample,
     identity_rotation,
+    planar_division,
     planar_rotation,
 )
 from spherediv import divisibility
 from spherediv.fischer import fischer_frame, summed_powers
-from test_divisibility import half_turn_pair
 
 SRC = str(Path(spherediv.__file__).resolve().parents[1])
 
@@ -62,10 +62,10 @@ class TestGramStep:
         for a, b in zip(gram.degrees, svd.degrees):
             assert math.isclose(a.sigma_min_rel, b.sigma_min_rel, rel_tol=1e-10), (a, b)
 
-    def test_singular_pair_falls_back_and_certifies(self, monkeypatch, caplog):
+    def test_singular_triple_falls_back_and_certifies(self, monkeypatch, caplog):
         monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 1)
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
-            report = divisibility_test(half_turn_pair(6, 263), 3, rng=281)
+            report = divisibility_test(planar_division(6, 3).rotations, 3, rng=281)
         assert paths(caplog) == ["gram→svd"] * 3
         assert report.singular_degrees() == [1, 2, 3]
         assert all(rec.residual_bound <= 1e-8 for rec in report.degrees)
