@@ -44,8 +44,11 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 import math
+import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -80,6 +83,9 @@ __all__ = [
     "search_divisible",
     "trial_csv_text",
 ]
+
+
+_log = logging.getLogger("spherediv")
 
 
 def default_free_count(d: int, r: int) -> int:
@@ -265,12 +271,14 @@ def run_genericity(study: GenericityStudy) -> GenericityResult:
     )
 
 
-def _skew_from_params(theta: np.ndarray, d: int) -> np.ndarray:
-    theta = np.asarray(theta)
-    s = np.zeros(theta.shape[:-1] + (d, d))
-    iu = np.triu_indices(d, k=1)
-    s[..., iu[0], iu[1]] = theta
-    return s - np.swapaxes(s, -1, -2)
+@lru_cache(maxsize=None)
+def _chart_constants(d: int):
+    """The Cayley chart's upper-triangle scatter indices and identity in dimension d, read-only."""
+    rows, cols = np.triu_indices(d, k=1)
+    eye = np.eye(d)
+    for arr in (rows, cols, eye):
+        arr.setflags(write=False)
+    return rows, cols, eye
 
 
 def cayley_rotation(base: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -279,18 +287,30 @@ def cayley_rotation(base: np.ndarray, theta: np.ndarray) -> np.ndarray:
     The Cayley factor is exactly special orthogonal up to solve round-off; it
     charts a neighborhood of the base point rationally and cheaply.  Stacks
     broadcast: bases (k, d, d) with parameters (k, d(d-1)/2) give k rotations
-    from one stacked solve.
+    from one stacked solve.  The chart's scatter indices and identity are
+    built once per d (``_chart_constants``), not once per call.
     """
     d = base.shape[-1]
-    s = _skew_from_params(theta, d)
-    eye = np.eye(d)
+    theta = np.asarray(theta)
+    rows, cols, eye = _chart_constants(d)
+    if theta.shape[-1:] != rows.shape:  # a scalar has no last axis and fails too
+        raise InputDomainError(
+            f"Cayley parameters have shape {theta.shape}, expected last axis d(d-1)/2 = {len(rows)}"
+        )
+    s = np.zeros(theta.shape[:-1] + (d, d))
+    s[..., rows, cols] = theta
+    s = s - np.swapaxes(s, -1, -2)
     factor = np.swapaxes(np.linalg.solve(eye - s, eye + s), -1, -2)
     return base @ factor
 
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Search budget and target; ``target_ratio`` must be a finite number in (0, 1)."""
+    """Search budget and target.
+
+    ``restarts`` and ``max_iter`` must be >= 1, ``simplex_scale`` a finite
+    number > 0 and ``target_ratio`` a finite number in (0, 1).
+    """
 
     restarts: int = 4
     max_iter: int = 400
@@ -299,6 +319,12 @@ class SearchSettings:
     base_tuple: Optional[RotationTuple] = None
 
     def __post_init__(self):
+        if self.restarts < 1:
+            raise InputDomainError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_iter < 1:
+            raise InputDomainError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not 0.0 < self.simplex_scale < math.inf:  # false for NaN as well
+            raise InputDomainError(f"simplex_scale must be a finite number > 0, got {self.simplex_scale}")
         _check_tolerance("target_ratio", self.target_ratio)
 
     def to_json_obj(self) -> dict:
@@ -371,6 +397,8 @@ def search_divisible(
     sampled check (``divisibility._certify`` on the S_n and the singular
     values kept from the best evaluation, so no SVD repeats); budget
     exhaustion returns the best tuple found with ``certified=False``.
+    Logs one debug line per restart on the "spherediv" logger with its
+    evaluation count, its objective and its wall time.
     """
     from scipy.optimize import minimize  # only the search needs scipy
 
@@ -378,8 +406,6 @@ def search_divisible(
         raise InputDomainError(f"target degree must be >= 1, got n={n}")
     _check_cost(d, r, n)
     settings = settings or SearchSettings()
-    if settings.restarts < 1:
-        raise InputDomainError(f"restarts must be >= 1, got {settings.restarts}")
     seed = resolve_seed(rng)
     frame = fischer_frame(d, n)
     n_params = d * (d - 1) // 2
@@ -407,6 +433,7 @@ def search_divisible(
     best_mats = best_sums = best_matrix = best_svals = None
     restart_ratios = []
     for j in range(settings.restarts):
+        start = time.perf_counter()
         rng_j = derive_rng(seed, 4, j)
         if j == 0 and settings.base_tuple is not None:
             if settings.base_tuple.d != d or settings.base_tuple.r != r:
@@ -435,6 +462,7 @@ def search_divisible(
         svals = weighted_singular_values(matrix)
         val = objective(svals)
         restart_ratios.append(val)
+        _log.debug("restart %d: %d evaluations, ratio %.3e, %.4f s", j, res.nfev, val, time.perf_counter() - start)
         if val < best_ratio:
             best_ratio, best_mats, best_sums, best_matrix, best_svals = val, mats, sums, matrix, svals
         if best_ratio < settings.target_ratio:

@@ -228,6 +228,15 @@ class TestCmdExperiment:
         assert summary["certified"] is True
         assert summary["residual_max"] <= 1e-8
 
+    def test_nan_simplex_scale_rejected(self, tmp_path, capsys):
+        config = {"kind": "search", "d": 3, "r": 3, "n": 1, "simplex_scale": "nan", "seed": 43}
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(config))
+        out = tmp_path / "search"
+        assert main(["experiment", "--config", str(cpath), "--out", str(out)]) == 2
+        assert "simplex_scale must be a finite number > 0" in capsys.readouterr().err
+        assert not (tmp_path / "search.json").exists()
+
     def test_zero_trials_rejected(self, tmp_path, capsys):
         # --trials 0 is a request for zero trials, not for the default 100
         config = {"kind": "genericity", "d": 3, "r": 3, "n_max": 1, "seed": 37}

@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import subprocess
@@ -23,6 +24,7 @@ from spherediv import (
     run_genericity,
     search_divisible,
 )
+from spherediv import experiments
 from spherediv.experiments import search_csv_text, trial_csv_text
 from spherediv.rotations import haar_from_gaussian
 
@@ -44,6 +46,50 @@ class TestCayleyChart:
             assert np.max(np.abs(mat - cayley_rotation(base, params))) <= 1e-14
             assert np.max(np.abs(mat.T @ mat - np.eye(3))) <= 1e-12
             assert math.isclose(np.linalg.det(mat), 1.0, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_matches_fresh_reference(self, d):
+        # cached chart constants change no operation: equal, not merely close
+        def reference(base, theta):
+            s = np.zeros(theta.shape[:-1] + (d, d))
+            iu = np.triu_indices(d, k=1)
+            s[..., iu[0], iu[1]] = theta
+            s = s - np.swapaxes(s, -1, -2)
+            eye = np.eye(d)
+            return base @ np.swapaxes(np.linalg.solve(eye - s, eye + s), -1, -2)
+
+        rng = np.random.default_rng(331 + d)
+        n_params = d * (d - 1) // 2
+        base = haar_sample(d, rng).matrix
+        theta = rng.uniform(-1, 1, size=n_params)
+        assert np.array_equal(cayley_rotation(base, theta), reference(base, theta))
+        bases = np.array([haar_sample(d, rng).matrix for _ in range(4)])
+        thetas = rng.uniform(-1, 1, size=(4, n_params))
+        assert np.array_equal(cayley_rotation(bases, thetas), reference(bases, thetas))
+
+    def test_chart_constants_are_read_only(self):
+        for arr in experiments._chart_constants(4):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("d, shape", [(3, (2,)), (3, (4,)), (3, (1,)), (3, (2, 4)), (2, ())])
+    def test_rejects_wrong_parameter_count(self, d, shape):
+        base = haar_sample(d, 337).matrix
+        with pytest.raises(InputDomainError, match=f"expected last axis d\\(d-1\\)/2 = {d * (d - 1) // 2}"):
+            cayley_rotation(base, np.zeros(shape))
+
+    def test_one_search_builds_the_chart_indices_once(self, monkeypatch):
+        calls = []
+        triu_indices = np.triu_indices
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return triu_indices(*args, **kwargs)
+
+        experiments._chart_constants.cache_clear()
+        monkeypatch.setattr(np, "triu_indices", counted)
+        search_divisible(3, 3, 2, SearchSettings(restarts=1, max_iter=60), rng=347)
+        assert len(calls) <= 1
 
 
 class TestGenericity:
@@ -197,6 +243,36 @@ class TestSearch:
     def test_rejects_target_outside_unit_interval(self, tol):
         with pytest.raises(InputDomainError, match="target_ratio"):
             SearchSettings(target_ratio=tol)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("restarts", 0),
+            ("restarts", -1),
+            ("max_iter", 0),
+            ("max_iter", -5),
+            ("simplex_scale", 0.0),
+            ("simplex_scale", -0.35),
+            ("simplex_scale", math.nan),
+            ("simplex_scale", math.inf),
+            ("simplex_scale", -math.inf),
+        ],
+    )
+    def test_rejects_unrunnable_budget(self, field, value):
+        with pytest.raises(InputDomainError, match=field):
+            SearchSettings(**{field: value})
+
+    def test_debug_line_per_restart(self, caplog):
+        settings = SearchSettings(restarts=2, max_iter=30)
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            run = search_divisible(3, 3, 1, settings, rng=421)
+        lines = [rec.getMessage() for rec in caplog.records if rec.name == "spherediv"]
+        lines = [line for line in lines if line.startswith("restart ")]
+        assert [line.split(":")[0] for line in lines] == ["restart 0", "restart 1"]
+        counts = [int(line.split(", ")[0].split()[-2]) for line in lines]
+        assert sum(counts) == len(run.trace)
+        ratios = [float(line.split(", ")[1].split()[-1]) for line in lines]
+        assert ratios == [float(f"{ratio:.3e}") for ratio in run.restart_ratios]
 
     def test_rejects_bad_degree(self):
         with pytest.raises(InputDomainError):
