@@ -16,7 +16,6 @@ from .constructions import (
     PlanarDivision,
     analyze_circle,
     circle_bad_angles,
-    circle_rotation_block,
     circle_sum_matrix,
     odd_d4_suffix,
     odd_d4_tuple,
@@ -57,19 +56,14 @@ from .experiments import (
 from .harmonics import (
     GegenbauerTable,
     dim_harmonic,
-    projection_density,
     sphere_area,
-    zonal_eval,
     zonal_inner_product,
 )
 from .rotations import (
     Rotation,
     RotationTuple,
-    act_function,
-    act_point,
     fixed_point,
     haar_sample,
-    identity_rotation,
     planar_rotation,
 )
 from .sampling import as_rng, derive_rng, uniform_sphere

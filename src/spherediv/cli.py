@@ -203,9 +203,12 @@ def _suffix_from_config(config, d, count, seed):
 def _number(key, value, kind):
     """The config value ``value`` of ``key`` read as ``kind`` (int or float).
 
-    A value that does not convert is an InputDomainError that names the key.
+    A value that does not convert is an InputDomainError that names the key,
+    and so is a bool or fractional float for an int key; 1e3 reads as 1000.
     """
     try:
+        if kind is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+            raise ValueError("int() would truncate it")
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise InputDomainError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from exc

@@ -36,7 +36,6 @@ __all__ = [
     "PlanarDivision",
     "analyze_circle",
     "circle_bad_angles",
-    "circle_rotation_block",
     "circle_sum_matrix",
     "odd_d4_suffix",
     "odd_d4_tuple",
@@ -107,9 +106,6 @@ class OddD4Family:
     d: int
     suffix: tuple
 
-    def suffix_sum(self) -> np.ndarray:
-        return sum(g.matrix for g in self.suffix)
-
 
 def odd_d4_suffix(d: int) -> OddD4Family:
     if d < 3 or d % 2 == 0:
@@ -139,13 +135,6 @@ def odd_d4_tuple(d: int, gamma1: Rotation):
     return RotationTuple((gamma1,) + family.suffix), witness
 
 
-def circle_rotation_block(n: int, phi: float) -> np.ndarray:
-    """Action of the rotation by phi on degree-n circle harmonics, in the
-    (cos n., sin n.) basis: the 2x2 rotation matrix by n phi."""
-    c, s = math.cos(n * phi), math.sin(n * phi)
-    return np.array([[c, -s], [s, c]])
-
-
 def circle_sum_matrix(n: int, fixed_angles) -> np.ndarray:
     """Summed action of the fixed rotations on degree-n circle harmonics."""
     if n < 1:
@@ -154,8 +143,9 @@ def circle_sum_matrix(n: int, fixed_angles) -> np.ndarray:
     if angles.size < 1:
         raise InputDomainError("at least one fixed angle is required")
     out = np.zeros((2, 2))
-    for phi in angles:
-        out += circle_rotation_block(n, float(phi))
+    for phi in angles.tolist():
+        c, s = math.cos(n * phi), math.sin(n * phi)
+        out += np.array([[c, -s], [s, c]])
     return out
 
 

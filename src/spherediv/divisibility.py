@@ -182,7 +182,6 @@ def build_zonal_basis(
     n: int,
     rng=None,
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> ZonalBasis:
     """Sample random zonal poles until their Gram matrix is well conditioned.
 
@@ -198,7 +197,7 @@ def build_zonal_basis(
     size = dim_harmonic(d, n)
     table = GegenbauerTable(d, n)
     best = np.inf
-    for _ in range(max_attempts):
+    for _ in range(DEFAULT_MAX_ATTEMPTS):
         points = uniform_sphere(d, size, gen)
         dots = np.clip(points @ points.T, -1.0, 1.0)
         gram = table.eval(n, dots) / size
@@ -211,7 +210,7 @@ def build_zonal_basis(
             return ZonalBasis(d=d, n=n, points=points, gram=gram, cond=cond, table=table, frame=frame)
         best = min(best, cond)
     raise BasisConstructionError(
-        f"no admissible zonal basis for d={d}, n={n} in {max_attempts} attempts "
+        f"no admissible zonal basis for d={d}, n={n} in {DEFAULT_MAX_ATTEMPTS} attempts "
         f"(best condition number {best:.3e}, threshold {cond_threshold:.3e})",
         best_condition=best,
     )
@@ -556,10 +555,6 @@ class DivisorFunction:
     def __call__(self, x):
         return 1.0 / self.r + self.scale * self.witness(x)
 
-    def bounds(self) -> tuple:
-        spread = self.scale * self.witness.sup_bound()
-        return (1.0 / self.r - spread, 1.0 / self.r + spread)
-
 
 def make_divisor(witness: HarmonicFunction, r: int) -> DivisorFunction:
     """Scale a kernel witness into a divisor with values strictly inside (0, 1).
@@ -627,12 +622,13 @@ def verify_divisor(
     DivisorFunction do) and d otherwise; only the per-point sums and values
     are kept whole.  This is a sampled check, not a bound over the
     sphere: divisibility_test certifies its degrees through ``_certify``.
-    A ``samples`` below 1 is refused with InputDomainError.
+    A ``samples`` below 1 or above COST_BUDGET_BYTES / (8 (d + 2)) raises InputDomainError.
     """
     if samples < 1:
         raise InputDomainError(f"samples must be >= 1, got {samples}")
     mats = _rotation_matrices(rotations)
     d = mats[0].shape[0]
+    _check_budget(8 * samples * (d + 2), f"samples={samples} in d={d}", "samples")
     pts = uniform_sphere(d, samples, rng)
     skipped = 0
     if skip is not None:
@@ -753,10 +749,6 @@ class DivisibilityReport:
     def divisible(self) -> bool:
         return any(rec.verdict == VERDICT_SINGULAR for rec in self.degrees)
 
-    @property
-    def min_ratio(self) -> float:
-        return min(rec.sigma_min_rel for rec in self.degrees)
-
     def singular_degrees(self) -> list:
         return [rec.n for rec in self.degrees if rec.verdict == VERDICT_SINGULAR]
 
@@ -833,6 +825,15 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
     return 8 * (max(degree_n, step_below, frame_below) + cached) + 4 * fischer.BLOCK_BYTES
 
 
+def _check_budget(need: int, what: str, knob: str) -> None:
+    """Refuse ``what``, before it allocates, when its estimated ``need`` bytes exceed COST_BUDGET_BYTES."""
+    if need > COST_BUDGET_BYTES:
+        raise InputDomainError(
+            f"{what} would need about {need / 2**30:.1f} GiB, over the "
+            f"{COST_BUDGET_BYTES / 2**30:.0f} GiB budget; lower {knob}"
+        )
+
+
 def _check_cost(d: int, r: int, n_max: int) -> None:
     """Refuse, before anything is allocated, a degree the frame cannot carry or a run over COST_BUDGET_BYTES."""
     limit = _STABLE_MAX_DEGREE.get(d)
@@ -842,12 +843,7 @@ def _check_cost(d: int, r: int, n_max: int) -> None:
             f"orthogonality (its frame drifts past 1e-12, near sing_tol), so verdicts there mean "
             f"nothing; lower n_max to at most {limit}"
         )
-    need = _peak_bytes(d, r, n_max)
-    if need > COST_BUDGET_BYTES:
-        raise InputDomainError(
-            f"d={d}, r={r}, n_max={n_max} would need about {need / 2**30:.1f} GiB, over the "
-            f"{COST_BUDGET_BYTES / 2**30:.0f} GiB budget; lower n_max"
-        )
+    _check_budget(_peak_bytes(d, r, n_max), f"d={d}, r={r}, n_max={n_max}", "n_max")
 
 
 def _overall_text(divisible: bool, n_max: int) -> str:

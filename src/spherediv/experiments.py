@@ -58,6 +58,7 @@ from .divisibility import (
     VERDICT_INVERTIBLE,
     DivisibilityReport,
     _certify,
+    _check_budget,
     _check_cost,
     _check_tolerance,
     _near_singular,
@@ -106,7 +107,8 @@ class GenericityStudy:
     fresh Haar rotations and runs the divisibility test up to ``n_max``.
     The paper's theorem covers ell >= r/2; a study with odd r and the
     default ell = floor(r/2) (acceptance criterion 8: r = 3, ell = 1) is
-    empirical beyond it.  ``sing_tol`` must be a finite number in (0, 1).
+    empirical beyond it.  ``sing_tol`` must be a finite number in (0, 1), and
+    the trials' rotations and records must fit COST_BUDGET_BYTES.
     """
 
     d: int
@@ -136,6 +138,11 @@ class GenericityStudy:
             raise InputDomainError(f"n_max must be >= 1, got {self.n_max}")
         _check_tolerance("sing_tol", self.sing_tol)
         _check_cost(self.d, self.r, self.n_max)
+        # bytes per trial, tracemalloc's marginal peaks (numpy 2.4, 2000 to 40000 trials at
+        # five (d, r, ell, n_max)) summed and rounded up: drawing the rotations, 34 per entry of
+        # the (ell, d, d) stack plus 58; the records, 8 per entry plus 243 plus 117 per degree
+        need = self.trials * (48 * ell * self.d**2 + 320 + 120 * self.n_max)
+        _check_budget(need, f"trials={self.trials}", "trials")
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "suffix", suffix)
 

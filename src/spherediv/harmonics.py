@@ -27,10 +27,7 @@ from .errors import InputDomainError
 __all__ = [
     "GegenbauerTable",
     "dim_harmonic",
-    "projection_density",
     "sphere_area",
-    "unit_vector",
-    "zonal_eval",
     "zonal_inner_product",
 ]
 
@@ -54,27 +51,7 @@ def sphere_area(d: int) -> float:
     """Total measure sigma_d = 2 pi^{d/2} / Gamma(d/2) of the unit sphere in R^d."""
     if d < 2:
         raise InputDomainError(f"sphere_area requires d >= 2, got d={d}")
-    return _sigma(d)
-
-
-def _sigma(k: int) -> float:
-    # valid for k >= 1; sigma_1 = 2 is needed by the projection density at d = 2
-    return 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)
-
-
-def projection_density(d: int, t):
-    """Density of the push-forward of the sphere measure under one coordinate.
-
-    rho(t) = sigma_{d-1} (1 - t^2)^{(d-3)/2} for |t| < 1, and 0 otherwise.
-    Integrates to sigma_d.  Vectorized over t.
-    """
-    if d < 2:
-        raise InputDomainError(f"projection_density requires d >= 2, got d={d}")
-    arr = np.asarray(t, dtype=float)
-    out = np.zeros_like(arr)
-    inside = np.abs(arr) < 1.0
-    out[inside] = _sigma(d - 1) * (1.0 - arr[inside] ** 2) ** ((d - 3) / 2.0)
-    return out if arr.ndim else float(out)
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 class GegenbauerTable:
@@ -137,7 +114,7 @@ def _table(d: int, n_max: int) -> GegenbauerTable:
     return GegenbauerTable(d, n_max)
 
 
-def unit_vector(v, *, name: str = "vector") -> np.ndarray:
+def _unit_vector(v, name: str) -> np.ndarray:
     """Validate that v is a unit vector within UNIT_TOL and return it renormalized."""
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
@@ -148,33 +125,10 @@ def unit_vector(v, *, name: str = "vector") -> np.ndarray:
     return arr / norm
 
 
-def zonal_eval(table: GegenbauerTable, n: int, v, x):
-    """Zonal harmonic of degree n with pole v, evaluated at x.
-
-    x may be a single unit vector of shape (d,) or a batch of shape (m, d);
-    returns a float or an array of shape (m,) accordingly.
-    """
-    pole = unit_vector(v, name="pole")
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    pts = np.atleast_2d(arr)
-    if pts.shape[1] != pole.shape[0]:
-        raise InputDomainError(
-            f"dimension mismatch: pole has d={pole.shape[0]}, points have d={pts.shape[1]}"
-        )
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > UNIT_TOL):
-        worst = float(np.max(np.abs(norms - 1.0)))
-        raise InputDomainError(f"evaluation points deviate from unit norm by {worst}")
-    dots = (pts / norms[:, None]) @ pole
-    vals = table.eval(n, np.clip(dots, -1.0, 1.0))
-    return float(vals[0]) if single else vals
-
-
 def zonal_inner_product(d: int, n: int, u, v) -> float:
     """Exact inner product of two zonal harmonics: (sigma_d / N_n) * P_n(u . v)."""
-    uu = unit_vector(u, name="u")
-    vv = unit_vector(v, name="v")
+    uu = _unit_vector(u, "u")
+    vv = _unit_vector(v, "v")
     if uu.shape != vv.shape or uu.shape[0] != d:
         raise InputDomainError(
             f"u and v must both have dimension d={d}, got {uu.shape[0]} and {vv.shape[0]}"

@@ -4,7 +4,7 @@ Rotations are plain dense matrices validated (and, for mildly inaccurate
 input, repaired) on construction.  The group acts on sphere points by matrix
 product and on sphere functions by composition with the inverse:
 
-    (act_function(g, f))(v) = f(g^T v).
+    (g . f)(x) = f(g^T x),  on rows of points: f(points @ g.matrix).
 
 Haar sampling uses sign-fixed QR of a Gaussian matrix, restricted to the
 special orthogonal component by negating the last column when needed; a
@@ -14,23 +14,19 @@ stack of Gaussian matrices becomes a stack of rotations in one QR.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputDomainError, NoFixedPointError
-from .harmonics import unit_vector
 from .sampling import as_rng
 
 __all__ = [
     "Rotation",
     "RotationTuple",
-    "act_function",
-    "act_point",
     "fixed_point",
     "haar_from_gaussian",
     "haar_sample",
-    "identity_rotation",
     "planar_rotation",
 ]
 
@@ -54,7 +50,7 @@ class Rotation:
     """
 
     matrix: np.ndarray
-    repaired: bool = False
+    repaired: bool = field(init=False, default=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -63,7 +59,6 @@ class Rotation:
         if m.shape[0] < 2:
             raise InputDomainError(f"rotation dimension must be >= 2, got {m.shape[0]}")
         err = float(np.max(np.abs(m.T @ m - np.eye(m.shape[0]))))
-        repaired = False
         if err > REPAIR_TOL:
             raise InputDomainError(
                 f"matrix violates the orthogonality invariant: max |g^T g - I| = {err:.3e}"
@@ -71,7 +66,7 @@ class Rotation:
         if err > ORTHO_TOL:
             u, _, vt = np.linalg.svd(m)
             m = u @ vt
-            repaired = True
+            object.__setattr__(self, "repaired", True)
             warnings.warn(
                 f"rotation input off orthogonal by {err:.3e}; repaired by polar projection",
                 stacklevel=2,
@@ -83,22 +78,10 @@ class Rotation:
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "repaired", repaired)
 
     @property
     def d(self) -> int:
         return self.matrix.shape[0]
-
-    def inverse(self) -> "Rotation":
-        return Rotation(self.matrix.T)
-
-    def compose(self, other: "Rotation") -> "Rotation":
-        if other.d != self.d:
-            raise InputDomainError(f"dimension mismatch: {self.d} vs {other.d}")
-        return Rotation(self.matrix @ other.matrix)
-
-    def __matmul__(self, other: "Rotation") -> "Rotation":
-        return self.compose(other)
 
     def to_json_obj(self) -> dict:
         return {"d": self.d, "rows": [list(map(float, row)) for row in self.matrix]}
@@ -118,10 +101,6 @@ class Rotation:
         if m.shape != (d, d):
             raise InputDomainError(f'rotation JSON rows have shape {m.shape}, expected ({d}, {d})')
         return cls(m)
-
-
-def identity_rotation(d: int) -> Rotation:
-    return Rotation(np.eye(d))
 
 
 @dataclass(frozen=True)
@@ -164,29 +143,6 @@ class RotationTuple:
         if not isinstance(obj, list):
             raise InputDomainError("rotation tuple JSON must be an array of rotation objects")
         return cls(tuple(Rotation.from_json_obj(item) for item in obj))
-
-
-def act_point(rotation: Rotation, x) -> np.ndarray:
-    """Image g x of a unit vector under the rotation, renormalized."""
-    xx = unit_vector(x, name="point")
-    if xx.shape[0] != rotation.d:
-        raise InputDomainError(f"dimension mismatch: rotation d={rotation.d}, point d={xx.shape[0]}")
-    y = rotation.matrix @ xx
-    return y / np.linalg.norm(y)
-
-
-def act_function(rotation: Rotation, f):
-    """Left action on functions: returns v -> f(g^T v).
-
-    The returned callable accepts a single point of shape (d,) or a batch of
-    shape (m, d), mirroring the convention of the function it wraps.
-    """
-    mat = rotation.matrix
-
-    def moved(x):
-        return f(np.asarray(x, dtype=float) @ mat)
-
-    return moved
 
 
 def _sign_fixed_qr(z: np.ndarray):

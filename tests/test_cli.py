@@ -1,11 +1,22 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 
-from spherediv import RotationTuple, haar_sample, identity_rotation, planar_rotation
+from spherediv import Rotation, RotationTuple, haar_sample, planar_rotation
 from spherediv.cli import main
+
+
+def traced_main(argv):
+    """Exit code of ``main(argv)`` and the peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def write_tuple(path, rotations):
@@ -31,7 +42,7 @@ def check_report_schema(obj):
 
 class TestCmdTest:
     def test_identity_tuple_no_witness(self, tmp_path, capsys):
-        inp = write_tuple(tmp_path / "tuple.json", [identity_rotation(3)] * 2)
+        inp = write_tuple(tmp_path / "tuple.json", [Rotation(np.eye(3))] * 2)
         out = tmp_path / "report.json"
         code = main(["test", "--input", inp, "--n-max", "2", "--seed", "5", "--out", str(out)])
         assert code == 0
@@ -91,7 +102,7 @@ class TestCmdTest:
         assert main(["test", "--input", str(path), "--seed", "1"]) == 2
 
     def test_csv_format(self, tmp_path):
-        inp = write_tuple(tmp_path / "tuple.json", [identity_rotation(2)] * 2)
+        inp = write_tuple(tmp_path / "tuple.json", [Rotation(np.eye(2))] * 2)
         out = tmp_path / "report.csv"
         code = main(
             ["test", "--input", inp, "--n-max", "2", "--seed", "3", "--format", "csv", "--out", str(out)]
@@ -160,6 +171,13 @@ class TestCmdConstruct:
             for samples in ("0", "-5"):
                 assert main(["construct", kind, *dims, "--samples", samples, "--seed", "1"]) == 2
                 assert "samples must be >= 1" in capsys.readouterr().err
+
+    def test_oversized_samples_refused_without_allocating(self, capsys):
+        # 10^10 points in d = 3 would take about 373 GiB
+        for kind, dims in [("planar", ["--d", "3", "--r", "3"]), ("odd-d4", ["--d", "3"])]:
+            code, peak = traced_main(["construct", kind, *dims, "--samples", "10000000000", "--seed", "1"])
+            assert code == 2 and peak < 1 << 20
+            assert "samples=10000000000 in d=3" in capsys.readouterr().err
 
     def test_planar_requires_dimensions(self):
         assert main(["construct", "planar", "--d", "3"]) == 2
@@ -269,6 +287,31 @@ class TestCmdExperiment:
         cpath.write_text(json.dumps({"kind": "genericity", "d": 3, "seed": 1}))
         assert main(["experiment", "--config", str(cpath)]) == 2
         assert "missing config key" in capsys.readouterr().err
+
+    def test_oversized_study_refused_without_allocating(self, tmp_path, capsys):
+        config = {"kind": "genericity", "d": 3, "r": 3, "n_max": 5, "seed": 37, "trials": 10**9}
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(config))
+        code, peak = traced_main(["experiment", "--config", str(cpath), "--out", str(tmp_path / "study")])
+        assert code == 2 and peak < 1 << 20
+        assert "trials=1000000000" in capsys.readouterr().err
+        assert not (tmp_path / "study.csv").exists()
+
+    def test_truncating_int_value_rejected(self, tmp_path, capsys):
+        base = {"kind": "genericity", "d": 3, "r": 3, "n_max": 1, "trials": 2}
+        for key, value in [("trials", 2.5), ("n_max", 1.9), ("d", 3.9), ("r", True), ("seed", 1.5)]:
+            cpath = tmp_path / "config.json"
+            cpath.write_text(json.dumps({**base, key: value}))
+            assert main(["experiment", "--config", str(cpath), "--seed", "1", "--out", str(tmp_path / "x")]) == 2
+            assert f"config key {key!r} must be int, got {value!r}" in capsys.readouterr().err
+
+    def test_integral_float_reads_as_int(self, tmp_path):
+        config = {"kind": "genericity", "d": 3.0, "r": 3, "n_max": 1e0, "trials": 1e1, "seed": 37}
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(cpath), "--out", str(tmp_path / "study")]) == 0
+        summary = json.loads((tmp_path / "study.json").read_text())
+        assert summary["trials"] == 10 and summary["study"]["n_max"] == 1
 
     def test_uncoercible_value_rejected(self, tmp_path, capsys):
         for config, key in [

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from spherediv import (
     InputDomainError,
     NotSingularError,
+    Rotation,
     RotationTuple,
     analyze_circle,
     build_zonal_basis,
     circle_bad_angles,
-    circle_rotation_block,
     circle_sum_matrix,
     divisibility_test,
     haar_sample,
-    identity_rotation,
     kernel_witness,
     odd_d4_suffix,
     odd_d4_tuple,
@@ -90,12 +89,12 @@ class TestOddD4Family:
     @pytest.mark.parametrize("d", [3, 5, 7, 9])
     def test_suffix_sums_to_minus_identity(self, d):
         family = odd_d4_suffix(d)
-        assert np.array_equal(family.suffix_sum(), -np.eye(d))
+        assert np.array_equal(sum(g.matrix for g in family.suffix), -np.eye(d))
         for g in family.suffix:
             assert np.linalg.det(g.matrix) == 1.0
 
     def test_identity_free_rotation(self):
-        tup, witness = odd_d4_tuple(3, identity_rotation(3))
+        tup, witness = odd_d4_tuple(3, Rotation(np.eye(3)))
         assert np.allclose(witness.degree_one_pole(), [1.0, 0.0, 0.0])
         pts = uniform_sphere(3, 2_000, 271)
         total = sum(witness(pts @ g.matrix) for g in tup)
@@ -113,7 +112,7 @@ class TestOddD4Family:
         with pytest.raises(InputDomainError):
             odd_d4_suffix(4)
         with pytest.raises(InputDomainError):
-            odd_d4_tuple(4, identity_rotation(4))
+            odd_d4_tuple(4, Rotation(np.eye(4)))
 
 
 class TestCircleMatrices:
@@ -138,17 +137,15 @@ class TestCircleMatrices:
 class TestCircleActionModel:
     def test_rotation_moves_cosine_harmonic(self):
         # the rotation by phi sends cos(n.) to cos(n phi) cos(n.) + sin(n phi) sin(n.)
-        from spherediv import act_function
-
         rng = np.random.default_rng(311)
         for n in (1, 2, 4):
             phi = float(rng.uniform(0, 2 * math.pi))
             cos_h = lambda x, n=n: np.cos(n * np.arctan2(np.atleast_2d(x)[:, 1], np.atleast_2d(x)[:, 0]))
             sin_h = lambda x, n=n: np.sin(n * np.arctan2(np.atleast_2d(x)[:, 1], np.atleast_2d(x)[:, 0]))
-            moved = act_function(planar_rotation(2, 1, 2, phi), cos_h)
+            g = planar_rotation(2, 1, 2, phi)
             pts = uniform_sphere(2, 500, rng)
             expected = math.cos(n * phi) * cos_h(pts) + math.sin(n * phi) * sin_h(pts)
-            assert np.max(np.abs(moved(pts) - expected)) <= 1e-10
+            assert np.max(np.abs(cos_h(pts @ g.matrix) - expected)) <= 1e-10
 
 
 class TestCircleBadAngles:
@@ -250,7 +247,7 @@ class TestCircleClosedForm:
         kmat = circle_sum_matrix(n, fixed)
         k = complex(kmat[0, 0], kmat[1, 0])
         # the 2x2 operator is multiplication by e^{i n phi} + k
-        direct = np.linalg.det(circle_rotation_block(n, probe) + kmat)
+        direct = np.linalg.det(circle_sum_matrix(n, [probe]) + kmat)
         assert abs(direct - abs(cmath.exp(1j * n * probe) + k) ** 2) <= 1e-12 * (1 + abs(k)) ** 2
         bad = circle_bad_angles(n, fixed)
         if kind != "random":

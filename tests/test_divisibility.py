@@ -18,7 +18,6 @@ from spherediv import (
     dim_harmonic,
     fixed_point,
     haar_sample,
-    identity_rotation,
     kernel_witness,
     make_divisor,
     odd_d4_tuple,
@@ -41,14 +40,14 @@ def circle_tuple(*angles):
 
 
 def identity_tuple(d, r):
-    return RotationTuple(tuple(identity_rotation(d) for _ in range(r)))
+    return RotationTuple(tuple(Rotation(np.eye(d)) for _ in range(r)))
 
 
 def half_turn_pair(d, seed):
     """{I, R} with R a half-turn in one plane conjugated by a Haar rotation: singular at every degree."""
     half_turn = planar_rotation(d, 1, 2, math.pi).matrix
     h = haar_sample(d, seed).matrix
-    return RotationTuple((identity_rotation(d), Rotation(h @ half_turn @ h.T)))
+    return RotationTuple((Rotation(np.eye(d)), Rotation(h @ half_turn @ h.T)))
 
 
 class TestZonalBasis:
@@ -77,7 +76,7 @@ class TestZonalBasis:
 
     def test_construction_failure_reports_best(self):
         with pytest.raises(BasisConstructionError) as err:
-            build_zonal_basis(3, 2, rng=59, cond_threshold=1.0, max_attempts=3)
+            build_zonal_basis(3, 2, rng=59, cond_threshold=1.0)
         assert err.value.best_condition is not None and err.value.best_condition > 1.0
 
     def test_rejects_degree_zero(self):
@@ -192,9 +191,9 @@ class TestDivisor:
         _, g = self._witness()
         f = make_divisor(g, 4)
         assert math.isclose(f.scale, 0.5 / 4.0 / g.sup_bound(), rel_tol=1e-12)
-        lo, hi = f.bounds()
-        assert math.isclose(lo, 0.25 - 0.125, rel_tol=1e-12)
-        assert math.isclose(hi, 0.25 + 0.125, rel_tol=1e-12)
+        spread = f.scale * g.sup_bound()
+        assert math.isclose(1.0 / f.r - spread, 0.25 - 0.125, rel_tol=1e-12)
+        assert math.isclose(1.0 / f.r + spread, 0.25 + 0.125, rel_tol=1e-12)
 
     def test_values_inside_unit_interval(self):
         tup, g = self._witness()
@@ -325,7 +324,7 @@ class TestKernelVector:
     def test_exactly_zero_operator(self):
         # the {0, pi} circle pair, with the half-turn written as -I, cancels exactly at odd
         # degrees: M is 0 there and every vector is a witness
-        tup = RotationTuple((identity_rotation(2), Rotation(-np.eye(2))))
+        tup = RotationTuple((Rotation(np.eye(2)), Rotation(-np.eye(2))))
         for n, matrix, svals in degree_matrices(tup, 5):
             if n % 2:
                 assert not np.any(matrix)

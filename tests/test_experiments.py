@@ -150,6 +150,13 @@ class TestGenericity:
         with pytest.raises(InputDomainError, match="budget"):
             GenericityStudy(d=8, r=2, suffix=(haar_sample(8, 1),), trials=2, n_max=10, seed=1, ell=1)
 
+    def test_study_over_memory_budget_refused(self):
+        suffix = (haar_sample(3, 1),)
+        with pytest.raises(InputDomainError, match="trials=1000000000 .* budget"):
+            GenericityStudy(d=3, r=2, suffix=suffix, trials=10**9, n_max=5, seed=1, ell=1)
+        # acceptance criterion 8's study is admitted
+        GenericityStudy(d=3, r=3, suffix=suffix * 2, trials=1000, n_max=5, seed=1, ell=1)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, 1.0, 2.0])
     def test_rejects_tolerance_outside_unit_interval(self, tol):
         suffix = (haar_sample(3, 1), haar_sample(3, 2))

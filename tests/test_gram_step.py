@@ -19,7 +19,6 @@ from spherediv import (
     RotationTuple,
     divisibility_test,
     haar_sample,
-    identity_rotation,
     planar_division,
     planar_rotation,
 )
@@ -178,7 +177,7 @@ class TestDegreeCap:
                 divisibility._check_cost(d, 3, limit + 1)
         # the {0, pi} pair at n_max = 175 once overflowed in sqrt(n!); now it is refused
         with pytest.raises(InputDomainError, match="orthogonality"):
-            divisibility_test(RotationTuple((identity_rotation(2), Rotation(-np.eye(2)))), 175, rng=1)
+            divisibility_test(RotationTuple((Rotation(np.eye(2)), Rotation(-np.eye(2)))), 175, rng=1)
 
     def test_residual_bound_does_not_overflow(self):
         # x_1^n at n = 175, far above the cap: sqrt(175!) overflowed in factorial space

@@ -1,0 +1,43 @@
+"""Every name the package exports is used outside the test suite.
+
+Public API that only tests call is a cost, not a feature.  A name counts as
+used when a ``spherediv`` module other than ``__init__`` refers to it other
+than by its definition (an import, a call, an annotation), or when it appears
+in the demos, the benchmark, the README or the acceptance criteria.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "spherediv"
+
+
+def exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def used_names():
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        # definitions and __all__ strings are not Name, Attribute or alias nodes
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    outside = [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py"), ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
+    for path in outside:
+        used.update(re.findall(r"\w+", path.read_text()))
+    return used
+
+
+def test_every_export_is_used_outside_tests():
+    used = used_names()
+    assert [name for name in exported_names() if name not in used] == []
