@@ -76,9 +76,12 @@ def _write_json(path, obj) -> None:
 
 
 def _resolve_seed_arg(seed) -> int:
+    """The run's seed: ``seed`` itself, or fresh entropy for None; a negative seed is refused."""
     if seed is None:
         seed = fresh_seed()
         print(f"seed: {seed} (derived; pass --seed to reproduce)")
+    elif seed < 0:
+        raise InputDomainError(f"seed must be a non-negative integer, got {seed}")
     else:
         print(f"seed: {seed}")
     return int(seed)
@@ -204,10 +207,13 @@ def _number(key, value, kind):
     """The config value ``value`` of ``key`` read as ``kind`` (int or float).
 
     A value that does not convert is an InputDomainError that names the key,
-    and so is a bool or fractional float for an int key; 1e3 reads as 1000.
+    and so is a bool for either kind and a fractional float for an int key;
+    1e3 reads as 1000.
     """
     try:
-        if kind is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+        if isinstance(value, bool):
+            raise ValueError("a JSON boolean is not a number")
+        if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError("int() would truncate it")
         return kind(value)
     except (TypeError, ValueError) as exc:

@@ -16,7 +16,10 @@ G = M^T M: one symmetric eigenvalue solve gives sigma_max and an estimate
 of sigma_min, and one shifted solve refines it into a Rayleigh quotient,
 checked against that estimate within the Gram's round-off allowance.  Where
 the round-off could hide sigma_min (every fired or near-band degree at the
-default tolerance), or the check fails, the degree takes the SVD after all.
+default tolerance), M is assembled again and its kernel witness v bounds
+sigma_min from above by ||M v||: where that bound fires the trigger it
+decides the degree, whose sigma_min_rel is then an upper bound, and the
+SVD decides only where it does not, or where the refinement check fails.
 A pair takes none of this: with h = gamma_1^T gamma_2, M = rho(gamma_1)
 (I + rho(h)) and I + rho(h) is normal, so every degree's sigma_max and
 sigma_min are 2 |cos(k . theta / 2)| over the torus weights k of H_n, with
@@ -27,13 +30,16 @@ The frame is deterministic, so verdicts do not depend on the seed, which
 drives only the verification points.  Near-zero smallest singular values
 only *trigger* certificate extraction; the certificate itself is the
 residual of a concrete kernel witness g, propagated into an explicit divisor
-f = 1/r + c g whose rotated copies must sum to 1 everywhere.  A fired degree takes no second SVD:
-g has frame coordinates v from two steps of inverse iteration on the shifted
-matrix M + mu I (``_kernel_vector``), one pair of solves per step.  The frame
-bounds that residual over the whole sphere: its polynomial has Fischer
-coordinates R = S_n v, and |p(x)| <= ||p||_F / sqrt(n!) for every degree-n p
-and unit x, so one matvec per fired degree certifies
-sup |sum_s f(gamma_s^T x) - 1| (``_certify``).  The first certified degree,
+f = 1/r + c g whose rotated copies must sum to 1 everywhere.  A fired
+degree takes no SVD for its witness: g has frame coordinates v from
+shifted inverse iteration on M + mu I (``_kernel_vector``), one pair of
+solves per step, and a second step only where the first leaves ||M v|| above
+2 mu.  Each fired degree makes v once: a Gram-step degree keeps the v that
+bounded its sigma_min.  The frame bounds that residual over the whole
+sphere: its polynomial has Fischer coordinates R = S_n v, and
+|p(x)| <= ||p||_F / sqrt(n!) for every degree-n p and unit x, so one
+matvec per fired degree certifies sup |sum_s f(gamma_s^T x) - 1|
+(``_certify``).  The first certified degree,
 whose divisor a report keeps, is also spot-checked on VERIFY_SAMPLES random
 points.  A report never claims divisibility without a passing residual.
 
@@ -111,11 +117,12 @@ VERDICT_BORDERLINE = "borderline"
 # instead of a values-only SVD.  One BLAS thread on a 2-core Xeon, the sum of
 # three Haar-random orthogonal N x N matrices, best of 3 (SVD vs the whole
 # Gram step): N = 400: 0.016 vs 0.013 s; 672: 0.099 vs 0.049; 825: 0.17 vs
-# 0.094; 1015: 0.33 vs 0.15; 1210: 0.54 vs 0.28; 1386: 0.84 vs 0.36.  A
-# fired degree pays for the Gram step, a second assembly of M and the SVD,
-# so the step is kept to sizes where it saves at least 0.15 s per generic
-# degree: d = 8 from n = 6, d = 5 from n = 13, d = 4 from n = 31.  Pairs
-# never take it (``_pair_spectrum``).
+# 0.094; 1015: 0.33 vs 0.15; 1210: 0.54 vs 0.28; 1386: 0.84 vs 0.36.  The
+# step is kept to sizes where it saves at least 0.15 s per generic degree:
+# d = 8 from n = 6, d = 5 from n = 13, d = 4 from n = 31.  A fired degree
+# pays for it, a second assembly of M and its witness's solves, and takes
+# the SVD only where the witness's bound does not fire.  Pairs never take
+# it (``_pair_spectrum``).
 _GRAM_MIN_DIM = 1000
 
 # highest degree admitted at d = 2 and d = 3, where the recurrence loses
@@ -364,28 +371,34 @@ def _start(size: int) -> np.ndarray:
 def _kernel_vector(matrix: np.ndarray, svals: np.ndarray, r: int) -> np.ndarray:
     """A unit vector v with M v near zero for a near-singular M, by shifted inverse iteration.
 
-    ``svals`` are M's singular values in descending order, as the trigger
-    read them, so no factorization repeats the SVD.  With A = M + mu I, each
-    of two steps is x <- A^-1 (A^-T x), normalized: inverse iteration on
-    A^T A, which draws x towards the right-singular vector of A's smallest
-    singular value (Ipsen, SIAM Review 39, 1997), at the cost of two LU
-    solves.  A kernel vector k of M has ||A k|| = mu, so A's smallest
-    singular value is at most mu and the result has
-    ||M v|| <= ||A v|| + mu, about 2 mu at most.  The
-    shift mu = 1e-13 max(sigma_max, r) is far above the ulp of every
-    diagonal entry (|M_ii| <= sigma_max), so it changes each of them and
-    keeps the LU clear of the exact zero pivots an unshifted or ulp-shifted
-    M can meet.  The start cos(k phi) is fixed, so the witness does not
-    depend on any seed; the first step may start nearly orthogonal to the
-    kernel, and the second removes what rounding left.  Nothing here is
-    trusted: ``_certify`` bounds the residual of whatever v comes out.
+    ``svals`` are M's singular values in descending order, or at least
+    their first entry sigma_max, as the trigger read them, so no
+    factorization repeats the SVD.  With A = M + mu I, a step is
+    x <- A^-1 (A^-T x), normalized: inverse iteration on A^T A, which draws
+    x towards the right-singular vector of A's smallest singular value
+    (Ipsen, SIAM Review 39, 1997), at the cost of two LU solves.  A kernel
+    vector k of M has ||A k|| = mu, so A's smallest singular value is at
+    most mu and a step that has found it gives ||M v|| <= ||A v|| + mu,
+    about 2 mu at most.  After each step one matvec with M reads ||M v||,
+    and v is returned as soon as that is at most 2 mu; at most two steps
+    run.  The start cos(k phi) is fixed, so the witness does not depend on
+    any seed; it may lie nearly orthogonal to the kernel, and then the
+    second step removes what the first left.  The shift
+    mu = 1e-13 max(sigma_max, r) is far above the ulp of every diagonal
+    entry (|M_ii| <= sigma_max), so it changes each of them and keeps the
+    LU clear of the exact zero pivots an unshifted or ulp-shifted M can
+    meet.  Nothing here is trusted: ``_certify`` bounds the residual of
+    whatever v comes out, after two steps that missed 2 mu as well.
     """
+    shift = 1e-13 * max(float(svals[0]), r)
     shifted = matrix.copy()
-    shifted[np.diag_indices(len(matrix))] += 1e-13 * max(float(svals[0]), r)
+    shifted[np.diag_indices(len(matrix))] += shift
     x = _start(len(matrix))
     for _ in range(2):
         x = np.linalg.solve(shifted, np.linalg.solve(shifted.T, x))
         x /= np.linalg.norm(x)
+        if np.linalg.norm(matrix @ x) <= 2.0 * shift:
+            break
     return x
 
 
@@ -395,8 +408,8 @@ def _gram_refinement(shifted: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _gram_extremes(frame, sums: np.ndarray, gram: np.ndarray) -> Optional[np.ndarray]:
-    """[sigma_max, sigma_min] of M = U^T S U from G = M^T M, or None where the SVD must decide.
+def _gram_extremes(frame, sums: np.ndarray, gram: np.ndarray):
+    """(sigma_max, sigma_min) of M = U^T S U from G = M^T M, with sigma_min None where round-off hides it.
 
     ``gram`` is G as computed from M (it is overwritten).  Its eigenvalues
     w, ascending, give sigma_max = sqrt(w[-1]).  Round-off bounds the rest
@@ -406,22 +419,26 @@ def _gram_extremes(frame, sums: np.ndarray, gram: np.ndarray) -> Optional[np.nda
     gamma_N ||M||_F^2 = gamma_N trace(G), and ``eigvalsh`` is backward
     stable, which moves each eigenvalue by at most about N u w[-1].  With
     that allowance, w[0] within max(1e3 N u w[-1], 2 allowance) of zero
-    says nothing about sigma_min, and the SVD decides (None).  Otherwise one
+    says nothing about sigma_min, and the result is (sigma_max, None): every
+    fired or near-band degree at the default tolerance ends here, and
+    ``_spectrum`` bounds its sigma_min by a kernel witness.  Otherwise one
     step of inverse iteration with the shift w[0] (``_gram_refinement``)
     gives a unit x, and M x, applied through the frame's parity blocks,
     gives the Rayleigh quotient ||M x||^2 >= sigma_min^2.  sqrt(w[0]) alone
     is off by up to about 1e-9 relative; the quotient agrees with the SVD to
     about 1e-12.  It is kept only if it is within the allowance of w[0]:
     ``eigvalsh`` is dense and cannot skip an eigenvalue, so that check is
-    the whole guard, and a refinement that failed returns None.
+    the whole guard, and a refinement that failed returns None, for the SVD
+    to decide.
     """
     size = len(gram)
     trace = float(np.trace(gram))
     w = np.linalg.eigvalsh(gram)
     unit = 2.0**-53
     allowance = size * unit / (1.0 - size * unit) * trace + size * unit * w[-1]
+    sigma_max = math.sqrt(w[-1])
     if w[0] <= max(1e3 * size * unit * w[-1], 2.0 * allowance):
-        return None
+        return sigma_max, None
     gram[np.diag_indices(size)] -= w[0]
     try:
         x = _gram_refinement(gram)
@@ -431,37 +448,58 @@ def _gram_extremes(frame, sums: np.ndarray, gram: np.ndarray) -> Optional[np.nda
     rayleigh = float(image @ image) / float(x @ x)
     if not abs(rayleigh - w[0]) <= allowance:  # NaN fails too
         return None
-    return np.array([math.sqrt(w[-1]), math.sqrt(rayleigh)])
+    return sigma_max, math.sqrt(rayleigh)
 
 
-def _spectrum(frame, sums: np.ndarray):
-    """(svals, M) of one degree: the singular values its trigger reads, and M where one is kept.
+def _spectrum(frame, sums: np.ndarray, r: int, sing_tol: float):
+    """(svals, M, v) of one degree: the singular values its trigger reads, M where one is kept, and a witness v where one was made.
 
-    Below _GRAM_MIN_DIM harmonics, svals are all singular values of M from
-    one values-only SVD.  From there, M = U^T S U gives G = M^T M and is
-    freed, and ``_gram_extremes`` gives svals = [sigma_max, sigma_min]
-    with M None; where it declines, M is assembled again from ``sums`` for
-    the SVD.  ``_near_singular`` and ``_kernel_vector`` read only the first
-    and last entries, so both kinds serve.  Logs one debug line on the
-    "spherediv" logger with N_n, the path (svd, gram or gram→svd) and the
-    step's wall time after the first assembly.
+    The paths, each named in one debug line on the "spherediv" logger with
+    N_n and the step's wall time after the first assembly:
+    - svd: below _GRAM_MIN_DIM harmonics, svals are all singular values of
+      M from one values-only SVD, and v is None;
+    - gram: from there, M = U^T S U gives G = M^T M and is freed, and
+      ``_gram_extremes`` gives svals = [sigma_max, sigma_min], with M and v
+      None;
+    - gram→witness: where G's smallest eigenvalue is within round-off of
+      zero, M is assembled again from ``sums`` and one ``_kernel_vector``
+      run, with sigma_max = sqrt(w[-1]), gives a unit v.  ||M v|| >=
+      sigma_min, so svals = [sigma_max, ||M v||] holds an upper bound on
+      sigma_min.  Where that bound fires the trigger (``_near_singular``),
+      it decides the degree with no SVD, and v is the witness that
+      ``_certify`` takes; the degree's ``sigma_min_rel`` is then an upper
+      bound, below ``sing_tol``, not the SVD's ratio;
+    - gram→svd: where the refinement check of ``_gram_extremes`` fails, or
+      the witness's bound does not fire, the SVD of the re-assembled M
+      decides, and v is None.
+    ``_near_singular`` and ``_kernel_vector`` read only the first and last
+    entries of svals, so every kind serves.
     """
     matrix = frame.operator(sums)
     start = time.perf_counter()
+    vector = None
     if frame.dim < _GRAM_MIN_DIM:
         svals, path = weighted_singular_values(matrix), "svd"
     else:
         gram = matrix.T @ matrix
         del matrix  # G replaces M (see _peak_bytes)
-        svals = _gram_extremes(frame, sums, gram)
+        extremes = _gram_extremes(frame, sums, gram)
         del gram
-        if svals is None:
-            matrix = frame.operator(sums)
-            svals, path = weighted_singular_values(matrix), "gram→svd"
+        if extremes is not None and extremes[1] is not None:
+            svals, matrix, path = np.array(extremes), None, "gram"
         else:
-            matrix, path = None, "gram"
+            matrix, path = frame.operator(sums), "gram→svd"
+            if extremes is not None:  # sigma_min within round-off of zero: bound it by a witness
+                vector = _kernel_vector(matrix, extremes, r)
+                svals = np.array([extremes[0], np.linalg.norm(matrix @ vector)])
+                if _near_singular(svals, r, sing_tol)[2]:
+                    path = "gram→witness"
+                else:
+                    vector = None
+            if vector is None:
+                svals = weighted_singular_values(matrix)
     _log.debug("degree %d: N=%d, %s, %.4f s", frame.n, frame.dim, path, time.perf_counter() - start)
-    return svals, matrix
+    return svals, matrix, vector
 
 
 def _torus_angles(mats: np.ndarray) -> np.ndarray:
@@ -493,14 +531,17 @@ def _pair_spectrum(mats: np.ndarray, n: int) -> np.ndarray:
     return np.stack([values.max(axis=-1), values.min(axis=-1)], axis=-1)
 
 
-def _witness(basis, matrix: np.ndarray, svals: np.ndarray, r: int) -> HarmonicFunction:
+def _witness(basis, matrix: np.ndarray, svals: np.ndarray, r: int, vector=None) -> HarmonicFunction:
     """The kernel witness of ``matrix``, whose singular values ``svals`` fired the trigger.
 
-    The witness has the frame coordinates of ``_kernel_vector``; its
-    coefficients are normalized so that sum_k |c_k| = 1 with a positive
-    largest entry.
+    The witness has the frame coordinates ``vector`` where the spectral
+    step already made them (``_spectrum``'s gram→witness path), and those of
+    ``_kernel_vector`` otherwise; its coefficients are normalized so that
+    sum_k |c_k| = 1 with a positive largest entry.
     """
-    coeffs = basis.coefficients(_kernel_vector(matrix, svals, r))
+    if vector is None:
+        vector = _kernel_vector(matrix, svals, r)
+    coeffs = basis.coefficients(vector)
     coeffs = coeffs / np.sum(np.abs(coeffs))
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
         coeffs = -coeffs
@@ -622,13 +663,16 @@ def verify_divisor(
     DivisorFunction do) and d otherwise; only the per-point sums and values
     are kept whole.  This is a sampled check, not a bound over the
     sphere: divisibility_test certifies its degrees through ``_certify``.
-    A ``samples`` below 1 or above COST_BUDGET_BYTES / (8 (d + 2)) raises InputDomainError.
+    A ``samples`` below 1 or above COST_BUDGET_BYTES / (8 (2d + 2)) raises
+    InputDomainError: the sphere draw holds the points twice while it
+    normalizes them, and the per-point sums and values add two entries per
+    point, about 8 samples (2d + 2) bytes in all.
     """
     if samples < 1:
         raise InputDomainError(f"samples must be >= 1, got {samples}")
     mats = _rotation_matrices(rotations)
     d = mats[0].shape[0]
-    _check_budget(8 * samples * (d + 2), f"samples={samples} in d={d}", "samples")
+    _check_budget(8 * samples * (2 * d + 2), f"samples={samples} in d={d}", "samples")
     pts = uniform_sphere(d, samples, rng)
     skipped = 0
     if skip is not None:
@@ -658,13 +702,16 @@ def verify_divisor(
     )
 
 
-def _certify(frame, matrix, svals, sums, rotations, rng):
+def _certify(frame, matrix, svals, sums, rotations, rng, vector=None):
     """Witness, divisor and certificate of a degree whose trigger fired.
 
     ``frame`` is the degree's FischerFrame, ``matrix`` its M = U^T S_n U,
-    ``svals`` the singular values of M that the trigger read and ``sums``
-    the S_n = sum_s Sym^n(gamma_s) it came from.  The witness g takes no
-    second SVD: its coordinates come from ``_kernel_vector``.  The divisor
+    ``svals`` the singular values of M that the trigger read (for a
+    gram→witness degree, sigma_max and the upper bound ||M v|| on sigma_min)
+    and ``sums`` the S_n = sum_s Sym^n(gamma_s) it came from.  The witness
+    g takes no SVD: its coordinates are ``vector``, the v that
+    ``_spectrum`` made where it made one, and come from ``_kernel_vector``
+    otherwise, so each fired degree runs inverse iteration once.  The divisor
     f = 1/r + scale * g of the kernel witness g has the residual
     sum_s f(gamma_s^T x) - 1 = scale * sum_s g(gamma_s^T x), a polynomial
     with orthonormal-monomial coordinates R = S_n v, v = sqrt(a!) c for the
@@ -681,7 +728,7 @@ def _certify(frame, matrix, svals, sums, rotations, rng):
     max_residual is the larger of the bound and the sampled maximum.  With
     ``rng`` None nothing is sampled and the result holds the bound alone.
     """
-    witness = _witness(frame, matrix, svals, rotations.r)
+    witness = _witness(frame, matrix, svals, rotations.r, vector)
     divisor = make_divisor(witness, rotations.r)
     sup = frame.residual_bound(sums, witness.coeffs, _rotation_matrices(rotations))
     bound = divisor.scale * sup
@@ -709,7 +756,10 @@ class DegreeRecord:
 
     ``sigma_min_rel`` is the smallest over largest singular value of the
     degree-n operator in the L^2 geometry (its matrix in the Fischer frame),
-    the ratio that determined the verdict; ``dim`` is N_n.  ``residual_bound``
+    the ratio that determined the verdict; at a fired Gram-step degree
+    (``_spectrum``'s gram→witness path) it is an upper bound on that ratio,
+    ||M v|| / sigma_max for the witness v, and below ``sing_tol``, so it
+    reads round-off, not the SVD's value.  ``dim`` is N_n.  ``residual_bound``
     is the whole-sphere bound on the residual of the degree's divisor
     (see ``_certify``) when its trigger fired, and None otherwise.
     """
@@ -785,9 +835,11 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
     - the spectral step (``_spectrum``) holds a few N_n^2, within 4 N_n^2:
       M and LAPACK's copy for the values-only SVD; from _GRAM_MIN_DIM on,
       M and G = M^T M while G is formed, then G and LAPACK's copy in the
-      eigenvalue solve and again in the shifted solve, and M again with its
-      SVD copy where the step falls back; a fired degree's witness takes M,
-      its shifted copy and LAPACK's copy of that;
+      eigenvalue solve and again in the shifted solve, and M again where
+      the step falls back, with its witness's shifted copy and LAPACK's
+      copy of that (gram→witness) or with its SVD copy (gram→svd); below
+      _GRAM_MIN_DIM a fired degree's witness takes M, its shifted copy and
+      LAPACK's copy of that;
     - the step to degree n - 1 holds the r copies of both Sym^(n-2) and
       Sym^(n-1).  At d <= 4 and large n, where P_n grows slowly, it is the
       peak, close to 2 r P_n^2;
@@ -866,8 +918,10 @@ def divisibility_test(
     residual of at most RESIDUAL_TOL from the Fischer frame, recorded as the
     degree's ``residual_bound``.  A pair reads each degree's sigma_max and
     sigma_min from ``_pair_spectrum``, a larger tuple from ``_spectrum``; one
-    "spherediv" debug line per degree names the path (pair, svd, gram or
-    gram→svd).  Only the first certified degree, whose
+    "spherediv" debug line per degree names the path (pair, svd, gram,
+    gram→witness or gram→svd).  A degree on the gram→witness path fires on
+    an upper bound of sigma_min from its witness, with no SVD, and records
+    that bound as its ``sigma_min_rel``.  Only the first certified degree, whose
     divisor the report keeps, is also spot-checked by ``verify_divisor`` on
     VERIFY_SAMPLES points, so a report makes at most one sampled check in
     normal runs.  A trigger that fails certification is downgraded to
@@ -907,9 +961,9 @@ def divisibility_test(
     for n in range(1, n_max + 1):
         sums = next(powers)[1] if n <= last else None
         if spectra is None:
-            svals, matrix = _spectrum(fischer_frame(rotations.d, n), sums)
+            svals, matrix, vector = _spectrum(fischer_frame(rotations.d, n), sums, rotations.r, sing_tol)
         else:
-            svals, matrix = spectra[n - 1], None
+            svals, matrix, vector = spectra[n - 1], None, None
         ratio, _, fired, near_band = _near_singular(svals, rotations.r, sing_tol)
         bound = None
         if fired:
@@ -917,7 +971,7 @@ def divisibility_test(
             if matrix is None:  # a pair, or a Gram-step degree that fires at a large sing_tol
                 matrix = frame.operator(sums)
             sample_rng = derive_rng(seed, 2, n, 3) if witness is None else None
-            g, f, ver = _certify(frame, matrix, svals, sums, rotations, sample_rng)
+            g, f, ver = _certify(frame, matrix, svals, sums, rotations, sample_rng, vector)
             bound = ver.residual_bound
             if ver.passed:
                 verdict = VERDICT_SINGULAR
@@ -933,7 +987,7 @@ def divisibility_test(
         records.append(
             DegreeRecord(n=n, dim=dim, sigma_min_rel=float(ratio), verdict=verdict, residual_bound=bound)
         )
-        del sums, matrix  # free degree n before the recurrence builds degree n + 1 (see _peak_bytes)
+        del sums, matrix, vector  # free degree n before the recurrence builds degree n + 1 (see _peak_bytes)
 
     report = DivisibilityReport(
         d=rotations.d,

@@ -179,6 +179,16 @@ class TestCmdConstruct:
             assert code == 2 and peak < 1 << 20
             assert "samples=10000000000 in d=3" in capsys.readouterr().err
 
+    def test_budget_counts_both_copies_of_the_points(self, capsys):
+        # 2 * 10^7 points in d = 3: 0.75 GiB by 8 samples (d + 2), 1.2 GiB by 8 samples (2d + 2)
+        code, peak = traced_main(["construct", "planar", "--d", "3", "--r", "2", "--samples", "20000000", "--seed", "1"])
+        assert code == 2 and peak < 1 << 20
+        assert "samples=20000000 in d=3" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["construct", "planar", "--d", "3", "--r", "2", "--samples", "100", "--seed", "-1"]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
     def test_planar_requires_dimensions(self):
         assert main(["construct", "planar", "--d", "3"]) == 2
 
@@ -304,6 +314,22 @@ class TestCmdExperiment:
             cpath.write_text(json.dumps({**base, key: value}))
             assert main(["experiment", "--config", str(cpath), "--seed", "1", "--out", str(tmp_path / "x")]) == 2
             assert f"config key {key!r} must be int, got {value!r}" in capsys.readouterr().err
+
+    def test_negative_config_seed_rejected(self, tmp_path, capsys):
+        config = {"kind": "genericity", "d": 3, "r": 3, "n_max": 1, "trials": 2, "seed": -5}
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(cpath), "--out", str(tmp_path / "study")]) == 2
+        assert "seed must be a non-negative integer, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "study.csv").exists()
+
+    def test_boolean_float_value_rejected(self, tmp_path, capsys):
+        config = {"kind": "search", "d": 2, "r": 2, "n": 1, "simplex_scale": True, "seed": 43}
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(cpath), "--out", str(tmp_path / "search")]) == 2
+        assert "config key 'simplex_scale' must be float, got True" in capsys.readouterr().err
+        assert not (tmp_path / "search.json").exists()
 
     def test_integral_float_reads_as_int(self, tmp_path):
         config = {"kind": "genericity", "d": 3.0, "r": 3, "n_max": 1e0, "trials": 1e1, "seed": 37}

@@ -315,11 +315,47 @@ def degree_matrices(tup, n_max):
         yield n, matrix, weighted_singular_values(matrix)
 
 
+def counted_solves(patch):
+    """Patch np.linalg.solve to count its calls; returns the list the calls append to."""
+    calls = []
+    original = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(np.shape(a))
+        return original(a, b)
+
+    patch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
 class TestKernelVector:
     def assert_near_kernel(self, matrix, svals, r):
         v = divisibility._kernel_vector(matrix, svals, r)
         assert np.all(np.isfinite(v)) and math.isclose(np.linalg.norm(v), 1.0, rel_tol=1e-12)
         assert np.linalg.norm(matrix @ v) <= 1e-12 * max(svals[0], r)
+
+    def test_fired_pair_degrees_take_one_step(self, monkeypatch):
+        # every degree of a half-turn pair fires, and one step meets the 2 mu gate: one pair of solves each
+        tup = half_turn_pair(6, 887)
+        calls = counted_solves(monkeypatch)
+        report = divisibility_test(tup, 4, rng=881)
+        assert report.singular_degrees() == [1, 2, 3, 4]
+        assert calls == [(rec.dim, rec.dim) for rec in report.degrees for _ in range(2)]
+
+    def test_second_step_only_on_demand(self, monkeypatch):
+        # a start almost orthogonal to the kernel e_0 leaves ||M v|| far above 2 mu after one step
+        matrix = np.diag([0.0, 1.0, 2.0, 1.5, 0.5])
+        start = np.array([1e-20, 0.3, -0.7, 0.2, 0.6])
+        monkeypatch.setattr(divisibility, "_start", lambda size: start.copy())
+        shift = 1e-13 * 2
+        calls = counted_solves(monkeypatch)
+        v = divisibility._kernel_vector(matrix, np.array([2.0, 0.0]), 2)
+        assert len(calls) == 4
+        assert np.linalg.norm(matrix @ v) <= 2.0 * shift
+        calls.clear()
+        monkeypatch.setattr(divisibility, "_start", lambda size: np.ones(size))
+        divisibility._kernel_vector(matrix, np.array([2.0, 0.0]), 2)
+        assert len(calls) == 2
 
     def test_exactly_zero_operator(self):
         # the {0, pi} circle pair, with the half-turn written as -I, cancels exactly at odd

@@ -37,6 +37,19 @@ def rows(report):
     return [(rec.n, rec.dim, rec.verdict) for rec in report.degrees]
 
 
+def counted_svds(patch):
+    """Patch np.linalg.svd to record the shape of every call; returns the list of shapes."""
+    shapes = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    patch.setattr(np.linalg, "svd", counted)
+    return shapes
+
+
 def paths(caplog):
     """The spectral path of every degree, from the debug lines of the spherediv logger."""
     return [rec.getMessage().split(", ")[1] for rec in caplog.records if rec.name == "spherediv"]
@@ -65,10 +78,36 @@ class TestGramStep:
         monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 1)
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
             report = divisibility_test(planar_division(6, 3).rotations, 3, rng=281)
-        assert paths(caplog) == ["gram→svd"] * 3
+        assert paths(caplog) == ["gram→witness"] * 3
         assert report.singular_degrees() == [1, 2, 3]
         assert all(rec.residual_bound <= 1e-8 for rec in report.degrees)
         assert report.verification.passed
+
+    def test_singular_triple_takes_no_svd(self, monkeypatch):
+        # the witness's ||M v|| bounds sigma_min from above and decides each fired degree
+        tup = planar_division(6, 3).rotations
+        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 10**9)
+        reference = divisibility_test(tup, 3, rng=281)
+        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 1)
+        shapes = counted_svds(monkeypatch)
+        report = divisibility_test(tup, 3, rng=281)
+        assert shapes == []
+        assert rows(report) == rows(reference)
+        assert all(rec.sigma_min_rel < report.sing_tol for rec in report.degrees)
+        assert all(rec.residual_bound <= 1e-8 for rec in report.degrees)
+
+    def test_tiny_sing_tol_keeps_the_svd(self, monkeypatch, caplog):
+        # a bound of about 1e-16 does not fire at sing_tol = 1e-20, so the SVD decides as before
+        tup = planar_division(6, 3).rotations
+        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 10**9)
+        reference = divisibility_test(tup, 3, sing_tol=1e-20, rng=281)
+        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 1)
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            report = divisibility_test(tup, 3, sing_tol=1e-20, rng=281)
+        assert paths(caplog) == ["gram→svd"] * 3
+        assert [(rec.n, rec.sigma_min_rel, rec.verdict) for rec in report.degrees] == [
+            (rec.n, rec.sigma_min_rel, rec.verdict) for rec in reference.degrees
+        ]
 
     def test_planted_refinement_is_caught(self, monkeypatch, caplog):
         tup = haar_tuple(5, 3, 601)
@@ -119,15 +158,8 @@ class TestGramStep:
 def full_size():
     """A Haar triple in SO(8) decided up to n = 6, with the shapes of every np.linalg.svd call it made."""
     tup = haar_tuple(8, 3, 621)
-    shapes = []
-    original = np.linalg.svd
-
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.linalg, "svd", counted)
+        shapes = counted_svds(patch)
         report = divisibility_test(tup, 6, rng=623)
     return tup, report, shapes
 
@@ -146,6 +178,17 @@ class TestFullSize:
         _, report, shapes = full_size
         assert [rec.verdict for rec in report.degrees] == ["invertible"] * 6
         assert shapes == [(rec.dim, rec.dim) for rec in report.degrees[:5]]
+
+    def test_fired_degree_six_takes_no_svd(self, monkeypatch):
+        # the singular triple's degree 6 is decided by its witness's bound, not by an SVD of M
+        shapes = counted_svds(monkeypatch)
+        report = divisibility_test(planar_division(8, 3).rotations, 6, rng=625)
+        assert report.singular_degrees() == [1, 2, 3, 4, 5, 6]
+        assert (1386, 1386) not in shapes
+        assert shapes == [(rec.dim, rec.dim) for rec in report.degrees[:5]]
+        assert report.degrees[5].sigma_min_rel < report.sing_tol
+        assert all(rec.residual_bound <= 1e-8 for rec in report.degrees)
+        assert report.verification.passed
 
 
 class TestDegreeCap:
@@ -214,20 +257,31 @@ print(tracemalloc.get_traced_memory()[1], divisibility._peak_bytes({d}, {r}, {n}
 
 
 def test_gram_step_imports_no_scipy():
-    # scipy would add about 28 MB of RSS and 0.2-0.35 s to every import
+    # scipy would add about 28 MB of RSS and 0.2-0.35 s to every import; a generic triple
+    # on the Gram step, a fired pair and a fired triple on gram→witness load none of it
     code = """
-import logging, sys
+import logging, math, sys
+import numpy as np
 import spherediv
-from spherediv import RotationTuple, divisibility, divisibility_test, haar_sample
+from spherediv import Rotation, RotationTuple, divisibility, divisibility_test, haar_sample
+from spherediv import planar_division, planar_rotation
 lines = []
 handler = logging.Handler()
-handler.emit = lambda record: lines.append(record.getMessage())
+handler.emit = lambda record: lines.append(record.getMessage().split(", ")[1])
 logger = logging.getLogger("spherediv")
 logger.addHandler(handler)
 logger.setLevel(logging.DEBUG)
 divisibility._GRAM_MIN_DIM = 1
 divisibility_test(RotationTuple(tuple(haar_sample(4, 661 + k) for k in range(3))), 3, rng=663)
-assert [line.split(", ")[1] for line in lines] == ["gram"] * 3, lines
+assert lines == ["gram"] * 3, lines
+lines.clear()
+half_turn = planar_rotation(5, 1, 2, math.pi).matrix
+pair = RotationTuple((Rotation(np.eye(5)), Rotation(half_turn)))
+assert divisibility_test(pair, 3, rng=665).singular_degrees() == [1, 2, 3]
+assert lines == ["pair"] * 3, lines
+lines.clear()
+assert divisibility_test(planar_division(5, 3).rotations, 3, rng=667).singular_degrees() == [1, 2, 3]
+assert lines == ["gram→witness"] * 3, lines
 loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 assert not loaded, loaded
 """
