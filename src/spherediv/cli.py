@@ -263,11 +263,12 @@ def cmd_experiment(args) -> int:
 
         if kind == "search":
             d, r, n = (_number(key, config[key], int) for key in ("d", "r", "n"))
+            # keys the config leaves out keep SearchSettings' defaults, but the target is --sing-tol's
+            kinds = {"restarts": int, "max_iter": int, "simplex_scale": float, "target_ratio": float}
+            given = {key: _number(key, config[key], kind) for key, kind in kinds.items() if key in config}
+            given.setdefault("target_ratio", args.sing_tol)
             settings = SearchSettings(
-                restarts=_number("restarts", config.get("restarts", 4), int),
-                max_iter=_number("max_iter", config.get("max_iter", 400), int),
-                simplex_scale=_number("simplex_scale", config.get("simplex_scale", 0.35), float),
-                target_ratio=_number("target_ratio", config.get("target_ratio", args.sing_tol), float),
+                **given,
                 base_tuple=(
                     RotationTuple.from_json_obj(config["base_tuple"])
                     if "base_tuple" in config

@@ -10,16 +10,16 @@ recurrence gives S_n = sum_s Sym^n(gamma_s) for every degree, and
 
 is the operator in orthonormal coordinates, so its singular values are the
 operator's L^2 ones.  The trigger reads only sigma_max and sigma_min of M
-(``_spectrum``).  A degree with fewer than _GRAM_MIN_DIM harmonics takes one
-values-only SVD of M.  A larger one is decided from the Gram matrix
-G = M^T M: one symmetric eigenvalue solve gives sigma_max and an estimate
-of sigma_min, and one shifted solve refines it into a Rayleigh quotient,
-checked against that estimate within the Gram's round-off allowance.  Where
-the round-off could hide sigma_min (every fired or near-band degree at the
-default tolerance), M is assembled again and its kernel witness v bounds
-sigma_min from above by ||M v||: where that bound fires the trigger it
-decides the degree, whose sigma_min_rel is then an upper bound, and the
-SVD decides only where it does not, or where the refinement check fails.
+(``_spectrum``).  A tuple of three or more rotations decides every degree
+from the Gram matrix G = M^T M: one symmetric eigenvalue solve gives
+sigma_max and an estimate of sigma_min, and one shifted solve refines it
+into a Rayleigh quotient, checked against that estimate within the Gram's
+round-off allowance.  Where the round-off could hide sigma_min (every fired
+or near-band degree at the default tolerance) or the check fails, M is
+assembled again and its kernel witness v bounds sigma_min from above by
+||M v||: where that bound fires the trigger it decides the degree, whose
+sigma_min_rel is then an upper bound, and a values-only SVD decides only
+where it does not.
 A pair takes none of this: with h = gamma_1^T gamma_2, M = rho(gamma_1)
 (I + rho(h)) and I + rho(h) is normal, so every degree's sigma_max and
 sigma_min are 2 |cos(k . theta / 2)| over the torus weights k of H_n, with
@@ -63,7 +63,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -112,18 +112,6 @@ ZERO_OPERATOR_FLOOR = 1e-12
 VERDICT_INVERTIBLE = "invertible"
 VERDICT_SINGULAR = "singular"
 VERDICT_BORDERLINE = "borderline"
-
-# degrees with at least this many harmonics take the Gram step of _spectrum
-# instead of a values-only SVD.  One BLAS thread on a 2-core Xeon, the sum of
-# three Haar-random orthogonal N x N matrices, best of 3 (SVD vs the whole
-# Gram step): N = 400: 0.016 vs 0.013 s; 672: 0.099 vs 0.049; 825: 0.17 vs
-# 0.094; 1015: 0.33 vs 0.15; 1210: 0.54 vs 0.28; 1386: 0.84 vs 0.36.  The
-# step is kept to sizes where it saves at least 0.15 s per generic degree:
-# d = 8 from n = 6, d = 5 from n = 13, d = 4 from n = 31.  A fired degree
-# pays for it, a second assembly of M and its witness's solves, and takes
-# the SVD only where the witness's bound does not fire.  Pairs never take
-# it (``_pair_spectrum``).
-_GRAM_MIN_DIM = 1000
 
 # highest degree admitted at d = 2 and d = 3, where the recurrence loses
 # orthogonality exponentially in n.  Worst |sigma - 1| over the singular values
@@ -409,7 +397,7 @@ def _gram_refinement(shifted: np.ndarray) -> np.ndarray:
 
 
 def _gram_extremes(frame, sums: np.ndarray, gram: np.ndarray):
-    """(sigma_max, sigma_min) of M = U^T S U from G = M^T M, with sigma_min None where round-off hides it.
+    """(sigma_max, sigma_min) of M = U^T S U from G = M^T M, with sigma_min None where G cannot give it.
 
     ``gram`` is G as computed from M (it is overwritten).  Its eigenvalues
     w, ascending, give sigma_max = sqrt(w[-1]).  Round-off bounds the rest
@@ -419,17 +407,17 @@ def _gram_extremes(frame, sums: np.ndarray, gram: np.ndarray):
     gamma_N ||M||_F^2 = gamma_N trace(G), and ``eigvalsh`` is backward
     stable, which moves each eigenvalue by at most about N u w[-1].  With
     that allowance, w[0] within max(1e3 N u w[-1], 2 allowance) of zero
-    says nothing about sigma_min, and the result is (sigma_max, None): every
-    fired or near-band degree at the default tolerance ends here, and
-    ``_spectrum`` bounds its sigma_min by a kernel witness.  Otherwise one
-    step of inverse iteration with the shift w[0] (``_gram_refinement``)
-    gives a unit x, and M x, applied through the frame's parity blocks,
-    gives the Rayleigh quotient ||M x||^2 >= sigma_min^2.  sqrt(w[0]) alone
-    is off by up to about 1e-9 relative; the quotient agrees with the SVD to
-    about 1e-12.  It is kept only if it is within the allowance of w[0]:
-    ``eigvalsh`` is dense and cannot skip an eigenvalue, so that check is
-    the whole guard, and a refinement that failed returns None, for the SVD
-    to decide.
+    says nothing about sigma_min: every fired or near-band degree at the
+    default tolerance ends there.  Otherwise one step of inverse iteration
+    with the shift w[0] (``_gram_refinement``) gives a unit x, and M x,
+    applied through the frame's parity blocks, gives the Rayleigh quotient
+    ||M x||^2 >= sigma_min^2.  sqrt(w[0]) alone is off by up to about 1e-9
+    relative; the quotient agrees with the SVD to about 1e-12.  It is kept
+    only if it is within the allowance of w[0]: ``eigvalsh`` is dense and
+    cannot skip an eigenvalue, so that check is the whole guard.  At the
+    round-off floor, at an exact zero pivot of the shifted solve and where
+    the check fails, sigma_min is None, and ``_spectrum`` bounds it by a
+    kernel witness before any SVD.
     """
     size = len(gram)
     trace = float(np.trace(gram))
@@ -443,61 +431,50 @@ def _gram_extremes(frame, sums: np.ndarray, gram: np.ndarray):
     try:
         x = _gram_refinement(gram)
     except np.linalg.LinAlgError:  # an exact zero pivot
-        return None
+        return sigma_max, None
     image = frame.apply(sums, x)
     rayleigh = float(image @ image) / float(x @ x)
     if not abs(rayleigh - w[0]) <= allowance:  # NaN fails too
-        return None
+        return sigma_max, None
     return sigma_max, math.sqrt(rayleigh)
 
 
 def _spectrum(frame, sums: np.ndarray, r: int, sing_tol: float):
     """(svals, M, v) of one degree: the singular values its trigger reads, M where one is kept, and a witness v where one was made.
 
-    The paths, each named in one debug line on the "spherediv" logger with
-    N_n and the step's wall time after the first assembly:
-    - svd: below _GRAM_MIN_DIM harmonics, svals are all singular values of
-      M from one values-only SVD, and v is None;
-    - gram: from there, M = U^T S U gives G = M^T M and is freed, and
-      ``_gram_extremes`` gives svals = [sigma_max, sigma_min], with M and v
-      None;
-    - gram→witness: where G's smallest eigenvalue is within round-off of
-      zero, M is assembled again from ``sums`` and one ``_kernel_vector``
-      run, with sigma_max = sqrt(w[-1]), gives a unit v.  ||M v|| >=
-      sigma_min, so svals = [sigma_max, ||M v||] holds an upper bound on
-      sigma_min.  Where that bound fires the trigger (``_near_singular``),
-      it decides the degree with no SVD, and v is the witness that
-      ``_certify`` takes; the degree's ``sigma_min_rel`` is then an upper
-      bound, below ``sing_tol``, not the SVD's ratio;
-    - gram→svd: where the refinement check of ``_gram_extremes`` fails, or
-      the witness's bound does not fire, the SVD of the re-assembled M
-      decides, and v is None.
+    M = U^T S U gives G = M^T M and is freed, and ``_gram_extremes`` reads
+    sigma_max and, where it can, sigma_min from G.  The paths, each named in
+    one debug line on the "spherediv" logger with N_n and the step's wall
+    time after the first assembly:
+    - gram: svals = [sigma_max, sigma_min] from ``_gram_extremes``, with M
+      and v None;
+    - gram→witness: where ``_gram_extremes`` leaves sigma_min unknown, M is
+      assembled again from ``sums`` and one ``_kernel_vector`` run gives a
+      unit v.  ||M v|| >= sigma_min, so svals = [sigma_max, ||M v||] holds
+      an upper bound on sigma_min.  Where that bound fires the trigger
+      (``_near_singular``), it decides the degree with no SVD, and v is the
+      witness that ``_certify`` takes; the degree's ``sigma_min_rel`` is
+      then an upper bound, below ``sing_tol``, not the SVD's ratio;
+    - gram→svd: where the witness's bound does not fire, the values-only
+      SVD of the re-assembled M decides, and v is None.
     ``_near_singular`` and ``_kernel_vector`` read only the first and last
     entries of svals, so every kind serves.
     """
     matrix = frame.operator(sums)
     start = time.perf_counter()
-    vector = None
-    if frame.dim < _GRAM_MIN_DIM:
-        svals, path = weighted_singular_values(matrix), "svd"
-    else:
-        gram = matrix.T @ matrix
-        del matrix  # G replaces M (see _peak_bytes)
-        extremes = _gram_extremes(frame, sums, gram)
-        del gram
-        if extremes is not None and extremes[1] is not None:
-            svals, matrix, path = np.array(extremes), None, "gram"
-        else:
-            matrix, path = frame.operator(sums), "gram→svd"
-            if extremes is not None:  # sigma_min within round-off of zero: bound it by a witness
-                vector = _kernel_vector(matrix, extremes, r)
-                svals = np.array([extremes[0], np.linalg.norm(matrix @ vector)])
-                if _near_singular(svals, r, sing_tol)[2]:
-                    path = "gram→witness"
-                else:
-                    vector = None
-            if vector is None:
-                svals = weighted_singular_values(matrix)
+    gram = matrix.T @ matrix
+    del matrix  # G replaces M (see _peak_bytes)
+    sigma_max, sigma_min = _gram_extremes(frame, sums, gram)
+    del gram
+    matrix, vector, path = None, None, "gram"
+    if sigma_min is not None:
+        svals = np.array([sigma_max, sigma_min])
+    else:  # bound sigma_min by a witness, and take the SVD only where that bound does not fire
+        matrix = frame.operator(sums)
+        vector = _kernel_vector(matrix, [sigma_max], r)
+        svals, path = np.array([sigma_max, np.linalg.norm(matrix @ vector)]), "gram→witness"
+        if not _near_singular(svals, r, sing_tol)[2]:
+            svals, vector, path = weighted_singular_values(matrix), None, "gram→svd"
     _log.debug("degree %d: N=%d, %s, %.4f s", frame.n, frame.dim, path, time.perf_counter() - start)
     return svals, matrix, vector
 
@@ -631,16 +608,7 @@ class VerificationResult:
     residual_bound: Optional[float] = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "function_variance": self.function_variance,
-            "n_samples": self.n_samples,
-            "n_skipped": self.n_skipped,
-            "residual_tol": self.residual_tol,
-            "passed": self.passed,
-            "residual_bound": self.residual_bound,
-        }
+        return asdict(self)
 
 
 def verify_divisor(
@@ -756,10 +724,11 @@ class DegreeRecord:
 
     ``sigma_min_rel`` is the smallest over largest singular value of the
     degree-n operator in the L^2 geometry (its matrix in the Fischer frame),
-    the ratio that determined the verdict; at a fired Gram-step degree
-    (``_spectrum``'s gram→witness path) it is an upper bound on that ratio,
-    ||M v|| / sigma_max for the witness v, and below ``sing_tol``, so it
-    reads round-off, not the SVD's value.  ``dim`` is N_n.  ``residual_bound``
+    the ratio that determined the verdict.  At a fired degree of a tuple of
+    three or more rotations (``_spectrum``'s gram→witness path) it is an
+    upper bound on that ratio, ||M v|| / sigma_max for the witness v, and
+    below ``sing_tol``, so it reads round-off, not the SVD's value; a pair
+    reads the exact ratio from its torus weights.  ``dim`` is N_n.  ``residual_bound``
     is the whole-sphere bound on the residual of the degree's divisor
     (see ``_certify``) when its trigger fired, and None otherwise.
     """
@@ -833,13 +802,12 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
       a dense U (only at P_n <= ``fischer.DENSE_MAX_SIZE``) P_n N_n more;
       the parity blocks gather S_n a chunk of classes at a time;
     - the spectral step (``_spectrum``) holds a few N_n^2, within 4 N_n^2:
-      M and LAPACK's copy for the values-only SVD; from _GRAM_MIN_DIM on,
       M and G = M^T M while G is formed, then G and LAPACK's copy in the
       eigenvalue solve and again in the shifted solve, and M again where
-      the step falls back, with its witness's shifted copy and LAPACK's
-      copy of that (gram→witness) or with its SVD copy (gram→svd); below
-      _GRAM_MIN_DIM a fired degree's witness takes M, its shifted copy and
-      LAPACK's copy of that;
+      sigma_min is left unknown, with its witness's shifted copy and
+      LAPACK's copy of that (gram→witness), then with the SVD's copy
+      (gram→svd); the witness of a fired pair degree likewise takes M, its
+      shifted copy and LAPACK's copy of that;
     - the step to degree n - 1 holds the r copies of both Sym^(n-2) and
       Sym^(n-1).  At d <= 4 and large n, where P_n grows slowly, it is the
       peak, close to 2 r P_n^2;
@@ -918,11 +886,12 @@ def divisibility_test(
     residual of at most RESIDUAL_TOL from the Fischer frame, recorded as the
     degree's ``residual_bound``.  A pair reads each degree's sigma_max and
     sigma_min from ``_pair_spectrum``, a larger tuple from ``_spectrum``; one
-    "spherediv" debug line per degree names the path (pair, svd, gram,
-    gram→witness or gram→svd).  A degree on the gram→witness path fires on
-    an upper bound of sigma_min from its witness, with no SVD, and records
-    that bound as its ``sigma_min_rel``.  Only the first certified degree, whose
-    divisor the report keeps, is also spot-checked by ``verify_divisor`` on
+    "spherediv" debug line per degree names the path (pair, gram,
+    gram→witness or gram→svd).  At the default tolerance every fired degree
+    of a larger tuple takes the gram→witness path: it fires on an upper
+    bound of sigma_min from its witness, with no SVD, and records that bound
+    as its ``sigma_min_rel``.  Only the first certified degree, whose divisor
+    the report keeps, is also spot-checked by ``verify_divisor`` on
     VERIFY_SAMPLES points, so a report makes at most one sampled check in
     normal runs.  A trigger that fails certification is downgraded to
     ``borderline``, and so is a degree within 10x of the trigger.  The

@@ -21,7 +21,9 @@ trigger fires or lands in the near band at any degree is re-run alone
 through divisibility_test(tuple, rng=trial seed), which certifies it or
 marks it borderline exactly as a standalone run would.  The frame is
 deterministic, so every trial's ratios equal a standalone
-divisibility_test's up to summation order (within 1e-13).
+divisibility_test's up to round-off: the batch reads a values-only SVD, a
+standalone run of three or more rotations the Gram step of
+``divisibility._spectrum``, and the two agree within 1e-13.
 
 The search minimizes how singular the degree-n operator is over tuples
 parametrized by Cayley charts around restart base points, with a
@@ -90,11 +92,19 @@ _log = logging.getLogger("spherediv")
 
 
 def default_free_count(d: int, r: int) -> int:
-    """Free-rotation count for which sections are expected null: floor(r/2) if d >= 3, else 1.
+    """Free-rotation count for which sections are null: floor(r/2) if d >= 3, else 1.
 
     The paper's theorem assumes at least r/2 generic rotations, which is
-    ceil(r/2) for odd r.  At odd r the default floor(r/2) leaves one
-    rotation fewer free, so such studies are empirical beyond the theorem.
+    ceil(r/2) for odd r; the default floor(r/2) leaves one fewer free at
+    odd r.  The sections are still Haar-null there, whatever the suffix:
+    setting every free rotation equal to one frozen gamma_j gives
+    sigma_min >= 2 ell + 2 - r >= 1 at every degree (gamma_j counted
+    ell + 1 times against r - ell - 1 isometries), so det sum_s rho_n(gamma_s)
+    is a real-analytic function on SO(d)^ell that is not identically zero,
+    and its zero set is Haar-null (Mityagin, arXiv:1512.07276); so is the
+    countable union over n.  At d = 2 one free angle suffices: each degree
+    is singular at finitely many angles.  The paper's "generic" may be an
+    explicit condition rather than a measure-theoretic one.
     """
     return r // 2 if d >= 3 else 1
 
@@ -105,10 +115,13 @@ class GenericityStudy:
 
     ``suffix`` holds the r - ell frozen rotations; each trial prepends ell
     fresh Haar rotations and runs the divisibility test up to ``n_max``.
-    The paper's theorem covers ell >= r/2; a study with odd r and the
-    default ell = floor(r/2) (acceptance criterion 8: r = 3, ell = 1) is
-    empirical beyond it.  ``sing_tol`` must be a finite number in (0, 1), and
-    the trials' rotations and records must fit COST_BUDGET_BYTES.
+    The paper's theorem covers ell >= r/2.  With odd r and the default
+    ell = floor(r/2) (acceptance criterion 8: r = 3, ell = 1) the singular
+    trials still form a Haar-null set, by the argument of
+    ``default_free_count``, so a zero singular count is expected; the
+    smallest ratio a study reaches stays empirical.  ``sing_tol`` must be a
+    finite number in (0, 1), and the trials' rotations and records must fit
+    COST_BUDGET_BYTES.
     """
 
     d: int

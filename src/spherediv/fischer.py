@@ -231,16 +231,16 @@ class FischerFrame:
         """M = U^T S U for S = sum_s Sym^n(g_s), or for a stack (..., P_n, P_n) of such sums."""
         if self.basis is not None:
             return self.basis.T @ sums @ self.basis
-        lead = sums.shape[:-2]
-        left = np.empty(lead + (self.dim, self.size))  # U^T S
-        for g, part in self._chunks(math.prod(lead) * self.size):
-            # rows of K classes, (..., K, P_c, P_n), projected by their blocks
-            left[..., g.columns[part], :] = np.swapaxes(g.basis[part], -1, -2) @ sums[..., g.monomials[part], :]
-        out = np.empty(lead + (self.dim, self.dim))
-        for g, part in self._chunks(math.prod(lead) * self.dim):
-            # columns of K classes, (..., K, N_n, P_c), times their blocks
-            prod = np.moveaxis(left[..., g.monomials[part]], -3, -2) @ g.basis[part]
-            out[..., g.columns[part]] = np.moveaxis(prod, -3, -2)
+        # U^T S U = (U^T (U^T S)^T)^T
+        return np.swapaxes(self._project(np.swapaxes(self._project(sums), -1, -2)), -1, -2)
+
+    def _project(self, rows: np.ndarray) -> np.ndarray:
+        """U^T X for X of shape (..., P_n, k), through the parity blocks a chunk of classes at a time."""
+        lead, width = rows.shape[:-2], rows.shape[-1]
+        out = np.empty(lead + (self.dim, width))
+        for g, part in self._chunks(math.prod(lead) * width):
+            # rows of K classes, (..., K, P_c, k), projected by their blocks
+            out[..., g.columns[part], :] = np.swapaxes(g.basis[part], -1, -2) @ rows[..., g.monomials[part], :]
         return out
 
     def _chunks(self, width: int):
@@ -263,11 +263,7 @@ class FischerFrame:
 
     def apply(self, sums: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """M y = U^T (S (U y)) for one vector y, through the parity blocks, without forming M."""
-        image = sums @ self._lift(coords)
-        out = np.empty(self.dim)
-        for g in self.groups:
-            out[g.columns] = (np.swapaxes(g.basis, -1, -2) @ image[g.monomials][..., None])[..., 0]
-        return out
+        return self._project((sums @ self._lift(coords))[:, None])[:, 0]
 
     def coefficients(self, coords: np.ndarray) -> np.ndarray:
         """Monomial coefficients of the harmonic with frame coordinates ``coords``."""

@@ -4,9 +4,11 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from spherediv import Rotation, RotationTuple, haar_sample, planar_rotation
+from spherediv import Rotation, RotationTuple, SearchSettings, cli, haar_sample, planar_rotation
 from spherediv.cli import main
+from spherediv.divisibility import DEFAULT_SING_TOL
 
 
 def traced_main(argv):
@@ -255,6 +257,23 @@ class TestCmdExperiment:
         summary = json.loads((tmp_path / "search.json").read_text())
         assert summary["certified"] is True
         assert summary["residual_max"] <= 1e-8
+
+    def test_search_defaults_are_the_settings_defaults(self, tmp_path, monkeypatch):
+        captured = []
+
+        class Stop(Exception):
+            pass
+
+        def capture(d, r, n, settings, rng=None):
+            captured.append(settings)
+            raise Stop
+
+        monkeypatch.setattr(cli, "search_divisible", capture)
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps({"kind": "search", "d": 3, "r": 3, "n": 1}))
+        with pytest.raises(Stop):
+            main(["experiment", "--config", str(cpath), "--seed", "1", "--out", str(tmp_path / "search")])
+        assert captured == [SearchSettings(target_ratio=DEFAULT_SING_TOL)]
 
     def test_nan_simplex_scale_rejected(self, tmp_path, capsys):
         config = {"kind": "search", "d": 3, "r": 3, "n": 1, "simplex_scale": "nan", "seed": 43}

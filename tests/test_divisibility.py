@@ -418,8 +418,8 @@ class TestDivisibilityTest:
         assert report.degrees[0].sigma_min_rel == 0.0
 
     def test_one_assembly_per_basis(self, monkeypatch):
-        # one operator build per degree: a certified degree reuses the
-        # operator matrix its trigger read
+        # a generic degree builds M once, for its Gram matrix; a fired degree
+        # builds it once more for its witness, and certifies with that M
         from spherediv.fischer import FischerFrame
 
         calls = []
@@ -432,6 +432,11 @@ class TestDivisibilityTest:
         monkeypatch.setattr(FischerFrame, "operator", counted)
         report = divisibility_test(planar_division(6, 3).rotations, 3, rng=179)
         assert report.singular_degrees() == [1, 2, 3]
+        assert calls == [1, 1, 2, 2, 3, 3]
+        calls.clear()
+        generic = RotationTuple(tuple(haar_sample(6, 181 + k) for k in range(3)))
+        report = divisibility_test(generic, 3, rng=179)
+        assert [rec.verdict for rec in report.degrees] == ["invertible"] * 3
         assert calls == [1, 2, 3]
 
     def test_one_sampled_check_per_report(self, monkeypatch):
@@ -451,8 +456,7 @@ class TestDivisibilityTest:
         assert report.verification.n_samples == divisibility.VERIFY_SAMPLES
 
     def test_one_values_only_svd_per_degree(self, monkeypatch):
-        # every degree of this triple fires; the witness reuses the trigger's
-        # singular values instead of taking a second SVD with vectors
+        # every degree of this triple fires on its witness's bound, so none takes an SVD
         tup = planar_division(6, 3).rotations
         calls = []
         original = np.linalg.svd
@@ -464,7 +468,7 @@ class TestDivisibilityTest:
         monkeypatch.setattr(np.linalg, "svd", counted)
         report = divisibility_test(tup, 4, rng=281)
         assert report.singular_degrees() == [1, 2, 3, 4]
-        assert calls == [False] * 4
+        assert calls == []
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, 1.0, 2.0])
     def test_rejects_tolerance_outside_unit_interval(self, tol):

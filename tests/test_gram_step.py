@@ -1,4 +1,4 @@
-"""The Gram step of large degrees, the degree cap of d <= 3 and the working-set estimate."""
+"""The Gram step of every degree, the degree cap of d <= 3 and the working-set estimate."""
 
 import logging
 import math
@@ -33,10 +33,6 @@ def haar_tuple(d, r, seed):
     return RotationTuple(tuple(haar_sample(d, rng) for _ in range(r)))
 
 
-def rows(report):
-    return [(rec.n, rec.dim, rec.verdict) for rec in report.degrees]
-
-
 def counted_svds(patch):
     """Patch np.linalg.svd to record the shape of every call; returns the list of shapes."""
     shapes = []
@@ -48,6 +44,15 @@ def counted_svds(patch):
 
     patch.setattr(np.linalg, "svd", counted)
     return shapes
+
+
+def svd_ratios(tup, n_max):
+    """sigma_min / sigma_max of every degree from a values-only SVD of M: the reference of the Gram step."""
+    out = []
+    for n, sums in summed_powers(np.array([g.matrix for g in tup]), n_max):
+        svals = np.linalg.svd(fischer_frame(tup.d, n).operator(sums), compute_uv=False)
+        out.append(svals[-1] / svals[0])
+    return out
 
 
 def paths(caplog):
@@ -65,17 +70,12 @@ class TestGramStep:
     )
     def test_haar_tuples_match_the_svd(self, d, r, n_max, seed):
         tup = haar_tuple(d, r, seed)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(divisibility, "_GRAM_MIN_DIM", 1)  # the Gram step at every degree
-            gram = divisibility_test(tup, n_max, rng=seed)
-            patch.setattr(divisibility, "_GRAM_MIN_DIM", 10**9)  # the SVD at every degree
-            svd = divisibility_test(tup, n_max, rng=seed)
-        assert rows(gram) == rows(svd)
-        for a, b in zip(gram.degrees, svd.degrees):
-            assert math.isclose(a.sigma_min_rel, b.sigma_min_rel, rel_tol=1e-10), (a, b)
+        report = divisibility_test(tup, n_max, rng=seed)
+        for rec, ratio in zip(report.degrees, svd_ratios(tup, n_max)):
+            assert rec.verdict == "invertible"
+            assert math.isclose(rec.sigma_min_rel, ratio, rel_tol=1e-10), (rec, ratio)
 
-    def test_singular_triple_falls_back_and_certifies(self, monkeypatch, caplog):
-        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 1)
+    def test_singular_triple_falls_back_and_certifies(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
             report = divisibility_test(planar_division(6, 3).rotations, 3, rng=281)
         assert paths(caplog) == ["gram→witness"] * 3
@@ -86,32 +86,24 @@ class TestGramStep:
     def test_singular_triple_takes_no_svd(self, monkeypatch):
         # the witness's ||M v|| bounds sigma_min from above and decides each fired degree
         tup = planar_division(6, 3).rotations
-        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 10**9)
-        reference = divisibility_test(tup, 3, rng=281)
-        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 1)
         shapes = counted_svds(monkeypatch)
         report = divisibility_test(tup, 3, rng=281)
         assert shapes == []
-        assert rows(report) == rows(reference)
+        assert report.singular_degrees() == [1, 2, 3]
+        assert all(ratio < report.sing_tol for ratio in svd_ratios(tup, 3))
         assert all(rec.sigma_min_rel < report.sing_tol for rec in report.degrees)
         assert all(rec.residual_bound <= 1e-8 for rec in report.degrees)
 
-    def test_tiny_sing_tol_keeps_the_svd(self, monkeypatch, caplog):
-        # a bound of about 1e-16 does not fire at sing_tol = 1e-20, so the SVD decides as before
+    def test_tiny_sing_tol_keeps_the_svd(self, caplog):
+        # a bound of about 1e-16 does not fire at sing_tol = 1e-20, so the SVD decides
         tup = planar_division(6, 3).rotations
-        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 10**9)
-        reference = divisibility_test(tup, 3, sing_tol=1e-20, rng=281)
-        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 1)
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
             report = divisibility_test(tup, 3, sing_tol=1e-20, rng=281)
         assert paths(caplog) == ["gram→svd"] * 3
-        assert [(rec.n, rec.sigma_min_rel, rec.verdict) for rec in report.degrees] == [
-            (rec.n, rec.sigma_min_rel, rec.verdict) for rec in reference.degrees
-        ]
+        assert [rec.sigma_min_rel for rec in report.degrees] == svd_ratios(tup, 3)
 
     def test_planted_refinement_is_caught(self, monkeypatch, caplog):
         tup = haar_tuple(5, 3, 601)
-        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 1)
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
             honest = divisibility_test(tup, 3, rng=603)
         assert paths(caplog) == ["gram"] * 3
@@ -126,16 +118,14 @@ class TestGramStep:
             caught = divisibility_test(tup, 3, rng=603)
         # the consistency check, not the round-off floor, sent every degree to the SVD
         assert paths(caplog) == ["gram→svd"] * 3
-        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 10**9)
-        reference = divisibility_test(tup, 3, rng=603)
-        assert [rec.sigma_min_rel for rec in caught.degrees] == [rec.sigma_min_rel for rec in reference.degrees]
-        for a, b in zip(honest.degrees, reference.degrees):
-            assert math.isclose(a.sigma_min_rel, b.sigma_min_rel, rel_tol=1e-10)
+        reference = svd_ratios(tup, 3)
+        assert [rec.sigma_min_rel for rec in caught.degrees] == reference
+        for rec, ratio in zip(honest.degrees, reference):
+            assert math.isclose(rec.sigma_min_rel, ratio, rel_tol=1e-10)
 
-    def test_large_sing_tol_fires_from_the_gram_step(self, monkeypatch, caplog):
+    def test_large_sing_tol_fires_from_the_gram_step(self, caplog):
         # a generic degree that fires only because sing_tol is large rebuilds M for its witness
         tup = haar_tuple(3, 3, 611)
-        monkeypatch.setattr(divisibility, "_GRAM_MIN_DIM", 1)
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
             report = divisibility_test(tup, 2, sing_tol=0.99, rng=613)
         assert paths(caplog) == ["gram"] * 2
@@ -150,8 +140,49 @@ class TestGramStep:
         for n, line in enumerate(lines, 1):
             head, path, seconds = line.split(", ")
             assert head == f"degree {n}: N={fischer_frame(4, n).dim}"
-            assert path == "svd"
+            assert path == "gram"
             assert seconds.endswith(" s") and float(seconds[:-2]) >= 0.0
+
+
+def axis_rotation(axis, angle):
+    """The rotation of R^3 by ``angle`` about ``axis`` (Rodrigues' formula)."""
+    k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    cross = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return Rotation(np.eye(3) + math.sin(angle) * cross + (1.0 - math.cos(angle)) * cross @ cross)
+
+
+class TestSmallDegreeOracles:
+    @pytest.mark.parametrize(
+        "g, n_max",
+        [(planar_rotation(2, 1, 2, 0.7).matrix, 5), (haar_sample(4, 671).matrix, 3)],
+        ids=["d2", "d4"],
+    )
+    def test_exact_cancellation(self, g, n_max, caplog):
+        # rho_n(-h) = (-1)^n rho_n(h), so (I, -I, g, -g) sums to exactly 0 at odd n and to 2 (I + rho_n(g)) at even n
+        d = len(g)
+        tup = RotationTuple(tuple(Rotation(m) for m in (np.eye(d), -np.eye(d), g, -g)))
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            report = divisibility_test(tup, n_max, rng=673)
+        assert len(paths(caplog)) == n_max
+        for rec, path in zip(report.degrees, paths(caplog)):
+            if rec.n % 2:
+                assert (rec.verdict, rec.sigma_min_rel, path) == ("singular", 0.0, "gram→witness"), rec
+                assert rec.residual_bound <= 1e-8
+            else:
+                assert (rec.verdict, path) == ("invertible", "gram"), rec
+
+    def test_tetrahedral_family(self):
+        # the rotations by arccos(-7/8) about the four vertices of a tetrahedron sum to -I,
+        # so gamma_1 + that sum = gamma_1 - I kills gamma_1's axis at degree 1
+        angle = math.acos(-7.0 / 8.0)
+        axes = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+        suffix = tuple(axis_rotation(axis, angle) for axis in axes)
+        assert np.max(np.abs(sum(g.matrix for g in suffix) + np.eye(3))) <= 1e-15
+        rng = np.random.default_rng(677)
+        for _ in range(5):
+            report = divisibility_test(RotationTuple((haar_sample(3, rng),) + suffix), 1, rng=679)
+            assert report.degrees[0].verdict == "singular"
+            assert report.degrees[0].residual_bound <= 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -170,22 +201,21 @@ class TestFullSize:
         for n, sums in summed_powers(np.array([g.matrix for g in tup]), 6):
             pass
         svals = np.linalg.svd(fischer_frame(8, 6).operator(sums), compute_uv=False)
-        assert report.degrees[5].dim == 1386 >= divisibility._GRAM_MIN_DIM
+        assert report.degrees[5].dim == 1386
         assert report.degrees[5].verdict == "invertible"
         assert math.isclose(report.degrees[5].sigma_min_rel, svals[-1] / svals[0], rel_tol=1e-10)
 
     def test_degree_six_takes_no_svd(self, full_size):
         _, report, shapes = full_size
         assert [rec.verdict for rec in report.degrees] == ["invertible"] * 6
-        assert shapes == [(rec.dim, rec.dim) for rec in report.degrees[:5]]
+        assert shapes == []
 
     def test_fired_degree_six_takes_no_svd(self, monkeypatch):
-        # the singular triple's degree 6 is decided by its witness's bound, not by an SVD of M
+        # the singular triple's degrees are decided by their witnesses' bounds, not by an SVD of M
         shapes = counted_svds(monkeypatch)
         report = divisibility_test(planar_division(8, 3).rotations, 6, rng=625)
         assert report.singular_degrees() == [1, 2, 3, 4, 5, 6]
-        assert (1386, 1386) not in shapes
-        assert shapes == [(rec.dim, rec.dim) for rec in report.degrees[:5]]
+        assert shapes == []
         assert report.degrees[5].sigma_min_rel < report.sing_tol
         assert all(rec.residual_bound <= 1e-8 for rec in report.degrees)
         assert report.verification.passed
@@ -263,7 +293,7 @@ def test_gram_step_imports_no_scipy():
 import logging, math, sys
 import numpy as np
 import spherediv
-from spherediv import Rotation, RotationTuple, divisibility, divisibility_test, haar_sample
+from spherediv import Rotation, RotationTuple, divisibility_test, haar_sample
 from spherediv import planar_division, planar_rotation
 lines = []
 handler = logging.Handler()
@@ -271,7 +301,6 @@ handler.emit = lambda record: lines.append(record.getMessage().split(", ")[1])
 logger = logging.getLogger("spherediv")
 logger.addHandler(handler)
 logger.setLevel(logging.DEBUG)
-divisibility._GRAM_MIN_DIM = 1
 divisibility_test(RotationTuple(tuple(haar_sample(4, 661 + k) for k in range(3))), 3, rng=663)
 assert lines == ["gram"] * 3, lines
 lines.clear()

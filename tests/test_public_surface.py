@@ -1,4 +1,4 @@
-"""Every name the package exports is used outside the test suite.
+"""Every name the package exports is used outside the test suite, and every name a module imports is used in it.
 
 Public API that only tests call is a cost, not a feature.  A name counts as
 used when a ``spherediv`` module other than ``__init__`` refers to it other
@@ -41,3 +41,21 @@ def used_names():
 def test_every_export_is_used_outside_tests():
     used = used_names()
     assert [name for name in exported_names() if name not in used] == []
+
+
+def test_every_import_is_used():
+    # ``__init__`` imports only to re-export; elsewhere an import no line reads is left over from a deletion
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read - {"annotations"})]
+    assert unused == []
