@@ -28,6 +28,9 @@ standalone run of three or more rotations the Gram step of
 The search minimizes how singular the degree-n operator is over tuples
 parametrized by Cayley charts around restart base points, with a
 Nelder-Mead simplex (the objective is nonsmooth exactly at its zero set).
+The simplex method is ``_nelder_mead``, written here so that the package
+needs numpy alone at run time; tests/test_experiments.py checks that its
+iterates equal the reference implementation's bitwise.
 The objective is the operator's weighted smallest singular value divided
 by r, a dimensionless number in [0, 1]: 1 at the identity tuple, 0 at a
 divisible one.  (The sigma_min/sigma_max ratio is useless as an objective
@@ -398,6 +401,90 @@ class SearchRun:
         return obj
 
 
+class _BudgetSpent(Exception):
+    """Raised by ``_nelder_mead``'s evaluator when an evaluation would exceed max_evals."""
+
+
+def _nelder_mead(func, simplex, max_iter: int, max_evals: int):
+    """Minimize func from the (N + 1, N) simplex; return the best vertex and the evaluation count.
+
+    The Nelder-Mead method (Nelder & Mead, Comput. J. 7, 1965; Lagarias,
+    Reeds, Wright & Wright, SIAM J. Optim. 9, 1998) with reflection 1,
+    expansion 2, contraction 1/2 and shrink 1/2, written operation for
+    operation as the reference that ``TestNelderMead`` in
+    tests/test_experiments.py runs (its non-adaptive, unbounded Nelder-Mead
+    with xatol=1e-13 and fatol=1e-15), so the iterates equal the
+    reference's bitwise: the same point formulas (integer coefficients are
+    exact), branch order, strict and non-strict comparisons, termination
+    test and loop condition, with ``iterations`` starting at 1.  An
+    evaluation past ``max_evals`` is refused, which ends the iteration in
+    progress, even inside the initial simplex or a shrink; a vertex never
+    evaluated keeps f = inf.  Every sort is argsort then take, and the
+    initial simplex is sorted twice, as the reference sorts: argsort is not
+    stable, so ties could otherwise come out in another order.  ``func``
+    must not modify its argument.
+    """
+    sim = np.array(simplex, dtype=float)
+    dim = sim.shape[1]
+    fsim = np.full(dim + 1, np.inf)
+    evals = 0
+
+    def f(x):
+        nonlocal evals
+        if evals >= max_evals:
+            raise _BudgetSpent
+        evals += 1
+        return func(x)
+
+    try:
+        for k in range(dim + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    iterations = 1
+    while evals < max_evals and iterations < max_iter:
+        try:
+            if (
+                np.max(np.abs(sim[1:] - sim[0])) <= 1e-13
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-15
+            ):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / dim
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, dim + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], evals
+
+
 def search_divisible(
     d: int,
     r: int,
@@ -407,7 +494,9 @@ def search_divisible(
 ) -> SearchRun:
     """Minimize the degree-n singularity objective over rotation tuples.
 
-    Runs Nelder-Mead restarts in Cayley charts.  Internally the simplex
+    Runs Nelder-Mead restarts in Cayley charts (``_nelder_mead``, at most
+    ``max_iter`` iterations and 4 * ``max_iter`` evaluations each, from a
+    simplex of edge ``simplex_scale``).  Internally the simplex
     compares log-objective values: Nelder-Mead is comparison-based, so the
     iterates are unchanged, but the flat termination plateau around the
     zero set disappears and the simplex keeps contracting into it.  A best
@@ -420,8 +509,6 @@ def search_divisible(
     Logs one debug line per restart on the "spherediv" logger with its
     evaluation count, its objective and its wall time.
     """
-    from scipy.optimize import minimize  # only the search needs scipy
-
     if n < 1:
         raise InputDomainError(f"target degree must be >= 1, got n={n}")
     _check_cost(d, r, n)
@@ -462,27 +549,15 @@ def search_divisible(
         else:
             bases = np.array([haar_sample(d, rng_j).matrix for _ in range(r)])
         dim = r * n_params
-        x0 = np.zeros(dim)
-        simplex = np.vstack([x0, x0 + settings.simplex_scale * np.eye(dim)])
-        res = minimize(
-            log_objective_factory(bases),
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": settings.max_iter,
-                "maxfev": 4 * settings.max_iter,
-                "initial_simplex": simplex,
-                "xatol": 1e-13,
-                "fatol": 1e-15,
-            },
-        )
-        mats = cayley_rotation(bases, res.x.reshape(r, n_params))
+        simplex = np.vstack([np.zeros(dim), settings.simplex_scale * np.eye(dim)])
+        x, evals = _nelder_mead(log_objective_factory(bases), simplex, settings.max_iter, 4 * settings.max_iter)
+        mats = cayley_rotation(bases, x.reshape(r, n_params))
         sums = summed(mats)
         matrix = frame.operator(sums)
         svals = weighted_singular_values(matrix)
         val = objective(svals)
         restart_ratios.append(val)
-        _log.debug("restart %d: %d evaluations, ratio %.3e, %.4f s", j, res.nfev, val, time.perf_counter() - start)
+        _log.debug("restart %d: %d evaluations, ratio %.3e, %.4f s", j, evals, val, time.perf_counter() - start)
         if val < best_ratio:
             best_ratio, best_mats, best_sums, best_matrix, best_svals = val, mats, sums, matrix, svals
         if best_ratio < settings.target_ratio:

@@ -289,6 +289,101 @@ class TestSearch:
             search_divisible(8, 2, 10, SearchSettings(), rng=409)
 
 
+def scipy_nelder_mead(func, simplex, max_iter, max_evals):
+    """scipy's Nelder-Mead with the search's tolerances, in ``_nelder_mead``'s signature."""
+    from scipy.optimize import minimize
+
+    options = {"initial_simplex": simplex, "xatol": 1e-13, "fatol": 1e-15, "maxiter": max_iter, "maxfev": max_evals}
+    res = minimize(func, simplex[0], method="Nelder-Mead", options=options)
+    return res.x, res.nfev
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def spike(x):
+    # from the simplex at the origin with scale 0.35: 0 at the origin, -1 at 0.175 e_1 and 1 elsewhere,
+    # so the first reflection and contraction fail and the shrink's first new vertex beats the best
+    if not np.any(x):
+        return 0.0
+    return -1.0 if x[0] == 0.175 and not np.any(x[1:]) else 1.0
+
+
+def plateau(x):
+    # a bowl in quarter steps: ties between vertices and between trial points
+    return math.floor(4.0 * float((x - 0.5) @ (x - 0.5))) / 4.0
+
+
+def simplex_at(x0, scale=0.35):
+    return np.vstack([x0, x0 + scale * np.eye(len(x0))])
+
+
+class TestNelderMead:
+    """``_nelder_mead`` against scipy's Nelder-Mead: bitwise-equal best vertex and equal evaluation count."""
+
+    def assert_matches_scipy(self, func, simplex, max_iter, max_evals):
+        x, evals = experiments._nelder_mead(func, simplex, max_iter, max_evals)
+        ref_x, ref_evals = scipy_nelder_mead(func, simplex, max_iter, max_evals)
+        assert evals == ref_evals
+        assert x.tobytes() == ref_x.tobytes(), (x, ref_x)
+        return x, evals
+
+    def test_converges_on_rosenbrock(self):
+        x, evals = self.assert_matches_scipy(rosenbrock, simplex_at(np.array([-1.2, 1.0, -0.5, 0.8])), 20000, 40000)
+        assert evals < 40000  # the tolerances stopped it, not the budget
+        assert np.max(np.abs(x - 1.0)) <= 1e-6
+
+    def test_converges_on_a_shallow_cone(self):
+        # slope 0.03: the simplex is within xatol before its values are within fatol
+        def cone(x):
+            return 0.03 * float(np.sum(np.abs(x - 0.3)))
+
+        x, evals = self.assert_matches_scipy(cone, simplex_at(np.zeros(2)), 20000, 40000)
+        assert evals < 40000
+        assert np.max(np.abs(x - 0.3)) <= 1e-13
+
+    def test_stops_at_max_iter(self):
+        _, evals = self.assert_matches_scipy(rosenbrock, simplex_at(np.array([-1.2, 1.0, -0.5, 0.8])), 50, 40000)
+        assert 5 + 49 <= evals < 40000  # 49 iterations of at least one evaluation each
+
+    def test_budget_below_initial_simplex(self):
+        # 4 evaluations for 10 vertices: six vertices keep f = inf
+        _, evals = self.assert_matches_scipy(rosenbrock, simplex_at(np.linspace(-1.0, 1.0, 9)), 1, 4)
+        assert evals == 4
+
+    @pytest.mark.parametrize("max_evals", [4 + 2 + 1, 4 + 2 + 2])
+    def test_budget_ends_inside_a_shrink(self, max_evals):
+        # N = 3: the initial simplex takes 4 evaluations and the first iteration a reflection,
+        # an inside contraction and a shrink of 3, so the budget runs out mid-shrink; the
+        # simplex is sorted after the refusal, so the new vertex 0.175 e_1 is returned
+        x, evals = self.assert_matches_scipy(spike, simplex_at(np.zeros(3)), 100, max_evals)
+        assert evals == max_evals
+        assert spike(x) == -1.0
+
+    @pytest.mark.parametrize("max_evals", [6, 2000])
+    @pytest.mark.parametrize("dim, x0", [(3, 0.0), (20, 0.0), (20, 0.3)])
+    def test_plateau_ties(self, dim, x0, max_evals):
+        # ties at every step; argsort is not stable, so with 21 vertices their order must
+        # follow argsort then take; 6 evaluations stop inside the initial simplex
+        self.assert_matches_scipy(plateau, simplex_at(np.full(dim, x0)), 300, max_evals)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 7, 40])
+    def test_search_matches_scipy_driven_search(self, monkeypatch, max_iter):
+        # max_iter=1 at d=3, r=3 gives 4 evaluations for the 10 vertices of the initial simplex
+        settings = SearchSettings(restarts=2, max_iter=max_iter)
+        run = search_divisible(3, 3, 2, settings, rng=503)
+        monkeypatch.setattr(experiments, "_nelder_mead", scipy_nelder_mead)
+        ref = search_divisible(3, 3, 2, settings, rng=503)
+        assert run.trace == ref.trace
+        assert run.restart_ratios == ref.restart_ratios
+        assert (run.best_ratio, run.certified, run.residual_max) == (ref.best_ratio, ref.certified, ref.residual_max)
+        for g, h in zip(run.best_tuple, ref.best_tuple):
+            assert g.matrix.tobytes() == h.matrix.tobytes()
+        if max_iter == 1:
+            assert len(run.trace) == 2 * 4
+
+
 def test_hot_paths_skip_zonal_machinery(monkeypatch):
     # deciding, certifying, studying and searching all run in the Fischer frame
     import spherediv.divisibility as div
@@ -311,9 +406,15 @@ def test_hot_paths_skip_zonal_machinery(monkeypatch):
     assert run.certified
 
 
-def test_import_loads_no_optimizer():
-    # scipy.optimize is imported by search_divisible alone
+def test_search_loads_no_scipy():
+    # the package and a whole search run on numpy alone; scipy is a test dependency only
     src = str(Path(spherediv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, spherediv; assert 'scipy.optimize' not in sys.modules"
+    code = """
+import sys, spherediv
+from spherediv import SearchSettings, search_divisible
+search_divisible(2, 2, 1, SearchSettings(restarts=1, max_iter=40), rng=499)
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+assert not loaded, loaded
+"""
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
