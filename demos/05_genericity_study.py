@@ -21,8 +21,7 @@ print(f"  per-trial min singular-value ratio: min {qmin:.3e}, "
       f"quartiles {q25:.3e} / {q50:.3e} / {q75:.3e}, max {qmax:.3e}")
 
 # adversarial suffix: the odd-d diagonal family
-family = odd_d4_suffix(3)
-study = GenericityStudy(d=3, r=4, suffix=family.suffix, trials=50, n_max=1, seed=5, ell=1)
+study = GenericityStudy(d=3, r=4, suffix=odd_d4_suffix(3), trials=50, n_max=1, seed=5, ell=1)
 result = run_genericity(study)
 print("\ndiagonal suffix, d=3, r=4, 50 trials, degree 1")
 print(f"  certified singular: {result.n_singular} of {study.trials} "

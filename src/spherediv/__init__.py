@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .constructions import (
     CircleAnalysis,
-    OddD4Family,
     PlanarDivision,
     analyze_circle,
     circle_bad_angles,

@@ -32,7 +32,6 @@ from .rotations import Rotation, RotationTuple, fixed_point, planar_rotation
 
 __all__ = [
     "CircleAnalysis",
-    "OddD4Family",
     "PlanarDivision",
     "analyze_circle",
     "circle_bad_angles",
@@ -94,20 +93,13 @@ def planar_division(d: int, r: int) -> PlanarDivision:
     return PlanarDivision(d=d, r=r, rotations=rots, sector_width=2.0 * math.pi / r)
 
 
-@dataclass(frozen=True)
-class OddD4Family:
+def odd_d4_suffix(d: int) -> tuple:
     """The three fixed diagonal rotations of the odd-d four-tuple family.
 
     For d = 2m + 1 the diagonals are sign patterns
     ((-1)^(2m-1), -1, 1), ((-1)^(2m-1), 1, -1), ((1)^(2m-1), -1, -1);
     each has determinant 1 and the three matrices sum to -I.
     """
-
-    d: int
-    suffix: tuple
-
-
-def odd_d4_suffix(d: int) -> OddD4Family:
     if d < 3 or d % 2 == 0:
         raise InputDomainError(f"the diagonal family needs odd d >= 3, got d={d}")
     m = (d - 1) // 2
@@ -116,8 +108,7 @@ def odd_d4_suffix(d: int) -> OddD4Family:
         [-1.0] * (2 * m - 1) + [1.0, -1.0],
         [1.0] * (2 * m - 1) + [-1.0, -1.0],
     ]
-    suffix = tuple(Rotation(np.diag(p)) for p in patterns)
-    return OddD4Family(d=d, suffix=suffix)
+    return tuple(Rotation(np.diag(p)) for p in patterns)
 
 
 def odd_d4_tuple(d: int, gamma1: Rotation):
@@ -127,21 +118,23 @@ def odd_d4_tuple(d: int, gamma1: Rotation):
     gamma1.g = g while the diagonal suffix sends g to -g, so the four
     translates of g sum to zero identically.
     """
-    family = odd_d4_suffix(d)
+    suffix = odd_d4_suffix(d)
     if gamma1.d != d:
         raise InputDomainError(f"gamma1 has dimension {gamma1.d}, expected {d}")
     u = fixed_point(gamma1)
     witness = HarmonicFunction(fischer_frame(d, 1), u)
-    return RotationTuple((gamma1,) + family.suffix), witness
+    return RotationTuple((gamma1,) + suffix), witness
 
 
 def circle_sum_matrix(n: int, fixed_angles) -> np.ndarray:
-    """Summed action of the fixed rotations on degree-n circle harmonics."""
+    """Summed action of the fixed rotations on degree-n circle harmonics; the angles must be finite."""
     if n < 1:
         raise InputDomainError(f"degree must be >= 1, got n={n}")
     angles = np.atleast_1d(np.asarray(fixed_angles, dtype=float))
     if angles.size < 1:
         raise InputDomainError("at least one fixed angle is required")
+    if not np.all(np.isfinite(angles)):
+        raise InputDomainError(f"fixed angles must be finite, got {angles.tolist()}")
     out = np.zeros((2, 2))
     for phi in angles.tolist():
         c, s = math.cos(n * phi), math.sin(n * phi)

@@ -34,8 +34,11 @@ f = 1/r + c g whose rotated copies must sum to 1 everywhere.  A fired
 degree takes no SVD for its witness: g has frame coordinates v from
 shifted inverse iteration on M + mu I (``_kernel_vector``), one pair of
 solves per step, and a second step only where the first leaves ||M v|| above
-2 mu.  Each fired degree makes v once: a Gram-step degree keeps the v that
-bounded its sigma_min.  The frame bounds that residual over the whole
+2 mu.  M stays with the code that assembled it, which makes v once per
+fired degree: ``_spectrum`` keeps the v that bounded a Gram-step degree's
+sigma_min, and divisibility_test assembles M and makes v for a fired pair
+degree and for a degree whose known sigma_min fired.  The certificate
+reads v and S_n, never M.  The frame bounds that residual over the whole
 sphere: its polynomial has Fischer coordinates R = S_n v, and
 |p(x)| <= ||p||_F / sqrt(n!) for every degree-n p and unit x, so one
 matvec per fired degree certifies sup |sum_s f(gamma_s^T x) - 1|
@@ -314,7 +317,7 @@ class HarmonicFunction:
 
 
 def _near_singular(svals: np.ndarray, r: int, sing_tol: float):
-    """Dual singularity trigger: (ratio, weighted smallest value, fired, near band).
+    """Dual singularity trigger: (ratio, fired, near band).
 
     ``svals`` are the operator's L^2 singular values in descending order
     (``weighted_singular_values``), which are independent of the basis draw
@@ -338,7 +341,7 @@ def _near_singular(svals: np.ndarray, r: int, sing_tol: float):
     def below(tol):
         return (ratio < tol) | (weighted_min < tol * r)
 
-    return ratio, weighted_min, below(sing_tol), below(10.0 * sing_tol)
+    return ratio, below(sing_tol), below(10.0 * sing_tol)
 
 
 def _check_tolerance(name: str, value: float) -> None:
@@ -356,12 +359,11 @@ def _start(size: int) -> np.ndarray:
     return np.cos(_GOLDEN * np.arange(1, size + 1))
 
 
-def _kernel_vector(matrix: np.ndarray, svals: np.ndarray, r: int) -> np.ndarray:
+def _kernel_vector(matrix: np.ndarray, sigma_max: float, r: int) -> np.ndarray:
     """A unit vector v with M v near zero for a near-singular M, by shifted inverse iteration.
 
-    ``svals`` are M's singular values in descending order, or at least
-    their first entry sigma_max, as the trigger read them, so no
-    factorization repeats the SVD.  With A = M + mu I, a step is
+    ``sigma_max`` is M's largest singular value as the trigger read it, so
+    no factorization repeats the spectral step.  With A = M + mu I, a step is
     x <- A^-1 (A^-T x), normalized: inverse iteration on A^T A, which draws
     x towards the right-singular vector of A's smallest singular value
     (Ipsen, SIAM Review 39, 1997), at the cost of two LU solves.  A kernel
@@ -378,7 +380,7 @@ def _kernel_vector(matrix: np.ndarray, svals: np.ndarray, r: int) -> np.ndarray:
     meet.  Nothing here is trusted: ``_certify`` bounds the residual of
     whatever v comes out, after two steps that missed 2 mu as well.
     """
-    shift = 1e-13 * max(float(svals[0]), r)
+    shift = 1e-13 * max(float(sigma_max), r)
     shifted = matrix.copy()
     shifted[np.diag_indices(len(matrix))] += shift
     x = _start(len(matrix))
@@ -440,14 +442,14 @@ def _gram_extremes(frame, sums: np.ndarray, gram: np.ndarray):
 
 
 def _spectrum(frame, sums: np.ndarray, r: int, sing_tol: float):
-    """(svals, M, v) of one degree: the singular values its trigger reads, M where one is kept, and a witness v where one was made.
+    """(svals, v) of one degree: the singular values its trigger reads, and a kernel vector v where one was made.
 
     M = U^T S U gives G = M^T M and is freed, and ``_gram_extremes`` reads
-    sigma_max and, where it can, sigma_min from G.  The paths, each named in
-    one debug line on the "spherediv" logger with N_n and the step's wall
-    time after the first assembly:
-    - gram: svals = [sigma_max, sigma_min] from ``_gram_extremes``, with M
-      and v None;
+    sigma_max and, where it can, sigma_min from G.  No M leaves this
+    function.  The paths, each named in one debug line on the "spherediv"
+    logger with N_n and the step's wall time after the first assembly:
+    - gram: svals = [sigma_max, sigma_min] from ``_gram_extremes``, and v
+      None;
     - gram→witness: where ``_gram_extremes`` leaves sigma_min unknown, M is
       assembled again from ``sums`` and one ``_kernel_vector`` run gives a
       unit v.  ||M v|| >= sigma_min, so svals = [sigma_max, ||M v||] holds
@@ -456,9 +458,10 @@ def _spectrum(frame, sums: np.ndarray, r: int, sing_tol: float):
       witness that ``_certify`` takes; the degree's ``sigma_min_rel`` is
       then an upper bound, below ``sing_tol``, not the SVD's ratio;
     - gram→svd: where the witness's bound does not fire, the values-only
-      SVD of the re-assembled M decides, and v is None.
-    ``_near_singular`` and ``_kernel_vector`` read only the first and last
-    entries of svals, so every kind serves.
+      SVD of the re-assembled M decides; v is kept, so a degree that the
+      SVD fires certifies it as well.
+    ``_near_singular`` reads only the first and last entries of svals, so
+    every kind serves.
     """
     matrix = frame.operator(sums)
     start = time.perf_counter()
@@ -466,17 +469,17 @@ def _spectrum(frame, sums: np.ndarray, r: int, sing_tol: float):
     del matrix  # G replaces M (see _peak_bytes)
     sigma_max, sigma_min = _gram_extremes(frame, sums, gram)
     del gram
-    matrix, vector, path = None, None, "gram"
+    vector, path = None, "gram"
     if sigma_min is not None:
         svals = np.array([sigma_max, sigma_min])
     else:  # bound sigma_min by a witness, and take the SVD only where that bound does not fire
         matrix = frame.operator(sums)
-        vector = _kernel_vector(matrix, [sigma_max], r)
+        vector = _kernel_vector(matrix, sigma_max, r)
         svals, path = np.array([sigma_max, np.linalg.norm(matrix @ vector)]), "gram→witness"
-        if not _near_singular(svals, r, sing_tol)[2]:
-            svals, vector, path = weighted_singular_values(matrix), None, "gram→svd"
+        if not _near_singular(svals, r, sing_tol)[1]:
+            svals, path = weighted_singular_values(matrix), "gram→svd"
     _log.debug("degree %d: N=%d, %s, %.4f s", frame.n, frame.dim, path, time.perf_counter() - start)
-    return svals, matrix, vector
+    return svals, vector
 
 
 def _torus_angles(mats: np.ndarray) -> np.ndarray:
@@ -508,16 +511,12 @@ def _pair_spectrum(mats: np.ndarray, n: int) -> np.ndarray:
     return np.stack([values.max(axis=-1), values.min(axis=-1)], axis=-1)
 
 
-def _witness(basis, matrix: np.ndarray, svals: np.ndarray, r: int, vector=None) -> HarmonicFunction:
-    """The kernel witness of ``matrix``, whose singular values ``svals`` fired the trigger.
+def _witness(basis, vector: np.ndarray) -> HarmonicFunction:
+    """The harmonic with frame coordinates ``vector`` in ``basis``, scaled to a witness.
 
-    The witness has the frame coordinates ``vector`` where the spectral
-    step already made them (``_spectrum``'s gram→witness path), and those of
-    ``_kernel_vector`` otherwise; its coefficients are normalized so that
-    sum_k |c_k| = 1 with a positive largest entry.
+    ``vector`` is a kernel vector from ``_kernel_vector``; the coefficients
+    are normalized so that sum_k |c_k| = 1 with a positive largest entry.
     """
-    if vector is None:
-        vector = _kernel_vector(matrix, svals, r)
     coeffs = basis.coefficients(vector)
     coeffs = coeffs / np.sum(np.abs(coeffs))
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
@@ -544,13 +543,13 @@ def kernel_witness(
     divisor.
     """
     svals = weighted_singular_values(matrix)
-    ratio, weighted_min, fired, _ = _near_singular(svals, r, sing_tol)
+    ratio, fired, _ = _near_singular(svals, r, sing_tol)
     if not fired:
         raise NotSingularError(
             f"not singular per sing_tol={sing_tol:.3e}: sigma ratio {float(ratio):.3e}, "
-            f"weighted sigma_min {weighted_min:.3e}"
+            f"weighted sigma_min {svals[-1]:.3e}"
         )
-    return _witness(basis, matrix, svals, r)
+    return _witness(basis, _kernel_vector(matrix, svals[0], r))
 
 
 @dataclass(frozen=True)
@@ -670,16 +669,15 @@ def verify_divisor(
     )
 
 
-def _certify(frame, matrix, svals, sums, rotations, rng, vector=None):
+def _certify(frame, sums, vector, rotations, rng):
     """Witness, divisor and certificate of a degree whose trigger fired.
 
-    ``frame`` is the degree's FischerFrame, ``matrix`` its M = U^T S_n U,
-    ``svals`` the singular values of M that the trigger read (for a
-    gram→witness degree, sigma_max and the upper bound ||M v|| on sigma_min)
-    and ``sums`` the S_n = sum_s Sym^n(gamma_s) it came from.  The witness
-    g takes no SVD: its coordinates are ``vector``, the v that
-    ``_spectrum`` made where it made one, and come from ``_kernel_vector``
-    otherwise, so each fired degree runs inverse iteration once.  The divisor
+    ``frame`` is the degree's FischerFrame, ``sums`` the
+    S_n = sum_s Sym^n(gamma_s) of its operator M = U^T S_n U, and
+    ``vector`` a kernel vector of M from ``_kernel_vector``, made once per
+    fired degree by the code that assembled M (``_spectrum``,
+    divisibility_test or search_divisible); nothing here reads M.  The
+    witness g has the frame coordinates ``vector``, and the divisor
     f = 1/r + scale * g of the kernel witness g has the residual
     sum_s f(gamma_s^T x) - 1 = scale * sum_s g(gamma_s^T x), a polynomial
     with orthonormal-monomial coordinates R = S_n v, v = sqrt(a!) c for the
@@ -696,7 +694,7 @@ def _certify(frame, matrix, svals, sums, rotations, rng, vector=None):
     max_residual is the larger of the bound and the sampled maximum.  With
     ``rng`` None nothing is sampled and the result holds the bound alone.
     """
-    witness = _witness(frame, matrix, svals, rotations.r, vector)
+    witness = _witness(frame, vector)
     divisor = make_divisor(witness, rotations.r)
     sup = frame.residual_bound(sums, witness.coeffs, _rotation_matrices(rotations))
     bound = divisor.scale * sup
@@ -924,23 +922,23 @@ def divisibility_test(
             spectra.append(_pair_spectrum(mats, n))
             _log.debug("degree %d: N=%d, pair, %.4f s", n, dim_harmonic(rotations.d, n), time.perf_counter() - start)
         # a pair's recurrence serves only its witnesses, so it stops at the last degree that fires
-        last = max((n for n, svals in enumerate(spectra, 1) if _near_singular(svals, 2, sing_tol)[2]), default=0)
+        last = max((n for n, svals in enumerate(spectra, 1) if _near_singular(svals, 2, sing_tol)[1]), default=0)
     powers = summed_powers(mats, last)
 
     for n in range(1, n_max + 1):
         sums = next(powers)[1] if n <= last else None
         if spectra is None:
-            svals, matrix, vector = _spectrum(fischer_frame(rotations.d, n), sums, rotations.r, sing_tol)
+            svals, vector = _spectrum(fischer_frame(rotations.d, n), sums, rotations.r, sing_tol)
         else:
-            svals, matrix, vector = spectra[n - 1], None, None
-        ratio, _, fired, near_band = _near_singular(svals, rotations.r, sing_tol)
+            svals, vector = spectra[n - 1], None
+        ratio, fired, near_band = _near_singular(svals, rotations.r, sing_tol)
         bound = None
         if fired:
             frame = fischer_frame(rotations.d, n)
-            if matrix is None:  # a pair, or a Gram-step degree that fires at a large sing_tol
-                matrix = frame.operator(sums)
+            if vector is None:  # a pair, or a Gram-step degree whose known sigma_min fires at a large sing_tol
+                vector = _kernel_vector(frame.operator(sums), svals[0], rotations.r)
             sample_rng = derive_rng(seed, 2, n, 3) if witness is None else None
-            g, f, ver = _certify(frame, matrix, svals, sums, rotations, sample_rng, vector)
+            g, f, ver = _certify(frame, sums, vector, rotations, sample_rng)
             bound = ver.residual_bound
             if ver.passed:
                 verdict = VERDICT_SINGULAR
@@ -956,7 +954,7 @@ def divisibility_test(
         records.append(
             DegreeRecord(n=n, dim=dim, sigma_min_rel=float(ratio), verdict=verdict, residual_bound=bound)
         )
-        del sums, matrix, vector  # free degree n before the recurrence builds degree n + 1 (see _peak_bytes)
+        del sums, vector  # free degree n before the recurrence builds degree n + 1 (see _peak_bytes)
 
     report = DivisibilityReport(
         d=rotations.d,

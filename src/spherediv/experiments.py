@@ -66,6 +66,7 @@ from .divisibility import (
     _check_budget,
     _check_cost,
     _check_tolerance,
+    _kernel_vector,
     _near_singular,
     _pair_spectrum,
     divisibility_test,
@@ -261,7 +262,7 @@ def run_genericity(study: GenericityStudy) -> GenericityResult:
                 for n, sums in summed_powers(block, study.n_max)
             )
         for n, svals in enumerate(spectra, 1):
-            ratio, _, fired, near_band = _near_singular(svals, study.r, study.sing_tol)
+            ratio, fired, near_band = _near_singular(svals, study.r, study.sing_tol)
             sigma_rel[lo:lo + step, n - 1] = ratio
             rerun[lo:lo + step] |= fired | near_band
 
@@ -503,8 +504,9 @@ def search_divisible(
     tuple reaching ``target_ratio`` is certified like a report's first
     singular degree before the run may claim a divisible tuple: its kernel
     witness's divisor must pass the Fischer-frame residual bound and one
-    sampled check (``divisibility._certify`` on the S_n and the singular
-    values kept from the best evaluation, so no SVD repeats); budget
+    sampled check (``divisibility._kernel_vector`` on the M kept from the
+    best evaluation, then ``divisibility._certify``, so nothing is
+    assembled or factored twice); budget
     exhaustion returns the best tuple found with ``certified=False``.
     Logs one debug line per restart on the "spherediv" logger with its
     evaluation count, its objective and its wall time.
@@ -568,7 +570,8 @@ def search_divisible(
     residual_max = None
     if best_ratio < settings.target_ratio:
         # best_ratio is sigma_min / r, so this gate is the trigger's dead-operator clause
-        _, _, ver = _certify(frame, best_matrix, best_svals, best_sums, best_tuple, derive_rng(seed, 6))
+        vector = _kernel_vector(best_matrix, best_svals[0], r)
+        _, _, ver = _certify(frame, best_sums, vector, best_tuple, derive_rng(seed, 6))
         certified = ver.passed
         residual_max = ver.max_residual
     return SearchRun(

@@ -46,7 +46,8 @@ class Rotation:
     Matrices violating orthogonality by more than 1e-9 but less than 1e-4
     are replaced by their nearest orthogonal matrix (polar factor) and
     flagged ``repaired``; anything worse is rejected.  A determinant of -1
-    is always rejected: reflections are not repairable into SO(d).
+    is always rejected: reflections are not repairable into SO(d).  So is a
+    NaN or infinite entry, which every tolerance comparison would let pass.
     """
 
     matrix: np.ndarray
@@ -58,6 +59,8 @@ class Rotation:
             raise InputDomainError(f"rotation matrix must be square, got shape {m.shape}")
         if m.shape[0] < 2:
             raise InputDomainError(f"rotation dimension must be >= 2, got {m.shape[0]}")
+        if not np.all(np.isfinite(m)):
+            raise InputDomainError("rotation matrix has a NaN or infinite entry")
         err = float(np.max(np.abs(m.T @ m - np.eye(m.shape[0]))))
         if err > REPAIR_TOL:
             raise InputDomainError(

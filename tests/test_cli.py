@@ -76,6 +76,16 @@ class TestCmdTest:
         assert code == 2
         assert "determinant" in capsys.readouterr().err
 
+    def test_non_finite_entry_rejected(self, tmp_path, capsys):
+        # json reads a bare NaN; the rotation refuses it before any spectral step can fail on it
+        rows = np.eye(3).tolist()
+        rows[2][0] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps([Rotation(np.eye(3)).to_json_obj(), {"d": 3, "rows": rows}]))
+        assert "NaN" in path.read_text()
+        assert main(["test", "--input", str(path), "--seed", "1"]) == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+
     def test_oversized_run_refused_fast(self, tmp_path, capsys):
         inp = write_tuple(tmp_path / "tuple.json", [haar_sample(8, 19), haar_sample(8, 23)])
         start = time.perf_counter()
@@ -167,6 +177,18 @@ class TestCmdConstruct:
 
     def test_d2_analyze_requires_angles(self):
         assert main(["construct", "d2-analyze", "--n", "1"]) == 2
+
+    def test_d2_analyze_nan_angle_rejected(self, tmp_path, capsys):
+        # a NaN angle used to be written into the output, which is then not valid JSON
+        out = tmp_path / "analysis.json"
+        assert main(["construct", "d2-analyze", "--n", "2", "--angles", "nan,1.0", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "fixed angles must be finite" in capsys.readouterr().err
+
+    def test_d2_analyze_infinite_angle_rejected(self, capsys):
+        # an infinite angle used to fail in math.cos with a traceback and exit 1
+        assert main(["construct", "d2-analyze", "--n", "2", "--angles", "inf"]) == 2
+        assert "fixed angles must be finite" in capsys.readouterr().err
 
     def test_nonpositive_samples_rejected(self, capsys):
         for kind, dims in [("planar", ["--d", "3", "--r", "2"]), ("odd-d4", ["--d", "3"])]:

@@ -73,24 +73,23 @@ class TestPlanarDivision:
 
 class TestOddD4Family:
     def test_d3_suffix_matrices(self):
-        family = odd_d4_suffix(3)
-        mats = [g.matrix for g in family.suffix]
+        mats = [g.matrix for g in odd_d4_suffix(3)]
         assert np.array_equal(mats[0], np.diag([-1.0, -1.0, 1.0]))
         assert np.array_equal(mats[1], np.diag([-1.0, 1.0, -1.0]))
         assert np.array_equal(mats[2], np.diag([1.0, -1.0, -1.0]))
 
     def test_d5_sign_patterns(self):
-        family = odd_d4_suffix(5)
-        patterns = [np.diag(g.matrix) for g in family.suffix]
+        patterns = [np.diag(g.matrix) for g in odd_d4_suffix(5)]
         assert np.array_equal(patterns[0], [-1, -1, -1, -1, 1])
         assert np.array_equal(patterns[1], [-1, -1, -1, 1, -1])
         assert np.array_equal(patterns[2], [1, 1, 1, -1, -1])
 
     @pytest.mark.parametrize("d", [3, 5, 7, 9])
     def test_suffix_sums_to_minus_identity(self, d):
-        family = odd_d4_suffix(d)
-        assert np.array_equal(sum(g.matrix for g in family.suffix), -np.eye(d))
-        for g in family.suffix:
+        suffix = odd_d4_suffix(d)
+        assert len(suffix) == 3
+        assert np.array_equal(sum(g.matrix for g in suffix), -np.eye(d))
+        for g in suffix:
             assert np.linalg.det(g.matrix) == 1.0
 
     def test_identity_free_rotation(self):
@@ -124,6 +123,12 @@ class TestCircleMatrices:
         psi = 0.61
         k = circle_sum_matrix(3, [psi, -psi])
         assert np.allclose(k, 2 * math.cos(3 * psi) * np.eye(2), atol=1e-14)
+
+    @pytest.mark.parametrize("angles", [[math.nan, 1.0], [math.inf], [0.5, -math.inf]])
+    def test_non_finite_angles_rejected(self, angles):
+        for call in (circle_sum_matrix, circle_bad_angles, analyze_circle):
+            with pytest.raises(InputDomainError, match="finite"):
+                call(2, angles)
 
     def test_rotation_block_structure(self):
         rng = np.random.default_rng(281)

@@ -284,7 +284,7 @@ class TestResidualBound:
     def test_top_singular_vector_rejected(self, monkeypatch):
         tup = half_turn_pair(6, 263)
 
-        def top_vector(matrix, svals, r):
+        def top_vector(matrix, sigma_max, r):
             return np.linalg.svd(matrix)[2][0]
 
         for _, sums in summed_powers(np.array([g.matrix for g in tup]), 1):
@@ -292,9 +292,7 @@ class TestResidualBound:
         frame = fischer_frame(6, 1)
         matrix = frame.operator(sums)
         monkeypatch.setattr(divisibility, "_kernel_vector", top_vector)
-        _, _, ver = divisibility._certify(
-            frame, matrix, weighted_singular_values(matrix), sums, tup, 283
-        )
+        _, _, ver = divisibility._certify(frame, sums, top_vector(matrix, None, tup.r), tup, 283)
         assert not ver.passed and ver.n_samples == 0
         assert ver.residual_bound > 1e-2
         report = divisibility_test(tup, 1, rng=283)
@@ -303,7 +301,7 @@ class TestResidualBound:
         assert not report.divisible and report.verification is None
 
 
-def full_svd_vector(matrix, svals, r):
+def full_svd_vector(matrix, sigma_max, r):
     """The reference witness coordinates: the last right-singular vector of a full SVD."""
     return np.linalg.svd(matrix)[2][-1]
 
@@ -330,7 +328,7 @@ def counted_solves(patch):
 
 class TestKernelVector:
     def assert_near_kernel(self, matrix, svals, r):
-        v = divisibility._kernel_vector(matrix, svals, r)
+        v = divisibility._kernel_vector(matrix, svals[0], r)
         assert np.all(np.isfinite(v)) and math.isclose(np.linalg.norm(v), 1.0, rel_tol=1e-12)
         assert np.linalg.norm(matrix @ v) <= 1e-12 * max(svals[0], r)
 
@@ -349,12 +347,12 @@ class TestKernelVector:
         monkeypatch.setattr(divisibility, "_start", lambda size: start.copy())
         shift = 1e-13 * 2
         calls = counted_solves(monkeypatch)
-        v = divisibility._kernel_vector(matrix, np.array([2.0, 0.0]), 2)
+        v = divisibility._kernel_vector(matrix, 2.0, 2)
         assert len(calls) == 4
         assert np.linalg.norm(matrix @ v) <= 2.0 * shift
         calls.clear()
         monkeypatch.setattr(divisibility, "_start", lambda size: np.ones(size))
-        divisibility._kernel_vector(matrix, np.array([2.0, 0.0]), 2)
+        divisibility._kernel_vector(matrix, 2.0, 2)
         assert len(calls) == 2
 
     def test_exactly_zero_operator(self):
@@ -419,25 +417,57 @@ class TestDivisibilityTest:
 
     def test_one_assembly_per_basis(self, monkeypatch):
         # a generic degree builds M once, for its Gram matrix; a fired degree
-        # builds it once more for its witness, and certifies with that M
+        # builds it once more and makes its witness's vector from that M, once
+        from spherediv import SearchSettings, experiments, search_divisible
         from spherediv.fischer import FischerFrame
 
-        calls = []
-        original = FischerFrame.operator
+        calls, vectors = [], []
+        operator, kernel_vector = FischerFrame.operator, divisibility._kernel_vector
 
         def counted(frame, sums):
             calls.append(frame.n)
-            return original(frame, sums)
+            return operator(frame, sums)
+
+        def counted_vector(matrix, sigma_max, r):
+            vectors.append(len(matrix))
+            return kernel_vector(matrix, sigma_max, r)
 
         monkeypatch.setattr(FischerFrame, "operator", counted)
+        monkeypatch.setattr(divisibility, "_kernel_vector", counted_vector)
+        monkeypatch.setattr(experiments, "_kernel_vector", counted_vector)
         report = divisibility_test(planar_division(6, 3).rotations, 3, rng=179)
         assert report.singular_degrees() == [1, 2, 3]
         assert calls == [1, 1, 2, 2, 3, 3]
+        assert vectors == [rec.dim for rec in report.degrees]
         calls.clear()
+        vectors.clear()
         generic = RotationTuple(tuple(haar_sample(6, 181 + k) for k in range(3)))
         report = divisibility_test(generic, 3, rng=179)
         assert [rec.verdict for rec in report.degrees] == ["invertible"] * 3
+        assert calls == [1, 2, 3] and vectors == []
+        calls.clear()
+        # a pair assembles M only at its fired degrees, for their witnesses
+        report = divisibility_test(half_turn_pair(6, 263), 3, rng=179)
+        assert report.singular_degrees() == [1, 2, 3]
         assert calls == [1, 2, 3]
+        assert vectors == [rec.dim for rec in report.degrees]
+        calls.clear()
+        vectors.clear()
+        # a generic triple fires at sing_tol 0.99 on the Gram step's known sigma_min and
+        # builds M a second time for its witness (tests/test_gram_step.py's large sing_tol)
+        rng = np.random.default_rng(611)
+        triple = RotationTuple(tuple(haar_sample(3, rng) for _ in range(3)))
+        report = divisibility_test(triple, 2, sing_tol=0.99, rng=613)
+        assert [rec.verdict for rec in report.degrees] == ["borderline"] * 2
+        assert calls == [1, 1, 2, 2]
+        assert vectors == [rec.dim for rec in report.degrees]
+        calls.clear()
+        vectors.clear()
+        # a search builds M once per evaluation and once per restart, and certifies the best M it holds
+        run = search_divisible(2, 2, 1, SearchSettings(restarts=2, max_iter=100), rng=499)
+        assert run.certified
+        assert len(calls) == len(run.trace) + len(run.restart_ratios)
+        assert vectors == [2]
 
     def test_one_sampled_check_per_report(self, monkeypatch):
         calls = []

@@ -101,9 +101,8 @@ class TestGenericity:
     def test_diagonal_suffix_always_singular(self):
         # the designed counterexample: every free rotation extends to a
         # divisible 4-tuple over the odd-d diagonal suffix
-        family = odd_d4_suffix(3)
         study = GenericityStudy(
-            d=3, r=4, suffix=family.suffix, trials=5, n_max=1, seed=317, ell=1
+            d=3, r=4, suffix=odd_d4_suffix(3), trials=5, n_max=1, seed=317, ell=1
         )
         result = run_genericity(study)
         assert result.n_singular == 5
@@ -217,9 +216,8 @@ class TestSearch:
 
     def test_recovers_diagonal_family_neighborhood(self):
         # perturb the odd-d 4-tuple and let the simplex walk back to zero
-        family = odd_d4_suffix(3)
         rng = np.random.default_rng(383)
-        mats = [haar_sample(3, rng).matrix] + [g.matrix for g in family.suffix]
+        mats = [haar_sample(3, rng).matrix] + [g.matrix for g in odd_d4_suffix(3)]
         from spherediv import Rotation
 
         perturbed = tuple(
@@ -397,7 +395,7 @@ def test_hot_paths_skip_zonal_machinery(monkeypatch):
     monkeypatch.setattr(spherediv.GegenbauerTable, "eval", forbidden)
     generic = RotationTuple(tuple(haar_sample(4, 461 + k) for k in range(3)))
     assert not divisibility_test(generic, 3, rng=463).divisible
-    certified = divisibility_test(RotationTuple(odd_d4_suffix(3).suffix + (haar_sample(3, 467),)), 2, rng=479)
+    certified = divisibility_test(RotationTuple(odd_d4_suffix(3) + (haar_sample(3, 467),)), 2, rng=479)
     assert certified.singular_degrees() == [1]
     study = GenericityStudy(d=3, r=3, suffix=(haar_sample(3, 487),), trials=30, n_max=3, seed=491, ell=2)
     assert run_genericity(study).n_singular == 0

@@ -96,7 +96,7 @@ class TestClosedForm:
             assert math.isclose(closed[0], svals[0], rel_tol=1e-10), (n, closed, svals[0])
             assert math.isclose(closed[1] / closed[0], svals[-1] / svals[0], rel_tol=1e-10), (n, closed, svals)
             # the verdict row the SVD would have given
-            _, _, fired, near_band = divisibility._near_singular(svals, 2, divisibility.DEFAULT_SING_TOL)
+            _, fired, near_band = divisibility._near_singular(svals, 2, divisibility.DEFAULT_SING_TOL)
             rec = report.degrees[n - 1]
             assert (rec.n, rec.dim) == (n, len(svals))
             assert (rec.verdict == "invertible") == (not (fired or near_band))
@@ -110,7 +110,7 @@ class TestClosedForm:
         fired = [
             n
             for n, svals in enumerate(svd_spectra(matrices(tup), n_max), 1)
-            if divisibility._near_singular(svals, 2, divisibility.DEFAULT_SING_TOL)[2]
+            if divisibility._near_singular(svals, 2, divisibility.DEFAULT_SING_TOL)[1]
         ]
         assert report.singular_degrees() == fired == list(range(1, n_max + 1))
         assert all(rec.residual_bound <= 1e-8 for rec in report.degrees)

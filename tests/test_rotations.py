@@ -42,6 +42,21 @@ class TestRotationValidation:
         with pytest.raises(InputDomainError, match="determinant"):
             Rotation(np.diag([1.0, 1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # every tolerance check reads False on NaN, so without this one a NaN would pass them all
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(InputDomainError, match="NaN or infinite"):
+            Rotation(m)
+
+    def test_json_rejects_non_finite_rows(self):
+        # Python's json reads a bare NaN, so a tuple file can carry one
+        obj = RotationTuple((haar_sample(3, 13), Rotation(np.eye(3)))).to_json_obj()
+        obj[1]["rows"][0][0] = math.nan
+        with pytest.raises(InputDomainError, match="NaN or infinite"):
+            RotationTuple.from_json_obj(obj)
+
     def test_json_round_trip(self):
         g = haar_sample(3, 11)
         back = Rotation.from_json_obj(g.to_json_obj())
