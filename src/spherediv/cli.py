@@ -22,7 +22,7 @@ import json
 import sys
 
 from . import __version__
-from .constructions import analyze_circle, odd_d4_tuple, planar_division
+from .constructions import analyze_circle, odd_d4_suffix, odd_d4_tuple, planar_division
 from .divisibility import (
     DEFAULT_SING_TOL,
     divisibility_test,
@@ -156,6 +156,7 @@ def cmd_construct(args) -> int:
     if args.kind == "odd-d4":
         if args.d is None:
             raise InputDomainError("construct odd-d4 requires --d")
+        odd_d4_suffix(args.d)  # refuses an even or oversized d before gamma1 is drawn
         seed = _resolve_seed_arg(args.seed)
         if args.gamma1 is not None:
             gamma1 = Rotation.from_json_obj(_load_json(args.gamma1))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divisibility import DEFAULT_SING_TOL, HarmonicFunction
+from .divisibility import DEFAULT_SING_TOL, HarmonicFunction, _check_budget
 from .errors import InputDomainError
 from .fischer import fischer_frame
 from .rotations import Rotation, RotationTuple, fixed_point, planar_rotation
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 BOUNDARY_TOL = 1e-12
+# bytes a d2-analyze report holds per bad angle: the array, its list of Python
+# floats and the JSON text (2 * 10^6 angles added 321 MB to the CLI's peak RSS)
+_ANGLE_BYTES = 160
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,7 @@ def planar_division(d: int, r: int) -> PlanarDivision:
     """The r-fold division of S^{d-1} by (x_1, x_2)-plane rotations."""
     if d < 2 or r < 2:
         raise InputDomainError(f"planar_division requires d, r >= 2, got d={d}, r={r}")
+    _check_budget(8 * d * d * r, f"planar_division(d={d}, r={r})", "d or r")
     rots = RotationTuple(
         tuple(planar_rotation(d, 1, 2, 2.0 * math.pi * m / r) for m in range(r))
     )
@@ -102,6 +106,8 @@ def odd_d4_suffix(d: int) -> tuple:
     """
     if d < 3 or d % 2 == 0:
         raise InputDomainError(f"the diagonal family needs odd d >= 3, got d={d}")
+    # the suffix and the free rotation: four d x d matrices
+    _check_budget(8 * d * d * 4, f"the odd-d four-tuple in d={d}", "d")
     m = (d - 1) // 2
     patterns = [
         [-1.0] * (2 * m - 1) + [-1.0, 1.0],
@@ -153,12 +159,14 @@ def circle_bad_angles(n: int, fixed_angles) -> np.ndarray:
     needs |k| = 1, judged by the trigger of ``divisibility_test``: at the
     best phi the operator has sigma_min = ||k| - 1| and sigma_max = 1 + |k|,
     so no angle is returned unless their ratio is below DEFAULT_SING_TOL.
-    Otherwise the n angles are (arg(-k) + 2 pi j) / n.
+    Otherwise the n angles are (arg(-k) + 2 pi j) / n; n angles whose
+    report would pass COST_BUDGET_BYTES raise InputDomainError.
     """
     kmat = circle_sum_matrix(n, fixed_angles)
     k = complex(kmat[0, 0], kmat[1, 0])
     if abs(abs(k) - 1.0) >= DEFAULT_SING_TOL * (1.0 + abs(k)):
         return np.empty(0)
+    _check_budget(_ANGLE_BYTES * n, f"{n} bad angles", "n")
     phi = np.mod((math.atan2(-k.imag, -k.real) + 2.0 * math.pi * np.arange(n)) / n, 2.0 * math.pi)
     # np.mod rounds an angle just below 0 up to 2 pi itself, which is 0 on the circle
     phi[phi == 2.0 * math.pi] = 0.0

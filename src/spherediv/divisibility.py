@@ -9,16 +9,20 @@ recurrence gives S_n = sum_s Sym^n(gamma_s) for every degree, and
     M = U^T S_n U
 
 is the operator in orthonormal coordinates, so its singular values are the
-operator's L^2 ones.  The trigger reads only sigma_max and sigma_min of M
-(``_spectrum``).  A tuple of three or more rotations decides every degree
-from the Gram matrix G = M^T M: one symmetric eigenvalue solve gives
-sigma_max and an estimate of sigma_min, and one shifted solve refines it
-into a Rayleigh quotient, checked against that estimate within the Gram's
-round-off allowance.  Where the round-off could hide sigma_min (every fired
-or near-band degree at the default tolerance) or the check fails, M is
-assembled again and its kernel witness v bounds sigma_min from above by
-||M v||: where that bound fires the trigger it decides the degree, whose
-sigma_min_rel is then an upper bound, and a values-only SVD decides only
+operator's L^2 ones.  At the top degree of one tuple S_n may be streamed
+from the r copies of Sym^(n-1) (``fischer._StreamedSum``): M is then built
+from S_n's column slabs, and S_n reaches vectors through those copies.  The
+trigger reads only sigma_max and sigma_min of M (``_spectrum``).  A tuple
+of three or more rotations decides every degree from the Gram matrix
+G = M^T M: one symmetric eigenvalue solve gives sigma_max and an estimate
+of sigma_min, and one shifted solve refines it into a Rayleigh quotient,
+checked against that estimate within the Gram's round-off allowance.
+Where the round-off could hide sigma_min (every fired or near-band degree
+at the default tolerance) or the check fails, one more shifted solve with
+G gives a kernel witness v, and ||M v||, applied through the frame, bounds
+sigma_min from above: where that bound fires the trigger it decides the
+degree, whose sigma_min_rel is then an upper bound, with no second
+assembly of M, and a values-only SVD of a re-assembled M decides only
 where it does not.
 A pair takes none of this: with h = gamma_1^T gamma_2, M = rho(gamma_1)
 (I + rho(h)) and I + rho(h) is normal, so every degree's sigma_max and
@@ -31,15 +35,16 @@ drives only the verification points.  Near-zero smallest singular values
 only *trigger* certificate extraction; the certificate itself is the
 residual of a concrete kernel witness g, propagated into an explicit divisor
 f = 1/r + c g whose rotated copies must sum to 1 everywhere.  A fired
-degree takes no SVD for its witness: g has frame coordinates v from
-shifted inverse iteration on M + mu I (``_kernel_vector``), one pair of
-solves per step, and a second step only where the first leaves ||M v|| above
-2 mu.  M stays with the code that assembled it, which makes v once per
-fired degree: ``_spectrum`` keeps the v that bounded a Gram-step degree's
-sigma_min, and divisibility_test assembles M and makes v for a fired pair
-degree and for a degree whose known sigma_min fired.  The certificate
-reads v and S_n, never M.  The frame bounds that residual over the whole
-sphere: its polynomial has Fischer coordinates R = S_n v, and
+degree takes no SVD for its witness: g has frame coordinates v from one
+step of shifted inverse iteration, on G (``_gram_witness``) for a
+Gram-step degree, and otherwise on M + mu I (``_kernel_vector``), one pair
+of solves per step, with a second step only where the first leaves
+||M v|| above 2 mu.  M stays with the code that assembled it, which makes
+v once per fired degree: ``_spectrum`` keeps the v that bounded a
+Gram-step degree's sigma_min, and divisibility_test assembles M and makes
+v for a fired pair degree and for a degree whose known sigma_min fired.
+The certificate reads v and S_n, never M.  The frame bounds that residual
+over the whole sphere: its polynomial has Fischer coordinates R = S_n v, and
 |p(x)| <= ||p||_F / sqrt(n!) for every degree-n p and unit x, so one
 matvec per fired degree certifies sup |sum_s f(gamma_s^T x) - 1|
 (``_certify``).  The first certified degree,
@@ -393,33 +398,37 @@ def _kernel_vector(matrix: np.ndarray, sigma_max: float, r: int) -> np.ndarray:
 
 
 def _gram_refinement(shifted: np.ndarray) -> np.ndarray:
-    """One step of inverse iteration, x = (G - w_0 I)^-1 cos(k phi), normalized."""
+    """One step of inverse iteration, x = (G - c I)^-1 cos(k phi), normalized, for ``shifted`` = G - c I."""
     x = np.linalg.solve(shifted, _start(len(shifted)))
     return x / np.linalg.norm(x)
 
 
-def _gram_extremes(frame, sums: np.ndarray, gram: np.ndarray):
+def _gram_extremes(frame, sums, gram: np.ndarray):
     """(sigma_max, sigma_min) of M = U^T S U from G = M^T M, with sigma_min None where G cannot give it.
 
-    ``gram`` is G as computed from M (it is overwritten).  Its eigenvalues
-    w, ascending, give sigma_max = sqrt(w[-1]).  Round-off bounds the rest
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., chs. 3
-    and 8), with u = 2^-53 and N = N_n: the computed G differs from M^T M by
-    at most gamma_N |M|^T |M| entrywise, whose 2-norm is at most
-    gamma_N ||M||_F^2 = gamma_N trace(G), and ``eigvalsh`` is backward
-    stable, which moves each eigenvalue by at most about N u w[-1].  With
-    that allowance, w[0] within max(1e3 N u w[-1], 2 allowance) of zero
-    says nothing about sigma_min: every fired or near-band degree at the
-    default tolerance ends there.  Otherwise one step of inverse iteration
-    with the shift w[0] (``_gram_refinement``) gives a unit x, and M x,
-    applied through the frame's parity blocks, gives the Rayleigh quotient
+    ``gram`` is G as computed from M; its diagonal is shifted and shifted
+    back, so it is G again on return up to one rounding per diagonal
+    entry.  Its eigenvalues w, ascending, give sigma_max = sqrt(w[-1]).
+    Round-off bounds the rest (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., chs. 3 and 8), with u = 2^-53 and N = N_n: the
+    computed G differs from M^T M by at most gamma_N |M|^T |M| entrywise,
+    whose 2-norm is at most gamma_N ||M||_F^2 = gamma_N trace(G), and
+    ``eigvalsh`` is backward stable, which moves each eigenvalue by at most
+    about N u w[-1].  With that allowance, w[0] within
+    max(1e3 N u w[-1], 2 allowance) of zero says nothing about sigma_min:
+    every fired or near-band degree at the default tolerance ends there.
+    Otherwise one step of inverse iteration with the shift w[0]
+    (``_gram_refinement``) gives a unit x, and M x, applied through the
+    frame's parity blocks, gives the Rayleigh quotient
     ||M x||^2 >= sigma_min^2.  sqrt(w[0]) alone is off by up to about 1e-9
     relative; the quotient agrees with the SVD to about 1e-12.  It is kept
     only if it is within the allowance of w[0]: ``eigvalsh`` is dense and
     cannot skip an eigenvalue, so that check is the whole guard.  At the
     round-off floor, at an exact zero pivot of the shifted solve and where
     the check fails, sigma_min is None, and ``_spectrum`` bounds it by a
-    kernel witness before any SVD.
+    witness taken from G (``_gram_witness``) before any SVD; it assembles M
+    again only where that solve meets an exact zero pivot (for
+    ``_kernel_vector``) or the witness's bound does not fire (for the SVD).
     """
     size = len(gram)
     trace = float(np.trace(gram))
@@ -429,11 +438,14 @@ def _gram_extremes(frame, sums: np.ndarray, gram: np.ndarray):
     sigma_max = math.sqrt(w[-1])
     if w[0] <= max(1e3 * size * unit * w[-1], 2.0 * allowance):
         return sigma_max, None
-    gram[np.diag_indices(size)] -= w[0]
+    diagonal = np.diag_indices(size)
+    gram[diagonal] -= w[0]
     try:
         x = _gram_refinement(gram)
     except np.linalg.LinAlgError:  # an exact zero pivot
         return sigma_max, None
+    finally:
+        gram[diagonal] += w[0]
     image = frame.apply(sums, x)
     rayleigh = float(image @ image) / float(x @ x)
     if not abs(rayleigh - w[0]) <= allowance:  # NaN fails too
@@ -441,7 +453,28 @@ def _gram_extremes(frame, sums: np.ndarray, gram: np.ndarray):
     return sigma_max, math.sqrt(rayleigh)
 
 
-def _spectrum(frame, sums: np.ndarray, r: int, sing_tol: float):
+def _gram_witness(gram: np.ndarray, sigma_max: float, r: int) -> Optional[np.ndarray]:
+    """A unit x with M x near zero, from one solve of (G + mu I) x = cos(k phi); None at an exact zero pivot.
+
+    One step of inverse iteration on G = M^T M draws x towards the right
+    singular vector of M's smallest singular value, as two solves with M
+    do in ``_kernel_vector``, with no copy of M.  The shift
+    mu = 1e-15 max(sigma_max, r)^2 keeps the solve clear of the exact zero
+    pivots of a G that is exactly 0 (a tuple whose translates cancel) and
+    stays near the ulp of G's largest entries, so that one step reaches
+    ||M x|| near round-off at a fired degree: a shift of twice the Gram
+    allowance, about 1e-9 at N = 1386, left ||M x|| at 4.6e-10.  ``gram`` is
+    overwritten.  Nothing here is trusted: ``_spectrum`` reads ||M x||
+    through the frame, and ``_certify`` bounds the residual of x.
+    """
+    gram[np.diag_indices(len(gram))] += 1e-15 * max(sigma_max, r) ** 2
+    try:
+        return _gram_refinement(gram)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _spectrum(frame, sums, r: int, sing_tol: float):
     """(svals, v) of one degree: the singular values its trigger reads, and a kernel vector v where one was made.
 
     M = U^T S U gives G = M^T M and is freed, and ``_gram_extremes`` reads
@@ -450,16 +483,18 @@ def _spectrum(frame, sums: np.ndarray, r: int, sing_tol: float):
     logger with N_n and the step's wall time after the first assembly:
     - gram: svals = [sigma_max, sigma_min] from ``_gram_extremes``, and v
       None;
-    - gram→witness: where ``_gram_extremes`` leaves sigma_min unknown, M is
-      assembled again from ``sums`` and one ``_kernel_vector`` run gives a
-      unit v.  ||M v|| >= sigma_min, so svals = [sigma_max, ||M v||] holds
-      an upper bound on sigma_min.  Where that bound fires the trigger
-      (``_near_singular``), it decides the degree with no SVD, and v is the
-      witness that ``_certify`` takes; the degree's ``sigma_min_rel`` is
-      then an upper bound, below ``sing_tol``, not the SVD's ratio;
-    - gram→svd: where the witness's bound does not fire, the values-only
-      SVD of the re-assembled M decides; v is kept, so a degree that the
-      SVD fires certifies it as well.
+    - gram→witness: where ``_gram_extremes`` leaves sigma_min unknown, one
+      shifted solve with G (``_gram_witness``) gives a unit v, and ||M v||,
+      applied through the frame, bounds sigma_min from above, so
+      svals = [sigma_max, ||M v||].  Where that bound fires the trigger
+      (``_near_singular``), it decides the degree with no SVD and no second
+      assembly of M, and v is the witness that ``_certify`` takes; the
+      degree's ``sigma_min_rel`` is then an upper bound, below
+      ``sing_tol``, not the SVD's ratio.  Only at an exact zero pivot of
+      that solve is M assembled again, for ``_kernel_vector``'s v;
+    - gram→svd: where the witness's bound does not fire, M is assembled
+      again and its values-only SVD decides; v is kept, so a degree that
+      the SVD fires certifies it as well.
     ``_near_singular`` reads only the first and last entries of svals, so
     every kind serves.
     """
@@ -468,15 +503,18 @@ def _spectrum(frame, sums: np.ndarray, r: int, sing_tol: float):
     gram = matrix.T @ matrix
     del matrix  # G replaces M (see _peak_bytes)
     sigma_max, sigma_min = _gram_extremes(frame, sums, gram)
-    del gram
-    vector, path = None, "gram"
     if sigma_min is not None:
-        svals = np.array([sigma_max, sigma_min])
+        del gram
+        svals, vector, path = np.array([sigma_max, sigma_min]), None, "gram"
     else:  # bound sigma_min by a witness, and take the SVD only where that bound does not fire
-        matrix = frame.operator(sums)
-        vector = _kernel_vector(matrix, sigma_max, r)
-        svals, path = np.array([sigma_max, np.linalg.norm(matrix @ vector)]), "gram→witness"
+        vector, matrix = _gram_witness(gram, sigma_max, r), None
+        del gram
+        if vector is None:  # an exact zero pivot
+            matrix = frame.operator(sums)
+            vector = _kernel_vector(matrix, sigma_max, r)
+        svals, path = np.array([sigma_max, np.linalg.norm(frame.apply(sums, vector))]), "gram→witness"
         if not _near_singular(svals, r, sing_tol)[1]:
+            matrix = frame.operator(sums) if matrix is None else matrix
             svals, path = weighted_singular_values(matrix), "gram→svd"
     _log.debug("degree %d: N=%d, %s, %.4f s", frame.n, frame.dim, path, time.perf_counter() - start)
     return svals, vector
@@ -514,8 +552,9 @@ def _pair_spectrum(mats: np.ndarray, n: int) -> np.ndarray:
 def _witness(basis, vector: np.ndarray) -> HarmonicFunction:
     """The harmonic with frame coordinates ``vector`` in ``basis``, scaled to a witness.
 
-    ``vector`` is a kernel vector from ``_kernel_vector``; the coefficients
-    are normalized so that sum_k |c_k| = 1 with a positive largest entry.
+    ``vector`` is a kernel vector from ``_gram_witness`` or
+    ``_kernel_vector``; the coefficients are normalized so that
+    sum_k |c_k| = 1 with a positive largest entry.
     """
     coeffs = basis.coefficients(vector)
     coeffs = coeffs / np.sum(np.abs(coeffs))
@@ -673,10 +712,11 @@ def _certify(frame, sums, vector, rotations, rng):
     """Witness, divisor and certificate of a degree whose trigger fired.
 
     ``frame`` is the degree's FischerFrame, ``sums`` the
-    S_n = sum_s Sym^n(gamma_s) of its operator M = U^T S_n U, and
-    ``vector`` a kernel vector of M from ``_kernel_vector``, made once per
-    fired degree by the code that assembled M (``_spectrum``,
-    divisibility_test or search_divisible); nothing here reads M.  The
+    S_n = sum_s Sym^n(gamma_s) of its operator M = U^T S_n U, dense or
+    streamed, and ``vector`` a kernel vector of M from ``_gram_witness`` or
+    ``_kernel_vector``, made once per fired degree by the code that
+    assembled M (``_spectrum``, divisibility_test or search_divisible);
+    nothing here reads M.  The
     witness g has the frame coordinates ``vector``, and the divisor
     f = 1/r + scale * g of the kernel witness g has the residual
     sum_s f(gamma_s^T x) - 1 = scale * sum_s g(gamma_s^T x), a polynomial
@@ -724,8 +764,9 @@ class DegreeRecord:
     degree-n operator in the L^2 geometry (its matrix in the Fischer frame),
     the ratio that determined the verdict.  At a fired degree of a tuple of
     three or more rotations (``_spectrum``'s gram→witness path) it is an
-    upper bound on that ratio, ||M v|| / sigma_max for the witness v, and
-    below ``sing_tol``, so it reads round-off, not the SVD's value; a pair
+    upper bound on that ratio, ||M v|| / sigma_max for the witness v that
+    one shifted solve with G gives, and below ``sing_tol``, so it reads
+    round-off, not the SVD's value; a pair
     reads the exact ratio from its torus weights.  ``dim`` is N_n.  ``residual_bound``
     is the whole-sphere bound on the residual of the degree's divisor
     (see ``_certify``) when its trigger fired, and None otherwise.
@@ -796,16 +837,24 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
     - the recurrence step to degree n holds the r copies of Sym^(n-1) and
       the sum S_n, at most (r + 1) P_n^2, and works in column slabs; the
       previous degree's S and M are freed before it starts;
+    - where one tuple's r copies of Sym^(n-1) take fewer entries than S_n,
+      r P_(n-1)^2 < P_n^2 (the size rule of ``fischer.summed_powers``),
+      the top degree keeps those copies in place of S_n from the
+      recurrence through the spectral step and the certificate, and the
+      operator builds S_n one column slab at a time, P_n rows of at most
+      P_(n-1) columns: together less than 2 P_n^2, within the count above;
     - the operator keeps S_n and adds U^T S_n (N_n P_n) and M (N_n^2), and
       a dense U (only at P_n <= ``fischer.DENSE_MAX_SIZE``) P_n N_n more;
       the parity blocks gather S_n a chunk of classes at a time;
     - the spectral step (``_spectrum``) holds a few N_n^2, within 4 N_n^2:
       M and G = M^T M while G is formed, then G and LAPACK's copy in the
-      eigenvalue solve and again in the shifted solve, and M again where
-      sigma_min is left unknown, with its witness's shifted copy and
-      LAPACK's copy of that (gram→witness), then with the SVD's copy
-      (gram→svd); the witness of a fired pair degree likewise takes M, its
-      shifted copy and LAPACK's copy of that;
+      eigenvalue solve, again in the shifted solve and again in the
+      witness's solve with G (gram→witness); M again only where that
+      solve meets an exact zero pivot, with ``_kernel_vector``'s shifted
+      copy and LAPACK's copy of that, or where the witness's bound does
+      not fire, with the SVD's copy (gram→svd); the witness of a fired
+      pair degree likewise takes M, its shifted copy and LAPACK's copy of
+      that;
     - the step to degree n - 1 holds the r copies of both Sym^(n-2) and
       Sym^(n-1).  At d <= 4 and large n, where P_n grows slowly, it is the
       peak, close to 2 r P_n^2;
@@ -887,7 +936,8 @@ def divisibility_test(
     "spherediv" debug line per degree names the path (pair, gram,
     gram→witness or gram→svd).  At the default tolerance every fired degree
     of a larger tuple takes the gram→witness path: it fires on an upper
-    bound of sigma_min from its witness, with no SVD, and records that bound
+    bound of sigma_min from its witness, with no SVD and no second assembly
+    of M, and records that bound
     as its ``sigma_min_rel``.  Only the first certified degree, whose divisor
     the report keeps, is also spot-checked by ``verify_divisor`` on
     VERIFY_SAMPLES points, so a report makes at most one sampled check in

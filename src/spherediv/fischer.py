@@ -25,7 +25,14 @@ M = U^T (sum_s Sym^n(g_s)) U in exactly orthonormal coordinates.  H_n is
 irreducible, so every invariant inner product on it is a multiple of the L^2
 one and M has the operator's L^2 singular values.  ``summed_powers`` gives
 every S_n = sum_s Sym^n(g_s) up to n_max in one pass of a recurrence, with
-the large steps run in column slabs of at most BLOCK_BYTES.  Nothing is drawn
+the large steps run in column slabs of at most BLOCK_BYTES.  The top degree
+of a single tuple is not summed where the r copies of Sym^(n-1) it is built
+from are the smaller representation, r P_(n-1)^2 < P_n^2 (at d = 8, n = 6
+that is r <= 4): a ``_StreamedSum`` keeps those copies, the frame takes
+S_n's column slabs one at a time into U^T S_n, and every other use of S_n
+is a product with a vector through the copies.  So the top degree of a
+Haar triple in SO(8) at n_max = 6 never holds S_6 (23.6 MB).  Larger r,
+stacks of tuples and the small steps keep a dense S_n.  Nothing is drawn
 at random: frames and index tables are deterministic and built once per
 (d, n) per process.
 
@@ -62,11 +69,14 @@ DENSE_MAX_SIZE = 120
 
 
 def _choose(m: np.ndarray, k: int) -> np.ndarray:
-    """Binomial coefficients C(m, k) of an integer array m >= k - 1, exactly."""
-    out = np.ones_like(m)
-    for t in range(k):
-        out = out * (m - t) // (t + 1)
-    return out
+    """Binomial coefficients C(m, k) of an integer array m >= 0, exactly, from a ``math.comb`` table indexed by m.
+
+    A running int64 product C(m, t + 1) = C(m, t) (m - t) / (t + 1)
+    overflows in its numerator long before the result does: from d = 62 the
+    monomial tables lost rows.
+    """
+    table = np.array([math.comb(t, k) for t in range(int(m.max(initial=0)) + 1)], dtype=np.int64)
+    return table[m]
 
 
 def _index(rows: np.ndarray) -> np.ndarray:
@@ -227,12 +237,21 @@ class FischerFrame:
         """N_n, the number of frame columns."""
         return sum(g.columns.size for g in self.groups)
 
-    def operator(self, sums: np.ndarray) -> np.ndarray:
-        """M = U^T S U for S = sum_s Sym^n(g_s), or for a stack (..., P_n, P_n) of such sums."""
-        if self.basis is not None:
+    def operator(self, sums) -> np.ndarray:
+        """M = U^T S U for S = sum_s Sym^n(g_s), for a stack (..., P_n, P_n) of such sums, or for a ``_StreamedSum``.
+
+        A streamed S reaches U^T S one column slab at a time, so S is never whole.
+        """
+        if isinstance(sums, _StreamedSum):
+            half = np.empty((self.dim, self.size))
+            for a, b, slab in sums.slabs():
+                half[:, a:b] = self._project(slab)
+        elif self.basis is not None:
             return self.basis.T @ sums @ self.basis
+        else:
+            half = self._project(sums)
         # U^T S U = (U^T (U^T S)^T)^T
-        return np.swapaxes(self._project(np.swapaxes(self._project(sums), -1, -2)), -1, -2)
+        return np.swapaxes(self._project(np.swapaxes(half, -1, -2)), -1, -2)
 
     def _project(self, rows: np.ndarray) -> np.ndarray:
         """U^T X for X of shape (..., P_n, k), through the parity blocks a chunk of classes at a time."""
@@ -261,21 +280,21 @@ class FischerFrame:
             vals[g.monomials] = (g.basis @ coords[g.columns][..., None])[..., 0]
         return vals
 
-    def apply(self, sums: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        """M y = U^T (S (U y)) for one vector y, through the parity blocks, without forming M."""
+    def apply(self, sums, coords: np.ndarray) -> np.ndarray:
+        """M y = U^T (S (U y)) for one vector y, through the parity blocks, without forming M (or a streamed S)."""
         return self._project((sums @ self._lift(coords))[:, None])[:, 0]
 
     def coefficients(self, coords: np.ndarray) -> np.ndarray:
         """Monomial coefficients of the harmonic with frame coordinates ``coords``."""
         return self._lift(coords) * np.exp(-0.5 * _log_factorials(self.exponents))
 
-    def residual_bound(self, sums: np.ndarray, coeffs: np.ndarray, mats: np.ndarray) -> float:
+    def residual_bound(self, sums, coeffs: np.ndarray, mats: np.ndarray) -> float:
         """A bound on max_{|x| = 1} |sum_s p(g_s^T x)| for p = sum_k coeffs[k] x^exponents[k].
 
         ``sums`` is S = sum_s Sym^n(g_s) as ``summed_powers`` computed it for
-        the stack ``mats`` (r, d, d).  The bound holds for every p in P_n,
-        harmonic or not, so round-off that moves p or its residual out of
-        the harmonics does not void it.
+        the stack ``mats`` (r, d, d), dense or streamed.  The bound holds
+        for every p in P_n, harmonic or not, so round-off that moves p or
+        its residual out of the harmonics does not void it.
 
         Exact part.  p has orthonormal-monomial coordinates v = sqrt(a!) c
         and q = sum_s p(g_s^T .) has R = S v.  For |y| = 1,
@@ -301,9 +320,18 @@ class FischerFrame:
         addition and for the difference, the exponent is off by at most
         (d + 16) Y u; allowing 4 ulps for exp and one rounding for the
         product, v' is within gamma_J of v / sqrt(n!) entrywise for
-        J = ceil((d + 16) Y) + 9.
-        So ||R' - R / sqrt(n!)|| <= gamma_K A ||v'|| (1 + O(gamma_K)) for
-        K = k + P_n + J.  The allowance delta = 3 gamma_K A ||v'|| covers
+        J = ceil((d + 16) Y) + 9.  A streamed S (``_StreamedSum``) is never
+        formed: S v' comes from the r copies of Sym^(n-1), each within
+        gamma_(k') Sym^(n-1)(|g_s|) for k' = C(n + d - 2, d) + (n - 1)(d + 5),
+        through at most 2 roundings of v'_a / sqrt(a_i), a sum of at most
+        P_(n-1) products per lead block, r for the sum over s weighted by
+        g_s[j, i], d for the sum over lead blocks, 2 for the weight
+        sqrt(c_j + 1) and d for the scatters.  With absolute values
+        throughout these terms sum to sum_s Sym^n(|g_s|) |v'|, and
+        k' + P_(n-1) + r + 2 d + 4 <= k, since k = k' + P_(n-1) + d + 5 + r d
+        and r + d <= r d + 1: the dense count k + P_n covers both orders of
+        evaluation.  So ||R' - R / sqrt(n!)|| <= gamma_K A ||v'|| (1 + O(gamma_K))
+        for K = k + P_n + J.  The allowance delta = 3 gamma_K A ||v'|| covers
         that, the second-order terms, and the roundings of the norm and the
         final sum, each at most gamma_K (||R'|| + delta) <= gamma_K A ||v'||
         (1 + O(gamma_K)).  Returns ||R'|| + delta.
@@ -394,6 +422,79 @@ def fischer_frame(d: int, n: int) -> FischerFrame:
     return FischerFrame(d=d, n=n, exponents=exps, groups=groups, basis=basis)
 
 
+def _runs(step: _Step, parents: int):
+    """(i, a, b): runs of columns a:b of lead block i whose parent columns, ``parents`` doubles each, fit in BLOCK_BYTES."""
+    width = max(1, BLOCK_BYTES // (8 * parents))
+    for i, (lo, hi, _) in enumerate(step.blocks):
+        for a in range(lo, hi, width):
+            yield i, a, min(a + width, hi)
+
+
+def _scatter(flat: np.ndarray, sym: np.ndarray, step: _Step, run: tuple, group: Optional[int], target: np.ndarray):
+    """Add columns a:b of degree n, ``run`` = (i, a, b), built from the stack ``sym`` of degree n - 1, to ``target``.
+
+    ``flat`` (count, d, d) holds the rotations and ``sym`` (count, P_(n-1),
+    P_(n-1)) their Sym^(n-1).  The columns of lead block i have a
+    contiguous run of degree n - 1 as parents, and the term g[j, i] x_j of
+    the form g_i scatters their rows.  With ``group`` None ``target``
+    (count, P_n, b - a) takes every rotation's Sym^n; with ``group`` r each
+    run of r rotations, one tuple, is summed before the scatter, and
+    ``target`` (count // r, P_n, b - a) takes each tuple's S_n.
+    """
+    i, a, b = run
+    first = step.parent[a]
+    src = sym[:, :, first:first + b - a] / step.root_lead[a:b]
+    for j in range(flat.shape[-1]):
+        if group is None:
+            part = src * (flat[:, j, i, None, None] * step.up_root[j][:, None])
+        else:
+            part = flat[:, j, i].reshape(-1, 1, group) @ src.reshape(len(target), group, -1)
+            part = part.reshape(len(target), src.shape[1], b - a) * step.up_root[j][:, None]
+        target[:, step.up[j]] += part
+
+
+class _StreamedSum:
+    """S_n = sum_s Sym^n(g_s) of one r-tuple, held as the r copies of Sym^(n-1) it is built from.
+
+    ``summed_powers`` hands one back at the top degree of a single tuple
+    where those copies take fewer entries than S_n, r P_(n-1)^2 < P_n^2.
+    S_n is never formed whole: ``slabs`` yields its column slabs, the last
+    step of the recurrence (``_scatter``), and ``@`` applies it to a vector or
+    a block (P_n, k) of columns through the copies.  Column a of Sym^n(g) is
+    (g_i . x) / sqrt(a_i) times column ``parent[a]`` of Sym^(n-1)(g), so per
+    lead block i one product of each Sym^(n-1)(g_s) with the block's rows
+    of the operand, weighted by g_s[j, i] and summed over s and i, leaves d
+    runs of degree n - 1 rows, and d weighted row scatters (one per shift
+    x_j) give S_n x.
+    """
+
+    def __init__(self, mats: np.ndarray, stack: np.ndarray, n: int):
+        self.mats, self.stack, self.n = mats, stack, n
+        size = len(_exponents(mats.shape[-1], n))
+        self.shape = (size, size)
+
+    def slabs(self):
+        """(a, b, S_n[:, a:b]) for runs of columns whose parents, for every rotation, fit in BLOCK_BYTES."""
+        step = _step(self.mats.shape[-1], self.n)
+        for run in _runs(step, self.stack.shape[0] * self.stack.shape[-1]):
+            slab = np.zeros((1, self.shape[0], run[2] - run[1]))
+            _scatter(self.mats, self.stack, step, run, len(self.mats), slab)
+            yield run[1], run[2], slab[0]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        d, x = self.mats.shape[-1], np.asarray(x, dtype=float)
+        step = _step(d, self.n)
+        block = x.reshape(len(x), -1)
+        runs = np.zeros((d, self.stack.shape[-1], block.shape[1]))
+        for i, (lo, hi, tail) in enumerate(step.blocks):
+            parts = self.stack[:, :, tail:tail + hi - lo] @ (block[lo:hi] / step.root_lead[lo:hi, None])
+            runs += np.tensordot(self.mats[:, :, i], parts, axes=(0, 0))
+        out = np.zeros(block.shape)
+        for j in range(d):
+            out[step.up[j]] += runs[j] * step.up_root[j][:, None]
+        return out.reshape(x.shape)
+
+
 def summed_powers(mats, n_max: int):
     """Yield (n, sum_s Sym^n(g_s)) for n = 1 .. n_max in one pass of the recurrence.
 
@@ -403,10 +504,15 @@ def summed_powers(mats, n_max: int):
     form per column: degree n costs d maps of P_n x P_(n-1) per rotation and
     no Gegenbauer evaluation.  While the d maps of every rotation fit in
     BLOCK_BYTES, one product with ``_moves`` gives them all and one stacked
-    product per lead block applies them.  Otherwise the columns go in slabs
-    whose parent columns, for every rotation at once, fit in BLOCK_BYTES;
-    each slab makes one row scatter per shift x_j, and the last degree,
-    which keeps only the sums, adds a tuple's r rotations before scattering.
+    product per lead block applies them.  Otherwise the columns go in
+    slabs (``_runs``, ``_scatter``), and the last degree, which keeps only
+    the sums, adds a tuple's r rotations before scattering.  There, for a
+    single tuple (``mats`` of shape (r, d, d)) whose r copies of
+    Sym^(n_max - 1) take fewer entries than S_(n_max),
+    r P_(n-1)^2 < P_n^2, the top degree is not summed at all: it is a
+    ``_StreamedSum`` of those copies, which ``FischerFrame.operator`` takes
+    slab by slab and which applies S_n to vectors through them.  Larger r,
+    stacks of tuples and the small steps keep a dense S_n.
     """
     mats = np.asarray(mats, dtype=float)
     lead_shape, r, d = mats.shape[:-3], mats.shape[-3], mats.shape[-1]
@@ -421,41 +527,29 @@ def summed_powers(mats, n_max: int):
         return
     for n in range(2, n_max + 1):
         step = _step(d, n)
-        size = len(step.lead)
-        last = n == n_max
+        size, prev = len(step.lead), sym.shape[-1]
         if count * d * size * size * 8 <= BLOCK_BYTES:
             # lifts[k, i] multiplies degree n - 1 by the linear form (g_i . x)
             lifts = (forms @ _moves(d, n)).reshape(count, d, size, -1)
-            prev, sym = sym, np.empty((count, size, size))
+            below, sym = sym, np.empty((count, size, size))
             for i, (lo, hi, tail) in enumerate(step.blocks):
-                np.matmul(lifts[:, i], prev[:, :, tail:], out=sym[:, :, lo:hi])
+                np.matmul(lifts[:, i], below[:, :, tail:], out=sym[:, :, lo:hi])
             sym /= step.root_lead
-        else:
-            # column slabs of one lead block i, whose parents are a contiguous
-            # run of degree n - 1: ``part`` is the slab times the term
-            # g[j, i] x_j of the form g_i, summed over each tuple's r rotations
-            # at the last degree, and multiplying by x_j scatters its rows
-            prev = sym.shape[-1]
-            group = r if last else 1
-            out = np.zeros((count // group, size, size))
-            width = max(1, BLOCK_BYTES // (8 * count * prev))
-            for i, (lo, hi, tail) in enumerate(step.blocks):
-                for a in range(lo, hi, width):
-                    b = min(a + width, hi)
-                    src = sym[:, :, tail + a - lo:tail + b - lo] / step.root_lead[a:b]
-                    grouped = src.reshape(len(out), group, -1)
-                    target = out[:, :, a:b]
-                    for j in range(d):
-                        if last:
-                            part = flat[:, j, i].reshape(-1, 1, group) @ grouped
-                            part = part.reshape(len(out), prev, b - a) * step.up_root[j][:, None]
-                        else:
-                            part = src * (flat[:, j, i, None, None] * step.up_root[j][:, None])
-                        target[:, step.up[j]] += part
+        elif n < n_max:
+            out = np.zeros((count, size, size))
+            for run in _runs(step, count * prev):
+                _scatter(flat, sym, step, run, None, out[:, :, run[1]:run[2]])
             sym = out
-            if last:
-                yield n, out.reshape(lead_shape + (size, size))
-                return
+        elif not lead_shape and r * prev * prev < size * size:
+            yield n, _StreamedSum(flat, sym, n)
+            return
+        else:
+            out = np.zeros((count // r, size, size))
+            for run in _runs(step, count * prev):
+                _scatter(flat, sym, step, run, r, out[:, :, run[1]:run[2]])
+            sym = out  # the stack goes before the operator is built
+            yield n, out.reshape(lead_shape + (size, size))
+            return
         # no name may keep this degree's stack alive while the next one is
         # built: at the last degree it would hold r P_(n-1)^2 through the
         # frame, the operator and the spectral step

@@ -216,6 +216,31 @@ class TestCmdConstruct:
     def test_planar_requires_dimensions(self):
         assert main(["construct", "planar", "--d", "3"]) == 2
 
+    # each oversized construction is refused before it allocates: exit 2 within a second
+    def test_planar_huge_d_refused(self, capsys):
+        # 10^5 x 10^5 matrices: ArrayMemoryError (74.5 GiB) before the guard
+        code, peak = traced_main(["construct", "planar", "--d", "100000", "--r", "2", "--seed", "1"])
+        assert code == 2 and peak < 1 << 20
+        assert "planar_division(d=100000, r=2)" in capsys.readouterr().err
+
+    def test_odd_d4_huge_d_refused(self, capsys):
+        code, peak = traced_main(["construct", "odd-d4", "--d", "100001", "--seed", "1"])
+        assert code == 2 and peak < 1 << 20
+        assert "four-tuple in d=100001" in capsys.readouterr().err
+
+    def test_planar_huge_r_refused(self, capsys):
+        # 10^8 rotations were built one by one, past a 60 s timeout
+        start = time.perf_counter()
+        code, peak = traced_main(["construct", "planar", "--d", "3", "--r", "100000000", "--seed", "1"])
+        assert code == 2 and peak < 1 << 20 and time.perf_counter() - start < 1.0
+        assert "planar_division(d=3, r=100000000)" in capsys.readouterr().err
+
+    def test_d2_analyze_huge_n_refused(self, capsys):
+        # 10^7 bad angles peaked at 1.57 GB of RSS
+        code, peak = traced_main(["construct", "d2-analyze", "--n", "10000000", "--angles", "1.0"])
+        assert code == 2 and peak < 1 << 20
+        assert "10000000 bad angles" in capsys.readouterr().err
+
     def test_d2_analyze_single_angle_prints_n_angles(self, capsys):
         # one fixed angle psi leaves the n bad angles psi + (pi + 2 pi j) / n
         code = main(["construct", "d2-analyze", "--n", "4", "--angles", "1.1765425947969412"])
@@ -391,3 +416,9 @@ class TestCmdExperiment:
             cpath.write_text(json.dumps(config))
             assert main(["experiment", "--config", str(cpath), "--seed", "1", "--out", str(tmp_path / "x")]) == 2
             assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_genericity_in_d300_runs(self, tmp_path):
+        # the monomial tables lost rows from d = 62 on; d = 300 at n_max = 1 failed with IndexError
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "genericity", "d": 300, "r": 3, "n_max": 1, "trials": 2, "seed": 1}))
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run")]) == 0

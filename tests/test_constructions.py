@@ -244,6 +244,23 @@ def circle_configs(draw):
     return n, kind, fixed, draw(angle)
 
 
+class TestSizeGuards:
+    # refused with InputDomainError before anything d x d or n long is allocated
+    @pytest.mark.parametrize("d, r", [(100_000, 2), (3, 100_000_000)])
+    def test_planar_division(self, d, r):
+        with pytest.raises(InputDomainError, match="budget"):
+            planar_division(d, r)
+
+    def test_odd_d4_suffix(self):
+        with pytest.raises(InputDomainError, match="budget"):
+            odd_d4_suffix(100_001)
+
+    def test_circle_bad_angles(self):
+        with pytest.raises(InputDomainError, match="budget"):
+            circle_bad_angles(10_000_000, [1.0])
+        assert len(circle_bad_angles(1000, [1.0])) == 1000
+
+
 class TestCircleClosedForm:
     @settings(max_examples=60, deadline=None)
     @given(config=circle_configs())

@@ -1,11 +1,15 @@
 """The parity-block Fischer frames and the column-slab recurrence against dense references."""
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spherediv import dim_harmonic, haar_sample
+from spherediv import dim_harmonic, divisibility_test, haar_sample, planar_division
 from spherediv import fischer
 from spherediv.fischer import DENSE_MAX_SIZE, fischer_frame, summed_powers
 
@@ -27,6 +31,14 @@ def sums_at(mats, n):
     for k, sums in summed_powers(mats, n):
         if k == n:
             return sums
+
+
+def dense(sums):
+    """S_n as an array: a streamed top degree is applied to the identity, 256 columns at a time."""
+    if isinstance(sums, np.ndarray):
+        return sums
+    eye = np.eye(sums.shape[0])
+    return np.concatenate([sums @ eye[:, k:k + 256] for k in range(0, len(eye), 256)], axis=1)
 
 
 class TestParityBlocks:
@@ -64,7 +76,7 @@ class TestParityBlocks:
         one = sums_at(haar_stack(d, (r,), 401 + n), n)
         stack = sums_at(haar_stack(d, (2, r), 409 + n), n)
         for sums in (one, stack):
-            reference = basis.T @ sums @ basis
+            reference = basis.T @ dense(sums) @ basis
             assert frame.operator(sums).shape == reference.shape
             assert np.max(np.abs(frame.operator(sums) - reference)) <= 1e-13 * r, (d, n, sums.shape)
 
@@ -91,5 +103,62 @@ class TestSlabRecurrence:
         slabs = list(summed_powers(mats, 5))
         assert [n for n, _ in slabs] == [n for n, _ in whole] == [1, 2, 3, 4, 5]
         for (n, a), (_, b) in zip(whole, slabs):
+            b = dense(b)
             assert a.shape == b.shape == lead + (len(fischer._exponents(d, n)),) * 2
             assert np.max(np.abs(a - b)) <= 1e-14 * r, (d, r, lead, n)
+
+
+class TestStreamedTopDegree:
+    # the top degree of one tuple is streamed from its r copies of Sym^(n-1) on the
+    # slab branch (d r P_n^2 doubles over the budget) where r P_(n-1)^2 < P_n^2
+    @pytest.mark.parametrize("budget", [1, 1 << 14])
+    @settings(max_examples=12, deadline=None)
+    @given(d=st.integers(3, 8), r=st.integers(1, 4), n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_streamed_matches_dense(self, budget, d, r, n, seed):
+        mats = haar_stack(d, (r,), seed)
+        size, prev = (math.comb(m + d - 1, d - 1) for m in (n, n - 1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fischer, "BLOCK_BYTES", 1 << 40)  # a dense S_n
+            whole = sums_at(mats, n)
+            patch.setattr(fischer, "BLOCK_BYTES", budget)
+            streamed = sums_at(mats, n)
+            streams = 8 * r * d * size * size > budget and r * prev * prev < size * size
+            assert isinstance(streamed, fischer._StreamedSum) == streams
+            frame = fischer_frame(d, n)
+            gen = np.random.default_rng(seed)
+            block = gen.standard_normal((size, 3))
+            block /= np.linalg.norm(block, axis=0)
+            coords = gen.standard_normal(frame.dim)
+            coords /= np.linalg.norm(coords)
+            coeffs = frame.coefficients(coords)
+            tol = 1e-13 * r
+            assert np.max(np.abs(frame.operator(streamed) - frame.operator(whole))) <= tol
+            assert np.max(np.abs(streamed @ block[:, 0] - whole @ block[:, 0])) <= tol
+            assert np.max(np.abs(streamed @ block - whole @ block)) <= tol
+            assert np.max(np.abs(frame.apply(streamed, coords) - frame.apply(whole, coords))) <= tol
+            bounds = [frame.residual_bound(sums, coeffs, mats) for sums in (streamed, whole)]
+            assert abs(bounds[0] - bounds[1]) <= tol * max(1.0, bounds[1])
+
+    def test_size_rule(self):
+        # a Haar triple in SO(8) streams its top degree 6, an 8-tuple keeps a dense S_6
+        for r, streams in [(3, True), (4, True), (5, False), (8, False)]:
+            assert isinstance(sums_at(haar_stack(8, (r,), 431), 6), fischer._StreamedSum) == streams
+        # and so does a stack of triples
+        assert isinstance(sums_at(haar_stack(8, (2, 3), 433), 5), np.ndarray)
+
+
+class TestMonomialTables:
+    @pytest.mark.parametrize("d", [60, 62, 64, 100])
+    def test_row_counts(self, d):
+        # a running int64 product overflowed in C(m, k): at d = 62 there were 1853 rows, not 1953
+        rows = fischer._exponents(d, 2)
+        assert len(rows) == math.comb(d + 1, 2)
+        assert len(np.unique(rows, axis=0)) == len(rows)
+
+    @pytest.mark.parametrize("d, n", [(2, 5), (3, 4), (4, 3), (5, 3), (6, 2)])
+    def test_matches_enumeration(self, d, n):
+        every = [a for a in itertools.product(range(n, -1, -1), repeat=d) if sum(a) == n]
+        assert fischer._exponents(d, n).tolist() == [list(a) for a in every]
+
+    def test_d62_planar_pair(self):
+        assert divisibility_test(planar_division(62, 2).rotations, 2, rng=1).singular_degrees() == [1, 2]

@@ -22,8 +22,8 @@ from spherediv import (
     planar_division,
     planar_rotation,
 )
-from spherediv import divisibility
-from spherediv.fischer import fischer_frame, summed_powers
+from spherediv import divisibility, fischer
+from spherediv.fischer import FischerFrame, fischer_frame, summed_powers
 
 SRC = str(Path(spherediv.__file__).resolve().parents[1])
 
@@ -44,6 +44,24 @@ def counted_svds(patch):
 
     patch.setattr(np.linalg, "svd", counted)
     return shapes
+
+
+def counted_assemblies(patch):
+    """Patch FischerFrame.operator and _kernel_vector to record their calls; returns (degrees, sizes)."""
+    calls, vectors = [], []
+    operator, kernel_vector = FischerFrame.operator, divisibility._kernel_vector
+
+    def counted(frame, sums):
+        calls.append(frame.n)
+        return operator(frame, sums)
+
+    def counted_vector(matrix, sigma_max, r):
+        vectors.append(len(matrix))
+        return kernel_vector(matrix, sigma_max, r)
+
+    patch.setattr(FischerFrame, "operator", counted)
+    patch.setattr(divisibility, "_kernel_vector", counted_vector)
+    return calls, vectors
 
 
 def svd_ratios(tup, n_max):
@@ -101,6 +119,25 @@ class TestGramStep:
             report = divisibility_test(tup, 3, sing_tol=1e-20, rng=281)
         assert paths(caplog) == ["gram→svd"] * 3
         assert [rec.sigma_min_rel for rec in report.degrees] == svd_ratios(tup, 3)
+
+    def test_unfired_witness_bound_takes_the_svd_at_a_streamed_degree(self, caplog):
+        # planar_division(8, 3)'s top degree 3 is streamed; its G-side bound does not fire at sing_tol = 1e-20
+        tup = planar_division(8, 3).rotations
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            report = divisibility_test(tup, 3, sing_tol=1e-20, rng=281)
+        assert paths(caplog) == ["gram→svd"] * 3
+        assert [rec.sigma_min_rel for rec in report.degrees] == svd_ratios(tup, 3)
+
+    def test_zero_pivot_falls_back_to_m(self, monkeypatch, caplog):
+        # an exact zero pivot in the solve with G assembles M again for _kernel_vector's witness
+        monkeypatch.setattr(divisibility, "_gram_witness", lambda gram, sigma_max, r: None)
+        calls, vectors = counted_assemblies(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            report = divisibility_test(planar_division(6, 3).rotations, 3, rng=281)
+        assert paths(caplog) == ["gram→witness"] * 3
+        assert report.singular_degrees() == [1, 2, 3]
+        assert calls == [1, 1, 2, 2, 3, 3]
+        assert vectors == [rec.dim for rec in report.degrees]
 
     def test_planted_refinement_is_caught(self, monkeypatch, caplog):
         tup = haar_tuple(5, 3, 601)
@@ -171,6 +208,21 @@ class TestSmallDegreeOracles:
             else:
                 assert (rec.verdict, path) == ("invertible", "gram"), rec
 
+    def test_exact_cancellation_at_a_streamed_degree(self, caplog):
+        # the same tuple in SO(8): its top degree 3 is streamed, G = 0 at odd n, and the
+        # witness's shift keeps the solve with G clear of a zero pivot
+        g = haar_sample(8, 683).matrix
+        mats = np.array([np.eye(8), -np.eye(8), g, -g])
+        *_, (_, top) = summed_powers(mats, 3)
+        assert isinstance(top, fischer._StreamedSum)
+        tup = RotationTuple(tuple(Rotation(m) for m in mats))
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            report = divisibility_test(tup, 3, rng=687)
+        assert paths(caplog) == ["gram→witness", "gram", "gram→witness"]
+        assert [rec.verdict for rec in report.degrees] == ["singular", "invertible", "singular"]
+        assert report.degrees[0].sigma_min_rel == report.degrees[2].sigma_min_rel == 0.0
+        assert report.degrees[2].residual_bound <= 1e-8
+
     def test_tetrahedral_family(self):
         # the rotations by arccos(-7/8) about the four vertices of a tetrahedron sum to -I,
         # so gamma_1 + that sum = gamma_1 - I kills gamma_1's axis at degree 1
@@ -227,11 +279,14 @@ class TestFullSize:
         assert shapes == []
 
     def test_fired_degree_six_takes_no_svd(self, monkeypatch):
-        # the singular triple's degrees are decided by their witnesses' bounds, not by an SVD of M
+        # the singular triple's degrees are decided by their witnesses' bounds, not by an SVD of M,
+        # and each witness comes from G: one assembly of M per degree and no _kernel_vector
         shapes = counted_svds(monkeypatch)
+        calls, vectors = counted_assemblies(monkeypatch)
         report = divisibility_test(planar_division(8, 3).rotations, 6, rng=625)
         assert report.singular_degrees() == [1, 2, 3, 4, 5, 6]
         assert shapes == []
+        assert calls == [1, 2, 3, 4, 5, 6] and vectors == []
         assert report.degrees[5].sigma_min_rel < report.sing_tol
         assert all(rec.residual_bound <= 1e-8 for rec in report.degrees)
         assert report.verification.passed
@@ -300,6 +355,24 @@ print(tracemalloc.get_traced_memory()[1], divisibility._peak_bytes({d}, {r}, {n}
 """
     peak, estimate = map(int, run_python(code).split())
     assert peak <= estimate, (peak, estimate)
+
+
+def test_warm_peak_of_a_haar_triple():
+    # the top degree is streamed from the three copies of Sym^5: with S_6 built whole the
+    # peak was 57.5 MiB (d = 8, n = 6, N_6 = 1386), streamed it is 49.4 MiB
+    code = """
+import tracemalloc
+import numpy as np
+from spherediv import RotationTuple, divisibility_test, haar_sample
+rng = np.random.default_rng(653)
+warm, tup = (RotationTuple(tuple(haar_sample(8, rng) for _ in range(3))) for _ in range(2))
+divisibility_test(warm, 6, rng=659)
+tracemalloc.start()
+divisibility_test(tup, 6, rng=659)
+print(tracemalloc.get_traced_memory()[1])
+"""
+    peak = int(run_python(code))
+    assert peak <= 52 << 20, peak
 
 
 def test_gram_step_imports_no_scipy():

@@ -7,7 +7,10 @@ in the demos, the benchmark, the README or the acceptance criteria.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,3 +62,10 @@ def test_every_import_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - read - {"annotations"})]
     assert unused == []
+
+
+def test_import_loads_no_openssl():
+    # ``secrets`` loads hmac and OpenSSL's _hashlib: 3.7 MB of RSS in every process
+    code = "import sys, spherediv; loaded = {'_hashlib', 'ssl'} & set(sys.modules); assert not loaded, loaded"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
