@@ -27,22 +27,28 @@ where it does not.
 A pair takes none of this: with h = gamma_1^T gamma_2, M = rho(gamma_1)
 (I + rho(h)) and I + rho(h) is normal, so every degree's sigma_max and
 sigma_min are 2 |cos(k . theta / 2)| over the torus weights k of H_n, with
-theta the rotation angles of h (``_pair_spectrum``).  A pair runs the
-recurrence only up to the last degree that fires and assembles M only at
-fired degrees, for their witnesses; a generic pair runs no recurrence.
+theta the rotation angles of h (``_pair_spectrum``).  A pair never
+assembles M: it runs the recurrence only up to the last degree that
+fires, for the certificate's S_n v, and a generic pair runs none.
 The frame is deterministic, so verdicts do not depend on the seed, which
 drives only the verification points.  Near-zero smallest singular values
 only *trigger* certificate extraction; the certificate itself is the
 residual of a concrete kernel witness g, propagated into an explicit divisor
 f = 1/r + c g whose rotated copies must sum to 1 everywhere.  A fired
-degree takes no SVD for its witness: g has frame coordinates v from one
-step of shifted inverse iteration, on G (``_gram_witness``) for a
-Gram-step degree, and otherwise on M + mu I (``_kernel_vector``), one pair
-of solves per step, with a second step only where the first leaves
-||M v|| above 2 mu.  M stays with the code that assembled it, which makes
-v once per fired degree: ``_spectrum`` keeps the v that bounded a
-Gram-step degree's sigma_min, and divisibility_test assembles M and makes
-v for a fired pair degree and for a degree whose known sigma_min fired.
+degree takes no SVD for its witness, whose frame coordinates are v.  A
+pair writes v down from the torus frame of h (``_torus_frame``): one
+``eig`` gives linear forms a_j with rho(h) a_j = e^(i theta_j) a_j, and
+the product of those forms that sigma_min's weight k names has
+rho(h) q = e^(i k . theta) q = -q, so its harmonic projection, built by n
+multiplications by a linear form, is a kernel vector with no M and no
+solve (``_pair_witness``).  A larger tuple takes v from one step of
+shifted inverse iteration, on G (``_gram_witness``) for a Gram-step
+degree, and otherwise on M + mu I (``_kernel_vector``), one pair of
+solves per step, with a second step only where the first leaves ||M v||
+above 2 mu.  M stays with the code that assembled it, which makes v once
+per fired degree: ``_spectrum`` keeps the v that bounded a Gram-step
+degree's sigma_min, and divisibility_test assembles M again only for a
+degree whose known sigma_min fired at a large sing_tol.
 The certificate reads v and S_n, never M.  The frame bounds that residual
 over the whole sphere: its polynomial has Fischer coordinates R = S_n v, and
 |p(x)| <= ||p||_F / sqrt(n!) for every degree-n p and unit x, so one
@@ -367,6 +373,11 @@ def _start(size: int) -> np.ndarray:
 def _kernel_vector(matrix: np.ndarray, sigma_max: float, r: int) -> np.ndarray:
     """A unit vector v with M v near zero for a near-singular M, by shifted inverse iteration.
 
+    It serves the callers that hold M and no closed form: the Gram step's
+    fall-backs (an exact zero pivot of ``_gram_witness``'s solve, and a
+    degree whose known sigma_min fires at a large sing_tol), the search's
+    certificate and ``kernel_witness``; a pair's witness comes from its
+    torus frame (``_pair_witness``).
     ``sigma_max`` is M's largest singular value as the trigger read it, so
     no factorization repeats the spectral step.  With A = M + mu I, a step is
     x <- A^-1 (A^-T x), normalized: inverse iteration on A^T A, which draws
@@ -549,11 +560,78 @@ def _pair_spectrum(mats: np.ndarray, n: int) -> np.ndarray:
     return np.stack([values.max(axis=-1), values.min(axis=-1)], axis=-1)
 
 
+def _torus_frame(mats: np.ndarray):
+    """(forms (m, d), angles (m,), axis) of a pair (2, d, d): linear forms a_j with rho(h) a_j = e^(i theta_j) a_j.
+
+    With h = g_1^T g_2 and rho(h) p = p(h^T .), as in ``_pair_spectrum``,
+    the linear form a . x is taken to (h a) . x, so the forms are the
+    eigenvectors of h, from one ``eig``.  An eigenvalue e^(i theta) with
+    Im > 0 gives a_j and theta_j, and its eigenvector is isotropic,
+    a . a = 0, since h is orthogonal and e^(2 i theta) != 1.  The real
+    eigenvalues are +-1 with eigenvectors that are not isotropic (h = -I
+    gives the axes), so each of those two eigenspaces is made orthonormal
+    by QR and its vectors u, w are paired into (u + i w) / sqrt(2), with
+    the angle pi or 0.  det h = 1 makes the -1 eigenspace even, so one +1
+    vector is left over exactly at odd d: the fixed axis, None at even d.
+    Every a_j has unit norm, so a_j . conj(a_j) = 1.
+    """
+    values, vectors = np.linalg.eig(mats[0].T @ mats[1])
+    rising = values.imag > 0
+    forms, angles, axis = [vectors[:, rising].T], [np.angle(values[rising])], None
+    for sign, angle in ((-1.0, math.pi), (1.0, 0.0)):
+        space = np.linalg.qr(vectors[:, (values.imag == 0) & (np.sign(values.real) == sign)].real)[0]
+        half = space.shape[1] // 2
+        forms.append((space[:, :half] + 1j * space[:, half:2 * half]).T / math.sqrt(2.0))
+        angles.append(np.full(half, angle))
+        if space.shape[1] % 2:
+            axis = space[:, -1]
+    return np.concatenate(forms), np.concatenate(angles), axis
+
+
+def _pair_witness(torus, frame) -> np.ndarray:
+    """A unit v with M v near zero at a fired pair degree, from the torus frame of h (``_torus_frame``), with no M.
+
+    The weight k of H_n that minimizes |1 + e^(i k . theta)|, the one
+    ``_pair_spectrum`` reads as sigma_min, names the product of linear forms
+    q = prod_j a_j^(k_j) (conj(a_j)^(-k_j) where k_j < 0) times a filler of
+    weight 0: e^(n - |k|_1) at odd d, (a_1 conj(a_1))^((n - |k|_1) / 2) at
+    even d.  So rho(h) q = e^(i k . theta) q, and its harmonic projection,
+    U^T of its orthonormal-monomial coordinates, keeps that, since H_n is
+    invariant and U orthonormal.  M = rho(g_1) (I + rho(h)), and where the
+    degree fires e^(i k . theta) is -1 up to the trigger, so the real or the
+    imaginary part of that projection, whichever is larger, is a v with
+    M v = 0 up to round-off.
+    The projection is never zero: q is a product of linear forms, and so
+    not a multiple of |x|^2, which is irreducible at d >= 3; at d = 2 the
+    weights are +-n, so q = a_1^n is harmonic.  The coordinates come from n
+    multiplications by a linear form, x_j x^c / sqrt(c!) = sqrt(c_j + 1)
+    x^(c + e_j) / sqrt((c + e_j)!) over ``fischer._step``'s tables, O(n d P_n).
+    Nothing here is trusted: ``_certify`` bounds the residual of v.
+    """
+    forms, angles, axis = torus
+    d, n = frame.d, frame.n
+    weights, _ = fischer._torus_weights(d, n)
+    k = weights[np.argmin(np.abs(np.cos(0.5 * (weights @ angles))))]
+    factors = [forms[j] if k[j] > 0 else forms[j].conj() for j in range(len(k)) for _ in range(abs(k[j]))]
+    rest = n - len(factors)
+    factors += [axis] * rest if d % 2 else [forms[0], forms[0].conj()] * (rest // 2)
+    coords = np.ones(1, dtype=complex)
+    for m, form in enumerate(factors, 1):
+        step = fischer._step(d, m)
+        out = np.zeros(len(step.lead), dtype=complex)
+        for j in range(d):
+            out[step.up[j]] += (form[j] * step.up_root[j]) * coords
+        coords = out
+    parts = frame._project(np.stack([coords.real, coords.imag], axis=1))
+    vector = parts[:, np.argmax(np.linalg.norm(parts, axis=0))]
+    return vector / np.linalg.norm(vector)
+
+
 def _witness(basis, vector: np.ndarray) -> HarmonicFunction:
     """The harmonic with frame coordinates ``vector`` in ``basis``, scaled to a witness.
 
-    ``vector`` is a kernel vector from ``_gram_witness`` or
-    ``_kernel_vector``; the coefficients are normalized so that
+    ``vector`` is a kernel vector from ``_pair_witness``, ``_gram_witness``
+    or ``_kernel_vector``; the coefficients are normalized so that
     sum_k |c_k| = 1 with a positive largest entry.
     """
     coeffs = basis.coefficients(vector)
@@ -713,10 +791,11 @@ def _certify(frame, sums, vector, rotations, rng):
 
     ``frame`` is the degree's FischerFrame, ``sums`` the
     S_n = sum_s Sym^n(gamma_s) of its operator M = U^T S_n U, dense or
-    streamed, and ``vector`` a kernel vector of M from ``_gram_witness`` or
-    ``_kernel_vector``, made once per fired degree by the code that
-    assembled M (``_spectrum``, divisibility_test or search_divisible);
-    nothing here reads M.  The
+    streamed, and ``vector`` a kernel vector of M, made once per fired
+    degree: for a pair from the torus frame of h with no M
+    (``_pair_witness``), and otherwise by the code that assembled M
+    (``_spectrum`` through ``_gram_witness``, or ``_kernel_vector`` in
+    divisibility_test and search_divisible); nothing here reads M.  The
     witness g has the frame coordinates ``vector``, and the divisor
     f = 1/r + scale * g of the kernel witness g has the residual
     sum_s f(gamma_s^T x) - 1 = scale * sum_s g(gamma_s^T x), a polynomial
@@ -766,10 +845,12 @@ class DegreeRecord:
     three or more rotations (``_spectrum``'s gram→witness path) it is an
     upper bound on that ratio, ||M v|| / sigma_max for the witness v that
     one shifted solve with G gives, and below ``sing_tol``, so it reads
-    round-off, not the SVD's value; a pair
-    reads the exact ratio from its torus weights.  ``dim`` is N_n.  ``residual_bound``
-    is the whole-sphere bound on the residual of the degree's divisor
-    (see ``_certify``) when its trigger fired, and None otherwise.
+    round-off, not the SVD's value; a pair reads the exact ratio from its
+    torus weights, and its witness is the harmonic projection of a product
+    of h's eigen-linear-forms (``_pair_witness``).  ``dim`` is N_n.
+    ``residual_bound`` is the whole-sphere bound on the residual of the
+    degree's divisor (see ``_certify``) when its trigger fired, and None
+    otherwise.
     """
 
     n: int
@@ -852,9 +933,7 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
       witness's solve with G (gram→witness); M again only where that
       solve meets an exact zero pivot, with ``_kernel_vector``'s shifted
       copy and LAPACK's copy of that, or where the witness's bound does
-      not fire, with the SVD's copy (gram→svd); the witness of a fired
-      pair degree likewise takes M, its shifted copy and LAPACK's copy of
-      that;
+      not fire, with the SVD's copy (gram→svd);
     - the step to degree n - 1 holds the r copies of both Sym^(n-2) and
       Sym^(n-1).  At d <= 4 and large n, where P_n grows slowly, it is the
       peak, close to 2 r P_n^2;
@@ -933,8 +1012,10 @@ def divisibility_test(
     residual of at most RESIDUAL_TOL from the Fischer frame, recorded as the
     degree's ``residual_bound``.  A pair reads each degree's sigma_max and
     sigma_min from ``_pair_spectrum``, a larger tuple from ``_spectrum``; one
-    "spherediv" debug line per degree names the path (pair, gram,
-    gram→witness or gram→svd).  At the default tolerance every fired degree
+    "spherediv" debug line per degree names the path (pair, pair→witness,
+    gram, gram→witness or gram→svd) and its wall time.  A fired pair degree
+    takes its witness from the torus frame of h (``_pair_witness``), with no
+    M and no solve.  At the default tolerance every fired degree
     of a larger tuple takes the gram→witness path: it fires on an upper
     bound of sigma_min from its witness, with no SVD and no second assembly
     of M, and records that bound
@@ -966,13 +1047,14 @@ def divisibility_test(
     mats = _rotation_matrices(rotations)
     spectra, last = None, n_max
     if rotations.r == 2:
-        spectra = []
+        spectra, times = [], []
         for n in range(1, n_max + 1):
             start = time.perf_counter()
             spectra.append(_pair_spectrum(mats, n))
-            _log.debug("degree %d: N=%d, pair, %.4f s", n, dim_harmonic(rotations.d, n), time.perf_counter() - start)
-        # a pair's recurrence serves only its witnesses, so it stops at the last degree that fires
+            times.append(time.perf_counter() - start)
+        # a pair's recurrence serves only its certificates, so it stops at the last degree that fires
         last = max((n for n, svals in enumerate(spectra, 1) if _near_singular(svals, 2, sing_tol)[1]), default=0)
+        torus = _torus_frame(mats) if last else None
     powers = summed_powers(mats, last)
 
     for n in range(1, n_max + 1):
@@ -982,10 +1064,16 @@ def divisibility_test(
         else:
             svals, vector = spectra[n - 1], None
         ratio, fired, near_band = _near_singular(svals, rotations.r, sing_tol)
+        if spectra is not None:
+            path, start = "pair", time.perf_counter()
+            if fired:  # its witness comes from the torus frame of h, with no M
+                vector, path = _pair_witness(torus, fischer_frame(rotations.d, n)), "pair→witness"
+            elapsed = times[n - 1] + time.perf_counter() - start
+            _log.debug("degree %d: N=%d, %s, %.4f s", n, dim_harmonic(rotations.d, n), path, elapsed)
         bound = None
         if fired:
             frame = fischer_frame(rotations.d, n)
-            if vector is None:  # a pair, or a Gram-step degree whose known sigma_min fires at a large sing_tol
+            if vector is None:  # a Gram-step degree whose known sigma_min fires at a large sing_tol
                 vector = _kernel_vector(frame.operator(sums), svals[0], rotations.r)
             sample_rng = derive_rng(seed, 2, n, 3) if witness is None else None
             g, f, ver = _certify(frame, sums, vector, rotations, sample_rng)

@@ -290,9 +290,9 @@ class TestResidualBound:
         for _, sums in summed_powers(np.array([g.matrix for g in tup]), 1):
             pass
         frame = fischer_frame(6, 1)
-        matrix = frame.operator(sums)
-        monkeypatch.setattr(divisibility, "_kernel_vector", top_vector)
-        _, _, ver = divisibility._certify(frame, sums, top_vector(matrix, None, tup.r), tup, 283)
+        top = top_vector(frame.operator(sums), None, tup.r)
+        monkeypatch.setattr(divisibility, "_pair_witness", lambda torus, frame: top)
+        _, _, ver = divisibility._certify(frame, sums, top, tup, 283)
         assert not ver.passed and ver.n_samples == 0
         assert ver.residual_bound > 1e-2
         report = divisibility_test(tup, 1, rng=283)
@@ -304,6 +304,17 @@ class TestResidualBound:
 def full_svd_vector(matrix, sigma_max, r):
     """The reference witness coordinates: the last right-singular vector of a full SVD."""
     return np.linalg.svd(matrix)[2][-1]
+
+
+def svd_pair_witness(tup):
+    """A stand-in for divisibility._pair_witness on ``tup``: the full SVD's witness of the degree's M."""
+    mats = np.array([g.matrix for g in tup])
+
+    def witness(torus, frame):
+        *_, (_, sums) = summed_powers(mats, frame.n)
+        return full_svd_vector(frame.operator(sums), None, tup.r)
+
+    return witness
 
 
 def degree_matrices(tup, n_max):
@@ -333,11 +344,15 @@ class TestKernelVector:
         assert np.linalg.norm(matrix @ v) <= 1e-12 * max(svals[0], r)
 
     def test_fired_pair_degrees_take_one_step(self, monkeypatch):
-        # every degree of a half-turn pair fires, and one step meets the 2 mu gate: one pair of solves each
+        # every degree of a half-turn pair fires, and on its M one step meets the 2 mu gate: one pair of
+        # solves each; divisibility_test takes the pair's witnesses from the torus frame, with no solve
         tup = half_turn_pair(6, 887)
         calls = counted_solves(monkeypatch)
         report = divisibility_test(tup, 4, rng=881)
         assert report.singular_degrees() == [1, 2, 3, 4]
+        assert calls == []
+        for n, matrix, _ in degree_matrices(tup, 4):
+            kernel_witness(fischer_frame(tup.d, n), matrix, tup.r)
         assert calls == [(rec.dim, rec.dim) for rec in report.degrees for _ in range(2)]
 
     def test_second_step_only_on_demand(self, monkeypatch):
@@ -389,7 +404,7 @@ class TestKernelVector:
             self.assert_near_kernel(matrix, svals, tup.r)
         report = divisibility_test(tup, n_max, rng=seed)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(divisibility, "_kernel_vector", full_svd_vector)
+            patch.setattr(divisibility, "_pair_witness", svd_pair_witness(tup))
             reference = divisibility_test(tup, n_max, rng=seed)
         assert [rec.verdict for rec in report.degrees] == [rec.verdict for rec in reference.degrees]
         assert report.singular_degrees() == reference.singular_degrees() == list(range(1, n_max + 1))
@@ -444,13 +459,10 @@ class TestDivisibilityTest:
         assert [rec.verdict for rec in report.degrees] == ["invertible"] * 3
         assert calls == [1, 2, 3] and vectors == []
         calls.clear()
-        # a pair assembles M only at its fired degrees, for their witnesses
+        # a pair takes its fired degrees' witnesses from the torus frame of h: no M at all
         report = divisibility_test(half_turn_pair(6, 263), 3, rng=179)
         assert report.singular_degrees() == [1, 2, 3]
-        assert calls == [1, 2, 3]
-        assert vectors == [rec.dim for rec in report.degrees]
-        calls.clear()
-        vectors.clear()
+        assert calls == [] and vectors == []
         # a generic triple fires at sing_tol 0.99 on the Gram step's known sigma_min and
         # builds M a second time for its witness (tests/test_gram_step.py's large sing_tol)
         rng = np.random.default_rng(611)

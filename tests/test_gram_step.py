@@ -375,6 +375,28 @@ print(tracemalloc.get_traced_memory()[1])
     assert peak <= 52 << 20, peak
 
 
+def test_warm_peak_of_a_half_turn_pair():
+    # every degree fires, and each witness comes from the torus frame of h with no M: with M
+    # assembled and _kernel_vector's shifted copy the peak was 11.1 MiB (d = 8, n = 5, N_5 = 672),
+    # from the torus frame it is 3.3 MiB, the recurrence's two copies of Sym^4 and the streamed top degree
+    code = """
+import math, tracemalloc
+import numpy as np
+from spherediv import Rotation, RotationTuple, divisibility_test, haar_sample, planar_rotation
+half_turn = planar_rotation(8, 1, 2, math.pi).matrix
+def pair(seed):
+    h = haar_sample(8, seed).matrix
+    return RotationTuple((Rotation(np.eye(8)), Rotation(h @ half_turn @ h.T)))
+warm, tup = pair(653), pair(654)
+divisibility_test(warm, 5, rng=659)
+tracemalloc.start()
+assert divisibility_test(tup, 5, rng=659).singular_degrees() == [1, 2, 3, 4, 5]
+print(tracemalloc.get_traced_memory()[1])
+"""
+    peak = int(run_python(code))
+    assert peak <= 6 << 20, peak
+
+
 def test_gram_step_imports_no_scipy():
     # importing scipy.optimize after spherediv adds about 44 MB of RSS and 0.33-0.42 s
     # (scipy 1.17, numpy 2.4, Python 3.11, 2-core Xeon); a generic triple
@@ -397,7 +419,7 @@ lines.clear()
 half_turn = planar_rotation(5, 1, 2, math.pi).matrix
 pair = RotationTuple((Rotation(np.eye(5)), Rotation(half_turn)))
 assert divisibility_test(pair, 3, rng=665).singular_degrees() == [1, 2, 3]
-assert lines == ["pair"] * 3, lines
+assert lines == ["pair→witness"] * 3, lines
 lines.clear()
 assert divisibility_test(planar_division(5, 3).rotations, 3, rng=667).singular_degrees() == [1, 2, 3]
 assert lines == ["gram→witness"] * 3, lines

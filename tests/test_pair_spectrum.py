@@ -3,6 +3,7 @@
 import itertools
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,7 +152,8 @@ class TestPairPath:
         monkeypatch.setattr(divisibility, "summed_powers", counted_powers)
         report = divisibility_test(circle_tuple(0.0, math.pi), 4, rng=179)
         assert report.singular_degrees() == [1, 3]
-        assert assembled == [1, 3]
+        # fired degrees take their witnesses from the torus frame: M is never assembled
+        assert assembled == []
         assert stepped == [1, 2, 3]
         assembled.clear()
         stepped.clear()
@@ -162,10 +164,17 @@ class TestPairPath:
     def test_debug_line_names_the_pair_path(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
             divisibility_test(haar_pair(4, 739), 3, rng=743)
+            # the {0, pi} circle pair fires at odd degrees, whose witnesses come from the torus frame
+            divisibility_test(circle_tuple(0.0, math.pi), 3, rng=743)
         lines = [rec.getMessage() for rec in caplog.records if rec.name == "spherediv"]
         assert [line.split(", ")[:2] for line in lines] == [
             [f"degree {n}: N={dim_harmonic(4, n)}", "pair"] for n in (1, 2, 3)
+        ] + [
+            [f"degree {n}: N={dim_harmonic(2, n)}", path]
+            for n, path in ((1, "pair→witness"), (2, "pair"), (3, "pair→witness"))
         ]
+        # each line ends in its wall time, the witness's included
+        assert all(re.fullmatch(r"\d+\.\d{4} s", line.split(", ")[2]) for line in lines)
 
 
 def test_pair_study_matches_the_svd():

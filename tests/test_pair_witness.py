@@ -1,0 +1,148 @@
+"""The witness of a fired pair degree, built in closed form from the torus frame of h = g_1^T g_2."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spherediv import Rotation, RotationTuple, dim_harmonic, divisibility_test, haar_sample, planar_rotation
+from spherediv import divisibility, fischer
+from spherediv.fischer import FischerFrame, fischer_frame, summed_powers
+
+# the reference run assembles M and runs two LU solves per fired degree, so its degrees are
+# kept to operators of at most this many harmonics (every (d, n) with d <= 8, n <= 6 but (8, 6))
+REFERENCE_MAX_DIM = 1000
+FAMILIES = ("half-turn", "planar", "planted", "minus-identity", "one-angle-planes", "pi-planes", "filler")
+
+
+def torus_rotation(d, angles):
+    """The rotation by angles[j] in the plane (x_(2j+1), x_(2j+2)) for each j."""
+    out = np.eye(d)
+    for j, angle in enumerate(angles):
+        out = out @ planar_rotation(d, 2 * j + 1, 2 * j + 2, angle).matrix
+    return out
+
+
+def pair_with_h(d, h_angles, rng, haar_first):
+    """(g_1, g_2) with h = g_1^T g_2 of the given rotation angles, conjugated by a Haar rotation."""
+    c = haar_sample(d, rng).matrix
+    first = haar_sample(d, rng).matrix if haar_first else np.eye(d)
+    h = c @ torus_rotation(d, h_angles) @ c.T
+    return RotationTuple((Rotation(first), Rotation(first @ h)))
+
+
+@st.composite
+def fired_pairs(draw):
+    """(pair, n_max): a pair that fires at some degree n <= n_max <= 6, from each family below."""
+    family = draw(st.sampled_from(FAMILIES))
+    d = draw(st.sampled_from([2, 4]) if family == "minus-identity" else st.integers(2, 8))
+    if family == "one-angle-planes":
+        d = max(d, 4)
+    if family == "filler":
+        d = max(d, 3)
+    degrees = [n for n in range(1, 7) if dim_harmonic(d, n) <= REFERENCE_MAX_DIM]
+    n_max = draw(st.sampled_from(degrees[2:] if family == "filler" else degrees))
+    n0 = draw(st.integers(1, n_max - 2 if family == "filler" else n_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    haar_first = draw(st.booleans())
+    m = d // 2
+    if family == "half-turn":  # singular at every degree
+        angles = [math.pi] + [0.0] * (m - 1)
+    elif family == "planar":  # the planar pair a, a + pi / n0: singular at the odd multiples of n0
+        a = draw(st.floats(0.0, 2.0 * math.pi))
+        tup = RotationTuple((planar_rotation(d, 1, 2, a), planar_rotation(d, 1, 2, a + math.pi / n0)))
+        return tup, n_max
+    elif family == "planted":  # Haar angles, one of them solving k . theta = pi for a weight k of H_(n0)
+        weights, _ = fischer._torus_weights(d, n0)
+        k = weights[draw(st.integers(0, len(weights) - 1))]
+        if not np.any(k):
+            k = weights[-1]
+        angles = rng.uniform(0.0, math.pi, m)
+        j = int(np.flatnonzero(k)[0])
+        angles[j] = (math.pi - (k @ angles - k[j] * angles[j])) / k[j]
+    elif family == "minus-identity":  # {I, -I}: M = 0 at every odd degree
+        return RotationTuple((Rotation(np.eye(d)), Rotation(-np.eye(d)))), n_max
+    elif family == "one-angle-planes":  # two or more planes at one angle pi / n0
+        angles = [math.pi / n0] * draw(st.integers(2, m)) + [0.0] * m
+    elif family == "pi-planes":  # several half-turn planes: h has a -1 eigenspace of dimension 2, 4, ...
+        planes = draw(st.integers(1, m))
+        if not haar_first:  # h exactly diagonal up to an axis permutation, so eig's -1 and +1 are real
+            h = np.diag([-1.0] * (2 * planes) + [1.0] * (d - 2 * planes))[np.ix_(*[rng.permutation(d)] * 2)]
+            return RotationTuple((Rotation(np.eye(d)), Rotation(h))), n_max
+        angles = [math.pi] * planes + [0.0] * m
+    else:  # one plane at pi / n0 and Haar angles: above n0 its weight takes a filler of weight 0,
+        # the fixed axis at odd d and a_1 conj(a_1) at even d
+        angles = [math.pi / n0] + list(rng.uniform(0.0, math.pi, m - 1))
+    return pair_with_h(d, angles[:m], rng, haar_first), n_max
+
+
+def reference_witness(tup):
+    """The pair witness of the old route: ``_kernel_vector`` of the assembled M, one pair of LU solves a step."""
+    mats = np.array([g.matrix for g in tup])
+
+    def witness(torus, frame):
+        *_, (_, sums) = summed_powers(mats, frame.n)
+        sigma_max = divisibility._pair_spectrum(mats, frame.n)[0]
+        return divisibility._kernel_vector(frame.operator(sums), sigma_max, tup.r)
+
+    return witness
+
+
+def rows(report):
+    """(n, N_n, verdict, sigma_min_rel, residual bound within 1e-8 or None) of every degree."""
+    return [
+        (rec.n, rec.dim, rec.verdict, rec.sigma_min_rel, None if rec.residual_bound is None else rec.residual_bound <= 1e-8)
+        for rec in report.degrees
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=fired_pairs())
+def test_fired_pair_witnesses(case):
+    tup, n_max = case
+    mats = np.array([g.matrix for g in tup])
+    made = []
+    witness = divisibility._pair_witness
+
+    def recorded(torus, frame):
+        made.append((frame.n, witness(torus, frame)))
+        return made[-1][1]
+
+    def refused(*args):
+        raise AssertionError("a pair degree assembled M or ran _kernel_vector")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(divisibility, "_pair_witness", recorded)
+        patch.setattr(divisibility, "_kernel_vector", refused)
+        patch.setattr(FischerFrame, "operator", refused)
+        report = divisibility_test(tup, n_max, rng=5)
+    fired = [
+        n for n in range(1, n_max + 1)
+        if divisibility._near_singular(divisibility._pair_spectrum(mats, n), 2, divisibility.DEFAULT_SING_TOL)[1]
+    ]
+    assert fired and [n for n, _ in made] == fired
+    sums = dict(summed_powers(mats, n_max))
+    for n, vector in made:
+        frame = fischer_frame(tup.d, n)
+        assert math.isclose(np.linalg.norm(vector), 1.0, rel_tol=1e-12)
+        assert np.linalg.norm(frame.apply(sums[n], vector)) <= 1e-12 * tup.r, n
+        assert divisibility._certify(frame, sums[n], vector, tup, None)[2].passed, n
+    assert report.singular_degrees() == fired
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(divisibility, "_pair_witness", reference_witness(tup))
+        reference = divisibility_test(tup, n_max, rng=5)
+    assert rows(report) == rows(reference)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_frame_of_a_half_turn_in_every_plane(d):
+    # h = -I (and -I on the first d - 1 axes at odd d): eig's eigenvalues are exactly real and its
+    # eigenvectors the axes, which are paired into isotropic forms at the angle pi
+    h = np.diag([-1.0] * (d - d % 2) + [1.0] * (d % 2))
+    forms, angles, axis = divisibility._torus_frame(np.array([np.eye(d), h]))
+    assert forms.shape == (d // 2, d) and np.all(angles == math.pi)
+    assert np.max(np.abs(forms @ forms.T)) <= 1e-15
+    assert np.allclose(forms @ forms.conj().T, np.eye(d // 2), atol=1e-15)
+    assert (axis is None) == (d % 2 == 0)
