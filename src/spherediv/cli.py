@@ -9,16 +9,21 @@ Subcommands:
 * ``experiment`` - run a genericity study or a singularity search from a
                    JSON config file; writes a JSON summary and a CSV log.
 
-Exit codes: 0 = ran, 2 = invalid input.  Every report carries the resolved
-seed, the tolerances used, and the library version, so any certificate can
-be reproduced.
+Exit codes: 0 = ran, 2 = invalid input, an unwritable ``--out`` included.
+A reader that closes stdout early (``| head``) ends the run quietly with
+exit code 0.  Where the document goes to stdout, the seed line and the
+closing summary line go to stderr, so stdout holds the document alone.
+Every report carries the resolved seed, the tolerances used, and the
+library version, so any certificate can be reproduced.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
 
 from . import __version__
@@ -66,24 +71,43 @@ def _load_tuple(path) -> RotationTuple:
         raise InputDomainError(f"{path}: {exc}") from exc
 
 
+def _to_stdout(path) -> bool:
+    return path is None or path == "-"
+
+
+def _notes(path):
+    """The stream of a run's notes (its seed and summary lines): stderr where the document itself goes to stdout."""
+    return sys.stderr if _to_stdout(path) else sys.stdout
+
+
+def _write_text(path, text) -> None:
+    """Write ``text`` to stdout for ``path`` None or "-", else to the file ``path``; an unwritable path is an input error."""
+    if _to_stdout(path):
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputDomainError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path, obj) -> None:
-    text = json.dumps(obj, indent=2)
-    if path is None or path == "-":
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    _write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
-def _resolve_seed_arg(seed) -> int:
-    """The run's seed: ``seed`` itself, or fresh entropy for None; a negative seed is refused."""
+def _resolve_seed_arg(seed, out) -> int:
+    """The run's seed: ``seed`` itself, or fresh entropy for None; a negative seed is refused.
+
+    The seed line goes where the notes of a run writing to ``out`` go (``_notes``).
+    """
     if seed is None:
         seed = fresh_seed()
-        print(f"seed: {seed} (derived; pass --seed to reproduce)")
+        print(f"seed: {seed} (derived; pass --seed to reproduce)", file=_notes(out))
     elif seed < 0:
         raise InputDomainError(f"seed must be a non-negative integer, got {seed}")
     else:
-        print(f"seed: {seed}")
+        print(f"seed: {seed}", file=_notes(out))
     return int(seed)
 
 
@@ -97,25 +121,21 @@ def _stamp(obj: dict, seed: int, sing_tol=None) -> dict:
 
 def cmd_test(args) -> int:
     rotations = _load_tuple(args.input)
-    seed = _resolve_seed_arg(args.seed)
+    seed = _resolve_seed_arg(args.seed, args.out)
     report = divisibility_test(rotations, args.n_max, args.sing_tol, rng=seed)
     obj = report.to_json_obj()
     obj["version"] = __version__
     if args.format == "csv":
-        out = args.out or "-"
         rows = [["n", "N_n", "sigma_min_rel", "verdict"]] + [
             [rec.n, rec.dim, f"{rec.sigma_min_rel:.17g}", rec.verdict]
             for rec in report.degrees
         ]
-        if out == "-":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerows(rows)
-        else:
-            with open(out, "w", newline="") as fh:
-                csv.writer(fh, lineterminator="\n").writerows(rows)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        _write_text(args.out, buf.getvalue())
     else:
         _write_json(args.out, obj)
-    print(f"overall: {report.overall}")
+    print(f"overall: {report.overall}", file=_notes(args.out))
     return EXIT_OK
 
 
@@ -124,7 +144,7 @@ def cmd_construct(args) -> int:
         if args.d is None or args.r is None:
             raise InputDomainError("construct planar requires --d and --r")
         division = planar_division(args.d, args.r)
-        seed = _resolve_seed_arg(args.seed)
+        seed = _resolve_seed_arg(args.seed, args.out)
         ver = verify_divisor(
             division.rotations,
             division.indicator,
@@ -150,14 +170,14 @@ def cmd_construct(args) -> int:
         )
         _write_json(args.out, obj)
         print(f"max residual: {ver.max_residual:.3e} over {ver.n_samples} samples "
-              f"({ver.n_skipped} boundary-skipped)")
+              f"({ver.n_skipped} boundary-skipped)", file=_notes(args.out))
         return EXIT_OK
 
     if args.kind == "odd-d4":
         if args.d is None:
             raise InputDomainError("construct odd-d4 requires --d")
         odd_d4_suffix(args.d)  # refuses an even or oversized d before gamma1 is drawn
-        seed = _resolve_seed_arg(args.seed)
+        seed = _resolve_seed_arg(args.seed, args.out)
         if args.gamma1 is not None:
             gamma1 = Rotation.from_json_obj(_load_json(args.gamma1))
         else:
@@ -177,7 +197,7 @@ def cmd_construct(args) -> int:
             seed,
         )
         _write_json(args.out, obj)
-        print(f"max residual: {ver.max_residual:.3e} over {ver.n_samples} samples")
+        print(f"max residual: {ver.max_residual:.3e} over {ver.n_samples} samples", file=_notes(args.out))
         return EXIT_OK
 
     if args.kind == "d2-analyze":
@@ -186,7 +206,7 @@ def cmd_construct(args) -> int:
         analysis = analyze_circle(args.n, args.angles)
         obj = {"kind": "d2-analyze", "version": __version__, **analysis.to_json_obj()}
         _write_json(args.out, obj)
-        print(f"bad angles: {[round(a, 12) for a in analysis.bad_angles.tolist()]}")
+        print(f"bad angles: {[round(a, 12) for a in analysis.bad_angles.tolist()]}", file=_notes(args.out))
         return EXIT_OK
 
     raise InputDomainError(f"unknown construction kind {args.kind!r}")
@@ -227,8 +247,8 @@ def cmd_experiment(args) -> int:
         raise InputDomainError(f'{args.config}: config must be an object with a "kind" key')
     kind = config["kind"]
     seed = config.get("seed", args.seed)
-    seed = _resolve_seed_arg(None if seed is None else _number("seed", seed, int))
     out = args.out or f"experiment-{kind}"
+    seed = _resolve_seed_arg(None if seed is None else _number("seed", seed, int), out)
     json_path = out if out.endswith(".json") else out + ".json"
     csv_path = (out[:-5] if out.endswith(".json") else out) + ".csv"
 
@@ -254,8 +274,7 @@ def cmd_experiment(args) -> int:
             result = run_genericity(study)
             summary = _stamp(result.to_json_obj(), seed, sing_tol)
             _write_json(json_path, summary)
-            with open(csv_path, "w", newline="") as fh:
-                fh.write(trial_csv_text(result))
+            _write_text(csv_path, trial_csv_text(result))
             print(
                 f"trials: {study.trials}, singular: {result.n_singular}, "
                 f"failed: {result.n_failed}, min ratio: {result.ratio_quartiles[0]:.3e}"
@@ -279,8 +298,7 @@ def cmd_experiment(args) -> int:
             run = search_divisible(d, r, n, settings, rng=seed)
             summary = _stamp(run.to_json_obj(), seed, settings.target_ratio)
             _write_json(json_path, summary)
-            with open(csv_path, "w", newline="") as fh:
-                fh.write(search_csv_text(run))
+            _write_text(csv_path, search_csv_text(run))
             print(
                 f"best ratio: {run.best_ratio:.3e}, certified: {run.certified}"
             )
@@ -338,11 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = EXIT_OK
     try:
-        return args.func(args)
-    except InputDomainError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        try:
+            code = args.func(args)
+        except InputDomainError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            code = EXIT_INPUT
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, and send what is still buffered to
+        # the null device, so that the flush at exit cannot raise again
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout with no file descriptor
+            pass
+    return code
 
 
 def entry() -> None:

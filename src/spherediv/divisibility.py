@@ -28,8 +28,7 @@ A pair takes none of this: with h = gamma_1^T gamma_2, M = rho(gamma_1)
 (I + rho(h)) and I + rho(h) is normal, so every degree's sigma_max and
 sigma_min are 2 |cos(k . theta / 2)| over the torus weights k of H_n, with
 theta the rotation angles of h (``_pair_spectrum``).  A pair never
-assembles M: it runs the recurrence only up to the last degree that
-fires, for the certificate's S_n v, and a generic pair runs none.
+assembles M and never runs the recurrence.
 The frame is deterministic, so verdicts do not depend on the seed, which
 drives only the verification points.  Near-zero smallest singular values
 only *trigger* certificate extraction; the certificate itself is the
@@ -49,11 +48,15 @@ above 2 mu.  M stays with the code that assembled it, which makes v once
 per fired degree: ``_spectrum`` keeps the v that bounded a Gram-step
 degree's sigma_min, and divisibility_test assembles M again only for a
 degree whose known sigma_min fired at a large sing_tol.
-The certificate reads v and S_n, never M.  The frame bounds that residual
-over the whole sphere: its polynomial has Fischer coordinates R = S_n v, and
+The certificate never reads M.  The frame bounds that residual over the
+whole sphere: its polynomial has Fischer coordinates R = S_n v, and
 |p(x)| <= ||p||_F / sqrt(n!) for every degree-n p and unit x, so one
 matvec per fired degree certifies sup |sum_s f(gamma_s^T x) - 1|
-(``_certify``).  The first certified degree,
+(``_certify``).  A pair takes R from the same product loop as its
+witness: rho(g) prod_j (a_j . x) = prod_j ((g a_j) . x), so the
+residual is the harmonic projection of the sum of two products of
+rotated forms, bounded with the loop's round-off and the frame's defect
+(``_product_bound``).  The first certified degree,
 whose divisor a report keeps, is also spot-checked on VERIFY_SAMPLES random
 points.  A report never claims divisibility without a passing residual.
 
@@ -78,6 +81,7 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -134,7 +138,9 @@ VERDICT_BORDERLINE = "borderline"
 # draws: 2.9e-13 at n = 34, 9.4e-13 at 38, 1.7e-12 at 40, 5.7e-12 at 44.
 # Each cap keeps that drift below 1e-12, two decades under DEFAULT_SING_TOL.
 # d >= 4 needs no cap inside COST_BUDGET_BYTES (d = 4, 3 Haar draws: 1e-13
-# at n = 28; the budget admits n <= 31).
+# at n = 28; the budget admits n <= 31).  A pair runs no recurrence but keeps
+# the cap: beyond it a divisor scaled by sum |c_a| loses its sampled variance,
+# until divisors are scaled and measured in L^2.
 _STABLE_MAX_DEGREE = {2: 50, 3: 34}
 
 _log = logging.getLogger("spherediv")
@@ -588,43 +594,155 @@ def _torus_frame(mats: np.ndarray):
     return np.concatenate(forms), np.concatenate(angles), axis
 
 
-def _pair_witness(torus, frame) -> np.ndarray:
-    """A unit v with M v near zero at a fired pair degree, from the torus frame of h (``_torus_frame``), with no M.
+@lru_cache(maxsize=None)
+def _lowering(d: int, m: int) -> np.ndarray:
+    """(d, P_m): the index of b - e_j among the P_(m-1) monomials of degree m - 1, per monomial b and variable j.
 
-    The weight k of H_n that minimizes |1 + e^(i k . theta)|, the one
-    ``_pair_spectrum`` reads as sigma_min, names the product of linear forms
-    q = prod_j a_j^(k_j) (conj(a_j)^(-k_j) where k_j < 0) times a filler of
-    weight 0: e^(n - |k|_1) at odd d, (a_1 conj(a_1))^((n - |k|_1) / 2) at
-    even d.  So rho(h) q = e^(i k . theta) q, and its harmonic projection,
-    U^T of its orthonormal-monomial coordinates, keeps that, since H_n is
-    invariant and U orthonormal.  M = rho(g_1) (I + rho(h)), and where the
-    degree fires e^(i k . theta) is -1 up to the trigger, so the real or the
-    imaginary part of that projection, whichever is larger, is a v with
-    M v = 0 up to round-off.
+    Where b_j = 0 the index is P_(m-1), a zero pad.  It inverts
+    ``fischer._step``'s ``up`` table.
+    """
+    step = fischer._step(d, m)
+    below = np.full((d, len(step.lead)), step.up.shape[1], dtype=np.int32)
+    for j in range(d):
+        below[j, step.up[j]] = np.arange(step.up.shape[1])
+    return below
+
+
+def _form_products(forms: np.ndarray, d: int) -> np.ndarray:
+    """Orthonormal-monomial coordinates of prod_j (forms[..., j, :] . x), for a stack (..., m, d) of m linear forms each.
+
+    m multiplications by a linear form: with x_j x^c / sqrt(c!) =
+    sqrt(c_j + 1) x^(c + e_j) / sqrt((c + e_j)!), the product of a . x with
+    coordinates c has sum_j a_j sqrt(b_j) c_(b - e_j) at each monomial b, one
+    gather (``_lowering``) and one product with the forms per step: O(m d P_m)
+    per product, and no Sym^m.
+    """
+    lead = forms.shape[:-2]
+    coords = np.ones(lead + (1,), dtype=forms.dtype)
+    for m in range(1, forms.shape[-2] + 1):
+        padded = np.concatenate([coords, np.zeros(lead + (1,))], axis=-1)
+        roots = np.sqrt(fischer._exponents(d, m).T)
+        coords = (forms[..., m - 1, None, :] @ (padded[..., _lowering(d, m)] * roots))[..., 0, :]
+    return coords
+
+
+def _pair_witness(torus, frame, mats: np.ndarray):
+    """(v, bound) of a fired pair degree, from the torus frame of h (``_torus_frame``), with no M and no S_n.
+
+    v is a unit vector with M v near zero, and bound(coeffs) bounds the
+    residual sup |sum_s p(g_s^T x)| of the polynomial p with the
+    coefficients coeffs, as ``FischerFrame.residual_bound`` does from S_n
+    (``_product_bound``).  The weight k of H_n that minimizes
+    |1 + e^(i k . theta)|, the one ``_pair_spectrum`` reads as sigma_min,
+    with ties within the round-off of k . theta going to the largest
+    |k|_1, names the product of linear forms q = prod_j a_j^(k_j)
+    (conj(a_j)^(-k_j) where k_j < 0) times a filler of weight 0: e^(n - |k|_1)
+    at odd d, (a_1 conj(a_1))^((n - |k|_1) / 2) at even d.  So
+    rho(h) q = e^(i k . theta) q, and its harmonic projection, U^T of its
+    orthonormal-monomial coordinates, keeps that, since H_n is invariant and
+    U orthonormal.  M = rho(g_1) (I + rho(h)), and where the degree fires
+    e^(i k . theta) is -1 up to the trigger, so the real or the imaginary
+    part of that projection, whichever is larger, is a v with M v = 0 up to
+    round-off.
     The projection is never zero: q is a product of linear forms, and so
     not a multiple of |x|^2, which is irreducible at d >= 3; at d = 2 the
-    weights are +-n, so q = a_1^n is harmonic.  The coordinates come from n
-    multiplications by a linear form, x_j x^c / sqrt(c!) = sqrt(c_j + 1)
-    x^(c + e_j) / sqrt((c + e_j)!) over ``fischer._step``'s tables, O(n d P_n).
-    Nothing here is trusted: ``_certify`` bounds the residual of v.
+    weights are +-n, so q = a_1^n is harmonic.  The largest |k|_1 needs the
+    least filler, so its q loses the least to the projection, and so does
+    the bound: the half-turn in SO(3) fires at every odd k, and with the
+    filler of k = 1 the bound at n = 28 read about 450 times the S_n bound
+    of the same coefficients.  One stacked run of ``_form_products`` gives q,
+    its translates rho(g_s) q = prod_j ((g_s a_j) . x) and the products of
+    the entrywise |forms| and |g_s| |forms|, whose sizes bound the
+    round-off.  Nothing here is trusted: the bound holds for whatever
+    coefficients ``_certify`` stores.
     """
     forms, angles, axis = torus
     d, n = frame.d, frame.n
     weights, _ = fischer._torus_weights(d, n)
-    k = weights[np.argmin(np.abs(np.cos(0.5 * (weights @ angles))))]
+    gaps = np.abs(np.cos(0.5 * (weights @ angles)))
+    tied = np.flatnonzero(gaps <= gaps.min() + 4.0 * d * n * 2.0**-53)
+    k = weights[tied[np.argmax(np.abs(weights[tied]).sum(axis=1))]]
     factors = [forms[j] if k[j] > 0 else forms[j].conj() for j in range(len(k)) for _ in range(abs(k[j]))]
     rest = n - len(factors)
     factors += [axis] * rest if d % 2 else [forms[0], forms[0].conj()] * (rest // 2)
-    coords = np.ones(1, dtype=complex)
-    for m, form in enumerate(factors, 1):
-        step = fischer._step(d, m)
-        out = np.zeros(len(step.lead), dtype=complex)
-        for j in range(d):
-            out[step.up[j]] += (form[j] * step.up_root[j]) * coords
-        coords = out
-    parts = frame._project(np.stack([coords.real, coords.imag], axis=1))
-    vector = parts[:, np.argmax(np.linalg.norm(parts, axis=0))]
-    return vector / np.linalg.norm(vector)
+    factors = np.array(factors, dtype=complex)
+    turns, spans, r = np.swapaxes(mats, -1, -2), np.abs(factors), len(mats)
+    # the forms of q and of its r translates, g_s a_j from two real products (two real dot products of length
+    # d an entry), then their sizes |a_j| and |g_s| |a_j|, whose zero imaginary parts change nothing
+    stack = [factors[None], factors.real @ turns + 1j * (factors.imag @ turns), spans[None], spans @ np.abs(turns)]
+    products = _form_products(np.concatenate(stack), d)
+    sizes = np.linalg.norm(products[r + 1:].real, axis=-1)
+    moved = products[1:r + 1].sum(axis=0)
+    parts = frame._project(np.stack([products[0].real, products[0].imag, moved.real, moved.imag], axis=1))
+    pick = int(np.argmax(np.linalg.norm(parts[:, :2], axis=0)))
+    own, moved = (products[0].imag, moved.imag) if pick else (products[0].real, moved.real)
+    vector = parts[:, pick] / np.linalg.norm(parts[:, pick])
+    norms = [np.linalg.norm(own), np.linalg.norm(moved), np.linalg.norm(frame._lift(parts[:, 2 + pick]))]
+    return vector, partial(_product_bound, frame, r, frame._lift(parts[:, pick]), *map(float, norms), sizes)
+
+
+def _product_bound(frame, r, lifted, own, moved, kept, sizes, coeffs) -> float:
+    """A bound on max_{|x| = 1} |sum_s p(g_s^T x)| for p = sum_k coeffs[k] x^exponents[k], from products of forms.
+
+    ``_pair_witness`` computed the product q~ of its stored forms a_j, the
+    translates Q~_s = prod_j ((g_s a_j) . x) and their sum, and took one part
+    of each, real or imaginary: x~ of q~, which its witness projects, and
+    y~ of the sum.  It passes ``lifted`` = t~, the computed U U^T x~; the
+    norms ``own`` = ||x~||, ``moved`` = ||y~|| and ``kept`` = ||fl(U U^T y~)||;
+    and ``sizes``, the norms of the computed products of the |a_j| and of
+    the |g_s| |a_j|, in the order q, Q_1 .. Q_r.  Write q for the exact
+    product of the stored forms and Re q^ for the part taken (q^ = q or
+    -i q).  The bound holds for every coeffs, related to the product or not.
+
+    Exact part.  rho(g) prod_j (a_j . x) = prod_j ((g a_j) . x) for every
+    complex a_j, so S_n q^ = sum_s Q^_s exactly, with Q^_s the exact
+    translates, and S_n commutes with the harmonic projection P_H, as each
+    rho(g) does.  Let w = sqrt(a!) c / sqrt(n!) for the coefficients c and,
+    for any number lambda, w = lambda P_H Re q^ + e.  Each rho(g_s) is a
+    Fischer isometry, so ||S_n|| <= r and
+    ||S_n w|| <= |lambda| ||P_H Re sum_s Q^_s|| + r ||e||; as in
+    ``FischerFrame.residual_bound``, the residual's sup over the sphere is at
+    most ||S_n w||.  With D the frame's ``defect``,
+    ||P_H Re sum_s Q^_s|| <= ||fl(U U^T y~)|| + D ||y~|| + ||y~ - Re sum_s Q^_s||,
+    and ||e|| <= ||w - lambda t~|| + |lambda| (D ||x~|| + ||x~ - Re q^||).
+    lambda is the least-squares fit of the computed w' to t~.  Projecting
+    the translates keeps what an error in the forms adds outside H_n, which
+    S_n does not cancel, out of the bound.
+
+    Round-off (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., ch. 3), u = 2^-53, gamma_k = k u / (1 - k u).  One multiplication by
+    a form sums at most d terms a_j sqrt(c_j + 1) c, each within gamma_5 of
+    the exact product of the computed inputs (a complex product is within
+    sqrt(2) gamma_2, Lemma 3.5), so the step adds at most gamma_(d + 4) of the
+    same step run on |a| and |c|; over n steps the computed product is
+    within gamma_(n (d + 4)) A of the exact one, A the exact product of the
+    |a_j|.  That bounds ||x~ - Re q^||.  The rotated forms fl(g_s a_j) are
+    within sqrt(2) gamma_d |g_s| |a_j| of g_s a_j, which moves the exact
+    product by at most ((1 + gamma_(2d))^n - 1) A_s, A_s the exact product
+    of the |g_s| |a_j|; with the sum of the translates, y~ is within
+    gamma_(n (3d + 4) + 1) sum_s A_s of Re sum_s Q^_s.  The computed w' is
+    within gamma_J of w (``FischerFrame.scaled_coordinates``), and forming
+    w' - lambda t~ adds gamma_2 (|w'| + |lambda| |t~|), so ||w - lambda t~|| is
+    at most the computed norm plus gamma_(J + 3) (||w'|| + |lambda| ||t~||).
+    Every product of |forms| takes at most n (2d + 3) roundings of
+    nonnegative numbers, so A_s is at most the computed one over
+    (1 - gamma_(n (2d + 3))).  One factor 1 + g, with
+    g = gamma_(P_n + n (2d + 3) + 12), covers that, the relative error of
+    every norm and the arithmetic that sums the terms.
+    """
+    d, n = frame.d, frame.n
+    unit = 2.0**-53
+
+    def gamma(k):
+        return k * unit / (1.0 - k * unit)
+
+    scaled, scaling = frame.scaled_coordinates(coeffs)
+    fit = float(scaled @ lifted) / float(lifted @ lifted)
+    gap = float(np.linalg.norm(scaled - fit * lifted))
+    gap += gamma(scaling + 3) * (float(np.linalg.norm(scaled)) + abs(fit) * float(np.linalg.norm(lifted)))
+    drift = frame.defect * own + gamma(n * (d + 4)) * float(sizes[0])
+    left = kept + frame.defect * moved + gamma(n * (3 * d + 4) + 1) * float(np.sum(sizes[1:]))
+    return (1.0 + gamma(frame.size + n * (2 * d + 3) + 12)) * (abs(fit) * left + r * (gap + abs(fit) * drift))
 
 
 def _witness(basis, vector: np.ndarray) -> HarmonicFunction:
@@ -786,28 +904,28 @@ def verify_divisor(
     )
 
 
-def _certify(frame, sums, vector, rotations, rng):
+def _certify(frame, vector, bound, rotations, rng):
     """Witness, divisor and certificate of a degree whose trigger fired.
 
-    ``frame`` is the degree's FischerFrame, ``sums`` the
-    S_n = sum_s Sym^n(gamma_s) of its operator M = U^T S_n U, dense or
-    streamed, and ``vector`` a kernel vector of M, made once per fired
-    degree: for a pair from the torus frame of h with no M
-    (``_pair_witness``), and otherwise by the code that assembled M
-    (``_spectrum`` through ``_gram_witness``, or ``_kernel_vector`` in
-    divisibility_test and search_divisible); nothing here reads M.  The
-    witness g has the frame coordinates ``vector``, and the divisor
-    f = 1/r + scale * g of the kernel witness g has the residual
-    sum_s f(gamma_s^T x) - 1 = scale * sum_s g(gamma_s^T x), a polynomial
-    with orthonormal-monomial coordinates R = S_n v, v = sqrt(a!) c for the
-    witness's coefficients c.  ``FischerFrame.residual_bound`` turns one
-    matvec into
+    ``frame`` is the degree's FischerFrame and ``vector`` a kernel vector of
+    its operator M = U^T S_n U, made once per fired degree: for a pair from
+    the torus frame of h with no M (``_pair_witness``), and otherwise by the
+    code that assembled M (``_spectrum`` through ``_gram_witness``, or
+    ``_kernel_vector`` in divisibility_test and search_divisible); nothing
+    here reads M.  The witness g has the frame coordinates ``vector``, and
+    the divisor f = 1/r + scale * g of the kernel witness g has the residual
+    sum_s f(gamma_s^T x) - 1 = scale * sum_s g(gamma_s^T x).  ``bound`` maps
+    the witness's stored coefficients c to a bound on
+    sup_{|x| = 1} |sum_s g(gamma_s^T x)|, round-off included, that holds
+    whatever c is: ``FischerFrame.residual_bound`` over the degree's S_n,
+    ||R|| + delta over sqrt(n!) with R = S_n v and v = sqrt(a!) c, for a
+    larger tuple, and ``_product_bound`` from the products of h's
+    eigen-forms for a pair.  So
 
-        sup_{|x| = 1} |sum_s f(gamma_s^T x) - 1| <= scale (||R|| + delta) / sqrt(n!),
+        sup_{|x| = 1} |sum_s f(gamma_s^T x) - 1| <= scale * bound(c).
 
-    delta an explicit round-off allowance derived there.  The certificate
-    passes when that bound is at most RESIDUAL_TOL and the witness's
-    translates cancel, bound / scale <= 1e-6 N_n.  Given ``rng``, a passing
+    The certificate passes when that is at most RESIDUAL_TOL and the
+    witness's translates cancel, bound(c) <= 1e-6 N_n.  Given ``rng``, a passing
     bound is also spot-checked by verify_divisor on VERIFY_SAMPLES points
     from ``rng``: the result then passes only if the samples do too, and its
     max_residual is the larger of the bound and the sampled maximum.  With
@@ -815,7 +933,7 @@ def _certify(frame, sums, vector, rotations, rng):
     """
     witness = _witness(frame, vector)
     divisor = make_divisor(witness, rotations.r)
-    sup = frame.residual_bound(sums, witness.coeffs, _rotation_matrices(rotations))
+    sup = bound(witness.coeffs)
     bound = divisor.scale * sup
     passed = bound <= RESIDUAL_TOL and sup <= 1e-6 * frame.dim
     if passed and rng is not None:
@@ -850,7 +968,8 @@ class DegreeRecord:
     of h's eigen-linear-forms (``_pair_witness``).  ``dim`` is N_n.
     ``residual_bound`` is the whole-sphere bound on the residual of the
     degree's divisor (see ``_certify``) when its trigger fired, and None
-    otherwise.
+    otherwise: through S_n for a larger tuple, from the products of the
+    rotated forms for a pair (``_product_bound``).
     """
 
     n: int
@@ -914,7 +1033,10 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
 
     The estimate is 8 max((r + 1) P_n^2 + P_n N_n + 4 N_n^2, r (P_(n-1)^2 + P_(n-2)^2),
     (r + 1) P_(n-1)^2 + P_(n-3) P_(n-1)) bytes for the stages below, plus
-    4 ``fischer.BLOCK_BYTES`` of temporaries and the per-process caches:
+    4 ``fischer.BLOCK_BYTES`` of temporaries and the per-process caches.
+    A pair runs none of the recurrence, operator or spectral stages: its
+    fired degrees hold a frame and a few stacked products of P_n entries,
+    so for r = 2 the estimate is an upper bound, kept as it is:
     - the recurrence step to degree n holds the r copies of Sym^(n-1) and
       the sum S_n, at most (r + 1) P_n^2, and works in column slabs; the
       previous degree's S and M are freed before it starts;
@@ -1014,8 +1136,9 @@ def divisibility_test(
     sigma_min from ``_pair_spectrum``, a larger tuple from ``_spectrum``; one
     "spherediv" debug line per degree names the path (pair, pair→witness,
     gram, gram→witness or gram→svd) and its wall time.  A fired pair degree
-    takes its witness from the torus frame of h (``_pair_witness``), with no
-    M and no solve.  At the default tolerance every fired degree
+    takes its witness and its certificate's bound from the torus frame of h
+    (``_pair_witness``), with no M, no solve and no recurrence: a pair runs
+    ``summed_powers`` at no degree.  At the default tolerance every fired degree
     of a larger tuple takes the gram→witness path: it fires on an upper
     bound of sigma_min from its witness, with no SVD and no second assembly
     of M, and records that bound
@@ -1045,39 +1168,43 @@ def divisibility_test(
     verification = None
 
     mats = _rotation_matrices(rotations)
-    spectra, last = None, n_max
-    if rotations.r == 2:
+    pair = rotations.r == 2
+    if pair:  # no recurrence: the spectrum, the witness and its bound all come from h
         spectra, times = [], []
         for n in range(1, n_max + 1):
             start = time.perf_counter()
             spectra.append(_pair_spectrum(mats, n))
             times.append(time.perf_counter() - start)
-        # a pair's recurrence serves only its certificates, so it stops at the last degree that fires
-        last = max((n for n, svals in enumerate(spectra, 1) if _near_singular(svals, 2, sing_tol)[1]), default=0)
-        torus = _torus_frame(mats) if last else None
-    powers = summed_powers(mats, last)
+        fires = any(_near_singular(svals, 2, sing_tol)[1] for svals in spectra)
+        torus = _torus_frame(mats) if fires else None
+    else:
+        powers = summed_powers(mats, n_max)
 
     for n in range(1, n_max + 1):
-        sums = next(powers)[1] if n <= last else None
-        if spectra is None:
-            svals, vector = _spectrum(fischer_frame(rotations.d, n), sums, rotations.r, sing_tol)
-        else:
+        sums = bound = None
+        if pair:
             svals, vector = spectra[n - 1], None
+        else:
+            sums = next(powers)[1]
+            svals, vector = _spectrum(fischer_frame(rotations.d, n), sums, rotations.r, sing_tol)
         ratio, fired, near_band = _near_singular(svals, rotations.r, sing_tol)
-        if spectra is not None:
+        if pair:
             path, start = "pair", time.perf_counter()
-            if fired:  # its witness comes from the torus frame of h, with no M
-                vector, path = _pair_witness(torus, fischer_frame(rotations.d, n)), "pair→witness"
+            if fired:  # its witness and its bound come from the torus frame of h, with no M and no S_n
+                vector, bound = _pair_witness(torus, fischer_frame(rotations.d, n), mats)
+                path = "pair→witness"
             elapsed = times[n - 1] + time.perf_counter() - start
             _log.debug("degree %d: N=%d, %s, %.4f s", n, dim_harmonic(rotations.d, n), path, elapsed)
-        bound = None
+        residual = None
         if fired:
             frame = fischer_frame(rotations.d, n)
             if vector is None:  # a Gram-step degree whose known sigma_min fires at a large sing_tol
                 vector = _kernel_vector(frame.operator(sums), svals[0], rotations.r)
+            if bound is None:
+                bound = partial(frame.residual_bound, sums, mats=mats)
             sample_rng = derive_rng(seed, 2, n, 3) if witness is None else None
-            g, f, ver = _certify(frame, sums, vector, rotations, sample_rng)
-            bound = ver.residual_bound
+            g, f, ver = _certify(frame, vector, bound, rotations, sample_rng)
+            residual = ver.residual_bound
             if ver.passed:
                 verdict = VERDICT_SINGULAR
                 if witness is None:
@@ -1090,9 +1217,9 @@ def divisibility_test(
             verdict = VERDICT_INVERTIBLE
         dim = dim_harmonic(rotations.d, n)
         records.append(
-            DegreeRecord(n=n, dim=dim, sigma_min_rel=float(ratio), verdict=verdict, residual_bound=bound)
+            DegreeRecord(n=n, dim=dim, sigma_min_rel=float(ratio), verdict=verdict, residual_bound=residual)
         )
-        del sums, vector  # free degree n before the recurrence builds degree n + 1 (see _peak_bytes)
+        del sums, vector, bound  # free degree n before the recurrence builds degree n + 1 (see _peak_bytes)
 
     report = DivisibilityReport(
         d=rotations.d,

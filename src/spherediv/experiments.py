@@ -53,7 +53,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -69,6 +69,7 @@ from .divisibility import (
     _kernel_vector,
     _near_singular,
     _pair_spectrum,
+    _rotation_matrices,
     divisibility_test,
     weighted_singular_values,
 )
@@ -571,7 +572,8 @@ def search_divisible(
     if best_ratio < settings.target_ratio:
         # best_ratio is sigma_min / r, so this gate is the trigger's dead-operator clause
         vector = _kernel_vector(best_matrix, best_svals[0], r)
-        _, _, ver = _certify(frame, best_sums, vector, best_tuple, derive_rng(seed, 6))
+        bound = partial(frame.residual_bound, best_sums, mats=_rotation_matrices(best_tuple))
+        _, _, ver = _certify(frame, vector, bound, best_tuple, derive_rng(seed, 6))
         certified = ver.passed
         residual_max = ver.max_residual
     return SearchRun(

@@ -218,7 +218,10 @@ class FischerFrame:
     P_n <= DENSE_MAX_SIZE, where one dense product beats a few stacked ones,
     and None above it; ``operator`` uses it where it is kept.  A harmonic
     with frame coordinates y is the polynomial with monomial coefficients
-    U y / sqrt(a!).  Build frames through the cached ``fischer_frame``.
+    U y / sqrt(a!).  ``defect`` bounds how far the stored U's projection,
+    computed as ``_lift(_project(x))``, may be from the exact harmonic
+    projection P_H x, relative to ||x|| (``_frame_defect``).  Build frames
+    through the cached ``fischer_frame``.
     """
 
     d: int
@@ -226,6 +229,7 @@ class FischerFrame:
     exponents: np.ndarray
     groups: tuple
     basis: Optional[np.ndarray]
+    defect: float
 
     @property
     def size(self) -> int:
@@ -288,6 +292,16 @@ class FischerFrame:
         """Monomial coefficients of the harmonic with frame coordinates ``coords``."""
         return self._lift(coords) * np.exp(-0.5 * _log_factorials(self.exponents))
 
+    def scaled_coordinates(self, coeffs: np.ndarray):
+        """(v', J): v' = sqrt(a!) c / sqrt(n!) for the coefficients c, computed within gamma_J of it entrywise.
+
+        No factorial is formed, so nothing overflows; ``residual_bound``
+        derives J.
+        """
+        log_n = math.lgamma(self.n + 1)
+        coords = coeffs * np.exp(0.5 * (_log_factorials(self.exponents) - log_n))
+        return coords, math.ceil((self.d + 16) * 0.5 * log_n) + 9
+
     def residual_bound(self, sums, coeffs: np.ndarray, mats: np.ndarray) -> float:
         """A bound on max_{|x| = 1} |sum_s p(g_s^T x)| for p = sum_k coeffs[k] x^exponents[k].
 
@@ -337,10 +351,8 @@ class FischerFrame:
         (1 + O(gamma_K)).  Returns ||R'|| + delta.
         """
         d, n, r = self.d, self.n, len(mats)
-        log_n = math.lgamma(n + 1)
-        coords = coeffs * np.exp(0.5 * (_log_factorials(self.exponents) - log_n))
+        coords, scaling = self.scaled_coordinates(coeffs)
         residual = float(np.linalg.norm(sums @ coords))
-        scaling = math.ceil((d + 16) * 0.5 * log_n) + 9
         k = math.comb(n + d - 1, d) + n * (d + 5) + r * d + self.size + scaling
         gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
         absolute = np.abs(mats)
@@ -374,6 +386,60 @@ def _log_factorials(exps: np.ndarray) -> np.ndarray:
     return table[exps].sum(axis=1)
 
 
+def _frame_defect(d: int, n: int, lap: np.ndarray, kernel: np.ndarray) -> float:
+    """A bound D_c >= ||fl(K fl(K^T x)) - P_H x|| / ||x|| for every x of one parity class, at degree n >= 2.
+
+    ``lap`` is the class's Laplacian rows L (R_c x P_c) as computed and
+    ``kernel`` its stored frame block K (P_c x N_c).  U and P_H are both
+    block diagonal over the classes, so the frame's ``defect`` D, the
+    largest D_c, bounds ||fl(U fl(U^T x)) - P_H x|| / ||x|| for every x.
+
+    Exact part.  Let E = K^T K - I, eps >= ||E||, and eta >= ||(I - P_H) K||.
+    I - P_H is the projector onto the row space of L, so
+    ||(I - P_H) K|| <= ||L K|| / sigma_min(L).  Write K = A + B with A = P_H K
+    and ||B|| <= eta.  A maps R^N into H_c, of the same dimension N (L is
+    onto), so A A^T on H_c has the eigenvalues of A^T A = I + E - B^T B and
+    ||A A^T - P_H|| = ||A^T A - I|| <= eps + eta^2; with ||A|| <= sqrt(1 + eps),
+    ||K K^T - P_H|| <= eps + 2 sqrt(1 + eps) eta + 2 eta^2.  In the orthonormal
+    monomial basis the Laplacian's adjoint is multiplication by |x|^2, and
+    on |x|^(2j) h with h harmonic of degree m, 2j + m = n - 2,
+    Delta |x|^2 acts as (2j + 2)(2j + 2m + d), so sigma_min(L)^2 = 2 (2n + d - 4)
+    (j = 0), for the whole Laplacian and so for each class block.
+
+    Round-off (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., ch. 3), u = 2^-53, gamma_k = k u / (1 - k u), and
+    g = gamma_(P_c N_c + P_c + 4), which covers the relative error of every
+    norm and product of nonnegative numbers here.  s = (1 + g) ||fl(|K|^T |K|)||_F
+    bounds || |K| ||^2, since a product of nonnegative numbers is computed
+    within g of itself.  fl(K^T K) is within gamma_(P_c) |K|^T |K| of K^T K,
+    so eps = (1 + g) (e + gamma_(P_c) s), e the computed ||fl(K^T K) - I||_F.
+    The computed L has the entries sqrt(a_i (a_i - 1)) within u relative,
+    so ||L K|| <= (1 + g) (f + gamma_(P_c + 1) ||fl(|L| |K|)||_F), f the
+    computed ||fl(L K)||_F; sqrt(2 (2n + d - 4)) is rounded once and taken
+    (1 - 2u) lower.  Applying the frame, fl(U^T x) and then fl(U y), adds at
+    most gamma_(P_c + N_c) |K| |K|^T |x|, of norm at most
+    gamma_(P_c + N_c) s ||x||.  The sum is taken (1 + gamma_10) higher for
+    the arithmetic that forms it.  A frame of degree 1 is the identity,
+    exactly, with D = 0.
+    """
+    unit = 2.0**-53
+
+    def gamma(k):
+        return k * unit / (1.0 - k * unit)
+
+    sigma = math.sqrt(2.0 * (2 * n + d - 4)) * (1.0 - 2.0 * unit)
+    size, dim = kernel.shape
+    rel = 1.0 + gamma(size * dim + size + 4)
+    spread = np.abs(kernel)
+    square = rel * float(np.linalg.norm(spread.T @ spread))
+    gram = kernel.T @ kernel
+    gram[np.diag_indices(dim)] -= 1.0
+    eps = rel * (float(np.linalg.norm(gram)) + gamma(size) * square)
+    leak = float(np.linalg.norm(lap @ kernel)) + gamma(size + 1) * float(np.linalg.norm(np.abs(lap) @ spread))
+    eta = rel * leak / sigma
+    return (eps + 2.0 * math.sqrt(1.0 + eps) * eta + 2.0 * eta * eta + gamma(size + dim) * square) * (1.0 + gamma(10))
+
+
 @lru_cache(maxsize=None)
 def fischer_frame(d: int, n: int) -> FischerFrame:
     """The Fischer frame of degree n >= 1 in dimension d >= 2, built once per process."""
@@ -381,6 +447,7 @@ def fischer_frame(d: int, n: int) -> FischerFrame:
         raise InputDomainError(f"Fischer frames need d >= 2 and n >= 1, got d={d}, n={n}")
     exps = _exponents(d, n)
     size = len(exps)
+    defect = 0.0
     if n < 2:
         every = np.arange(size)
         groups = (_Group(every[:, None], every[:, None], np.ones((size, 1, 1))),)
@@ -404,10 +471,12 @@ def fischer_frame(d: int, n: int) -> FischerFrame:
         filled = 0
         for c in range(pattern.max() + 1):
             cols, rows = np.nonzero(cols_of == c)[0], np.nonzero(rows_of == c)[0]
-            q, _ = np.linalg.qr(lap[np.ix_(rows, cols)].T, mode="complete")
+            part = lap[np.ix_(rows, cols)]
+            q, _ = np.linalg.qr(part.T, mode="complete")
             kept = len(cols) - len(rows)
             block = (cols, np.arange(filled, filled + kept), q[:, len(rows):])
             shapes.setdefault((len(cols), kept), []).append(block)
+            defect = max(defect, _frame_defect(d, n, part, block[2]))
             filled += kept
         groups = tuple(_Group(*(np.stack(part) for part in zip(*members))) for members in shapes.values())
     basis = None
@@ -419,7 +488,7 @@ def fischer_frame(d: int, n: int) -> FischerFrame:
     for g in groups:
         for part in (g.monomials, g.columns, g.basis):
             part.setflags(write=False)
-    return FischerFrame(d=d, n=n, exponents=exps, groups=groups, basis=basis)
+    return FischerFrame(d=d, n=n, exponents=exps, groups=groups, basis=basis, defect=defect)
 
 
 def _runs(step: _Step, parents: int):

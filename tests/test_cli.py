@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,10 +246,13 @@ class TestCmdConstruct:
         assert "10000000 bad angles" in capsys.readouterr().err
 
     def test_d2_analyze_single_angle_prints_n_angles(self, capsys):
-        # one fixed angle psi leaves the n bad angles psi + (pi + 2 pi j) / n
+        # one fixed angle psi leaves the n bad angles psi + (pi + 2 pi j) / n; with the report on
+        # stdout, the summary line goes to stderr
         code = main(["construct", "d2-analyze", "--n", "4", "--angles", "1.1765425947969412"])
         assert code == 0
-        last = capsys.readouterr().out.splitlines()[-1]
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["kind"] == "d2-analyze"
+        last = captured.err.splitlines()[-1]
         assert last.startswith("bad angles: ")
         assert len(json.loads(last[len("bad angles: "):])) == 4
 
@@ -422,3 +429,48 @@ class TestCmdExperiment:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"kind": "genericity", "d": 300, "r": 3, "n_max": 1, "trials": 2, "seed": 1}))
         assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+
+
+class TestOutputStreams:
+    def test_stdout_holds_the_document_alone(self, capsys):
+        # with no --out the JSON goes to stdout, and the seed and summary lines to stderr
+        assert main(["construct", "planar", "--d", "8", "--r", "2", "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["kind"] == "planar"
+        assert "seed: 1" in captured.err.splitlines()
+
+    @pytest.mark.parametrize("first", [10, 0])
+    def test_closed_stdout_exits_quietly(self, first):
+        # a reader that takes a few bytes, or none, and closes the pipe ends the run with exit
+        # code 0 and no traceback; the d = 300 tuple's JSON is far larger than a pipe's buffer
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["construct", "planar", "--d", "300", "--r", "2", "--samples", "10", "--seed", "1"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spherediv.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        try:
+            assert proc.stdout.read(first) == b'{\n  "kind"'[:first]
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert "Traceback" not in err and "Error" not in err
+        assert err.startswith("seed: 1")
+
+    @pytest.mark.parametrize("command", ["test", "construct", "experiment"])
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing" / "out.json")
+        if command == "test":
+            inp = write_tuple(tmp_path / "tuple.json", [Rotation(np.eye(3))] * 2)
+            argv = ["test", "--input", inp, "--n-max", "3", "--seed", "1", "--out", missing]
+        elif command == "construct":
+            argv = ["construct", "planar", "--d", "3", "--r", "2", "--samples", "100", "--seed", "1", "--out", missing]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"kind": "search", "d": 2, "r": 2, "n": 1, "restarts": 1, "max_iter": 40}))
+            argv = ["experiment", "--config", str(config), "--seed", "1", "--out", missing]
+        assert main(argv) == 2
+        assert f"input error: cannot write {missing}" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -282,17 +283,22 @@ class TestResidualBound:
         assert 1.0 <= frame.residual_bound(sums, coeffs, mats) <= 1.0 + 1e-10
 
     def test_top_singular_vector_rejected(self, monkeypatch):
+        # the top singular vector, injected into the pair path, is refused by the bound of the
+        # pair's products of forms that comes with it
         tup = half_turn_pair(6, 263)
-
-        def top_vector(matrix, sigma_max, r):
-            return np.linalg.svd(matrix)[2][0]
-
-        for _, sums in summed_powers(np.array([g.matrix for g in tup]), 1):
+        mats = np.array([g.matrix for g in tup])
+        for _, sums in summed_powers(mats, 1):
             pass
         frame = fischer_frame(6, 1)
-        top = top_vector(frame.operator(sums), None, tup.r)
-        monkeypatch.setattr(divisibility, "_pair_witness", lambda torus, frame: top)
-        _, _, ver = divisibility._certify(frame, sums, top, tup, 283)
+        top = np.linalg.svd(frame.operator(sums))[2][0]
+        witness = divisibility._pair_witness
+
+        def foreign(torus, frame, mats):
+            return top, witness(torus, frame, mats)[1]
+
+        monkeypatch.setattr(divisibility, "_pair_witness", foreign)
+        _, bound = witness(divisibility._torus_frame(mats), frame, mats)
+        _, _, ver = divisibility._certify(frame, top, bound, tup, 283)
         assert not ver.passed and ver.n_samples == 0
         assert ver.residual_bound > 1e-2
         report = divisibility_test(tup, 1, rng=283)
@@ -307,12 +313,12 @@ def full_svd_vector(matrix, sigma_max, r):
 
 
 def svd_pair_witness(tup):
-    """A stand-in for divisibility._pair_witness on ``tup``: the full SVD's witness of the degree's M."""
+    """A stand-in for divisibility._pair_witness on ``tup``: the full SVD's witness of the degree's M, bounded through S_n."""
     mats = np.array([g.matrix for g in tup])
 
-    def witness(torus, frame):
+    def witness(torus, frame, mats_):
         *_, (_, sums) = summed_powers(mats, frame.n)
-        return full_svd_vector(frame.operator(sums), None, tup.r)
+        return full_svd_vector(frame.operator(sums), None, tup.r), functools.partial(frame.residual_bound, sums, mats=mats)
 
     return witness
 

@@ -88,6 +88,41 @@ class TestParityBlocks:
         assert np.max(np.abs(frame.coefficients(coords) - dense)) <= 1e-15
 
 
+def laplacian(d, n):
+    """The Laplacian P_n -> P_(n-2) in the orthonormal monomial bases, entries sqrt(a_i (a_i - 1))."""
+    exps, lower = fischer._exponents(d, n), fischer._exponents(d, n - 2)
+    lap = np.zeros((len(lower), len(exps)))
+    for row, b in enumerate(lower):
+        for i in range(d):
+            a = b.copy()
+            a[i] += 2
+            lap[row, fischer._index(a[None])[0]] = math.sqrt(a[i] * (a[i] - 1.0))
+    return lap
+
+
+class TestFrameDefect:
+    @pytest.mark.parametrize("d, n", [(2, 2), (2, 9), (3, 2), (3, 7), (5, 4), (8, 3)])
+    def test_smallest_singular_value_of_the_laplacian(self, d, n):
+        # Delta |x|^2 on |x|^(2j) h_m is (2j + 2)(2j + 2m + d), least at j = 0, m = n - 2
+        smallest = np.linalg.svd(laplacian(d, n), compute_uv=False)[-1]
+        assert math.isclose(smallest**2, 2 * (2 * n + d - 4), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("d, n", [(2, 1), (2, 50), (3, 34), (4, 6), (7, 4), (8, 5)])
+    def test_defect_covers_the_computed_projection(self, d, n):
+        frame = fischer_frame(d, n)
+        if n < 2:
+            assert frame.defect == 0.0
+            return
+        _, _, vt = np.linalg.svd(laplacian(d, n))
+        rows = vt[: fischer._exponents(d, n - 2).shape[0]]
+        exact = np.eye(frame.size) - rows.T @ rows
+        basis = dense_basis(frame)
+        assert np.linalg.norm(basis @ basis.T - exact, 2) <= frame.defect <= 1e-11
+        for x in np.random.default_rng(10 * d + n).standard_normal((4, frame.size)):
+            computed = frame._lift(frame._project(x[:, None])[:, 0])
+            assert np.linalg.norm(computed - exact @ x) <= frame.defect * np.linalg.norm(x)
+
+
 class TestSlabRecurrence:
     # budget 1 makes one-column slabs; 1 << 14 makes slabs of a few columns,
     # several to a lead block, with a short last slab

@@ -152,11 +152,12 @@ class TestPairPath:
         monkeypatch.setattr(divisibility, "summed_powers", counted_powers)
         report = divisibility_test(circle_tuple(0.0, math.pi), 4, rng=179)
         assert report.singular_degrees() == [1, 3]
-        # fired degrees take their witnesses from the torus frame: M is never assembled
-        assert assembled == []
-        assert stepped == [1, 2, 3]
-        assembled.clear()
-        stepped.clear()
+        # fired degrees take their witnesses and their certificates from products of the torus
+        # frame's forms: M is never assembled and the recurrence never runs
+        assert assembled == stepped == []
+        report = divisibility_test(half_turn_pair(8, 263), 5, rng=179)
+        assert report.singular_degrees() == [1, 2, 3, 4, 5]
+        assert assembled == stepped == []
         report = divisibility_test(haar_pair(8, 727), 5, rng=733)
         assert [rec.verdict for rec in report.degrees] == ["invertible"] * 5
         assert assembled == stepped == []

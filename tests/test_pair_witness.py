@@ -1,5 +1,6 @@
-"""The witness of a fired pair degree, built in closed form from the torus frame of h = g_1^T g_2."""
+"""The witness of a fired pair degree and its certificate, built in closed form from the torus frame of h = g_1^T g_2."""
 
+import functools
 import math
 
 import numpy as np
@@ -79,13 +80,14 @@ def fired_pairs(draw):
 
 
 def reference_witness(tup):
-    """The pair witness of the old route: ``_kernel_vector`` of the assembled M, one pair of LU solves a step."""
+    """The pair witness and certificate of the old route: ``_kernel_vector`` of the assembled M, bounded through S_n."""
     mats = np.array([g.matrix for g in tup])
 
-    def witness(torus, frame):
+    def witness(torus, frame, mats_):
         *_, (_, sums) = summed_powers(mats, frame.n)
         sigma_max = divisibility._pair_spectrum(mats, frame.n)[0]
-        return divisibility._kernel_vector(frame.operator(sums), sigma_max, tup.r)
+        vector = divisibility._kernel_vector(frame.operator(sums), sigma_max, tup.r)
+        return vector, functools.partial(frame.residual_bound, sums, mats=mats)
 
     return witness
 
@@ -98,6 +100,13 @@ def rows(report):
     ]
 
 
+def fired_degrees(mats, n_max):
+    return [
+        n for n in range(1, n_max + 1)
+        if divisibility._near_singular(divisibility._pair_spectrum(mats, n), 2, divisibility.DEFAULT_SING_TOL)[1]
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=fired_pairs())
 def test_fired_pair_witnesses(case):
@@ -106,34 +115,99 @@ def test_fired_pair_witnesses(case):
     made = []
     witness = divisibility._pair_witness
 
-    def recorded(torus, frame):
-        made.append((frame.n, witness(torus, frame)))
-        return made[-1][1]
+    def recorded(torus, frame, mats_):
+        made.append((frame.n, *witness(torus, frame, mats_)))
+        return made[-1][1:]
 
     def refused(*args):
-        raise AssertionError("a pair degree assembled M or ran _kernel_vector")
+        raise AssertionError("a pair degree assembled M, ran _kernel_vector or ran the recurrence")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(divisibility, "_pair_witness", recorded)
         patch.setattr(divisibility, "_kernel_vector", refused)
+        patch.setattr(divisibility, "summed_powers", refused)
         patch.setattr(FischerFrame, "operator", refused)
         report = divisibility_test(tup, n_max, rng=5)
-    fired = [
-        n for n in range(1, n_max + 1)
-        if divisibility._near_singular(divisibility._pair_spectrum(mats, n), 2, divisibility.DEFAULT_SING_TOL)[1]
-    ]
-    assert fired and [n for n, _ in made] == fired
+    fired = fired_degrees(mats, n_max)
+    assert fired and [n for n, *_ in made] == fired
     sums = dict(summed_powers(mats, n_max))
-    for n, vector in made:
+    for n, vector, bound in made:
         frame = fischer_frame(tup.d, n)
         assert math.isclose(np.linalg.norm(vector), 1.0, rel_tol=1e-12)
         assert np.linalg.norm(frame.apply(sums[n], vector)) <= 1e-12 * tup.r, n
-        assert divisibility._certify(frame, sums[n], vector, tup, None)[2].passed, n
+        assert divisibility._certify(frame, vector, bound, tup, None)[2].passed, n
     assert report.singular_degrees() == fired
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(divisibility, "_pair_witness", reference_witness(tup))
         reference = divisibility_test(tup, n_max, rng=5)
     assert rows(report) == rows(reference)
+
+
+def perturbed(torus, rng, size=1e-10):
+    """The torus frame with every form moved by a complex vector of entries about ``size``."""
+    forms, angles, axis = torus
+    step = rng.standard_normal(forms.shape) + 1j * rng.standard_normal(forms.shape)
+    return forms + size * step, angles, axis
+
+
+def dense_residual(frame, sums, coeffs):
+    """||S_n w|| / sqrt(n!) for w = sqrt(a!) c, with S_n from the recurrence: the residual's Fischer-norm bound."""
+    logs = np.array([sum(math.lgamma(a + 1) for a in row) for row in frame.exponents])
+    return np.linalg.norm(sums @ (coeffs * np.exp(0.5 * (logs - math.lgamma(frame.n + 1)))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=fired_pairs(), shaken=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_product_bound_against_the_dense_bound(case, shaken, seed):
+    # at every fired degree the bound from the products of forms covers the dense residual,
+    # stays within 10x of the recurrence's bound and passes wherever that one passes, also
+    # with the torus forms moved off h's eigenvectors by 1e-10
+    tup, n_max = case
+    mats = np.array([g.matrix for g in tup])
+    torus = divisibility._torus_frame(mats)
+    if shaken:
+        torus = perturbed(torus, np.random.default_rng(seed))
+    sums = dict(summed_powers(mats, n_max))
+    for n in fired_degrees(mats, n_max):
+        frame = fischer_frame(tup.d, n)
+        vector, bound = divisibility._pair_witness(torus, frame, mats)
+        witness = divisibility._witness(frame, vector)
+        scale = divisibility.make_divisor(witness, tup.r).scale
+        new, old = bound(witness.coeffs), frame.residual_bound(sums[n], witness.coeffs, mats)
+        assert dense_residual(frame, sums[n], witness.coeffs) <= new <= 10.0 * old, n
+        if scale * old <= divisibility.RESIDUAL_TOL:
+            assert scale * new <= divisibility.RESIDUAL_TOL, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=fired_pairs())
+def test_foreign_vector_refused(case):
+    # M's top right singular vector v has ||M v|| = sigma_max, so its divisor misses 1 by far; it
+    # is not the product's projection and meets the product's bound only through r ||e||, which
+    # must refuse it.  Degrees where M = 0, and every vector is a witness, are left out
+    tup, n_max = case
+    mats = np.array([g.matrix for g in tup])
+    torus = divisibility._torus_frame(mats)
+    sums = dict(summed_powers(mats, n_max))
+    for n in fired_degrees(mats, n_max):
+        if divisibility._pair_spectrum(mats, n)[0] < 1e-6:
+            continue
+        frame = fischer_frame(tup.d, n)
+        top = np.linalg.svd(frame.operator(sums[n]))[2][0]
+        _, bound = divisibility._pair_witness(torus, frame, mats)
+        _, _, ver = divisibility._certify(frame, top, bound, tup, None)
+        assert not ver.passed and ver.residual_bound > 1e-6, n
+
+
+@pytest.mark.parametrize("d, n", [(2, 7), (3, 4), (5, 3), (8, 2)])
+def test_translated_product_is_the_symmetric_power(d, n):
+    # rho(g) prod_j (a_j . x) = prod_j ((g a_j) . x): the identity the product bound rests on
+    rng = np.random.default_rng(10 * d + n)
+    forms = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    g = haar_sample(d, rng).matrix
+    *_, (_, power) = summed_powers(g[None], n)
+    moved = divisibility._form_products(forms @ g.T, d)
+    assert np.allclose(moved, power @ divisibility._form_products(forms, d), atol=1e-13)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
