@@ -33,21 +33,18 @@ The frame is deterministic, so verdicts do not depend on the seed, which
 drives only the verification points.  Near-zero smallest singular values
 only *trigger* certificate extraction; the certificate itself is the
 residual of a concrete kernel witness g, propagated into an explicit divisor
-f = 1/r + c g whose rotated copies must sum to 1 everywhere.  A fired
-degree takes no SVD for its witness, whose frame coordinates are v.  A
-pair writes v down from the torus frame of h (``_torus_frame``): one
-``eig`` gives linear forms a_j with rho(h) a_j = e^(i theta_j) a_j, and
-the product of those forms that sigma_min's weight k names has
-rho(h) q = e^(i k . theta) q = -q, so its harmonic projection, built by n
-multiplications by a linear form, is a kernel vector with no M and no
-solve (``_pair_witness``).  A larger tuple takes v from one step of
-shifted inverse iteration, on G (``_gram_witness``) for a Gram-step
-degree, and otherwise on M + mu I (``_kernel_vector``), one pair of
-solves per step, with a second step only where the first leaves ||M v||
-above 2 mu.  M stays with the code that assembled it, which makes v once
-per fired degree: ``_spectrum`` keeps the v that bounded a Gram-step
-degree's sigma_min, and divisibility_test assembles M again only for a
-degree whose known sigma_min fired at a large sing_tol.
+f = 1/r + c g whose rotated copies must sum to 1 everywhere.  Each degree
+takes its witness, whose frame coordinates are v, from the factorization
+that decided it.  A pair writes v down from the torus frame of h
+(``_torus_frame``): one ``eig`` gives linear forms a_j with
+rho(h) a_j = e^(i theta_j) a_j, and the product of those forms that
+sigma_min's weight k names has rho(h) q = e^(i k . theta) q = -q, so its
+harmonic projection, built by n multiplications by a linear form, is a
+kernel vector with no M and no solve (``_pair_witness``).  A larger tuple
+takes v from the solve with G whose ||M v|| decided sigma_min
+(``_spectrum``), and only at an exact zero pivot of that solve from one
+SVD of a re-assembled M (``_svd_witness``); that SVD also serves
+kernel_witness and the search's certificate, which hold M.
 The certificate never reads M.  The frame bounds that residual over the
 whole sphere: its polynomial has Fischer coordinates R = S_n v, and
 |p(x)| <= ||p||_F / sqrt(n!) for every degree-n p and unit x, so one
@@ -371,57 +368,29 @@ def _check_tolerance(name: str, value: float) -> None:
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def _start(size: int) -> np.ndarray:
-    """The fixed start cos(k phi), k = 1 .. size, of every inverse-iteration step here."""
-    return np.cos(_GOLDEN * np.arange(1, size + 1))
+def _svd_witness(matrix: np.ndarray):
+    """(svals, v) of M from one SVD: its singular values, descending, and the right-singular vector of the last.
 
-
-def _kernel_vector(matrix: np.ndarray, sigma_max: float, r: int) -> np.ndarray:
-    """A unit vector v with M v near zero for a near-singular M, by shifted inverse iteration.
-
-    It serves the callers that hold M and no closed form: the Gram step's
-    fall-backs (an exact zero pivot of ``_gram_witness``'s solve, and a
-    degree whose known sigma_min fires at a large sing_tol), the search's
-    certificate and ``kernel_witness``; a pair's witness comes from its
-    torus frame (``_pair_witness``).
-    ``sigma_max`` is M's largest singular value as the trigger read it, so
-    no factorization repeats the spectral step.  With A = M + mu I, a step is
-    x <- A^-1 (A^-T x), normalized: inverse iteration on A^T A, which draws
-    x towards the right-singular vector of A's smallest singular value
-    (Ipsen, SIAM Review 39, 1997), at the cost of two LU solves.  A kernel
-    vector k of M has ||A k|| = mu, so A's smallest singular value is at
-    most mu and a step that has found it gives ||M v|| <= ||A v|| + mu,
-    about 2 mu at most.  After each step one matvec with M reads ||M v||,
-    and v is returned as soon as that is at most 2 mu; at most two steps
-    run.  The start cos(k phi) is fixed, so the witness does not depend on
-    any seed; it may lie nearly orthogonal to the kernel, and then the
-    second step removes what the first left.  The shift
-    mu = 1e-13 max(sigma_max, r) is far above the ulp of every diagonal
-    entry (|M_ii| <= sigma_max), so it changes each of them and keeps the
-    LU clear of the exact zero pivots an unshifted or ulp-shifted M can
-    meet.  Nothing here is trusted: ``_certify`` bounds the residual of
-    whatever v comes out, after two steps that missed 2 mu as well.
+    It serves the callers that hold M and no factorization of their own:
+    ``kernel_witness``, the search's certificate and ``_spectrum``'s
+    fall-back at an exact zero pivot of the solve with G.  v is copied out of
+    the factor V^T, so neither factor outlives the call.
     """
-    shift = 1e-13 * max(float(sigma_max), r)
-    shifted = matrix.copy()
-    shifted[np.diag_indices(len(matrix))] += shift
-    x = _start(len(matrix))
-    for _ in range(2):
-        x = np.linalg.solve(shifted, np.linalg.solve(shifted.T, x))
-        x /= np.linalg.norm(x)
-        if np.linalg.norm(matrix @ x) <= 2.0 * shift:
-            break
-    return x
+    _, svals, vt = np.linalg.svd(matrix)
+    return svals, vt[-1].copy()
 
 
 def _gram_refinement(shifted: np.ndarray) -> np.ndarray:
-    """One step of inverse iteration, x = (G - c I)^-1 cos(k phi), normalized, for ``shifted`` = G - c I."""
-    x = np.linalg.solve(shifted, _start(len(shifted)))
+    """One step of inverse iteration, x = (G - c I)^-1 cos(k phi), normalized, for ``shifted`` = G - c I.
+
+    The start cos(k phi), k = 1 .. N_n, is fixed, so x does not depend on any seed.
+    """
+    x = np.linalg.solve(shifted, np.cos(_GOLDEN * np.arange(1, len(shifted) + 1)))
     return x / np.linalg.norm(x)
 
 
 def _gram_extremes(frame, sums, gram: np.ndarray):
-    """(sigma_max, sigma_min) of M = U^T S U from G = M^T M, with sigma_min None where G cannot give it.
+    """(sigma_max, sigma_min, x) of M = U^T S U from G = M^T M, with sigma_min and x None where G cannot give them.
 
     ``gram`` is G as computed from M; its diagonal is shifted and shifted
     back, so it is G again on return up to one rounding per diagonal
@@ -440,12 +409,12 @@ def _gram_extremes(frame, sums, gram: np.ndarray):
     ||M x||^2 >= sigma_min^2.  sqrt(w[0]) alone is off by up to about 1e-9
     relative; the quotient agrees with the SVD to about 1e-12.  It is kept
     only if it is within the allowance of w[0]: ``eigvalsh`` is dense and
-    cannot skip an eigenvalue, so that check is the whole guard.  At the
-    round-off floor, at an exact zero pivot of the shifted solve and where
-    the check fails, sigma_min is None, and ``_spectrum`` bounds it by a
-    witness taken from G (``_gram_witness``) before any SVD; it assembles M
-    again only where that solve meets an exact zero pivot (for
-    ``_kernel_vector``) or the witness's bound does not fire (for the SVD).
+    cannot skip an eigenvalue, so that check is the whole guard, and then x
+    is returned too, the unit vector whose ||M x|| is that sigma_min: the
+    degree's witness should it fire.  At the round-off floor, at an exact
+    zero pivot of the shifted solve and where the check fails, sigma_min is
+    None, and ``_spectrum`` bounds it by a witness taken from G
+    (``_gram_witness``) before any SVD.
     """
     size = len(gram)
     trace = float(np.trace(gram))
@@ -454,28 +423,28 @@ def _gram_extremes(frame, sums, gram: np.ndarray):
     allowance = size * unit / (1.0 - size * unit) * trace + size * unit * w[-1]
     sigma_max = math.sqrt(w[-1])
     if w[0] <= max(1e3 * size * unit * w[-1], 2.0 * allowance):
-        return sigma_max, None
+        return sigma_max, None, None
     diagonal = np.diag_indices(size)
     gram[diagonal] -= w[0]
     try:
         x = _gram_refinement(gram)
     except np.linalg.LinAlgError:  # an exact zero pivot
-        return sigma_max, None
+        return sigma_max, None, None
     finally:
         gram[diagonal] += w[0]
     image = frame.apply(sums, x)
     rayleigh = float(image @ image) / float(x @ x)
     if not abs(rayleigh - w[0]) <= allowance:  # NaN fails too
-        return sigma_max, None
-    return sigma_max, math.sqrt(rayleigh)
+        return sigma_max, None, None
+    return sigma_max, math.sqrt(rayleigh), x
 
 
 def _gram_witness(gram: np.ndarray, sigma_max: float, r: int) -> Optional[np.ndarray]:
     """A unit x with M x near zero, from one solve of (G + mu I) x = cos(k phi); None at an exact zero pivot.
 
     One step of inverse iteration on G = M^T M draws x towards the right
-    singular vector of M's smallest singular value, as two solves with M
-    do in ``_kernel_vector``, with no copy of M.  The shift
+    singular vector of M's smallest singular value, with no copy of M
+    (Ipsen, SIAM Review 39, 1997).  The shift
     mu = 1e-15 max(sigma_max, r)^2 keeps the solve clear of the exact zero
     pivots of a G that is exactly 0 (a tuple whose translates cancel) and
     stays near the ulp of G's largest entries, so that one step reaches
@@ -492,26 +461,27 @@ def _gram_witness(gram: np.ndarray, sigma_max: float, r: int) -> Optional[np.nda
 
 
 def _spectrum(frame, sums, r: int, sing_tol: float):
-    """(svals, v) of one degree: the singular values its trigger reads, and a kernel vector v where one was made.
+    """(svals, v) of one degree: the singular values its trigger reads, and a unit v with ||M v|| near sigma_min.
 
     M = U^T S U gives G = M^T M and is freed, and ``_gram_extremes`` reads
     sigma_max and, where it can, sigma_min from G.  No M leaves this
-    function.  The paths, each named in one debug line on the "spherediv"
-    logger with N_n and the step's wall time after the first assembly:
+    function, and v comes from the factorization that decided the degree,
+    so a fired degree's witness costs nothing more.  The paths, each named
+    in one debug line on the "spherediv" logger with N_n and the step's
+    wall time after the first assembly:
     - gram: svals = [sigma_max, sigma_min] from ``_gram_extremes``, and v
-      None;
+      the unit vector of the shifted solve whose ||M v|| is that sigma_min;
     - gram→witness: where ``_gram_extremes`` leaves sigma_min unknown, one
       shifted solve with G (``_gram_witness``) gives a unit v, and ||M v||,
       applied through the frame, bounds sigma_min from above, so
       svals = [sigma_max, ||M v||].  Where that bound fires the trigger
       (``_near_singular``), it decides the degree with no SVD and no second
-      assembly of M, and v is the witness that ``_certify`` takes; the
-      degree's ``sigma_min_rel`` is then an upper bound, below
-      ``sing_tol``, not the SVD's ratio.  Only at an exact zero pivot of
-      that solve is M assembled again, for ``_kernel_vector``'s v;
+      assembly of M; the degree's ``sigma_min_rel`` is then an upper
+      bound, below ``sing_tol``, not the SVD's ratio;
     - gram→svd: where the witness's bound does not fire, M is assembled
-      again and its values-only SVD decides; v is kept, so a degree that
-      the SVD fires certifies it as well.
+      again and its values-only SVD decides, and v is kept; where that
+      solve meets an exact zero pivot, the SVD of the re-assembled M
+      decides and gives v (``_svd_witness``).
     ``_near_singular`` reads only the first and last entries of svals, so
     every kind serves.
     """
@@ -519,20 +489,19 @@ def _spectrum(frame, sums, r: int, sing_tol: float):
     start = time.perf_counter()
     gram = matrix.T @ matrix
     del matrix  # G replaces M (see _peak_bytes)
-    sigma_max, sigma_min = _gram_extremes(frame, sums, gram)
+    sigma_max, sigma_min, vector = _gram_extremes(frame, sums, gram)
     if sigma_min is not None:
-        del gram
-        svals, vector, path = np.array([sigma_max, sigma_min]), None, "gram"
+        svals, path = np.array([sigma_max, sigma_min]), "gram"
     else:  # bound sigma_min by a witness, and take the SVD only where that bound does not fire
-        vector, matrix = _gram_witness(gram, sigma_max, r), None
+        vector = _gram_witness(gram, sigma_max, r)
         del gram
         if vector is None:  # an exact zero pivot
-            matrix = frame.operator(sums)
-            vector = _kernel_vector(matrix, sigma_max, r)
-        svals, path = np.array([sigma_max, np.linalg.norm(frame.apply(sums, vector))]), "gram→witness"
-        if not _near_singular(svals, r, sing_tol)[1]:
-            matrix = frame.operator(sums) if matrix is None else matrix
-            svals, path = weighted_singular_values(matrix), "gram→svd"
+            svals, vector = _svd_witness(frame.operator(sums))
+            path = "gram→svd"
+        else:
+            svals, path = np.array([sigma_max, np.linalg.norm(frame.apply(sums, vector))]), "gram→witness"
+            if not _near_singular(svals, r, sing_tol)[1]:
+                svals, path = weighted_singular_values(frame.operator(sums)), "gram→svd"
     _log.debug("degree %d: N=%d, %s, %.4f s", frame.n, frame.dim, path, time.perf_counter() - start)
     return svals, vector
 
@@ -551,18 +520,19 @@ def _torus_angles(mats: np.ndarray) -> np.ndarray:
     return angles[..., mats.shape[-1] % 2::2]
 
 
-def _pair_spectrum(mats: np.ndarray, n: int) -> np.ndarray:
+def _pair_spectrum(angles: np.ndarray, d: int, n: int) -> np.ndarray:
     """[sigma_max, sigma_min] of a pair's degree-n operator, or a stack (..., 2) of them, without forming M.
 
     M = rho(g_1) + rho(g_2) = rho(g_1) (I + rho(h)) with h = g_1^T g_2, and
     rho(g_1) is orthogonal, so M has the singular values of I + rho(h), which
     is normal: rho(h) has the eigenvalue e^(i k . theta) for every torus weight
     k of H_n (``fischer._torus_weights``), so the singular values are
-    |1 + e^(i k . theta)| = 2 |cos(k . theta / 2)|.  ``mats`` is a pair
-    (2, d, d) or a stack (..., 2, d, d) of pairs.
+    |1 + e^(i k . theta)| = 2 |cos(k . theta / 2)|.  ``angles`` are the
+    pair's theta from ``_torus_angles``, (m,) or a stack (..., m), taken
+    once for every degree.
     """
-    weights, _ = fischer._torus_weights(mats.shape[-1], n)
-    values = 2.0 * np.abs(np.cos(0.5 * (_torus_angles(mats) @ weights.T)))
+    weights, _ = fischer._torus_weights(d, n)
+    values = 2.0 * np.abs(np.cos(0.5 * (angles @ weights.T)))
     return np.stack([values.max(axis=-1), values.min(axis=-1)], axis=-1)
 
 
@@ -748,8 +718,8 @@ def _product_bound(frame, r, lifted, own, moved, kept, sizes, coeffs) -> float:
 def _witness(basis, vector: np.ndarray) -> HarmonicFunction:
     """The harmonic with frame coordinates ``vector`` in ``basis``, scaled to a witness.
 
-    ``vector`` is a kernel vector from ``_pair_witness``, ``_gram_witness``
-    or ``_kernel_vector``; the coefficients are normalized so that
+    ``vector`` is a kernel vector from ``_pair_witness``, ``_spectrum`` or
+    ``_svd_witness``; the coefficients are normalized so that
     sum_k |c_k| = 1 with a positive largest entry.
     """
     coeffs = basis.coefficients(vector)
@@ -768,23 +738,23 @@ def kernel_witness(
     """A kernel element of the r-rotation operator whose matrix in ``basis``'s frame is ``matrix``.
 
     ``basis`` is a FischerFrame (with M = U^T S_n U) or a ZonalBasis (with
-    M from ``operator_matrix``).  Takes the values-only SVD of M and raises
-    NotSingularError unless M is near-singular per ``sing_tol`` (see
-    ``_near_singular``).  The witness's frame coordinates come from shifted
-    inverse iteration (``_kernel_vector``), not from a second SVD; its
+    M from ``operator_matrix``).  One SVD of M (``_svd_witness``) gives the
+    singular values, and NotSingularError is raised unless M is
+    near-singular per ``sing_tol`` (see ``_near_singular``), and the
+    witness's frame coordinates, the right-singular vector of sigma_min; its
     coefficients are normalized so that sum_k |c_k| = 1 with a positive
     largest entry.  The witness is not residual-checked here:
     divisibility_test and search_divisible certify the residual of its
     divisor.
     """
-    svals = weighted_singular_values(matrix)
+    svals, vector = _svd_witness(matrix)
     ratio, fired, _ = _near_singular(svals, r, sing_tol)
     if not fired:
         raise NotSingularError(
             f"not singular per sing_tol={sing_tol:.3e}: sigma ratio {float(ratio):.3e}, "
             f"weighted sigma_min {svals[-1]:.3e}"
         )
-    return _witness(basis, _kernel_vector(matrix, svals[0], r))
+    return _witness(basis, vector)
 
 
 @dataclass(frozen=True)
@@ -910,10 +880,10 @@ def _certify(frame, vector, bound, rotations, rng):
     ``frame`` is the degree's FischerFrame and ``vector`` a kernel vector of
     its operator M = U^T S_n U, made once per fired degree: for a pair from
     the torus frame of h with no M (``_pair_witness``), and otherwise by the
-    code that assembled M (``_spectrum`` through ``_gram_witness``, or
-    ``_kernel_vector`` in divisibility_test and search_divisible); nothing
-    here reads M.  The witness g has the frame coordinates ``vector``, and
-    the divisor f = 1/r + scale * g of the kernel witness g has the residual
+    factorization that decided the degree (``_spectrum``), or by one SVD of
+    the M that search_divisible holds; nothing here reads M.  The witness g
+    has the frame coordinates ``vector``, and the divisor
+    f = 1/r + scale * g of the kernel witness g has the residual
     sum_s f(gamma_s^T x) - 1 = scale * sum_s g(gamma_s^T x).  ``bound`` maps
     the witness's stored coefficients c to a bound on
     sup_{|x| = 1} |sum_s g(gamma_s^T x)|, round-off included, that holds
@@ -1032,7 +1002,8 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
     """Estimated peak bytes of deciding and certifying degree n for r rotations in dimension d.
 
     The estimate is 8 max((r + 1) P_n^2 + P_n N_n + 4 N_n^2, r (P_(n-1)^2 + P_(n-2)^2),
-    (r + 1) P_(n-1)^2 + P_(n-3) P_(n-1)) bytes for the stages below, plus
+    (r + 1) P_(n-1)^2 + P_(n-3) P_(n-1), P_n^2 + 10 N_n^2,
+    (r + 1) P_(n-1)^2 + 10 N_(n-1)^2) bytes for the stages below, plus
     4 ``fischer.BLOCK_BYTES`` of temporaries and the per-process caches.
     A pair runs none of the recurrence, operator or spectral stages: its
     fired degrees hold a frame and a few stacked products of P_n entries,
@@ -1052,10 +1023,18 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
     - the spectral step (``_spectrum``) holds a few N_n^2, within 4 N_n^2:
       M and G = M^T M while G is formed, then G and LAPACK's copy in the
       eigenvalue solve, again in the shifted solve and again in the
-      witness's solve with G (gram→witness); M again only where that
-      solve meets an exact zero pivot, with ``_kernel_vector``'s shifted
-      copy and LAPACK's copy of that, or where the witness's bound does
-      not fire, with the SVD's copy (gram→svd);
+      witness's solve with G (gram→witness); M again, with G freed, where
+      the witness's bound does not fire, with the values-only SVD's copy
+      (gram→svd);
+    - where that solve meets an exact zero pivot, M again with the full
+      SVD of ``_svd_witness``: its copy of M, U and V^T both in LAPACK's
+      buffers and in numpy's, and gesdd's workspace of about 4 N_m^2,
+      within 10 N_m^2 with M (8.1 N_m^2 beyond M measured as peak RSS at
+      N_m = 1386, numpy 2.4 on OpenBLAS).  At the top degree the
+      recurrence then holds S_n or its streamed copies, at most P_n^2,
+      and the r copies of Sym^n only for a step small enough to stack,
+      within BLOCK_BYTES; at degree n - 1 it holds the r copies of
+      Sym^(n-1) and S_(n-1);
     - the step to degree n - 1 holds the r copies of both Sym^(n-2) and
       Sym^(n-1).  At d <= 4 and large n, where P_n grows slowly, it is the
       peak, close to 2 r P_n^2;
@@ -1078,9 +1057,11 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
 
     size = [monomials(m) for m in (n, n - 1, n - 2, n - 3)]
     dim = dim_harmonic(d, n)
+    dim_below = dim_harmonic(d, n - 1) if n > 1 else 0
     degree_n = (r + 1) * size[0] ** 2 + size[0] * dim + 4 * dim * dim
     step_below = r * (size[1] ** 2 + size[2] ** 2)
     frame_below = (r + 1) * size[1] ** 2 + size[3] * size[1]
+    zero_pivot = max(size[0] ** 2 + 10 * dim * dim, (r + 1) * size[1] ** 2 + 10 * dim_below * dim_below)
     cached = 0
     for m in range(1, n + 1):
         here, below, harmonics = monomials(m), monomials(m - 1), dim_harmonic(d, m)
@@ -1090,7 +1071,7 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
             cached += here * harmonics
         if 8 * r * d * here * here <= fischer.BLOCK_BYTES:
             cached += d * here * below
-    return 8 * (max(degree_n, step_below, frame_below) + cached) + 4 * fischer.BLOCK_BYTES
+    return 8 * (max(degree_n, step_below, frame_below, zero_pivot) + cached) + 4 * fischer.BLOCK_BYTES
 
 
 def _check_budget(need: int, what: str, knob: str) -> None:
@@ -1133,15 +1114,17 @@ def divisibility_test(
     witness whose divisor ``_certify`` bounds over the whole sphere: a
     residual of at most RESIDUAL_TOL from the Fischer frame, recorded as the
     degree's ``residual_bound``.  A pair reads each degree's sigma_max and
-    sigma_min from ``_pair_spectrum``, a larger tuple from ``_spectrum``; one
-    "spherediv" debug line per degree names the path (pair, pair→witness,
-    gram, gram→witness or gram→svd) and its wall time.  A fired pair degree
-    takes its witness and its certificate's bound from the torus frame of h
-    (``_pair_witness``), with no M, no solve and no recurrence: a pair runs
-    ``summed_powers`` at no degree.  At the default tolerance every fired degree
-    of a larger tuple takes the gram→witness path: it fires on an upper
-    bound of sigma_min from its witness, with no SVD and no second assembly
-    of M, and records that bound
+    sigma_min from ``_pair_spectrum``, with h's angles taken once per call,
+    and a larger tuple from ``_spectrum``; one "spherediv" debug line per
+    degree names the path (pair, pair→witness, gram, gram→witness or
+    gram→svd) and its wall time.  A fired pair degree takes its witness and
+    its certificate's bound from the torus frame of h (``_pair_witness``),
+    with no M, no solve and no recurrence: a pair runs ``summed_powers`` at
+    no degree.  A fired degree of a larger tuple takes the witness that
+    ``_spectrum`` made while deciding it, so M is assembled once on the gram
+    and gram→witness paths at every ``sing_tol``.  At the default tolerance
+    every such degree takes the gram→witness path: it fires on an upper
+    bound of sigma_min from its witness, with no SVD, and records that bound
     as its ``sigma_min_rel``.  Only the first certified degree, whose divisor
     the report keeps, is also spot-checked by ``verify_divisor`` on
     VERIFY_SAMPLES points, so a report makes at most one sampled check in
@@ -1170,10 +1153,10 @@ def divisibility_test(
     mats = _rotation_matrices(rotations)
     pair = rotations.r == 2
     if pair:  # no recurrence: the spectrum, the witness and its bound all come from h
-        spectra, times = [], []
+        angles, spectra, times = _torus_angles(mats), [], []
         for n in range(1, n_max + 1):
             start = time.perf_counter()
-            spectra.append(_pair_spectrum(mats, n))
+            spectra.append(_pair_spectrum(angles, rotations.d, n))
             times.append(time.perf_counter() - start)
         fires = any(_near_singular(svals, 2, sing_tol)[1] for svals in spectra)
         torus = _torus_frame(mats) if fires else None
@@ -1198,8 +1181,6 @@ def divisibility_test(
         residual = None
         if fired:
             frame = fischer_frame(rotations.d, n)
-            if vector is None:  # a Gram-step degree whose known sigma_min fires at a large sing_tol
-                vector = _kernel_vector(frame.operator(sums), svals[0], rotations.r)
             if bound is None:
                 bound = partial(frame.residual_bound, sums, mats=mats)
             sample_rng = derive_rng(seed, 2, n, 3) if witness is None else None

@@ -13,8 +13,8 @@ recurrence over its free rotations, and per degree one stacked operator
 M = U^T S U plus the suffix's, one stacked values-only SVD and one
 vectorised trigger.  Blocks hold as many
 trials as fit one gather of the recurrence in BLOCK_BYTES.  A study of pairs
-(r = 2) runs neither: per block and degree, one stacked eigenvalue solve
-gives every trial's torus angles and one product with the degree's weights
+(r = 2) runs neither: per block, one stacked eigenvalue solve gives every
+trial's torus angles, and per degree one product with the degree's weights
 its sigma_max and sigma_min (``_pair_spectrum``); a block holds as many
 trials as have their phases fit BLOCK_BYTES.  A trial whose
 trigger fires or lands in the near band at any degree is re-run alone
@@ -66,10 +66,11 @@ from .divisibility import (
     _check_budget,
     _check_cost,
     _check_tolerance,
-    _kernel_vector,
     _near_singular,
     _pair_spectrum,
     _rotation_matrices,
+    _svd_witness,
+    _torus_angles,
     divisibility_test,
     weighted_singular_values,
 )
@@ -256,7 +257,8 @@ def run_genericity(study: GenericityStudy) -> GenericityResult:
         block = free[lo:lo + step]
         if study.r == 2:  # pairs are decided from their torus angles, with no operator
             pairs = np.concatenate([block, np.broadcast_to(suffix, (len(block),) + suffix.shape)], axis=1)
-            spectra = (_pair_spectrum(pairs, n) for n in range(1, study.n_max + 1))
+            angles = _torus_angles(pairs)
+            spectra = (_pair_spectrum(angles, study.d, n) for n in range(1, study.n_max + 1))
         else:
             spectra = (
                 weighted_singular_values(fischer_frame(study.d, n).operator(sums) + fixed[n - 1])
@@ -505,9 +507,9 @@ def search_divisible(
     tuple reaching ``target_ratio`` is certified like a report's first
     singular degree before the run may claim a divisible tuple: its kernel
     witness's divisor must pass the Fischer-frame residual bound and one
-    sampled check (``divisibility._kernel_vector`` on the M kept from the
-    best evaluation, then ``divisibility._certify``, so nothing is
-    assembled or factored twice); budget
+    sampled check (the witness from one SVD of the M kept from the best
+    evaluation, ``divisibility._svd_witness``, then
+    ``divisibility._certify``, so nothing is assembled twice); budget
     exhaustion returns the best tuple found with ``certified=False``.
     Logs one debug line per restart on the "spherediv" logger with its
     evaluation count, its objective and its wall time.
@@ -540,7 +542,7 @@ def search_divisible(
         return log_objective
 
     best_ratio = math.inf
-    best_mats = best_sums = best_matrix = best_svals = None
+    best_mats = best_sums = best_matrix = None
     restart_ratios = []
     for j in range(settings.restarts):
         start = time.perf_counter()
@@ -557,12 +559,11 @@ def search_divisible(
         mats = cayley_rotation(bases, x.reshape(r, n_params))
         sums = summed(mats)
         matrix = frame.operator(sums)
-        svals = weighted_singular_values(matrix)
-        val = objective(svals)
+        val = objective(weighted_singular_values(matrix))
         restart_ratios.append(val)
         _log.debug("restart %d: %d evaluations, ratio %.3e, %.4f s", j, evals, val, time.perf_counter() - start)
         if val < best_ratio:
-            best_ratio, best_mats, best_sums, best_matrix, best_svals = val, mats, sums, matrix, svals
+            best_ratio, best_mats, best_sums, best_matrix = val, mats, sums, matrix
         if best_ratio < settings.target_ratio:
             break
 
@@ -571,7 +572,7 @@ def search_divisible(
     residual_max = None
     if best_ratio < settings.target_ratio:
         # best_ratio is sigma_min / r, so this gate is the trigger's dead-operator clause
-        vector = _kernel_vector(best_matrix, best_svals[0], r)
+        _, vector = _svd_witness(best_matrix)
         bound = partial(frame.residual_bound, best_sums, mats=_rotation_matrices(best_tuple))
         _, _, ver = _certify(frame, vector, bound, best_tuple, derive_rng(seed, 6))
         certified = ver.passed

@@ -307,7 +307,7 @@ class TestResidualBound:
         assert not report.divisible and report.verification is None
 
 
-def full_svd_vector(matrix, sigma_max, r):
+def full_svd_vector(matrix):
     """The reference witness coordinates: the last right-singular vector of a full SVD."""
     return np.linalg.svd(matrix)[2][-1]
 
@@ -318,16 +318,16 @@ def svd_pair_witness(tup):
 
     def witness(torus, frame, mats_):
         *_, (_, sums) = summed_powers(mats, frame.n)
-        return full_svd_vector(frame.operator(sums), None, tup.r), functools.partial(frame.residual_bound, sums, mats=mats)
+        return full_svd_vector(frame.operator(sums)), functools.partial(frame.residual_bound, sums, mats=mats)
 
     return witness
 
 
-def degree_matrices(tup, n_max):
-    """(n, M, singular values of M) in the Fischer frame for n = 1 .. n_max."""
+def degree_operators(tup, n_max):
+    """(frame, S_n, M) in the Fischer frame for n = 1 .. n_max."""
     for n, sums in summed_powers(np.array([g.matrix for g in tup]), n_max):
-        matrix = fischer_frame(tup.d, n).operator(sums)
-        yield n, matrix, weighted_singular_values(matrix)
+        frame = fischer_frame(tup.d, n)
+        yield frame, sums, frame.operator(sums)
 
 
 def counted_solves(patch):
@@ -344,50 +344,36 @@ def counted_solves(patch):
 
 
 class TestKernelVector:
-    def assert_near_kernel(self, matrix, svals, r):
-        v = divisibility._kernel_vector(matrix, svals[0], r)
-        assert np.all(np.isfinite(v)) and math.isclose(np.linalg.norm(v), 1.0, rel_tol=1e-12)
-        assert np.linalg.norm(matrix @ v) <= 1e-12 * max(svals[0], r)
+    def assert_certified(self, tup, frame, sums, matrix):
+        # kernel_witness's divisor misses 1 by at most 1e-10 over the whole sphere
+        witness = kernel_witness(frame, matrix, tup.r)
+        assert np.all(np.isfinite(witness.coeffs)) and math.isclose(witness.sup_bound(), 1.0, rel_tol=1e-12)
+        scale = make_divisor(witness, tup.r).scale
+        mats = np.array([g.matrix for g in tup])
+        assert scale * frame.residual_bound(sums, witness.coeffs, mats) <= 1e-10
 
     def test_fired_pair_degrees_take_one_step(self, monkeypatch):
-        # every degree of a half-turn pair fires, and on its M one step meets the 2 mu gate: one pair of
-        # solves each; divisibility_test takes the pair's witnesses from the torus frame, with no solve
+        # every degree of a half-turn pair fires, and divisibility_test takes the pair's
+        # witnesses from the torus frame, with no solve
         tup = half_turn_pair(6, 887)
         calls = counted_solves(monkeypatch)
         report = divisibility_test(tup, 4, rng=881)
         assert report.singular_degrees() == [1, 2, 3, 4]
         assert calls == []
-        for n, matrix, _ in degree_matrices(tup, 4):
-            kernel_witness(fischer_frame(tup.d, n), matrix, tup.r)
-        assert calls == [(rec.dim, rec.dim) for rec in report.degrees for _ in range(2)]
-
-    def test_second_step_only_on_demand(self, monkeypatch):
-        # a start almost orthogonal to the kernel e_0 leaves ||M v|| far above 2 mu after one step
-        matrix = np.diag([0.0, 1.0, 2.0, 1.5, 0.5])
-        start = np.array([1e-20, 0.3, -0.7, 0.2, 0.6])
-        monkeypatch.setattr(divisibility, "_start", lambda size: start.copy())
-        shift = 1e-13 * 2
-        calls = counted_solves(monkeypatch)
-        v = divisibility._kernel_vector(matrix, 2.0, 2)
-        assert len(calls) == 4
-        assert np.linalg.norm(matrix @ v) <= 2.0 * shift
-        calls.clear()
-        monkeypatch.setattr(divisibility, "_start", lambda size: np.ones(size))
-        divisibility._kernel_vector(matrix, 2.0, 2)
-        assert len(calls) == 2
 
     def test_exactly_zero_operator(self):
         # the {0, pi} circle pair, with the half-turn written as -I, cancels exactly at odd
         # degrees: M is 0 there and every vector is a witness
         tup = RotationTuple((Rotation(np.eye(2)), Rotation(-np.eye(2))))
-        for n, matrix, svals in degree_matrices(tup, 5):
-            if n % 2:
+        for frame, sums, matrix in degree_operators(tup, 5):
+            if frame.n % 2:
                 assert not np.any(matrix)
-                self.assert_near_kernel(matrix, svals, tup.r)
+                self.assert_certified(tup, frame, sums, matrix)
         assert divisibility_test(tup, 5, rng=317).singular_degrees() == [1, 3, 5]
 
     def test_search_tuple_without_zero_pivot(self):
-        # demo 06's near tuple: at n = 3 the LU of M + 2^-52 max(sigma_max, r) I meets an exact zero pivot
+        # demo 06's near tuple: at n = 3 the LU of M + 2^-52 max(sigma_max, r) I meets an exact
+        # zero pivot; the search's certificate and kernel_witness take the SVD's vector instead
         from spherediv import SearchSettings, derive_rng, search_divisible
 
         suffix_rng = np.random.default_rng(859)
@@ -396,8 +382,8 @@ class TestKernelVector:
         settings = SearchSettings(restarts=1, max_iter=4000, simplex_scale=1e-4, base_tuple=near)
         run = search_divisible(3, 3, 3, settings, rng=12)
         assert run.certified
-        *_, (n, matrix, svals) = degree_matrices(run.best_tuple, 3)
-        self.assert_near_kernel(matrix, svals, 3)
+        *_, (frame, sums, matrix) = degree_operators(run.best_tuple, 3)
+        self.assert_certified(run.best_tuple, frame, sums, matrix)
         report = divisibility_test(run.best_tuple, 3, rng=77)
         assert 3 in report.singular_degrees()
         assert report.degrees[2].residual_bound <= 1e-10
@@ -406,8 +392,6 @@ class TestKernelVector:
     @given(d=st.integers(3, 7), n_max=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_half_turn_pairs_match_full_svd_witness(self, d, n_max, seed):
         tup = half_turn_pair(d, seed)
-        for n, matrix, svals in degree_matrices(tup, n_max):
-            self.assert_near_kernel(matrix, svals, tup.r)
         report = divisibility_test(tup, n_max, rng=seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(divisibility, "_pair_witness", svd_pair_witness(tup))
@@ -437,25 +421,25 @@ class TestDivisibilityTest:
         assert report.degrees[0].sigma_min_rel == 0.0
 
     def test_one_assembly_per_basis(self, monkeypatch):
-        # every degree of a larger tuple builds M once, for its Gram matrix; a
-        # fired degree takes its witness from G, with no second M
+        # every degree of a larger tuple builds M once, for its Gram matrix, and takes its
+        # witness from the solve with G that decided it, with no second M and no SVD
         from spherediv import SearchSettings, experiments, search_divisible
         from spherediv.fischer import FischerFrame
 
         calls, vectors = [], []
-        operator, kernel_vector = FischerFrame.operator, divisibility._kernel_vector
+        operator, svd_witness = FischerFrame.operator, divisibility._svd_witness
 
         def counted(frame, sums):
             calls.append(frame.n)
             return operator(frame, sums)
 
-        def counted_vector(matrix, sigma_max, r):
+        def counted_vector(matrix):
             vectors.append(len(matrix))
-            return kernel_vector(matrix, sigma_max, r)
+            return svd_witness(matrix)
 
         monkeypatch.setattr(FischerFrame, "operator", counted)
-        monkeypatch.setattr(divisibility, "_kernel_vector", counted_vector)
-        monkeypatch.setattr(experiments, "_kernel_vector", counted_vector)
+        monkeypatch.setattr(divisibility, "_svd_witness", counted_vector)
+        monkeypatch.setattr(experiments, "_svd_witness", counted_vector)
         report = divisibility_test(planar_division(6, 3).rotations, 3, rng=179)
         assert report.singular_degrees() == [1, 2, 3]
         assert calls == [1, 2, 3] and vectors == []
@@ -470,15 +454,13 @@ class TestDivisibilityTest:
         assert report.singular_degrees() == [1, 2, 3]
         assert calls == [] and vectors == []
         # a generic triple fires at sing_tol 0.99 on the Gram step's known sigma_min and
-        # builds M a second time for its witness (tests/test_gram_step.py's large sing_tol)
+        # certifies the vector of that step's solve (tests/test_gram_step.py's large sing_tol)
         rng = np.random.default_rng(611)
         triple = RotationTuple(tuple(haar_sample(3, rng) for _ in range(3)))
         report = divisibility_test(triple, 2, sing_tol=0.99, rng=613)
         assert [rec.verdict for rec in report.degrees] == ["borderline"] * 2
-        assert calls == [1, 1, 2, 2]
-        assert vectors == [rec.dim for rec in report.degrees]
+        assert calls == [1, 2] and vectors == []
         calls.clear()
-        vectors.clear()
         # a search builds M once per evaluation and once per restart, and certifies the best M it holds
         run = search_divisible(2, 2, 1, SearchSettings(restarts=2, max_iter=100), rng=499)
         assert run.certified

@@ -93,7 +93,7 @@ class TestClosedForm:
         mats = matrices(tup)
         report = divisibility_test(tup, n_max, rng=seed)
         for n, svals in enumerate(svd_spectra(mats, n_max), 1):
-            closed = divisibility._pair_spectrum(mats, n)
+            closed = divisibility._pair_spectrum(divisibility._torus_angles(mats), d, n)
             assert math.isclose(closed[0], svals[0], rel_tol=1e-10), (n, closed, svals[0])
             assert math.isclose(closed[1] / closed[0], svals[-1] / svals[0], rel_tol=1e-10), (n, closed, svals)
             # the verdict row the SVD would have given
@@ -161,6 +161,24 @@ class TestPairPath:
         report = divisibility_test(haar_pair(8, 727), 5, rng=733)
         assert [rec.verdict for rec in report.degrees] == ["invertible"] * 5
         assert assembled == stepped == []
+
+    def test_angles_once_per_call_and_per_block(self, monkeypatch):
+        # h's eigenvalues are solved once per divisibility_test and once per block of a study, not per degree
+        calls = []
+        angles = divisibility._torus_angles
+
+        def counted(mats):
+            calls.append(mats.shape)
+            return angles(mats)
+
+        monkeypatch.setattr(divisibility, "_torus_angles", counted)
+        monkeypatch.setattr(experiments, "_torus_angles", counted)
+        divisibility_test(haar_pair(4, 739), 5, rng=743)
+        assert calls == [(2, 4, 4)]
+        calls.clear()
+        study = GenericityStudy(d=4, r=2, suffix=(haar_sample(4, 751),), trials=50, n_max=4, seed=757, ell=1)
+        run_genericity(study)
+        assert calls == [(50, 2, 4, 4)]
 
     def test_debug_line_names_the_pair_path(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="spherediv"):

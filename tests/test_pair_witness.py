@@ -12,7 +12,7 @@ from spherediv import Rotation, RotationTuple, dim_harmonic, divisibility_test, 
 from spherediv import divisibility, fischer
 from spherediv.fischer import FischerFrame, fischer_frame, summed_powers
 
-# the reference run assembles M and runs two LU solves per fired degree, so its degrees are
+# the reference run assembles M and takes its full SVD per fired degree, so its degrees are
 # kept to operators of at most this many harmonics (every (d, n) with d <= 8, n <= 6 but (8, 6))
 REFERENCE_MAX_DIM = 1000
 FAMILIES = ("half-turn", "planar", "planted", "minus-identity", "one-angle-planes", "pi-planes", "filler")
@@ -80,13 +80,12 @@ def fired_pairs(draw):
 
 
 def reference_witness(tup):
-    """The pair witness and certificate of the old route: ``_kernel_vector`` of the assembled M, bounded through S_n."""
+    """A reference pair witness and certificate: the full SVD's last right-singular vector of the assembled M, bounded through S_n."""
     mats = np.array([g.matrix for g in tup])
 
     def witness(torus, frame, mats_):
         *_, (_, sums) = summed_powers(mats, frame.n)
-        sigma_max = divisibility._pair_spectrum(mats, frame.n)[0]
-        vector = divisibility._kernel_vector(frame.operator(sums), sigma_max, tup.r)
+        vector = np.linalg.svd(frame.operator(sums))[2][-1]
         return vector, functools.partial(frame.residual_bound, sums, mats=mats)
 
     return witness
@@ -100,10 +99,15 @@ def rows(report):
     ]
 
 
+def pair_spectrum(mats, n):
+    """[sigma_max, sigma_min] of the pair ``mats`` at degree n."""
+    return divisibility._pair_spectrum(divisibility._torus_angles(mats), mats.shape[-1], n)
+
+
 def fired_degrees(mats, n_max):
     return [
         n for n in range(1, n_max + 1)
-        if divisibility._near_singular(divisibility._pair_spectrum(mats, n), 2, divisibility.DEFAULT_SING_TOL)[1]
+        if divisibility._near_singular(pair_spectrum(mats, n), 2, divisibility.DEFAULT_SING_TOL)[1]
     ]
 
 
@@ -120,11 +124,11 @@ def test_fired_pair_witnesses(case):
         return made[-1][1:]
 
     def refused(*args):
-        raise AssertionError("a pair degree assembled M, ran _kernel_vector or ran the recurrence")
+        raise AssertionError("a pair degree assembled M, took an SVD witness or ran the recurrence")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(divisibility, "_pair_witness", recorded)
-        patch.setattr(divisibility, "_kernel_vector", refused)
+        patch.setattr(divisibility, "_svd_witness", refused)
         patch.setattr(divisibility, "summed_powers", refused)
         patch.setattr(FischerFrame, "operator", refused)
         report = divisibility_test(tup, n_max, rng=5)
@@ -190,7 +194,7 @@ def test_foreign_vector_refused(case):
     torus = divisibility._torus_frame(mats)
     sums = dict(summed_powers(mats, n_max))
     for n in fired_degrees(mats, n_max):
-        if divisibility._pair_spectrum(mats, n)[0] < 1e-6:
+        if pair_spectrum(mats, n)[0] < 1e-6:
             continue
         frame = fischer_frame(tup.d, n)
         top = np.linalg.svd(frame.operator(sums[n]))[2][0]
