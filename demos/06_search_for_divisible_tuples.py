@@ -45,7 +45,8 @@ suffix = (haar_sample(3, suffix_rng), haar_sample(3, suffix_rng))
 free = haar_sample(3, derive_rng(863, 1, 556))  # the near-miss trial's draw
 near = RotationTuple((free,) + suffix)
 
-settings = SearchSettings(restarts=1, max_iter=4000, simplex_scale=1e-4, base_tuple=near)
+# a search stops once its objective is below target_ratio; machine precision needs a smaller one
+settings = SearchSettings(restarts=1, max_iter=4000, simplex_scale=1e-4, target_ratio=1e-15, base_tuple=near)
 run = search_divisible(3, 3, 3, settings, rng=12)
 print("\nd=3, r=3 search at degree 3:")
 print("  best objective:", f"{run.best_ratio:.2e}", " certified:", run.certified)

@@ -118,7 +118,7 @@ RESIDUAL_TOL = 1e-8
 # share of 1/r a divisor f = 1/r + scale g may move away from 1/r (make_divisor)
 _DIVISOR_MARGIN = 0.5
 # estimated working set (see _peak_bytes) above which a run is refused before
-# it allocates: d = 8 is admitted up to n_max = 7 for r <= 3, not at n_max = 8
+# it allocates: d = 8 is admitted up to n_max = 7 for r <= 7 and up to 6 at r = 8
 COST_BUDGET_BYTES = 1 << 30
 # below this absolute scale the whole operator matrix is numerically zero and
 # the sigma_min / sigma_max ratio would be noise over noise
@@ -135,9 +135,10 @@ VERDICT_BORDERLINE = "borderline"
 # draws: 2.9e-13 at n = 34, 9.4e-13 at 38, 1.7e-12 at 40, 5.7e-12 at 44.
 # Each cap keeps that drift below 1e-12, two decades under DEFAULT_SING_TOL.
 # d >= 4 needs no cap inside COST_BUDGET_BYTES (d = 4, 3 Haar draws: 1e-13
-# at n = 28; the budget admits n <= 31).  A pair runs no recurrence but keeps
-# the cap: beyond it a divisor scaled by sum |c_a| loses its sampled variance,
-# until divisors are scaled and measured in L^2.
+# at n = 28; the budget admits n <= 31 for pairs, 29 at r = 3, 28 at r = 4
+# and 25 at r = 8).  A pair runs no recurrence but keeps the cap: beyond it
+# a divisor scaled by sum |c_a| loses its sampled variance, until divisors
+# are scaled and measured in L^2.
 _STABLE_MAX_DEGREE = {2: 50, 3: 34}
 
 _log = logging.getLogger("spherediv")

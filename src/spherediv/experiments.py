@@ -30,7 +30,11 @@ parametrized by Cayley charts around restart base points, with a
 Nelder-Mead simplex (the objective is nonsmooth exactly at its zero set).
 The simplex method is ``_nelder_mead``, written here so that the package
 needs numpy alone at run time; tests/test_experiments.py checks that its
-iterates equal the reference implementation's bitwise.
+iterates equal the reference implementation's bitwise (scipy's Nelder-Mead,
+with a callback that halts it where ``_nelder_mead`` stops).  A restart's
+simplex stops at the end of the first iteration whose best vertex is below
+``target_ratio``, and that also ends the restarts: the tuple that first
+meets the target goes to the certificate, with no further polishing.
 The objective is the operator's weighted smallest singular value divided
 by r, a dimensionless number in [0, 1]: 1 at the identity tuple, 0 at a
 divisible one.  (The sigma_min/sigma_max ratio is useless as an objective
@@ -373,6 +377,10 @@ class SearchRun:
     ``best_ratio`` and the trace hold the dimensionless objective
     (weighted sigma_min of the operator over r); values are always >= 0 and
     the trace is the nonincreasing best-so-far sequence over evaluations.
+    A run that meets ``target_ratio`` ends with the iteration that met it,
+    so its trace's first value below the target lies within its last
+    dim + 2 evaluations (dim = r d(d-1)/2: a reflection, a contraction and
+    a shrink); pass a smaller ``target_ratio`` for a deeper minimum.
     """
 
     d: int
@@ -409,7 +417,7 @@ class _BudgetSpent(Exception):
     """Raised by ``_nelder_mead``'s evaluator when an evaluation would exceed max_evals."""
 
 
-def _nelder_mead(func, simplex, max_iter: int, max_evals: int):
+def _nelder_mead(func, simplex, max_iter: int, max_evals: int, stop: float = -math.inf):
     """Minimize func from the (N + 1, N) simplex; return the best vertex and the evaluation count.
 
     The Nelder-Mead method (Nelder & Mead, Comput. J. 7, 1965; Lagarias,
@@ -425,8 +433,12 @@ def _nelder_mead(func, simplex, max_iter: int, max_evals: int):
     progress, even inside the initial simplex or a shrink; a vertex never
     evaluated keeps f = inf.  Every sort is argsort then take, and the
     initial simplex is sorted twice, as the reference sorts: argsort is not
-    stable, so ties could otherwise come out in another order.  ``func``
-    must not modify its argument.
+    stable, so ties could otherwise come out in another order.  The run
+    also ends once an iteration leaves its best value below ``stop``: the
+    check follows each iteration's sort, where the reference calls its
+    callback, so it equals the reference with a callback that raises
+    StopIteration there, and never ends the run on the initial simplex
+    alone.  ``func`` must not modify its argument.
     """
     sim = np.array(simplex, dtype=float)
     dim = sim.shape[1]
@@ -486,6 +498,8 @@ def _nelder_mead(func, simplex, max_iter: int, max_evals: int):
             pass
         ind = np.argsort(fsim)
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        if fsim[0] < stop:
+            break
     return sim[0], evals
 
 
@@ -500,7 +514,9 @@ def search_divisible(
 
     Runs Nelder-Mead restarts in Cayley charts (``_nelder_mead``, at most
     ``max_iter`` iterations and 4 * ``max_iter`` evaluations each, from a
-    simplex of edge ``simplex_scale``).  Internally the simplex
+    simplex of edge ``simplex_scale``).  A restart stops at the end of the
+    first iteration whose best vertex is below ``target_ratio``, and no
+    further restart runs.  Internally the simplex
     compares log-objective values: Nelder-Mead is comparison-based, so the
     iterates are unchanged, but the flat termination plateau around the
     zero set disappears and the simplex keeps contracting into it.  A best
@@ -541,6 +557,8 @@ def search_divisible(
 
         return log_objective
 
+    # the simplex sees log10 values, so it is given the target on that scale
+    stop = math.log10(settings.target_ratio)
     best_ratio = math.inf
     best_mats = best_sums = best_matrix = None
     restart_ratios = []
@@ -555,7 +573,9 @@ def search_divisible(
             bases = np.array([haar_sample(d, rng_j).matrix for _ in range(r)])
         dim = r * n_params
         simplex = np.vstack([np.zeros(dim), settings.simplex_scale * np.eye(dim)])
-        x, evals = _nelder_mead(log_objective_factory(bases), simplex, settings.max_iter, 4 * settings.max_iter)
+        x, evals = _nelder_mead(
+            log_objective_factory(bases), simplex, settings.max_iter, 4 * settings.max_iter, stop
+        )
         mats = cayley_rotation(bases, x.reshape(r, n_params))
         sums = summed(mats)
         matrix = frame.operator(sums)

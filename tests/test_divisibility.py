@@ -511,6 +511,10 @@ class TestDivisibilityTest:
         for d, r, n in [(8, 3, 6), (8, 2, 5), (3, 3, 5), (3, 3, 2)]:
             assert divisibility._peak_bytes(d, r, n) <= budget
         assert divisibility._peak_bytes(8, 2, 10) > budget
+        # the admitted edges the comments over COST_BUDGET_BYTES and _STABLE_MAX_DEGREE state
+        for d, r, n_max in [(8, 7, 7), (8, 8, 6), (4, 2, 31), (4, 3, 29), (4, 4, 28), (4, 8, 25)]:
+            assert divisibility._peak_bytes(d, r, n_max) <= budget, (d, r, n_max)
+            assert divisibility._peak_bytes(d, r, n_max + 1) > budget, (d, r, n_max)
         with pytest.raises(InputDomainError, match="budget"):
             divisibility_test(half_turn_pair(8, 293), 10, rng=1)
 

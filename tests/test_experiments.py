@@ -280,6 +280,22 @@ class TestSearch:
         ratios = [float(line.split(", ")[1].split()[-1]) for line in lines]
         assert ratios == [float(f"{ratio:.3e}") for ratio in run.restart_ratios]
 
+    def test_default_search_stops_at_the_target(self):
+        # the simplex stops at the end of the iteration whose best vertex meets target_ratio:
+        # a reflection, a contraction and a shrink of dim vertices at most, dim = r d(d-1)/2
+        target = SearchSettings().target_ratio
+        run = search_divisible(3, 3, 2, rng=509)
+        assert run.certified
+        assert run.best_ratio < target
+        dim = 3 * 3 * 2 // 2
+        first = next(k for k, val in enumerate(run.trace) if val < target)
+        assert first >= len(run.trace) - (dim + 2), (first, len(run.trace))
+
+    def test_smaller_target_reaches_a_deeper_minimum(self):
+        run = search_divisible(3, 3, 2, SearchSettings(target_ratio=1e-15), rng=509)
+        assert run.certified
+        assert run.best_ratio < 1e-15
+
     def test_rejects_bad_degree(self):
         with pytest.raises(InputDomainError):
             search_divisible(2, 2, 0, SearchSettings(), rng=409)
@@ -287,12 +303,20 @@ class TestSearch:
             search_divisible(8, 2, 10, SearchSettings(), rng=409)
 
 
-def scipy_nelder_mead(func, simplex, max_iter, max_evals):
-    """scipy's Nelder-Mead with the search's tolerances, in ``_nelder_mead``'s signature."""
+def scipy_nelder_mead(func, simplex, max_iter, max_evals, stop=-math.inf):
+    """scipy's Nelder-Mead with the search's tolerances, in ``_nelder_mead``'s signature.
+
+    scipy calls its callback after each iteration's sort; raising StopIteration there once the
+    best value is below ``stop`` halts it where ``_nelder_mead`` stops.
+    """
     from scipy.optimize import minimize
 
+    def halt(intermediate_result):
+        if intermediate_result.fun < stop:
+            raise StopIteration
+
     options = {"initial_simplex": simplex, "xatol": 1e-13, "fatol": 1e-15, "maxiter": max_iter, "maxfev": max_evals}
-    res = minimize(func, simplex[0], method="Nelder-Mead", options=options)
+    res = minimize(func, simplex[0], method="Nelder-Mead", callback=halt, options=options)
     return res.x, res.nfev
 
 
@@ -320,9 +344,9 @@ def simplex_at(x0, scale=0.35):
 class TestNelderMead:
     """``_nelder_mead`` against scipy's Nelder-Mead: bitwise-equal best vertex and equal evaluation count."""
 
-    def assert_matches_scipy(self, func, simplex, max_iter, max_evals):
-        x, evals = experiments._nelder_mead(func, simplex, max_iter, max_evals)
-        ref_x, ref_evals = scipy_nelder_mead(func, simplex, max_iter, max_evals)
+    def assert_matches_scipy(self, func, simplex, max_iter, max_evals, stop=-math.inf):
+        x, evals = experiments._nelder_mead(func, simplex, max_iter, max_evals, stop)
+        ref_x, ref_evals = scipy_nelder_mead(func, simplex, max_iter, max_evals, stop)
         assert evals == ref_evals
         assert x.tobytes() == ref_x.tobytes(), (x, ref_x)
         return x, evals
@@ -366,7 +390,33 @@ class TestNelderMead:
         # follow argsort then take; 6 evaluations stop inside the initial simplex
         self.assert_matches_scipy(plateau, simplex_at(np.full(dim, x0)), 300, max_evals)
 
-    @pytest.mark.parametrize("max_iter", [1, 2, 7, 40])
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_stop_met_mid_run(self, dim):
+        simplex = simplex_at(np.linspace(-1.2, 0.8, dim))
+        x, evals = self.assert_matches_scipy(rosenbrock, simplex, 20000, 40000, stop=1e-3)
+        _, full_evals = experiments._nelder_mead(rosenbrock, simplex, 20000, 40000)
+        assert rosenbrock(x) < 1e-3
+        assert evals < full_evals
+
+    def test_stop_met_by_the_initial_simplex(self):
+        # the check follows an iteration, never the initial simplex alone: one iteration runs,
+        # of a reflection and at most an expansion, or a contraction and a shrink of 4
+        simplex = simplex_at(np.array([-1.2, 1.0, -0.5, 0.8]))
+        stop = 1.0 + max(rosenbrock(vertex) for vertex in simplex)
+        _, evals = self.assert_matches_scipy(rosenbrock, simplex, 20000, 40000, stop=stop)
+        assert 5 + 1 <= evals <= 5 + 1 + 1 + 4
+
+    @pytest.mark.parametrize("func", [rosenbrock, plateau])
+    def test_stop_never_met(self, func):
+        # both functions are >= 0 and the stop is strict, so a stop at 0 changes nothing:
+        # the run equals one with no stop
+        simplex = simplex_at(np.full(5, 0.3))
+        x, evals = self.assert_matches_scipy(func, simplex, 20000, 40000, stop=0.0)
+        free_x, free_evals = experiments._nelder_mead(func, simplex, 20000, 40000)
+        assert evals == free_evals
+        assert x.tobytes() == free_x.tobytes()
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 7, 40, 400])
     def test_search_matches_scipy_driven_search(self, monkeypatch, max_iter):
         # max_iter=1 at d=3, r=3 gives 4 evaluations for the 10 vertices of the initial simplex
         settings = SearchSettings(restarts=2, max_iter=max_iter)
@@ -380,6 +430,8 @@ class TestNelderMead:
             assert g.matrix.tobytes() == h.matrix.tobytes()
         if max_iter == 1:
             assert len(run.trace) == 2 * 4
+        if max_iter == 400:  # the first restart meets the target and stops inside max_iter
+            assert run.best_ratio < settings.target_ratio and len(run.restart_ratios) == 1
 
 
 def test_hot_paths_skip_zonal_machinery(monkeypatch):
