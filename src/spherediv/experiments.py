@@ -33,8 +33,10 @@ needs numpy alone at run time; tests/test_experiments.py checks that its
 iterates equal the reference implementation's bitwise (scipy's Nelder-Mead,
 with a callback that halts it where ``_nelder_mead`` stops).  A restart's
 simplex stops at the end of the first iteration whose best vertex is below
-``target_ratio``, and that also ends the restarts: the tuple that first
-meets the target goes to the certificate, with no further polishing.
+``target_ratio`` and DEFAULT_SING_TOL alike, and that also ends the
+restarts: the tuple that first gets there goes to the certificate, with no
+further polishing.  (The second bound keeps a large ``target_ratio`` from
+stopping the simplex at a tuple whose residual fails RESIDUAL_TOL.)
 The objective is the operator's weighted smallest singular value divided
 by r, a dimensionless number in [0, 1]: 1 at the identity tuple, 0 at a
 divisible one.  (The sigma_min/sigma_max ratio is useless as an objective
@@ -377,10 +379,11 @@ class SearchRun:
     ``best_ratio`` and the trace hold the dimensionless objective
     (weighted sigma_min of the operator over r); values are always >= 0 and
     the trace is the nonincreasing best-so-far sequence over evaluations.
-    A run that meets ``target_ratio`` ends with the iteration that met it,
-    so its trace's first value below the target lies within its last
-    dim + 2 evaluations (dim = r d(d-1)/2: a reflection, a contraction and
-    a shrink); pass a smaller ``target_ratio`` for a deeper minimum.
+    A run whose simplex gets below min(``target_ratio``, DEFAULT_SING_TOL)
+    ends with the iteration that got there, so its trace's first value
+    below that lies within its last dim + 2 evaluations (dim = r d(d-1)/2:
+    a reflection, a contraction and a shrink); pass a smaller
+    ``target_ratio`` for a deeper minimum.
     """
 
     d: int
@@ -515,8 +518,11 @@ def search_divisible(
     Runs Nelder-Mead restarts in Cayley charts (``_nelder_mead``, at most
     ``max_iter`` iterations and 4 * ``max_iter`` evaluations each, from a
     simplex of edge ``simplex_scale``).  A restart stops at the end of the
-    first iteration whose best vertex is below ``target_ratio``, and no
-    further restart runs.  Internally the simplex
+    first iteration whose best vertex is below both ``target_ratio`` and
+    DEFAULT_SING_TOL, and no further restart runs; a larger
+    ``target_ratio`` still decides which tuple counts as found, but the
+    simplex refines it to DEFAULT_SING_TOL so that its residual certifies.
+    Internally the simplex
     compares log-objective values: Nelder-Mead is comparison-based, so the
     iterates are unchanged, but the flat termination plateau around the
     zero set disappears and the simplex keeps contracting into it.  A best
@@ -557,8 +563,11 @@ def search_divisible(
 
         return log_objective
 
-    # the simplex sees log10 values, so it is given the target on that scale
-    stop = math.log10(settings.target_ratio)
+    # The simplex sees log10 values, so it is given its stop on that scale.  The certificate
+    # needs a residual <= RESIDUAL_TOL, and a stopped tuple's residual runs at 0.1 to 0.5 times
+    # its ratio, so a target above DEFAULT_SING_TOL still counts as met but the simplex refines
+    # on to DEFAULT_SING_TOL, where the residual is far below RESIDUAL_TOL.
+    stop = math.log10(min(settings.target_ratio, DEFAULT_SING_TOL))
     best_ratio = math.inf
     best_mats = best_sums = best_matrix = None
     restart_ratios = []

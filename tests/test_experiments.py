@@ -296,6 +296,15 @@ class TestSearch:
         assert run.certified
         assert run.best_ratio < 1e-15
 
+    @pytest.mark.parametrize("target", [1e-4, 1e-6])
+    def test_large_target_still_certifies(self, target):
+        # a tuple's certificate residual is a fraction of its ratio, so a simplex stopped just
+        # under 1e-4 would fail RESIDUAL_TOL = 1e-8; it refines on to the default tolerance
+        run = search_divisible(3, 3, 2, SearchSettings(target_ratio=target), rng=509)
+        assert run.certified
+        assert run.best_ratio < SearchSettings().target_ratio
+        assert run.residual_max <= 1e-8
+
     def test_rejects_bad_degree(self):
         with pytest.raises(InputDomainError):
             search_divisible(2, 2, 0, SearchSettings(), rng=409)
