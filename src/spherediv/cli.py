@@ -214,6 +214,10 @@ def cmd_construct(args) -> int:
 
 def _suffix_from_config(config, d, count, seed):
     if "suffix" in config:
+        if not isinstance(config["suffix"], list):
+            raise InputDomainError(
+                f'config key "suffix" must be an array of rotation objects, got {json.dumps(config["suffix"])}'
+            )
         rotations = [Rotation.from_json_obj(item) for item in config["suffix"]]
         if len(rotations) != count:
             raise InputDomainError(

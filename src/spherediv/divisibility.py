@@ -27,16 +27,17 @@ where it does not.
 A pair takes none of this: with h = gamma_1^T gamma_2, M = rho(gamma_1)
 (I + rho(h)) and I + rho(h) is normal, so every degree's sigma_max and
 sigma_min are 2 |cos(k . theta / 2)| over the torus weights k of H_n, with
-theta the rotation angles of h (``_pair_spectrum``).  A pair never
-assembles M and never runs the recurrence.
+theta the rotation angles of h (``_pair_spectrum``).  One ``eig`` of h
+per call gives its torus frame (``_torus_frame``), whose angles and forms
+decide every degree and write down every witness (``_pair_degree``): a
+pair never assembles M and never runs the recurrence.
 The frame is deterministic, so verdicts do not depend on the seed, which
 drives only the verification points.  Near-zero smallest singular values
 only *trigger* certificate extraction; the certificate itself is the
 residual of a concrete kernel witness g, propagated into an explicit divisor
 f = 1/r + c g whose rotated copies must sum to 1 everywhere.  Each degree
 takes its witness, whose frame coordinates are v, from the factorization
-that decided it.  A pair writes v down from the torus frame of h
-(``_torus_frame``): one ``eig`` gives linear forms a_j with
+that decided it.  A pair's frame holds linear forms a_j with
 rho(h) a_j = e^(i theta_j) a_j, and the product of those forms that
 sigma_min's weight k names has rho(h) q = e^(i k . theta) q = -q, so its
 harmonic projection, built by n multiplications by a linear form, is a
@@ -421,7 +422,7 @@ def _gram_extremes(frame, sums, gram: np.ndarray):
     trace = float(np.trace(gram))
     w = np.linalg.eigvalsh(gram)
     unit = 2.0**-53
-    allowance = size * unit / (1.0 - size * unit) * trace + size * unit * w[-1]
+    allowance = fischer._gamma(size) * trace + size * unit * w[-1]
     sigma_max = math.sqrt(w[-1])
     if w[0] <= max(1e3 * size * unit * w[-1], 2.0 * allowance):
         return sigma_max, None, None
@@ -461,15 +462,16 @@ def _gram_witness(gram: np.ndarray, sigma_max: float, r: int) -> Optional[np.nda
         return None
 
 
-def _spectrum(frame, sums, r: int, sing_tol: float):
-    """(svals, v) of one degree: the singular values its trigger reads, and a unit v with ||M v|| near sigma_min.
+def _spectrum(frame, sums, mats: np.ndarray, sing_tol: float):
+    """(svals, v, bound, path) of a degree of the tuple ``mats`` of three or more rotations, from S_n = ``sums``.
 
-    M = U^T S U gives G = M^T M and is freed, and ``_gram_extremes`` reads
-    sigma_max and, where it can, sigma_min from G.  No M leaves this
-    function, and v comes from the factorization that decided the degree,
-    so a fired degree's witness costs nothing more.  The paths, each named
-    in one debug line on the "spherediv" logger with N_n and the step's
-    wall time after the first assembly:
+    svals are the singular values the trigger reads, v a unit vector with
+    ||M v|| near sigma_min and bound the certificate's residual bound
+    through S_n (``FischerFrame.residual_bound``).  M = U^T S U gives
+    G = M^T M and is freed, and ``_gram_extremes`` reads sigma_max and,
+    where it can, sigma_min from G.  No M leaves this function, and v comes
+    from the factorization that decided the degree, so a fired degree's
+    witness costs nothing more.  The paths, named by ``path``:
     - gram: svals = [sigma_max, sigma_min] from ``_gram_extremes``, and v
       the unit vector of the shifted solve whose ||M v|| is that sigma_min;
     - gram→witness: where ``_gram_extremes`` leaves sigma_min unknown, one
@@ -487,28 +489,26 @@ def _spectrum(frame, sums, r: int, sing_tol: float):
     every kind serves.
     """
     matrix = frame.operator(sums)
-    start = time.perf_counter()
     gram = matrix.T @ matrix
     del matrix  # G replaces M (see _peak_bytes)
     sigma_max, sigma_min, vector = _gram_extremes(frame, sums, gram)
     if sigma_min is not None:
         svals, path = np.array([sigma_max, sigma_min]), "gram"
     else:  # bound sigma_min by a witness, and take the SVD only where that bound does not fire
-        vector = _gram_witness(gram, sigma_max, r)
+        vector = _gram_witness(gram, sigma_max, len(mats))
         del gram
         if vector is None:  # an exact zero pivot
             svals, vector = _svd_witness(frame.operator(sums))
             path = "gram→svd"
         else:
             svals, path = np.array([sigma_max, np.linalg.norm(frame.apply(sums, vector))]), "gram→witness"
-            if not _near_singular(svals, r, sing_tol)[1]:
+            if not _near_singular(svals, len(mats), sing_tol)[1]:
                 svals, path = weighted_singular_values(frame.operator(sums)), "gram→svd"
-    _log.debug("degree %d: N=%d, %s, %.4f s", frame.n, frame.dim, path, time.perf_counter() - start)
-    return svals, vector
+    return svals, vector, partial(frame.residual_bound, sums, mats=mats), path
 
 
 def _torus_angles(mats: np.ndarray) -> np.ndarray:
-    """Rotation angles theta_1..theta_m in [0, pi] of h = g_1^T g_2, for a pair (2, d, d) or a stack (..., 2, d, d).
+    """Rotation angles theta_1..theta_m in [0, pi] of h = g_1^T g_2 for each pair of a study's block (..., 2, d, d).
 
     h has the eigenvalues e^(+-i theta_j), j = 1..m = d // 2, and one more 1
     at odd d.  ``eigvals`` returns each conjugate pair exactly conjugate, a
@@ -521,20 +521,21 @@ def _torus_angles(mats: np.ndarray) -> np.ndarray:
     return angles[..., mats.shape[-1] % 2::2]
 
 
-def _pair_spectrum(angles: np.ndarray, d: int, n: int) -> np.ndarray:
-    """[sigma_max, sigma_min] of a pair's degree-n operator, or a stack (..., 2) of them, without forming M.
+def _pair_spectrum(angles: np.ndarray, d: int, n: int):
+    """([sigma_max, sigma_min], values) of a pair's degree-n operator, or stacks (..., 2) and (..., K), without M.
 
     M = rho(g_1) + rho(g_2) = rho(g_1) (I + rho(h)) with h = g_1^T g_2, and
     rho(g_1) is orthogonal, so M has the singular values of I + rho(h), which
-    is normal: rho(h) has the eigenvalue e^(i k . theta) for every torus weight
-    k of H_n (``fischer._torus_weights``), so the singular values are
-    |1 + e^(i k . theta)| = 2 |cos(k . theta / 2)|.  ``angles`` are the
-    pair's theta from ``_torus_angles``, (m,) or a stack (..., m), taken
-    once for every degree.
+    is normal: rho(h) has the eigenvalue e^(i k . theta) for each of the K
+    torus weights k of H_n (``fischer._torus_weights``), so the singular
+    values are ``values`` = |1 + e^(i k . theta)| = 2 |cos(k . theta / 2)|,
+    in the order of the weights.  ``angles`` are the pair's theta, (m,) from
+    its torus frame or a stack (..., m) from ``_torus_angles``, taken once
+    for every degree.
     """
     weights, _ = fischer._torus_weights(d, n)
     values = 2.0 * np.abs(np.cos(0.5 * (angles @ weights.T)))
-    return np.stack([values.max(axis=-1), values.min(axis=-1)], axis=-1)
+    return np.stack([values.max(axis=-1), values.min(axis=-1)], axis=-1), values
 
 
 def _torus_frame(mats: np.ndarray):
@@ -563,6 +564,25 @@ def _torus_frame(mats: np.ndarray):
         if space.shape[1] % 2:
             axis = space[:, -1]
     return np.concatenate(forms), np.concatenate(angles), axis
+
+
+def _pair_degree(torus, mats: np.ndarray, sing_tol: float, n: int):
+    """(svals, v, bound, path) of degree n of the pair ``mats``, all from its torus frame ``torus`` (``_torus_frame``).
+
+    svals = [sigma_max, sigma_min] come from the frame's angles
+    (``_pair_spectrum``).  Where they fire, the weight k whose phase gave
+    sigma_min, ties within round-off going to the largest |k|_1, names the
+    witness v and its bound (``_pair_witness``), path pair→witness.
+    Elsewhere v and bound are None, the path is pair and no FischerFrame is built.
+    """
+    d = mats.shape[-1]
+    svals, values = _pair_spectrum(torus[1], d, n)
+    if not _near_singular(svals, 2, sing_tol)[1]:
+        return svals, None, None, "pair"
+    weights, _ = fischer._torus_weights(d, n)
+    tied = np.flatnonzero(values <= svals[1] + 8.0 * d * n * 2.0**-53)
+    k = weights[tied[np.argmax(np.abs(weights[tied]).sum(axis=1))]]
+    return (svals, *_pair_witness(torus, fischer_frame(d, n), mats, k), "pair→witness")
 
 
 @lru_cache(maxsize=None)
@@ -597,16 +617,15 @@ def _form_products(forms: np.ndarray, d: int) -> np.ndarray:
     return coords
 
 
-def _pair_witness(torus, frame, mats: np.ndarray):
+def _pair_witness(torus, frame, mats: np.ndarray, k: np.ndarray):
     """(v, bound) of a fired pair degree, from the torus frame of h (``_torus_frame``), with no M and no S_n.
 
     v is a unit vector with M v near zero, and bound(coeffs) bounds the
     residual sup |sum_s p(g_s^T x)| of the polynomial p with the
     coefficients coeffs, as ``FischerFrame.residual_bound`` does from S_n
-    (``_product_bound``).  The weight k of H_n that minimizes
-    |1 + e^(i k . theta)|, the one ``_pair_spectrum`` reads as sigma_min,
-    with ties within the round-off of k . theta going to the largest
-    |k|_1, names the product of linear forms q = prod_j a_j^(k_j)
+    (``_product_bound``).  The weight k of H_n whose |1 + e^(i k . theta)|
+    is sigma_min (``_pair_degree`` picks it) names the product of linear
+    forms q = prod_j a_j^(k_j)
     (conj(a_j)^(-k_j) where k_j < 0) times a filler of weight 0: e^(n - |k|_1)
     at odd d, (a_1 conj(a_1))^((n - |k|_1) / 2) at even d.  So
     rho(h) q = e^(i k . theta) q, and its harmonic projection, U^T of its
@@ -627,12 +646,8 @@ def _pair_witness(torus, frame, mats: np.ndarray):
     round-off.  Nothing here is trusted: the bound holds for whatever
     coefficients ``_certify`` stores.
     """
-    forms, angles, axis = torus
+    forms, _, axis = torus
     d, n = frame.d, frame.n
-    weights, _ = fischer._torus_weights(d, n)
-    gaps = np.abs(np.cos(0.5 * (weights @ angles)))
-    tied = np.flatnonzero(gaps <= gaps.min() + 4.0 * d * n * 2.0**-53)
-    k = weights[tied[np.argmax(np.abs(weights[tied]).sum(axis=1))]]
     factors = [forms[j] if k[j] > 0 else forms[j].conj() for j in range(len(k)) for _ in range(abs(k[j]))]
     rest = n - len(factors)
     factors += [axis] * rest if d % 2 else [forms[0], forms[0].conj()] * (rest // 2)
@@ -701,12 +716,7 @@ def _product_bound(frame, r, lifted, own, moved, kept, sizes, coeffs) -> float:
     g = gamma_(P_n + n (2d + 3) + 12), covers that, the relative error of
     every norm and the arithmetic that sums the terms.
     """
-    d, n = frame.d, frame.n
-    unit = 2.0**-53
-
-    def gamma(k):
-        return k * unit / (1.0 - k * unit)
-
+    d, n, gamma = frame.d, frame.n, fischer._gamma
     scaled, scaling = frame.scaled_coordinates(coeffs)
     fit = float(scaled @ lifted) / float(lifted @ lifted)
     gap = float(np.linalg.norm(scaled - fit * lifted))
@@ -1114,28 +1124,30 @@ def divisibility_test(
     (sigma_min / sigma_max below ``sing_tol``) is confirmed by a kernel
     witness whose divisor ``_certify`` bounds over the whole sphere: a
     residual of at most RESIDUAL_TOL from the Fischer frame, recorded as the
-    degree's ``residual_bound``.  A pair reads each degree's sigma_max and
-    sigma_min from ``_pair_spectrum``, with h's angles taken once per call,
-    and a larger tuple from ``_spectrum``; one "spherediv" debug line per
-    degree names the path (pair, pair→witness, gram, gram→witness or
-    gram→svd) and its wall time.  A fired pair degree takes its witness and
-    its certificate's bound from the torus frame of h (``_pair_witness``),
-    with no M, no solve and no recurrence: a pair runs ``summed_powers`` at
-    no degree.  A fired degree of a larger tuple takes the witness that
-    ``_spectrum`` made while deciding it, so M is assembled once on the gram
-    and gram→witness paths at every ``sing_tol``.  At the default tolerance
-    every such degree takes the gram→witness path: it fires on an upper
-    bound of sigma_min from its witness, with no SVD, and records that bound
-    as its ``sigma_min_rel``.  Only the first certified degree, whose divisor
-    the report keeps, is also spot-checked by ``verify_divisor`` on
-    VERIFY_SAMPLES points, so a report makes at most one sampled check in
-    normal runs.  A trigger that fails certification is downgraded to
-    ``borderline``, and so is a degree within 10x of the trigger.  The
-    verdicts and ratios do not depend on ``rng``, which draws only the
-    verification points.  A ``sing_tol`` outside (0, 1), NaN included, and
-    runs whose estimated working set exceeds COST_BUDGET_BYTES are refused
-    with InputDomainError before anything is allocated, as is an n_max
-    above the degree the frame carries at d <= 3 (_STABLE_MAX_DEGREE).
+    degree's ``residual_bound``.  Each degree takes one route, which gives
+    its singular values, its witness and its certificate's bound.  A pair
+    (``_pair_degree``) reads them all from the torus frame of h, one ``eig``
+    per call (``_torus_frame``), with no M, no solve and no recurrence, and
+    builds a FischerFrame only at a fired degree.  A larger tuple
+    (``_spectrum``) takes one step of the recurrence and decides the degree
+    from G = M^T M, keeping the witness made while deciding it, so M is
+    assembled once on the gram and gram→witness paths at every ``sing_tol``.
+    At the default tolerance its fired degrees take the gram→witness path:
+    each fires on an upper bound of sigma_min from its witness, with no SVD,
+    and records that bound as its ``sigma_min_rel``.  One "spherediv" debug
+    line per degree names the path (pair, pair→witness, gram, gram→witness
+    or gram→svd) and the route's wall time, which covers a larger tuple's
+    recurrence step, assembly and spectral step, or a pair's spectrum and
+    witness, and not the certificate.  Only the first certified degree,
+    whose divisor the report keeps, is also spot-checked by
+    ``verify_divisor`` on VERIFY_SAMPLES points, so a report makes at most
+    one sampled check in normal runs.  A trigger that fails certification is
+    downgraded to ``borderline``, and so is a degree within 10x of the
+    trigger.  The verdicts and ratios do not depend on ``rng``, which draws
+    only the verification points.  A ``sing_tol`` outside (0, 1), NaN
+    included, and runs whose estimated working set exceeds COST_BUDGET_BYTES
+    are refused with InputDomainError before anything is allocated, as is an
+    n_max above the degree the frame carries at d <= 3 (_STABLE_MAX_DEGREE).
     The test is one-sided: ``invertible`` at all tested degrees does not
     prove non-divisibility.
     """
@@ -1152,40 +1164,24 @@ def divisibility_test(
     verification = None
 
     mats = _rotation_matrices(rotations)
-    pair = rotations.r == 2
-    if pair:  # no recurrence: the spectrum, the witness and its bound all come from h
-        angles, spectra, times = _torus_angles(mats), [], []
-        for n in range(1, n_max + 1):
-            start = time.perf_counter()
-            spectra.append(_pair_spectrum(angles, rotations.d, n))
-            times.append(time.perf_counter() - start)
-        fires = any(_near_singular(svals, 2, sing_tol)[1] for svals in spectra)
-        torus = _torus_frame(mats) if fires else None
-    else:
+    if rotations.r == 2:  # every degree reads the torus frame of h
+        route = partial(_pair_degree, _torus_frame(mats), mats, sing_tol)
+    else:  # every degree takes one step of the recurrence
         powers = summed_powers(mats, n_max)
 
+        def route(n):
+            return _spectrum(fischer_frame(rotations.d, n), next(powers)[1], mats, sing_tol)
+
     for n in range(1, n_max + 1):
-        sums = bound = None
-        if pair:
-            svals, vector = spectra[n - 1], None
-        else:
-            sums = next(powers)[1]
-            svals, vector = _spectrum(fischer_frame(rotations.d, n), sums, rotations.r, sing_tol)
+        start = time.perf_counter()
+        svals, vector, bound, path = route(n)
+        dim = dim_harmonic(rotations.d, n)
+        _log.debug("degree %d: N=%d, %s, %.4f s", n, dim, path, time.perf_counter() - start)
         ratio, fired, near_band = _near_singular(svals, rotations.r, sing_tol)
-        if pair:
-            path, start = "pair", time.perf_counter()
-            if fired:  # its witness and its bound come from the torus frame of h, with no M and no S_n
-                vector, bound = _pair_witness(torus, fischer_frame(rotations.d, n), mats)
-                path = "pair→witness"
-            elapsed = times[n - 1] + time.perf_counter() - start
-            _log.debug("degree %d: N=%d, %s, %.4f s", n, dim_harmonic(rotations.d, n), path, elapsed)
         residual = None
         if fired:
-            frame = fischer_frame(rotations.d, n)
-            if bound is None:
-                bound = partial(frame.residual_bound, sums, mats=mats)
             sample_rng = derive_rng(seed, 2, n, 3) if witness is None else None
-            g, f, ver = _certify(frame, vector, bound, rotations, sample_rng)
+            g, f, ver = _certify(fischer_frame(rotations.d, n), vector, bound, rotations, sample_rng)
             residual = ver.residual_bound
             if ver.passed:
                 verdict = VERDICT_SINGULAR
@@ -1197,11 +1193,10 @@ def divisibility_test(
             verdict = VERDICT_BORDERLINE
         else:
             verdict = VERDICT_INVERTIBLE
-        dim = dim_harmonic(rotations.d, n)
         records.append(
             DegreeRecord(n=n, dim=dim, sigma_min_rel=float(ratio), verdict=verdict, residual_bound=residual)
         )
-        del sums, vector, bound  # free degree n before the recurrence builds degree n + 1 (see _peak_bytes)
+        del vector, bound  # the bound holds S_n: free it before the recurrence builds degree n + 1 (see _peak_bytes)
 
     report = DivisibilityReport(
         d=rotations.d,

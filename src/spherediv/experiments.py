@@ -264,7 +264,7 @@ def run_genericity(study: GenericityStudy) -> GenericityResult:
         if study.r == 2:  # pairs are decided from their torus angles, with no operator
             pairs = np.concatenate([block, np.broadcast_to(suffix, (len(block),) + suffix.shape)], axis=1)
             angles = _torus_angles(pairs)
-            spectra = (_pair_spectrum(angles, study.d, n) for n in range(1, study.n_max + 1))
+            spectra = (_pair_spectrum(angles, study.d, n)[0] for n in range(1, study.n_max + 1))
         else:
             spectra = (
                 weighted_singular_values(fischer_frame(study.d, n).operator(sums) + fixed[n - 1])
@@ -342,7 +342,9 @@ class SearchSettings:
     """Search budget and target.
 
     ``restarts`` and ``max_iter`` must be >= 1, ``simplex_scale`` a finite
-    number > 0 and ``target_ratio`` a finite number in (0, 1).
+    number > 0 and ``target_ratio`` a finite number in (0, 1), and the
+    search's trace, one value per evaluation and at most 4 ``max_iter``
+    evaluations per restart, must fit COST_BUDGET_BYTES.
     """
 
     restarts: int = 4
@@ -359,6 +361,9 @@ class SearchSettings:
         if not 0.0 < self.simplex_scale < math.inf:  # false for NaN as well
             raise InputDomainError(f"simplex_scale must be a finite number > 0, got {self.simplex_scale}")
         _check_tolerance("target_ratio", self.target_ratio)
+        # a traced value takes a float object and the pointers of the trace list and of SearchRun's tuple
+        need = 40 * 4 * self.max_iter * self.restarts
+        _check_budget(need, f"restarts={self.restarts}, max_iter={self.max_iter}", "restarts or max_iter")
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -538,6 +543,8 @@ def search_divisible(
     """
     if n < 1:
         raise InputDomainError(f"target degree must be >= 1, got n={n}")
+    if r < 2:
+        raise InputDomainError(f"a search needs r >= 2 rotations, got r={r}")
     _check_cost(d, r, n)
     settings = settings or SearchSettings()
     seed = resolve_seed(rng)

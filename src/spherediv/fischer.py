@@ -68,6 +68,14 @@ BLOCK_BYTES = 1 << 20
 DENSE_MAX_SIZE = 120
 
 
+def _gamma(k) -> float:
+    """gamma_k = k u / (1 - k u) with u = 2^-53, which bounds k relative roundings in every round-off bound of the package.
+
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.1.
+    """
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
 def _choose(m: np.ndarray, k: int) -> np.ndarray:
     """Binomial coefficients C(m, k) of an integer array m >= 0, exactly, from a ``math.comb`` table indexed by m.
 
@@ -354,11 +362,10 @@ class FischerFrame:
         coords, scaling = self.scaled_coordinates(coeffs)
         residual = float(np.linalg.norm(sums @ coords))
         k = math.comb(n + d - 1, d) + n * (d + 5) + r * d + self.size + scaling
-        gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
         absolute = np.abs(mats)
         schur = absolute.sum(axis=-2).max(axis=-1) * absolute.sum(axis=-1).max(axis=-1)
         growth = float(np.sum(schur ** (n / 2)))
-        delta = 3.0 * gamma * growth * float(np.linalg.norm(coords))
+        delta = 3.0 * _gamma(k) * growth * float(np.linalg.norm(coords))
         return residual + delta
 
     def terms(self, x: np.ndarray) -> np.ndarray:
@@ -422,22 +429,17 @@ def _frame_defect(d: int, n: int, lap: np.ndarray, kernel: np.ndarray) -> float:
     the arithmetic that forms it.  A frame of degree 1 is the identity,
     exactly, with D = 0.
     """
-    unit = 2.0**-53
-
-    def gamma(k):
-        return k * unit / (1.0 - k * unit)
-
-    sigma = math.sqrt(2.0 * (2 * n + d - 4)) * (1.0 - 2.0 * unit)
+    sigma = math.sqrt(2.0 * (2 * n + d - 4)) * (1.0 - 2.0 * 2.0**-53)
     size, dim = kernel.shape
-    rel = 1.0 + gamma(size * dim + size + 4)
+    rel = 1.0 + _gamma(size * dim + size + 4)
     spread = np.abs(kernel)
     square = rel * float(np.linalg.norm(spread.T @ spread))
     gram = kernel.T @ kernel
     gram[np.diag_indices(dim)] -= 1.0
-    eps = rel * (float(np.linalg.norm(gram)) + gamma(size) * square)
-    leak = float(np.linalg.norm(lap @ kernel)) + gamma(size + 1) * float(np.linalg.norm(np.abs(lap) @ spread))
+    eps = rel * (float(np.linalg.norm(gram)) + _gamma(size) * square)
+    leak = float(np.linalg.norm(lap @ kernel)) + _gamma(size + 1) * float(np.linalg.norm(np.abs(lap) @ spread))
     eta = rel * leak / sigma
-    return (eps + 2.0 * math.sqrt(1.0 + eps) * eta + 2.0 * eta * eta + gamma(size + dim) * square) * (1.0 + gamma(10))
+    return (eps + 2.0 * math.sqrt(1.0 + eps) * eta + 2.0 * eta * eta + _gamma(size + dim) * square) * (1.0 + _gamma(10))
 
 
 @lru_cache(maxsize=None)

@@ -380,6 +380,33 @@ class TestCmdExperiment:
         assert "trials=1000000000" in capsys.readouterr().err
         assert not (tmp_path / "study.csv").exists()
 
+    @pytest.mark.parametrize("suffix", [5, None, "rotations", {"d": 3, "rows": []}])
+    def test_suffix_that_is_not_an_array_rejected(self, tmp_path, capsys, suffix):
+        config = {"kind": "genericity", "d": 3, "r": 3, "ell": 1, "n_max": 1, "trials": 2, "seed": 43, "suffix": suffix}
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(cpath), "--out", str(tmp_path / "study")]) == 2
+        err = capsys.readouterr().err
+        assert f'config key "suffix" must be an array of rotation objects, got {json.dumps(suffix)}' in err
+        assert not (tmp_path / "study.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"r": 3, "restarts": 1e12, "max_iter": 1}, "restarts=1000000000000, max_iter=1 would need"),
+            ({"r": 1}, "a search needs r >= 2 rotations, got r=1"),
+            ({"r": 0}, "a search needs r >= 2 rotations, got r=0"),
+        ],
+        ids=["trace-budget", "one-rotation", "no-rotation"],
+    )
+    def test_search_refused_before_it_runs(self, tmp_path, capsys, config, message):
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps({"kind": "search", "d": 3, "n": 2, "seed": 47, **config}))
+        code, peak = traced_main(["experiment", "--config", str(cpath), "--out", str(tmp_path / "search")])
+        assert code == 2 and peak < 1 << 20
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "search.json").exists()
+
     def test_truncating_int_value_rejected(self, tmp_path, capsys):
         base = {"kind": "genericity", "d": 3, "r": 3, "n_max": 1, "trials": 2}
         for key, value in [("trials", 2.5), ("n_max", 1.9), ("d", 3.9), ("r", True), ("seed", 1.5)]:

@@ -292,12 +292,12 @@ class TestResidualBound:
         frame = fischer_frame(6, 1)
         top = np.linalg.svd(frame.operator(sums))[2][0]
         witness = divisibility._pair_witness
+        bound = divisibility._pair_degree(divisibility._torus_frame(mats), mats, divisibility.DEFAULT_SING_TOL, 1)[2]
 
-        def foreign(torus, frame, mats):
-            return top, witness(torus, frame, mats)[1]
+        def foreign(torus, frame, mats, k):
+            return top, witness(torus, frame, mats, k)[1]
 
         monkeypatch.setattr(divisibility, "_pair_witness", foreign)
-        _, bound = witness(divisibility._torus_frame(mats), frame, mats)
         _, _, ver = divisibility._certify(frame, top, bound, tup, 283)
         assert not ver.passed and ver.n_samples == 0
         assert ver.residual_bound > 1e-2
@@ -316,7 +316,7 @@ def svd_pair_witness(tup):
     """A stand-in for divisibility._pair_witness on ``tup``: the full SVD's witness of the degree's M, bounded through S_n."""
     mats = np.array([g.matrix for g in tup])
 
-    def witness(torus, frame, mats_):
+    def witness(torus, frame, mats_, k):
         *_, (_, sums) = summed_powers(mats, frame.n)
         return full_svd_vector(frame.operator(sums)), functools.partial(frame.residual_bound, sums, mats=mats)
 

@@ -268,6 +268,13 @@ class TestSearch:
         with pytest.raises(InputDomainError, match=field):
             SearchSettings(**{field: value})
 
+    @pytest.mark.parametrize("restarts, max_iter", [(10**12, 1), (1, 10**9), (10**4, 10**4)])
+    def test_rejects_a_trace_over_the_memory_budget(self, restarts, max_iter):
+        # the trace keeps one value per evaluation, up to 4 max_iter of them per restart
+        with pytest.raises(InputDomainError, match=f"restarts={restarts}, max_iter={max_iter} .* budget"):
+            SearchSettings(restarts=restarts, max_iter=max_iter)
+        SearchSettings(restarts=4, max_iter=10**5)
+
     def test_debug_line_per_restart(self, caplog):
         settings = SearchSettings(restarts=2, max_iter=30)
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
@@ -310,6 +317,15 @@ class TestSearch:
             search_divisible(2, 2, 0, SearchSettings(), rng=409)
         with pytest.raises(InputDomainError, match="budget"):
             search_divisible(8, 2, 10, SearchSettings(), rng=409)
+
+    @pytest.mark.parametrize("r", [-1, 0, 1])
+    def test_rejects_fewer_than_two_rotations_before_searching(self, r, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the simplex ran")
+
+        monkeypatch.setattr(experiments, "_nelder_mead", refused)
+        with pytest.raises(InputDomainError, match=f"r >= 2 rotations, got r={r}"):
+            search_divisible(3, r, 2, SearchSettings(), rng=409)
 
 
 def scipy_nelder_mead(func, simplex, max_iter, max_evals, stop=-math.inf):

@@ -92,8 +92,9 @@ class TestClosedForm:
         tup = haar_pair(d, seed)
         mats = matrices(tup)
         report = divisibility_test(tup, n_max, rng=seed)
+        angles = divisibility._torus_frame(mats)[1]
         for n, svals in enumerate(svd_spectra(mats, n_max), 1):
-            closed = divisibility._pair_spectrum(divisibility._torus_angles(mats), d, n)
+            closed, _ = divisibility._pair_spectrum(angles, d, n)
             assert math.isclose(closed[0], svals[0], rel_tol=1e-10), (n, closed, svals[0])
             assert math.isclose(closed[1] / closed[0], svals[-1] / svals[0], rel_tol=1e-10), (n, closed, svals)
             # the verdict row the SVD would have given
@@ -163,22 +164,45 @@ class TestPairPath:
         assert assembled == stepped == []
 
     def test_angles_once_per_call_and_per_block(self, monkeypatch):
-        # h's eigenvalues are solved once per divisibility_test and once per block of a study, not per degree
-        calls = []
+        # h is decomposed by one eig per divisibility_test, firing or not, whose frame serves every
+        # degree; a fired degree alone builds its FischerFrame; a study solves h's eigenvalues once per block
+        calls, frames, blocks = [], [], []
+        for name in ("eig", "eigvals"):
+            def counted(a, name=name, original=getattr(np.linalg, name)):
+                calls.append((name, np.shape(a)))
+                return original(a)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        frame = divisibility.fischer_frame
+
+        def counted_frame(d, n):
+            frames.append(n)
+            return frame(d, n)
+
         angles = divisibility._torus_angles
 
-        def counted(mats):
-            calls.append(mats.shape)
+        def counted_angles(mats):
+            blocks.append(mats.shape)
             return angles(mats)
 
-        monkeypatch.setattr(divisibility, "_torus_angles", counted)
-        monkeypatch.setattr(experiments, "_torus_angles", counted)
-        divisibility_test(haar_pair(4, 739), 5, rng=743)
-        assert calls == [(2, 4, 4)]
+        monkeypatch.setattr(divisibility, "fischer_frame", counted_frame)
+        monkeypatch.setattr(experiments, "_torus_angles", counted_angles)
+        for tup, n_max, fired in (
+            (haar_pair(4, 739), 5, []),
+            (circle_tuple(0.0, math.pi), 4, [1, 3]),
+            (half_turn_pair(6, 263), 3, [1, 2, 3]),
+        ):
+            calls.clear()
+            frames.clear()
+            report = divisibility_test(tup, n_max, rng=743)
+            assert report.singular_degrees() == fired
+            assert calls == [("eig", (tup.d, tup.d))]
+            assert sorted(set(frames)) == fired
         calls.clear()
         study = GenericityStudy(d=4, r=2, suffix=(haar_sample(4, 751),), trials=50, n_max=4, seed=757, ell=1)
         run_genericity(study)
-        assert calls == [(50, 2, 4, 4)]
+        assert blocks == [(50, 2, 4, 4)]
+        assert calls == [("eigvals", (50, 4, 4))]
 
     def test_debug_line_names_the_pair_path(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="spherediv"):

@@ -83,7 +83,7 @@ def reference_witness(tup):
     """A reference pair witness and certificate: the full SVD's last right-singular vector of the assembled M, bounded through S_n."""
     mats = np.array([g.matrix for g in tup])
 
-    def witness(torus, frame, mats_):
+    def witness(torus, frame, mats_, k):
         *_, (_, sums) = summed_powers(mats, frame.n)
         vector = np.linalg.svd(frame.operator(sums))[2][-1]
         return vector, functools.partial(frame.residual_bound, sums, mats=mats)
@@ -100,8 +100,8 @@ def rows(report):
 
 
 def pair_spectrum(mats, n):
-    """[sigma_max, sigma_min] of the pair ``mats`` at degree n."""
-    return divisibility._pair_spectrum(divisibility._torus_angles(mats), mats.shape[-1], n)
+    """[sigma_max, sigma_min] of the pair ``mats`` at degree n, from the angles of its torus frame."""
+    return divisibility._pair_spectrum(divisibility._torus_frame(mats)[1], mats.shape[-1], n)[0]
 
 
 def fired_degrees(mats, n_max):
@@ -116,11 +116,12 @@ def fired_degrees(mats, n_max):
 def test_fired_pair_witnesses(case):
     tup, n_max = case
     mats = np.array([g.matrix for g in tup])
-    made = []
+    made, weights = [], []
     witness = divisibility._pair_witness
 
-    def recorded(torus, frame, mats_):
-        made.append((frame.n, *witness(torus, frame, mats_)))
+    def recorded(torus, frame, mats_, k):
+        made.append((frame.n, *witness(torus, frame, mats_, k)))
+        weights.append((torus[1], k))
         return made[-1][1:]
 
     def refused(*args):
@@ -135,7 +136,13 @@ def test_fired_pair_witnesses(case):
     fired = fired_degrees(mats, n_max)
     assert fired and [n for n, *_ in made] == fired
     sums = dict(summed_powers(mats, n_max))
-    for n, vector, bound in made:
+    for (n, vector, bound), (angles, k) in zip(made, weights):
+        # the witness's weight k attains the sigma_min its degree was decided on, up to the round-off of the phases
+        svals, values = divisibility._pair_spectrum(angles, tup.d, n)
+        attained = values[np.flatnonzero((fischer._torus_weights(tup.d, n)[0] == k).all(axis=1))]
+        assert len(attained) == 1 and attained[0] <= svals[1] + 8.0 * tup.d * n * 2.0**-53, n
+        ratio, _, _ = divisibility._near_singular(svals, 2, divisibility.DEFAULT_SING_TOL)
+        assert report.degrees[n - 1].sigma_min_rel == ratio, n
         frame = fischer_frame(tup.d, n)
         assert math.isclose(np.linalg.norm(vector), 1.0, rel_tol=1e-12)
         assert np.linalg.norm(frame.apply(sums[n], vector)) <= 1e-12 * tup.r, n
@@ -174,7 +181,7 @@ def test_product_bound_against_the_dense_bound(case, shaken, seed):
     sums = dict(summed_powers(mats, n_max))
     for n in fired_degrees(mats, n_max):
         frame = fischer_frame(tup.d, n)
-        vector, bound = divisibility._pair_witness(torus, frame, mats)
+        vector, bound = divisibility._pair_degree(torus, mats, divisibility.DEFAULT_SING_TOL, n)[1:3]
         witness = divisibility._witness(frame, vector)
         scale = divisibility.make_divisor(witness, tup.r).scale
         new, old = bound(witness.coeffs), frame.residual_bound(sums[n], witness.coeffs, mats)
@@ -198,7 +205,7 @@ def test_foreign_vector_refused(case):
             continue
         frame = fischer_frame(tup.d, n)
         top = np.linalg.svd(frame.operator(sums[n]))[2][0]
-        _, bound = divisibility._pair_witness(torus, frame, mats)
+        bound = divisibility._pair_degree(torus, mats, divisibility.DEFAULT_SING_TOL, n)[2]
         _, _, ver = divisibility._certify(frame, top, bound, tup, None)
         assert not ver.passed and ver.residual_bound > 1e-6, n
 
