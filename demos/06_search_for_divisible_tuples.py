@@ -2,8 +2,12 @@
 """Derivative-free search for divisible tuples, including an open-case candidate.
 
 The search minimizes how singular the degree-n operator is over tuples
-parametrized by Cayley charts, then re-verifies any optimizer minimum through
-the witness/divisor residual pipeline.  Certificates, never raw minima.
+modulo left and right translations, which change no singular value: each
+restart keeps the first rotation of its base tuple, moves the second only
+along the maximal torus of g_1^T g_2 and charts the rest with full Cayley
+charts.  It then re-verifies any optimizer minimum through the
+witness/divisor residual pipeline.  Certificates, never raw minima.  In the
+circle warm-up the first angle therefore stays at its base value, 0.3.
 
 The second part reproduces a find from this package's own genericity runs: a
 Haar-random d=3, r=3 tuple that happened to pass within ~2e-7 of the degree-3

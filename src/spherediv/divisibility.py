@@ -116,6 +116,12 @@ DEFAULT_MAX_ATTEMPTS = 50
 VERIFY_SAMPLES = 10_000
 # largest |sum_s f(gamma_s^T x) - 1| a certified divisor may have
 RESIDUAL_TOL = 1e-8
+# byte budget of verify_divisor's largest temporary, one point block's values: glibc's
+# default mmap threshold, so the blocks reuse heap memory instead of faulting in fresh pages
+# on every call.  10 000 points on one BLAS thread of a 2-core Xeon, best of 5 against
+# blocks of fischer.BLOCK_BYTES: 3.8-4.9 -> 1.6-2.5 ms for a d = 3, n = 2 divisor and
+# 4.6-5.6 -> 2.9-3.9 ms for d = 8, n = 1
+_VERIFY_BLOCK_BYTES = 1 << 17
 # share of 1/r a divisor f = 1/r + scale g may move away from 1/r (make_divisor)
 _DIVISOR_MARGIN = 0.5
 # estimated working set (see _peak_bytes) above which a run is refused before
@@ -557,7 +563,10 @@ def _torus_frame(mats: np.ndarray):
     rising = values.imag > 0
     forms, angles, axis = [vectors[:, rising].T], [np.angle(values[rising])], None
     for sign, angle in ((-1.0, math.pi), (1.0, 0.0)):
-        space = np.linalg.qr(vectors[:, (values.imag == 0) & (np.sign(values.real) == sign)].real)[0]
+        space = vectors[:, (values.imag == 0) & (np.sign(values.real) == sign)].real
+        if not space.shape[1]:  # a generic h has neither eigenvalue: no QR of an empty space
+            continue
+        space = np.linalg.qr(space)[0]
         half = space.shape[1] // 2
         forms.append((space[:, :half] + 1j * space[:, half:2 * half]).T / math.sqrt(2.0))
         angles.append(np.full(half, angle))
@@ -841,10 +850,12 @@ def verify_divisor(
     measure-zero set on which almost-everywhere equality says nothing).
     Passing requires max residual <= RESIDUAL_TOL and a strictly
     positive sample variance of f (nonconstancy evidence).  f is evaluated
-    on blocks of points holding at most ``fischer.BLOCK_BYTES`` of values,
-    taking ``f.size`` values per point where f has one (HarmonicFunction and
-    DivisorFunction do) and d otherwise; only the per-point sums and values
-    are kept whole.  This is a sampled check, not a bound over the
+    on blocks of points holding at most _VERIFY_BLOCK_BYTES (128 KiB) of
+    values, taking ``f.size`` values per point where f has one
+    (HarmonicFunction and DivisorFunction do) and d otherwise, so no block's
+    temporaries cross glibc's default mmap threshold; only the per-point
+    sums and values are kept whole, and the result does not depend on the
+    block size.  This is a sampled check, not a bound over the
     sphere: divisibility_test certifies its degrees through ``_certify``.
     A ``samples`` below 1 or above COST_BUDGET_BYTES / (8 (2d + 2)) raises
     InputDomainError: the sphere draw holds the points twice while it
@@ -862,7 +873,7 @@ def verify_divisor(
         mask = np.asarray(skip(pts), dtype=bool)
         skipped = int(mask.sum())
         pts = pts[~mask]
-    rows = max(1, fischer.BLOCK_BYTES // (8 * getattr(f, "size", d)))
+    rows = max(1, _VERIFY_BLOCK_BYTES // (8 * getattr(f, "size", d)))
     total = np.zeros(len(pts))
     fvals = np.empty(len(pts))
     for lo in range(0, len(pts), rows):

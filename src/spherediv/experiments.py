@@ -26,7 +26,8 @@ standalone run of three or more rotations the Gram step of
 ``divisibility._spectrum``, and the two agree within 1e-13.
 
 The search minimizes how singular the degree-n operator is over tuples
-parametrized by Cayley charts around restart base points, with a
+modulo left and right translations, in a Cayley chart of that quotient
+around each restart's base tuple (``_quotient_chart``), with a
 Nelder-Mead simplex (the objective is nonsmooth exactly at its zero set).
 The simplex method is ``_nelder_mead``, written here so that the package
 needs numpy alone at run time; tests/test_experiments.py checks that its
@@ -337,6 +338,42 @@ def cayley_rotation(base: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return base @ factor
 
 
+# a singular value of Z -> h^T Z h - Z at or below this marks a direction of the commutant
+# of h (``_quotient_chart``).  The map is Ad(h) - I with Ad(h) orthogonal on the skew
+# matrices, so its singular values lie in [0, 2] and the threshold is relative to that scale
+_COMMUTANT_TOL = 1e-8
+
+
+def _quotient_chart(bases: np.ndarray) -> np.ndarray:
+    """The chart C ((r - 1) p, dim) of a restart around ``bases`` (r, d, d), p = d(d-1)/2.
+
+    The restart's tuple at x is gamma_1 = bases[0] and
+    gamma_s = bases[s - 1] Cayley(theta_s) for s >= 2, with the stacked
+    theta_2..theta_r = C x.  C is block diagonal: theta_2 ranges over the
+    skew Z that commute with h = bases[0]^T bases[1], the null space of
+    Z -> h^T Z h - Z from one SVD of its p x p matrix (singular values at
+    most _COMMUTANT_TOL), and theta_3..theta_r take the identity.  Cayley(Z)
+    is a rational function of Z, so gamma_1^T gamma_2 = h Cayley(Z) commutes
+    with h.  A Haar h has a commutant of dimension floor(d/2), its maximal
+    torus, so dim = floor(d/2) + (r - 2) p; a degenerate h has a larger one.
+    """
+    r, d = bases.shape[0], bases.shape[-1]
+    rows, cols, _ = _chart_constants(d)
+    p = len(rows)
+    units = np.zeros((p, d, d))
+    units[np.arange(p), rows, cols] = 1.0
+    units -= np.swapaxes(units, -1, -2)
+    h = bases[0].T @ bases[1]
+    ad = (h.T @ units @ h - units)[:, rows, cols].T  # column k: the packed image of unit k
+    _, svals, vt = np.linalg.svd(ad)
+    torus = vt[svals <= _COMMUTANT_TOL].T
+    k = torus.shape[1]
+    chart = np.zeros(((r - 1) * p, k + (r - 2) * p))
+    chart[:p, :k] = torus
+    chart[p:, k:] = np.eye((r - 2) * p)
+    return chart
+
+
 @dataclass(frozen=True)
 class SearchSettings:
     """Search budget and target.
@@ -386,9 +423,11 @@ class SearchRun:
     the trace is the nonincreasing best-so-far sequence over evaluations.
     A run whose simplex gets below min(``target_ratio``, DEFAULT_SING_TOL)
     ends with the iteration that got there, so its trace's first value
-    below that lies within its last dim + 2 evaluations (dim = r d(d-1)/2:
-    a reflection, a contraction and a shrink); pass a smaller
-    ``target_ratio`` for a deeper minimum.
+    below that lies within its last dim + 2 evaluations (a reflection, a
+    contraction and a shrink of the chart's dim vertices, dim =
+    floor(d/2) + (r - 2) d(d-1)/2 for a Haar restart; see
+    ``_quotient_chart``); pass a smaller ``target_ratio`` for a deeper
+    minimum.
     """
 
     d: int
@@ -520,9 +559,27 @@ def search_divisible(
 ) -> SearchRun:
     """Minimize the degree-n singularity objective over rotation tuples.
 
-    Runs Nelder-Mead restarts in Cayley charts (``_nelder_mead``, at most
-    ``max_iter`` iterations and 4 * ``max_iter`` evaluations each, from a
-    simplex of edge ``simplex_scale``).  A restart stops at the end of the
+    Runs Nelder-Mead restarts (``_nelder_mead``, at most ``max_iter``
+    iterations and 4 * ``max_iter`` evaluations each, from a simplex of
+    edge ``simplex_scale``) in a chart of the tuples modulo their
+    symmetries.  For rotations k and l, rho_n(k gamma l) =
+    rho_n(k) rho_n(gamma) rho_n(l) with rho_n(k) and rho_n(l) orthogonal
+    in the orthonormal frame, so the tuples (k gamma_s l) and (gamma_s) have
+    operators with the same singular values, and the objective is constant
+    on each orbit.  (Divisibility itself is invariant too: f divides
+    (gamma_s) exactly when f(l .) divides (k gamma_s l).)  Each orbit meets
+    gamma_1 = g_1 for the restart's base tuple g, drawn or ``base_tuple``;
+    what is left is one conjugation of every h_s = g_1^T gamma_s.  Every
+    rotation near a regular h_2 = g_1^T g_2 is conjugate, by a rotation near
+    I, to one in the maximal torus of h_2, so the restart fixes gamma_1 = g_1,
+    moves gamma_2 = g_2 Cayley(Z) only with Z in the commutant of h_2, and
+    gives every other rotation a full Cayley chart (``_quotient_chart``):
+    floor(d/2) + (r - 2) d(d-1)/2 simplex dimensions instead of
+    r d(d-1)/2, and x = 0 is the base tuple.  The chart drops only
+    directions along which the objective is constant, and no candidate
+    rests on it: a commutant made too large by a degenerate h_2 only adds
+    dimensions, and every candidate still goes through the certificate.
+    A restart stops at the end of the
     first iteration whose best vertex is below both ``target_ratio`` and
     DEFAULT_SING_TOL, and no further restart runs; a larger
     ``target_ratio`` still decides which tuple counts as found, but the
@@ -559,11 +616,15 @@ def search_divisible(
     def objective(svals) -> float:
         return float(svals[-1]) / r
 
+    def tuple_at(bases, chart, x) -> np.ndarray:
+        moved = cayley_rotation(bases[1:], (chart @ x).reshape(r - 1, n_params))
+        return np.concatenate([bases[:1], moved])
+
     trace: list = []
 
-    def log_objective_factory(bases):
-        def log_objective(theta):
-            mats = cayley_rotation(bases, theta.reshape(r, n_params))
+    def log_objective_factory(bases, chart):
+        def log_objective(x):
+            mats = tuple_at(bases, chart, x)
             val = objective(weighted_singular_values(frame.operator(summed(mats))))
             trace.append(val if not trace else min(trace[-1], val))
             return math.log10(val + 1e-300)
@@ -587,12 +648,13 @@ def search_divisible(
             bases = np.array([g.matrix for g in settings.base_tuple])
         else:
             bases = np.array([haar_sample(d, rng_j).matrix for _ in range(r)])
-        dim = r * n_params
+        chart = _quotient_chart(bases)
+        dim = chart.shape[1]
         simplex = np.vstack([np.zeros(dim), settings.simplex_scale * np.eye(dim)])
         x, evals = _nelder_mead(
-            log_objective_factory(bases), simplex, settings.max_iter, 4 * settings.max_iter, stop
+            log_objective_factory(bases, chart), simplex, settings.max_iter, 4 * settings.max_iter, stop
         )
-        mats = cayley_rotation(bases, x.reshape(r, n_params))
+        mats = tuple_at(bases, chart, x)
         sums = summed(mats)
         matrix = frame.operator(sums)
         val = objective(weighted_singular_values(matrix))

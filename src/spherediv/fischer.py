@@ -56,8 +56,8 @@ __all__ = ["BLOCK_BYTES", "FischerFrame", "fischer_frame", "summed_powers"]
 # byte budget of one stacked temporary: a Sym^n step treats every rotation
 # in one call while d P_n^2 doubles per rotation fit, and goes through column
 # slabs of at most this many bytes of parent columns otherwise; the block
-# operator gathers rows and columns of this many bytes at a time, studies size
-# trial blocks and verify_divisor sizes point blocks by it
+# operator gathers rows and columns of this many bytes at a time, and studies size
+# trial blocks by it
 BLOCK_BYTES = 1 << 20
 
 # frames with at most this many monomials keep a dense U: below it one dense

@@ -241,14 +241,26 @@ class TestVerifyDivisor:
     def test_blocks_match_one_block(self, monkeypatch):
         tup = half_turn_pair(4, 149)
         report = divisibility_test(tup, 3, rng=163)
-        monkeypatch.setattr(fischer, "BLOCK_BYTES", 1 << 30)
+        monkeypatch.setattr(divisibility, "_VERIFY_BLOCK_BYTES", 1 << 30)
         whole = verify_divisor(tup, report.divisor, 5_000, 167)
-        monkeypatch.setattr(fischer, "BLOCK_BYTES", 4096)  # 128 points per block
+        monkeypatch.setattr(divisibility, "_VERIFY_BLOCK_BYTES", 4096)  # 128 points per block
         blocks = verify_divisor(tup, report.divisor, 5_000, 167)
         assert blocks.max_residual == whole.max_residual
         assert math.isclose(blocks.mean_residual, whole.mean_residual, rel_tol=1e-14)
         assert math.isclose(blocks.function_variance, whole.function_variance, rel_tol=1e-14)
         assert blocks.n_samples == whole.n_samples == 5_000
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (4, 3), (8, 1)])
+    def test_small_blocks_match_the_old_block_size(self, d, n, monkeypatch):
+        # blocks under glibc's mmap threshold give the result blocks of fischer.BLOCK_BYTES gave;
+        # a half-turn pair is singular at every degree, so its degree-n witness makes a divisor
+        tup = half_turn_pair(d, 149 + d)
+        *_, (frame, _, matrix) = degree_operators(tup, n)
+        f = make_divisor(kernel_witness(frame, matrix, tup.r), tup.r)
+        result = verify_divisor(tup, f, divisibility.VERIFY_SAMPLES, 167)
+        monkeypatch.setattr(divisibility, "_VERIFY_BLOCK_BYTES", fischer.BLOCK_BYTES)
+        assert verify_divisor(tup, f, divisibility.VERIFY_SAMPLES, 167) == result
+        assert result.passed
 
 
 class TestResidualBound:

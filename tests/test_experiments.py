@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spherediv
 from spherediv import (
@@ -23,9 +25,11 @@ from spherediv import (
     planar_rotation,
     run_genericity,
     search_divisible,
+    weighted_singular_values,
 )
 from spherediv import experiments
 from spherediv.experiments import search_csv_text, trial_csv_text
+from spherediv.fischer import fischer_frame, summed_powers
 from spherediv.rotations import haar_from_gaussian
 
 
@@ -289,12 +293,13 @@ class TestSearch:
 
     def test_default_search_stops_at_the_target(self):
         # the simplex stops at the end of the iteration whose best vertex meets target_ratio:
-        # a reflection, a contraction and a shrink of dim vertices at most, dim = r d(d-1)/2
+        # a reflection, a contraction and a shrink of dim vertices at most, with the quotient
+        # chart's dim = floor(d/2) + (r - 2) d(d-1)/2
         target = SearchSettings().target_ratio
         run = search_divisible(3, 3, 2, rng=509)
         assert run.certified
         assert run.best_ratio < target
-        dim = 3 * 3 * 2 // 2
+        dim = 3 // 2 + (3 - 2) * 3
         first = next(k for k, val in enumerate(run.trace) if val < target)
         assert first >= len(run.trace) - (dim + 2), (first, len(run.trace))
 
@@ -326,6 +331,86 @@ class TestSearch:
         monkeypatch.setattr(experiments, "_nelder_mead", refused)
         with pytest.raises(InputDomainError, match=f"r >= 2 rotations, got r={r}"):
             search_divisible(3, r, 2, SearchSettings(), rng=409)
+
+
+def degree_singular_values(mats, n):
+    """The singular values of the degree-n operator of the tuple ``mats`` (r, d, d)."""
+    *_, (_, sums) = summed_powers(mats, n)
+    return weighted_singular_values(fischer_frame(mats.shape[-1], n).operator(sums))
+
+
+def recorded_search(monkeypatch, *args, **kwargs):
+    """Run search_divisible; return it with its events: ("base", bases) per restart and ("eval", tuple) per evaluation."""
+    events = []
+    chart, powers = experiments._quotient_chart, experiments.summed_powers
+
+    def charted(bases):
+        events.append(("base", bases.copy()))
+        return chart(bases)
+
+    def evaluated(mats, n):
+        events.append(("eval", mats.copy()))
+        return powers(mats, n)
+
+    monkeypatch.setattr(experiments, "_quotient_chart", charted)
+    monkeypatch.setattr(experiments, "summed_powers", evaluated)
+    return search_divisible(*args, **kwargs), events
+
+
+class TestQuotientChart:
+    """The search moves gamma_1 not at all and gamma_2 only along the maximal torus of h_2 = g_1^T g_2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 6), r=st.integers(2, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_translations_keep_the_singular_values(self, d, r, n, seed):
+        # the quotient rests on this: sum_s rho(k gamma_s l) = rho(k) (sum_s rho(gamma_s)) rho(l)
+        rng = np.random.default_rng(seed)
+        mats = np.array([haar_sample(d, rng).matrix for _ in range(r)])
+        k, l = haar_sample(d, rng).matrix, haar_sample(d, rng).matrix
+        moved = degree_singular_values(k @ mats @ l, n)
+        assert np.max(np.abs(moved - degree_singular_values(mats, n))) <= 1e-12 * r
+
+    @pytest.mark.parametrize("d, r", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 3), (5, 4)])
+    def test_simplex_dimension(self, d, r, monkeypatch):
+        shapes = []
+        nelder_mead = experiments._nelder_mead
+
+        def recorded(func, simplex, *args):
+            shapes.append(simplex.shape)
+            return nelder_mead(func, simplex, *args)
+
+        monkeypatch.setattr(experiments, "_nelder_mead", recorded)
+        search_divisible(d, r, 1, SearchSettings(restarts=2, max_iter=2), rng=521)
+        dim = d // 2 + (r - 2) * d * (d - 1) // 2
+        assert shapes == [(dim + 1, dim)] * 2
+
+    @pytest.mark.parametrize("d, r, n", [(3, 3, 2), (4, 3, 1), (5, 2, 2)])
+    def test_every_evaluation_stays_in_the_chart(self, d, r, n, monkeypatch):
+        run, events = recorded_search(monkeypatch, d, r, n, SearchSettings(restarts=2, max_iter=60), rng=523)
+        evaluations = 0
+        for kind, mats in events:
+            if kind == "base":
+                base, h = mats, mats[0].T @ mats[1]
+                continue
+            evaluations += 1
+            assert mats[0].tobytes() == base[0].tobytes()
+            moved = base[0].T @ mats[1]
+            assert np.max(np.abs(moved @ h - h @ moved)) <= 1e-12
+        assert evaluations == len(run.trace) + len(run.restart_ratios)  # and once more per restart for its best vertex
+
+    def test_base_tuple_is_evaluated_first(self, monkeypatch):
+        base = RotationTuple(tuple(haar_sample(3, 541 + s) for s in range(3)))
+        _, events = recorded_search(monkeypatch, 3, 3, 2, SearchSettings(restarts=1, max_iter=5, base_tuple=base), rng=547)
+        kind, first = events[1]
+        assert kind == "eval" and first.tobytes() == np.array([g.matrix for g in base]).tobytes()
+
+    def test_default_search_certifies_over_40_seeds(self):
+        evaluations = []
+        for seed in range(40):
+            run = search_divisible(3, 3, 2, rng=seed)
+            assert run.certified, seed
+            evaluations.append(len(run.trace))
+        assert np.median(evaluations) <= 250, evaluations
 
 
 def scipy_nelder_mead(func, simplex, max_iter, max_evals, stop=-math.inf):
@@ -443,7 +528,7 @@ class TestNelderMead:
 
     @pytest.mark.parametrize("max_iter", [1, 2, 7, 40, 400])
     def test_search_matches_scipy_driven_search(self, monkeypatch, max_iter):
-        # max_iter=1 at d=3, r=3 gives 4 evaluations for the 10 vertices of the initial simplex
+        # max_iter=1 at d=3, r=3 gives 4 evaluations for the 5 vertices of the initial simplex
         settings = SearchSettings(restarts=2, max_iter=max_iter)
         run = search_divisible(3, 3, 2, settings, rng=503)
         monkeypatch.setattr(experiments, "_nelder_mead", scipy_nelder_mead)

@@ -231,3 +231,38 @@ def test_frame_of_a_half_turn_in_every_plane(d):
     assert np.max(np.abs(forms @ forms.T)) <= 1e-15
     assert np.allclose(forms @ forms.conj().T, np.eye(d // 2), atol=1e-15)
     assert (axis is None) == (d % 2 == 0)
+
+
+def reference_torus_frame(mats):
+    """``_torus_frame`` as it ran a QR of each +-1 eigenspace, empty or not: the reference for its skip."""
+    values, vectors = np.linalg.eig(mats[0].T @ mats[1])
+    rising = values.imag > 0
+    forms, angles, axis = [vectors[:, rising].T], [np.angle(values[rising])], None
+    for sign, angle in ((-1.0, math.pi), (1.0, 0.0)):
+        space = np.linalg.qr(vectors[:, (values.imag == 0) & (np.sign(values.real) == sign)].real)[0]
+        half = space.shape[1] // 2
+        forms.append((space[:, :half] + 1j * space[:, half:2 * half]).T / math.sqrt(2.0))
+        angles.append(np.full(half, angle))
+        if space.shape[1] % 2:
+            axis = space[:, -1]
+    return np.concatenate(forms), np.concatenate(angles), axis
+
+
+@pytest.mark.parametrize("family", ["haar", "half-turn", "identity", "minus-identity"])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_frame_skips_empty_eigenspaces_unchanged(d, family):
+    # skipping the QR of an empty +-1 eigenspace leaves forms, angles and axis bitwise as they were
+    rng = np.random.default_rng(40 + d)
+    first, c = haar_sample(d, rng).matrix, haar_sample(d, rng).matrix
+    h = {
+        "haar": haar_sample(d, rng).matrix,
+        "half-turn": c @ planar_rotation(d, 1, 2, math.pi).matrix @ c.T,
+        "identity": np.eye(d),
+        "minus-identity": np.diag([-1.0] * (d - d % 2) + [1.0] * (d % 2)),
+    }[family]
+    for mats in (np.array([np.eye(d), h]), np.array([first, first @ h])):
+        forms, angles, axis = divisibility._torus_frame(mats)
+        ref_forms, ref_angles, ref_axis = reference_torus_frame(mats)
+        assert forms.tobytes() == ref_forms.tobytes() and forms.shape == ref_forms.shape
+        assert angles.tobytes() == ref_angles.tobytes() and angles.shape == ref_angles.shape
+        assert (axis is None and ref_axis is None) or axis.tobytes() == ref_axis.tobytes()
