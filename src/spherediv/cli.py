@@ -288,7 +288,7 @@ def cmd_experiment(args) -> int:
         if kind == "search":
             d, r, n = (_number(key, config[key], int) for key in ("d", "r", "n"))
             # keys the config leaves out keep SearchSettings' defaults, but the target is --sing-tol's
-            kinds = {"restarts": int, "max_iter": int, "simplex_scale": float, "target_ratio": float}
+            kinds = {"restarts": int, "max_iter": int, "target_ratio": float}
             given = {key: _number(key, config[key], kind) for key, kind in kinds.items() if key in config}
             given.setdefault("target_ratio", args.sing_tol)
             settings = SearchSettings(

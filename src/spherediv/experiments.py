@@ -1,4 +1,4 @@
-"""Monte-Carlo genericity studies and a derivative-free search for divisible tuples.
+"""Monte-Carlo genericity studies and a Gauss-Newton search for divisible tuples.
 
 A genericity study freezes a suffix of rotations, draws the remaining ones
 from Haar measure trial after trial, and records how close each extended
@@ -27,17 +27,27 @@ standalone run of three or more rotations the Gram step of
 
 The search minimizes how singular the degree-n operator is over tuples
 modulo left and right translations, in a Cayley chart of that quotient
-around each restart's base tuple (``_quotient_chart``), with a
-Nelder-Mead simplex (the objective is nonsmooth exactly at its zero set).
-The simplex method is ``_nelder_mead``, written here so that the package
-needs numpy alone at run time; tests/test_experiments.py checks that its
-iterates equal the reference implementation's bitwise (scipy's Nelder-Mead,
-with a callback that halts it where ``_nelder_mead`` stops).  A restart's
-simplex stops at the end of the first iteration whose best vertex is below
-``target_ratio`` and DEFAULT_SING_TOL alike, and that also ends the
-restarts: the tuple that first gets there goes to the certificate, with no
-further polishing.  (The second bound keeps a large ``target_ratio`` from
-stopping the simplex at a tuple whose residual fails RESIDUAL_TOL.)
+around each restart's base tuple (``_quotient_chart``).  It does not
+minimize sigma_min directly: sigma_min is not smooth at its zero set (near
+a simple zero it grows like |x - x*|, a cone), which defeats a gradient
+step.  It solves the kernel equation instead, F(x, v) = M(x) v = 0 with
+|v| = 1, which is smooth in both x and v.  Each Gauss-Newton step
+linearizes F at the iterate x and the right-singular vector v of its
+sigma_min, and takes the minimum-norm solution of the bordered system
+
+    [ J  M  ] [delta]   [-M v]
+    [ 0  v^T] [  w  ] = [  0 ],   J = d(M(x) v)/dx by forward differences,
+
+whose last row keeps the update w of v orthogonal to v, so |v| = 1 to
+first order (Griewank & Reddien, SIAM J. Numer. Anal. 21, 1984; Nocedal &
+Wright, Numerical Optimization, ch. 10).  Near a zero set that F meets
+transversally the step converges quadratically; a backtracking line search
+on sigma_min keeps every accepted step a descent.  A restart stops at the
+first iterate below ``target_ratio`` and DEFAULT_SING_TOL alike, and that
+also ends the restarts: the tuple that first gets there goes to the
+certificate, with no further polishing.  (The second bound keeps a large
+``target_ratio`` from stopping the search at a tuple whose residual fails
+RESIDUAL_TOL.)
 The objective is the operator's weighted smallest singular value divided
 by r, a dimensionless number in [0, 1]: 1 at the identity tuple, 0 at a
 divisible one.  (The sigma_min/sigma_max ratio is useless as an objective
@@ -360,11 +370,11 @@ def _quotient_chart(bases: np.ndarray) -> np.ndarray:
     r, d = bases.shape[0], bases.shape[-1]
     rows, cols, _ = _chart_constants(d)
     p = len(rows)
-    units = np.zeros((p, d, d))
-    units[np.arange(p), rows, cols] = 1.0
-    units -= np.swapaxes(units, -1, -2)
     h = bases[0].T @ bases[1]
-    ad = (h.T @ units @ h - units)[:, rows, cols].T  # column k: the packed image of unit k
+    # h^T (e_i e_j^T - e_j e_i^T) h has (a, b) entry h_ia h_jb - h_ja h_ib, a 2 x 2 minor of h, so
+    # column (i, j) of Ad(h) - I is its minors at the packed (a, b), with no d x d unit formed
+    hr, hc = h[rows], h[cols]
+    ad = (hr[:, rows] * hc[:, cols] - hr[:, cols] * hc[:, rows]).T - np.eye(p)
     _, svals, vt = np.linalg.svd(ad)
     torus = vt[svals <= _COMMUTANT_TOL].T
     k = torus.shape[1]
@@ -378,15 +388,15 @@ def _quotient_chart(bases: np.ndarray) -> np.ndarray:
 class SearchSettings:
     """Search budget and target.
 
-    ``restarts`` and ``max_iter`` must be >= 1, ``simplex_scale`` a finite
-    number > 0 and ``target_ratio`` a finite number in (0, 1), and the
-    search's trace, one value per evaluation and at most 4 ``max_iter``
-    evaluations per restart, must fit COST_BUDGET_BYTES.
+    ``restarts`` and ``max_iter`` must be >= 1 and ``target_ratio`` a
+    finite number in (0, 1), and the search's trace, one value per operator
+    assembly and at most 4 ``max_iter`` assemblies per restart, must fit
+    COST_BUDGET_BYTES.  ``max_iter`` bounds each restart's Gauss-Newton
+    iterations.
     """
 
     restarts: int = 4
     max_iter: int = 400
-    simplex_scale: float = 0.35
     target_ratio: float = DEFAULT_SING_TOL
     base_tuple: Optional[RotationTuple] = None
 
@@ -395,8 +405,6 @@ class SearchSettings:
             raise InputDomainError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iter < 1:
             raise InputDomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0.0 < self.simplex_scale < math.inf:  # false for NaN as well
-            raise InputDomainError(f"simplex_scale must be a finite number > 0, got {self.simplex_scale}")
         _check_tolerance("target_ratio", self.target_ratio)
         # a traced value takes a float object and the pointers of the trace list and of SearchRun's tuple
         need = 40 * 4 * self.max_iter * self.restarts
@@ -406,7 +414,6 @@ class SearchSettings:
         obj = {
             "restarts": self.restarts,
             "max_iter": self.max_iter,
-            "simplex_scale": self.simplex_scale,
             "target_ratio": self.target_ratio,
         }
         if self.base_tuple is not None:
@@ -420,14 +427,12 @@ class SearchRun:
 
     ``best_ratio`` and the trace hold the dimensionless objective
     (weighted sigma_min of the operator over r); values are always >= 0 and
-    the trace is the nonincreasing best-so-far sequence over evaluations.
-    A run whose simplex gets below min(``target_ratio``, DEFAULT_SING_TOL)
-    ends with the iteration that got there, so its trace's first value
-    below that lies within its last dim + 2 evaluations (a reflection, a
-    contraction and a shrink of the chart's dim vertices, dim =
-    floor(d/2) + (r - 2) d(d-1)/2 for a Haar restart; see
-    ``_quotient_chart``); pass a smaller ``target_ratio`` for a deeper
-    minimum.
+    the trace is the nonincreasing best-so-far sequence over operator
+    assemblies, so its length counts them: an iterate's or a line-search
+    trial's assembly adds its value, a Jacobian column's repeats the last.
+    A run whose iterate gets below min(``target_ratio``, DEFAULT_SING_TOL)
+    ends at that iterate, so its trace's first value below that is its
+    last; pass a smaller ``target_ratio`` for a deeper minimum.
     """
 
     d: int
@@ -460,94 +465,68 @@ class SearchRun:
         return obj
 
 
-class _BudgetSpent(Exception):
-    """Raised by ``_nelder_mead``'s evaluator when an evaluation would exceed max_evals."""
+# forward-difference step of the Jacobian's columns, in chart coordinates: about the square root
+# of the double-precision unit, where the truncation error (order h) and the cancellation error
+# (order 2^-53 / h) of (M(x + h e_k) - M(x)) v / h balance near 1e-8 relative
+_JACOBIAN_STEP = 1e-7
+
+# the line search tries x + t delta for t = 1, 1/2, 1/4, ... while t is at least this: ten trials
+_MIN_STEP = 1e-3
 
 
-def _nelder_mead(func, simplex, max_iter: int, max_evals: int, stop: float = -math.inf):
-    """Minimize func from the (N + 1, N) simplex; return the best vertex and the evaluation count.
+def _gauss_newton(assemble, dim: int, r: int, stop: float, max_iter: int, max_evals: int, record):
+    """One restart's Gauss-Newton iterations on M(x) v = 0 from x = 0; return (ratio, assembly, evals, iterations).
 
-    The Nelder-Mead method (Nelder & Mead, Comput. J. 7, 1965; Lagarias,
-    Reeds, Wright & Wright, SIAM J. Optim. 9, 1998) with reflection 1,
-    expansion 2, contraction 1/2 and shrink 1/2, written operation for
-    operation as the reference that ``TestNelderMead`` in
-    tests/test_experiments.py runs (its non-adaptive, unbounded Nelder-Mead
-    with xatol=1e-13 and fatol=1e-15), so the iterates equal the
-    reference's bitwise: the same point formulas (integer coefficients are
-    exact), branch order, strict and non-strict comparisons, termination
-    test and loop condition, with ``iterations`` starting at 1.  An
-    evaluation past ``max_evals`` is refused, which ends the iteration in
-    progress, even inside the initial simplex or a shrink; a vertex never
-    evaluated keeps f = inf.  Every sort is argsort then take, and the
-    initial simplex is sorted twice, as the reference sorts: argsort is not
-    stable, so ties could otherwise come out in another order.  The run
-    also ends once an iteration leaves its best value below ``stop``: the
-    check follows each iteration's sort, where the reference calls its
-    callback, so it equals the reference with a callback that raises
-    StopIteration there, and never ends the run on the initial simplex
-    alone.  ``func`` must not modify its argument.
+    ``assemble(x)`` gives (mats, sums, M) at the chart point x (dim,), and
+    every call is one of the at most ``max_evals`` assemblies.  Each
+    iteration holds the iterate's M and the right-singular vector v of its
+    sigma_min from one SVD.  dim more assemblies, with no SVD, give the
+    Jacobian's columns (M(x + h e_k) - M) v / h, h = _JACOBIAN_STEP; one
+    least-squares solve gives the minimum-norm step delta of the bordered
+    system [J M; 0 v^T] [delta; w] = [-M v; 0]; and x + t delta for
+    t = 1, 1/2, ... down to _MIN_STEP is assembled until one lowers
+    sigma_min, which becomes the next iterate.  The iterations end at the
+    first iterate whose ratio sigma_min / r is below ``stop``, after
+    ``max_iter`` of them, when the next would pass ``max_evals`` assemblies,
+    or when no step lowers sigma_min.  ``record`` receives one ratio per
+    assembly: an iterate's or a trial's own, and for a Jacobian column None.
+    The iterate's (mats, sums, M) is returned with its ratio.
     """
-    sim = np.array(simplex, dtype=float)
-    dim = sim.shape[1]
-    fsim = np.full(dim + 1, np.inf)
-    evals = 0
 
-    def f(x):
-        nonlocal evals
-        if evals >= max_evals:
-            raise _BudgetSpent
-        evals += 1
-        return func(x)
+    def evaluate(point):
+        """The assembly at ``point``, the right-singular vector of its sigma_min and its ratio."""
+        assembly = assemble(point)
+        svals, vector = _svd_witness(assembly[2])
+        ratio = float(svals[-1]) / r
+        record(ratio)
+        return assembly, vector, ratio
 
-    try:
-        for k in range(dim + 1):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    iterations = 1
-    while evals < max_evals and iterations < max_iter:
-        try:
-            if (
-                np.max(np.abs(sim[1:] - sim[0])) <= 1e-13
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-15
-            ):
+    x = np.zeros(dim)
+    current, v, val = evaluate(x)
+    evals, iterations = 1, 0
+    while val >= stop and iterations < max_iter and evals + dim < max_evals:
+        iterations += 1
+        matrix = current[2]
+        jac = np.empty((len(v), dim))
+        for k in range(dim):
+            shifted = x.copy()
+            shifted[k] += _JACOBIAN_STEP
+            jac[:, k] = (assemble(shifted)[2] - matrix) @ v / _JACOBIAN_STEP
+            record(None)
+        evals += dim
+        bordered = np.block([[jac, matrix], [np.zeros((1, dim)), v[None, :]]])
+        delta = np.linalg.lstsq(bordered, np.append(-(matrix @ v), 0.0), rcond=None)[0][:dim]
+        t = 1.0
+        while t >= _MIN_STEP and evals < max_evals:
+            trial, trial_v, trial_val = evaluate(x + t * delta)
+            evals += 1
+            if trial_val < val:
+                x, current, v, val = x + t * delta, trial, trial_v, trial_val
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / dim
-            xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc <= fxr
-                else:  # inside contraction
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:  # shrink toward the best vertex
-                    for j in range(1, dim + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-            iterations += 1
-        except _BudgetSpent:
-            pass
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-        if fsim[0] < stop:
+            t /= 2
+        else:  # no step lowered sigma_min
             break
-    return sim[0], evals
+    return val, current, evals, iterations
 
 
 def search_divisible(
@@ -559,10 +538,9 @@ def search_divisible(
 ) -> SearchRun:
     """Minimize the degree-n singularity objective over rotation tuples.
 
-    Runs Nelder-Mead restarts (``_nelder_mead``, at most ``max_iter``
-    iterations and 4 * ``max_iter`` evaluations each, from a simplex of
-    edge ``simplex_scale``) in a chart of the tuples modulo their
-    symmetries.  For rotations k and l, rho_n(k gamma l) =
+    Runs Gauss-Newton restarts on the kernel equation M(x) v = 0 (see the
+    module docstring) in a chart of the tuples modulo their symmetries.
+    For rotations k and l, rho_n(k gamma l) =
     rho_n(k) rho_n(gamma) rho_n(l) with rho_n(k) and rho_n(l) orthogonal
     in the orthonormal frame, so the tuples (k gamma_s l) and (gamma_s) have
     operators with the same singular values, and the objective is constant
@@ -574,68 +552,73 @@ def search_divisible(
     I, to one in the maximal torus of h_2, so the restart fixes gamma_1 = g_1,
     moves gamma_2 = g_2 Cayley(Z) only with Z in the commutant of h_2, and
     gives every other rotation a full Cayley chart (``_quotient_chart``):
-    floor(d/2) + (r - 2) d(d-1)/2 simplex dimensions instead of
+    dim = floor(d/2) + (r - 2) d(d-1)/2 chart coordinates instead of
     r d(d-1)/2, and x = 0 is the base tuple.  The chart drops only
     directions along which the objective is constant, and no candidate
     rests on it: a commutant made too large by a degenerate h_2 only adds
     dimensions, and every candidate still goes through the certificate.
-    A restart stops at the end of the
-    first iteration whose best vertex is below both ``target_ratio`` and
-    DEFAULT_SING_TOL, and no further restart runs; a larger
-    ``target_ratio`` still decides which tuple counts as found, but the
-    simplex refines it to DEFAULT_SING_TOL so that its residual certifies.
-    Internally the simplex
-    compares log-objective values: Nelder-Mead is comparison-based, so the
-    iterates are unchanged, but the flat termination plateau around the
-    zero set disappears and the simplex keeps contracting into it.  A best
-    tuple reaching ``target_ratio`` is certified like a report's first
-    singular degree before the run may claim a divisible tuple: its kernel
-    witness's divisor must pass the Fischer-frame residual bound and one
-    sampled check (the witness from one SVD of the M kept from the best
-    evaluation, ``divisibility._svd_witness``, then
+
+    Each restart runs ``_gauss_newton`` from x = 0: an iteration takes one
+    SVD of the iterate's M, dim assemblies for the Jacobian, one
+    least-squares solve and a backtracking line search on sigma_min.
+    A restart ends at the first iterate below both ``target_ratio`` and
+    DEFAULT_SING_TOL, after ``max_iter`` iterations, when the next
+    iteration would pass 4 ``max_iter`` assemblies, or when no step lowers
+    sigma_min; an iterate below the target also ends the restarts.  A
+    larger ``target_ratio`` still decides which tuple counts as found, but
+    the search refines it to DEFAULT_SING_TOL so that its residual
+    certifies.  A best tuple reaching ``target_ratio`` is certified like a
+    report's first singular degree before the run may claim a divisible
+    tuple: its kernel witness's divisor must pass the Fischer-frame
+    residual bound and one sampled check (the witness from one SVD of the
+    best iterate's M, ``divisibility._svd_witness``, then
     ``divisibility._certify``, so nothing is assembled twice); budget
     exhaustion returns the best tuple found with ``certified=False``.
-    Logs one debug line per restart on the "spherediv" logger with its
-    evaluation count, its objective and its wall time.
+    The chart's SVD of a p x p matrix, p = d(d-1)/2, is priced with the
+    degree's cost, so a search too large for COST_BUDGET_BYTES is refused
+    before it allocates.  Logs one debug line per restart on the
+    "spherediv" logger with its assembly count, its objective, its wall
+    time and its Gauss-Newton iteration count.
     """
     if n < 1:
         raise InputDomainError(f"target degree must be >= 1, got n={n}")
     if r < 2:
         raise InputDomainError(f"a search needs r >= 2 rotations, got r={r}")
     _check_cost(d, r, n)
+    p = d * (d - 1) // 2
+    # the chart's SVD holds Ad(h) - I, LAPACK's copy of it, both full factors and gesdd's
+    # workspace: its peak RSS was 9.1 to 9.7 p x p arrays of floats at d = 40 and 60 (numpy 2.4,
+    # OpenBLAS), priced at a dozen
+    _check_budget(12 * 8 * p * p, f"a search chart at d={d}", "d")
     settings = settings or SearchSettings()
     seed = resolve_seed(rng)
     frame = fischer_frame(d, n)
-    n_params = d * (d - 1) // 2
 
     def summed(mats) -> np.ndarray:
         for _, sums in summed_powers(mats, n):
             pass
         return sums
 
-    def objective(svals) -> float:
-        return float(svals[-1]) / r
-
-    def tuple_at(bases, chart, x) -> np.ndarray:
-        moved = cayley_rotation(bases[1:], (chart @ x).reshape(r - 1, n_params))
-        return np.concatenate([bases[:1], moved])
+    def assemble(bases, chart, x):
+        """The tuple at chart point x, its S_n and its operator M."""
+        moved = cayley_rotation(bases[1:], (chart @ x).reshape(r - 1, p))
+        mats = np.concatenate([bases[:1], moved])
+        sums = summed(mats)
+        return mats, sums, frame.operator(sums)
 
     trace: list = []
 
-    def log_objective_factory(bases, chart):
-        def log_objective(x):
-            mats = tuple_at(bases, chart, x)
-            val = objective(weighted_singular_values(frame.operator(summed(mats))))
-            trace.append(val if not trace else min(trace[-1], val))
-            return math.log10(val + 1e-300)
+    def record(val: Optional[float]) -> None:
+        # the best so far; a Jacobian column (None) has no value of its own and repeats it
+        if trace:
+            val = trace[-1] if val is None else min(trace[-1], val)
+        trace.append(val)
 
-        return log_objective
-
-    # The simplex sees log10 values, so it is given its stop on that scale.  The certificate
-    # needs a residual <= RESIDUAL_TOL, and a stopped tuple's residual runs at 0.1 to 0.5 times
-    # its ratio, so a target above DEFAULT_SING_TOL still counts as met but the simplex refines
-    # on to DEFAULT_SING_TOL, where the residual is far below RESIDUAL_TOL.
-    stop = math.log10(min(settings.target_ratio, DEFAULT_SING_TOL))
+    # The certificate needs a residual <= RESIDUAL_TOL, and a stopped tuple's residual runs at
+    # 0.1 to 0.5 times its ratio, so a target above DEFAULT_SING_TOL still counts as met but the
+    # search refines on to DEFAULT_SING_TOL, where the residual is far below RESIDUAL_TOL.
+    stop = min(settings.target_ratio, DEFAULT_SING_TOL)
+    max_evals = 4 * settings.max_iter
     best_ratio = math.inf
     best_mats = best_sums = best_matrix = None
     restart_ratios = []
@@ -649,17 +632,14 @@ def search_divisible(
         else:
             bases = np.array([haar_sample(d, rng_j).matrix for _ in range(r)])
         chart = _quotient_chart(bases)
-        dim = chart.shape[1]
-        simplex = np.vstack([np.zeros(dim), settings.simplex_scale * np.eye(dim)])
-        x, evals = _nelder_mead(
-            log_objective_factory(bases, chart), simplex, settings.max_iter, 4 * settings.max_iter, stop
+        val, (mats, sums, matrix), evals, iterations = _gauss_newton(
+            partial(assemble, bases, chart), chart.shape[1], r, stop, settings.max_iter, max_evals, record
         )
-        mats = tuple_at(bases, chart, x)
-        sums = summed(mats)
-        matrix = frame.operator(sums)
-        val = objective(weighted_singular_values(matrix))
         restart_ratios.append(val)
-        _log.debug("restart %d: %d evaluations, ratio %.3e, %.4f s", j, evals, val, time.perf_counter() - start)
+        _log.debug(
+            "restart %d: %d evaluations, ratio %.3e, %.4f s, %d Gauss-Newton iterations",
+            j, evals, val, time.perf_counter() - start, iterations,
+        )
         if val < best_ratio:
             best_ratio, best_mats, best_sums, best_matrix = val, mats, sums, matrix
         if best_ratio < settings.target_ratio:

@@ -329,13 +329,13 @@ class TestCmdExperiment:
             main(["experiment", "--config", str(cpath), "--seed", "1", "--out", str(tmp_path / "search")])
         assert captured == [SearchSettings(target_ratio=DEFAULT_SING_TOL)]
 
-    def test_nan_simplex_scale_rejected(self, tmp_path, capsys):
-        config = {"kind": "search", "d": 3, "r": 3, "n": 1, "simplex_scale": "nan", "seed": 43}
+    def test_nan_target_ratio_rejected(self, tmp_path, capsys):
+        config = {"kind": "search", "d": 3, "r": 3, "n": 1, "target_ratio": "nan", "seed": 43}
         cpath = tmp_path / "config.json"
         cpath.write_text(json.dumps(config))
         out = tmp_path / "search"
         assert main(["experiment", "--config", str(cpath), "--out", str(out)]) == 2
-        assert "simplex_scale must be a finite number > 0" in capsys.readouterr().err
+        assert "target_ratio must be a finite number in (0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "search.json").exists()
 
     def test_zero_trials_rejected(self, tmp_path, capsys):
@@ -396,15 +396,17 @@ class TestCmdExperiment:
             ({"r": 3, "restarts": 1e12, "max_iter": 1}, "restarts=1000000000000, max_iter=1 would need"),
             ({"r": 1}, "a search needs r >= 2 rotations, got r=1"),
             ({"r": 0}, "a search needs r >= 2 rotations, got r=0"),
+            ({"d": 300, "r": 3, "n": 1}, "a search chart at d=300 would need"),
         ],
-        ids=["trace-budget", "one-rotation", "no-rotation"],
+        ids=["trace-budget", "one-rotation", "no-rotation", "chart-budget"],
     )
     def test_search_refused_before_it_runs(self, tmp_path, capsys, config, message):
         cpath = tmp_path / "config.json"
         cpath.write_text(json.dumps({"kind": "search", "d": 3, "n": 2, "seed": 47, **config}))
         code, peak = traced_main(["experiment", "--config", str(cpath), "--out", str(tmp_path / "search")])
         assert code == 2 and peak < 1 << 20
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "search.json").exists()
 
     def test_truncating_int_value_rejected(self, tmp_path, capsys):
@@ -424,11 +426,11 @@ class TestCmdExperiment:
         assert not (tmp_path / "study.csv").exists()
 
     def test_boolean_float_value_rejected(self, tmp_path, capsys):
-        config = {"kind": "search", "d": 2, "r": 2, "n": 1, "simplex_scale": True, "seed": 43}
+        config = {"kind": "search", "d": 2, "r": 2, "n": 1, "target_ratio": True, "seed": 43}
         cpath = tmp_path / "config.json"
         cpath.write_text(json.dumps(config))
         assert main(["experiment", "--config", str(cpath), "--out", str(tmp_path / "search")]) == 2
-        assert "config key 'simplex_scale' must be float, got True" in capsys.readouterr().err
+        assert "config key 'target_ratio' must be float, got True" in capsys.readouterr().err
         assert not (tmp_path / "search.json").exists()
 
     def test_integral_float_reads_as_int(self, tmp_path):

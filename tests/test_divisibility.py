@@ -1,5 +1,6 @@
 import functools
 import json
+import logging
 import math
 
 import numpy as np
@@ -391,7 +392,7 @@ class TestKernelVector:
         suffix_rng = np.random.default_rng(859)
         suffix = (haar_sample(3, suffix_rng), haar_sample(3, suffix_rng))
         near = RotationTuple((haar_sample(3, derive_rng(863, 1, 556)),) + suffix)
-        settings = SearchSettings(restarts=1, max_iter=4000, simplex_scale=1e-4, base_tuple=near)
+        settings = SearchSettings(restarts=1, max_iter=4000, base_tuple=near)
         run = search_divisible(3, 3, 3, settings, rng=12)
         assert run.certified
         *_, (frame, sums, matrix) = degree_operators(run.best_tuple, 3)
@@ -432,7 +433,7 @@ class TestDivisibilityTest:
         report = divisibility_test(circle_tuple(0.0, math.pi), 1, rng=83)
         assert report.degrees[0].sigma_min_rel == 0.0
 
-    def test_one_assembly_per_basis(self, monkeypatch):
+    def test_one_assembly_per_basis(self, monkeypatch, caplog):
         # every degree of a larger tuple builds M once, for its Gram matrix, and takes its
         # witness from the solve with G that decided it, with no second M and no SVD
         from spherediv import SearchSettings, experiments, search_divisible
@@ -473,11 +474,16 @@ class TestDivisibilityTest:
         assert [rec.verdict for rec in report.degrees] == ["borderline"] * 2
         assert calls == [1, 2] and vectors == []
         calls.clear()
-        # a search builds M once per evaluation and once per restart, and certifies the best M it holds
-        run = search_divisible(2, 2, 1, SearchSettings(restarts=2, max_iter=100), rng=499)
+        # a search builds M once per assembly in its trace, and certifies the best M it holds with
+        # one more SVD: every other assembly is an iterate's or a line-search trial's, with an
+        # SVD, or one of a Jacobian's dim = 1 columns per Gauss-Newton iteration, with none
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            run = search_divisible(2, 2, 1, SearchSettings(restarts=2, max_iter=100), rng=499)
         assert run.certified
-        assert len(calls) == len(run.trace) + len(run.restart_ratios)
-        assert vectors == [2]
+        assert len(calls) == len(run.trace)
+        lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("restart ")]
+        iterations = sum(int(line.split(", ")[3].split()[0]) for line in lines)
+        assert vectors == [2] * (len(calls) - iterations + 1)
 
     def test_one_sampled_check_per_report(self, monkeypatch):
         calls = []

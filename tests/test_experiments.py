@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -219,7 +220,7 @@ class TestSearch:
         assert all(a >= b for a, b in zip(run.trace, run.trace[1:]))
 
     def test_recovers_diagonal_family_neighborhood(self):
-        # perturb the odd-d 4-tuple and let the simplex walk back to zero
+        # perturb the odd-d 4-tuple and let Gauss-Newton walk back to zero
         rng = np.random.default_rng(383)
         mats = [haar_sample(3, rng).matrix] + [g.matrix for g in odd_d4_suffix(3)]
         from spherediv import Rotation
@@ -229,18 +230,21 @@ class TestSearch:
             for m in mats
         )
         settings = SearchSettings(
-            restarts=1, max_iter=3000, base_tuple=RotationTuple(perturbed)
+            restarts=1, max_iter=20, base_tuple=RotationTuple(perturbed)
         )
         run = search_divisible(3, 4, 1, settings, rng=389)
         assert run.certified
+        assert run.best_ratio < settings.target_ratio
         assert run.residual_max <= 1e-8
 
     def test_budget_exhaustion_returns_best(self):
-        settings = SearchSettings(restarts=1, max_iter=5)
+        # 8 assemblies: the base tuple, a Jacobian of 4 columns and at most 3 line-search trials
+        settings = SearchSettings(restarts=1, max_iter=2)
         run = search_divisible(3, 3, 1, settings, rng=397)
         assert not run.certified
         assert run.best_tuple.r == 3
         assert run.best_ratio >= 0.0
+        assert len(run.trace) <= 4 * settings.max_iter
 
     def test_seed_determinism(self):
         settings = SearchSettings(restarts=1, max_iter=40)
@@ -261,11 +265,11 @@ class TestSearch:
             ("restarts", -1),
             ("max_iter", 0),
             ("max_iter", -5),
-            ("simplex_scale", 0.0),
-            ("simplex_scale", -0.35),
-            ("simplex_scale", math.nan),
-            ("simplex_scale", math.inf),
-            ("simplex_scale", -math.inf),
+            ("target_ratio", 0.0),
+            ("target_ratio", -0.35),
+            ("target_ratio", math.nan),
+            ("target_ratio", math.inf),
+            ("target_ratio", -math.inf),
         ],
     )
     def test_rejects_unrunnable_budget(self, field, value):
@@ -279,8 +283,20 @@ class TestSearch:
             SearchSettings(restarts=restarts, max_iter=max_iter)
         SearchSettings(restarts=4, max_iter=10**5)
 
+    def test_rejects_a_chart_over_the_memory_budget(self):
+        # at d = 300 the quotient chart's SVD is of a 44850 x 44850 matrix: refused before it allocates
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputDomainError, match="a search chart at d=300 would need .* budget"):
+                search_divisible(300, 3, 1, rng=431)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_debug_line_per_restart(self, caplog):
-        settings = SearchSettings(restarts=2, max_iter=30)
+        # a budget of 8 assemblies per restart, too few to meet the target, so both restarts run
+        settings = SearchSettings(restarts=2, max_iter=2)
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
             run = search_divisible(3, 3, 1, settings, rng=421)
         lines = [rec.getMessage() for rec in caplog.records if rec.name == "spherediv"]
@@ -290,18 +306,21 @@ class TestSearch:
         assert sum(counts) == len(run.trace)
         ratios = [float(line.split(", ")[1].split()[-1]) for line in lines]
         assert ratios == [float(f"{ratio:.3e}") for ratio in run.restart_ratios]
+        # the Gauss-Newton iteration count follows the existing fields; each restart's budget
+        # fits one iteration: the base tuple, a Jacobian of 4 columns and 1 to 3 line-search trials
+        iterations = [int(line.split(", ")[3].split()[0]) for line in lines]
+        assert iterations == [1, 1]
+        assert all(1 + 4 + 1 <= count <= 8 for count in counts), counts
 
     def test_default_search_stops_at_the_target(self):
-        # the simplex stops at the end of the iteration whose best vertex meets target_ratio:
-        # a reflection, a contraction and a shrink of dim vertices at most, with the quotient
-        # chart's dim = floor(d/2) + (r - 2) d(d-1)/2
+        # the search stops at the first iterate that meets target_ratio: the last assembly
         target = SearchSettings().target_ratio
         run = search_divisible(3, 3, 2, rng=509)
         assert run.certified
         assert run.best_ratio < target
-        dim = 3 // 2 + (3 - 2) * 3
         first = next(k for k, val in enumerate(run.trace) if val < target)
-        assert first >= len(run.trace) - (dim + 2), (first, len(run.trace))
+        assert first == len(run.trace) - 1, (first, len(run.trace))
+        assert run.trace[-1] == run.best_ratio
 
     def test_smaller_target_reaches_a_deeper_minimum(self):
         run = search_divisible(3, 3, 2, SearchSettings(target_ratio=1e-15), rng=509)
@@ -310,7 +329,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("target", [1e-4, 1e-6])
     def test_large_target_still_certifies(self, target):
-        # a tuple's certificate residual is a fraction of its ratio, so a simplex stopped just
+        # a tuple's certificate residual is a fraction of its ratio, so a search stopped just
         # under 1e-4 would fail RESIDUAL_TOL = 1e-8; it refines on to the default tolerance
         run = search_divisible(3, 3, 2, SearchSettings(target_ratio=target), rng=509)
         assert run.certified
@@ -326,9 +345,9 @@ class TestSearch:
     @pytest.mark.parametrize("r", [-1, 0, 1])
     def test_rejects_fewer_than_two_rotations_before_searching(self, r, monkeypatch):
         def refused(*args):
-            raise AssertionError("the simplex ran")
+            raise AssertionError("the Gauss-Newton iterations ran")
 
-        monkeypatch.setattr(experiments, "_nelder_mead", refused)
+        monkeypatch.setattr(experiments, "_gauss_newton", refused)
         with pytest.raises(InputDomainError, match=f"r >= 2 rotations, got r={r}"):
             search_divisible(3, r, 2, SearchSettings(), rng=409)
 
@@ -371,18 +390,19 @@ class TestQuotientChart:
         assert np.max(np.abs(moved - degree_singular_values(mats, n))) <= 1e-12 * r
 
     @pytest.mark.parametrize("d, r", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 3), (5, 4)])
-    def test_simplex_dimension(self, d, r, monkeypatch):
+    def test_jacobian_columns(self, d, r, monkeypatch):
+        # at n = 1, M is d x d, so each bordered system [J M; 0 v^T] is (d + 1) x (dim + d)
         shapes = []
-        nelder_mead = experiments._nelder_mead
+        lstsq = np.linalg.lstsq
 
-        def recorded(func, simplex, *args):
-            shapes.append(simplex.shape)
-            return nelder_mead(func, simplex, *args)
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return lstsq(a, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_nelder_mead", recorded)
-        search_divisible(d, r, 1, SearchSettings(restarts=2, max_iter=2), rng=521)
+        monkeypatch.setattr(np.linalg, "lstsq", recorded)
+        search_divisible(d, r, 1, SearchSettings(restarts=2, max_iter=8), rng=521)
         dim = d // 2 + (r - 2) * d * (d - 1) // 2
-        assert shapes == [(dim + 1, dim)] * 2
+        assert shapes and set(shapes) == {(d + 1, dim + d)}, shapes
 
     @pytest.mark.parametrize("d, r, n", [(3, 3, 2), (4, 3, 1), (5, 2, 2)])
     def test_every_evaluation_stays_in_the_chart(self, d, r, n, monkeypatch):
@@ -396,7 +416,7 @@ class TestQuotientChart:
             assert mats[0].tobytes() == base[0].tobytes()
             moved = base[0].T @ mats[1]
             assert np.max(np.abs(moved @ h - h @ moved)) <= 1e-12
-        assert evaluations == len(run.trace) + len(run.restart_ratios)  # and once more per restart for its best vertex
+        assert evaluations == len(run.trace)  # the certificate reuses the best iterate's assembly
 
     def test_base_tuple_is_evaluated_first(self, monkeypatch):
         base = RotationTuple(tuple(haar_sample(3, 541 + s) for s in range(3)))
@@ -410,138 +430,16 @@ class TestQuotientChart:
             run = search_divisible(3, 3, 2, rng=seed)
             assert run.certified, seed
             evaluations.append(len(run.trace))
-        assert np.median(evaluations) <= 250, evaluations
+        assert np.median(evaluations) <= 40, evaluations
 
-
-def scipy_nelder_mead(func, simplex, max_iter, max_evals, stop=-math.inf):
-    """scipy's Nelder-Mead with the search's tolerances, in ``_nelder_mead``'s signature.
-
-    scipy calls its callback after each iteration's sort; raising StopIteration there once the
-    best value is below ``stop`` halts it where ``_nelder_mead`` stops.
-    """
-    from scipy.optimize import minimize
-
-    def halt(intermediate_result):
-        if intermediate_result.fun < stop:
-            raise StopIteration
-
-    options = {"initial_simplex": simplex, "xatol": 1e-13, "fatol": 1e-15, "maxiter": max_iter, "maxfev": max_evals}
-    res = minimize(func, simplex[0], method="Nelder-Mead", callback=halt, options=options)
-    return res.x, res.nfev
-
-
-def rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
-
-
-def spike(x):
-    # from the simplex at the origin with scale 0.35: 0 at the origin, -1 at 0.175 e_1 and 1 elsewhere,
-    # so the first reflection and contraction fail and the shrink's first new vertex beats the best
-    if not np.any(x):
-        return 0.0
-    return -1.0 if x[0] == 0.175 and not np.any(x[1:]) else 1.0
-
-
-def plateau(x):
-    # a bowl in quarter steps: ties between vertices and between trial points
-    return math.floor(4.0 * float((x - 0.5) @ (x - 0.5))) / 4.0
-
-
-def simplex_at(x0, scale=0.35):
-    return np.vstack([x0, x0 + scale * np.eye(len(x0))])
-
-
-class TestNelderMead:
-    """``_nelder_mead`` against scipy's Nelder-Mead: bitwise-equal best vertex and equal evaluation count."""
-
-    def assert_matches_scipy(self, func, simplex, max_iter, max_evals, stop=-math.inf):
-        x, evals = experiments._nelder_mead(func, simplex, max_iter, max_evals, stop)
-        ref_x, ref_evals = scipy_nelder_mead(func, simplex, max_iter, max_evals, stop)
-        assert evals == ref_evals
-        assert x.tobytes() == ref_x.tobytes(), (x, ref_x)
-        return x, evals
-
-    def test_converges_on_rosenbrock(self):
-        x, evals = self.assert_matches_scipy(rosenbrock, simplex_at(np.array([-1.2, 1.0, -0.5, 0.8])), 20000, 40000)
-        assert evals < 40000  # the tolerances stopped it, not the budget
-        assert np.max(np.abs(x - 1.0)) <= 1e-6
-
-    def test_converges_on_a_shallow_cone(self):
-        # slope 0.03: the simplex is within xatol before its values are within fatol
-        def cone(x):
-            return 0.03 * float(np.sum(np.abs(x - 0.3)))
-
-        x, evals = self.assert_matches_scipy(cone, simplex_at(np.zeros(2)), 20000, 40000)
-        assert evals < 40000
-        assert np.max(np.abs(x - 0.3)) <= 1e-13
-
-    def test_stops_at_max_iter(self):
-        _, evals = self.assert_matches_scipy(rosenbrock, simplex_at(np.array([-1.2, 1.0, -0.5, 0.8])), 50, 40000)
-        assert 5 + 49 <= evals < 40000  # 49 iterations of at least one evaluation each
-
-    def test_budget_below_initial_simplex(self):
-        # 4 evaluations for 10 vertices: six vertices keep f = inf
-        _, evals = self.assert_matches_scipy(rosenbrock, simplex_at(np.linspace(-1.0, 1.0, 9)), 1, 4)
-        assert evals == 4
-
-    @pytest.mark.parametrize("max_evals", [4 + 2 + 1, 4 + 2 + 2])
-    def test_budget_ends_inside_a_shrink(self, max_evals):
-        # N = 3: the initial simplex takes 4 evaluations and the first iteration a reflection,
-        # an inside contraction and a shrink of 3, so the budget runs out mid-shrink; the
-        # simplex is sorted after the refusal, so the new vertex 0.175 e_1 is returned
-        x, evals = self.assert_matches_scipy(spike, simplex_at(np.zeros(3)), 100, max_evals)
-        assert evals == max_evals
-        assert spike(x) == -1.0
-
-    @pytest.mark.parametrize("max_evals", [6, 2000])
-    @pytest.mark.parametrize("dim, x0", [(3, 0.0), (20, 0.0), (20, 0.3)])
-    def test_plateau_ties(self, dim, x0, max_evals):
-        # ties at every step; argsort is not stable, so with 21 vertices their order must
-        # follow argsort then take; 6 evaluations stop inside the initial simplex
-        self.assert_matches_scipy(plateau, simplex_at(np.full(dim, x0)), 300, max_evals)
-
-    @pytest.mark.parametrize("dim", [4, 8])
-    def test_stop_met_mid_run(self, dim):
-        simplex = simplex_at(np.linspace(-1.2, 0.8, dim))
-        x, evals = self.assert_matches_scipy(rosenbrock, simplex, 20000, 40000, stop=1e-3)
-        _, full_evals = experiments._nelder_mead(rosenbrock, simplex, 20000, 40000)
-        assert rosenbrock(x) < 1e-3
-        assert evals < full_evals
-
-    def test_stop_met_by_the_initial_simplex(self):
-        # the check follows an iteration, never the initial simplex alone: one iteration runs,
-        # of a reflection and at most an expansion, or a contraction and a shrink of 4
-        simplex = simplex_at(np.array([-1.2, 1.0, -0.5, 0.8]))
-        stop = 1.0 + max(rosenbrock(vertex) for vertex in simplex)
-        _, evals = self.assert_matches_scipy(rosenbrock, simplex, 20000, 40000, stop=stop)
-        assert 5 + 1 <= evals <= 5 + 1 + 1 + 4
-
-    @pytest.mark.parametrize("func", [rosenbrock, plateau])
-    def test_stop_never_met(self, func):
-        # both functions are >= 0 and the stop is strict, so a stop at 0 changes nothing:
-        # the run equals one with no stop
-        simplex = simplex_at(np.full(5, 0.3))
-        x, evals = self.assert_matches_scipy(func, simplex, 20000, 40000, stop=0.0)
-        free_x, free_evals = experiments._nelder_mead(func, simplex, 20000, 40000)
-        assert evals == free_evals
-        assert x.tobytes() == free_x.tobytes()
-
-    @pytest.mark.parametrize("max_iter", [1, 2, 7, 40, 400])
-    def test_search_matches_scipy_driven_search(self, monkeypatch, max_iter):
-        # max_iter=1 at d=3, r=3 gives 4 evaluations for the 5 vertices of the initial simplex
-        settings = SearchSettings(restarts=2, max_iter=max_iter)
-        run = search_divisible(3, 3, 2, settings, rng=503)
-        monkeypatch.setattr(experiments, "_nelder_mead", scipy_nelder_mead)
-        ref = search_divisible(3, 3, 2, settings, rng=503)
-        assert run.trace == ref.trace
-        assert run.restart_ratios == ref.restart_ratios
-        assert (run.best_ratio, run.certified, run.residual_max) == (ref.best_ratio, ref.certified, ref.residual_max)
-        for g, h in zip(run.best_tuple, ref.best_tuple):
-            assert g.matrix.tobytes() == h.matrix.tobytes()
-        if max_iter == 1:
-            assert len(run.trace) == 2 * 4
-        if max_iter == 400:  # the first restart meets the target and stops inside max_iter
-            assert run.best_ratio < settings.target_ratio and len(run.restart_ratios) == 1
+    @pytest.mark.parametrize("r, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (3, 4)])
+    def test_circle_searches_certify_over_20_seeds(self, r, n):
+        # at d = 2 the degree-n operator is a complex scalar, so its zero set has codimension 2:
+        # sigma_min alone cannot be driven to zero by a scalar Newton step, the bordered system can
+        for seed in range(20):
+            run = search_divisible(2, r, n, rng=seed)
+            assert run.certified, seed
+            assert run.residual_max <= 1e-8, seed
 
 
 def test_hot_paths_skip_zonal_machinery(monkeypatch):

@@ -178,7 +178,7 @@ def study_output(name, study):
 
 def search_output():
     run = search_divisible(3, 3, 2, SearchSettings(), rng=1)
-    # the simplex's path depends on the last bits of every evaluation, so only the outcome is kept
+    # the search's path depends on the last bits of every assembly, so only the outcome is kept
     passed = run.certified and run.residual_max is not None and run.residual_max <= RESIDUAL_TOL
     row = [0, 2, "singular" if run.certified else "invertible", run.best_ratio, True, passed]
     return {"name": "search d=3 r=3 n=2", "sing_tol": 1e-10, "rows": [row], "singular": [2] if run.certified else [], "passed": passed}
