@@ -390,8 +390,9 @@ class TestQuotientChart:
         assert np.max(np.abs(moved - degree_singular_values(mats, n))) <= 1e-12 * r
 
     @pytest.mark.parametrize("d, r", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 3), (5, 4)])
-    def test_jacobian_columns(self, d, r, monkeypatch):
-        # at n = 1, M is d x d, so each bordered system [J M; 0 v^T] is (d + 1) x (dim + d)
+    def test_simplex_dimension(self, d, r, monkeypatch):
+        # the chart's dimension, once the simplex's, is each Gauss-Newton step's Jacobian column
+        # count: at n = 1, M is d x d, so each bordered system [J M; 0 v^T] is (d + 1) x (dim + d)
         shapes = []
         lstsq = np.linalg.lstsq
 
@@ -440,6 +441,127 @@ class TestQuotientChart:
             run = search_divisible(2, r, n, rng=seed)
             assert run.certified, seed
             assert run.residual_max <= 1e-8, seed
+
+
+def complex_scalar(a, b):
+    """The 2 x 2 real form of a + ib: both singular values are |a + ib|, so M v = 0 is a = b = 0."""
+    return np.array([[a, -b], [b, a]])
+
+
+def rosenbrock(x):
+    # sigma_min^2 is Rosenbrock's function 100 (x_1 - x_0^2)^2 + (1 - x_0)^2, zero at (1, 1)
+    return complex_scalar(10.0 * (x[1] - x[0] ** 2), 1.0 - x[0])
+
+
+def spike(x):
+    # 1 + x_0 near the origin, so the step from 0 is -e_1, but 2 for x_0 <= -0.2: the trials
+    # t = 1, 1/2 and 1/4 fail and t = 1/8 lowers sigma_min to about 0.875
+    return np.array([[1.0 + x[0] if x[0] > -0.2 else 2.0]])
+
+
+def plateau(x):
+    # a bowl in quarter steps: ties between the iterate and its trial points
+    return np.array([[math.floor(4.0 * float((x - 0.5) @ (x - 0.5))) / 4.0]])
+
+
+def quadratic(dim, seed, size=3):
+    """A seeded family M(x) = A + sum_k x_k B_k + sum_k x_k^2 C_k of size x size Gaussian matrices."""
+    rng = np.random.default_rng(seed)
+    a, (b, c) = rng.standard_normal((size, size)), rng.standard_normal((2, dim, size, size))
+    return lambda x: a + np.tensordot(x, b, 1) + np.tensordot(x * x, c, 1)
+
+
+def restart(func, x0, max_iter=20000, max_evals=40000, stop=-math.inf):
+    """``_gauss_newton`` on M = func(x0 + x) with r = 1: (ratio, point, evals, iterations, recorded values)."""
+    x0 = np.asarray(x0, dtype=float)
+    recorded = []
+    ratio, (point, _, _), evals, iterations = experiments._gauss_newton(
+        lambda x: (x0 + x, None, func(x0 + x)), len(x0), 1, stop, max_iter, max_evals, recorded.append
+    )
+    return ratio, point, evals, iterations, recorded
+
+
+class TestNelderMead:
+    """The restart's optimizer on problems with a known answer.
+
+    The cases keep the names they had when the optimizer was a Nelder-Mead
+    simplex; they now check ``_gauss_newton``, which replaced it.
+    """
+
+    def test_converges_on_rosenbrock(self):
+        ratio, x, evals, iterations, _ = restart(rosenbrock, [-1.2, 1.0])
+        assert evals < 40000 and iterations < 20000  # no step lowered sigma_min, not the budget
+        assert np.max(np.abs(x - 1.0)) <= 1e-12
+        assert ratio <= 1e-12
+
+    def test_converges_on_a_shallow_cone(self):
+        # slope 0.03: sigma_min is a cone at (0.3, 0.3), but M(x) is linear, so the step lands on it
+        def cone(x):
+            return complex_scalar(*(0.03 * (x - 0.3)))
+
+        ratio, x, evals, _, _ = restart(cone, np.zeros(2))
+        assert evals < 40
+        assert np.max(np.abs(x - 0.3)) <= 1e-13
+        assert ratio <= 1e-15
+
+    def test_stops_at_max_iter(self):
+        ratio, _, evals, iterations, recorded = restart(rosenbrock, [-1.2, 1.0], max_iter=2)
+        assert iterations == 2 and evals == len(recorded)
+        assert ratio > restart(rosenbrock, [-1.2, 1.0])[0]
+
+    def test_budget_below_initial_simplex(self):
+        # an iteration takes 1 + dim assemblies past the iterate's, so 3 for dim = 2 allow none
+        ratio, x, evals, iterations, recorded = restart(rosenbrock, [-1.2, 1.0], max_evals=3)
+        assert (evals, iterations) == (1, 0)
+        assert recorded == [ratio] and x.tolist() == [-1.2, 1.0]
+
+    @pytest.mark.parametrize("max_evals", [4 + 2 + 1, 4 + 2 + 2])
+    def test_budget_ends_inside_a_shrink(self, max_evals):
+        # dim = 3: the iterate and the Jacobian take 4 assemblies, so the budget runs out after
+        # the line search's third trial, or lets its fourth (t = 1/8) lower sigma_min
+        ratio, x, evals, iterations, recorded = restart(spike, np.zeros(3), 100, max_evals)
+        assert evals == max_evals == len(recorded) and iterations == 1
+        if max_evals == 7:
+            assert ratio == 1.0 and not np.any(x)
+        else:
+            assert ratio == pytest.approx(0.875, abs=1e-8) and x[0] == pytest.approx(-0.125, abs=1e-8)
+
+    @pytest.mark.parametrize("max_evals", [6, 2000])
+    @pytest.mark.parametrize("dim, x0", [(3, 0.0), (20, 0.0), (20, 0.3)])
+    def test_plateau_ties(self, dim, x0, max_evals):
+        # a trial that ties with the iterate is no descent, so the restart ends after a line search
+        # of ten ties; 6 assemblies allow no iteration at dim = 20
+        ratio, _, evals, iterations, recorded = restart(plateau, np.full(dim, x0), 300, max_evals)
+        assert evals == len(recorded) <= max_evals
+        assert ratio == min(val for val in recorded if val is not None)
+        if max_evals == 2000:
+            assert recorded[-10:] == [ratio] * 10
+        elif dim == 20:
+            assert (evals, iterations) == (1, 0)
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_stop_met_mid_run(self, dim):
+        func = quadratic(dim, 0)
+        ratio, _, evals, iterations, _ = restart(func, np.zeros(dim), stop=1e-3)
+        full_ratio, _, full_evals, _, _ = restart(func, np.zeros(dim))
+        assert ratio < 1e-3 and iterations >= 2
+        assert restart(func, np.zeros(dim), max_iter=iterations - 1, stop=1e-3)[0] >= 1e-3  # the first iterate below
+        assert evals < full_evals and full_ratio < ratio
+
+    def test_stop_met_by_the_initial_simplex(self):
+        # the stop is checked before each iteration, the first included
+        stop = 1.0 + float(np.linalg.svd(rosenbrock(np.array([-1.2, 1.0])), compute_uv=False)[-1])
+        ratio, _, evals, iterations, recorded = restart(rosenbrock, [-1.2, 1.0], stop=stop)
+        assert (evals, iterations) == (1, 0) and recorded == [ratio] and ratio < stop
+
+    @pytest.mark.parametrize("func", [rosenbrock, plateau])
+    def test_stop_never_met(self, func):
+        # sigma_min >= 0 and the stop is strict, so a stop at 0 changes nothing:
+        # the run equals one with no stop
+        ratio, x, evals, iterations, recorded = restart(func, np.full(2, 0.3), stop=0.0)
+        free_ratio, free_x, free_evals, free_iterations, free_recorded = restart(func, np.full(2, 0.3))
+        assert (ratio, evals, iterations, recorded) == (free_ratio, free_evals, free_iterations, free_recorded)
+        assert x.tobytes() == free_x.tobytes()
 
 
 def test_hot_paths_skip_zonal_machinery(monkeypatch):
