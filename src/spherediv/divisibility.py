@@ -31,13 +31,25 @@ theta the rotation angles of h (``_pair_spectrum``).  One ``eig`` of h
 per call gives its torus frame (``_torus_frame``), whose angles and forms
 decide every degree and write down every witness (``_pair_degree``): a
 pair never assembles M and never runs the recurrence.
+A tuple whose h_s = gamma_1^T gamma_s all rotate one plane and fix its
+complement F takes neither (``circle``, ``_circle_degree``): every tuple at
+d = 2, and none at d = 3.  With h_s a = z_s a for an isotropic form a of
+the plane, each degree's singular values are |lambda_j|,
+lambda_j = sum_s z_s^j, over the plane's weights j <= n, read from one table
+per call; a fired degree's witness, a product of two linear forms, and its
+whole-sphere bound are closed form, and no FischerFrame is built.
+divisibility_test picks its route once per call, circle before pair before
+Gram, and only then prices the run (``_check_cost``): a circle tuple is
+priced by its table and records (``_circle_bytes``), the others by the
+Fischer frame's stages (``_peak_bytes``).
 The frame is deterministic, so verdicts do not depend on the seed, which
 drives only the verification points.  Near-zero smallest singular values
 only *trigger* certificate extraction; the certificate itself is the
 residual of a concrete kernel witness g, propagated into an explicit divisor
 f = 1/r + c g whose rotated copies must sum to 1 everywhere.  Each degree
-takes its witness, whose frame coordinates are v, from the factorization
-that decided it.  A pair's frame holds linear forms a_j with
+takes its witness from the route that decided it; outside the circle
+route its frame coordinates v come from the factorization that decided
+it.  A pair's frame holds linear forms a_j with
 rho(h) a_j = e^(i theta_j) a_j, and the product of those forms that
 sigma_min's weight k names has rho(h) q = e^(i k . theta) q = -q, so its
 harmonic projection, built by n multiplications by a linear form, is a
@@ -67,7 +79,8 @@ compare against:
 
 B is an orthonormal frame (B gram B^T = I), so this M has the same singular
 values up to the round-off of the pole draw.  HarmonicFunction and
-kernel_witness work over either kind of frame.
+kernel_witness work over either kind of frame, and HarmonicFunction also
+over a circle witness's product of forms (``circle.FormProduct``).
 
 The n_max cutoff makes the test one-sided: invertibility at every tested
 degree does not prove non-divisibility.
@@ -77,6 +90,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
@@ -84,7 +98,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import fischer
+from . import circle, fischer
 from .errors import BasisConstructionError, InputDomainError, NotSingularError
 from .fischer import fischer_frame, summed_powers
 from .harmonics import GegenbauerTable, dim_harmonic
@@ -127,6 +141,9 @@ _DIVISOR_MARGIN = 0.5
 # estimated working set (see _peak_bytes) above which a run is refused before
 # it allocates: d = 8 is admitted up to n_max = 7 for r <= 7 and up to 6 at r = 8
 COST_BUDGET_BYTES = 1 << 30
+# bytes a circle tuple's degree holds in its DegreeRecord and the report's JSON (see _circle_bytes):
+# tracemalloc's peak of a run and its JSON text, {I, -I} in SO(2) at n_max 2e4 and 1e5, was 1.43-1.48 kB
+_DEGREE_BYTES = 2048
 # below this absolute scale the whole operator matrix is numerically zero and
 # the sigma_min / sigma_max ratio would be noise over noise
 ZERO_OPERATOR_FLOOR = 1e-12
@@ -143,9 +160,11 @@ VERDICT_BORDERLINE = "borderline"
 # Each cap keeps that drift below 1e-12, two decades under DEFAULT_SING_TOL.
 # d >= 4 needs no cap inside COST_BUDGET_BYTES (d = 4, 3 Haar draws: 1e-13
 # at n = 28; the budget admits n <= 31 for pairs, 29 at r = 3, 28 at r = 4
-# and 25 at r = 8).  A pair runs no recurrence but keeps the cap: beyond it
-# a divisor scaled by sum |c_a| loses its sampled variance, until divisors
-# are scaled and measured in L^2.
+# and 25 at r = 8).  A d = 3 pair runs no recurrence but keeps the cap: beyond
+# it a divisor scaled by sum |c_a| loses its sampled variance, until divisors
+# are scaled and measured in L^2.  divisibility_test takes every d = 2 tuple
+# on the circle route, which no cap limits; the d = 2 entry still caps the
+# studies of three or more rotations and the searches, which run the recurrence.
 _STABLE_MAX_DEGREE = {2: 50, 3: 34}
 
 _log = logging.getLogger("spherediv")
@@ -291,10 +310,12 @@ class HarmonicFunction:
     """A degree-n harmonic g(x) = sum_k coeffs[k] * phi_k(x) over the functions of a frame.
 
     ``basis`` is a FischerFrame, whose functions phi_k are the monomials
-    x^a (the coefficients must then form a harmonic polynomial), or a
-    ZonalBasis, whose functions are P_n(v_k . x).  Callable on a single
-    point (d,) or a batch (m, d) of unit vectors.  Only Fischer-frame
-    functions have a JSON form.
+    x^a (the coefficients must then form a harmonic polynomial), a
+    ZonalBasis, whose functions are P_n(v_k . x), or a circle tuple's
+    ``circle.FormProduct``, whose two functions are Re q and Im q of one
+    product of linear forms.  Callable on a single point (d,) or a batch
+    (m, d) of unit vectors.  Fischer-frame and form-product functions have
+    a JSON form.
     """
 
     basis: object
@@ -321,8 +342,14 @@ class HarmonicFunction:
         return float(vals[0]) if single else vals
 
     def sup_bound(self) -> float:
-        """Rigorous sup-norm bound sum_k |c_k|: on the sphere |x^a| <= 1 and |P_n| <= 1."""
-        return float(np.sum(np.abs(self.coeffs)))
+        """Rigorous sup-norm bound: the basis's own sup where it gives one, else sum_k |c_k|.
+
+        A FormProduct knows its exact sup, |w| for the coefficients
+        (Re w, Im w).  Otherwise sum_k |c_k| bounds |g|, since on the sphere
+        |x^a| <= 1 and |P_n| <= 1.
+        """
+        sup = getattr(self.basis, "sup", None)
+        return float(np.sum(np.abs(self.coeffs))) if sup is None else sup(self.coeffs)
 
     def degree_one_pole(self) -> np.ndarray:
         """For n = 1 the function is x -> w . x; returns w normalized."""
@@ -338,7 +365,7 @@ class HarmonicFunction:
         return self.basis.function_json(self.coeffs)
 
 
-def _near_singular(svals: np.ndarray, r: int, sing_tol: float):
+def _near_singular(svals: np.ndarray, r: int, sing_tol: float, slack: float = 0.0):
     """Dual singularity trigger: (ratio, fired, near band).
 
     ``svals`` are the operator's L^2 singular values in descending order
@@ -353,17 +380,21 @@ def _near_singular(svals: np.ndarray, r: int, sing_tol: float):
     ratio near 1 arbitrarily close to singularity.  If the largest singular
     value is below an absolute floor the operator is zero to round-off and
     the ratio is reported as 0 rather than noise/noise.  The near band is
-    the same test with 10 sing_tol.  Vectorised over leading axes of
-    ``svals``: one value per row.
+    the same test with 10 sing_tol, on sigma_min lowered and sigma_max
+    raised by ``slack``: a circle tuple's singular values are those of its
+    rebuilt tuple, within n r delta of its own (``circle.detect``).
+    Vectorised over leading axes of ``svals``: one value per row.
     """
     smax, weighted_min = svals[..., 0], svals[..., -1]
-    live = smax > ZERO_OPERATOR_FLOOR
-    ratio = np.divide(weighted_min, smax, out=np.zeros(np.shape(smax)), where=live)
 
-    def below(tol):
-        return (ratio < tol) | (weighted_min < tol * r)
+    def below(tol, low, high):
+        live = high > ZERO_OPERATOR_FLOOR
+        ratio = np.divide(low, high, out=np.zeros(np.shape(high)), where=live)
+        return ratio, (ratio < tol) | (low < tol * r)
 
-    return ratio, below(sing_tol), below(10.0 * sing_tol)
+    ratio, fired = below(sing_tol, weighted_min, smax)
+    near = below(10.0 * sing_tol, weighted_min - slack, smax + slack)[1]
+    return ratio, fired, near
 
 
 def _check_tolerance(name: str, value: float) -> None:
@@ -469,11 +500,12 @@ def _gram_witness(gram: np.ndarray, sigma_max: float, r: int) -> Optional[np.nda
 
 
 def _spectrum(frame, sums, mats: np.ndarray, sing_tol: float):
-    """(svals, v, bound, path) of a degree of the tuple ``mats`` of three or more rotations, from S_n = ``sums``.
+    """(svals, witness, bound, path) of a degree of the tuple ``mats`` of three or more rotations, from S_n = ``sums``.
 
-    svals are the singular values the trigger reads, v a unit vector with
-    ||M v|| near sigma_min and bound the certificate's residual bound
-    through S_n (``FischerFrame.residual_bound``).  M = U^T S U gives
+    svals are the singular values the trigger reads, witness() makes the
+    harmonic with the frame coordinates of a unit vector v with ||M v|| near
+    sigma_min (``_witness``), only for a degree that fired, and bound is the
+    certificate's residual bound through S_n (``FischerFrame.residual_bound``).  M = U^T S U gives
     G = M^T M and is freed, and ``_gram_extremes`` reads sigma_max and,
     where it can, sigma_min from G.  No M leaves this function, and v comes
     from the factorization that decided the degree, so a fired degree's
@@ -510,7 +542,7 @@ def _spectrum(frame, sums, mats: np.ndarray, sing_tol: float):
             svals, path = np.array([sigma_max, np.linalg.norm(frame.apply(sums, vector))]), "gram→witness"
             if not _near_singular(svals, len(mats), sing_tol)[1]:
                 svals, path = weighted_singular_values(frame.operator(sums)), "gram→svd"
-    return svals, vector, partial(frame.residual_bound, sums, mats=mats), path
+    return svals, partial(_witness, frame, vector), partial(frame.residual_bound, sums, mats=mats), path
 
 
 def _torus_angles(mats: np.ndarray) -> np.ndarray:
@@ -576,13 +608,14 @@ def _torus_frame(mats: np.ndarray):
 
 
 def _pair_degree(torus, mats: np.ndarray, sing_tol: float, n: int):
-    """(svals, v, bound, path) of degree n of the pair ``mats``, all from its torus frame ``torus`` (``_torus_frame``).
+    """(svals, witness, bound, path) of degree n of the pair ``mats``, all from its torus frame ``torus`` (``_torus_frame``).
 
     svals = [sigma_max, sigma_min] come from the frame's angles
     (``_pair_spectrum``).  Where they fire, the weight k whose phase gave
     sigma_min, ties within round-off going to the largest |k|_1, names the
-    witness v and its bound (``_pair_witness``), path pair→witness.
-    Elsewhere v and bound are None, the path is pair and no FischerFrame is built.
+    witness's frame coordinates v and its bound (``_pair_witness``), and
+    witness() makes the witness, path pair→witness.  Elsewhere witness and
+    bound are None, the path is pair and no FischerFrame is built.
     """
     d = mats.shape[-1]
     svals, values = _pair_spectrum(torus[1], d, n)
@@ -591,7 +624,26 @@ def _pair_degree(torus, mats: np.ndarray, sing_tol: float, n: int):
     weights, _ = fischer._torus_weights(d, n)
     tied = np.flatnonzero(values <= svals[1] + 8.0 * d * n * 2.0**-53)
     k = weights[tied[np.argmax(np.abs(weights[tied]).sum(axis=1))]]
-    return (svals, *_pair_witness(torus, fischer_frame(d, n), mats, k), "pair→witness")
+    frame = fischer_frame(d, n)
+    vector, bound = _pair_witness(torus, frame, mats, k)
+    return svals, partial(_witness, frame, vector), bound, "pair→witness"
+
+
+def _circle_degree(plane, table, mats: np.ndarray, sing_tol: float, n: int):
+    """(svals, witness, bound, path) of degree n of a tuple that rotates one plane, from its weight sums.
+
+    ``table`` is ``circle.spectrum``'s, built once per call: svals =
+    [sigma_max, sigma_min] are read from it.  Where they fire, witness()
+    makes the product of forms of the weight j that table picks, and its
+    bound is in closed form (``circle.witness``), path circle→witness;
+    elsewhere witness and bound are None and the path is circle.
+    """
+    top, low, pick, moduli = table
+    svals = np.array([top[n], low[n]])
+    if not _near_singular(svals, len(mats), sing_tol)[1]:
+        return svals, None, None, "circle"
+    basis, coeffs, bound = circle.witness(plane, mats, moduli, n, int(pick[n]))
+    return svals, partial(HarmonicFunction, basis, coeffs), bound, "circle→witness"
 
 
 @lru_cache(maxsize=None)
@@ -801,7 +853,10 @@ class DivisorFunction:
 def make_divisor(witness: HarmonicFunction, r: int) -> DivisorFunction:
     """Scale a kernel witness into a divisor with values strictly inside (0, 1).
 
-    The scale is _DIVISOR_MARGIN / (r sup|g|), so |f - 1/r| <= 1/(2r).
+    The scale is _DIVISOR_MARGIN / (r sup|g|), so |f - 1/r| <= 1/(2r), with
+    sup|g| from ``HarmonicFunction.sup_bound``: a circle witness's exact sup,
+    so its divisor reaches 1/r +- 1/(2r) and cannot go constant, and
+    sum_k |c_k| for a frame's monomials or zonal functions.
     """
     if r < 2:
         raise InputDomainError(f"divisors need r >= 2, got r={r}")
@@ -896,23 +951,24 @@ def verify_divisor(
     )
 
 
-def _certify(frame, vector, bound, rotations, rng):
-    """Witness, divisor and certificate of a degree whose trigger fired.
+def _certify(witness, bound, rotations, rng):
+    """(witness, divisor, certificate) of a degree whose trigger fired, from its kernel ``witness`` g.
 
-    ``frame`` is the degree's FischerFrame and ``vector`` a kernel vector of
-    its operator M = U^T S_n U, made once per fired degree: for a pair from
-    the torus frame of h with no M (``_pair_witness``), and otherwise by the
-    factorization that decided the degree (``_spectrum``), or by one SVD of
-    the M that search_divisible holds; nothing here reads M.  The witness g
-    has the frame coordinates ``vector``, and the divisor
-    f = 1/r + scale * g of the kernel witness g has the residual
-    sum_s f(gamma_s^T x) - 1 = scale * sum_s g(gamma_s^T x).  ``bound`` maps
-    the witness's stored coefficients c to a bound on
+    The witness is made once per fired degree by the route that decided it:
+    for a circle tuple as one product of linear forms with no frame
+    (``circle.witness``); for a pair from the torus frame of h with no M
+    (``_pair_witness``); otherwise from the factorization that decided the
+    degree (``_spectrum``), or from one SVD of the M that search_divisible
+    holds; the last three have a FischerFrame's coordinates (``_witness``),
+    and nothing here reads M.  The divisor f = 1/r + scale * g has the
+    residual sum_s f(gamma_s^T x) - 1 = scale * sum_s g(gamma_s^T x).
+    ``bound`` maps the witness's stored coefficients c to a bound on
     sup_{|x| = 1} |sum_s g(gamma_s^T x)|, round-off included, that holds
     whatever c is: ``FischerFrame.residual_bound`` over the degree's S_n,
     ||R|| + delta over sqrt(n!) with R = S_n v and v = sqrt(a!) c, for a
-    larger tuple, and ``_product_bound`` from the products of h's
-    eigen-forms for a pair.  So
+    larger tuple, ``_product_bound`` from the products of h's eigen-forms
+    for a pair, and a closed form in the weight sum lambda_j and the
+    rotated forms for a circle tuple.  So
 
         sup_{|x| = 1} |sum_s f(gamma_s^T x) - 1| <= scale * bound(c).
 
@@ -923,11 +979,10 @@ def _certify(frame, vector, bound, rotations, rng):
     max_residual is the larger of the bound and the sampled maximum.  With
     ``rng`` None nothing is sampled and the result holds the bound alone.
     """
-    witness = _witness(frame, vector)
     divisor = make_divisor(witness, rotations.r)
     sup = bound(witness.coeffs)
     bound = divisor.scale * sup
-    passed = bound <= RESIDUAL_TOL and sup <= 1e-6 * frame.dim
+    passed = bound <= RESIDUAL_TOL and sup <= 1e-6 * dim_harmonic(rotations.d, witness.basis.n)
     if passed and rng is not None:
         ver = verify_divisor(rotations, divisor, VERIFY_SAMPLES, rng)
         ver = replace(ver, max_residual=max(bound, ver.max_residual), residual_bound=bound)
@@ -957,11 +1012,14 @@ class DegreeRecord:
     one shifted solve with G gives, and below ``sing_tol``, so it reads
     round-off, not the SVD's value; a pair reads the exact ratio from its
     torus weights, and its witness is the harmonic projection of a product
-    of h's eigen-linear-forms (``_pair_witness``).  ``dim`` is N_n.
+    of h's eigen-linear-forms (``_pair_witness``); a circle tuple reads the
+    ratio of its weight sums, and its witness is a product of two linear
+    forms (``circle.witness``).  ``dim`` is N_n.
     ``residual_bound`` is the whole-sphere bound on the residual of the
     degree's divisor (see ``_certify``) when its trigger fired, and None
     otherwise: through S_n for a larger tuple, from the products of the
-    rotated forms for a pair (``_product_bound``).
+    rotated forms for a pair (``_product_bound``), in closed form for a
+    circle tuple.
     """
 
     n: int
@@ -1072,7 +1130,9 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
       arrays and, where P_m <= DENSE_MAX_SIZE, the dense U; and the d
       P_m x P_(m-1) moves of the steps small enough to build them.
     Every other stage of a degree below n costs less than its counterpart
-    at degree n.
+    at degree n.  A run over the budget on these stages alone is priced
+    without the caches, whose sum runs over every degree up to n.
+    A circle tuple runs none of this (``_circle_bytes``).
     """
     def monomials(m):
         return math.comb(m + d - 1, d - 1) if m >= 0 else 0
@@ -1084,6 +1144,9 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
     step_below = r * (size[1] ** 2 + size[2] ** 2)
     frame_below = (r + 1) * size[1] ** 2 + size[3] * size[1]
     zero_pivot = max(size[0] ** 2 + 10 * dim * dim, (r + 1) * size[1] ** 2 + 10 * dim_below * dim_below)
+    staged = max(degree_n, step_below, frame_below, zero_pivot)
+    if 8 * staged > COST_BUDGET_BYTES:
+        return 8 * staged
     cached = 0
     for m in range(1, n + 1):
         here, below, harmonics = monomials(m), monomials(m - 1), dim_harmonic(d, m)
@@ -1093,7 +1156,22 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
             cached += here * harmonics
         if 8 * r * d * here * here <= fischer.BLOCK_BYTES:
             cached += d * here * below
-    return 8 * (max(degree_n, step_below, frame_below, zero_pivot) + cached) + 4 * fischer.BLOCK_BYTES
+    return 8 * (staged + cached) + 4 * fischer.BLOCK_BYTES
+
+
+def _circle_bytes(d: int, r: int, n_max: int) -> int:
+    """Estimated peak bytes of deciding and certifying degrees 1 .. n_max of a circle tuple (``circle``).
+
+    The weight sums of every degree (``circle.spectrum``): their moduli, the
+    running extremes, the witness's j and their temporaries, within 8
+    doubles per degree.  Each degree's record and its share of the report's JSON,
+    _DEGREE_BYTES.  detect's h_s, its stacked h_s - I and their SVD, within
+    4 r d^2 doubles.  One sampled check, VERIFY_SAMPLES points of 2 d + 2
+    doubles each (``verify_divisor``), and its block temporaries.  A fired
+    degree's witness and bound take O(r d) more.
+    """
+    tables = 8 * 8 * (n_max + 1) + _DEGREE_BYTES * n_max
+    return tables + 8 * (4 * r * d * d + VERIFY_SAMPLES * (2 * d + 2)) + 4 * _VERIFY_BLOCK_BYTES
 
 
 def _check_budget(need: int, what: str, knob: str) -> None:
@@ -1105,8 +1183,18 @@ def _check_budget(need: int, what: str, knob: str) -> None:
         )
 
 
-def _check_cost(d: int, r: int, n_max: int) -> None:
-    """Refuse, before anything is allocated, a degree the frame cannot carry or a run over COST_BUDGET_BYTES."""
+def _check_cost(d: int, r: int, n_max: int, plane=None) -> None:
+    """Refuse, before anything is allocated, a run over COST_BUDGET_BYTES on its route, or a degree the recurrence cannot carry.
+
+    ``plane`` is given for a tuple that takes the circle route, found by
+    ``circle.detect`` before this pricing: it is priced by ``_circle_bytes``
+    at any n_max and meets no degree cap.  Every other run, the studies and
+    searches included, is priced by ``_peak_bytes`` and capped by
+    _STABLE_MAX_DEGREE.
+    """
+    if plane is not None:
+        _check_budget(_circle_bytes(d, r, n_max), f"d={d}, r={r}, n_max={n_max} on the circle route", "n_max")
+        return
     limit = _STABLE_MAX_DEGREE.get(d)
     if limit is not None and n_max > limit:
         raise InputDomainError(
@@ -1134,9 +1222,18 @@ def divisibility_test(
     A degree is recorded ``singular`` only when the near-zero trigger
     (sigma_min / sigma_max below ``sing_tol``) is confirmed by a kernel
     witness whose divisor ``_certify`` bounds over the whole sphere: a
-    residual of at most RESIDUAL_TOL from the Fischer frame, recorded as the
-    degree's ``residual_bound``.  Each degree takes one route, which gives
-    its singular values, its witness and its certificate's bound.  A pair
+    residual of at most RESIDUAL_TOL, recorded as the degree's
+    ``residual_bound``.  Each call picks one route for every degree, before
+    it prices the run, and each degree's route gives its singular values,
+    its witness and its certificate's bound.  A tuple whose h_s all rotate
+    one plane and fix its complement, every tuple at d = 2 and none at
+    d = 3 (``circle.detect``, one SVD of the stacked h_s - I), takes the
+    circle route (``_circle_degree``): every degree reads |lambda_j|,
+    lambda_j = sum_s z_s^j, from one table of weight sums, and a fired
+    degree writes down its witness, a product of two linear forms, and its
+    bound in closed form, with no frame at all.  Its singular values are
+    those of the rebuilt tuple, within n r delta of the tuple's own, which
+    widens the near band.  Otherwise a pair
     (``_pair_degree``) reads them all from the torus frame of h, one ``eig``
     per call (``_torus_frame``), with no M, no solve and no recurrence, and
     builds a FischerFrame only at a fired degree.  A larger tuple
@@ -1146,36 +1243,42 @@ def divisibility_test(
     At the default tolerance its fired degrees take the gram→witness path:
     each fires on an upper bound of sigma_min from its witness, with no SVD,
     and records that bound as its ``sigma_min_rel``.  One "spherediv" debug
-    line per degree names the path (pair, pair→witness, gram, gram→witness
-    or gram→svd) and the route's wall time, which covers a larger tuple's
-    recurrence step, assembly and spectral step, or a pair's spectrum and
-    witness, and not the certificate.  Only the first certified degree,
+    line per degree names the path (circle, circle→witness, pair,
+    pair→witness, gram, gram→witness or gram→svd) and the route's wall
+    time, which covers a larger tuple's recurrence step, assembly and
+    spectral step, or a pair's or a circle tuple's spectrum and witness,
+    and not the certificate.  Only the first certified degree,
     whose divisor the report keeps, is also spot-checked by
     ``verify_divisor`` on VERIFY_SAMPLES points, so a report makes at most
     one sampled check in normal runs.  A trigger that fails certification is
     downgraded to ``borderline``, and so is a degree within 10x of the
     trigger.  The verdicts and ratios do not depend on ``rng``, which draws
-    only the verification points.  A ``sing_tol`` outside (0, 1), NaN
-    included, and runs whose estimated working set exceeds COST_BUDGET_BYTES
-    are refused with InputDomainError before anything is allocated, as is an
-    n_max above the degree the frame carries at d <= 3 (_STABLE_MAX_DEGREE).
+    only the verification points.  An n_max that is not an integer >= 1, a
+    seed that ``resolve_seed`` refuses, a ``sing_tol`` outside (0, 1), NaN
+    included, and runs whose estimated working set on their route exceeds
+    COST_BUDGET_BYTES are refused with InputDomainError before anything but
+    the route's detection is allocated, as is an n_max above the degree the
+    recurrence carries at d = 3 (_STABLE_MAX_DEGREE).
     The test is one-sided: ``invertible`` at all tested degrees does not
     prove non-divisibility.
     """
     if not isinstance(rotations, RotationTuple):
         rotations = RotationTuple(tuple(rotations))
-    if n_max < 1:
-        raise InputDomainError(f"n_max must be >= 1, got {n_max}")
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 1:
+        raise InputDomainError(f"n_max must be an integer >= 1, got {n_max!r}")
     _check_tolerance("sing_tol", sing_tol)
-    _check_cost(rotations.d, rotations.r, n_max)
+    mats = _rotation_matrices(rotations)
+    plane = circle.detect(mats)
+    _check_cost(rotations.d, rotations.r, n_max, plane)
     seed = resolve_seed(rng)
     records = []
     witness = None
     divisor = None
     verification = None
 
-    mats = _rotation_matrices(rotations)
-    if rotations.r == 2:  # every degree reads the torus frame of h
+    if plane is not None:  # every degree reads one table of the circle's weight sums
+        route = partial(_circle_degree, plane, circle.spectrum(plane, rotations.d, n_max), mats, sing_tol)
+    elif rotations.r == 2:  # every degree reads the torus frame of h
         route = partial(_pair_degree, _torus_frame(mats), mats, sing_tol)
     else:  # every degree takes one step of the recurrence
         powers = summed_powers(mats, n_max)
@@ -1185,14 +1288,15 @@ def divisibility_test(
 
     for n in range(1, n_max + 1):
         start = time.perf_counter()
-        svals, vector, bound, path = route(n)
+        svals, witness_of, bound, path = route(n)
         dim = dim_harmonic(rotations.d, n)
         _log.debug("degree %d: N=%d, %s, %.4f s", n, dim, path, time.perf_counter() - start)
-        ratio, fired, near_band = _near_singular(svals, rotations.r, sing_tol)
+        slack = 0.0 if plane is None else n * rotations.r * plane.defect
+        ratio, fired, near_band = _near_singular(svals, rotations.r, sing_tol, slack)
         residual = None
         if fired:
             sample_rng = derive_rng(seed, 2, n, 3) if witness is None else None
-            g, f, ver = _certify(fischer_frame(rotations.d, n), vector, bound, rotations, sample_rng)
+            g, f, ver = _certify(witness_of(), bound, rotations, sample_rng)
             residual = ver.residual_bound
             if ver.passed:
                 verdict = VERDICT_SINGULAR
@@ -1207,7 +1311,7 @@ def divisibility_test(
         records.append(
             DegreeRecord(n=n, dim=dim, sigma_min_rel=float(ratio), verdict=verdict, residual_bound=residual)
         )
-        del vector, bound  # the bound holds S_n: free it before the recurrence builds degree n + 1 (see _peak_bytes)
+        del witness_of, bound  # the bound holds S_n: free it before the recurrence builds degree n + 1 (see _peak_bytes)
 
     report = DivisibilityReport(
         d=rotations.d,

@@ -88,13 +88,14 @@ from .divisibility import (
     _rotation_matrices,
     _svd_witness,
     _torus_angles,
+    _witness,
     divisibility_test,
     weighted_singular_values,
 )
 from .errors import InputDomainError
 from .fischer import BLOCK_BYTES, _torus_weights, fischer_frame, summed_powers
 from .rotations import Rotation, RotationTuple, haar_from_gaussian, haar_sample
-from .sampling import derive_rng, resolve_seed
+from .sampling import _seed, derive_rng, resolve_seed
 
 __all__ = [
     "GenericityResult",
@@ -142,9 +143,9 @@ class GenericityStudy:
     ell = floor(r/2) (acceptance criterion 8: r = 3, ell = 1) the singular
     trials still form a Haar-null set, by the argument of
     ``default_free_count``, so a zero singular count is expected; the
-    smallest ratio a study reaches stays empirical.  ``sing_tol`` must be a
-    finite number in (0, 1), and the trials' rotations and records must fit
-    COST_BUDGET_BYTES.
+    smallest ratio a study reaches stays empirical.  ``seed`` must be a
+    non-negative integer, ``sing_tol`` a finite number in (0, 1), and the
+    trials' rotations and records must fit COST_BUDGET_BYTES.
     """
 
     d: int
@@ -172,6 +173,7 @@ class GenericityStudy:
             raise InputDomainError(f"trials must be >= 1, got {self.trials}")
         if self.n_max < 1:
             raise InputDomainError(f"n_max must be >= 1, got {self.n_max}")
+        object.__setattr__(self, "seed", _seed(self.seed))
         _check_tolerance("sing_tol", self.sing_tol)
         _check_cost(self.d, self.r, self.n_max)
         # bytes per trial, tracemalloc's marginal peaks (numpy 2.4, 2000 to 40000 trials at
@@ -652,7 +654,7 @@ def search_divisible(
         # best_ratio is sigma_min / r, so this gate is the trigger's dead-operator clause
         _, vector = _svd_witness(best_matrix)
         bound = partial(frame.residual_bound, best_sums, mats=_rotation_matrices(best_tuple))
-        _, _, ver = _certify(frame, vector, bound, best_tuple, derive_rng(seed, 6))
+        _, _, ver = _certify(_witness(frame, vector), bound, best_tuple, derive_rng(seed, 6))
         certified = ver.passed
         residual_max = ver.max_residual
     return SearchRun(

@@ -9,9 +9,12 @@ depends only on the integer keys, never on execution order.
 
 from __future__ import annotations
 
+import numbers
 import os
 
 import numpy as np
+
+from .errors import InputDomainError
 
 __all__ = ["as_rng", "derive_rng", "fresh_seed", "resolve_seed", "uniform_sphere"]
 
@@ -26,26 +29,36 @@ def fresh_seed() -> int:
     return int.from_bytes(os.urandom(8), "little") >> 1
 
 
+def _seed(rng) -> int:
+    """The integer seed ``rng``; anything but a non-negative integer, a bool or a float included, is refused."""
+    if isinstance(rng, bool) or not isinstance(rng, numbers.Integral) or rng < 0:
+        raise InputDomainError(f"seed must be a non-negative integer, got {rng!r}")
+    return int(rng)
+
+
 def as_rng(rng) -> np.random.Generator:
-    """Coerce ``None`` (fresh entropy), an integer seed, or a Generator to a Generator."""
+    """Coerce ``None`` (fresh entropy), a non-negative integer seed, or a Generator to a Generator."""
     if rng is None:
         return np.random.default_rng(fresh_seed())
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.default_rng(int(rng))
+    return np.random.default_rng(_seed(rng))
 
 
 def resolve_seed(rng) -> int:
     """Reduce ``None`` / int / Generator to a concrete integer seed.
 
-    Integers pass through, ``None`` draws OS entropy, and a Generator
-    contributes one draw from its stream.
+    Non-negative integers pass through, ``None`` draws OS entropy, and a
+    Generator contributes one draw from its stream.  A negative integer, a
+    bool, a float or anything else raises InputDomainError: numpy's
+    SeedSequence refuses a negative seed only once one is derived, and
+    int() would read 1.5 and True as 1.
     """
     if rng is None:
         return fresh_seed()
     if isinstance(rng, np.random.Generator):
         return int(rng.integers(0, 2**63))
-    return int(rng)
+    return _seed(rng)
 
 
 def derive_rng(seed: int, *keys: int) -> np.random.Generator:

@@ -40,8 +40,9 @@ def check_report_schema(obj):
         assert DEGREE_KEYS <= set(rec)
         assert rec["verdict"] in {"invertible", "singular", "borderline"}
     if "witness" in obj:
-        assert {"format", "d", "n", "exponents", "coeffs"} <= set(obj["witness"])
-        assert obj["witness"]["format"] == "monomial-v1"
+        witness = obj["witness"]
+        fields = {"monomial-v1": {"exponents", "coeffs"}, "form-product-v1": {"forms", "scales", "powers", "weight"}}
+        assert {"format", "d", "n"} | fields[witness["format"]] <= set(witness)
         assert "residual_max" in obj
         assert {"max_residual", "residual_bound", "n_samples", "passed"} <= set(obj["verification"])
 
@@ -69,7 +70,9 @@ class TestCmdTest:
         obj = json.loads(out.read_text())
         check_report_schema(obj)
         assert obj["overall"].startswith("fractionally divisible")
-        assert obj["witness"]["n"] == 1
+        # a circle tuple's witness is one product of linear forms: at d = 2, (a . x)^n
+        assert obj["witness"]["n"] == 1 and obj["witness"]["format"] == "form-product-v1"
+        assert obj["witness"]["powers"] == [1]
         assert obj["residual_max"] <= 1e-8
 
     def test_reflection_rejected_with_message(self, tmp_path, capsys):

@@ -297,12 +297,12 @@ class TestResidualBound:
 
     def test_top_singular_vector_rejected(self, monkeypatch):
         # the top singular vector, injected into the pair path, is refused by the bound of the
-        # pair's products of forms that comes with it
-        tup = half_turn_pair(6, 263)
+        # pair's products of forms that comes with it; at d = 3 no pair takes the circle route
+        tup = half_turn_pair(3, 263)
         mats = np.array([g.matrix for g in tup])
         for _, sums in summed_powers(mats, 1):
             pass
-        frame = fischer_frame(6, 1)
+        frame = fischer_frame(3, 1)
         top = np.linalg.svd(frame.operator(sums))[2][0]
         witness = divisibility._pair_witness
         bound = divisibility._pair_degree(divisibility._torus_frame(mats), mats, divisibility.DEFAULT_SING_TOL, 1)[2]
@@ -311,7 +311,7 @@ class TestResidualBound:
             return top, witness(torus, frame, mats, k)[1]
 
         monkeypatch.setattr(divisibility, "_pair_witness", foreign)
-        _, _, ver = divisibility._certify(frame, top, bound, tup, 283)
+        _, _, ver = divisibility._certify(divisibility._witness(frame, top), bound, tup, 283)
         assert not ver.passed and ver.n_samples == 0
         assert ver.residual_bound > 1e-2
         report = divisibility_test(tup, 1, rng=283)
@@ -453,16 +453,24 @@ class TestDivisibilityTest:
         monkeypatch.setattr(FischerFrame, "operator", counted)
         monkeypatch.setattr(divisibility, "_svd_witness", counted_vector)
         monkeypatch.setattr(experiments, "_svd_witness", counted_vector)
-        report = divisibility_test(planar_division(6, 3).rotations, 3, rng=179)
+        report = divisibility_test(planar_division(3, 3).rotations, 3, rng=179)
         assert report.singular_degrees() == [1, 2, 3]
         assert calls == [1, 2, 3] and vectors == []
         calls.clear()
+        # planar_division(6, 3) rotates one plane: the circle route assembles nothing
+        report = divisibility_test(planar_division(6, 3).rotations, 3, rng=179)
+        assert report.singular_degrees() == [1, 2, 3]
+        assert calls == [] and vectors == []
         generic = RotationTuple(tuple(haar_sample(6, 181 + k) for k in range(3)))
         report = divisibility_test(generic, 3, rng=179)
         assert [rec.verdict for rec in report.degrees] == ["invertible"] * 3
         assert calls == [1, 2, 3] and vectors == []
         calls.clear()
-        # a pair takes its fired degrees' witnesses from the torus frame of h: no M at all
+        # a pair takes its fired degrees' witnesses from the torus frame of h, and a circle pair
+        # from the weight sums of its plane: no M at all
+        report = divisibility_test(half_turn_pair(3, 263), 3, rng=179)
+        assert report.singular_degrees() == [1, 2, 3]
+        assert calls == [] and vectors == []
         report = divisibility_test(half_turn_pair(6, 263), 3, rng=179)
         assert report.singular_degrees() == [1, 2, 3]
         assert calls == [] and vectors == []
@@ -502,8 +510,9 @@ class TestDivisibilityTest:
         assert report.verification.n_samples == divisibility.VERIFY_SAMPLES
 
     def test_one_values_only_svd_per_degree(self, monkeypatch):
-        # every degree of this triple fires on its witness's bound, so none takes an SVD
-        tup = planar_division(6, 3).rotations
+        # every degree of this triple fires on its witness's bound, so none takes an SVD; at d = 3
+        # no tuple takes the circle route, whose detection takes one
+        tup = planar_division(3, 3).rotations
         calls = []
         original = np.linalg.svd
 
@@ -534,7 +543,7 @@ class TestDivisibilityTest:
             assert divisibility._peak_bytes(d, r, n_max) <= budget, (d, r, n_max)
             assert divisibility._peak_bytes(d, r, n_max + 1) > budget, (d, r, n_max)
         with pytest.raises(InputDomainError, match="budget"):
-            divisibility_test(half_turn_pair(8, 293), 10, rng=1)
+            divisibility_test(RotationTuple(tuple(haar_sample(8, 293 + k) for k in range(2))), 10, rng=1)
 
     def test_cost_estimate_covers_the_step_below(self):
         # at d <= 4 and large n the step to degree n - 1, which holds r copies
@@ -630,3 +639,38 @@ class TestFischerFrame:
             ]
             assert rows[0] == rows[1]
         assert [verdict for *_, verdict in rows[0]] == ["singular", "singular", "singular"]
+
+
+class TestSeedAndDegreeDomain:
+    """Seeds and degrees given through the API are refused with InputDomainError, not read loosely or left to numpy."""
+
+    def pair(self):
+        # degree 1 fires, so the report derives its sampling stream from the seed
+        return RotationTuple((planar_rotation(3, 1, 2, 0.0), planar_rotation(3, 1, 2, math.pi)))
+
+    @pytest.mark.parametrize("rng", [-5, 1.5, True, False, "7", np.float64(2.0)])
+    def test_divisibility_test_refuses_a_seed(self, rng):
+        # -5 died in numpy's SeedSequence, and int() read 1.5 and True as 1
+        with pytest.raises(InputDomainError, match="seed"):
+            divisibility_test(self.pair(), 2, rng=rng)
+
+    @pytest.mark.parametrize("n_max", [2.5, True, 0, -1, "3", None])
+    def test_divisibility_test_refuses_a_degree(self, n_max):
+        # 2.5 raised TypeError in range(), and True ran as n_max = 1
+        with pytest.raises(InputDomainError, match="n_max"):
+            divisibility_test(self.pair(), n_max, rng=1)
+
+    def test_integer_seeds_of_any_kind_pass(self):
+        rows = [divisibility_test(self.pair(), 2, rng=rng).verification.max_residual for rng in (7, np.int64(7))]
+        assert rows[0] == rows[1]
+        assert divisibility_test(self.pair(), np.int64(2), rng=0).singular_degrees() == [1, 2]
+
+    def test_search_and_study_refuse_a_negative_seed(self):
+        from spherediv import GenericityStudy, SearchSettings, run_genericity, search_divisible
+
+        with pytest.raises(InputDomainError, match="seed"):
+            search_divisible(3, 3, 2, SearchSettings(restarts=1, max_iter=2), rng=-3)
+        with pytest.raises(InputDomainError, match="seed"):
+            run_genericity(GenericityStudy(d=3, r=3, suffix=(haar_sample(3, 1), haar_sample(3, 2)), trials=2, n_max=2, seed=-1))
+        with pytest.raises(InputDomainError, match="seed"):
+            haar_sample(3, 1.5)

@@ -22,7 +22,7 @@ from spherediv import (
     planar_division,
     planar_rotation,
 )
-from spherediv import divisibility, fischer
+from spherediv import circle, divisibility, fischer
 from spherediv.fischer import FischerFrame, fischer_frame, summed_powers
 
 SRC = str(Path(spherediv.__file__).resolve().parents[1])
@@ -73,6 +73,12 @@ def svd_ratios(tup, n_max):
     return out
 
 
+@pytest.fixture
+def gram_route(monkeypatch):
+    """Send tuples that rotate one plane past the circle route, so the Gram step decides them as it does any other."""
+    monkeypatch.setattr(circle, "detect", lambda mats: None)
+
+
 def paths(caplog):
     """The spectral path of every degree, from the debug lines of the spherediv logger."""
     return [rec.getMessage().split(", ")[1] for rec in caplog.records if rec.name == "spherediv"]
@@ -93,7 +99,7 @@ class TestGramStep:
             assert rec.verdict == "invertible"
             assert math.isclose(rec.sigma_min_rel, ratio, rel_tol=1e-10), (rec, ratio)
 
-    def test_singular_triple_falls_back_and_certifies(self, caplog):
+    def test_singular_triple_falls_back_and_certifies(self, caplog, gram_route):
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
             report = divisibility_test(planar_division(6, 3).rotations, 3, rng=281)
         assert paths(caplog) == ["gram→witness"] * 3
@@ -101,7 +107,7 @@ class TestGramStep:
         assert all(rec.residual_bound <= 1e-8 for rec in report.degrees)
         assert report.verification.passed
 
-    def test_singular_triple_takes_no_svd(self, monkeypatch):
+    def test_singular_triple_takes_no_svd(self, monkeypatch, gram_route):
         # the witness's ||M v|| bounds sigma_min from above and decides each fired degree
         tup = planar_division(6, 3).rotations
         shapes = counted_svds(monkeypatch)
@@ -112,7 +118,7 @@ class TestGramStep:
         assert all(rec.sigma_min_rel < report.sing_tol for rec in report.degrees)
         assert all(rec.residual_bound <= 1e-8 for rec in report.degrees)
 
-    def test_tiny_sing_tol_keeps_the_svd(self, caplog):
+    def test_tiny_sing_tol_keeps_the_svd(self, caplog, gram_route):
         # a bound of about 1e-16 does not fire at sing_tol = 1e-20, so the SVD decides
         tup = planar_division(6, 3).rotations
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
@@ -120,7 +126,7 @@ class TestGramStep:
         assert paths(caplog) == ["gram→svd"] * 3
         assert [rec.sigma_min_rel for rec in report.degrees] == svd_ratios(tup, 3)
 
-    def test_unfired_witness_bound_takes_the_svd_at_a_streamed_degree(self, caplog):
+    def test_unfired_witness_bound_takes_the_svd_at_a_streamed_degree(self, caplog, gram_route):
         # planar_division(8, 3)'s top degree 3 is streamed; its G-side bound does not fire at sing_tol = 1e-20
         tup = planar_division(8, 3).rotations
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
@@ -128,7 +134,7 @@ class TestGramStep:
         assert paths(caplog) == ["gram→svd"] * 3
         assert [rec.sigma_min_rel for rec in report.degrees] == svd_ratios(tup, 3)
 
-    def test_zero_pivot_falls_back_to_m(self, monkeypatch, caplog):
+    def test_zero_pivot_falls_back_to_m(self, monkeypatch, caplog, gram_route):
         # an exact zero pivot in the solve with G assembles M again, and its SVD decides and gives the witness
         monkeypatch.setattr(divisibility, "_gram_witness", lambda gram, sigma_max, r: None)
         calls, vectors = counted_assemblies(monkeypatch)
@@ -176,21 +182,22 @@ class TestGramStep:
         mats = np.array([g.matrix for g in tup])
         calls, _ = counted_assemblies(monkeypatch)
         certified, solved = [], []
-        certify, solve = divisibility._certify, np.linalg.solve
+        witness, solve = divisibility._witness, np.linalg.solve
 
-        def recorded_certify(frame, vector, *args):
+        def recorded_witness(frame, vector):
             certified.append((frame.n, vector))
-            return certify(frame, vector, *args)
+            return witness(frame, vector)
 
         def recorded_solve(a, b):
             solved.append(np.array(a))
             return solve(a, b)
 
-        monkeypatch.setattr(divisibility, "_certify", recorded_certify)
+        monkeypatch.setattr(divisibility, "_witness", recorded_witness)
         monkeypatch.setattr(np.linalg, "solve", recorded_solve)
         report = divisibility_test(tup, 2, sing_tol=0.99, rng=613)
         assert calls == [1, 2]
         assert [n for n, _ in certified] == [1, 2]
+        assert all(rec.residual_bound is not None for rec in report.degrees)
         operators = {}
         for n, sums in summed_powers(mats, 2):
             frame = fischer_frame(3, n)
@@ -230,7 +237,7 @@ class TestSmallDegreeOracles:
         [(planar_rotation(2, 1, 2, 0.7).matrix, 5), (haar_sample(4, 671).matrix, 3)],
         ids=["d2", "d4"],
     )
-    def test_exact_cancellation(self, g, n_max, caplog):
+    def test_exact_cancellation(self, g, n_max, caplog, gram_route):
         # rho_n(-h) = (-1)^n rho_n(h), so (I, -I, g, -g) sums to exactly 0 at odd n and to 2 (I + rho_n(g)) at even n
         d = len(g)
         tup = RotationTuple(tuple(Rotation(m) for m in (np.eye(d), -np.eye(d), g, -g)))
@@ -310,11 +317,12 @@ class TestFullSize:
         assert math.isclose(report.degrees[5].sigma_min_rel, svals[-1] / svals[0], rel_tol=1e-10)
 
     def test_degree_six_takes_no_svd(self, full_size):
+        # the one SVD is the circle route's detection, of the stacked h_s - I, which finds no plane
         _, report, shapes = full_size
         assert [rec.verdict for rec in report.degrees] == ["invertible"] * 6
-        assert shapes == []
+        assert shapes == [(16, 8)]
 
-    def test_fired_degree_six_takes_no_svd(self, monkeypatch):
+    def test_fired_degree_six_takes_no_svd(self, monkeypatch, gram_route):
         # the singular triple's degrees are decided by their witnesses' bounds, not by an SVD of M,
         # and each witness comes from G: one assembly of M per degree and no _svd_witness
         shapes = counted_svds(monkeypatch)
@@ -332,7 +340,8 @@ class TestDegreeCap:
     @pytest.mark.parametrize("n0", [61, 151])
     def test_planar_pairs_refused_or_singular(self, n0):
         # angles 1.2 and 1.2 + pi / n0 cancel exactly at degree n0; above the cap the
-        # recurrence read them borderline (61, 101, 131) or invertible (151)
+        # recurrence read them borderline (61, 101, 131) or invertible (151), and the
+        # circle route, which no cap limits, reads them singular
         pair = RotationTuple((planar_rotation(2, 1, 2, 1.2), planar_rotation(2, 1, 2, 1.2 + math.pi / n0)))
         try:
             report = divisibility_test(pair, n0, rng=631)
@@ -355,9 +364,10 @@ class TestDegreeCap:
             divisibility._check_cost(d, 3, limit)
             with pytest.raises(InputDomainError, match="orthogonality"):
                 divisibility._check_cost(d, 3, limit + 1)
-        # the {0, pi} pair at n_max = 175 once overflowed in sqrt(n!); now it is refused
-        with pytest.raises(InputDomainError, match="orthogonality"):
-            divisibility_test(RotationTuple((Rotation(np.eye(2)), Rotation(-np.eye(2)))), 175, rng=1)
+        # the {0, pi} pair at n_max = 175 once overflowed in sqrt(n!), then was refused by the
+        # cap; the circle route runs no recurrence, and reads it singular at every odd degree
+        report = divisibility_test(RotationTuple((Rotation(np.eye(2)), Rotation(-np.eye(2)))), 175, rng=1)
+        assert report.singular_degrees() == list(range(1, 176, 2))
 
     def test_residual_bound_does_not_overflow(self):
         # x_1^n at n = 175, far above the cap: sqrt(175!) overflowed in factorial space
@@ -401,6 +411,8 @@ def test_peak_within_estimate_at_a_zero_pivot():
 import resource
 from spherediv import divisibility, divisibility_test, planar_division
 divisibility._gram_witness = lambda gram, sigma_max, r: None
+from spherediv import circle
+circle.detect = lambda mats: None  # the Gram step, not the circle route, decides the planar triple
 tup = planar_division(8, 3).rotations
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert divisibility_test(tup, 6, rng=625).singular_degrees() == [1, 2, 3, 4, 5, 6]
@@ -429,9 +441,10 @@ print(tracemalloc.get_traced_memory()[1])
 
 
 def test_warm_peak_of_a_half_turn_pair():
-    # every degree fires, and each witness comes from the torus frame of h with no M: with M
-    # assembled and a shifted copy of it for inverse iteration the peak was 11.1 MiB (d = 8, n = 5, N_5 = 672),
-    # from the torus frame it is 3.3 MiB, the recurrence's two copies of Sym^4 and the streamed top degree
+    # every degree fires: with M assembled and a shifted copy of it for inverse iteration the peak
+    # was 11.1 MiB (d = 8, n = 5, N_5 = 672), from the torus frame of h 3.3 MiB, the recurrence's two
+    # copies of Sym^4 and the streamed top degree; the pair rotates one plane, and on the circle
+    # route, with no frame, it is 1.6 MiB, the one sampled check's points and sums
     code = """
 import math, tracemalloc
 import numpy as np
@@ -447,13 +460,14 @@ assert divisibility_test(tup, 5, rng=659).singular_degrees() == [1, 2, 3, 4, 5]
 print(tracemalloc.get_traced_memory()[1])
 """
     peak = int(run_python(code))
-    assert peak <= 6 << 20, peak
+    assert peak <= 3 << 20, peak
 
 
 def test_gram_step_imports_no_scipy():
     # importing scipy.optimize after spherediv adds about 44 MB of RSS and 0.33-0.42 s
     # (scipy 1.17, numpy 2.4, Python 3.11, 2-core Xeon); a generic triple
-    # on the Gram step, a fired pair and a fired triple on gram→witness load none of it
+    # on the Gram step, a fired pair, a fired triple on gram→witness and a fired circle tuple
+    # load none of it
     code = """
 import logging, math, sys
 import numpy as np
@@ -469,13 +483,16 @@ logger.setLevel(logging.DEBUG)
 divisibility_test(RotationTuple(tuple(haar_sample(4, 661 + k) for k in range(3))), 3, rng=663)
 assert lines == ["gram"] * 3, lines
 lines.clear()
-half_turn = planar_rotation(5, 1, 2, math.pi).matrix
-pair = RotationTuple((Rotation(np.eye(5)), Rotation(half_turn)))
+half_turn = planar_rotation(3, 1, 2, math.pi).matrix
+pair = RotationTuple((Rotation(np.eye(3)), Rotation(half_turn)))
 assert divisibility_test(pair, 3, rng=665).singular_degrees() == [1, 2, 3]
 assert lines == ["pair→witness"] * 3, lines
 lines.clear()
-assert divisibility_test(planar_division(5, 3).rotations, 3, rng=667).singular_degrees() == [1, 2, 3]
+assert divisibility_test(planar_division(3, 3).rotations, 3, rng=667).singular_degrees() == [1, 2, 3]
 assert lines == ["gram→witness"] * 3, lines
+lines.clear()
+assert divisibility_test(planar_division(5, 3).rotations, 3, rng=667).singular_degrees() == [1, 2, 3]
+assert lines == ["circle→witness"] * 3, lines
 loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 assert not loaded, loaded
 """

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from spherediv import (
     GenericityStudy,
     InputDomainError,
+    Rotation,
     RotationTuple,
     dim_harmonic,
     divisibility_test,
     haar_sample,
+    planar_rotation,
     run_genericity,
 )
 from spherediv import divisibility, experiments, fischer
@@ -130,7 +132,8 @@ class TestPairPath:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        report = divisibility_test(half_turn_pair(6, 263), 4, rng=281)
+        # at d = 3, where no tuple takes the circle route and its detection's SVD
+        report = divisibility_test(half_turn_pair(3, 263), 4, rng=281)
         assert report.singular_degrees() == [1, 2, 3, 4]
         assert calls == []
 
@@ -153,8 +156,9 @@ class TestPairPath:
         monkeypatch.setattr(divisibility, "summed_powers", counted_powers)
         report = divisibility_test(circle_tuple(0.0, math.pi), 4, rng=179)
         assert report.singular_degrees() == [1, 3]
-        # fired degrees take their witnesses and their certificates from products of the torus
-        # frame's forms: M is never assembled and the recurrence never runs
+        # fired degrees take their witnesses and their certificates from products of linear forms,
+        # a pair's from its torus frame and these circle tuples' from their plane: M is never
+        # assembled and the recurrence never runs
         assert assembled == stepped == []
         report = divisibility_test(half_turn_pair(8, 263), 5, rng=179)
         assert report.singular_degrees() == [1, 2, 3, 4, 5]
@@ -187,10 +191,11 @@ class TestPairPath:
 
         monkeypatch.setattr(divisibility, "fischer_frame", counted_frame)
         monkeypatch.setattr(experiments, "_torus_angles", counted_angles)
+        quarter_turn = RotationTuple((Rotation(np.eye(3)), planar_rotation(3, 1, 2, 0.5 * math.pi)))
         for tup, n_max, fired in (
             (haar_pair(4, 739), 5, []),
-            (circle_tuple(0.0, math.pi), 4, [1, 3]),
-            (half_turn_pair(6, 263), 3, [1, 2, 3]),
+            (quarter_turn, 4, [2, 3, 4]),
+            (half_turn_pair(3, 263), 3, [1, 2, 3]),
         ):
             calls.clear()
             frames.clear()
@@ -207,14 +212,14 @@ class TestPairPath:
     def test_debug_line_names_the_pair_path(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
             divisibility_test(haar_pair(4, 739), 3, rng=743)
-            # the {0, pi} circle pair fires at odd degrees, whose witnesses come from the torus frame
+            # the {0, pi} circle pair fires at odd degrees, whose witnesses come from the circle route
             divisibility_test(circle_tuple(0.0, math.pi), 3, rng=743)
         lines = [rec.getMessage() for rec in caplog.records if rec.name == "spherediv"]
         assert [line.split(", ")[:2] for line in lines] == [
             [f"degree {n}: N={dim_harmonic(4, n)}", "pair"] for n in (1, 2, 3)
         ] + [
             [f"degree {n}: N={dim_harmonic(2, n)}", path]
-            for n, path in ((1, "pair→witness"), (2, "pair"), (3, "pair→witness"))
+            for n, path in ((1, "circle→witness"), (2, "circle"), (3, "circle→witness"))
         ]
         # each line ends in its wall time, the witness's included
         assert all(re.fullmatch(r"\d+\.\d{4} s", line.split(", ")[2]) for line in lines)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherediv import Rotation, RotationTuple, dim_harmonic, divisibility_test, haar_sample, planar_rotation
-from spherediv import divisibility, fischer
+from spherediv import circle, divisibility, fischer
 from spherediv.fischer import FischerFrame, fischer_frame, summed_powers
 
 # the reference run assembles M and takes its full SVD per fired degree, so its degrees are
@@ -128,6 +128,7 @@ def test_fired_pair_witnesses(case):
         raise AssertionError("a pair degree assembled M, took an SVD witness or ran the recurrence")
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(circle, "detect", lambda mats: None)  # the pair route, not the circle's
         patch.setattr(divisibility, "_pair_witness", recorded)
         patch.setattr(divisibility, "_svd_witness", refused)
         patch.setattr(divisibility, "summed_powers", refused)
@@ -146,9 +147,10 @@ def test_fired_pair_witnesses(case):
         frame = fischer_frame(tup.d, n)
         assert math.isclose(np.linalg.norm(vector), 1.0, rel_tol=1e-12)
         assert np.linalg.norm(frame.apply(sums[n], vector)) <= 1e-12 * tup.r, n
-        assert divisibility._certify(frame, vector, bound, tup, None)[2].passed, n
+        assert divisibility._certify(divisibility._witness(frame, vector), bound, tup, None)[2].passed, n
     assert report.singular_degrees() == fired
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(circle, "detect", lambda mats: None)
         patch.setattr(divisibility, "_pair_witness", reference_witness(tup))
         reference = divisibility_test(tup, n_max, rng=5)
     assert rows(report) == rows(reference)
@@ -181,8 +183,8 @@ def test_product_bound_against_the_dense_bound(case, shaken, seed):
     sums = dict(summed_powers(mats, n_max))
     for n in fired_degrees(mats, n_max):
         frame = fischer_frame(tup.d, n)
-        vector, bound = divisibility._pair_degree(torus, mats, divisibility.DEFAULT_SING_TOL, n)[1:3]
-        witness = divisibility._witness(frame, vector)
+        witness_of, bound = divisibility._pair_degree(torus, mats, divisibility.DEFAULT_SING_TOL, n)[1:3]
+        witness = witness_of()
         scale = divisibility.make_divisor(witness, tup.r).scale
         new, old = bound(witness.coeffs), frame.residual_bound(sums[n], witness.coeffs, mats)
         assert dense_residual(frame, sums[n], witness.coeffs) <= new <= 10.0 * old, n
@@ -206,7 +208,7 @@ def test_foreign_vector_refused(case):
         frame = fischer_frame(tup.d, n)
         top = np.linalg.svd(frame.operator(sums[n]))[2][0]
         bound = divisibility._pair_degree(torus, mats, divisibility.DEFAULT_SING_TOL, n)[2]
-        _, _, ver = divisibility._certify(frame, top, bound, tup, None)
+        _, _, ver = divisibility._certify(divisibility._witness(frame, top), bound, tup, None)
         assert not ver.passed and ver.residual_bound > 1e-6, n
 
 

@@ -127,7 +127,7 @@ def cases():
     return out
 
 
-# the tier-1 subset: every route (pair and Gram, fired and not, certified and refused) in a few seconds
+# the tier-1 subset: every route (circle, pair and Gram, fired and not, certified and refused) in a few seconds
 SUBSET = (
     "haar d=3 r=2",
     "haar d=4 r=3",
