@@ -65,9 +65,10 @@ class Plane:
     modulus: float
 
 
-def detect(mats: np.ndarray) -> Optional[Plane]:
+def detect(mats: np.ndarray, turns: Optional[np.ndarray] = None) -> Optional[Plane]:
     """The plane that every h_s = gamma_1^T gamma_s of ``mats`` (r, d, d) rotates, or None.
 
+    ``turns``, the h_s as formed, is formed here unless the caller shares it.
     At d >= 4 the right singular vectors of the stacked h_s - I (s >= 2),
     ordered by descending singular value, give the plane (the first two) and
     F (the last d - 2).  Each h_s is rebuilt as I - P P^T + P B_s P^T with
@@ -81,7 +82,8 @@ def detect(mats: np.ndarray) -> Optional[Plane]:
     d = mats.shape[-1]
     if d == 3:
         return None
-    turns = mats[0].T @ mats
+    if turns is None:
+        turns = mats[0].T @ mats
     frame = np.eye(2) if d == 2 else np.linalg.svd((turns[1:] - np.eye(d)).reshape(-1, d))[2].T
     a = (frame[:, 0] + 1j * frame[:, 1]) / math.sqrt(2.0)
     b = (frame[:, 2] + 1j * frame[:, 3]) / math.sqrt(2.0) if d >= 4 else np.zeros(d, dtype=complex)

@@ -2,17 +2,22 @@
 
 An r-tuple of rotations fractionally divides the sphere exactly when, for
 some degree n >= 1, the operator g -> sum_s g(gamma_s^T .) on the degree-n
-harmonic space fails to be invertible.  divisibility_test decides each degree
+harmonic space fails to be invertible.  Every route decides the h_s =
+gamma_1^T gamma_s, formed once per call: sum_s rho(gamma_s) =
+rho(gamma_1) sum_s rho(h_s), so both share singular values and right
+singular vectors.  divisibility_test decides each degree of a larger tuple
 in the exact Fischer frame of ``fischer``: one pass of the symmetric-power
-recurrence gives S_n = sum_s Sym^n(gamma_s) for every degree, and
+recurrence over h_2 .. h_r gives S_n = I + sum_(s >= 2) Sym^n(h_s) for
+every degree, the term of h_1 = I free, and
 
     M = U^T S_n U
 
 is the operator in orthonormal coordinates, so its singular values are the
-operator's L^2 ones.  At the top degree of one tuple S_n may be streamed
-from the r copies of Sym^(n-1) (``fischer._StreamedSum``): M is then built
-from S_n's column slabs, and S_n reaches vectors through those copies.  The
-trigger reads only sigma_max and sigma_min of M (``_spectrum``).  A tuple
+operator's L^2 ones, within ``_formed_slack`` of the formed h_s.  At the
+top degree of one tuple S_n may be streamed from the r - 1 copies of
+Sym^(n-1) (``fischer._StreamedSum``): M is then built from S_n's column
+slabs, and S_n reaches vectors through those copies.  The trigger reads
+only sigma_max and sigma_min of M (``_spectrum``).  A tuple
 of three or more rotations decides every degree from the Gram matrix
 G = M^T M: one symmetric eigenvalue solve gives sigma_max and an estimate
 of sigma_min, and one shifted solve refines it into a Rayleigh quotient,
@@ -59,10 +64,10 @@ takes v from the solve with G whose ||M v|| decided sigma_min
 SVD of a re-assembled M (``_svd_witness``); that SVD also serves
 kernel_witness and the search's certificate, which hold M.
 The certificate never reads M.  The frame bounds that residual over the
-whole sphere: its polynomial has Fischer coordinates R = S_n v, and
-|p(x)| <= ||p||_F / sqrt(n!) for every degree-n p and unit x, so one
-matvec per fired degree certifies sup |sum_s f(gamma_s^T x) - 1|
-(``_certify``).  A pair takes R from the same product loop as its
+whole sphere: sum_s g(h_s^T .), of the same sup, has Fischer coordinates
+R = S_n v, and |p(x)| <= ||p||_F / sqrt(n!) for every degree-n p and unit
+x, so one matvec per fired degree certifies sup |sum_s f(gamma_s^T x) - 1|
+(``_certify``, ``_translated_bound``).  A pair takes R from the same product loop as its
 witness: rho(g) prod_j (a_j . x) = prod_j ((g a_j) . x), so the
 residual is the harmonic projection of the sum of two products of
 rotated forms, bounded with the loop's round-off and the frame's defect
@@ -162,9 +167,9 @@ VERDICT_BORDERLINE = "borderline"
 # at n = 28; the budget admits n <= 31 for pairs, 29 at r = 3, 28 at r = 4
 # and 25 at r = 8).  A d = 3 pair runs no recurrence but keeps the cap: beyond
 # it a divisor scaled by sum |c_a| loses its sampled variance, until divisors
-# are scaled and measured in L^2.  divisibility_test takes every d = 2 tuple
-# on the circle route, which no cap limits; the d = 2 entry still caps the
-# studies of three or more rotations and the searches, which run the recurrence.
+# are scaled and measured in L^2.  divisibility_test and the genericity studies
+# take every d = 2 tuple on the circle route, which no cap limits; the d = 2
+# entry still caps the searches, whose Gauss-Newton steps assemble M.
 _STABLE_MAX_DEGREE = {2: 50, 3: 34}
 
 _log = logging.getLogger("spherediv")
@@ -382,7 +387,8 @@ def _near_singular(svals: np.ndarray, r: int, sing_tol: float, slack: float = 0.
     the ratio is reported as 0 rather than noise/noise.  The near band is
     the same test with 10 sing_tol, on sigma_min lowered and sigma_max
     raised by ``slack``: a circle tuple's singular values are those of its
-    rebuilt tuple, within n r delta of its own (``circle.detect``).
+    rebuilt tuple, within n r delta of its own (``circle.detect``), and a
+    larger tuple's those of its formed h_s (``_formed_slack``).
     Vectorised over leading axes of ``svals``: one value per row.
     """
     smax, weighted_min = svals[..., 0], svals[..., -1]
@@ -433,7 +439,7 @@ def _gram_extremes(frame, sums, gram: np.ndarray):
 
     ``gram`` is G as computed from M; its diagonal is shifted and shifted
     back, so it is G again on return up to one rounding per diagonal
-    entry.  Its eigenvalues w, ascending, give sigma_max = sqrt(w[-1]).
+    entry per shift.  Its eigenvalues w, ascending, give sigma_max = sqrt(w[-1]).
     Round-off bounds the rest (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., chs. 3 and 8), with u = 2^-53 and N = N_n: the
     computed G differs from M^T M by at most gamma_N |M|^T |M| entrywise,
@@ -446,14 +452,18 @@ def _gram_extremes(frame, sums, gram: np.ndarray):
     (``_gram_refinement``) gives a unit x, and M x, applied through the
     frame's parity blocks, gives the Rayleigh quotient
     ||M x||^2 >= sigma_min^2.  sqrt(w[0]) alone is off by up to about 1e-9
-    relative; the quotient agrees with the SVD to about 1e-12.  It is kept
-    only if it is within the allowance of w[0]: ``eigvalsh`` is dense and
-    cannot skip an eigenvalue, so that check is the whole guard, and then x
-    is returned too, the unit vector whose ||M x|| is that sigma_min: the
-    degree's witness should it fire.  At the round-off floor, at an exact
-    zero pivot of the shifted solve and where the check fails, sigma_min is
-    None, and ``_spectrum`` bounds it by a witness taken from G
-    (``_gram_witness``) before any SVD.
+    relative; the quotient agrees with the SVD to about 1e-12.  Where the
+    LU of G - w[0] I meets an exact zero pivot (14 of 300 degree-1 Haar
+    operators, d = 3 .. 7) the step is taken again with the shift the
+    allowance lower; at every degree that shift would cost accuracy near a
+    close second eigenvalue (1e-10 relative at d = 8, n = 3).
+    The quotient is kept only if it is within the allowance of w[0]:
+    ``eigvalsh`` is dense and cannot skip an eigenvalue, so that check is
+    the whole guard, and then x is returned too, the unit vector whose
+    ||M x|| is that sigma_min: the degree's witness should it fire.  At the
+    round-off floor, at exact zero pivots of both shifted solves and where
+    the check fails, sigma_min is None, and ``_spectrum`` bounds it by a
+    witness taken from G (``_gram_witness``) before any SVD.
     """
     size = len(gram)
     trace = float(np.trace(gram))
@@ -464,13 +474,17 @@ def _gram_extremes(frame, sums, gram: np.ndarray):
     if w[0] <= max(1e3 * size * unit * w[-1], 2.0 * allowance):
         return sigma_max, None, None
     diagonal = np.diag_indices(size)
-    gram[diagonal] -= w[0]
-    try:
-        x = _gram_refinement(gram)
-    except np.linalg.LinAlgError:  # an exact zero pivot
+    for shift in (w[0], w[0] - allowance):
+        gram[diagonal] -= shift
+        try:
+            x = _gram_refinement(gram)
+            break
+        except np.linalg.LinAlgError:  # an exact zero pivot: the shift's, so move it once
+            x = None
+        finally:
+            gram[diagonal] += shift
+    if x is None:
         return sigma_max, None, None
-    finally:
-        gram[diagonal] += w[0]
     image = frame.apply(sums, x)
     rayleigh = float(image @ image) / float(x @ x)
     if not abs(rayleigh - w[0]) <= allowance:  # NaN fails too
@@ -499,13 +513,37 @@ def _gram_witness(gram: np.ndarray, sigma_max: float, r: int) -> Optional[np.nda
         return None
 
 
-def _spectrum(frame, sums, mats: np.ndarray, sing_tol: float):
-    """(svals, witness, bound, path) of a degree of the tuple ``mats`` of three or more rotations, from S_n = ``sums``.
+def _formed_slack(d: int, r: int, n: int) -> float:
+    """How far forming h_s = fl(gamma_1^T gamma_s) may move each singular value of degree n: (r - 1) n (1 + delta)^(n - 1) delta.
 
+    ||fl(h_s) - h_s||_F <= d gamma_d = delta (``circle.detect``), and telescoping over the n factors of
+    A^(tensor n), which Sym^n(A) restricts, moves each Sym^n(h_s), s >= 2, by n (1 + delta)^(n - 1) delta.
+    """
+    delta = d * fischer._gamma(d)
+    return (r - 1) * n * (1.0 + delta) ** (n - 1) * delta
+
+
+def _translated_bound(frame, sums, turns: np.ndarray, coeffs: np.ndarray) -> float:
+    """A bound on max_{|x| = 1} |sum_s p(gamma_s^T x)| from S_n = I + sum_s Sym^n(fl(h_s)) over the h stack ``turns``.
+
+    sum_s p(gamma_s^T x) = q(gamma_1^T x) for q = sum_s p(h_s^T .).  ``FischerFrame.residual_bound`` bounds q
+    for the formed h_s; the exact ones move its Fischer coordinates by at most ``_formed_slack`` ||v'|| (v' as
+    there), taken (1 + gamma_(J + P_n + 4)) higher for round-off.
+    """
+    scaled, scaling = frame.scaled_coordinates(coeffs)
+    slack = _formed_slack(frame.d, len(turns), frame.n) * float(np.linalg.norm(scaled))
+    return frame.residual_bound(sums, coeffs, turns) + (1.0 + fischer._gamma(scaling + frame.size + 4)) * slack
+
+
+def _spectrum(frame, sums, turns: np.ndarray, sing_tol: float):
+    """(svals, witness, bound, path) of a degree of a tuple of three or more rotations, from S_n = ``sums``.
+
+    ``turns`` holds h_1 = I and the formed h_s, and S_n = I + sum_(s >= 2)
+    Sym^n(h_s): the tuple's operator is rho(gamma_1) M.
     svals are the singular values the trigger reads, witness() makes the
     harmonic with the frame coordinates of a unit vector v with ||M v|| near
     sigma_min (``_witness``), only for a degree that fired, and bound is the
-    certificate's residual bound through S_n (``FischerFrame.residual_bound``).  M = U^T S U gives
+    certificate's residual bound through S_n (``_translated_bound``).  M = U^T S U gives
     G = M^T M and is freed, and ``_gram_extremes`` reads sigma_max and,
     where it can, sigma_min from G.  No M leaves this function, and v comes
     from the factorization that decided the degree, so a fired degree's
@@ -533,16 +571,16 @@ def _spectrum(frame, sums, mats: np.ndarray, sing_tol: float):
     if sigma_min is not None:
         svals, path = np.array([sigma_max, sigma_min]), "gram"
     else:  # bound sigma_min by a witness, and take the SVD only where that bound does not fire
-        vector = _gram_witness(gram, sigma_max, len(mats))
+        vector = _gram_witness(gram, sigma_max, len(turns))
         del gram
         if vector is None:  # an exact zero pivot
             svals, vector = _svd_witness(frame.operator(sums))
             path = "gram→svd"
         else:
             svals, path = np.array([sigma_max, np.linalg.norm(frame.apply(sums, vector))]), "gram→witness"
-            if not _near_singular(svals, len(mats), sing_tol)[1]:
+            if not _near_singular(svals, len(turns), sing_tol)[1]:
                 svals, path = weighted_singular_values(frame.operator(sums)), "gram→svd"
-    return svals, partial(_witness, frame, vector), partial(frame.residual_bound, sums, mats=mats), path
+    return svals, partial(_witness, frame, vector), partial(_translated_bound, frame, sums, turns), path
 
 
 def _torus_angles(mats: np.ndarray) -> np.ndarray:
@@ -1087,7 +1125,8 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
     4 ``fischer.BLOCK_BYTES`` of temporaries and the per-process caches.
     A pair runs none of the recurrence, operator or spectral stages: its
     fired degrees hold a frame and a few stacked products of P_n entries,
-    so for r = 2 the estimate is an upper bound, kept as it is:
+    so for r = 2 the estimate is an upper bound, kept as it is.  The r copies
+    of each Sym^m below over-count divisibility_test, which holds r - 1:
     - the recurrence step to degree n holds the r copies of Sym^(n-1) and
       the sum S_n, at most (r + 1) P_n^2, and works in column slabs; the
       previous degree's S and M are freed before it starts;
@@ -1183,16 +1222,16 @@ def _check_budget(need: int, what: str, knob: str) -> None:
         )
 
 
-def _check_cost(d: int, r: int, n_max: int, plane=None) -> None:
+def _check_cost(d: int, r: int, n_max: int, on_circle: bool = False) -> None:
     """Refuse, before anything is allocated, a run over COST_BUDGET_BYTES on its route, or a degree the recurrence cannot carry.
 
-    ``plane`` is given for a tuple that takes the circle route, found by
-    ``circle.detect`` before this pricing: it is priced by ``_circle_bytes``
-    at any n_max and meets no degree cap.  Every other run, the studies and
-    searches included, is priced by ``_peak_bytes`` and capped by
-    _STABLE_MAX_DEGREE.
+    ``on_circle`` marks a run on the circle route: a tuple that
+    ``circle.detect`` found before this pricing, or a study at d = 2.  It
+    is priced by ``_circle_bytes`` at any n_max and meets no degree cap.
+    Every other run, the searches included, is priced by ``_peak_bytes``
+    and capped by _STABLE_MAX_DEGREE.
     """
-    if plane is not None:
+    if on_circle:
         _check_budget(_circle_bytes(d, r, n_max), f"d={d}, r={r}, n_max={n_max} on the circle route", "n_max")
         return
     limit = _STABLE_MAX_DEGREE.get(d)
@@ -1237,9 +1276,9 @@ def divisibility_test(
     (``_pair_degree``) reads them all from the torus frame of h, one ``eig``
     per call (``_torus_frame``), with no M, no solve and no recurrence, and
     builds a FischerFrame only at a fired degree.  A larger tuple
-    (``_spectrum``) takes one step of the recurrence and decides the degree
-    from G = M^T M, keeping the witness made while deciding it, so M is
-    assembled once on the gram and gram→witness paths at every ``sing_tol``.
+    (``_spectrum``) takes one step of the recurrence on h_2 .. h_r and
+    decides the degree from G = M^T M, keeping the witness made while
+    deciding it, so M is assembled once on the gram and gram→witness paths at every ``sing_tol``.
     At the default tolerance its fired degrees take the gram→witness path:
     each fires on an upper bound of sigma_min from its witness, with no SVD,
     and records that bound as its ``sigma_min_rel``.  One "spherediv" debug
@@ -1268,8 +1307,9 @@ def divisibility_test(
         raise InputDomainError(f"n_max must be an integer >= 1, got {n_max!r}")
     _check_tolerance("sing_tol", sing_tol)
     mats = _rotation_matrices(rotations)
-    plane = circle.detect(mats)
-    _check_cost(rotations.d, rotations.r, n_max, plane)
+    turns = mats[0].T @ mats  # h_s = gamma_1^T gamma_s, read by the circle and the Gram routes
+    plane = circle.detect(mats, turns)
+    _check_cost(rotations.d, rotations.r, n_max, plane is not None)
     seed = resolve_seed(rng)
     records = []
     witness = None
@@ -1280,18 +1320,23 @@ def divisibility_test(
         route = partial(_circle_degree, plane, circle.spectrum(plane, rotations.d, n_max), mats, sing_tol)
     elif rotations.r == 2:  # every degree reads the torus frame of h
         route = partial(_pair_degree, _torus_frame(mats), mats, sing_tol)
-    else:  # every degree takes one step of the recurrence
-        powers = summed_powers(mats, n_max)
+    else:  # every degree takes one step of the recurrence on h_2 .. h_r: the term of h_1 = I is free
+        turns[0] = np.eye(rotations.d)
+        powers = summed_powers(turns[1:], n_max, identity=True)
 
         def route(n):
-            return _spectrum(fischer_frame(rotations.d, n), next(powers)[1], mats, sing_tol)
+            return _spectrum(fischer_frame(rotations.d, n), next(powers)[1], turns, sing_tol)
 
     for n in range(1, n_max + 1):
         start = time.perf_counter()
         svals, witness_of, bound, path = route(n)
         dim = dim_harmonic(rotations.d, n)
         _log.debug("degree %d: N=%d, %s, %.4f s", n, dim, path, time.perf_counter() - start)
-        slack = 0.0 if plane is None else n * rotations.r * plane.defect
+        # how far the route may have moved the singular values, which widens the near band
+        if plane is not None:
+            slack = n * rotations.r * plane.defect
+        else:
+            slack = _formed_slack(rotations.d, rotations.r, n) if rotations.r > 2 else 0.0
         ratio, fired, near_band = _near_singular(svals, rotations.r, sing_tol, slack)
         residual = None
         if fired:

@@ -16,7 +16,10 @@ trials as fit one gather of the recurrence in BLOCK_BYTES.  A study of pairs
 (r = 2) runs neither: per block, one stacked eigenvalue solve gives every
 trial's torus angles, and per degree one product with the degree's weights
 its sigma_max and sigma_min (``_pair_spectrum``); a block holds as many
-trials as have their phases fit BLOCK_BYTES.  A trial whose
+trials as have their phases fit BLOCK_BYTES.  A study at d = 2 runs
+neither: every trial rotates the plane and is read, as a standalone run
+reads it, from its own table of weight sums (``_circle_trials``), at any
+n_max.  A trial whose
 trigger fires or lands in the near band at any degree is re-run alone
 through divisibility_test(tuple, rng=trial seed), which certifies it or
 marks it borderline exactly as a standalone run would.  The frame is
@@ -75,6 +78,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import circle
 from .divisibility import (
     DEFAULT_SING_TOL,
     VERDICT_INVERTIBLE,
@@ -175,7 +179,7 @@ class GenericityStudy:
             raise InputDomainError(f"n_max must be >= 1, got {self.n_max}")
         object.__setattr__(self, "seed", _seed(self.seed))
         _check_tolerance("sing_tol", self.sing_tol)
-        _check_cost(self.d, self.r, self.n_max)
+        _check_cost(self.d, self.r, self.n_max, on_circle=self.d == 2)
         # bytes per trial, tracemalloc's marginal peaks (numpy 2.4, 2000 to 40000 trials at
         # five (d, r, ell, n_max)) summed and rounded up: drawing the rotations, 34 per entry of
         # the (ell, d, d) stack plus 58; the records, 8 per entry plus 243 plus 117 per degree
@@ -259,10 +263,31 @@ def _draw_trials(study: GenericityStudy):
     return haar_from_gaussian(gauss), seeds
 
 
-def run_genericity(study: GenericityStudy) -> GenericityResult:
-    """Execute the study: every trial is decided, and fired or near-band trials are certified alone."""
-    free, seeds = _draw_trials(study)
-    suffix = np.array([g.matrix for g in study.suffix]).reshape(-1, study.d, study.d)
+def _circle_trials(free: np.ndarray, suffix: np.ndarray, study: GenericityStudy):
+    """(ratios (trials, n_max), rerun (trials,)) of a d = 2 study, each trial read from its own table of weight sums.
+
+    Each trial is decided as divisibility_test decides it on the circle
+    route (``divisibility._circle_degree``), so its ratios and whether it is
+    re-run are a standalone run's; a trial that ``circle.detect`` refuses
+    (a suffix rotation off orthogonal by more than ~1e-13) is re-run.
+    """
+    degrees = np.arange(1, study.n_max + 1)
+    ratios = np.ones((study.trials, study.n_max))
+    rerun = np.ones(study.trials, dtype=bool)
+    for k, block in enumerate(free):
+        mats = np.concatenate([block, suffix])
+        plane = circle.detect(mats)
+        if plane is None:
+            continue
+        top, low, _, _ = circle.spectrum(plane, study.d, study.n_max)
+        svals = np.stack([top[1:], low[1:]], axis=-1)
+        ratios[k], fired, near_band = _near_singular(svals, study.r, study.sing_tol, degrees * study.r * plane.defect)
+        rerun[k] = np.any(fired | near_band)
+    return ratios, rerun
+
+
+def _batched_trials(free: np.ndarray, suffix: np.ndarray, study: GenericityStudy):
+    """(ratios (trials, n_max), rerun (trials,)) of a study at d >= 3, decided a block of trials at a time."""
     if study.r == 2:
         # a block holds each trial's phases k . theta, one per torus weight of the top degree
         width = len(_torus_weights(study.d, study.n_max)[0])
@@ -287,6 +312,14 @@ def run_genericity(study: GenericityStudy) -> GenericityResult:
             ratio, fired, near_band = _near_singular(svals, study.r, study.sing_tol)
             sigma_rel[lo:lo + step, n - 1] = ratio
             rerun[lo:lo + step] |= fired | near_band
+    return sigma_rel, rerun
+
+
+def run_genericity(study: GenericityStudy) -> GenericityResult:
+    """Execute the study: every trial is decided, and fired or near-band trials are certified alone."""
+    free, seeds = _draw_trials(study)
+    suffix = np.array([g.matrix for g in study.suffix]).reshape(-1, study.d, study.d)
+    sigma_rel, rerun = (_circle_trials if study.d == 2 else _batched_trials)(free, suffix, study)
 
     records = []
     for k, row in enumerate(sigma_rel.tolist()):
@@ -578,7 +611,8 @@ def search_divisible(
     exhaustion returns the best tuple found with ``certified=False``.
     The chart's SVD of a p x p matrix, p = d(d-1)/2, is priced with the
     degree's cost, so a search too large for COST_BUDGET_BYTES is refused
-    before it allocates.  Logs one debug line per restart on the
+    before it allocates.  Its assemblies run the recurrence, so it keeps the
+    degree cap (``divisibility._STABLE_MAX_DEGREE``) at d = 2 too.  Logs one debug line per restart on the
     "spherediv" logger with its assembly count, its objective, its wall
     time and its Gauss-Newton iteration count.
     """

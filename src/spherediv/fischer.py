@@ -32,7 +32,9 @@ that is r <= 4): a ``_StreamedSum`` keeps those copies, the frame takes
 S_n's column slabs one at a time into U^T S_n, and every other use of S_n
 is a product with a vector through the copies.  So the top degree of a
 Haar triple in SO(8) at n_max = 6 never holds S_6 (23.6 MB).  Larger r,
-stacks of tuples and the small steps keep a dense S_n.  Nothing is drawn
+stacks of tuples and the small steps keep a dense S_n.  A tuple translated
+to h_1 = I (``divisibility``) runs the recurrence on its other rotations
+only, and every sum carries the free term Sym^n(I) = I.  Nothing is drawn
 at random: frames and index tables are deterministic and built once per
 (d, n) per process.
 
@@ -328,7 +330,8 @@ class FischerFrame:
         recurrence reaches an entry of Sym^m from Sym^(m-1) through at most
         P_(m-1) + d + 5 roundings (a sum of at most P_(m-1) products or d
         shifts, the square-root weights and one division) and the sum over
-        the rotations adds at most r d, so with
+        the rotations adds at most r d (an identity term in ``mats``, added
+        exactly as I, counts as one of the r), so with
         k = C(n + d - 1, d) + n (d + 5) + r d the computed S' satisfies
         |S' - S| <= gamma_k sum_s Sym^n(|g_s|) entrywise: every step only
         adds products with positive weights.  Sym^n(G) is G^(tensor n) on
@@ -347,7 +350,8 @@ class FischerFrame:
         gamma_(k') Sym^(n-1)(|g_s|) for k' = C(n + d - 2, d) + (n - 1)(d + 5),
         through at most 2 roundings of v'_a / sqrt(a_i), a sum of at most
         P_(n-1) products per lead block, r for the sum over s weighted by
-        g_s[j, i], d for the sum over lead blocks, 2 for the weight
+        g_s[j, i] (with an identity term, r - 1 and one addition of v'
+        itself), d for the sum over lead blocks, 2 for the weight
         sqrt(c_j + 1) and d for the scatters.  With absolute values
         throughout these terms sum to sum_s Sym^n(|g_s|) |v'|, and
         k' + P_(n-1) + r + 2 d + 4 <= k, since k = k' + P_(n-1) + d + 5 + r d
@@ -525,7 +529,7 @@ def _scatter(flat: np.ndarray, sym: np.ndarray, step: _Step, run: tuple, group: 
 
 
 class _StreamedSum:
-    """S_n = sum_s Sym^n(g_s) of one r-tuple, held as the r copies of Sym^(n-1) it is built from.
+    """S_n = sum_s Sym^n(g_s) of one r-tuple, held as the r copies of Sym^(n-1) it is built from, plus I if ``identity``.
 
     ``summed_powers`` hands one back at the top degree of a single tuple
     where those copies take fewer entries than S_n, r P_(n-1)^2 < P_n^2.
@@ -536,11 +540,12 @@ class _StreamedSum:
     lead block i one product of each Sym^(n-1)(g_s) with the block's rows
     of the operand, weighted by g_s[j, i] and summed over s and i, leaves d
     runs of degree n - 1 rows, and d weighted row scatters (one per shift
-    x_j) give S_n x.
+    x_j) give S_n x.  The identity term adds to each slab its diagonal
+    entries and to S_n x the operand itself.
     """
 
-    def __init__(self, mats: np.ndarray, stack: np.ndarray, n: int):
-        self.mats, self.stack, self.n = mats, stack, n
+    def __init__(self, mats: np.ndarray, stack: np.ndarray, n: int, identity: bool):
+        self.mats, self.stack, self.n, self.identity = mats, stack, n, identity
         size = len(_exponents(mats.shape[-1], n))
         self.shape = (size, size)
 
@@ -550,6 +555,9 @@ class _StreamedSum:
         for run in _runs(step, self.stack.shape[0] * self.stack.shape[-1]):
             slab = np.zeros((1, self.shape[0], run[2] - run[1]))
             _scatter(self.mats, self.stack, step, run, len(self.mats), slab)
+            if self.identity:
+                cols = np.arange(run[2] - run[1])
+                slab[0, run[1] + cols, cols] += 1.0
             yield run[1], run[2], slab[0]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -563,11 +571,13 @@ class _StreamedSum:
         out = np.zeros(block.shape)
         for j in range(d):
             out[step.up[j]] += runs[j] * step.up_root[j][:, None]
+        if self.identity:
+            out += block
         return out.reshape(x.shape)
 
 
-def summed_powers(mats, n_max: int):
-    """Yield (n, sum_s Sym^n(g_s)) for n = 1 .. n_max in one pass of the recurrence.
+def summed_powers(mats, n_max: int, identity: bool = False):
+    """Yield (n, sum_s Sym^n(g_s)) for n = 1 .. n_max in one pass of the recurrence, plus I in every sum if ``identity``.
 
     ``mats`` is a stack (..., r, d, d) of rotation tuples; each sum has shape
     (..., P_n, P_n) in the orthonormal monomial basis, and is zero if r = 0.
@@ -584,17 +594,26 @@ def summed_powers(mats, n_max: int):
     ``_StreamedSum`` of those copies, which ``FischerFrame.operator`` takes
     slab by slab and which applies S_n to vectors through them.  Larger r,
     stacks of tuples and the small steps keep a dense S_n.
+    With ``identity`` every sum also holds Sym^n(I) = I, the term of the
+    Gram route's h_1 (``divisibility``), added exactly and with no step.
     """
     mats = np.asarray(mats, dtype=float)
     lead_shape, r, d = mats.shape[:-3], mats.shape[-3], mats.shape[-1]
     flat = mats.reshape(-1, d, d)
     sym, count = flat, len(flat)  # Sym^1(g) = g
+
+    def total(sums):
+        if identity:
+            diagonal = np.arange(sums.shape[-1])
+            sums[..., diagonal, diagonal] += 1.0
+        return sums
+
     forms = flat.transpose(0, 2, 1).reshape(-1, d)  # row (k, i): the linear form g_i of rotation k
-    yield 1, mats.sum(axis=-3)
+    yield 1, total(mats.sum(axis=-3))
     if count == 0:  # an empty sum, as for the suffix of an all-free study
         for n in range(2, n_max + 1):
             size = len(_exponents(d, n))
-            yield n, np.zeros(lead_shape + (size, size))
+            yield n, total(np.zeros(lead_shape + (size, size)))
         return
     for n in range(2, n_max + 1):
         step = _step(d, n)
@@ -612,19 +631,19 @@ def summed_powers(mats, n_max: int):
                 _scatter(flat, sym, step, run, None, out[:, :, run[1]:run[2]])
             sym = out
         elif not lead_shape and r * prev * prev < size * size:
-            yield n, _StreamedSum(flat, sym, n)
+            yield n, _StreamedSum(flat, sym, n, identity)
             return
         else:
             out = np.zeros((count // r, size, size))
             for run in _runs(step, count * prev):
                 _scatter(flat, sym, step, run, r, out[:, :, run[1]:run[2]])
             sym = out  # the stack goes before the operator is built
-            yield n, out.reshape(lead_shape + (size, size))
+            yield n, total(out.reshape(lead_shape + (size, size)))
             return
         # no name may keep this degree's stack alive while the next one is
         # built: at the last degree it would hold r P_(n-1)^2 through the
         # frame, the operator and the spectral step
-        if r == 1:
+        if r == 1 and not identity:
             yield n, sym.reshape(lead_shape + (size, size))
-        else:
-            yield n, sym.reshape(lead_shape + (r, size, size)).sum(axis=-3)
+        else:  # a copy: the identity must not reach the Sym^n the next degree is built from
+            yield n, total(sym.reshape(lead_shape + (r, size, size)).sum(axis=-3))

@@ -93,7 +93,7 @@ def routed(tup, n_max, **kwargs):
 def reference(tup, n_max, sing_tol=divisibility.DEFAULT_SING_TOL):
     """The report of today's pair or Gram route, with the circle route's detection turned off."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(circle, "detect", lambda mats: None)
+        patch.setattr(circle, "detect", lambda *_: None)
         return divisibility_test(tup, n_max, sing_tol, rng=5)
 
 

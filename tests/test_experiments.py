@@ -29,6 +29,7 @@ from spherediv import (
     weighted_singular_values,
 )
 from spherediv import experiments
+from spherediv.divisibility import DEFAULT_SING_TOL
 from spherediv.experiments import search_csv_text, trial_csv_text
 from spherediv.fischer import fischer_frame, summed_powers
 from spherediv.rotations import haar_from_gaussian
@@ -190,6 +191,29 @@ class TestGenericity:
             assert [(n, v) for n, _, v in rec.degrees] == [(n, v) for n, _, v in expected]
             for (_, got, _), (_, want, _) in zip(rec.degrees, expected):
                 assert math.isclose(got, want, rel_tol=0.0, abs_tol=1e-13)
+
+    @pytest.mark.parametrize("sing_tol", [DEFAULT_SING_TOL, 0.05])
+    def test_circle_study_above_the_old_cap_matches_per_trial_test(self, sing_tol):
+        # every d = 2 trial takes the circle route, so n_max may pass the recurrence's cap of 50; the
+        # rows equal a standalone run's exactly, re-run trials (a tolerance of 0.05 gives some) included
+        suffix = (haar_sample(2, 1), haar_sample(2, 2))
+        study = GenericityStudy(d=2, r=3, suffix=suffix, trials=5, n_max=51, seed=1, ell=1, sing_tol=sing_tol)
+        result = run_genericity(study)
+        verdicts = set()
+        for k, rec in enumerate(result.records):
+            trial_rng = derive_rng(1, 1, k)
+            free = (haar_sample(2, trial_rng),)
+            report = divisibility_test(RotationTuple(free + suffix), 51, sing_tol, rng=int(trial_rng.integers(0, 2**63)))
+            assert rec.degrees == tuple((deg.n, deg.sigma_min_rel, deg.verdict) for deg in report.degrees), k
+            verdicts |= {deg.verdict for deg in report.degrees}
+        assert verdicts == ({"invertible"} if sing_tol == DEFAULT_SING_TOL else {"invertible", "borderline"})
+
+    def test_circle_study_is_priced_by_its_tables(self):
+        # the recurrence's cap does not apply at d = 2, and a study past the circle route's budget is refused
+        suffix = (haar_sample(2, 1), haar_sample(2, 2))
+        GenericityStudy(d=2, r=3, suffix=suffix, trials=2, n_max=10**4, seed=1, ell=1)
+        with pytest.raises(InputDomainError, match="circle route"):
+            GenericityStudy(d=2, r=3, suffix=suffix, trials=2, n_max=10**9, seed=1, ell=1)
 
     def test_stacked_haar_equals_haar_sample(self):
         d, ell, trials = 3, 2, 25

@@ -174,6 +174,26 @@ class TestStreamedTopDegree:
             bounds = [frame.residual_bound(sums, coeffs, mats) for sums in (streamed, whole)]
             assert abs(bounds[0] - bounds[1]) <= tol * max(1.0, bounds[1])
 
+    @pytest.mark.parametrize("budget", [1 << 40, 1 << 14])
+    @pytest.mark.parametrize("r, lead", [(1, ()), (2, ()), (2, (2,))])
+    def test_identity_term_is_exact(self, budget, r, lead):
+        # the free term I of a translated tuple: added exactly to every dense sum and streamed slab,
+        # and never to a rotation's own Sym^n, from which the next degree is built
+        mats = haar_stack(8, lead + (r,), 437)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fischer, "BLOCK_BYTES", budget)
+            plain, shifted = (list(summed_powers(mats, 4, identity=flag)) for flag in (False, True))
+        for (n, a), (_, b) in zip(plain, shifted):
+            eye = np.eye(a.shape[-1])
+            x = np.random.default_rng(439 + n).standard_normal(a.shape[-1])
+            if isinstance(a, fischer._StreamedSum):
+                assert (n, budget, lead) == (4, 1 << 14, ())
+                for (lo, hi, sa), (_, _, sb) in zip(a.slabs(), b.slabs()):
+                    assert np.array_equal(sb, sa + eye[:, lo:hi])
+                assert np.array_equal(b @ x, a @ x + x)
+            else:
+                assert np.array_equal(b, a + eye), (n, budget, r, lead)
+
     def test_size_rule(self):
         # a Haar triple in SO(8) streams its top degree 6, an 8-tuple keeps a dense S_6
         for r, streams in [(3, True), (4, True), (5, False), (8, False)]:

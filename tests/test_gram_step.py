@@ -64,10 +64,19 @@ def counted_assemblies(patch):
     return calls, vectors
 
 
-def svd_ratios(tup, n_max):
-    """sigma_min / sigma_max of every degree from a values-only SVD of M: the reference of the Gram step."""
+def translated_powers(mats, n_max):
+    """(n, S_n) of the Gram route: S_n = I + sum_(s >= 2) Sym^n(h_s) for h_s = gamma_1^T gamma_s."""
+    turns = mats[0].T @ mats
+    return summed_powers(turns[1:], n_max, identity=True)
+
+
+def svd_ratios(tup, n_max, powers=translated_powers):
+    """sigma_min / sigma_max of every degree from a values-only SVD of the Gram route's M: the reference of the Gram step.
+
+    With ``powers`` = summed_powers, M is the tuple's own U^T (sum_s Sym^n(gamma_s)) U instead.
+    """
     out = []
-    for n, sums in summed_powers(np.array([g.matrix for g in tup]), n_max):
+    for n, sums in powers(np.array([g.matrix for g in tup]), n_max):
         svals = np.linalg.svd(fischer_frame(tup.d, n).operator(sums), compute_uv=False)
         out.append(svals[-1] / svals[0])
     return out
@@ -76,7 +85,7 @@ def svd_ratios(tup, n_max):
 @pytest.fixture
 def gram_route(monkeypatch):
     """Send tuples that rotate one plane past the circle route, so the Gram step decides them as it does any other."""
-    monkeypatch.setattr(circle, "detect", lambda mats: None)
+    monkeypatch.setattr(circle, "detect", lambda *_: None)
 
 
 def paths(caplog):
@@ -95,7 +104,8 @@ class TestGramStep:
     def test_haar_tuples_match_the_svd(self, d, r, n_max, seed):
         tup = haar_tuple(d, r, seed)
         report = divisibility_test(tup, n_max, rng=seed)
-        for rec, ratio in zip(report.degrees, svd_ratios(tup, n_max)):
+        # the translated operator has the tuple's singular values: compare with the untranslated SVD
+        for rec, ratio in zip(report.degrees, svd_ratios(tup, n_max, summed_powers)):
             assert rec.verdict == "invertible"
             assert math.isclose(rec.sigma_min_rel, ratio, rel_tol=1e-10), (rec, ratio)
 
@@ -199,7 +209,7 @@ class TestGramStep:
         assert [n for n, _ in certified] == [1, 2]
         assert all(rec.residual_bound is not None for rec in report.degrees)
         operators = {}
-        for n, sums in summed_powers(mats, 2):
+        for n, sums in translated_powers(mats, 2):
             frame = fischer_frame(3, n)
             operators[frame.dim] = frame.operator(sums)
             vector = dict(certified)[n]
@@ -222,6 +232,84 @@ class TestGramStep:
             assert head == f"degree {n}: N={fischer_frame(4, n).dim}"
             assert path == "gram"
             assert seconds.endswith(" s") and float(seconds[:-2]) >= 0.0
+
+
+class TestTranslatedTuple:
+    def test_recurrence_runs_on_r_minus_one_rotations(self, monkeypatch):
+        # h_1 = gamma_1^T gamma_1 = I is free: summed_powers gets h_2 .. h_r and adds I to every S_n
+        handed = []
+        powers = divisibility.summed_powers
+
+        def recorded(mats, n_max, **options):
+            handed.append((np.array(mats), options))
+            return powers(mats, n_max, **options)
+
+        monkeypatch.setattr(divisibility, "summed_powers", recorded)
+        tup = haar_tuple(5, 4, 691)
+        mats = np.array([g.matrix for g in tup])
+        report = divisibility_test(tup, 3, rng=693)
+        [(stack, options)] = handed
+        assert stack.shape == (3, 5, 5) and options == {"identity": True}
+        assert np.max(np.abs(stack - mats[0].T @ mats[1:])) <= 1e-15
+        for rec, ratio in zip(report.degrees, svd_ratios(tup, 3, summed_powers)):
+            assert math.isclose(rec.sigma_min_rel, ratio, rel_tol=1e-10), (rec, ratio)
+
+    def test_formed_products_are_within_delta(self):
+        # the premise of _formed_slack: ||fl(gamma_1^T gamma_s) - gamma_1^T gamma_s||_F <= d gamma_d,
+        # against the product in extended precision
+        for d, seed in [(3, 695), (5, 696), (8, 697)]:
+            mats = np.array([g.matrix for g in haar_tuple(d, 4, seed)])
+            wide = mats.astype(np.longdouble)
+            exact = np.swapaxes(wide[0], 0, 1) @ wide
+            moved = np.linalg.norm((mats[0].T @ mats - exact).astype(float), axis=(1, 2))
+            assert np.all(moved <= d * fischer._gamma(d)), (d, moved)
+
+    def test_formed_products_join_the_bound(self, monkeypatch):
+        # were the formed h_s off by as much as the singular values they decide, no degree could
+        # certify: every fired degree's bound and near band carry _formed_slack
+        tup = half_turn_pairs(5, haar_sample(5, 698).matrix, haar_sample(5, 699).matrix)
+        assert divisibility_test(tup, 3, rng=701).singular_degrees() == [2, 3]
+        monkeypatch.setattr(divisibility, "_formed_slack", lambda d, r, n: 0.5)
+        report = divisibility_test(tup, 3, rng=701)
+        assert [rec.verdict for rec in report.degrees] == ["borderline"] * 3
+        assert all(rec.residual_bound > 1e-8 for rec in report.degrees[1:])
+
+
+def half_turn_pairs(d, a, b):
+    """{a, a H_1, b, b H_2}, H_1 and H_2 the half-turns in the (1, 2) and (3, 4) planes."""
+    h1, h2 = planar_rotation(d, 1, 2, math.pi).matrix, planar_rotation(d, 3, 4, math.pi).matrix
+    return RotationTuple(tuple(Rotation(m) for m in (a, a @ h1, b, b @ h2)))
+
+
+class TestHalfTurnPairs:
+    # h_2 .. h_4 do not commute and fix no common vector, so only the Gram route takes these tuples.
+    # A harmonic odd under both H_i, such as Re z_1^k Re z_2^l for odd k, l (z_1 = x_1 + i x_2,
+    # z_2 = x_3 + i x_4) times a harmonic in x_5 .., cancels: at d = 4 only even n >= 2 have one,
+    # at d >= 5 every n >= 2
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        d=st.integers(4, 8),
+        first=st.sampled_from(["haar", "identity", "turned"]),
+        n_max=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_singular_sets_certify(self, d, first, n_max, seed):
+        n_max = min(n_max, 3) if d == 8 else n_max
+        rng = np.random.default_rng(seed)
+        a, b = haar_sample(d, rng).matrix, haar_sample(d, rng).matrix
+        if first == "identity":  # gamma_1 = I, so every h_s is formed exactly
+            a = np.eye(d)
+        elif first == "turned":  # gamma_1 = a H_1: the same set with its first two rotations swapped
+            a = a @ planar_rotation(d, 1, 2, math.pi).matrix
+        report = divisibility_test(half_turn_pairs(d, a, b), n_max, rng=seed)
+        expected = [n for n in range(2, n_max + 1) if d >= 5 or n % 2 == 0]
+        assert report.singular_degrees() == expected
+        assert [rec.verdict for rec in report.degrees if rec.n not in expected] == ["invertible"] * (n_max - len(expected))
+        for rec in report.degrees:
+            if rec.n in expected:
+                assert rec.residual_bound <= 1e-8, rec
+        if expected:
+            assert report.verification.passed
 
 
 def axis_rotation(axis, angle):
@@ -412,7 +500,7 @@ import resource
 from spherediv import divisibility, divisibility_test, planar_division
 divisibility._gram_witness = lambda gram, sigma_max, r: None
 from spherediv import circle
-circle.detect = lambda mats: None  # the Gram step, not the circle route, decides the planar triple
+circle.detect = lambda *_: None  # the Gram step, not the circle route, decides the planar triple
 tup = planar_division(8, 3).rotations
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert divisibility_test(tup, 6, rng=625).singular_degrees() == [1, 2, 3, 4, 5, 6]
@@ -423,8 +511,9 @@ print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base), divisi
 
 
 def test_warm_peak_of_a_haar_triple():
-    # the top degree is streamed from the three copies of Sym^5: with S_6 built whole the
-    # peak was 57.5 MiB (d = 8, n = 6, N_6 = 1386), streamed it is 49.4 MiB
+    # the top degree is streamed from the copies of Sym^5: with S_6 built whole the peak was
+    # 57.5 MiB (d = 8, n = 6, N_6 = 1386), streamed from three copies 49.4 MiB, and from the
+    # two of h_2, h_3 (the Gram route's h_1 = I is free) 44.6 MiB
     code = """
 import tracemalloc
 import numpy as np

@@ -128,7 +128,7 @@ def test_fired_pair_witnesses(case):
         raise AssertionError("a pair degree assembled M, took an SVD witness or ran the recurrence")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(circle, "detect", lambda mats: None)  # the pair route, not the circle's
+        patch.setattr(circle, "detect", lambda *_: None)  # the pair route, not the circle's
         patch.setattr(divisibility, "_pair_witness", recorded)
         patch.setattr(divisibility, "_svd_witness", refused)
         patch.setattr(divisibility, "summed_powers", refused)
@@ -150,7 +150,7 @@ def test_fired_pair_witnesses(case):
         assert divisibility._certify(divisibility._witness(frame, vector), bound, tup, None)[2].passed, n
     assert report.singular_degrees() == fired
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(circle, "detect", lambda mats: None)
+        patch.setattr(circle, "detect", lambda *_: None)
         patch.setattr(divisibility, "_pair_witness", reference_witness(tup))
         reference = divisibility_test(tup, n_max, rng=5)
     assert rows(report) == rows(reference)

@@ -171,3 +171,16 @@ class TestFixedPoint:
         g = planar_rotation(4, 1, 2, 1.1)
         u = fixed_point(g)
         assert np.linalg.norm(g.matrix @ u - u) <= 1e-10
+
+
+class TestUniformSphere:
+    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    def test_points_are_unit_and_match_the_norm_formula(self, d):
+        # the row norms come from one einsum; each point is unit to 4u and within 2 ulps of 1
+        # (4u) of the point that np.linalg.norm's row norms give from the same draw
+        unit = 2.0**-53
+        pts = uniform_sphere(d, 20_000, 43)
+        draw = np.random.default_rng(43).standard_normal((20_000, d))
+        old = draw / np.linalg.norm(draw, axis=1)[:, None]
+        assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 4 * unit
+        assert np.max(np.abs(pts - old)) <= 4 * unit
