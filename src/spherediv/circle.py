@@ -10,10 +10,10 @@ Spaces, ch. IV), and the weight-j space holds (a . x)^j (b . x)^(n - j) for
 an isotropic unit form b of F.  M = rho(gamma_1) sum_s rho(h_s) is
 rho(gamma_1) times a normal operator, so the singular values of degree n are
 |lambda_j|, lambda_j = sum_s z_s^j, over 0 <= j <= n (j = n alone at d = 2).
-``spectrum`` builds that table once per call for every degree; ``witness``
-writes down a fired degree's kernel harmonic and its whole-sphere residual
-bound in closed form.  No Fischer frame, recurrence or P_n-sized array is
-built.
+``spectrum`` builds that table once per call for every degree, or once for
+a study's trials; ``Witness`` writes down a fired degree's kernel harmonic
+and its whole-sphere residual bound in closed form.  No Fischer frame,
+recurrence or P_n-sized array is built.
 
 ``detect`` finds F from one SVD of the stacked h_s - I, rebuilds every h_s
 as the rotation of the plane by z_s, and takes the route only when the
@@ -43,32 +43,25 @@ _DIRECT_MAX_DEGREE = 2048
 
 @dataclass(frozen=True)
 class Plane:
-    """The plane a tuple rotates, with what every degree's certificate reads of the tuple.
+    """The plane a tuple rotates, or a stack of them, with what decides every degree.
 
-    ``forms`` (2, d) holds a = (u + i v) / sqrt(2), for the plane's
+    ``forms`` (..., 2, d) holds a = (u + i v) / sqrt(2), for the plane's
     orthonormal u, v, and b, built the same way from two unit vectors of F
     (zero at d = 2); both are isotropic, a . a = b . b = a . b = 0, up to
-    round-off.  ``phases`` (r,) holds the z_s of h_s a = z_s a, stored with
-    unit modulus.  ``defect`` bounds max_s ||h_s - rebuilt h_s||_F, the
-    forming of h_s included.  With A and B the computed gamma_1 a and
-    gamma_1 b, ``slips`` (r, 2) bounds ||gamma_s a - z_s A|| and
-    ||gamma_s b - B||, ``spread`` bounds ||C||_2 for C = sqrt(2) [Re A, Im A]
-    and for C = sqrt(2) [Re A, Im A, Re B, Im B], and ``modulus`` bounds
-    max(1, |z_s|), each with its round-off (``_moved_forms``).
+    round-off.  ``phases`` (..., r) holds the z_s of h_s a = z_s a, stored
+    with unit modulus.  ``defect`` bounds max_s ||h_s - rebuilt h_s||_F, the
+    forming of h_s included.  In a stack, a tuple off the route reads zero
+    phases and a zero defect, so that every degree of it fires.
     """
 
     forms: np.ndarray
     phases: np.ndarray
-    defect: float
-    slips: np.ndarray
-    spread: tuple
-    modulus: float
+    defect: object
 
 
-def detect(mats: np.ndarray, turns: Optional[np.ndarray] = None) -> Optional[Plane]:
-    """The plane that every h_s = gamma_1^T gamma_s of ``mats`` (r, d, d) rotates, or None.
+def detect(mats: np.ndarray) -> Optional[Plane]:
+    """The plane that every h_s = gamma_1^T gamma_s of ``mats`` (..., r, d, d) rotates, or None.
 
-    ``turns``, the h_s as formed, is formed here unless the caller shares it.
     At d >= 4 the right singular vectors of the stacked h_s - I (s >= 2),
     ordered by descending singular value, give the plane (the first two) and
     F (the last d - 2).  Each h_s is rebuilt as I - P P^T + P B_s P^T with
@@ -77,63 +70,36 @@ def detect(mats: np.ndarray, turns: Optional[np.ndarray] = None) -> Optional[Pla
     is within DEFECT_ULPS d u of the computed one in Frobenius norm.  Forming
     h_s = fl(gamma_1^T gamma_s) is within gamma_d |gamma_1|^T |gamma_s| of
     the exact product, at most d gamma_d in Frobenius norm for rotations,
-    which ``defect`` adds.  Returns None at d = 3 and off the plane.
+    which ``defect`` adds.  Returns None at d = 3, and for one tuple off the
+    plane; a stack (leading axes before r) gives one Plane whose tuples off
+    the plane read as ``Plane`` says.  Every tuple of a stack is computed as
+    it would be alone, bit for bit.
     """
     d = mats.shape[-1]
     if d == 3:
         return None
-    if turns is None:
-        turns = mats[0].T @ mats
-    frame = np.eye(2) if d == 2 else np.linalg.svd((turns[1:] - np.eye(d)).reshape(-1, d))[2].T
-    a = (frame[:, 0] + 1j * frame[:, 1]) / math.sqrt(2.0)
-    b = (frame[:, 2] + 1j * frame[:, 3]) / math.sqrt(2.0) if d >= 4 else np.zeros(d, dtype=complex)
-    phases = (turns @ a) @ a.conj()
-    sizes = np.abs(phases)
-    if not np.all(sizes > 0.5):  # some h_s moves a off its own line: no plane, and no phase to normalize
-        return None
-    phases /= sizes
-    plane = frame[:, :2]
+    turns = np.swapaxes(mats[..., :1, :, :], -1, -2) @ mats
+    frame = np.eye(2) if d == 2 else np.swapaxes(
+        np.linalg.svd((turns[..., 1:, :, :] - np.eye(d)).reshape(turns.shape[:-3] + (-1, d)))[2], -1, -2)
+    a = (frame[..., 0] + 1j * frame[..., 1]) / math.sqrt(2.0)
+    b = (frame[..., 2] + 1j * frame[..., 3]) / math.sqrt(2.0) if d >= 4 else np.zeros(d, dtype=complex)
+    phases = (a.conj()[..., None, None, :] @ (turns @ a[..., None, :, None]))[..., 0, 0]
+    # where |z_s| < 1/2 the rebuilt h_s misses h_s by at least max(|z_s|, sqrt(2) (1 - 2 |z_s|)) > 1/3 in
+    # Frobenius norm (on a, and on the plane's norm sqrt(2)): the defect refuses it, with no zero to divide by
+    phases /= np.maximum(np.abs(phases), 0.5)
+    span = frame[..., None, :, :2]
     blocks = np.stack([np.stack([phases.real, phases.imag], -1), np.stack([-phases.imag, phases.real], -1)], -2)
-    rebuilt = np.eye(d) - plane @ plane.T + plane @ blocks @ plane.T
-    defect = float(np.linalg.norm(turns - rebuilt, axis=(1, 2)).max()) + d * _gamma(d)
-    if not defect <= DEFECT_ULPS * d * 2.0**-53:  # NaN fails too
-        return None
-    forms = np.array([a, b])
-    return Plane(forms, phases, defect, *_moved_forms(mats, forms, phases))
-
-
-def _moved_forms(mats: np.ndarray, forms: np.ndarray, phases: np.ndarray):
-    """(slips, spread, modulus) of ``Plane``: how far gamma_s a and gamma_s b are from z_s A and B, and how far A, B from orthonormal.
-
-    gamma_s a is taken by two real products, so each entry is a real dot
-    product of length d, within gamma_d |gamma_s| |a| of the exact one
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3;
-    u = 2^-53, gamma_k = k u / (1 - k u)): ||fl(gamma_s a) - gamma_s a|| <=
-    gamma_d ||gamma_s||_F ||a||.  z_s A is within sqrt(2) gamma_2 |z_s| |A|,
-    and the difference and its norm add gamma_(d + 2) relative.
-    ||C||_2^2 = ||C^T C||_2 <= 1 + ||C^T C - I||_F, fl(C^T C) is within
-    gamma_(d + 2) |C|^T |C|, of Frobenius norm at most ||C||_F^2, and
-    forming C adds gamma_3 ||C||_F.
-    """
-    d, gamma = mats.shape[-1], _gamma
-    images = mats @ forms.real.T + 1j * (mats @ forms.imag.T)  # (r, d, 2): gamma_s a and gamma_s b
-    shifts = np.stack([phases, np.ones_like(phases)], axis=-1)
-    modulus = max(1.0, float(np.abs(phases).max())) * (1.0 + gamma(2))
-    slips = np.linalg.norm(images - shifts[:, None, :] * images[0], axis=1)
-    slips += gamma(d) * np.linalg.norm(mats, axis=(1, 2))[:, None] * np.linalg.norm(forms, axis=1)
-    slips += gamma(3) * modulus * np.linalg.norm(images[0], axis=0)
-    slips *= 1.0 + gamma(d + 2)
-    spread = []
-    for kept in (1, 2):
-        cols = math.sqrt(2.0) * np.concatenate([images[0, :, :kept].real, images[0, :, :kept].imag], axis=1)
-        size = float(np.linalg.norm(cols))
-        gram = cols.T @ cols - np.eye(2 * kept)
-        spread.append(math.sqrt(1.0 + float(np.linalg.norm(gram)) + gamma(d + 2) * size**2) + gamma(3) * size)
-    return slips, tuple(spread), modulus
+    rebuilt = np.eye(d) - span @ np.swapaxes(span, -1, -2) + span @ blocks @ np.swapaxes(span, -1, -2)
+    defect = np.linalg.norm(turns - rebuilt, axis=(-2, -1)).max(axis=-1) + d * _gamma(d)
+    taken = defect <= DEFECT_ULPS * d * 2.0**-53  # NaN fails too
+    forms = np.stack([a, b], axis=-2)
+    if mats.ndim == 3:
+        return Plane(forms, phases, float(defect)) if taken else None
+    return Plane(forms, np.where(taken[..., None], phases, 0.0), np.where(taken, defect, 0.0))
 
 
 def spectrum(plane: Plane, d: int, n_max: int):
-    """(top, low, pick, moduli), each indexed by degree 0..n_max: sigma_max, sigma_min, the witness's j and |lambda_j|.
+    """(top, low, pick, moduli) by degree 0..n_max on the last axis: sigma_max, sigma_min, the witness's j, |lambda_j|.
 
     lambda_j = sum_s z_s^j for j = 0..n_max, with z_s^j from a running
     product, one degree at a time: numpy's own running products
@@ -141,19 +107,21 @@ def spectrum(plane: Plane, d: int, n_max: int):
     n's values would move with n_max in their last bits.  At d = 2 a
     degree's singular values are both |lambda_n|, and its witness takes
     j = n; otherwise they range over |lambda_j|, j <= n, and the witness
-    takes the last j <= n that attains the minimum.
+    takes the last j <= n that attains the minimum.  A stacked ``plane``
+    gives one row per tuple, each the table that tuple would read alone.
     """
-    moduli, power = np.empty(n_max + 1), np.ones(len(plane.phases), dtype=complex)
-    moduli[0] = len(plane.phases)
+    phases = plane.phases
+    moduli, power = np.empty(phases.shape[:-1] + (n_max + 1,)), np.ones_like(phases)
+    moduli[..., 0] = phases.shape[-1]
     for j in range(1, n_max + 1):
-        power = power * plane.phases
-        moduli[j] = abs(power.sum())
+        power = power * phases
+        moduli[..., j] = np.abs(power.sum(axis=-1))
     degrees = np.arange(n_max + 1)
     if d == 2:
         return moduli, moduli, degrees, moduli
-    low = np.minimum.accumulate(moduli)
-    pick = np.maximum.accumulate(np.where(moduli == low, degrees, 0))
-    return np.maximum.accumulate(moduli), low, pick, moduli
+    low = np.minimum.accumulate(moduli, axis=-1)
+    pick = np.maximum.accumulate(np.where(moduli == low, degrees, 0), axis=-1)
+    return np.maximum.accumulate(moduli, axis=-1), low, pick, moduli
 
 
 @dataclass(frozen=True)
@@ -246,64 +214,101 @@ def _log_peak(j: int, k: int) -> float:
     return 0.5 * sum(m * math.log(m / n) for m in (j, k) if m)
 
 
-def witness(plane: Plane, mats: np.ndarray, moduli: np.ndarray, n: int, j: int):
-    """(basis, coeffs, bound) of the degree-n witness g = Re(conj(w) (mu_a a . x)^j (mu_b b . x)^(n - j)).
+class Witness:
+    """Every fired degree's witness of one circle tuple, with what each certificate reads of the tuple.
 
-    The scales make sup |q| = 1 (``FormProduct``).  The weight
-    w = (a_i / |a_i|)^j, for the entry a_i of largest modulus, puts g's
-    maximum 1 at sqrt(j / n) c + sqrt(k / n) sqrt(2) Re(b), c the unit
-    projection of the i-th axis on the plane, whatever basis u, v of the
-    plane the SVD returned.  rho(h_s) (a . x)^j (b . x)^k =
-    ((h_s a) . x)^j ((h_s b) . x)^k = z_s^j (a . x)^j (b . x)^k, so
-    M g = Re(conj(w) lambda_j rho(gamma_1) q), zero where lambda_j is.
-    ``moduli`` are the |fl(lambda_j)| of ``spectrum``.
-
-    bound(coeffs) bounds max_{|x| = 1} |sum_s Re(conj(w) q(gamma_s^T x))|
-    for w = coeffs[0] + i coeffs[1], whatever w is.  Write k = n - j and
-    take A and B the computed gamma_1 a and gamma_1 b.  With the exact
-    vectors e_s = gamma_s a - z_s A and f_s = gamma_s b - B,
-    (gamma_s a) . x = z_s (A . x) + e_s . x, and the sum over s of the
-    unperturbed products is lambda_j (A . x)^j (B . x)^k exactly.  With
-    S = |A . x| and T = |B . x|, S^2 + T^2 = ||C^T x||^2 / 2 <= kappa^2 / 2
-    for C = sqrt(2) [Re A, Im A, Re B, Im B] (only the forms of positive
-    power count) and kappa >= ||C||_2 (``Plane.spread``).  So
-    |lambda_j| S^j T^k <= |lambda_j| (kappa / sqrt(2))^n c_(j, k), c as in
-    ``_log_peak``, and mu_a^j mu_b^k 2^(-n/2) c_(j, k) = beta is 1 up to the
-    rounding of the scales.  Each perturbed product differs from its
-    unperturbed one by at most phi(1) - phi(0) <= phi'(1) for
-    phi(t) = (m S + t e_a)^j (T + t e_b)^k, with m >= max(1, |z_s|),
-    e_a >= ||e_s|| and e_b >= ||f_s|| (``Plane.slips``): expand the
-    products, all coefficients are positive and phi is convex.  By
-    Minkowski the arguments S' = m S + e_a and T' = T + e_b of phi(1) lie in
-    the quarter disk of radius R_s = m kappa / sqrt(2) + sqrt(e_a^2 + e_b^2),
-    and phi'(1) = S'^(j-1) T'^(k-1) (j e_a T' + k e_b S') with Cauchy-Schwarz
-    on the last factor gives phi'(1) <= R_s^(n-1) sqrt(j^2 e_a^2 + k^2 e_b^2)
-    c_(j-1, k-1) for j, k >= 1, and j e_a R_s^(j-1) at k = 0.  So
-
-        sup |sum_s g(gamma_s^T x)| <= |w| beta (|lambda_j| kappa^n + sum_s sqrt(2) (sqrt(2) R_s)^(n-1) E_s)
-
-    with E_s = sqrt(j^2 e_a^2 + k^2 e_b^2) c_(j-1, k-1) / c_(j, k) (j e_a at
-    k = 0).  Round-off (Higham, ch. 3): z_s^j from j - 1 complex products is
-    within gamma_(3j) |z_s|^j, and summing r terms adds gamma_r, so
-    |lambda_j| <= |fl(lambda_j)| + gamma_(3j + r) r m^j.  beta <=
-    (1 + gamma_2)^n, and one factor 1 + gamma_(8 n + 2 d + r + 32) covers
-    it, the logarithms and powers of c, kappa and R_s, the relative error of
-    every norm and the arithmetic that sums the terms.
+    Built once per call, at its first fired degree.  With A and B the
+    computed gamma_1 a and gamma_1 b, ``slips`` (r, 2) bounds
+    ||gamma_s a - z_s A|| and ||gamma_s b - B||, ``spread`` bounds ||C||_2
+    for C = sqrt(2) [Re A, Im A] and for C = sqrt(2) [Re A, Im A, Re B, Im B],
+    and ``modulus`` bounds max(1, |z_s|), each with its round-off.
+    gamma_s a is taken by two real products, so each entry is a real dot
+    product of length d, within gamma_d |gamma_s| |a| of the exact one
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3;
+    u = 2^-53, gamma_k = k u / (1 - k u)): ||fl(gamma_s a) - gamma_s a|| <=
+    gamma_d ||gamma_s||_F ||a||.  z_s A is within sqrt(2) gamma_2 |z_s| |A|,
+    and the difference and its norm add gamma_(d + 2) relative.
+    ||C||_2^2 = ||C^T C||_2 <= 1 + ||C^T C - I||_F, fl(C^T C) is within
+    gamma_(d + 2) |C|^T |C|, of Frobenius norm at most ||C||_F^2, and
+    forming C adds gamma_3 ||C||_F.
     """
-    d, r, k = mats.shape[-1], len(mats), n - j
-    a = plane.forms[0]
-    scales = (math.sqrt(2.0 * n / j), math.sqrt(2.0 * n / k) if k else 1.0)
-    weight = np.exp(1j * j * np.angle(a[int(np.argmax(np.abs(a)))]))
-    errs, gamma, root = plane.slips, _gamma, math.sqrt(2.0)
-    if k:
-        kappa = plane.spread[1]
-        slopes = np.hypot(j * errs[:, 0], k * errs[:, 1]) * math.exp(_log_peak(j - 1, k - 1) - _log_peak(j, k))
-        radii = plane.modulus * kappa + root * np.hypot(errs[:, 0], errs[:, 1])
-    else:
-        kappa = plane.spread[0]
-        slopes, radii = j * errs[:, 0], plane.modulus * kappa + root * errs[:, 0]
-    exact = moduli[j] + gamma(3 * j + r) * r * plane.modulus**j
-    total = exact * kappa**n + root * float(radii ** (n - 1) @ slopes)
-    total = float((1.0 + gamma(8 * n + 2 * d + r + 32)) * total)
-    basis = FormProduct(forms=plane.forms, scales=scales, powers=(j, k))
-    return basis, np.array([weight.real, weight.imag]), lambda coeffs: float(np.hypot(*coeffs)) * total
+
+    def __init__(self, plane: Plane, mats: np.ndarray):
+        self.plane, self.mats = plane, mats
+        d, forms, phases, gamma = mats.shape[-1], plane.forms, plane.phases, _gamma
+        images = mats @ forms.real.T + 1j * (mats @ forms.imag.T)  # (r, d, 2): gamma_s a and gamma_s b
+        shifts = np.stack([phases, np.ones_like(phases)], axis=-1)
+        self.modulus = max(1.0, float(np.abs(phases).max())) * (1.0 + gamma(2))
+        slips = np.linalg.norm(images - shifts[:, None, :] * images[0], axis=1)
+        slips += gamma(d) * np.linalg.norm(mats, axis=(1, 2))[:, None] * np.linalg.norm(forms, axis=1)
+        slips += gamma(3) * self.modulus * np.linalg.norm(images[0], axis=0)
+        self.slips = slips * (1.0 + gamma(d + 2))
+        spread = []
+        for kept in (1, 2):
+            cols = math.sqrt(2.0) * np.concatenate([images[0, :, :kept].real, images[0, :, :kept].imag], axis=1)
+            size = float(np.linalg.norm(cols))
+            gram = cols.T @ cols - np.eye(2 * kept)
+            spread.append(math.sqrt(1.0 + float(np.linalg.norm(gram)) + gamma(d + 2) * size**2) + gamma(3) * size)
+        self.spread = tuple(spread)
+
+    def __call__(self, moduli: np.ndarray, n: int, j: int):
+        """(basis, coeffs, bound) of the degree-n witness g = Re(conj(w) (mu_a a . x)^j (mu_b b . x)^(n - j)).
+
+        The scales make sup |q| = 1 (``FormProduct``).  The weight
+        w = (a_i / |a_i|)^j, for the entry a_i of largest modulus, puts g's
+        maximum 1 at sqrt(j / n) c + sqrt(k / n) sqrt(2) Re(b), c the unit
+        projection of the i-th axis on the plane, whatever basis u, v of the
+        plane the SVD returned.  rho(h_s) (a . x)^j (b . x)^k =
+        ((h_s a) . x)^j ((h_s b) . x)^k = z_s^j (a . x)^j (b . x)^k, so
+        M g = Re(conj(w) lambda_j rho(gamma_1) q), zero where lambda_j is.
+        ``moduli`` are the |fl(lambda_j)| of ``spectrum``.
+
+        bound(coeffs) bounds max_{|x| = 1} |sum_s Re(conj(w) q(gamma_s^T x))|
+        for w = coeffs[0] + i coeffs[1], whatever w is.  Write k = n - j and
+        take A and B the computed gamma_1 a and gamma_1 b.  With the exact
+        vectors e_s = gamma_s a - z_s A and f_s = gamma_s b - B,
+        (gamma_s a) . x = z_s (A . x) + e_s . x, and the sum over s of the
+        unperturbed products is lambda_j (A . x)^j (B . x)^k exactly.  With
+        S = |A . x| and T = |B . x|, S^2 + T^2 = ||C^T x||^2 / 2 <= kappa^2 / 2
+        for C = sqrt(2) [Re A, Im A, Re B, Im B] (only the forms of positive
+        power count) and kappa >= ||C||_2 (``spread``).  So
+        |lambda_j| S^j T^k <= |lambda_j| (kappa / sqrt(2))^n c_(j, k), c as in
+        ``_log_peak``, and mu_a^j mu_b^k 2^(-n/2) c_(j, k) = beta is 1 up to the
+        rounding of the scales.  Each perturbed product differs from its
+        unperturbed one by at most phi(1) - phi(0) <= phi'(1) for
+        phi(t) = (m S + t e_a)^j (T + t e_b)^k, with m >= max(1, |z_s|),
+        e_a >= ||e_s|| and e_b >= ||f_s|| (``slips``): expand the
+        products, all coefficients are positive and phi is convex.  By
+        Minkowski the arguments S' = m S + e_a and T' = T + e_b of phi(1) lie in
+        the quarter disk of radius R_s = m kappa / sqrt(2) + sqrt(e_a^2 + e_b^2),
+        and phi'(1) = S'^(j-1) T'^(k-1) (j e_a T' + k e_b S') with Cauchy-Schwarz
+        on the last factor gives phi'(1) <= R_s^(n-1) sqrt(j^2 e_a^2 + k^2 e_b^2)
+        c_(j-1, k-1) for j, k >= 1, and j e_a R_s^(j-1) at k = 0.  So
+
+            sup |sum_s g(gamma_s^T x)| <= |w| beta (|lambda_j| kappa^n + sum_s sqrt(2) (sqrt(2) R_s)^(n-1) E_s)
+
+        with E_s = sqrt(j^2 e_a^2 + k^2 e_b^2) c_(j-1, k-1) / c_(j, k) (j e_a at
+        k = 0).  Round-off (Higham, ch. 3): z_s^j from j - 1 complex products is
+        within gamma_(3j) |z_s|^j, and summing r terms adds gamma_r, so
+        |lambda_j| <= |fl(lambda_j)| + gamma_(3j + r) r m^j.  beta <=
+        (1 + gamma_2)^n, and one factor 1 + gamma_(8 n + 2 d + r + 32) covers
+        it, the logarithms and powers of c, kappa and R_s, the relative error of
+        every norm and the arithmetic that sums the terms.
+        """
+        d, r, k = self.mats.shape[-1], len(self.mats), n - j
+        a = self.plane.forms[0]
+        scales = (math.sqrt(2.0 * n / j), math.sqrt(2.0 * n / k) if k else 1.0)
+        weight = np.exp(1j * j * np.angle(a[int(np.argmax(np.abs(a)))]))
+        errs, gamma, root, modulus = self.slips, _gamma, math.sqrt(2.0), self.modulus
+        if k:
+            kappa = self.spread[1]
+            slopes = np.hypot(j * errs[:, 0], k * errs[:, 1]) * math.exp(_log_peak(j - 1, k - 1) - _log_peak(j, k))
+            radii = modulus * kappa + root * np.hypot(errs[:, 0], errs[:, 1])
+        else:
+            kappa = self.spread[0]
+            slopes, radii = j * errs[:, 0], modulus * kappa + root * errs[:, 0]
+        exact = moduli[j] + gamma(3 * j + r) * r * modulus**j
+        total = exact * kappa**n + root * float(radii ** (n - 1) @ slopes)
+        total = float((1.0 + gamma(8 * n + 2 * d + r + 32)) * total)
+        basis = FormProduct(forms=self.plane.forms, scales=scales, powers=(j, k))
+        return basis, np.array([weight.real, weight.imag]), lambda coeffs: float(np.hypot(*coeffs)) * total

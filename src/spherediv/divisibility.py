@@ -2,78 +2,25 @@
 
 An r-tuple of rotations fractionally divides the sphere exactly when, for
 some degree n >= 1, the operator g -> sum_s g(gamma_s^T .) on the degree-n
-harmonic space fails to be invertible.  Every route decides the h_s =
-gamma_1^T gamma_s, formed once per call: sum_s rho(gamma_s) =
-rho(gamma_1) sum_s rho(h_s), so both share singular values and right
-singular vectors.  divisibility_test decides each degree of a larger tuple
-in the exact Fischer frame of ``fischer``: one pass of the symmetric-power
-recurrence over h_2 .. h_r gives S_n = I + sum_(s >= 2) Sym^n(h_s) for
-every degree, the term of h_1 = I free, and
-
-    M = U^T S_n U
-
-is the operator in orthonormal coordinates, so its singular values are the
-operator's L^2 ones, within ``_formed_slack`` of the formed h_s.  At the
-top degree of one tuple S_n may be streamed from the r - 1 copies of
-Sym^(n-1) (``fischer._StreamedSum``): M is then built from S_n's column
-slabs, and S_n reaches vectors through those copies.  The trigger reads
-only sigma_max and sigma_min of M (``_spectrum``).  A tuple
-of three or more rotations decides every degree from the Gram matrix
-G = M^T M: one symmetric eigenvalue solve gives sigma_max and an estimate
-of sigma_min, and one shifted solve refines it into a Rayleigh quotient,
-checked against that estimate within the Gram's round-off allowance.
-Where the round-off could hide sigma_min (every fired or near-band degree
-at the default tolerance) or the check fails, one more shifted solve with
-G gives a kernel witness v, and ||M v||, applied through the frame, bounds
-sigma_min from above: where that bound fires the trigger it decides the
-degree, whose sigma_min_rel is then an upper bound, with no second
-assembly of M, and a values-only SVD of a re-assembled M decides only
-where it does not.
-A pair takes none of this: with h = gamma_1^T gamma_2, M = rho(gamma_1)
-(I + rho(h)) and I + rho(h) is normal, so every degree's sigma_max and
-sigma_min are 2 |cos(k . theta / 2)| over the torus weights k of H_n, with
-theta the rotation angles of h (``_pair_spectrum``).  One ``eig`` of h
-per call gives its torus frame (``_torus_frame``), whose angles and forms
-decide every degree and write down every witness (``_pair_degree``): a
-pair never assembles M and never runs the recurrence.
-A tuple whose h_s = gamma_1^T gamma_s all rotate one plane and fix its
-complement F takes neither (``circle``, ``_circle_degree``): every tuple at
-d = 2, and none at d = 3.  With h_s a = z_s a for an isotropic form a of
-the plane, each degree's singular values are |lambda_j|,
-lambda_j = sum_s z_s^j, over the plane's weights j <= n, read from one table
-per call; a fired degree's witness, a product of two linear forms, and its
-whole-sphere bound are closed form, and no FischerFrame is built.
-divisibility_test picks its route once per call, circle before pair before
-Gram, and only then prices the run (``_check_cost``): a circle tuple is
-priced by its table and records (``_circle_bytes``), the others by the
-Fischer frame's stages (``_peak_bytes``).
-The frame is deterministic, so verdicts do not depend on the seed, which
+harmonic space fails to be invertible.  Every verdict rests on one identity:
+with h_s = gamma_1^T gamma_s, sum_s rho(gamma_s) = rho(gamma_1) sum_s rho(h_s),
+so both share singular values and right singular vectors.
+divisibility_test picks one route per call, and that route decides every
+degree; each route is described once, on its object (``_Route``):
+``_CircleRoute`` for a tuple whose h_s all rotate one plane (``circle``),
+``_PairRoute`` for a pair, from the torus angles of h = h_2, and
+``_GramRoute`` for the rest, in the exact Fischer frame of ``fischer``.
+The genericity studies decide their trials through the same routes, and
+the searches assemble through the Gram route's translated S_n.
+The frames are deterministic, so verdicts do not depend on the seed, which
 drives only the verification points.  Near-zero smallest singular values
-only *trigger* certificate extraction; the certificate itself is the
-residual of a concrete kernel witness g, propagated into an explicit divisor
-f = 1/r + c g whose rotated copies must sum to 1 everywhere.  Each degree
-takes its witness from the route that decided it; outside the circle
-route its frame coordinates v come from the factorization that decided
-it.  A pair's frame holds linear forms a_j with
-rho(h) a_j = e^(i theta_j) a_j, and the product of those forms that
-sigma_min's weight k names has rho(h) q = e^(i k . theta) q = -q, so its
-harmonic projection, built by n multiplications by a linear form, is a
-kernel vector with no M and no solve (``_pair_witness``).  A larger tuple
-takes v from the solve with G whose ||M v|| decided sigma_min
-(``_spectrum``), and only at an exact zero pivot of that solve from one
-SVD of a re-assembled M (``_svd_witness``); that SVD also serves
-kernel_witness and the search's certificate, which hold M.
-The certificate never reads M.  The frame bounds that residual over the
-whole sphere: sum_s g(h_s^T .), of the same sup, has Fischer coordinates
-R = S_n v, and |p(x)| <= ||p||_F / sqrt(n!) for every degree-n p and unit
-x, so one matvec per fired degree certifies sup |sum_s f(gamma_s^T x) - 1|
-(``_certify``, ``_translated_bound``).  A pair takes R from the same product loop as its
-witness: rho(g) prod_j (a_j . x) = prod_j ((g a_j) . x), so the
-residual is the harmonic projection of the sum of two products of
-rotated forms, bounded with the loop's round-off and the frame's defect
-(``_product_bound``).  The first certified degree,
-whose divisor a report keeps, is also spot-checked on VERIFY_SAMPLES random
-points.  A report never claims divisibility without a passing residual.
+only *trigger* certificate extraction (``_near_singular``); the certificate
+itself is the residual of a concrete kernel witness g, propagated into an
+explicit divisor f = 1/r + c g whose rotated copies must sum to 1
+everywhere, and bounded over the whole sphere by the route that decided the
+degree (``_certify``).  The first certified degree, whose divisor a report
+keeps, is also spot-checked on VERIFY_SAMPLES random points.  A report
+never claims divisibility without a passing residual.
 
 Zonal bases P_n(v_i . ) of random poles are kept as a reference that tests
 compare against:
@@ -146,7 +93,7 @@ _DIVISOR_MARGIN = 0.5
 # estimated working set (see _peak_bytes) above which a run is refused before
 # it allocates: d = 8 is admitted up to n_max = 7 for r <= 7 and up to 6 at r = 8
 COST_BUDGET_BYTES = 1 << 30
-# bytes a circle tuple's degree holds in its DegreeRecord and the report's JSON (see _circle_bytes):
+# bytes a circle tuple's degree holds in its DegreeRecord and the report's JSON (see _CircleRoute.price):
 # tracemalloc's peak of a run and its JSON text, {I, -I} in SO(2) at n_max 2e4 and 1e5, was 1.43-1.48 kB
 _DEGREE_BYTES = 2048
 # below this absolute scale the whole operator matrix is numerically zero and
@@ -386,9 +333,8 @@ def _near_singular(svals: np.ndarray, r: int, sing_tol: float, slack: float = 0.
     value is below an absolute floor the operator is zero to round-off and
     the ratio is reported as 0 rather than noise/noise.  The near band is
     the same test with 10 sing_tol, on sigma_min lowered and sigma_max
-    raised by ``slack``: a circle tuple's singular values are those of its
-    rebuilt tuple, within n r delta of its own (``circle.detect``), and a
-    larger tuple's those of its formed h_s (``_formed_slack``).
+    raised by ``slack``, how far the route may have moved the singular
+    values (``_Route.degree``).
     Vectorised over leading axes of ``svals``: one value per row.
     """
     smax, weighted_min = svals[..., 0], svals[..., -1]
@@ -409,6 +355,12 @@ def _check_tolerance(name: str, value: float) -> None:
         raise InputDomainError(f"{name} must be a finite number in (0, 1), got {value}")
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Refuse a count that is not an integer of at least ``minimum``; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InputDomainError(f"{name} must be >= {minimum} and an integer, got {value!r}")
+
+
 # golden ratio: the witness's start vector cos(k phi) has no zero entry and no period
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -417,7 +369,7 @@ def _svd_witness(matrix: np.ndarray):
     """(svals, v) of M from one SVD: its singular values, descending, and the right-singular vector of the last.
 
     It serves the callers that hold M and no factorization of their own:
-    ``kernel_witness``, the search's certificate and ``_spectrum``'s
+    ``kernel_witness``, the search's certificate and ``_GramRoute.degree``'s
     fall-back at an exact zero pivot of the solve with G.  v is copied out of
     the factor V^T, so neither factor outlives the call.
     """
@@ -462,7 +414,7 @@ def _gram_extremes(frame, sums, gram: np.ndarray):
     the whole guard, and then x is returned too, the unit vector whose
     ||M x|| is that sigma_min: the degree's witness should it fire.  At the
     round-off floor, at exact zero pivots of both shifted solves and where
-    the check fails, sigma_min is None, and ``_spectrum`` bounds it by a
+    the check fails, sigma_min is None, and ``_GramRoute.degree`` bounds it by a
     witness taken from G (``_gram_witness``) before any SVD.
     """
     size = len(gram)
@@ -503,7 +455,7 @@ def _gram_witness(gram: np.ndarray, sigma_max: float, r: int) -> Optional[np.nda
     stays near the ulp of G's largest entries, so that one step reaches
     ||M x|| near round-off at a fired degree: a shift of twice the Gram
     allowance, about 1e-9 at N = 1386, left ||M x|| at 4.6e-10.  ``gram`` is
-    overwritten.  Nothing here is trusted: ``_spectrum`` reads ||M x||
+    overwritten.  Nothing here is trusted: ``_GramRoute.degree`` reads ||M x||
     through the frame, and ``_certify`` bounds the residual of x.
     """
     gram[np.diag_indices(len(gram))] += 1e-15 * max(sigma_max, r) ** 2
@@ -535,56 +487,8 @@ def _translated_bound(frame, sums, turns: np.ndarray, coeffs: np.ndarray) -> flo
     return frame.residual_bound(sums, coeffs, turns) + (1.0 + fischer._gamma(scaling + frame.size + 4)) * slack
 
 
-def _spectrum(frame, sums, turns: np.ndarray, sing_tol: float):
-    """(svals, witness, bound, path) of a degree of a tuple of three or more rotations, from S_n = ``sums``.
-
-    ``turns`` holds h_1 = I and the formed h_s, and S_n = I + sum_(s >= 2)
-    Sym^n(h_s): the tuple's operator is rho(gamma_1) M.
-    svals are the singular values the trigger reads, witness() makes the
-    harmonic with the frame coordinates of a unit vector v with ||M v|| near
-    sigma_min (``_witness``), only for a degree that fired, and bound is the
-    certificate's residual bound through S_n (``_translated_bound``).  M = U^T S U gives
-    G = M^T M and is freed, and ``_gram_extremes`` reads sigma_max and,
-    where it can, sigma_min from G.  No M leaves this function, and v comes
-    from the factorization that decided the degree, so a fired degree's
-    witness costs nothing more.  The paths, named by ``path``:
-    - gram: svals = [sigma_max, sigma_min] from ``_gram_extremes``, and v
-      the unit vector of the shifted solve whose ||M v|| is that sigma_min;
-    - gram→witness: where ``_gram_extremes`` leaves sigma_min unknown, one
-      shifted solve with G (``_gram_witness``) gives a unit v, and ||M v||,
-      applied through the frame, bounds sigma_min from above, so
-      svals = [sigma_max, ||M v||].  Where that bound fires the trigger
-      (``_near_singular``), it decides the degree with no SVD and no second
-      assembly of M; the degree's ``sigma_min_rel`` is then an upper
-      bound, below ``sing_tol``, not the SVD's ratio;
-    - gram→svd: where the witness's bound does not fire, M is assembled
-      again and its values-only SVD decides, and v is kept; where that
-      solve meets an exact zero pivot, the SVD of the re-assembled M
-      decides and gives v (``_svd_witness``).
-    ``_near_singular`` reads only the first and last entries of svals, so
-    every kind serves.
-    """
-    matrix = frame.operator(sums)
-    gram = matrix.T @ matrix
-    del matrix  # G replaces M (see _peak_bytes)
-    sigma_max, sigma_min, vector = _gram_extremes(frame, sums, gram)
-    if sigma_min is not None:
-        svals, path = np.array([sigma_max, sigma_min]), "gram"
-    else:  # bound sigma_min by a witness, and take the SVD only where that bound does not fire
-        vector = _gram_witness(gram, sigma_max, len(turns))
-        del gram
-        if vector is None:  # an exact zero pivot
-            svals, vector = _svd_witness(frame.operator(sums))
-            path = "gram→svd"
-        else:
-            svals, path = np.array([sigma_max, np.linalg.norm(frame.apply(sums, vector))]), "gram→witness"
-            if not _near_singular(svals, len(turns), sing_tol)[1]:
-                svals, path = weighted_singular_values(frame.operator(sums)), "gram→svd"
-    return svals, partial(_witness, frame, vector), partial(_translated_bound, frame, sums, turns), path
-
-
 def _torus_angles(mats: np.ndarray) -> np.ndarray:
-    """Rotation angles theta_1..theta_m in [0, pi] of h = g_1^T g_2 for each pair of a study's block (..., 2, d, d).
+    """Rotation angles theta_1..theta_m in [0, pi], ascending, of h = g_1^T g_2 for a pair (2, d, d) or a stack (..., 2, d, d).
 
     h has the eigenvalues e^(+-i theta_j), j = 1..m = d // 2, and one more 1
     at odd d.  ``eigvals`` returns each conjugate pair exactly conjugate, a
@@ -606,7 +510,7 @@ def _pair_spectrum(angles: np.ndarray, d: int, n: int):
     torus weights k of H_n (``fischer._torus_weights``), so the singular
     values are ``values`` = |1 + e^(i k . theta)| = 2 |cos(k . theta / 2)|,
     in the order of the weights.  ``angles`` are the pair's theta, (m,) from
-    its torus frame or a stack (..., m) from ``_torus_angles``, taken once
+    ``_torus_angles`` or its torus frame, or a stack (..., m), taken once
     for every degree.
     """
     weights, _ = fischer._torus_weights(d, n)
@@ -643,45 +547,6 @@ def _torus_frame(mats: np.ndarray):
         if space.shape[1] % 2:
             axis = space[:, -1]
     return np.concatenate(forms), np.concatenate(angles), axis
-
-
-def _pair_degree(torus, mats: np.ndarray, sing_tol: float, n: int):
-    """(svals, witness, bound, path) of degree n of the pair ``mats``, all from its torus frame ``torus`` (``_torus_frame``).
-
-    svals = [sigma_max, sigma_min] come from the frame's angles
-    (``_pair_spectrum``).  Where they fire, the weight k whose phase gave
-    sigma_min, ties within round-off going to the largest |k|_1, names the
-    witness's frame coordinates v and its bound (``_pair_witness``), and
-    witness() makes the witness, path pair→witness.  Elsewhere witness and
-    bound are None, the path is pair and no FischerFrame is built.
-    """
-    d = mats.shape[-1]
-    svals, values = _pair_spectrum(torus[1], d, n)
-    if not _near_singular(svals, 2, sing_tol)[1]:
-        return svals, None, None, "pair"
-    weights, _ = fischer._torus_weights(d, n)
-    tied = np.flatnonzero(values <= svals[1] + 8.0 * d * n * 2.0**-53)
-    k = weights[tied[np.argmax(np.abs(weights[tied]).sum(axis=1))]]
-    frame = fischer_frame(d, n)
-    vector, bound = _pair_witness(torus, frame, mats, k)
-    return svals, partial(_witness, frame, vector), bound, "pair→witness"
-
-
-def _circle_degree(plane, table, mats: np.ndarray, sing_tol: float, n: int):
-    """(svals, witness, bound, path) of degree n of a tuple that rotates one plane, from its weight sums.
-
-    ``table`` is ``circle.spectrum``'s, built once per call: svals =
-    [sigma_max, sigma_min] are read from it.  Where they fire, witness()
-    makes the product of forms of the weight j that table picks, and its
-    bound is in closed form (``circle.witness``), path circle→witness;
-    elsewhere witness and bound are None and the path is circle.
-    """
-    top, low, pick, moduli = table
-    svals = np.array([top[n], low[n]])
-    if not _near_singular(svals, len(mats), sing_tol)[1]:
-        return svals, None, None, "circle"
-    basis, coeffs, bound = circle.witness(plane, mats, moduli, n, int(pick[n]))
-    return svals, partial(HarmonicFunction, basis, coeffs), bound, "circle→witness"
 
 
 @lru_cache(maxsize=None)
@@ -723,7 +588,7 @@ def _pair_witness(torus, frame, mats: np.ndarray, k: np.ndarray):
     residual sup |sum_s p(g_s^T x)| of the polynomial p with the
     coefficients coeffs, as ``FischerFrame.residual_bound`` does from S_n
     (``_product_bound``).  The weight k of H_n whose |1 + e^(i k . theta)|
-    is sigma_min (``_pair_degree`` picks it) names the product of linear
+    is sigma_min (``_PairRoute.degree`` picks it) names the product of linear
     forms q = prod_j a_j^(k_j)
     (conj(a_j)^(-k_j) where k_j < 0) times a filler of weight 0: e^(n - |k|_1)
     at odd d, (a_1 conj(a_1))^((n - |k|_1) / 2) at even d.  So
@@ -828,7 +693,7 @@ def _product_bound(frame, r, lifted, own, moved, kept, sizes, coeffs) -> float:
 def _witness(basis, vector: np.ndarray) -> HarmonicFunction:
     """The harmonic with frame coordinates ``vector`` in ``basis``, scaled to a witness.
 
-    ``vector`` is a kernel vector from ``_pair_witness``, ``_spectrum`` or
+    ``vector`` is a kernel vector from ``_pair_witness``, ``_GramRoute.degree`` or
     ``_svd_witness``; the coefficients are normalized so that
     sum_k |c_k| = 1 with a positive largest entry.
     """
@@ -992,21 +857,16 @@ def verify_divisor(
 def _certify(witness, bound, rotations, rng):
     """(witness, divisor, certificate) of a degree whose trigger fired, from its kernel ``witness`` g.
 
-    The witness is made once per fired degree by the route that decided it:
-    for a circle tuple as one product of linear forms with no frame
-    (``circle.witness``); for a pair from the torus frame of h with no M
-    (``_pair_witness``); otherwise from the factorization that decided the
-    degree (``_spectrum``), or from one SVD of the M that search_divisible
-    holds; the last three have a FischerFrame's coordinates (``_witness``),
-    and nothing here reads M.  The divisor f = 1/r + scale * g has the
+    The witness is made once per fired degree by the route that decided it
+    (``_Route.degree``), or from one SVD of the M that search_divisible
+    holds; nothing here reads M.  The divisor f = 1/r + scale * g has the
     residual sum_s f(gamma_s^T x) - 1 = scale * sum_s g(gamma_s^T x).
     ``bound`` maps the witness's stored coefficients c to a bound on
     sup_{|x| = 1} |sum_s g(gamma_s^T x)|, round-off included, that holds
-    whatever c is: ``FischerFrame.residual_bound`` over the degree's S_n,
-    ||R|| + delta over sqrt(n!) with R = S_n v and v = sqrt(a!) c, for a
-    larger tuple, ``_product_bound`` from the products of h's eigen-forms
-    for a pair, and a closed form in the weight sum lambda_j and the
-    rotated forms for a circle tuple.  So
+    whatever c is: ``_translated_bound`` over the degree's S_n for the Gram
+    route and the search, ``_product_bound`` from the products of h's
+    eigen-forms for a pair, and a closed form in the weight sum lambda_j
+    and the rotated forms for a circle tuple (``circle.Witness``).  So
 
         sup_{|x| = 1} |sum_s f(gamma_s^T x) - 1| <= scale * bound(c).
 
@@ -1044,20 +904,13 @@ class DegreeRecord:
 
     ``sigma_min_rel`` is the smallest over largest singular value of the
     degree-n operator in the L^2 geometry (its matrix in the Fischer frame),
-    the ratio that determined the verdict.  At a fired degree of a tuple of
-    three or more rotations (``_spectrum``'s gram→witness path) it is an
+    the ratio that determined the verdict, as the degree's route reads it
+    (``_Route.degree``).  On the Gram route's gram→witness path it is an
     upper bound on that ratio, ||M v|| / sigma_max for the witness v that
     one shifted solve with G gives, and below ``sing_tol``, so it reads
-    round-off, not the SVD's value; a pair reads the exact ratio from its
-    torus weights, and its witness is the harmonic projection of a product
-    of h's eigen-linear-forms (``_pair_witness``); a circle tuple reads the
-    ratio of its weight sums, and its witness is a product of two linear
-    forms (``circle.witness``).  ``dim`` is N_n.
-    ``residual_bound`` is the whole-sphere bound on the residual of the
-    degree's divisor (see ``_certify``) when its trigger fired, and None
-    otherwise: through S_n for a larger tuple, from the products of the
-    rotated forms for a pair (``_product_bound``), in closed form for a
-    circle tuple.
+    round-off, not the SVD's value.  ``dim`` is N_n.  ``residual_bound``
+    is the whole-sphere bound on the residual of the degree's divisor (see
+    ``_certify``) when its trigger fired, and None otherwise.
     """
 
     n: int
@@ -1125,8 +978,10 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
     4 ``fischer.BLOCK_BYTES`` of temporaries and the per-process caches.
     A pair runs none of the recurrence, operator or spectral stages: its
     fired degrees hold a frame and a few stacked products of P_n entries,
-    so for r = 2 the estimate is an upper bound, kept as it is.  The r copies
-    of each Sym^m below over-count divisibility_test, which holds r - 1:
+    so for r = 2 the estimate is an upper bound, kept as it is.  Only a
+    study's batch recurs on all r rotations (``_GramRoute.trials``);
+    divisibility_test and the searches recur on the r - 1 translated ones,
+    so the r copies of each Sym^m below over-count them:
     - the recurrence step to degree n holds the r copies of Sym^(n-1) and
       the sum S_n, at most (r + 1) P_n^2, and works in column slabs; the
       previous degree's S and M are freed before it starts;
@@ -1139,7 +994,7 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
     - the operator keeps S_n and adds U^T S_n (N_n P_n) and M (N_n^2), and
       a dense U (only at P_n <= ``fischer.DENSE_MAX_SIZE``) P_n N_n more;
       the parity blocks gather S_n a chunk of classes at a time;
-    - the spectral step (``_spectrum``) holds a few N_n^2, within 4 N_n^2:
+    - the spectral step (``_GramRoute.degree``) holds a few N_n^2, within 4 N_n^2:
       M and G = M^T M while G is formed, then G and LAPACK's copy in the
       eigenvalue solve, again in the shifted solve and again in the
       witness's solve with G (gram→witness); M again, with G freed, where
@@ -1171,7 +1026,7 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
     Every other stage of a degree below n costs less than its counterpart
     at degree n.  A run over the budget on these stages alone is priced
     without the caches, whose sum runs over every degree up to n.
-    A circle tuple runs none of this (``_circle_bytes``).
+    A circle tuple runs none of this (``_CircleRoute.price``).
     """
     def monomials(m):
         return math.comb(m + d - 1, d - 1) if m >= 0 else 0
@@ -1198,21 +1053,6 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
     return 8 * (staged + cached) + 4 * fischer.BLOCK_BYTES
 
 
-def _circle_bytes(d: int, r: int, n_max: int) -> int:
-    """Estimated peak bytes of deciding and certifying degrees 1 .. n_max of a circle tuple (``circle``).
-
-    The weight sums of every degree (``circle.spectrum``): their moduli, the
-    running extremes, the witness's j and their temporaries, within 8
-    doubles per degree.  Each degree's record and its share of the report's JSON,
-    _DEGREE_BYTES.  detect's h_s, its stacked h_s - I and their SVD, within
-    4 r d^2 doubles.  One sampled check, VERIFY_SAMPLES points of 2 d + 2
-    doubles each (``verify_divisor``), and its block temporaries.  A fired
-    degree's witness and bound take O(r d) more.
-    """
-    tables = 8 * 8 * (n_max + 1) + _DEGREE_BYTES * n_max
-    return tables + 8 * (4 * r * d * d + VERIFY_SAMPLES * (2 * d + 2)) + 4 * _VERIFY_BLOCK_BYTES
-
-
 def _check_budget(need: int, what: str, knob: str) -> None:
     """Refuse ``what``, before it allocates, when its estimated ``need`` bytes exceed COST_BUDGET_BYTES."""
     if need > COST_BUDGET_BYTES:
@@ -1222,18 +1062,13 @@ def _check_budget(need: int, what: str, knob: str) -> None:
         )
 
 
-def _check_cost(d: int, r: int, n_max: int, on_circle: bool = False) -> None:
-    """Refuse, before anything is allocated, a run over COST_BUDGET_BYTES on its route, or a degree the recurrence cannot carry.
+def _check_cost(d: int, r: int, n_max: int) -> None:
+    """Refuse, before anything is allocated, a Fischer-frame run over COST_BUDGET_BYTES or the recurrence's degree cap.
 
-    ``on_circle`` marks a run on the circle route: a tuple that
-    ``circle.detect`` found before this pricing, or a study at d = 2.  It
-    is priced by ``_circle_bytes`` at any n_max and meets no degree cap.
-    Every other run, the searches included, is priced by ``_peak_bytes``
-    and capped by _STABLE_MAX_DEGREE.
+    The price of the pair and Gram routes (``_Route.price``), and of the
+    searches, whose assemblies run the recurrence: ``_peak_bytes``, and the
+    cap of _STABLE_MAX_DEGREE.
     """
-    if on_circle:
-        _check_budget(_circle_bytes(d, r, n_max), f"d={d}, r={r}, n_max={n_max} on the circle route", "n_max")
-        return
     limit = _STABLE_MAX_DEGREE.get(d)
     if limit is not None and n_max > limit:
         raise InputDomainError(
@@ -1242,6 +1077,249 @@ def _check_cost(d: int, r: int, n_max: int, on_circle: bool = False) -> None:
             f"nothing; lower n_max to at most {limit}"
         )
     _check_budget(_peak_bytes(d, r, n_max), f"d={d}, r={r}, n_max={n_max}", "n_max")
+
+
+class _Route:
+    """One way to decide every degree of a tuple; divisibility_test picks one per call, circle before pair before Gram.
+
+    Every route decides the h_s = gamma_1^T gamma_s, whose operator has the
+    tuple's singular values.  A route owns everything route-specific:
+    - ``price(d, r, n_max)`` refuses, before anything is allocated, a run
+      over COST_BUDGET_BYTES on the route or above its degree cap; this
+      base prices on the Fischer frame (``_check_cost``);
+    - ``degree(n)`` gives (svals, slack, witness, bound, path): the singular
+      values the trigger reads (``_near_singular``); how far the route may
+      have moved them, which widens the near band; at a fired degree
+      witness(), which makes the kernel harmonic, and bound(c), which
+      bounds sup |sum_s g(gamma_s^T x)| over the sphere for the harmonic g
+      with coefficients c (``_certify``), else None for both; and the path
+      its debug line names.  Here they come from ``spectrum(n)``, (svals,
+      slack), and at a fired degree from ``witness(n)``;
+    - ``trials(free, suffix, n_max, sing_tol)`` decides a genericity study
+      whose trial k is the tuple free[k] followed by suffix: (ratios
+      (trials, n_max), rerun (trials,)), every trial's ratios as a
+      standalone run reads them, up to round-off, and whether its trigger
+      fired or it landed in the near band at any degree, so that it is
+      re-run alone.  It decides a block of trials at a time: ``batch``
+      gives (width, spectra), spectra(block) the block's singular values
+      of every degree, (block, n_max, 2), and their slack, and a block
+      holds as many trials as have ``width`` doubles each fit
+      ``fischer.BLOCK_BYTES``.  Here a block is one route over the stacked
+      tuples, whose ``spectrum`` reads each trial as it reads alone: bit for
+      bit on the circle route, within the round-off of one stacked product
+      k . theta on the pair route.  A trial takes ``width(d, n_max)`` doubles.
+    """
+
+    price = staticmethod(_check_cost)
+
+    def __init__(self, mats: np.ndarray, plane, n_max: int, sing_tol: float):
+        self.mats, self.plane, self.sing_tol = mats, plane, sing_tol
+        self.d, self.r = mats.shape[-1], mats.shape[-3]
+
+    def degree(self, n: int):
+        svals, slack = self.spectrum(n)
+        if not _near_singular(svals, self.r, self.sing_tol)[1]:
+            return svals, slack, None, None, self.path
+        return (svals, slack, *self.witness(n), self.path + "→witness")
+
+    @classmethod
+    def trials(cls, free: np.ndarray, suffix: np.ndarray, n_max: int, sing_tol: float):
+        width, spectra = cls.batch(free, suffix, n_max, sing_tol)
+        step = max(1, fischer.BLOCK_BYTES // (8 * width))
+        ratios, rerun = np.empty((len(free), n_max)), np.empty(len(free), dtype=bool)
+        for lo in range(0, len(free), step):
+            svals, slack = spectra(free[lo:lo + step])
+            ratios[lo:lo + step], fired, near_band = _near_singular(svals, free.shape[1] + len(suffix), sing_tol, slack)
+            rerun[lo:lo + step] = np.any(fired | near_band, axis=-1)
+        return ratios, rerun
+
+    @classmethod
+    def batch(cls, free: np.ndarray, suffix: np.ndarray, n_max: int, sing_tol: float):
+        def spectra(block):
+            tuples = np.concatenate([block, np.broadcast_to(suffix, (len(block),) + suffix.shape)], axis=1)
+            svals, slack = zip(*map(cls(tuples, None, n_max, sing_tol).spectrum, range(1, n_max + 1)))
+            return np.stack(svals, axis=-2), np.stack(slack, axis=-1)
+
+        return cls.width(free.shape[-1], n_max), spectra
+
+
+class _CircleRoute(_Route):
+    """A tuple whose h_s all rotate one plane and fix its complement: every tuple at d = 2, none at d = 3.
+
+    ``circle`` derives it all.  Every degree's singular values |lambda_j|
+    come from one table per call (``circle.spectrum``), those of the tuple
+    rebuilt from its plane (``circle.detect``), within the slack n r delta
+    of its own, delta the plane's defect.  A fired degree's witness, a
+    product of two linear forms, and its whole-sphere bound are closed form
+    (``circle.Witness``, built at the first fired degree).  No FischerFrame
+    is built and no degree cap applies: a run is priced by its table and
+    records.  A study detects its trials' planes in one stacked call per
+    block, and a trial off the plane fires, so it is re-run.
+    """
+
+    path = "circle"
+
+    @staticmethod
+    def price(d: int, r: int, n_max: int) -> None:
+        """Refuse a run over COST_BUDGET_BYTES, estimated from every degree's deciding and certifying.
+
+        The weight sums of every degree (``circle.spectrum``): their moduli,
+        the running extremes, the witness's j and their temporaries, within 8
+        doubles per degree.  Each degree's record and its share of the
+        report's JSON, _DEGREE_BYTES.  detect's h_s, its stacked h_s - I and
+        their SVD, within 4 r d^2 doubles.  One sampled check,
+        VERIFY_SAMPLES points of 2 d + 2 doubles each (``verify_divisor``),
+        and its block temporaries.  A fired degree's witness and bound take
+        O(r d) more.
+        """
+        need = 8 * 8 * (n_max + 1) + _DEGREE_BYTES * n_max + 4 * _VERIFY_BLOCK_BYTES
+        need += 8 * (4 * r * d * d + VERIFY_SAMPLES * (2 * d + 2))
+        _check_budget(need, f"d={d}, r={r}, n_max={n_max} on the circle route", "n_max")
+
+    width = staticmethod(lambda d, n_max: n_max + 1)  # a trial's table of weight sums
+
+    def __init__(self, mats, plane, n_max, sing_tol):
+        super().__init__(mats, circle.detect(mats) if plane is None else plane, n_max, sing_tol)
+        self.table, self.witnesses = circle.spectrum(self.plane, self.d, n_max), None
+
+    def spectrum(self, n: int):
+        top, low = self.table[:2]
+        return np.stack([top[..., n], low[..., n]], axis=-1), n * self.r * self.plane.defect
+
+    def witness(self, n: int):
+        if self.witnesses is None:
+            self.witnesses = circle.Witness(self.plane, self.mats)
+        basis, coeffs, bound = self.witnesses(self.table[3], n, int(self.table[2][n]))
+        return partial(HarmonicFunction, basis, coeffs), bound
+
+
+class _PairRoute(_Route):
+    """Two rotations off the circle: every degree from the torus angles of h = gamma_1^T gamma_2, with no M.
+
+    Every degree's sigma_max and sigma_min are closed form in the rotation
+    angles of h (``_pair_spectrum``), from one ``eigvals`` of h per call
+    (``_torus_angles``); the slack is 0.  The first fired degree takes one
+    ``eig`` of h, its torus frame (``_torus_frame``), whose forms write down
+    every fired degree's witness and bound (``_pair_witness``): the weight
+    k whose phase gives sigma_min in the frame's own angle order, ties
+    within round-off going to the largest |k|_1, names them.  Only a fired
+    degree builds its FischerFrame, and no pair assembles M or runs the
+    recurrence.
+    """
+
+    path = "pair"
+
+    # a trial's phases k . theta, one per torus weight of the top degree
+    width = staticmethod(lambda d, n_max: len(fischer._torus_weights(d, n_max)[0]))
+
+    def __init__(self, mats, plane, n_max, sing_tol):
+        super().__init__(mats, plane, n_max, sing_tol)
+        self.angles, self.torus = _torus_angles(mats), None
+
+    def spectrum(self, n: int):
+        return _pair_spectrum(self.angles, self.d, n)[0], 0.0
+
+    def witness(self, n: int):
+        if self.torus is None:
+            self.torus = _torus_frame(self.mats)
+        weights, _ = fischer._torus_weights(self.d, n)
+        values = _pair_spectrum(self.torus[1], self.d, n)[1]
+        tied = np.flatnonzero(values <= values.min() + 8.0 * self.d * n * 2.0**-53)
+        k = weights[tied[np.argmax(np.abs(weights[tied]).sum(axis=1))]]
+        frame = fischer_frame(self.d, n)
+        vector, bound = _pair_witness(self.torus, frame, self.mats, k)
+        return partial(_witness, frame, vector), bound
+
+
+class _GramRoute(_Route):
+    """Every other tuple: each degree decided in the exact Fischer frame of ``fischer`` from G = M^T M.
+
+    One pass of the symmetric-power recurrence over h_2 .. h_r gives
+    S_n = I + sum_(s >= 2) Sym^n(h_s) for every degree, the term of h_1 = I
+    free (``translated``), and M = U^T S_n U is the operator in orthonormal
+    coordinates, so its singular values are the operator's L^2 ones, within
+    ``_formed_slack`` of the formed h_s: that is the slack.  At the top
+    degree S_n may be streamed from the r - 1 copies of Sym^(n-1)
+    (``fischer._StreamedSum``): M is then built from S_n's column slabs, and
+    S_n reaches vectors through those copies.  A fired degree's witness
+    comes from the factorization that decided it (``degree``), and its
+    bound through S_n (``_translated_bound``).  A study's trials are not
+    translated: a right translation would keep every suffix term
+    trial-independent, a left one by a free gamma_1 does not, so the
+    suffix's U^T (sum_s Sym^n) U is built once per study for every degree,
+    and each block of trials runs one pass of the recurrence over its free
+    rotations and per degree one stacked operator plus the suffix's and one
+    stacked values-only SVD, which agrees with a standalone run's Gram step
+    within 1e-13.
+    """
+
+    def __init__(self, mats, plane, n_max, sing_tol):
+        super().__init__(mats, plane, n_max, sing_tol)
+        self.turns, self.powers = self.translated(mats, n_max)
+
+    @staticmethod
+    def translated(mats: np.ndarray, n_max: int):
+        """(turns, powers): the formed h_s = gamma_1^T gamma_s, h_1 = I exactly, and (n, S_n) from h_2 .. h_r."""
+        turns = mats[0].T @ mats
+        turns[0] = np.eye(mats.shape[-1])
+        return turns, summed_powers(turns[1:], n_max, identity=True)
+
+    def degree(self, n: int):
+        """The degree's entry, from S_n: the tuple's operator is rho(gamma_1) M, M = U^T S_n U.
+
+        M gives G = M^T M and is freed, and ``_gram_extremes`` reads
+        sigma_max and, where it can, sigma_min from G.  No M leaves this
+        method, and the witness's unit vector v (``_witness``) comes from the
+        factorization that decided the degree, so a fired degree's witness
+        costs nothing more.  The paths:
+        - gram: svals = [sigma_max, sigma_min] from ``_gram_extremes``, and v
+          the unit vector of the shifted solve whose ||M v|| is that sigma_min;
+        - gram→witness: where ``_gram_extremes`` leaves sigma_min unknown, one
+          shifted solve with G (``_gram_witness``) gives a unit v, and ||M v||,
+          applied through the frame, bounds sigma_min from above, so
+          svals = [sigma_max, ||M v||].  Where that bound fires the trigger,
+          it decides the degree with no SVD and no second assembly of M; the
+          degree's ``sigma_min_rel`` is then an upper bound, below
+          ``sing_tol``, not the SVD's ratio;
+        - gram→svd: where the witness's bound does not fire, M is assembled
+          again and its values-only SVD decides, and v is kept; where that
+          solve meets an exact zero pivot, the SVD of the re-assembled M
+          decides and gives v (``_svd_witness``).
+        """
+        frame, sums = fischer_frame(self.d, n), next(self.powers)[1]
+        matrix = frame.operator(sums)
+        gram = matrix.T @ matrix
+        del matrix  # G replaces M (see _peak_bytes)
+        sigma_max, sigma_min, vector = _gram_extremes(frame, sums, gram)
+        if sigma_min is not None:
+            svals, path = np.array([sigma_max, sigma_min]), "gram"
+        else:  # bound sigma_min by a witness, and take the SVD only where that bound does not fire
+            vector = _gram_witness(gram, sigma_max, self.r)
+            del gram
+            if vector is None:  # an exact zero pivot
+                svals, vector = _svd_witness(frame.operator(sums))
+                path = "gram→svd"
+            else:
+                svals, path = np.array([sigma_max, np.linalg.norm(frame.apply(sums, vector))]), "gram→witness"
+                if not _near_singular(svals, self.r, self.sing_tol)[1]:
+                    svals, path = weighted_singular_values(frame.operator(sums)), "gram→svd"
+        bound = partial(_translated_bound, frame, sums, self.turns)
+        return svals, _formed_slack(self.d, self.r, n), partial(_witness, frame, vector), bound, path
+
+    @staticmethod
+    def batch(free, suffix, n_max, sing_tol):
+        d = free.shape[-1]
+        fixed = [fischer_frame(d, n).operator(sums) for n, sums in summed_powers(suffix, n_max)]
+
+        def spectra(block):
+            svals = [
+                weighted_singular_values(fischer_frame(d, n).operator(sums) + fixed[n - 1])[:, [0, -1]]
+                for n, sums in summed_powers(block, n_max)
+            ]
+            return np.stack(svals, axis=1), 0.0
+
+        # a block holds as many trials as fit one gather of the recurrence
+        return free.shape[1] * d * fischer_frame(d, n_max).size ** 2, spectra
 
 
 def _overall_text(divisible: bool, n_max: int) -> str:
@@ -1262,81 +1340,43 @@ def divisibility_test(
     (sigma_min / sigma_max below ``sing_tol``) is confirmed by a kernel
     witness whose divisor ``_certify`` bounds over the whole sphere: a
     residual of at most RESIDUAL_TOL, recorded as the degree's
-    ``residual_bound``.  Each call picks one route for every degree, before
-    it prices the run, and each degree's route gives its singular values,
-    its witness and its certificate's bound.  A tuple whose h_s all rotate
-    one plane and fix its complement, every tuple at d = 2 and none at
-    d = 3 (``circle.detect``, one SVD of the stacked h_s - I), takes the
-    circle route (``_circle_degree``): every degree reads |lambda_j|,
-    lambda_j = sum_s z_s^j, from one table of weight sums, and a fired
-    degree writes down its witness, a product of two linear forms, and its
-    bound in closed form, with no frame at all.  Its singular values are
-    those of the rebuilt tuple, within n r delta of the tuple's own, which
-    widens the near band.  Otherwise a pair
-    (``_pair_degree``) reads them all from the torus frame of h, one ``eig``
-    per call (``_torus_frame``), with no M, no solve and no recurrence, and
-    builds a FischerFrame only at a fired degree.  A larger tuple
-    (``_spectrum``) takes one step of the recurrence on h_2 .. h_r and
-    decides the degree from G = M^T M, keeping the witness made while
-    deciding it, so M is assembled once on the gram and gram→witness paths at every ``sing_tol``.
-    At the default tolerance its fired degrees take the gram→witness path:
-    each fires on an upper bound of sigma_min from its witness, with no SVD,
-    and records that bound as its ``sigma_min_rel``.  One "spherediv" debug
-    line per degree names the path (circle, circle→witness, pair,
-    pair→witness, gram, gram→witness or gram→svd) and the route's wall
-    time, which covers a larger tuple's recurrence step, assembly and
-    spectral step, or a pair's or a circle tuple's spectrum and witness,
-    and not the certificate.  Only the first certified degree,
-    whose divisor the report keeps, is also spot-checked by
-    ``verify_divisor`` on VERIFY_SAMPLES points, so a report makes at most
-    one sampled check in normal runs.  A trigger that fails certification is
-    downgraded to ``borderline``, and so is a degree within 10x of the
-    trigger.  The verdicts and ratios do not depend on ``rng``, which draws
-    only the verification points.  An n_max that is not an integer >= 1, a
-    seed that ``resolve_seed`` refuses, a ``sing_tol`` outside (0, 1), NaN
-    included, and runs whose estimated working set on their route exceeds
-    COST_BUDGET_BYTES are refused with InputDomainError before anything but
-    the route's detection is allocated, as is an n_max above the degree the
-    recurrence carries at d = 3 (_STABLE_MAX_DEGREE).
+    ``residual_bound``.  Each call picks one route for every degree before
+    it prices the run: ``_CircleRoute`` for a tuple whose h_s all rotate one
+    plane (``circle.detect``), else ``_PairRoute`` for a pair, else
+    ``_GramRoute``; each degree's route gives its singular values, their
+    slack, its witness and its certificate's bound (``_Route``).  One
+    "spherediv" debug line per degree names the route's path and its wall
+    time, which covers the route's work on the degree and not the
+    certificate.  Only the first certified degree, whose divisor the report
+    keeps, is also spot-checked by ``verify_divisor`` on VERIFY_SAMPLES
+    points, so a report makes at most one sampled check in normal runs.  A
+    trigger that fails certification is downgraded to ``borderline``, and
+    so is a degree within 10x of the trigger.  The verdicts and ratios do
+    not depend on ``rng``, which draws only the verification points.  An
+    n_max that is not an integer >= 1, a seed that ``resolve_seed`` refuses,
+    a ``sing_tol`` outside (0, 1), NaN included, and runs over the route's
+    price (``_Route.price``) are refused with InputDomainError before
+    anything but the route's detection is allocated.
     The test is one-sided: ``invertible`` at all tested degrees does not
     prove non-divisibility.
     """
     if not isinstance(rotations, RotationTuple):
         rotations = RotationTuple(tuple(rotations))
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 1:
-        raise InputDomainError(f"n_max must be an integer >= 1, got {n_max!r}")
+    _check_count("n_max", n_max, 1)
     _check_tolerance("sing_tol", sing_tol)
     mats = _rotation_matrices(rotations)
-    turns = mats[0].T @ mats  # h_s = gamma_1^T gamma_s, read by the circle and the Gram routes
-    plane = circle.detect(mats, turns)
-    _check_cost(rotations.d, rotations.r, n_max, plane is not None)
+    plane = circle.detect(mats)
+    kind = _CircleRoute if plane is not None else _PairRoute if rotations.r == 2 else _GramRoute
+    kind.price(rotations.d, rotations.r, n_max)
     seed = resolve_seed(rng)
+    route = kind(mats, plane, n_max, sing_tol)
     records = []
-    witness = None
-    divisor = None
-    verification = None
-
-    if plane is not None:  # every degree reads one table of the circle's weight sums
-        route = partial(_circle_degree, plane, circle.spectrum(plane, rotations.d, n_max), mats, sing_tol)
-    elif rotations.r == 2:  # every degree reads the torus frame of h
-        route = partial(_pair_degree, _torus_frame(mats), mats, sing_tol)
-    else:  # every degree takes one step of the recurrence on h_2 .. h_r: the term of h_1 = I is free
-        turns[0] = np.eye(rotations.d)
-        powers = summed_powers(turns[1:], n_max, identity=True)
-
-        def route(n):
-            return _spectrum(fischer_frame(rotations.d, n), next(powers)[1], turns, sing_tol)
-
+    witness = divisor = verification = None
     for n in range(1, n_max + 1):
         start = time.perf_counter()
-        svals, witness_of, bound, path = route(n)
+        svals, slack, witness_of, bound, path = route.degree(n)
         dim = dim_harmonic(rotations.d, n)
         _log.debug("degree %d: N=%d, %s, %.4f s", n, dim, path, time.perf_counter() - start)
-        # how far the route may have moved the singular values, which widens the near band
-        if plane is not None:
-            slack = n * rotations.r * plane.defect
-        else:
-            slack = _formed_slack(rotations.d, rotations.r, n) if rotations.r > 2 else 0.0
         ratio, fired, near_band = _near_singular(svals, rotations.r, sing_tol, slack)
         residual = None
         if fired:

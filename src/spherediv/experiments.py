@@ -6,31 +6,20 @@ tuple comes to singularity.  Sections over a generic suffix are null sets,
 so Haar sampling is expected to produce zero certified-singular trials
 (the odd-d four-rotation diagonal suffix is the designed exception).
 
-A study is batched in the exact Fischer frame (see ``fischer``).  The
-frozen suffix's operator U^T (sum_s Sym^n) U is built once per study for
-every degree; each block of trials runs one pass of the symmetric-power
-recurrence over its free rotations, and per degree one stacked operator
-M = U^T S U plus the suffix's, one stacked values-only SVD and one
-vectorised trigger.  Blocks hold as many
-trials as fit one gather of the recurrence in BLOCK_BYTES.  A study of pairs
-(r = 2) runs neither: per block, one stacked eigenvalue solve gives every
-trial's torus angles, and per degree one product with the degree's weights
-its sigma_max and sigma_min (``_pair_spectrum``); a block holds as many
-trials as have their phases fit BLOCK_BYTES.  A study at d = 2 runs
-neither: every trial rotates the plane and is read, as a standalone run
-reads it, from its own table of weight sums (``_circle_trials``), at any
-n_max.  A trial whose
-trigger fires or lands in the near band at any degree is re-run alone
+A study decides its trials a block at a time through the route that
+divisibility_test takes for a generic trial (``_study_route``): the circle
+route at d = 2, the pair route for pairs and the Gram route otherwise; each
+route's ``trials`` describes its batch (``divisibility._Route``).  A trial
+whose trigger fires or lands in the near band at any degree is re-run alone
 through divisibility_test(tuple, rng=trial seed), which certifies it or
-marks it borderline exactly as a standalone run would.  The frame is
-deterministic, so every trial's ratios equal a standalone
-divisibility_test's up to round-off: the batch reads a values-only SVD, a
-standalone run of three or more rotations the Gram step of
-``divisibility._spectrum``, and the two agree within 1e-13.
+marks it borderline exactly as a standalone run would, so every trial's
+row is a standalone run's up to round-off.
 
 The search minimizes how singular the degree-n operator is over tuples
 modulo left and right translations, in a Cayley chart of that quotient
-around each restart's base tuple (``_quotient_chart``).  It does not
+around each restart's base tuple (``_quotient_chart``), with each operator
+assembled through the Gram route's translated S_n
+(``divisibility._GramRoute.translated``).  It does not
 minimize sigma_min directly: sigma_min is not smooth at its zero set (near
 a simple zero it grows like |x - x*|, a cone), which defeats a gradient
 step.  It solves the kernel equation instead, F(x, v) = M(x) v = 0 with
@@ -78,26 +67,23 @@ from typing import Optional
 
 import numpy as np
 
-from . import circle
 from .divisibility import (
     DEFAULT_SING_TOL,
     VERDICT_INVERTIBLE,
-    DivisibilityReport,
     _certify,
     _check_budget,
-    _check_cost,
+    _check_count,
     _check_tolerance,
-    _near_singular,
-    _pair_spectrum,
-    _rotation_matrices,
+    _CircleRoute,
+    _GramRoute,
+    _PairRoute,
     _svd_witness,
-    _torus_angles,
+    _translated_bound,
     _witness,
     divisibility_test,
-    weighted_singular_values,
 )
 from .errors import InputDomainError
-from .fischer import BLOCK_BYTES, _torus_weights, fischer_frame, summed_powers
+from .fischer import fischer_frame
 from .rotations import Rotation, RotationTuple, haar_from_gaussian, haar_sample
 from .sampling import _seed, derive_rng, resolve_seed
 
@@ -163,7 +149,8 @@ class GenericityStudy:
 
     def __post_init__(self):
         ell = self.ell if self.ell is not None else default_free_count(self.d, self.r)
-        if not 1 <= ell <= self.r:
+        _check_count("ell", ell, 1)
+        if ell > self.r:
             raise InputDomainError(f"free-rotation count {ell} outside 1..r={self.r}")
         suffix = tuple(self.suffix)
         if len(suffix) != self.r - ell:
@@ -173,13 +160,11 @@ class GenericityStudy:
         for g in suffix:
             if g.d != self.d:
                 raise InputDomainError(f"suffix rotation has dimension {g.d}, expected {self.d}")
-        if self.trials < 1:
-            raise InputDomainError(f"trials must be >= 1, got {self.trials}")
-        if self.n_max < 1:
-            raise InputDomainError(f"n_max must be >= 1, got {self.n_max}")
+        _check_count("trials", self.trials, 1)
+        _check_count("n_max", self.n_max, 1)
         object.__setattr__(self, "seed", _seed(self.seed))
         _check_tolerance("sing_tol", self.sing_tol)
-        _check_cost(self.d, self.r, self.n_max, on_circle=self.d == 2)
+        _study_route(self.d, self.r).price(self.d, self.r, self.n_max)
         # bytes per trial, tracemalloc's marginal peaks (numpy 2.4, 2000 to 40000 trials at
         # five (d, r, ell, n_max)) summed and rounded up: drawing the rotations, 34 per entry of
         # the (ell, d, d) stack plus 58; the records, 8 per entry plus 243 plus 117 per degree
@@ -263,71 +248,22 @@ def _draw_trials(study: GenericityStudy):
     return haar_from_gaussian(gauss), seeds
 
 
-def _circle_trials(free: np.ndarray, suffix: np.ndarray, study: GenericityStudy):
-    """(ratios (trials, n_max), rerun (trials,)) of a d = 2 study, each trial read from its own table of weight sums.
-
-    Each trial is decided as divisibility_test decides it on the circle
-    route (``divisibility._circle_degree``), so its ratios and whether it is
-    re-run are a standalone run's; a trial that ``circle.detect`` refuses
-    (a suffix rotation off orthogonal by more than ~1e-13) is re-run.
-    """
-    degrees = np.arange(1, study.n_max + 1)
-    ratios = np.ones((study.trials, study.n_max))
-    rerun = np.ones(study.trials, dtype=bool)
-    for k, block in enumerate(free):
-        mats = np.concatenate([block, suffix])
-        plane = circle.detect(mats)
-        if plane is None:
-            continue
-        top, low, _, _ = circle.spectrum(plane, study.d, study.n_max)
-        svals = np.stack([top[1:], low[1:]], axis=-1)
-        ratios[k], fired, near_band = _near_singular(svals, study.r, study.sing_tol, degrees * study.r * plane.defect)
-        rerun[k] = np.any(fired | near_band)
-    return ratios, rerun
-
-
-def _batched_trials(free: np.ndarray, suffix: np.ndarray, study: GenericityStudy):
-    """(ratios (trials, n_max), rerun (trials,)) of a study at d >= 3, decided a block of trials at a time."""
-    if study.r == 2:
-        # a block holds each trial's phases k . theta, one per torus weight of the top degree
-        width = len(_torus_weights(study.d, study.n_max)[0])
-    else:
-        fixed = [fischer_frame(study.d, n).operator(sums) for n, sums in summed_powers(suffix, study.n_max)]
-        width = study.ell * study.d * fischer_frame(study.d, study.n_max).size ** 2
-    step = max(1, BLOCK_BYTES // (8 * width))
-    sigma_rel = np.empty((study.trials, study.n_max))
-    rerun = np.zeros(study.trials, dtype=bool)
-    for lo in range(0, study.trials, step):
-        block = free[lo:lo + step]
-        if study.r == 2:  # pairs are decided from their torus angles, with no operator
-            pairs = np.concatenate([block, np.broadcast_to(suffix, (len(block),) + suffix.shape)], axis=1)
-            angles = _torus_angles(pairs)
-            spectra = (_pair_spectrum(angles, study.d, n)[0] for n in range(1, study.n_max + 1))
-        else:
-            spectra = (
-                weighted_singular_values(fischer_frame(study.d, n).operator(sums) + fixed[n - 1])
-                for n, sums in summed_powers(block, study.n_max)
-            )
-        for n, svals in enumerate(spectra, 1):
-            ratio, fired, near_band = _near_singular(svals, study.r, study.sing_tol)
-            sigma_rel[lo:lo + step, n - 1] = ratio
-            rerun[lo:lo + step] |= fired | near_band
-    return sigma_rel, rerun
+def _study_route(d: int, r: int):
+    """The route of a study's trials, as divisibility_test picks it for a generic trial: circle at d = 2, pair, Gram."""
+    return _CircleRoute if d == 2 else _PairRoute if r == 2 else _GramRoute
 
 
 def run_genericity(study: GenericityStudy) -> GenericityResult:
     """Execute the study: every trial is decided, and fired or near-band trials are certified alone."""
     free, seeds = _draw_trials(study)
     suffix = np.array([g.matrix for g in study.suffix]).reshape(-1, study.d, study.d)
-    sigma_rel, rerun = (_circle_trials if study.d == 2 else _batched_trials)(free, suffix, study)
+    sigma_rel, rerun = _study_route(study.d, study.r).trials(free, suffix, study.n_max, study.sing_tol)
 
     records = []
     for k, row in enumerate(sigma_rel.tolist()):
         if rerun[k]:
             extended = RotationTuple(tuple(Rotation(m) for m in free[k]) + study.suffix)
-            report: DivisibilityReport = divisibility_test(
-                extended, study.n_max, study.sing_tol, rng=seeds[k]
-            )
+            report = divisibility_test(extended, study.n_max, study.sing_tol, rng=seeds[k])
             degrees = tuple((rec.n, rec.sigma_min_rel, rec.verdict) for rec in report.degrees)
             singular = report.divisible
         else:
@@ -436,10 +372,8 @@ class SearchSettings:
     base_tuple: Optional[RotationTuple] = None
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise InputDomainError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iter < 1:
-            raise InputDomainError(f"max_iter must be >= 1, got {self.max_iter}")
+        _check_count("restarts", self.restarts, 1)
+        _check_count("max_iter", self.max_iter, 1)
         _check_tolerance("target_ratio", self.target_ratio)
         # a traced value takes a float object and the pointers of the trace list and of SearchRun's tuple
         need = 40 * 4 * self.max_iter * self.restarts
@@ -512,7 +446,7 @@ _MIN_STEP = 1e-3
 def _gauss_newton(assemble, dim: int, r: int, stop: float, max_iter: int, max_evals: int, record):
     """One restart's Gauss-Newton iterations on M(x) v = 0 from x = 0; return (ratio, assembly, evals, iterations).
 
-    ``assemble(x)`` gives (mats, sums, M) at the chart point x (dim,), and
+    ``assemble(x)`` gives (mats, bound, M) at the chart point x (dim,), and
     every call is one of the at most ``max_evals`` assemblies.  Each
     iteration holds the iterate's M and the right-singular vector v of its
     sigma_min from one SVD.  dim more assemblies, with no SVD, give the
@@ -525,7 +459,7 @@ def _gauss_newton(assemble, dim: int, r: int, stop: float, max_iter: int, max_ev
     ``max_iter`` of them, when the next would pass ``max_evals`` assemblies,
     or when no step lowers sigma_min.  ``record`` receives one ratio per
     assembly: an iterate's or a trial's own, and for a Jacobian column None.
-    The iterate's (mats, sums, M) is returned with its ratio.
+    The iterate's (mats, bound, M) is returned with its ratio.
     """
 
     def evaluate(point):
@@ -604,23 +538,23 @@ def search_divisible(
     the search refines it to DEFAULT_SING_TOL so that its residual
     certifies.  A best tuple reaching ``target_ratio`` is certified like a
     report's first singular degree before the run may claim a divisible
-    tuple: its kernel witness's divisor must pass the Fischer-frame
-    residual bound and one sampled check (the witness from one SVD of the
-    best iterate's M, ``divisibility._svd_witness``, then
-    ``divisibility._certify``, so nothing is assembled twice); budget
-    exhaustion returns the best tuple found with ``certified=False``.
-    The chart's SVD of a p x p matrix, p = d(d-1)/2, is priced with the
-    degree's cost, so a search too large for COST_BUDGET_BYTES is refused
-    before it allocates.  Its assemblies run the recurrence, so it keeps the
-    degree cap (``divisibility._STABLE_MAX_DEGREE``) at d = 2 too.  Logs one debug line per restart on the
-    "spherediv" logger with its assembly count, its objective, its wall
-    time and its Gauss-Newton iteration count.
+    tuple: its kernel witness's divisor must pass the residual bound through
+    its translated S_n (``divisibility._translated_bound``) and one sampled
+    check (the witness from one SVD of the best iterate's M,
+    ``divisibility._svd_witness``, then ``divisibility._certify``, so
+    nothing is assembled twice); budget exhaustion returns the best tuple
+    found with ``certified=False``.  The chart's SVD of a p x p matrix,
+    p = d(d-1)/2, is priced with the degree's cost on the Gram route, so a
+    search too large for COST_BUDGET_BYTES is refused before it allocates.
+    Its assemblies run the recurrence, so it keeps the degree cap
+    (``divisibility._STABLE_MAX_DEGREE``) at d = 2 too.  An n that is not an
+    integer >= 1, or an r that is not one >= 2, is refused.  Logs one debug
+    line per restart on the "spherediv" logger with its assembly count, its
+    objective, its wall time and its Gauss-Newton iteration count.
     """
-    if n < 1:
-        raise InputDomainError(f"target degree must be >= 1, got n={n}")
-    if r < 2:
-        raise InputDomainError(f"a search needs r >= 2 rotations, got r={r}")
-    _check_cost(d, r, n)
+    _check_count("n", n, 1)
+    _check_count("r", r, 2)
+    _GramRoute.price(d, r, n)
     p = d * (d - 1) // 2
     # the chart's SVD holds Ad(h) - I, LAPACK's copy of it, both full factors and gesdd's
     # workspace: its peak RSS was 9.1 to 9.7 p x p arrays of floats at d = 40 and 60 (numpy 2.4,
@@ -630,17 +564,13 @@ def search_divisible(
     seed = resolve_seed(rng)
     frame = fischer_frame(d, n)
 
-    def summed(mats) -> np.ndarray:
-        for _, sums in summed_powers(mats, n):
-            pass
-        return sums
-
     def assemble(bases, chart, x):
-        """The tuple at chart point x, its S_n and its operator M."""
+        """The tuple at chart point x, its certificate's bound through its translated S_n, and its operator M."""
         moved = cayley_rotation(bases[1:], (chart @ x).reshape(r - 1, p))
         mats = np.concatenate([bases[:1], moved])
-        sums = summed(mats)
-        return mats, sums, frame.operator(sums)
+        turns, powers = _GramRoute.translated(mats, n)
+        *_, (_, sums) = powers
+        return mats, partial(_translated_bound, frame, sums, turns), frame.operator(sums)
 
     trace: list = []
 
@@ -656,7 +586,7 @@ def search_divisible(
     stop = min(settings.target_ratio, DEFAULT_SING_TOL)
     max_evals = 4 * settings.max_iter
     best_ratio = math.inf
-    best_mats = best_sums = best_matrix = None
+    best_mats = best_bound = best_matrix = None
     restart_ratios = []
     for j in range(settings.restarts):
         start = time.perf_counter()
@@ -668,7 +598,7 @@ def search_divisible(
         else:
             bases = np.array([haar_sample(d, rng_j).matrix for _ in range(r)])
         chart = _quotient_chart(bases)
-        val, (mats, sums, matrix), evals, iterations = _gauss_newton(
+        val, (mats, bound, matrix), evals, iterations = _gauss_newton(
             partial(assemble, bases, chart), chart.shape[1], r, stop, settings.max_iter, max_evals, record
         )
         restart_ratios.append(val)
@@ -677,7 +607,7 @@ def search_divisible(
             j, evals, val, time.perf_counter() - start, iterations,
         )
         if val < best_ratio:
-            best_ratio, best_mats, best_sums, best_matrix = val, mats, sums, matrix
+            best_ratio, best_mats, best_bound, best_matrix = val, mats, bound, matrix
         if best_ratio < settings.target_ratio:
             break
 
@@ -687,8 +617,7 @@ def search_divisible(
     if best_ratio < settings.target_ratio:
         # best_ratio is sigma_min / r, so this gate is the trigger's dead-operator clause
         _, vector = _svd_witness(best_matrix)
-        bound = partial(frame.residual_bound, best_sums, mats=_rotation_matrices(best_tuple))
-        _, _, ver = _certify(_witness(frame, vector), bound, best_tuple, derive_rng(seed, 6))
+        _, _, ver = _certify(_witness(frame, vector), best_bound, best_tuple, derive_rng(seed, 6))
         certified = ver.passed
         residual_max = ver.max_residual
     return SearchRun(

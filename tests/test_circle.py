@@ -100,9 +100,7 @@ def reference(tup, n_max, sing_tol=divisibility.DEFAULT_SING_TOL):
 def sampled_residual(tup, report, n, samples=2000):
     """max |sum_s f(gamma_s^T x) - 1| of degree n's divisor, rebuilt from the circle route, on fresh points."""
     mats = matrices(tup)
-    plane = circle.detect(mats)
-    table = circle.spectrum(plane, tup.d, n)
-    _, witness_of, bound, _ = divisibility._circle_degree(plane, table, mats, report.sing_tol, n)
+    _, _, witness_of, bound, _ = divisibility._CircleRoute(mats, circle.detect(mats), n, report.sing_tol).degree(n)
     witness = witness_of()
     divisor = divisibility.make_divisor(witness, tup.r)
     return verify_divisor(tup, divisor, samples, 7 * n).max_residual, divisor.scale * bound(witness.coeffs)
@@ -148,7 +146,7 @@ def test_slips_below_the_threshold_are_bounded(d):
     # which must still cover the sampled residual
     tup = conjugated(d, [0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0], 900 + d, shift=1e-13, axes=(1, 3))
     plane = circle.detect(matrices(tup))
-    assert plane is not None and plane.slips[:, 0].max() > 1e-14
+    assert plane is not None and circle.Witness(plane, matrices(tup)).slips[:, 0].max() > 1e-14
     report = divisibility_test(tup, 5, rng=5)
     assert report.singular_degrees() == [1, 2, 3, 4, 5]
     for n in range(1, 6):
@@ -300,7 +298,7 @@ def test_witness_above_the_direct_degree_evaluates_through_logarithms(monkeypatc
     assert report.verification.n_samples == divisibility.VERIFY_SAMPLES
     mats = matrices(planar_division(8, 3).rotations)
     plane = circle.detect(mats)
-    basis, coeffs, _ = circle.witness(plane, mats, circle.spectrum(plane, 8, 7)[3], 7, 4)
+    basis, coeffs, _ = circle.Witness(plane, mats)(circle.spectrum(plane, 8, 7)[3], 7, 4)
     witness = divisibility.HarmonicFunction(basis, coeffs)
     pts = uniform_sphere(8, 300, 17)
     direct = witness(pts)

@@ -397,8 +397,8 @@ class TestCmdExperiment:
         "config, message",
         [
             ({"r": 3, "restarts": 1e12, "max_iter": 1}, "restarts=1000000000000, max_iter=1 would need"),
-            ({"r": 1}, "a search needs r >= 2 rotations, got r=1"),
-            ({"r": 0}, "a search needs r >= 2 rotations, got r=0"),
+            ({"r": 1}, "r must be >= 2 and an integer, got 1"),
+            ({"r": 0}, "r must be >= 2 and an integer, got 0"),
             ({"d": 300, "r": 3, "n": 1}, "a search chart at d=300 would need"),
         ],
         ids=["trace-budget", "one-rotation", "no-rotation", "chart-budget"],

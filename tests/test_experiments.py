@@ -28,7 +28,7 @@ from spherediv import (
     search_divisible,
     weighted_singular_values,
 )
-from spherediv import experiments
+from spherediv import divisibility, experiments
 from spherediv.divisibility import DEFAULT_SING_TOL
 from spherediv.experiments import search_csv_text, trial_csv_text
 from spherediv.fischer import fischer_frame, summed_powers
@@ -223,6 +223,51 @@ class TestGenericity:
         assert np.array_equal(stacked, single)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(d=st.integers(2, 5), r=st.integers(2, 5), n_max=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_study_rows_equal_standalone_rows(d, r, n_max, seed):
+    # every trial's row is a standalone divisibility_test's of the same tuple and seed: bit for bit on
+    # the circle route (d = 2), and up to round-off on the pair route and the Gram batch, relative to the
+    # ratio and, for a ratio near 0 (a Haar trial at d = 5, r = 4 read 4.6e-6, 1.2e-16 apart), to sigma_max
+    rng = np.random.default_rng(seed)
+    suffix = tuple(haar_sample(d, rng) for _ in range(r - 1))
+    study = GenericityStudy(d=d, r=r, suffix=suffix, trials=4, n_max=n_max, seed=seed % 997, ell=1)
+    rtol = 1e-14 if r == 2 else 1e-11
+    for k, rec in enumerate(run_genericity(study).records):
+        trial_rng = derive_rng(study.seed, 1, k)
+        free = (haar_sample(d, trial_rng),)
+        report = divisibility_test(RotationTuple(free + suffix), n_max, rng=int(trial_rng.integers(0, 2**63)))
+        assert [(n, verdict) for n, _, verdict in rec.degrees] == [(deg.n, deg.verdict) for deg in report.degrees]
+        for (n, ratio, _), deg in zip(rec.degrees, report.degrees):
+            if d == 2:
+                assert ratio == deg.sigma_min_rel, (k, n)
+            else:
+                assert math.isclose(ratio, deg.sigma_min_rel, rel_tol=rtol, abs_tol=1e-15), (k, n)
+
+
+class TestCounts:
+    """Every public count is an integer of at least its minimum: a bool, a float or a smaller value is refused."""
+
+    @pytest.mark.parametrize("value", [True, 2.5, 0, -1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: divisibility_test(RotationTuple((haar_sample(3, 1), haar_sample(3, 2))), v, rng=1),
+            lambda v: GenericityStudy(d=3, r=3, suffix=(haar_sample(3, 1),), trials=2, n_max=v, seed=1, ell=2),
+            lambda v: GenericityStudy(d=3, r=3, suffix=(haar_sample(3, 1),), trials=v, n_max=2, seed=1, ell=2),
+            lambda v: GenericityStudy(d=3, r=3, suffix=(), trials=2, n_max=2, seed=1, ell=v),
+            lambda v: search_divisible(3, 3, v, rng=1),
+            lambda v: search_divisible(3, v, 2, rng=1),
+            lambda v: SearchSettings(restarts=v),
+            lambda v: SearchSettings(max_iter=v),
+        ],
+        ids=["test-n_max", "study-n_max", "study-trials", "study-ell", "search-n", "search-r", "restarts", "max_iter"],
+    )
+    def test_refused(self, call, value):
+        with pytest.raises(InputDomainError, match="and an integer"):
+            call(value)
+
+
 class TestSearch:
     def test_circle_pair_converges_and_certifies(self):
         base = RotationTuple(
@@ -372,7 +417,7 @@ class TestSearch:
             raise AssertionError("the Gauss-Newton iterations ran")
 
         monkeypatch.setattr(experiments, "_gauss_newton", refused)
-        with pytest.raises(InputDomainError, match=f"r >= 2 rotations, got r={r}"):
+        with pytest.raises(InputDomainError, match=f"r must be >= 2 and an integer, got {r}"):
             search_divisible(3, r, 2, SearchSettings(), rng=409)
 
 
@@ -385,7 +430,7 @@ def degree_singular_values(mats, n):
 def recorded_search(monkeypatch, *args, **kwargs):
     """Run search_divisible; return it with its events: ("base", bases) per restart and ("eval", tuple) per evaluation."""
     events = []
-    chart, powers = experiments._quotient_chart, experiments.summed_powers
+    chart, translated = experiments._quotient_chart, divisibility._GramRoute.translated
 
     def charted(bases):
         events.append(("base", bases.copy()))
@@ -393,11 +438,39 @@ def recorded_search(monkeypatch, *args, **kwargs):
 
     def evaluated(mats, n):
         events.append(("eval", mats.copy()))
-        return powers(mats, n)
+        return translated(mats, n)
 
     monkeypatch.setattr(experiments, "_quotient_chart", charted)
-    monkeypatch.setattr(experiments, "summed_powers", evaluated)
+    monkeypatch.setattr(divisibility._GramRoute, "translated", staticmethod(evaluated))
     return search_divisible(*args, **kwargs), events
+
+
+class TestTranslatedSearch:
+    """The search decides the translated tuple h_s = gamma_1^T gamma_s, as divisibility_test's Gram route does."""
+
+    def test_recurrence_runs_on_r_minus_one_rotations(self, monkeypatch):
+        # h_1 = I is free: every assembly hands h_2 .. h_r to summed_powers, which adds I to S_n
+        handed = []
+        powers = divisibility.summed_powers
+
+        def recorded(mats, n_max, **options):
+            handed.append((np.shape(mats), options))
+            return powers(mats, n_max, **options)
+
+        monkeypatch.setattr(divisibility, "summed_powers", recorded)
+        for d, r, n in [(3, 3, 2), (4, 4, 1)]:
+            handed.clear()
+            run = search_divisible(d, r, n, SearchSettings(restarts=1, max_iter=6), rng=563)
+            assert handed == [((r - 1, d, d), {"identity": True})] * len(run.trace)
+
+    def test_formed_products_join_the_bound(self, monkeypatch):
+        # were the formed h_s off by as much as the residual allows, the certificate could not pass:
+        # the search's bound carries _formed_slack
+        assert search_divisible(3, 3, 2, rng=1).certified
+        monkeypatch.setattr(divisibility, "_formed_slack", lambda d, r, n: 0.5)
+        run = search_divisible(3, 3, 2, rng=1)
+        assert run.best_ratio < DEFAULT_SING_TOL
+        assert not run.certified and run.residual_max > 1e-8
 
 
 class TestQuotientChart:

@@ -168,8 +168,9 @@ class TestPairPath:
         assert assembled == stepped == []
 
     def test_angles_once_per_call_and_per_block(self, monkeypatch):
-        # h is decomposed by one eig per divisibility_test, firing or not, whose frame serves every
-        # degree; a fired degree alone builds its FischerFrame; a study solves h's eigenvalues once per block
+        # h's eigenvalues are solved once per divisibility_test, firing or not, and serve every
+        # degree; h's torus frame, one eig, only where a degree fires, and a fired degree alone
+        # builds its FischerFrame; a study solves h's eigenvalues once per block
         calls, frames, blocks = [], [], []
         for name in ("eig", "eigvals"):
             def counted(a, name=name, original=getattr(np.linalg, name)):
@@ -190,7 +191,7 @@ class TestPairPath:
             return angles(mats)
 
         monkeypatch.setattr(divisibility, "fischer_frame", counted_frame)
-        monkeypatch.setattr(experiments, "_torus_angles", counted_angles)
+        monkeypatch.setattr(divisibility, "_torus_angles", counted_angles)
         quarter_turn = RotationTuple((Rotation(np.eye(3)), planar_rotation(3, 1, 2, 0.5 * math.pi)))
         for tup, n_max, fired in (
             (haar_pair(4, 739), 5, []),
@@ -201,9 +202,10 @@ class TestPairPath:
             frames.clear()
             report = divisibility_test(tup, n_max, rng=743)
             assert report.singular_degrees() == fired
-            assert calls == [("eig", (tup.d, tup.d))]
+            assert calls == [("eigvals", (tup.d, tup.d))] + [("eig", (tup.d, tup.d))] * bool(fired)
             assert sorted(set(frames)) == fired
         calls.clear()
+        blocks.clear()
         study = GenericityStudy(d=4, r=2, suffix=(haar_sample(4, 751),), trials=50, n_max=4, seed=757, ell=1)
         run_genericity(study)
         assert blocks == [(50, 2, 4, 4)]

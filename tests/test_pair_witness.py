@@ -100,8 +100,8 @@ def rows(report):
 
 
 def pair_spectrum(mats, n):
-    """[sigma_max, sigma_min] of the pair ``mats`` at degree n, from the angles of its torus frame."""
-    return divisibility._pair_spectrum(divisibility._torus_frame(mats)[1], mats.shape[-1], n)[0]
+    """[sigma_max, sigma_min] of the pair ``mats`` at degree n, from the eigenvalues of h that the pair route decides on."""
+    return divisibility._pair_spectrum(divisibility._torus_angles(mats), mats.shape[-1], n)[0]
 
 
 def fired_degrees(mats, n_max):
@@ -138,11 +138,12 @@ def test_fired_pair_witnesses(case):
     assert fired and [n for n, *_ in made] == fired
     sums = dict(summed_powers(mats, n_max))
     for (n, vector, bound), (angles, k) in zip(made, weights):
-        # the witness's weight k attains the sigma_min its degree was decided on, up to the round-off of the phases
+        # the witness's weight k attains the sigma_min of the torus frame's angles, up to the round-off of the phases
         svals, values = divisibility._pair_spectrum(angles, tup.d, n)
         attained = values[np.flatnonzero((fischer._torus_weights(tup.d, n)[0] == k).all(axis=1))]
         assert len(attained) == 1 and attained[0] <= svals[1] + 8.0 * tup.d * n * 2.0**-53, n
-        ratio, _, _ = divisibility._near_singular(svals, 2, divisibility.DEFAULT_SING_TOL)
+        # and the degree reads the ratio it was decided on, from the eigenvalues of h
+        ratio, _, _ = divisibility._near_singular(pair_spectrum(mats, n), 2, divisibility.DEFAULT_SING_TOL)
         assert report.degrees[n - 1].sigma_min_rel == ratio, n
         frame = fischer_frame(tup.d, n)
         assert math.isclose(np.linalg.norm(vector), 1.0, rel_tol=1e-12)
@@ -177,13 +178,14 @@ def test_product_bound_against_the_dense_bound(case, shaken, seed):
     # with the torus forms moved off h's eigenvectors by 1e-10
     tup, n_max = case
     mats = np.array([g.matrix for g in tup])
-    torus = divisibility._torus_frame(mats)
+    route = divisibility._PairRoute(mats, None, n_max, divisibility.DEFAULT_SING_TOL)
+    route.torus = divisibility._torus_frame(mats)
     if shaken:
-        torus = perturbed(torus, np.random.default_rng(seed))
+        route.torus = perturbed(route.torus, np.random.default_rng(seed))
     sums = dict(summed_powers(mats, n_max))
     for n in fired_degrees(mats, n_max):
         frame = fischer_frame(tup.d, n)
-        witness_of, bound = divisibility._pair_degree(torus, mats, divisibility.DEFAULT_SING_TOL, n)[1:3]
+        witness_of, bound = route.degree(n)[2:4]
         witness = witness_of()
         scale = divisibility.make_divisor(witness, tup.r).scale
         new, old = bound(witness.coeffs), frame.residual_bound(sums[n], witness.coeffs, mats)
@@ -200,14 +202,14 @@ def test_foreign_vector_refused(case):
     # must refuse it.  Degrees where M = 0, and every vector is a witness, are left out
     tup, n_max = case
     mats = np.array([g.matrix for g in tup])
-    torus = divisibility._torus_frame(mats)
+    route = divisibility._PairRoute(mats, None, n_max, divisibility.DEFAULT_SING_TOL)
     sums = dict(summed_powers(mats, n_max))
     for n in fired_degrees(mats, n_max):
         if pair_spectrum(mats, n)[0] < 1e-6:
             continue
         frame = fischer_frame(tup.d, n)
         top = np.linalg.svd(frame.operator(sums[n]))[2][0]
-        bound = divisibility._pair_degree(torus, mats, divisibility.DEFAULT_SING_TOL, n)[2]
+        bound = route.degree(n)[3]
         _, _, ver = divisibility._certify(divisibility._witness(frame, top), bound, tup, None)
         assert not ver.passed and ver.residual_bound > 1e-6, n
 
