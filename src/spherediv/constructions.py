@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divisibility import DEFAULT_SING_TOL, HarmonicFunction, _check_budget
-from .errors import InputDomainError
+from .errors import InputDomainError, _check_count
 from .fischer import fischer_frame
 from .rotations import Rotation, RotationTuple, fixed_point, planar_rotation
 
@@ -88,8 +88,8 @@ class PlanarDivision:
 
 def planar_division(d: int, r: int) -> PlanarDivision:
     """The r-fold division of S^{d-1} by (x_1, x_2)-plane rotations."""
-    if d < 2 or r < 2:
-        raise InputDomainError(f"planar_division requires d, r >= 2, got d={d}, r={r}")
+    _check_count("d", d, 2)
+    _check_count("r", r, 2)
     _check_budget(8 * d * d * r, f"planar_division(d={d}, r={r})", "d or r")
     rots = RotationTuple(
         tuple(planar_rotation(d, 1, 2, 2.0 * math.pi * m / r) for m in range(r))
@@ -104,7 +104,8 @@ def odd_d4_suffix(d: int) -> tuple:
     ((-1)^(2m-1), -1, 1), ((-1)^(2m-1), 1, -1), ((1)^(2m-1), -1, -1);
     each has determinant 1 and the three matrices sum to -I.
     """
-    if d < 3 or d % 2 == 0:
+    _check_count("d", d, 3)
+    if d % 2 == 0:
         raise InputDomainError(f"the diagonal family needs odd d >= 3, got d={d}")
     # the suffix and the free rotation: four d x d matrices
     _check_budget(8 * d * d * 4, f"the odd-d four-tuple in d={d}", "d")
@@ -134,8 +135,7 @@ def odd_d4_tuple(d: int, gamma1: Rotation):
 
 def circle_sum_matrix(n: int, fixed_angles) -> np.ndarray:
     """Summed action of the fixed rotations on degree-n circle harmonics; the angles must be finite."""
-    if n < 1:
-        raise InputDomainError(f"degree must be >= 1, got n={n}")
+    _check_count("n", n, 1)
     angles = np.atleast_1d(np.asarray(fixed_angles, dtype=float))
     if angles.size < 1:
         raise InputDomainError("at least one fixed angle is required")

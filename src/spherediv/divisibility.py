@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
@@ -51,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from . import circle, fischer
-from .errors import BasisConstructionError, InputDomainError, NotSingularError
+from .errors import BasisConstructionError, InputDomainError, NotSingularError, _check_count
 from .fischer import fischer_frame, summed_powers
 from .harmonics import GegenbauerTable, dim_harmonic
 from .rotations import Rotation, RotationTuple
@@ -182,8 +181,8 @@ def build_zonal_basis(
     handful of attempts suffices in practice.  One eigendecomposition per
     attempt gives positivity, the condition number and the frame.
     """
-    if n < 1:
-        raise InputDomainError(f"zonal bases are built for degrees n >= 1, got n={n}")
+    _check_count("d", d, 2)
+    _check_count("n", n, 1)
     gen = as_rng(rng)
     size = dim_harmonic(d, n)
     table = GegenbauerTable(d, n)
@@ -353,12 +352,6 @@ def _check_tolerance(name: str, value: float) -> None:
     """Refuse a singularity tolerance that is not a finite number in (0, 1)."""
     if not 0.0 < value < 1.0:  # false for NaN and both infinities as well
         raise InputDomainError(f"{name} must be a finite number in (0, 1), got {value}")
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """Refuse a count that is not an integer of at least ``minimum``; a bool is no count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise InputDomainError(f"{name} must be >= {minimum} and an integer, got {value!r}")
 
 
 # golden ratio: the witness's start vector cos(k phi) has no zero entry and no period
@@ -815,13 +808,13 @@ def verify_divisor(
     sums and values are kept whole, and the result does not depend on the
     block size.  This is a sampled check, not a bound over the
     sphere: divisibility_test certifies its degrees through ``_certify``.
-    A ``samples`` below 1 or above COST_BUDGET_BYTES / (8 (2d + 2)) raises
-    InputDomainError: the sphere draw holds the points twice while it
-    normalizes them, and the per-point sums and values add two entries per
-    point, about 8 samples (2d + 2) bytes in all.
+    A ``samples`` that is not an integer >= 1, or one above
+    COST_BUDGET_BYTES / (8 (2d + 2)), raises InputDomainError: the sphere
+    draw holds the points twice while it normalizes them, and the per-point
+    sums and values add two entries per point, about 8 samples (2d + 2)
+    bytes in all.
     """
-    if samples < 1:
-        raise InputDomainError(f"samples must be >= 1, got {samples}")
+    _check_count("samples", samples, 1)
     mats = _rotation_matrices(rotations)
     d = mats[0].shape[0]
     _check_budget(8 * samples * (2 * d + 2), f"samples={samples} in d={d}", "samples")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a count that raises one."""
+
+import numbers
 
 
 class InputDomainError(ValueError):
@@ -19,3 +21,9 @@ class NotSingularError(RuntimeError):
 
 class NoFixedPointError(RuntimeError):
     """The rotation has no eigenvalue-1 eigenvector within tolerance (possible only in even dimension)."""
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Refuse a count that is not an integer of at least ``minimum``; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InputDomainError(f"{name} must be >= {minimum} and an integer, got {value!r}")

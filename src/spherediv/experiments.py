@@ -50,8 +50,10 @@ counts only after its kernel witness and divisor pass the residual check.
 Everything is reproducible from the root seed: trial k draws its free
 rotations and then its trial seed from derive_rng(seed, 1, k), restart j
 from derive_rng(seed, 4, j), so results do not depend on execution order
-or block size.  Seeds draw rotations and verification points only; no
-frame is random.
+or block size.  A study seeds all its trials' streams in one vectorized
+pass (``sampling.derive_rngs``), equal bit for bit to derive_rng(seed, 1, k),
+which stays the one-stream reference: any trial can be rebuilt alone from
+it.  Seeds draw rotations and verification points only; no frame is random.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ from .divisibility import (
     VERDICT_INVERTIBLE,
     _certify,
     _check_budget,
-    _check_count,
     _check_tolerance,
     _CircleRoute,
     _GramRoute,
@@ -82,10 +83,10 @@ from .divisibility import (
     _witness,
     divisibility_test,
 )
-from .errors import InputDomainError
+from .errors import InputDomainError, _check_count
 from .fischer import fischer_frame
 from .rotations import Rotation, RotationTuple, haar_from_gaussian, haar_sample
-from .sampling import _seed, derive_rng, resolve_seed
+from .sampling import _seed, derive_rng, derive_rngs, resolve_seed
 
 __all__ = [
     "GenericityResult",
@@ -166,9 +167,11 @@ class GenericityStudy:
         _check_tolerance("sing_tol", self.sing_tol)
         _study_route(self.d, self.r).price(self.d, self.r, self.n_max)
         # bytes per trial, tracemalloc's marginal peaks (numpy 2.4, 2000 to 40000 trials at
-        # five (d, r, ell, n_max)) summed and rounded up: drawing the rotations, 34 per entry of
-        # the (ell, d, d) stack plus 58; the records, 8 per entry plus 243 plus 117 per degree
-        need = self.trials * (48 * ell * self.d**2 + 320 + 120 * self.n_max)
+        # six (d, ell)) summed and rounded up: drawing the rotations, 34 per entry of the
+        # (ell, d, d) stack plus 90, 32 of them the streams' state table (``derive_rngs``); the
+        # records, 8 per entry plus 243 plus 117 per degree.  A whole study's peak stayed within
+        # 0.82 of the sum at seven (d, r, ell, n_max), 20000 and 40000 trials
+        need = self.trials * (48 * ell * self.d**2 + 340 + 120 * self.n_max)
         _check_budget(need, f"trials={self.trials}", "trials")
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "suffix", suffix)
@@ -237,13 +240,14 @@ def _draw_trials(study: GenericityStudy):
 
     Trial k draws its ell Gaussian (d, d) blocks and then its seed from
     derive_rng(seed, 1, k), the stream haar_sample would read, so the free
-    rotations equal haar_sample's bitwise.
+    rotations equal haar_sample's bitwise.  The streams come from
+    ``derive_rngs``, whose one vectorized pass seeds them all, bit for bit
+    as derive_rng would one at a time.
     """
     gauss = np.empty((study.trials, study.ell, study.d, study.d))
     seeds = []
-    for k in range(study.trials):
-        rng = derive_rng(study.seed, 1, k)
-        gauss[k] = rng.standard_normal((study.ell, study.d, study.d))
+    for block, rng in zip(gauss, derive_rngs(study.seed, 1, count=study.trials)):
+        rng.standard_normal(out=block)
         seeds.append(int(rng.integers(0, 2**63)))
     return haar_from_gaussian(gauss), seeds
 
@@ -259,24 +263,17 @@ def run_genericity(study: GenericityStudy) -> GenericityResult:
     suffix = np.array([g.matrix for g in study.suffix]).reshape(-1, study.d, study.d)
     sigma_rel, rerun = _study_route(study.d, study.r).trials(free, suffix, study.n_max, study.sing_tol)
 
+    degree_numbers = range(1, study.n_max + 1)
+    verdicts = [VERDICT_INVERTIBLE] * study.n_max
     records = []
     for k, row in enumerate(sigma_rel.tolist()):
         if rerun[k]:
             extended = RotationTuple(tuple(Rotation(m) for m in free[k]) + study.suffix)
             report = divisibility_test(extended, study.n_max, study.sing_tol, rng=seeds[k])
             degrees = tuple((rec.n, rec.sigma_min_rel, rec.verdict) for rec in report.degrees)
-            singular = report.divisible
+            records.append(TrialRecord(k, min(ratio for _, ratio, _ in degrees), report.divisible, degrees))
         else:
-            degrees = tuple(zip(range(1, study.n_max + 1), row, [VERDICT_INVERTIBLE] * study.n_max))
-            singular = False
-        records.append(
-            TrialRecord(
-                trial=k,
-                min_ratio=min(ratio for _, ratio, _ in degrees),
-                singular=singular,
-                degrees=degrees,
-            )
-        )
+            records.append(TrialRecord(k, min(row), False, tuple(zip(degree_numbers, row, verdicts))))
     quart = np.percentile([rec.min_ratio for rec in records], [0, 25, 50, 75, 100])
     return GenericityResult(
         study=study,

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputDomainError
+from .errors import InputDomainError, _check_count
 
 __all__ = [
     "GegenbauerTable",
@@ -70,10 +70,8 @@ class GegenbauerTable:
     """
 
     def __init__(self, d: int, n_max: int):
-        if d < 2:
-            raise InputDomainError(f"GegenbauerTable requires d >= 2, got d={d}")
-        if n_max < 0:
-            raise InputDomainError(f"GegenbauerTable requires n_max >= 0, got n_max={n_max}")
+        _check_count("d", d, 2)
+        _check_count("n_max", n_max, 0)
         self.d = int(d)
         self.n_max = int(n_max)
         a = np.zeros(n_max + 1)

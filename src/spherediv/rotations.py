@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputDomainError, NoFixedPointError
+from .errors import InputDomainError, NoFixedPointError, _check_count
 from .sampling import as_rng
 
 __all__ = [
@@ -189,8 +189,7 @@ def haar_sample(d: int, rng) -> Rotation:
 
     The draw is validated once, by ``Rotation``.
     """
-    if d < 2:
-        raise InputDomainError(f"haar_sample requires d >= 2, got d={d}")
+    _check_count("d", d, 2)
     q, _ = _sign_fixed_qr(as_rng(rng).standard_normal((d, d)))
     return Rotation(q)
 

@@ -23,6 +23,7 @@ from spherediv import (
     divisibility_test,
     haar_sample,
     odd_d4_suffix,
+    planar_division,
     planar_rotation,
     run_genericity,
     search_divisible,
@@ -162,6 +163,26 @@ class TestGenericity:
         # acceptance criterion 8's study is admitted
         GenericityStudy(d=3, r=3, suffix=suffix * 2, trials=1000, n_max=5, seed=1, ell=1)
 
+    @pytest.mark.parametrize("d, r, ell, n_max", [(2, 3, 1, 6), (4, 2, 1, 4)])
+    def test_price_bounds_the_peak(self, d, r, ell, n_max, monkeypatch):
+        # the bytes a study is priced at bound tracemalloc's peak of running it, less a 1-trial
+        # study's peak: the streams' state table and the records included, at 20 000 trials
+        prices = []
+        monkeypatch.setattr(experiments, "_check_budget", lambda need, *args: prices.append(need))
+        rng = np.random.default_rng(5)
+        suffix = tuple(haar_sample(d, rng) for _ in range(r - ell))
+        studies = [GenericityStudy(d=d, r=r, suffix=suffix, trials=t, n_max=n_max, seed=7, ell=ell) for t in (1, 20_000)]
+        run_genericity(studies[0])  # fills the caches of frames and tables before anything is traced
+        peaks = []
+        for study in studies:
+            tracemalloc.start()
+            try:
+                run_genericity(study)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= prices[1] - prices[0]
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, 1.0, 2.0])
     def test_rejects_tolerance_outside_unit_interval(self, tol):
         suffix = (haar_sample(3, 1), haar_sample(3, 2))
@@ -266,6 +287,29 @@ class TestCounts:
     def test_refused(self, call, value):
         with pytest.raises(InputDomainError, match="and an integer"):
             call(value)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: haar_sample(2.5, 0),
+            lambda: planar_division(3, 2.5),
+            lambda: odd_d4_suffix(5.0),
+            lambda: spherediv.GegenbauerTable(3, 2.5),
+            lambda: spherediv.build_zonal_basis(3, 2.5, 1),
+            lambda: spherediv.verify_divisor(planar_division(3, 2).rotations, lambda x: x[:, 0], 2.5, 1),
+            lambda: derive_rng(1, -1),
+            lambda: spherediv.circle_bad_angles(True, [0.5]),
+            lambda: spherediv.circle_bad_angles(2.5, [0.5]),
+            lambda: spherediv.analyze_circle(2.5, [0.5]),
+        ],
+        ids=[
+            "haar_sample-d", "planar_division-r", "odd_d4_suffix-d", "gegenbauer-n_max", "zonal_basis-n",
+            "verify-samples", "derive_rng-key", "bad_angles-bool", "bad_angles-float", "analyze_circle-float",
+        ],
+    )
+    def test_other_public_counts_refused(self, call):
+        with pytest.raises(InputDomainError, match="and an integer"):
+            call()
 
 
 class TestSearch:
