@@ -14,7 +14,9 @@ A reader that closes stdout early (``| head``) ends the run quietly with
 exit code 0.  Where the document goes to stdout, the seed line and the
 closing summary line go to stderr, so stdout holds the document alone.
 Every report carries the resolved seed, the tolerances used, and the
-library version, so any certificate can be reproduced.
+library version, so any certificate can be reproduced.  Each subcommand
+imports what it needs when it runs: ``test`` loads neither ``experiments``
+nor ``constructions``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import os
 import sys
 
 from . import __version__
-from .constructions import analyze_circle, odd_d4_suffix, odd_d4_tuple, planar_division
 from .divisibility import (
     DEFAULT_SING_TOL,
     divisibility_test,
@@ -35,15 +36,6 @@ from .divisibility import (
     verify_divisor,
 )
 from .errors import InputDomainError
-from .experiments import (
-    GenericityStudy,
-    SearchSettings,
-    default_free_count,
-    run_genericity,
-    search_csv_text,
-    search_divisible,
-    trial_csv_text,
-)
 from .rotations import Rotation, RotationTuple, haar_sample
 from .sampling import derive_rng, fresh_seed
 
@@ -140,6 +132,8 @@ def cmd_test(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .constructions import analyze_circle, odd_d4_suffix, odd_d4_tuple, planar_division
+
     if args.kind == "planar":
         if args.d is None or args.r is None:
             raise InputDomainError("construct planar requires --d and --r")
@@ -246,6 +240,16 @@ def _number(key, value, kind):
 
 
 def cmd_experiment(args) -> int:
+    from .experiments import (
+        GenericityStudy,
+        SearchSettings,
+        default_free_count,
+        run_genericity,
+        search_csv_text,
+        search_divisible,
+        trial_csv_text,
+    )
+
     config = _load_json(args.config)
     if not isinstance(config, dict) or "kind" not in config:
         raise InputDomainError(f'{args.config}: config must be an object with a "kind" key')

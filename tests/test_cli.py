@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spherediv import Rotation, RotationTuple, SearchSettings, cli, haar_sample, planar_rotation
+from spherediv import Rotation, RotationTuple, SearchSettings, cli, experiments, haar_sample, planar_rotation
 from spherediv.cli import main
 from spherediv.divisibility import DEFAULT_SING_TOL
 
@@ -325,7 +325,8 @@ class TestCmdExperiment:
             captured.append(settings)
             raise Stop
 
-        monkeypatch.setattr(cli, "search_divisible", capture)
+        # the CLI imports the search when an experiment runs, so it takes the patched one
+        monkeypatch.setattr(experiments, "search_divisible", capture)
         cpath = tmp_path / "config.json"
         cpath.write_text(json.dumps({"kind": "search", "d": 3, "r": 3, "n": 1}))
         with pytest.raises(Stop):

@@ -133,6 +133,35 @@ class TestGenericity:
         assert a.ratio_quartiles == b.ratio_quartiles
         assert trial_csv_text(a) == trial_csv_text(b)
 
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4, 5, 999, 1000, 20_000])
+    def test_quartiles_are_numpys_percentiles(self, trials):
+        # bit for bit, over spread magnitudes, ties and zeros; a ratio is never -0.0, whose
+        # place among equal zeros np.sort and np.percentile's partition may choose differently
+        rng = np.random.default_rng(trials)
+        spread = 10.0 ** rng.uniform(-12, 0, size=trials)
+        zeroed = np.where(rng.random(trials) < 0.3, 0.0, spread)
+        samples = [
+            spread,
+            zeroed,
+            np.round(spread, 2),
+            rng.choice([0.0, 1e-12, 0.5, 1.0], size=trials),
+        ]
+        for values in samples:
+            ratios = values.tolist()
+            want = np.percentile(ratios, [0, 25, 50, 75, 100])
+            assert np.array(experiments._quartiles(ratios)).tobytes() == want.tobytes()
+
+    def test_study_quartiles_are_numpys_percentiles(self):
+        # Haar trials, and singular ones whose ratios tie at the bottom
+        suffix = (haar_sample(3, 347), haar_sample(3, 349))
+        haar = GenericityStudy(d=3, r=3, suffix=suffix, trials=20, n_max=2, seed=353, ell=1)
+        diagonal = GenericityStudy(d=3, r=4, suffix=odd_d4_suffix(3), trials=5, n_max=1, seed=317, ell=1)
+        for study in (haar, diagonal):
+            result = run_genericity(study)
+            want = np.percentile([rec.min_ratio for rec in result.records], [0, 25, 50, 75, 100])
+            assert np.array(result.ratio_quartiles).tobytes() == want.tobytes()
+            assert all(type(q) is float for q in result.ratio_quartiles)
+
     def test_trial_rows_shape(self):
         suffix = (haar_sample(2, 359),)
         study = GenericityStudy(d=2, r=2, suffix=suffix, trials=3, n_max=2, seed=367, ell=1)
