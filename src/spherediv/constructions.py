@@ -28,7 +28,7 @@ import numpy as np
 from .divisibility import DEFAULT_SING_TOL, HarmonicFunction, _check_budget
 from .errors import InputDomainError, _check_count
 from .fischer import fischer_frame
-from .rotations import Rotation, RotationTuple, fixed_point, planar_rotation
+from .rotations import Rotation, RotationTuple, _check_rotations, fixed_point, planar_rotation
 
 __all__ = [
     "CircleAnalysis",
@@ -126,8 +126,7 @@ def odd_d4_tuple(d: int, gamma1: Rotation):
     translates of g sum to zero identically.
     """
     suffix = odd_d4_suffix(d)
-    if gamma1.d != d:
-        raise InputDomainError(f"gamma1 has dimension {gamma1.d}, expected {d}")
+    _check_rotations("gamma1", [gamma1], d)
     u = fixed_point(gamma1)
     witness = HarmonicFunction(fischer_frame(d, 1), u)
     return RotationTuple((gamma1,) + suffix), witness

@@ -362,53 +362,69 @@ def _svd_witness(matrix: np.ndarray):
     """(svals, v) of M from one SVD: its singular values, descending, and the right-singular vector of the last.
 
     It serves the callers that hold M and no factorization of their own:
-    ``kernel_witness``, the search's certificate and ``_GramRoute.degree``'s
-    fall-back at an exact zero pivot of the solve with G.  v is copied out of
-    the factor V^T, so neither factor outlives the call.
+    ``kernel_witness``, the search's iterates and ``_GramRoute.degree``'s
+    fall-back where no solve with G gives a vector it can keep.  v is copied
+    out of the factor V^T, so neither factor outlives the call.
     """
     _, svals, vt = np.linalg.svd(matrix)
     return svals, vt[-1].copy()
 
 
-def _gram_refinement(shifted: np.ndarray) -> np.ndarray:
-    """One step of inverse iteration, x = (G - c I)^-1 cos(k phi), normalized, for ``shifted`` = G - c I.
+def _gram_refinement(gram: np.ndarray, shift: float) -> Optional[np.ndarray]:
+    """One step of inverse iteration, x = (G - shift I)^-1 cos(k phi), normalized; None at an exact zero pivot.
 
-    The start cos(k phi), k = 1 .. N_n, is fixed, so x does not depend on any seed.
+    G's diagonal is shifted and shifted back, so ``gram`` is G again on
+    return up to one rounding per diagonal entry.  The start cos(k phi),
+    k = 1 .. N_n, is fixed, so x does not depend on any seed.
     """
-    x = np.linalg.solve(shifted, np.cos(_GOLDEN * np.arange(1, len(shifted) + 1)))
+    diagonal = np.diag_indices(len(gram))
+    gram[diagonal] -= shift
+    try:
+        x = np.linalg.solve(gram, np.cos(_GOLDEN * np.arange(1, len(gram) + 1)))
+    except np.linalg.LinAlgError:
+        return None
+    finally:
+        gram[diagonal] += shift
     return x / np.linalg.norm(x)
 
 
-def _gram_extremes(frame, sums, gram: np.ndarray):
-    """(sigma_max, sigma_min, x) of M = U^T S U from G = M^T M, with sigma_min and x None where G cannot give them.
+def _gram_extremes(frame, sums, gram: np.ndarray, r: int):
+    """(sigma_max, sigma_min, x, resolved) of M = U^T S U from G = M^T M, one ``eigvalsh`` and one shifted solve.
 
-    ``gram`` is G as computed from M; its diagonal is shifted and shifted
-    back, so it is G again on return up to one rounding per diagonal
-    entry per shift.  Its eigenvalues w, ascending, give sigma_max = sqrt(w[-1]).
-    Round-off bounds the rest (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., chs. 3 and 8), with u = 2^-53 and N = N_n: the
-    computed G differs from M^T M by at most gamma_N |M|^T |M| entrywise,
-    whose 2-norm is at most gamma_N ||M||_F^2 = gamma_N trace(G), and
-    ``eigvalsh`` is backward stable, which moves each eigenvalue by at most
-    about N u w[-1].  With that allowance, w[0] within
-    max(1e3 N u w[-1], 2 allowance) of zero says nothing about sigma_min:
-    every fired or near-band degree at the default tolerance ends there.
-    Otherwise one step of inverse iteration with the shift w[0]
-    (``_gram_refinement``) gives a unit x, and M x, applied through the
-    frame's parity blocks, gives the Rayleigh quotient
-    ||M x||^2 >= sigma_min^2.  sqrt(w[0]) alone is off by up to about 1e-9
-    relative; the quotient agrees with the SVD to about 1e-12.  Where the
-    LU of G - w[0] I meets an exact zero pivot (14 of 300 degree-1 Haar
-    operators, d = 3 .. 7) the step is taken again with the shift the
-    allowance lower; at every degree that shift would cost accuracy near a
-    close second eigenvalue (1e-10 relative at d = 8, n = 3).
-    The quotient is kept only if it is within the allowance of w[0]:
-    ``eigvalsh`` is dense and cannot skip an eigenvalue, so that check is
-    the whole guard, and then x is returned too, the unit vector whose
-    ||M x|| is that sigma_min: the degree's witness should it fire.  At the
-    round-off floor, at exact zero pivots of both shifted solves and where
-    the check fails, sigma_min is None, and ``_GramRoute.degree`` bounds it by a
-    witness taken from G (``_gram_witness``) before any SVD.
+    ``gram`` is G as computed from M, and G again on return
+    (``_gram_refinement``).  Its eigenvalues w, ascending, give
+    sigma_max = sqrt(w[-1]).  Round-off bounds the rest (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., chs. 3 and 8), with
+    u = 2^-53 and N = N_n: the computed G differs from M^T M by at most
+    gamma_N |M|^T |M| entrywise, whose 2-norm is at most
+    gamma_N ||M||_F^2 = gamma_N trace(G), and ``eigvalsh`` is backward
+    stable, which moves each eigenvalue by at most about N u w[-1].  With
+    that allowance, w[0] within max(1e3 N u w[-1], 2 allowance) of zero
+    says nothing about sigma_min: every fired or near-band degree at the
+    default tolerance ends there, and w[0] is not resolved.  x is one step
+    of inverse iteration (``_gram_refinement``; Ipsen, SIAM Review 39,
+    1997), and M x, applied through the frame's parity blocks, is read:
+    - resolved: the shift is w[0], and ||M x||^2 >= sigma_min^2 is the
+      Rayleigh quotient.  sqrt(w[0]) alone is off by up to about 1e-9
+      relative; the quotient agrees with the SVD to about 1e-12.  Where the
+      LU of G - w[0] I meets an exact zero pivot (14 of 300 degree-1 Haar
+      operators, d = 3 .. 7) the step is taken again with the shift the
+      allowance lower; at every degree that shift would cost accuracy near
+      a close second eigenvalue (1e-10 relative at d = 8, n = 3).  The
+      quotient is kept only if it is within the allowance of w[0]:
+      ``eigvalsh`` is dense and cannot skip an eigenvalue, so that check is
+      the whole guard.  Then sigma_min is its square root, and x the unit
+      vector whose ||M x|| it is: the degree's witness should it fire;
+    - not resolved: the shift is -1e-15 max(sigma_max, r)^2, and ||M x||
+      bounds sigma_min from above.  The shift keeps the solve clear of the
+      exact zero pivots of a G that is exactly 0 (a tuple whose translates
+      cancel) and stays near the ulp of G's largest entries, so that one
+      step reaches ||M x|| near round-off at a fired degree: a shift of
+      twice the allowance, about 1e-9 at N = 1386, left ||M x|| at 4.6e-10.
+      Nothing here is trusted: ``_GramRoute.degree`` takes the SVD where the
+      bound does not fire, and ``_certify`` bounds the residual of x.
+    sigma_min and x are None where every solve met an exact zero pivot,
+    and, on a resolved degree, where the check fails.
     """
     size = len(gram)
     trace = float(np.trace(gram))
@@ -416,46 +432,19 @@ def _gram_extremes(frame, sums, gram: np.ndarray):
     unit = 2.0**-53
     allowance = fischer._gamma(size) * trace + size * unit * w[-1]
     sigma_max = math.sqrt(w[-1])
-    if w[0] <= max(1e3 * size * unit * w[-1], 2.0 * allowance):
-        return sigma_max, None, None
-    diagonal = np.diag_indices(size)
-    for shift in (w[0], w[0] - allowance):
-        gram[diagonal] -= shift
-        try:
-            x = _gram_refinement(gram)
-            break
-        except np.linalg.LinAlgError:  # an exact zero pivot: the shift's, so move it once
-            x = None
-        finally:
-            gram[diagonal] += shift
+    resolved = not w[0] <= max(1e3 * size * unit * w[-1], 2.0 * allowance)
+    x = _gram_refinement(gram, w[0] if resolved else -1e-15 * max(sigma_max, r) ** 2)
+    if x is None and resolved:  # an exact zero pivot: the shift's, so move it once
+        x = _gram_refinement(gram, w[0] - allowance)
     if x is None:
-        return sigma_max, None, None
+        return sigma_max, None, None, resolved
     image = frame.apply(sums, x)
+    if not resolved:
+        return sigma_max, float(np.linalg.norm(image)), x, False
     rayleigh = float(image @ image) / float(x @ x)
     if not abs(rayleigh - w[0]) <= allowance:  # NaN fails too
-        return sigma_max, None, None
-    return sigma_max, math.sqrt(rayleigh), x
-
-
-def _gram_witness(gram: np.ndarray, sigma_max: float, r: int) -> Optional[np.ndarray]:
-    """A unit x with M x near zero, from one solve of (G + mu I) x = cos(k phi); None at an exact zero pivot.
-
-    One step of inverse iteration on G = M^T M draws x towards the right
-    singular vector of M's smallest singular value, with no copy of M
-    (Ipsen, SIAM Review 39, 1997).  The shift
-    mu = 1e-15 max(sigma_max, r)^2 keeps the solve clear of the exact zero
-    pivots of a G that is exactly 0 (a tuple whose translates cancel) and
-    stays near the ulp of G's largest entries, so that one step reaches
-    ||M x|| near round-off at a fired degree: a shift of twice the Gram
-    allowance, about 1e-9 at N = 1386, left ||M x|| at 4.6e-10.  ``gram`` is
-    overwritten.  Nothing here is trusted: ``_GramRoute.degree`` reads ||M x||
-    through the frame, and ``_certify`` bounds the residual of x.
-    """
-    gram[np.diag_indices(len(gram))] += 1e-15 * max(sigma_max, r) ** 2
-    try:
-        return _gram_refinement(gram)
-    except np.linalg.LinAlgError:
-        return None
+        return sigma_max, None, None, True
+    return sigma_max, math.sqrt(rayleigh), x, True
 
 
 def _formed_slack(d: int, r: int, n: int) -> float:
@@ -715,6 +704,7 @@ def kernel_witness(
     divisibility_test and search_divisible certify the residual of its
     divisor.
     """
+    _check_count("r", r, 2)
     svals, vector = _svd_witness(matrix)
     ratio, fired, _ = _near_singular(svals, r, sing_tol)
     if not fired:
@@ -754,8 +744,7 @@ def make_divisor(witness: HarmonicFunction, r: int) -> DivisorFunction:
     so its divisor reaches 1/r +- 1/(2r) and cannot go constant, and
     sum_k |c_k| for a frame's monomials or zonal functions.
     """
-    if r < 2:
-        raise InputDomainError(f"divisors need r >= 2, got r={r}")
+    _check_count("r", r, 2)
     bound = witness.sup_bound()
     if bound == 0.0:
         raise InputDomainError("witness is identically zero")
@@ -989,13 +978,13 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
       the parity blocks gather S_n a chunk of classes at a time;
     - the spectral step (``_GramRoute.degree``) holds a few N_n^2, within 4 N_n^2:
       M and G = M^T M while G is formed, then G and LAPACK's copy in the
-      eigenvalue solve, again in the shifted solve and again in the
-      witness's solve with G (gram→witness); M again, with G freed, where
-      the witness's bound does not fire, with the values-only SVD's copy
-      (gram→svd);
-    - where that solve meets an exact zero pivot, M again with the full
-      SVD of ``_svd_witness``: its copy of M, U and V^T both in LAPACK's
-      buffers and in numpy's, and gesdd's workspace of about 4 N_m^2,
+      eigenvalue solve and again in the shifted solve (gram, gram→witness);
+      M again, with G freed, where the solve's bound does not fire, with
+      the values-only SVD's copy (gram→svd);
+    - where no solve gives a vector (an exact zero pivot) or the Rayleigh
+      check fails, M again with the full SVD of ``_svd_witness``: its copy
+      of M, U and V^T both in LAPACK's buffers and in numpy's, and gesdd's
+      workspace of about 4 N_m^2,
       within 10 N_m^2 with M (8.1 N_m^2 beyond M measured as peak RSS at
       N_m = 1386, numpy 2.4 on OpenBLAS).  At the top degree the
       recurrence then holds S_n or its streamed copies, at most P_n^2,
@@ -1261,41 +1250,37 @@ class _GramRoute(_Route):
         """The degree's entry, from S_n: the tuple's operator is rho(gamma_1) M, M = U^T S_n U.
 
         M gives G = M^T M and is freed, and ``_gram_extremes`` reads
-        sigma_max and, where it can, sigma_min from G.  No M leaves this
+        sigma_max and sigma_min, or a bound on it, from one ``eigvalsh`` of G
+        and one shifted solve (two at an exact zero pivot).  No M leaves this
         method, and the witness's unit vector v (``_witness``) comes from the
         factorization that decided the degree, so a fired degree's witness
         costs nothing more.  The paths:
-        - gram: svals = [sigma_max, sigma_min] from ``_gram_extremes``, and v
-          the unit vector of the shifted solve whose ||M v|| is that sigma_min;
-        - gram→witness: where ``_gram_extremes`` leaves sigma_min unknown, one
-          shifted solve with G (``_gram_witness``) gives a unit v, and ||M v||,
-          applied through the frame, bounds sigma_min from above, so
-          svals = [sigma_max, ||M v||].  Where that bound fires the trigger,
-          it decides the degree with no SVD and no second assembly of M; the
-          degree's ``sigma_min_rel`` is then an upper bound, below
-          ``sing_tol``, not the SVD's ratio;
-        - gram→svd: where the witness's bound does not fire, M is assembled
-          again and its values-only SVD decides, and v is kept; where that
-          solve meets an exact zero pivot, the SVD of the re-assembled M
-          decides and gives v (``_svd_witness``).
+        - gram: w[0] resolved, svals = [sigma_max, sigma_min] from the
+          checked Rayleigh quotient of the solve's unit v;
+        - gram→witness: w[0] not resolved, svals = [sigma_max, ||M v||], an
+          upper bound on sigma_min that fires the trigger and so decides the
+          degree with no SVD and no second assembly of M; the degree's
+          ``sigma_min_rel`` is then an upper bound, below ``sing_tol``, not
+          the SVD's ratio;
+        - gram→svd: every case the solve cannot settle assembles M once more
+          for one SVD: values only, keeping v, where the bound does not
+          fire; ``_svd_witness``, which also gives v, where no solve gave a
+          vector (exact zero pivots) or the Rayleigh check failed.
         """
         frame, sums = fischer_frame(self.d, n), next(self.powers)[1]
         matrix = frame.operator(sums)
         gram = matrix.T @ matrix
         del matrix  # G replaces M (see _peak_bytes)
-        sigma_max, sigma_min, vector = _gram_extremes(frame, sums, gram)
-        if sigma_min is not None:
-            svals, path = np.array([sigma_max, sigma_min]), "gram"
-        else:  # bound sigma_min by a witness, and take the SVD only where that bound does not fire
-            vector = _gram_witness(gram, sigma_max, self.r)
-            del gram
-            if vector is None:  # an exact zero pivot
+        sigma_max, sigma_min, vector, resolved = _gram_extremes(frame, sums, gram, self.r)
+        del gram
+        svals = None if sigma_min is None else np.array([sigma_max, sigma_min])
+        path = "gram" if resolved else "gram→witness"
+        if svals is None or not (resolved or _near_singular(svals, self.r, self.sing_tol)[1]):
+            if vector is None:
                 svals, vector = _svd_witness(frame.operator(sums))
-                path = "gram→svd"
             else:
-                svals, path = np.array([sigma_max, np.linalg.norm(frame.apply(sums, vector))]), "gram→witness"
-                if not _near_singular(svals, self.r, self.sing_tol)[1]:
-                    svals, path = weighted_singular_values(frame.operator(sums)), "gram→svd"
+                svals = weighted_singular_values(frame.operator(sums))
+            path = "gram→svd"
         bound = partial(_translated_bound, frame, sums, self.turns)
         return svals, _formed_slack(self.d, self.r, n), partial(_witness, frame, vector), bound, path
 
@@ -1354,7 +1339,7 @@ def divisibility_test(
     prove non-divisibility.
     """
     if not isinstance(rotations, RotationTuple):
-        rotations = RotationTuple(tuple(rotations))
+        rotations = RotationTuple(rotations)
     _check_count("n_max", n_max, 1)
     _check_tolerance("sing_tol", sing_tol)
     mats = _rotation_matrices(rotations)

@@ -85,7 +85,7 @@ from .divisibility import (
 )
 from .errors import InputDomainError, _check_count
 from .fischer import fischer_frame
-from .rotations import Rotation, RotationTuple, haar_from_gaussian, haar_sample
+from .rotations import Rotation, RotationTuple, _check_rotations, haar_from_gaussian, haar_sample
 from .sampling import _seed, derive_rng, derive_rngs, resolve_seed
 
 __all__ = [
@@ -134,7 +134,8 @@ class GenericityStudy:
     ell = floor(r/2) (acceptance criterion 8: r = 3, ell = 1) the singular
     trials still form a Haar-null set, by the argument of
     ``default_free_count``, so a zero singular count is expected; the
-    smallest ratio a study reaches stays empirical.  ``seed`` must be a
+    smallest ratio a study reaches stays empirical.  ``d`` and ``r`` must be
+    integers >= 2, ``suffix`` Rotation entries of dimension d, ``seed`` a
     non-negative integer, ``sing_tol`` a finite number in (0, 1), and the
     trials' rotations and records must fit COST_BUDGET_BYTES.
     """
@@ -149,18 +150,17 @@ class GenericityStudy:
     sing_tol: float = DEFAULT_SING_TOL
 
     def __post_init__(self):
+        _check_count("d", self.d, 2)
+        _check_count("r", self.r, 2)
         ell = self.ell if self.ell is not None else default_free_count(self.d, self.r)
         _check_count("ell", ell, 1)
         if ell > self.r:
             raise InputDomainError(f"free-rotation count {ell} outside 1..r={self.r}")
-        suffix = tuple(self.suffix)
+        suffix = _check_rotations("suffix", self.suffix, self.d)
         if len(suffix) != self.r - ell:
             raise InputDomainError(
                 f"suffix has {len(suffix)} rotations, expected r - ell = {self.r - ell}"
             )
-        for g in suffix:
-            if g.d != self.d:
-                raise InputDomainError(f"suffix rotation has dimension {g.d}, expected {self.d}")
         _check_count("trials", self.trials, 1)
         _check_count("n_max", self.n_max, 1)
         object.__setattr__(self, "seed", _seed(self.seed))
@@ -379,7 +379,8 @@ class SearchSettings:
     finite number in (0, 1), and the search's trace, one value per operator
     assembly and at most 4 ``max_iter`` assemblies per restart, must fit
     COST_BUDGET_BYTES.  ``max_iter`` bounds each restart's Gauss-Newton
-    iterations.
+    iterations.  A ``base_tuple`` given as a sequence of Rotation entries
+    becomes a RotationTuple.
     """
 
     restarts: int = 4
@@ -390,6 +391,8 @@ class SearchSettings:
     def __post_init__(self):
         _check_count("restarts", self.restarts, 1)
         _check_count("max_iter", self.max_iter, 1)
+        if self.base_tuple is not None and not isinstance(self.base_tuple, RotationTuple):
+            object.__setattr__(self, "base_tuple", RotationTuple(_check_rotations("base_tuple", self.base_tuple)))
         _check_tolerance("target_ratio", self.target_ratio)
         # a traced value takes a float object and the pointers of the trace list and of SearchRun's tuple
         need = 40 * 4 * self.max_iter * self.restarts
@@ -460,7 +463,7 @@ _MIN_STEP = 1e-3
 
 
 def _gauss_newton(assemble, dim: int, r: int, stop: float, max_iter: int, max_evals: int, record):
-    """One restart's Gauss-Newton iterations on M(x) v = 0 from x = 0; return (ratio, assembly, evals, iterations).
+    """One restart's Gauss-Newton iterations on M(x) v = 0 from x = 0; return (ratio, assembly, v, evals, iterations).
 
     ``assemble(x)`` gives (mats, bound, M) at the chart point x (dim,), and
     every call is one of the at most ``max_evals`` assemblies.  Each
@@ -475,7 +478,7 @@ def _gauss_newton(assemble, dim: int, r: int, stop: float, max_iter: int, max_ev
     ``max_iter`` of them, when the next would pass ``max_evals`` assemblies,
     or when no step lowers sigma_min.  ``record`` receives one ratio per
     assembly: an iterate's or a trial's own, and for a Jacobian column None.
-    The iterate's (mats, bound, M) is returned with its ratio.
+    The iterate's (mats, bound, M) is returned with its ratio and its v.
     """
 
     def evaluate(point):
@@ -511,7 +514,7 @@ def _gauss_newton(assemble, dim: int, r: int, stop: float, max_iter: int, max_ev
             t /= 2
         else:  # no step lowered sigma_min
             break
-    return val, current, evals, iterations
+    return val, current, v, evals, iterations
 
 
 def search_divisible(
@@ -556,18 +559,19 @@ def search_divisible(
     report's first singular degree before the run may claim a divisible
     tuple: its kernel witness's divisor must pass the residual bound through
     its translated S_n (``divisibility._translated_bound``) and one sampled
-    check (the witness from one SVD of the best iterate's M,
-    ``divisibility._svd_witness``, then ``divisibility._certify``, so
-    nothing is assembled twice); budget exhaustion returns the best tuple
+    check (the witness from the right-singular vector that the best
+    iterate's own SVD gave, then ``divisibility._certify``, so nothing is
+    assembled or factored twice); budget exhaustion returns the best tuple
     found with ``certified=False``.  The chart's SVD of a p x p matrix,
     p = d(d-1)/2, is priced with the degree's cost on the Gram route, so a
     search too large for COST_BUDGET_BYTES is refused before it allocates.
     Its assemblies run the recurrence, so it keeps the degree cap
     (``divisibility._STABLE_MAX_DEGREE``) at d = 2 too.  An n that is not an
-    integer >= 1, or an r that is not one >= 2, is refused.  Logs one debug
+    integer >= 1, or a d or an r that is not one >= 2, is refused.  Logs one debug
     line per restart on the "spherediv" logger with its assembly count, its
     objective, its wall time and its Gauss-Newton iteration count.
     """
+    _check_count("d", d, 2)
     _check_count("n", n, 1)
     _check_count("r", r, 2)
     _GramRoute.price(d, r, n)
@@ -602,7 +606,7 @@ def search_divisible(
     stop = min(settings.target_ratio, DEFAULT_SING_TOL)
     max_evals = 4 * settings.max_iter
     best_ratio = math.inf
-    best_mats = best_bound = best_matrix = None
+    best_mats = best_bound = best_vector = None
     restart_ratios = []
     for j in range(settings.restarts):
         start = time.perf_counter()
@@ -614,7 +618,7 @@ def search_divisible(
         else:
             bases = np.array([haar_sample(d, rng_j).matrix for _ in range(r)])
         chart = _quotient_chart(bases)
-        val, (mats, bound, matrix), evals, iterations = _gauss_newton(
+        val, (mats, bound, _), vector, evals, iterations = _gauss_newton(
             partial(assemble, bases, chart), chart.shape[1], r, stop, settings.max_iter, max_evals, record
         )
         restart_ratios.append(val)
@@ -623,7 +627,7 @@ def search_divisible(
             j, evals, val, time.perf_counter() - start, iterations,
         )
         if val < best_ratio:
-            best_ratio, best_mats, best_bound, best_matrix = val, mats, bound, matrix
+            best_ratio, best_mats, best_bound, best_vector = val, mats, bound, vector
         if best_ratio < settings.target_ratio:
             break
 
@@ -632,8 +636,7 @@ def search_divisible(
     residual_max = None
     if best_ratio < settings.target_ratio:
         # best_ratio is sigma_min / r, so this gate is the trigger's dead-operator clause
-        _, vector = _svd_witness(best_matrix)
-        _, _, ver = _certify(_witness(frame, vector), best_bound, best_tuple, derive_rng(seed, 6))
+        _, _, ver = _certify(_witness(frame, best_vector), best_bound, best_tuple, derive_rng(seed, 6))
         certified = ver.passed
         residual_max = ver.max_residual
     return SearchRun(

@@ -40,8 +40,8 @@ def dim_harmonic(d: int, n: int) -> int:
     N_n = C(d+n-1, n) - C(d+n-3, n-2), with the second term taken as 0 for
     n in {0, 1}.  Closed forms: 2n+1 for d = 3, and 2 for d = 2, n >= 1.
     """
-    if d < 2 or n < 0:
-        raise InputDomainError(f"dim_harmonic requires d >= 2 and n >= 0, got d={d}, n={n}")
+    _check_count("d", d, 2)
+    _check_count("n", n, 0)
     first = math.comb(d + n - 1, n)
     second = math.comb(d + n - 3, n - 2) if n >= 2 else 0
     return first - second

@@ -54,7 +54,10 @@ class Rotation:
     repaired: bool = field(init=False, default=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+        try:
+            m = np.array(self.matrix, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputDomainError(f"rotation matrix must be numeric: {exc}") from exc
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputDomainError(f"rotation matrix must be square, got shape {m.shape}")
         if m.shape[0] < 2:
@@ -97,28 +100,30 @@ class Rotation:
         rows = obj["rows"]
         if not isinstance(d, int) or not isinstance(rows, list) or len(rows) != d:
             raise InputDomainError(f'rotation JSON "rows" must be a list of {d} rows')
-        try:
-            m = np.array(rows, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputDomainError(f"rotation JSON rows are not numeric: {exc}") from exc
-        if m.shape != (d, d):
-            raise InputDomainError(f'rotation JSON rows have shape {m.shape}, expected ({d}, {d})')
-        return cls(m)
+        return cls(rows)  # a row that is not d numbers makes the matrix non-numeric or not square
+
+
+def _check_rotations(name: str, values, d=None) -> tuple:
+    """``values`` as a tuple of Rotations of one dimension (``d`` where given); else InputDomainError naming ``name``."""
+    values = tuple(values)
+    if not all(isinstance(g, Rotation) for g in values):
+        raise InputDomainError(f"{name} must be of type Rotation, got {[type(g).__name__ for g in values]}")
+    dims = sorted({g.d for g in values} | ({d} - {None}))
+    if len(dims) > 1:
+        raise InputDomainError(f"{name} must share one dimension, got {dims}")
+    return values
 
 
 @dataclass(frozen=True)
 class RotationTuple:
-    """An ordered tuple of r >= 2 rotations sharing one dimension."""
+    """An ordered tuple of r >= 2 rotations sharing one dimension; each entry must be a Rotation."""
 
     rotations: tuple
 
     def __post_init__(self):
-        rots = tuple(self.rotations)
+        rots = _check_rotations("rotations", self.rotations)
         if len(rots) < 2:
             raise InputDomainError(f"a rotation tuple needs r >= 2 entries, got {len(rots)}")
-        dims = {g.d for g in rots}
-        if len(dims) != 1:
-            raise InputDomainError(f"rotations mix dimensions {sorted(dims)}")
         object.__setattr__(self, "rotations", rots)
 
     @property
@@ -199,7 +204,10 @@ def planar_rotation(d: int, i: int, j: int, angle: float) -> Rotation:
 
     Fixes every other basis vector; maps e_i toward e_j for positive angles.
     """
-    if not (1 <= i < j <= d):
+    _check_count("d", d, 2)
+    _check_count("i", i, 1)
+    _check_count("j", j, 1)
+    if not (i < j <= d):
         raise InputDomainError(f"axis indices must satisfy 1 <= i < j <= d, got i={i}, j={j}, d={d}")
     m = np.eye(d)
     c, s = np.cos(angle), np.sin(angle)

@@ -286,16 +286,27 @@ class TestCmdExperiment:
         main(["experiment", "--config", str(cpath), "--out", str(tmp_path / "b")])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_genericity_all_free_default(self, tmp_path):
-        # d = 2, r = 1 frees the only rotation by default: the frozen suffix is empty
-        config = {"kind": "genericity", "d": 2, "r": 1, "trials": 3, "n_max": 3, "seed": 41}
+    def test_genericity_all_free(self, tmp_path):
+        # ell = r frees every rotation: the frozen suffix is empty
+        config = {"kind": "genericity", "d": 2, "r": 2, "ell": 2, "trials": 3, "n_max": 3, "seed": 41}
         cpath = tmp_path / "config.json"
         cpath.write_text(json.dumps(config))
         code = main(["experiment", "--config", str(cpath), "--out", str(tmp_path / "study")])
         assert code == 0
         summary = json.loads((tmp_path / "study.json").read_text())
+        assert summary["study"]["suffix"] == []
         assert summary["n_singular"] == 0
         assert len((tmp_path / "study.csv").read_text().splitlines()) == 1 + 3 * 3
+
+    @pytest.mark.parametrize("ell", [{"ell": 1}, {}], ids=["ell", "default-ell"])
+    def test_genericity_of_one_rotation_refused(self, tmp_path, capsys, ell):
+        # d = 2, r = 1 once ran a "study" of single rotations, every ratio 1.0
+        config = {"kind": "genericity", "d": 2, "r": 1, "trials": 3, "n_max": 3, "seed": 41, **ell}
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(cpath), "--out", str(tmp_path / "study")]) == 2
+        assert "r must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "study.json").exists() and not (tmp_path / "study.csv").exists()
 
     def test_search_finds_circle_pair(self, tmp_path):
         base = RotationTuple(

@@ -482,16 +482,17 @@ class TestDivisibilityTest:
         assert [rec.verdict for rec in report.degrees] == ["borderline"] * 2
         assert calls == [1, 2] and vectors == []
         calls.clear()
-        # a search builds M once per assembly in its trace, and certifies the best M it holds with
-        # one more SVD: every other assembly is an iterate's or a line-search trial's, with an
-        # SVD, or one of a Jacobian's dim = 1 columns per Gauss-Newton iteration, with none
+        # a search builds M once per assembly in its trace, and certifies the best iterate from the
+        # vector of the SVD that iterate already took: every assembly is an iterate's or a
+        # line-search trial's, with an SVD, or one of a Jacobian's dim = 1 columns per
+        # Gauss-Newton iteration, with none
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
             run = search_divisible(2, 2, 1, SearchSettings(restarts=2, max_iter=100), rng=499)
         assert run.certified
         assert len(calls) == len(run.trace)
         lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("restart ")]
         iterations = sum(int(line.split(", ")[3].split()[0]) for line in lines)
-        assert vectors == [2] * (len(calls) - iterations + 1)
+        assert vectors == [2] * (len(calls) - iterations)
 
     def test_one_sampled_check_per_report(self, monkeypatch):
         calls = []

@@ -340,6 +340,57 @@ class TestCounts:
         with pytest.raises(InputDomainError, match="and an integer"):
             call()
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: study(3, 1, (), ell=1), "r"),
+            (lambda: study(3, 1, ()), "r"),
+            (lambda: study(3, True, (), ell=1), "r"),
+            (lambda: study(3, 2.0, (), ell=2), "r"),
+            (lambda: study(2.5, 3, (haar_sample(3, 1),), ell=2), "d"),
+            (lambda: study(1, 3, (haar_sample(3, 1),), ell=2), "d"),
+            (lambda: study(3, 3, (haar_sample(3, 1).matrix,), ell=2), "suffix"),
+            (lambda: search_divisible(2.5, 3, 2, rng=1), "d"),
+            (lambda: search_divisible(3.0, 3, 1, rng=1), "d"),
+            (lambda: SearchSettings(base_tuple=[haar_sample(3, 1), haar_sample(3, 2).matrix]), "base_tuple"),
+            (lambda: RotationTuple((haar_sample(3, 1).matrix, haar_sample(3, 2).matrix)), "rotations"),
+            (lambda: divisibility_test([haar_sample(3, 1).matrix, haar_sample(3, 2).matrix], 2, rng=1), "rotations"),
+            (lambda: spherediv.odd_d4_tuple(3, haar_sample(3, 1).matrix), "gamma1"),
+            (lambda: spherediv.Rotation([["a", "b"], ["c", "d"]]), "matrix"),
+            (lambda: spherediv.kernel_witness(fischer_frame(3, 1), np.zeros((3, 3)), r=True), "r"),
+            (lambda: spherediv.make_divisor(linear_witness(), 2.5), "r"),
+            (lambda: planar_rotation(3, True, 2, 0.1), "i"),
+            (lambda: planar_rotation(2.5, 1, 2, 0.1), "d"),
+            (lambda: spherediv.dim_harmonic(3, 2.5), "n"),
+        ],
+        ids=[
+            "study-r1-ell", "study-r1", "study-r-bool", "study-r-float", "study-d-float", "study-d1",
+            "study-suffix-array", "search-d-float", "search-d-float-n1", "base_tuple-array",
+            "tuple-arrays", "test-arrays", "odd_d4-gamma1-array", "rotation-strings",
+            "kernel_witness-r-bool", "make_divisor-r-float", "planar_rotation-i-bool",
+            "planar_rotation-d-float", "dim_harmonic-n-float",
+        ],
+    )
+    def test_bad_counts_and_non_rotations_name_the_argument(self, call, name):
+        with pytest.raises(InputDomainError, match=rf"\b{name} must"):
+            call()
+
+    def test_base_tuple_of_rotations_is_a_tuple(self):
+        # a list of Rotation entries becomes a RotationTuple, so the search can read it
+        tup = [haar_sample(3, 1), haar_sample(3, 2), haar_sample(3, 1)]
+        settings = SearchSettings(restarts=1, max_iter=4, base_tuple=tup)
+        assert isinstance(settings.base_tuple, RotationTuple) and settings.base_tuple.rotations == tuple(tup)
+        assert search_divisible(3, 3, 1, settings, rng=1).restart_ratios
+
+
+def study(d, r, suffix, ell=None):
+    return GenericityStudy(d=d, r=r, suffix=suffix, trials=2, n_max=2, seed=1, ell=ell)
+
+
+def linear_witness():
+    """The degree-1 harmonic x_1, in the Fischer frame of S^2."""
+    return spherediv.HarmonicFunction(fischer_frame(3, 1), np.array([1.0, 0.0, 0.0]))
+
 
 class TestSearch:
     def test_circle_pair_converges_and_certifies(self):
@@ -645,7 +696,7 @@ def restart(func, x0, max_iter=20000, max_evals=40000, stop=-math.inf):
     """``_gauss_newton`` on M = func(x0 + x) with r = 1: (ratio, point, evals, iterations, recorded values)."""
     x0 = np.asarray(x0, dtype=float)
     recorded = []
-    ratio, (point, _, _), evals, iterations = experiments._gauss_newton(
+    ratio, (point, _, _), _, evals, iterations = experiments._gauss_newton(
         lambda x: (x0 + x, None, func(x0 + x)), len(x0), 1, stop, max_iter, max_evals, recorded.append
     )
     return ratio, point, evals, iterations, recorded

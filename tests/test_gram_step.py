@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -70,14 +71,16 @@ def translated_powers(mats, n_max):
     return summed_powers(turns[1:], n_max, identity=True)
 
 
-def svd_ratios(tup, n_max, powers=translated_powers):
+def svd_ratios(tup, n_max, powers=translated_powers, full=False):
     """sigma_min / sigma_max of every degree from a values-only SVD of the Gram route's M: the reference of the Gram step.
 
-    With ``powers`` = summed_powers, M is the tuple's own U^T (sum_s Sym^n(gamma_s)) U instead.
+    With ``powers`` = summed_powers, M is the tuple's own U^T (sum_s Sym^n(gamma_s)) U instead;
+    with ``full``, the SVD also gives both factors, as ``_svd_witness``'s does.
     """
     out = []
     for n, sums in powers(np.array([g.matrix for g in tup]), n_max):
-        svals = np.linalg.svd(fischer_frame(tup.d, n).operator(sums), compute_uv=False)
+        operator = fischer_frame(tup.d, n).operator(sums)
+        svals = np.linalg.svd(operator)[1] if full else np.linalg.svd(operator, compute_uv=False)
         out.append(svals[-1] / svals[0])
     return out
 
@@ -146,7 +149,7 @@ class TestGramStep:
 
     def test_zero_pivot_falls_back_to_m(self, monkeypatch, caplog, gram_route):
         # an exact zero pivot in the solve with G assembles M again, and its SVD decides and gives the witness
-        monkeypatch.setattr(divisibility, "_gram_witness", lambda gram, sigma_max, r: None)
+        monkeypatch.setattr(divisibility, "_gram_refinement", lambda gram, shift: None)
         calls, vectors = counted_assemblies(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
             report = divisibility_test(planar_division(6, 3).rotations, 3, rng=281)
@@ -162,16 +165,17 @@ class TestGramStep:
         assert paths(caplog) == ["gram"] * 3
         caplog.clear()
 
-        def planted(shifted):
-            x = np.random.default_rng(607).standard_normal(len(shifted))
+        def planted(gram, shift):
+            x = np.random.default_rng(607).standard_normal(len(gram))
             return x / np.linalg.norm(x)
 
         monkeypatch.setattr(divisibility, "_gram_refinement", planted)
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
             caught = divisibility_test(tup, 3, rng=603)
-        # the consistency check, not the round-off floor, sent every degree to the SVD
+        # the consistency check, not the round-off floor, sent every degree to the SVD; a failed
+        # check keeps no vector, so the full SVD of _svd_witness decides and gives the witness
         assert paths(caplog) == ["gram→svd"] * 3
-        reference = svd_ratios(tup, 3)
+        reference = svd_ratios(tup, 3, full=True)
         assert [rec.sigma_min_rel for rec in caught.degrees] == reference
         for rec, ratio in zip(honest.degrees, reference):
             assert math.isclose(rec.sigma_min_rel, ratio, rel_tol=1e-10)
@@ -232,6 +236,114 @@ class TestGramStep:
             assert head == f"degree {n}: N={fischer_frame(4, n).dim}"
             assert path == "gram"
             assert seconds.endswith(" s") and float(seconds[:-2]) >= 0.0
+
+
+def census(patch):
+    """Count eigvalsh, solve, svd and FischerFrame.operator calls per _GramRoute.degree; returns one tuple per degree."""
+    counts, per_degree = Counter(), []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        patch.setattr(owner, name, counted)
+
+    for name in ("eigvalsh", "solve", "svd"):
+        counting(np.linalg, name)
+    counting(FischerFrame, "operator")
+    degree = divisibility._GramRoute.degree
+
+    def counted_degree(route, n):
+        counts.clear()
+        out = degree(route, n)
+        per_degree.append(tuple(counts[name] for name in ("eigvalsh", "solve", "svd", "operator")))
+        return out
+
+    patch.setattr(divisibility._GramRoute, "degree", counted_degree)
+    return per_degree
+
+
+class TestFactorizationCensus:
+    """Per Gram degree: one eigvalsh of G, one solve (two at an exact zero pivot), at most one SVD.
+
+    Each tuple is (eigvalsh, solve, svd, FischerFrame.operator) within one _GramRoute.degree.
+    """
+
+    def run(self, monkeypatch, caplog, tup, n_max, **options):
+        counts = census(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            report = divisibility_test(tup, n_max, rng=701, **options)
+        return report, counts, paths(caplog)
+
+    def test_gram(self, monkeypatch, caplog):
+        report, counts, lines = self.run(monkeypatch, caplog, haar_tuple(5, 3, 601), 3)
+        assert lines == ["gram"] * 3
+        assert counts == [(1, 1, 0, 1)] * 3
+
+    def test_gram_to_witness(self, monkeypatch, caplog):
+        report, counts, lines = self.run(monkeypatch, caplog, planar_division(3, 3).rotations, 3)
+        assert report.singular_degrees() == [1, 2, 3]
+        assert lines == ["gram→witness"] * 3
+        assert counts == [(1, 1, 0, 1)] * 3
+
+    def test_zero_pivot_retry(self, monkeypatch, caplog):
+        # this Haar triple's degree-1 G - w[0] I meets an exact zero pivot, so the shift moves once
+        refinements, original = [], divisibility._gram_refinement
+
+        def recorded(gram, shift):
+            x = original(gram, shift)
+            refinements.append(x is None)
+            return x
+
+        monkeypatch.setattr(divisibility, "_gram_refinement", recorded)
+        report, counts, lines = self.run(monkeypatch, caplog, haar_tuple(4, 3, 0), 1)
+        assert refinements == [True, False]
+        assert lines == ["gram"]
+        assert counts == [(1, 2, 0, 1)]
+        assert report.degrees[0].verdict == "invertible"
+
+    def test_unfired_bound(self, monkeypatch, caplog):
+        report, counts, lines = self.run(monkeypatch, caplog, planar_division(3, 3).rotations, 3, sing_tol=1e-20)
+        assert lines == ["gram→svd"] * 3
+        assert counts == [(1, 1, 1, 2)] * 3
+
+    def test_planted_zero_pivot(self, monkeypatch, caplog):
+        monkeypatch.setattr(divisibility, "_gram_refinement", lambda gram, shift: None)
+        report, counts, lines = self.run(monkeypatch, caplog, planar_division(3, 3).rotations, 3)
+        assert report.singular_degrees() == [1, 2, 3]
+        assert lines == ["gram→svd"] * 3
+        assert counts == [(1, 0, 1, 2)] * 3
+
+    def test_failed_check(self, monkeypatch, caplog):
+        original = divisibility._gram_refinement
+
+        def planted(gram, shift):
+            original(gram, shift)
+            x = np.random.default_rng(607).standard_normal(len(gram))
+            return x / np.linalg.norm(x)
+
+        monkeypatch.setattr(divisibility, "_gram_refinement", planted)
+        report, counts, lines = self.run(monkeypatch, caplog, haar_tuple(5, 3, 601), 3)
+        assert lines == ["gram→svd"] * 3
+        assert counts == [(1, 1, 1, 2)] * 3
+
+    def test_search_certificate_takes_no_svd(self, monkeypatch, caplog):
+        # one SVD of M per iterate or line-search assembly; the Jacobian's dim = 4 columns per
+        # iteration take none, and the certificate reuses the best iterate's vector
+        from spherediv import SearchSettings, search_divisible
+
+        shapes = counted_svds(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            run = search_divisible(3, 3, 2, SearchSettings(), rng=3)
+        assert run.certified
+        lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("restart ")]
+        iterations = sum(int(line.split(", ")[3].split()[0]) for line in lines)
+        dim = fischer_frame(3, 2).dim
+        assert shapes.count((dim, dim)) == len(run.trace) - 4 * iterations
+        assert shapes.count((3, 3)) == len(lines)  # the chart's SVD, one per restart
 
 
 class TestTranslatedTuple:
@@ -496,14 +608,22 @@ def test_peak_within_estimate_at_a_zero_pivot():
     # LAPACK's buffers that tracemalloc does not see, so the growth of the peak RSS is measured:
     # about 129 MiB against an estimate of 175 MiB
     code = """
-import resource
+import logging, resource
 from spherediv import divisibility, divisibility_test, planar_division
-divisibility._gram_witness = lambda gram, sigma_max, r: None
+assert hasattr(divisibility, "_gram_refinement")
+divisibility._gram_refinement = lambda gram, shift: None
 from spherediv import circle
 circle.detect = lambda *_: None  # the Gram step, not the circle route, decides the planar triple
+lines = []
+handler = logging.Handler()
+handler.emit = lambda record: lines.append(record.getMessage().split(", ")[1])
+logger = logging.getLogger("spherediv")
+logger.addHandler(handler)
+logger.setLevel(logging.DEBUG)
 tup = planar_division(8, 3).rotations
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert divisibility_test(tup, 6, rng=625).singular_degrees() == [1, 2, 3, 4, 5, 6]
+assert lines == ["gram→svd"] * 6, lines
 print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base), divisibility._peak_bytes(8, 3, 6))
 """
     peak, estimate = map(int, run_python(code).split())
