@@ -789,19 +789,21 @@ def verify_divisor(
     points to exclude (e.g. within 1e-12 of an indicator's boundary, a
     measure-zero set on which almost-everywhere equality says nothing).
     Passing requires max residual <= RESIDUAL_TOL and a strictly
-    positive sample variance of f (nonconstancy evidence).  f is evaluated
-    on blocks of points holding at most _VERIFY_BLOCK_BYTES (128 KiB) of
-    values, taking ``f.size`` values per point where f has one
-    (HarmonicFunction and DivisorFunction do) and d otherwise, so no block's
-    temporaries cross glibc's default mmap threshold; only the per-point
-    sums and values are kept whole, and the result does not depend on the
-    block size.  This is a sampled check, not a bound over the
+    positive sample variance of f (nonconstancy evidence), read from the
+    first translate's values f(gamma_1^T x): gamma_1^T x is uniform on the
+    sphere too, so those are f at as many iid uniform points, and f is
+    evaluated r times per point.  f is evaluated on blocks of points
+    holding at most _VERIFY_BLOCK_BYTES (128 KiB) of values, taking
+    ``f.size`` values per point where f has one (HarmonicFunction and
+    DivisorFunction do) and d otherwise, so no block's temporaries cross
+    glibc's default mmap threshold; only the per-point sums and first
+    values are kept whole, and the result does not depend on the block
+    size.  This is a sampled check, not a bound over the
     sphere: divisibility_test certifies its degrees through ``_certify``.
     A ``samples`` that is not an integer >= 1, or one above
-    COST_BUDGET_BYTES / (8 (2d + 2)), raises InputDomainError: the sphere
-    draw holds the points twice while it normalizes them, and the per-point
-    sums and values add two entries per point, about 8 samples (2d + 2)
-    bytes in all.
+    COST_BUDGET_BYTES / (8 (2d + 2)), raises InputDomainError: the points
+    are held twice where ``skip`` drops some, and the per-point sums and
+    values add two entries per point, about 8 samples (2d + 2) bytes in all.
     """
     _check_count("samples", samples, 1)
     mats = _rotation_matrices(rotations)
@@ -814,17 +816,18 @@ def verify_divisor(
         skipped = int(mask.sum())
         pts = pts[~mask]
     rows = max(1, _VERIFY_BLOCK_BYTES // (8 * getattr(f, "size", d)))
-    total = np.zeros(len(pts))
-    fvals = np.empty(len(pts))
+    total = np.empty(len(pts))
+    first = np.empty(len(pts))  # f(gamma_1^T x), which the sums start from
     for lo in range(0, len(pts), rows):
         block = pts[lo:lo + rows]
-        for mat in mats:
+        first[lo:lo + rows] = f(block @ mats[0])
+        total[lo:lo + rows] = first[lo:lo + rows]
+        for mat in mats[1:]:
             total[lo:lo + rows] += np.asarray(f(block @ mat), dtype=float)
-        fvals[lo:lo + rows] = f(block)
     residuals = np.abs(total - 1.0)
     max_res = float(residuals.max()) if len(pts) else 0.0
     mean_res = float(residuals.mean()) if len(pts) else 0.0
-    var = float(fvals.var()) if len(pts) else 0.0
+    var = float(first.var()) if len(pts) else 0.0
     return VerificationResult(
         max_residual=max_res,
         mean_residual=mean_res,
@@ -1241,10 +1244,14 @@ class _GramRoute(_Route):
 
     @staticmethod
     def translated(mats: np.ndarray, n_max: int):
-        """(turns, powers): the formed h_s = gamma_1^T gamma_s, h_1 = I exactly, and (n, S_n) from h_2 .. h_r."""
-        turns = mats[0].T @ mats
-        turns[0] = np.eye(mats.shape[-1])
-        return turns, summed_powers(turns[1:], n_max, identity=True)
+        """(turns, powers): the formed h_s = gamma_1^T gamma_s, h_1 = I exactly, and (n, S_n) from h_2 .. h_r.
+
+        ``mats`` is one tuple (r, d, d) or a stack of them (..., r, d, d), and
+        ``turns`` and every S_n keep its leading axes (``summed_powers``).
+        """
+        turns = np.swapaxes(mats[..., :1, :, :], -1, -2) @ mats
+        turns[..., 0, :, :] = np.eye(mats.shape[-1])
+        return turns, summed_powers(turns[..., 1:, :, :], n_max, identity=True)
 
     def degree(self, n: int):
         """The degree's entry, from S_n: the tuple's operator is rho(gamma_1) M, M = U^T S_n U.

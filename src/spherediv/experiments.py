@@ -69,6 +69,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import fischer
 from .divisibility import (
     DEFAULT_SING_TOL,
     VERDICT_INVERTIBLE,
@@ -85,7 +86,7 @@ from .divisibility import (
 )
 from .errors import InputDomainError, _check_count
 from .fischer import fischer_frame
-from .rotations import Rotation, RotationTuple, _check_rotations, haar_from_gaussian, haar_sample
+from .rotations import Rotation, RotationTuple, _check_rotations, haar_from_gaussian
 from .sampling import _seed, derive_rng, derive_rngs, resolve_seed
 
 __all__ = [
@@ -119,8 +120,11 @@ def default_free_count(d: int, r: int) -> int:
     and its zero set is Haar-null (Mityagin, arXiv:1512.07276); so is the
     countable union over n.  At d = 2 one free angle suffices: each degree
     is singular at finitely many angles.  The paper's "generic" may be an
-    explicit condition rather than a measure-theoretic one.
+    explicit condition rather than a measure-theoretic one.  ``d`` and ``r``
+    must be integers >= 2.
     """
+    _check_count("d", d, 2)
+    _check_count("r", r, 2)
     return r // 2 if d >= 3 else 1
 
 
@@ -462,16 +466,18 @@ _JACOBIAN_STEP = 1e-7
 _MIN_STEP = 1e-3
 
 
-def _gauss_newton(assemble, dim: int, r: int, stop: float, max_iter: int, max_evals: int, record):
+def _gauss_newton(assemble, columns, dim: int, r: int, stop: float, max_iter: int, max_evals: int, record):
     """One restart's Gauss-Newton iterations on M(x) v = 0 from x = 0; return (ratio, assembly, v, evals, iterations).
 
     ``assemble(x)`` gives (mats, bound, M) at the chart point x (dim,), and
-    every call is one of the at most ``max_evals`` assemblies.  Each
-    iteration holds the iterate's M and the right-singular vector v of its
-    sigma_min from one SVD.  dim more assemblies, with no SVD, give the
-    Jacobian's columns (M(x + h e_k) - M) v / h, h = _JACOBIAN_STEP; one
-    least-squares solve gives the minimum-norm step delta of the bordered
-    system [J M; 0 v^T] [delta; w] = [-M v; 0]; and x + t delta for
+    ``columns(points)`` yields the stacks of M at the rows of ``points``
+    (k, dim), block after block in their order; each point of either is one
+    of the at most ``max_evals`` assemblies.  Each iteration holds the
+    iterate's M and the right-singular vector v of its sigma_min from one
+    SVD.  The dim points x + h e_k, h = _JACOBIAN_STEP, go to ``columns``
+    at once and give the Jacobian's columns (M(x + h e_k) - M) v / h with no
+    SVD; one least-squares solve gives the minimum-norm step delta of the
+    bordered system [J M; 0 v^T] [delta; w] = [-M v; 0]; and x + t delta for
     t = 1, 1/2, ... down to _MIN_STEP is assembled until one lowers
     sigma_min, which becomes the next iterate.  The iterations end at the
     first iterate whose ratio sigma_min / r is below ``stop``, after
@@ -495,14 +501,16 @@ def _gauss_newton(assemble, dim: int, r: int, stop: float, max_iter: int, max_ev
     while val >= stop and iterations < max_iter and evals + dim < max_evals:
         iterations += 1
         matrix = current[2]
-        jac = np.empty((len(v), dim))
-        for k in range(dim):
-            shifted = x.copy()
-            shifted[k] += _JACOBIAN_STEP
-            jac[:, k] = (assemble(shifted)[2] - matrix) @ v / _JACOBIAN_STEP
-            record(None)
+        jac = np.empty((dim, len(v)))  # row k: column k of the Jacobian
+        k = 0
+        for stack in columns(x + np.diag(np.full(dim, _JACOBIAN_STEP))):
+            jac[k:k + len(stack)] = (stack - matrix) @ v / _JACOBIAN_STEP
+            k += len(stack)
+            for _ in stack:
+                record(None)
         evals += dim
-        bordered = np.block([[jac, matrix], [np.zeros((1, dim)), v[None, :]]])
+        bordered = np.zeros((len(v) + 1, dim + len(v)))
+        bordered[:-1, :dim], bordered[:-1, dim:], bordered[-1, dim:] = jac.T, matrix, v
         delta = np.linalg.lstsq(bordered, np.append(-(matrix @ v), 0.0), rcond=None)[0][:dim]
         t = 1.0
         while t >= _MIN_STEP and evals < max_evals:
@@ -515,6 +523,14 @@ def _gauss_newton(assemble, dim: int, r: int, stop: float, max_iter: int, max_ev
         else:  # no step lowered sigma_min
             break
     return val, current, v, evals, iterations
+
+
+def _jacobian_block(r: int, size: int) -> int:
+    """Jacobian columns per stacked assembly: as many as keep their r dense copies of S_n within fischer.BLOCK_BYTES, at least one.
+
+    ``size`` is P_n, so a column's copies take 8 r P_n^2 bytes.
+    """
+    return max(1, fischer.BLOCK_BYTES // (8 * r * size * size))
 
 
 def search_divisible(
@@ -546,9 +562,16 @@ def search_divisible(
     rests on it: a commutant made too large by a degenerate h_2 only adds
     dimensions, and every candidate still goes through the certificate.
 
-    Each restart runs ``_gauss_newton`` from x = 0: an iteration takes one
-    SVD of the iterate's M, dim assemblies for the Jacobian, one
-    least-squares solve and a backtracking line search on sigma_min.
+    Each restart draws its r base rotations from one stacked
+    ``haar_from_gaussian`` call, unless ``base_tuple`` gives them, and runs
+    ``_gauss_newton`` from x = 0: an iteration takes one SVD of the
+    iterate's M, the Jacobian's dim columns from stacked assemblies, one
+    least-squares solve and a backtracking line search on sigma_min.  A
+    stacked assembly takes as many columns as keep their r dense copies of
+    S_n within ``fischer.BLOCK_BYTES`` (``_jacobian_block``): all dim of them
+    at d = 3, n = 2, and one at d = 8, n = 6, assembled as an iterate is.
+    The iterates, the line-search trials and the stacks all go through the
+    Gram route's ``_GramRoute.translated``.
     A restart ends at the first iterate below both ``target_ratio`` and
     DEFAULT_SING_TOL, after ``max_iter`` iterations, when the next
     iteration would pass 4 ``max_iter`` assemblies, or when no step lowers
@@ -584,13 +607,29 @@ def search_divisible(
     seed = resolve_seed(rng)
     frame = fischer_frame(d, n)
 
-    def assemble(bases, chart, x):
-        """The tuple at chart point x, its certificate's bound through its translated S_n, and its operator M."""
-        moved = cayley_rotation(bases[1:], (chart @ x).reshape(r - 1, p))
-        mats = np.concatenate([bases[:1], moved])
+    def assemble(bases, chart, points):
+        """The tuples at chart points (dim,) or (k, dim), their h stacks and S_n (``_GramRoute.translated``), and M."""
+        theta = (chart @ points.T).T.reshape(points.shape[:-1] + (r - 1, p))
+        mats = np.empty(points.shape[:-1] + (r, d, d))
+        mats[..., 0, :, :], mats[..., 1:, :, :] = bases[0], cayley_rotation(bases[1:], theta)
         turns, powers = _GramRoute.translated(mats, n)
         *_, (_, sums) = powers
-        return mats, partial(_translated_bound, frame, sums, turns), frame.operator(sums)
+        return mats, turns, sums, frame.operator(sums)
+
+    def iterate(bases, chart, x):
+        """The tuple at chart point x, its certificate's bound through its translated S_n, and its operator M."""
+        mats, turns, sums, matrix = assemble(bases, chart, x)
+        return mats, partial(_translated_bound, frame, sums, turns), matrix
+
+    # a block of one is assembled as an iterate is, so a top-degree S_n too large to stack may
+    # still be streamed (``fischer.summed_powers``)
+    block = _jacobian_block(r, frame.size)
+
+    def columns(bases, chart, points):
+        """The operators at the chart points (k, dim), ``block`` points per stacked assembly."""
+        for lo in range(0, len(points), block):
+            rows = points[lo:lo + block] if block > 1 else points[lo]
+            yield assemble(bases, chart, rows)[3].reshape(-1, frame.dim, frame.dim)
 
     trace: list = []
 
@@ -616,10 +655,11 @@ def search_divisible(
                 raise InputDomainError("base_tuple shape does not match (d, r)")
             bases = np.array([g.matrix for g in settings.base_tuple])
         else:
-            bases = np.array([haar_sample(d, rng_j).matrix for _ in range(r)])
+            bases = haar_from_gaussian(rng_j.standard_normal((r, d, d)))
         chart = _quotient_chart(bases)
         val, (mats, bound, _), vector, evals, iterations = _gauss_newton(
-            partial(assemble, bases, chart), chart.shape[1], r, stop, settings.max_iter, max_evals, record
+            partial(iterate, bases, chart), partial(columns, bases, chart), chart.shape[1], r, stop,
+            settings.max_iter, max_evals, record,
         )
         restart_ratios.append(val)
         _log.debug(

@@ -48,9 +48,8 @@ def dim_harmonic(d: int, n: int) -> int:
 
 
 def sphere_area(d: int) -> float:
-    """Total measure sigma_d = 2 pi^{d/2} / Gamma(d/2) of the unit sphere in R^d."""
-    if d < 2:
-        raise InputDomainError(f"sphere_area requires d >= 2, got d={d}")
+    """Total measure sigma_d = 2 pi^{d/2} / Gamma(d/2) of the unit sphere in R^d, for an integer d >= 2."""
+    _check_count("d", d, 2)
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 

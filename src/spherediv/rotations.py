@@ -105,7 +105,10 @@ class Rotation:
 
 def _check_rotations(name: str, values, d=None) -> tuple:
     """``values`` as a tuple of Rotations of one dimension (``d`` where given); else InputDomainError naming ``name``."""
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InputDomainError(f"{name} must be a sequence of Rotation, got {type(values).__name__}") from None
     if not all(isinstance(g, Rotation) for g in values):
         raise InputDomainError(f"{name} must be of type Rotation, got {[type(g).__name__ for g in values]}")
     dims = sorted({g.d for g in values} | ({d} - {None}))

@@ -196,8 +196,10 @@ def derive_rngs(seed: int, *keys: int, count: int):
 def uniform_sphere(d: int, size: int, rng) -> np.ndarray:
     """Draw ``size`` points uniformly on the unit sphere in R^d, shape (size, d).
 
-    The row norms come from one ``einsum``: 0.076 ms on 10 000 x 8 points
-    against 0.354 ms for ``np.linalg.norm`` (best of 5, one BLAS thread).
+    The points are z / |z| for the Gaussian draw z, divided in place, so the
+    draw is held once.  The row norms come from one ``einsum``: 0.076 ms on
+    10 000 x 8 points against 0.354 ms for ``np.linalg.norm`` (best of 5,
+    one BLAS thread).
     Over 20 000 draws at each of d = 2 .. 64 the points were unit within 3 u
     and within 3 u, 2 ulps of 1, of that formula's (u = 2^-53).  A ``d``
     below 1, where every norm would be 0 and the resampling would never
@@ -215,4 +217,5 @@ def uniform_sphere(d: int, size: int, rng) -> np.ndarray:
         pts[bad] = gen.standard_normal((int(bad.sum()), d))
         norms[bad] = np.sqrt(np.einsum("ij,ij->i", pts[bad], pts[bad]))
         bad = norms < 1e-12
-    return pts / norms[:, None]
+    pts /= norms[:, None]
+    return pts

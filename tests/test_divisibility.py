@@ -239,6 +239,33 @@ class TestVerifyDivisor:
         with pytest.raises(InputDomainError, match="samples must be >= 1"):
             verify_divisor(tup, lambda x: np.full(len(np.atleast_2d(x)), 0.5), samples, 151)
 
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_one_evaluation_per_translate(self, whole, monkeypatch):
+        # f is evaluated at r points per sample, the translates gamma_s^T x, and no more: the
+        # nonconstancy evidence is the variance of the first translate's values f(gamma_1^T x)
+        tup = RotationTuple(tuple(haar_sample(4, 271 + k) for k in range(3)))
+        mats = np.array([g.matrix for g in tup])
+        if whole:  # one block, so each translate is one product and every statistic is exact
+            monkeypatch.setattr(divisibility, "_VERIFY_BLOCK_BYTES", 1 << 30)
+        evaluated = []
+
+        def f(x):
+            evaluated.append(len(x))
+            return x[:, 0] ** 2 + x[:, 1]
+
+        result = verify_divisor(tup, f, 5_000, 167)
+        assert sum(evaluated) == 3 * 5_000 and result.n_samples == 5_000
+        pts = uniform_sphere(4, 5_000, 167)
+        first = f(pts @ mats[0])
+        residuals = np.abs(first + f(pts @ mats[1]) + f(pts @ mats[2]) - 1.0)
+        if whole:
+            assert result.function_variance == float(first.var())
+            assert result.max_residual == float(residuals.max())
+            assert result.mean_residual == float(residuals.mean())
+        else:
+            assert math.isclose(result.function_variance, float(first.var()), rel_tol=1e-14)
+            assert math.isclose(result.max_residual, float(residuals.max()), rel_tol=1e-14)
+
     def test_blocks_match_one_block(self, monkeypatch):
         tup = half_turn_pair(4, 149)
         report = divisibility_test(tup, 3, rng=163)
@@ -443,7 +470,8 @@ class TestDivisibilityTest:
         operator, svd_witness = FischerFrame.operator, divisibility._svd_witness
 
         def counted(frame, sums):
-            calls.append(frame.n)
+            # one entry per operator matrix: a search's Jacobian assembles a stack of them at once
+            calls.extend([frame.n] * math.prod(np.shape(sums)[:-2]))
             return operator(frame, sums)
 
         def counted_vector(matrix):
@@ -484,15 +512,19 @@ class TestDivisibilityTest:
         calls.clear()
         # a search builds M once per assembly in its trace, and certifies the best iterate from the
         # vector of the SVD that iterate already took: every assembly is an iterate's or a
-        # line-search trial's, with an SVD, or one of a Jacobian's dim = 1 columns per
-        # Gauss-Newton iteration, with none
-        with caplog.at_level(logging.DEBUG, logger="spherediv"):
-            run = search_divisible(2, 2, 1, SearchSettings(restarts=2, max_iter=100), rng=499)
-        assert run.certified
-        assert len(calls) == len(run.trace)
-        lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("restart ")]
-        iterations = sum(int(line.split(", ")[3].split()[0]) for line in lines)
-        assert vectors == [2] * (len(calls) - iterations)
+        # line-search trial's, with an SVD, or one of a Jacobian's dim columns per Gauss-Newton
+        # iteration (1 at d = 2, 4 stacked at d = 3), with none
+        for d, r, n, dim, size in [(2, 2, 1, 1, 2), (3, 3, 2, 4, 5)]:
+            calls.clear()
+            vectors.clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="spherediv"):
+                run = search_divisible(d, r, n, SearchSettings(restarts=2, max_iter=100), rng=499)
+            assert run.certified
+            assert calls == [n] * len(run.trace)
+            lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("restart ")]
+            iterations = sum(int(line.split(", ")[3].split()[0]) for line in lines)
+            assert iterations and vectors == [size] * (len(calls) - dim * iterations)
 
     def test_one_sampled_check_per_report(self, monkeypatch):
         calls = []

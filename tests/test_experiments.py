@@ -362,13 +362,21 @@ class TestCounts:
             (lambda: planar_rotation(3, True, 2, 0.1), "i"),
             (lambda: planar_rotation(2.5, 1, 2, 0.1), "d"),
             (lambda: spherediv.dim_harmonic(3, 2.5), "n"),
+            # each of these raised TypeError (not iterable) or returned a value
+            (lambda: RotationTuple(5), "rotations"),
+            (lambda: SearchSettings(base_tuple=5), "base_tuple"),
+            (lambda: GenericityStudy(d=3, r=3, suffix=None, trials=5, n_max=2, seed=1), "suffix"),
+            (lambda: default_free_count(3, 1), "r"),
+            (lambda: default_free_count(2.5, 3), "d"),
+            (lambda: spherediv.sphere_area(2.5), "d"),
         ],
         ids=[
             "study-r1-ell", "study-r1", "study-r-bool", "study-r-float", "study-d-float", "study-d1",
             "study-suffix-array", "search-d-float", "search-d-float-n1", "base_tuple-array",
             "tuple-arrays", "test-arrays", "odd_d4-gamma1-array", "rotation-strings",
             "kernel_witness-r-bool", "make_divisor-r-float", "planar_rotation-i-bool",
-            "planar_rotation-d-float", "dim_harmonic-n-float",
+            "planar_rotation-d-float", "dim_harmonic-n-float", "tuple-int", "base_tuple-int",
+            "study-suffix-none", "free_count-r1", "free_count-d-float", "sphere_area-d-float",
         ],
     )
     def test_bad_counts_and_non_rotations_name_the_argument(self, call, name):
@@ -561,7 +569,8 @@ def recorded_search(monkeypatch, *args, **kwargs):
         return chart(bases)
 
     def evaluated(mats, n):
-        events.append(("eval", mats.copy()))
+        # one event per tuple: a Jacobian's stacked assembly hands over one tuple per column
+        events.extend(("eval", tup.copy()) for tup in mats.reshape((-1,) + mats.shape[-3:]))
         return translated(mats, n)
 
     monkeypatch.setattr(experiments, "_quotient_chart", charted)
@@ -573,12 +582,13 @@ class TestTranslatedSearch:
     """The search decides the translated tuple h_s = gamma_1^T gamma_s, as divisibility_test's Gram route does."""
 
     def test_recurrence_runs_on_r_minus_one_rotations(self, monkeypatch):
-        # h_1 = I is free: every assembly hands h_2 .. h_r to summed_powers, which adds I to S_n
+        # h_1 = I is free: every assembly hands h_2 .. h_r to summed_powers, which adds I to S_n;
+        # a Jacobian's stacked assembly hands one such tuple per column, so tuples are counted
         handed = []
         powers = divisibility.summed_powers
 
         def recorded(mats, n_max, **options):
-            handed.append((np.shape(mats), options))
+            handed.extend([(np.shape(mats)[-3:], options)] * math.prod(np.shape(mats)[:-3]))
             return powers(mats, n_max, **options)
 
         monkeypatch.setattr(divisibility, "summed_powers", recorded)
@@ -595,6 +605,63 @@ class TestTranslatedSearch:
         run = search_divisible(3, 3, 2, rng=1)
         assert run.best_ratio < DEFAULT_SING_TOL
         assert not run.certified and run.residual_max > 1e-8
+
+
+def one_column_per_assembly(monkeypatch):
+    """Make every Jacobian column an assembly of its own, as when r copies of S_n fill fischer.BLOCK_BYTES."""
+    monkeypatch.setattr(experiments, "_jacobian_block", lambda r, size: 1)
+
+
+class TestStackedJacobian:
+    """A Gauss-Newton iteration assembles its Jacobian's columns in stacks that fit fischer.BLOCK_BYTES."""
+
+    def test_stacks_equal_single_columns(self, monkeypatch):
+        # at (d, r, n) = (3, 3, 2) the stacked columns are the single ones bit for bit
+        stacked = [search_divisible(3, 3, 2, rng=seed) for seed in range(6)]
+        one_column_per_assembly(monkeypatch)
+        for seed, run in enumerate(stacked):
+            single = search_divisible(3, 3, 2, rng=seed)
+            assert run.to_json_obj() == single.to_json_obj() and run.trace == single.trace, seed
+            assert run.residual_max == single.residual_max, seed
+
+    @pytest.mark.parametrize("fill", [1, 2])
+    def test_a_full_block_takes_one_column_per_assembly(self, fill, monkeypatch):
+        # r dense copies of S_n take 8 r P_n^2 bytes: where fill of them fill fischer.BLOCK_BYTES,
+        # each stacked assembly takes fill of the dim = 4 columns, and a lone column is assembled
+        # as an iterate is, one (r, d, d) tuple
+        from spherediv import fischer
+
+        r, size = 3, fischer_frame(3, 2).size
+        assert experiments._jacobian_block(r, fischer_frame(8, 6).size) == 1  # as at d = 8, n = 6
+        monkeypatch.setattr(fischer, "BLOCK_BYTES", fill * 8 * r * size * size)
+        shapes = []
+        translated = divisibility._GramRoute.translated
+
+        def recorded(mats, n):
+            shapes.append(mats.shape)
+            return translated(mats, n)
+
+        monkeypatch.setattr(divisibility._GramRoute, "translated", staticmethod(recorded))
+        run = search_divisible(3, r, 2, SearchSettings(restarts=1, max_iter=40), rng=601)
+        assert {shape[:-3] for shape in shapes} == ({()} if fill == 1 else {(), (2,)})
+        assert sum(math.prod(shape[:-3]) for shape in shapes) == len(run.trace)
+
+    def test_stacks_keep_the_traced_peak(self, monkeypatch):
+        # a stack holds at most fischer.BLOCK_BYTES of S_n copies more than one column does
+        from spherediv import fischer
+
+        def peak():
+            search_divisible(4, 3, 3, rng=0)  # warm every cache first
+            tracemalloc.start()
+            try:
+                search_divisible(4, 3, 3, rng=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        stacked = peak()
+        one_column_per_assembly(monkeypatch)
+        assert stacked <= peak() + fischer.BLOCK_BYTES
 
 
 class TestQuotientChart:
@@ -693,11 +760,16 @@ def quadratic(dim, seed, size=3):
 
 
 def restart(func, x0, max_iter=20000, max_evals=40000, stop=-math.inf):
-    """``_gauss_newton`` on M = func(x0 + x) with r = 1: (ratio, point, evals, iterations, recorded values)."""
+    """``_gauss_newton`` on M = func(x0 + x) with r = 1: (ratio, point, evals, iterations, recorded values).
+
+    The Jacobian's columns come as one stack, as a search's do while they fit fischer.BLOCK_BYTES.
+    """
     x0 = np.asarray(x0, dtype=float)
     recorded = []
     ratio, (point, _, _), _, evals, iterations = experiments._gauss_newton(
-        lambda x: (x0 + x, None, func(x0 + x)), len(x0), 1, stop, max_iter, max_evals, recorded.append
+        lambda x: (x0 + x, None, func(x0 + x)),
+        lambda points: [np.array([func(x0 + x) for x in points])],
+        len(x0), 1, stop, max_iter, max_evals, recorded.append,
     )
     return ratio, point, evals, iterations, recorded
 
@@ -705,8 +777,8 @@ def restart(func, x0, max_iter=20000, max_evals=40000, stop=-math.inf):
 class TestNelderMead:
     """The restart's optimizer on problems with a known answer.
 
-    The cases keep the names they had when the optimizer was a Nelder-Mead
-    simplex; they now check ``_gauss_newton``, which replaced it.
+    The class and its cases keep the names they had when the optimizer was a
+    Nelder-Mead simplex; they now check ``_gauss_newton``, which replaced it.
     """
 
     def test_converges_on_rosenbrock(self):

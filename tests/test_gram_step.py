@@ -366,6 +366,19 @@ class TestTranslatedTuple:
         for rec, ratio in zip(report.degrees, svd_ratios(tup, 3, summed_powers)):
             assert math.isclose(rec.sigma_min_rel, ratio, rel_tol=1e-10), (rec, ratio)
 
+    def test_stacked_tuples_are_translated_alike(self):
+        # a search's Jacobian translates a stack of tuples in one call: h_s bit for bit as one tuple
+        # at a time, S_n up to the round-off of a recurrence summed in another order
+        stack = np.array([[g.matrix for g in haar_tuple(4, 3, 701 + k)] for k in range(5)])
+        turns, powers = divisibility._GramRoute.translated(stack, 3)
+        alone = [divisibility._GramRoute.translated(mats, 3) for mats in stack]
+        assert turns.shape == (5, 3, 4, 4)
+        assert all(turns[k].tobytes() == alone[k][0].tobytes() for k in range(5))
+        for n, sums in powers:
+            for k, (_, single) in enumerate(alone):
+                m, want = next(single)
+                assert m == n and np.max(np.abs(sums[k] - want)) <= 1e-14, (n, k)
+
     def test_formed_products_are_within_delta(self):
         # the premise of _formed_slack: ||fl(gamma_1^T gamma_s) - gamma_1^T gamma_s||_F <= d gamma_d,
         # against the product in extended precision

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spherediv import GenericityStudy, InputDomainError, derive_rng, haar_sample
+from spherediv import GenericityStudy, InputDomainError, derive_rng, haar_sample, uniform_sphere
 from spherediv.experiments import _draw_trials
 from spherediv.sampling import _spawn_states, derive_rngs
 
@@ -63,6 +63,14 @@ def test_derive_rngs_refuses_at_the_call(seed, keys, count):
 def test_import_leaves_numpy_random_unloaded():
     code = "import sys, spherediv; assert 'numpy.random' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env=ENV, timeout=60)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_uniform_sphere_normalizes_its_gaussian_draw(d):
+    # the points are z / |z| of the seed's Gaussian draw z, bit for bit, with |z| from the documented einsum
+    z = np.random.default_rng(577 + d).standard_normal((2_000, d))
+    want = z / np.sqrt(np.einsum("ij,ij->i", z, z))[:, None]
+    assert uniform_sphere(d, 2_000, 577 + d).tobytes() == want.tobytes()
 
 
 def test_uniform_sphere_refuses_bad_counts():
