@@ -11,7 +11,8 @@ degree; each route is described once, on its object (``_Route``):
 ``_PairRoute`` for a pair, from the torus angles of h = h_2, and
 ``_GramRoute`` for the rest, in the exact Fischer frame of ``fischer``.
 The genericity studies decide their trials through the same routes, and
-the searches assemble through the Gram route's translated S_n.
+the searches assemble the Gram route's translated S_n
+(``experiments._assemble``).
 The frames are deterministic, so verdicts do not depend on the seed, which
 drives only the verification points.  Near-zero smallest singular values
 only *trigger* certificate extraction (``_near_singular``); the certificate
@@ -976,6 +977,8 @@ def _peak_bytes(d: int, r: int, n: int) -> int:
       recurrence through the spectral step and the certificate, and the
       operator builds S_n one column slab at a time, P_n rows of at most
       P_(n-1) columns: together less than 2 P_n^2, within the count above;
+    - a search's assembly (``experiments._assemble``) keeps the r - 1 dense Sym^n(h_s) beside S_n
+      for its Jacobian, so a line-search trial and the iterate's S_n hold (r + 1) P_n^2;
     - the operator keeps S_n and adds U^T S_n (N_n P_n) and M (N_n^2), and
       a dense U (only at P_n <= ``fischer.DENSE_MAX_SIZE``) P_n N_n more;
       the parity blocks gather S_n a chunk of classes at a time;
@@ -1221,7 +1224,7 @@ class _GramRoute(_Route):
 
     One pass of the symmetric-power recurrence over h_2 .. h_r gives
     S_n = I + sum_(s >= 2) Sym^n(h_s) for every degree, the term of h_1 = I
-    free (``translated``), and M = U^T S_n U is the operator in orthonormal
+    free, and M = U^T S_n U is the operator in orthonormal
     coordinates, so its singular values are the operator's L^2 ones, within
     ``_formed_slack`` of the formed h_s: that is the slack.  At the top
     degree S_n may be streamed from the r - 1 copies of Sym^(n-1)
@@ -1240,18 +1243,10 @@ class _GramRoute(_Route):
 
     def __init__(self, mats, plane, n_max, sing_tol):
         super().__init__(mats, plane, n_max, sing_tol)
-        self.turns, self.powers = self.translated(mats, n_max)
-
-    @staticmethod
-    def translated(mats: np.ndarray, n_max: int):
-        """(turns, powers): the formed h_s = gamma_1^T gamma_s, h_1 = I exactly, and (n, S_n) from h_2 .. h_r.
-
-        ``mats`` is one tuple (r, d, d) or a stack of them (..., r, d, d), and
-        ``turns`` and every S_n keep its leading axes (``summed_powers``).
-        """
-        turns = np.swapaxes(mats[..., :1, :, :], -1, -2) @ mats
-        turns[..., 0, :, :] = np.eye(mats.shape[-1])
-        return turns, summed_powers(turns[..., 1:, :, :], n_max, identity=True)
+        # the formed h_s = gamma_1^T gamma_s, h_1 = I exactly, and (n, S_n) from h_2 .. h_r
+        self.turns = np.swapaxes(mats[:1], -1, -2) @ mats
+        self.turns[0] = np.eye(self.d)
+        self.powers = summed_powers(self.turns[1:], n_max, identity=True)
 
     def degree(self, n: int):
         """The degree's entry, from S_n: the tuple's operator is rho(gamma_1) M, M = U^T S_n U.

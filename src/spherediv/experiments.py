@@ -18,28 +18,28 @@ row is a standalone run's up to round-off.
 The search minimizes how singular the degree-n operator is over tuples
 modulo left and right translations, in a Cayley chart of that quotient
 around each restart's base tuple (``_quotient_chart``), with each operator
-assembled through the Gram route's translated S_n
-(``divisibility._GramRoute.translated``).  It does not
-minimize sigma_min directly: sigma_min is not smooth at its zero set (near
-a simple zero it grows like |x - x*|, a cone), which defeats a gradient
-step.  It solves the kernel equation instead, F(x, v) = M(x) v = 0 with
-|v| = 1, which is smooth in both x and v.  Each Gauss-Newton step
+assembled from the translated S_n, as the Gram route's (``_assemble``).  It
+does not minimize sigma_min directly: sigma_min is not smooth at its zero
+set (near a simple zero it grows like |x - x*|, a cone), which defeats a
+gradient step.  It solves the kernel equation instead, F(x, v) = M(x) v = 0
+with |v| = 1, which is smooth in both x and v.  Each Gauss-Newton step
 linearizes F at the iterate x and the right-singular vector v of its
 sigma_min, and takes the minimum-norm solution of the bordered system
 
     [ J  M  ] [delta]   [-M v]
-    [ 0  v^T] [  w  ] = [  0 ],   J = d(M(x) v)/dx by forward differences,
+    [ 0  v^T] [  w  ] = [  0 ],   J = d(M(x) v)/dx,
 
-whose last row keeps the update w of v orthogonal to v, so |v| = 1 to
-first order (Griewank & Reddien, SIAM J. Numer. Anal. 21, 1984; Nocedal &
-Wright, Numerical Optimization, ch. 10).  Near a zero set that F meets
-transversally the step converges quadratically; a backtracking line search
-on sigma_min keeps every accepted step a descent.  A restart stops at the
-first iterate below ``target_ratio`` and DEFAULT_SING_TOL alike, and that
-also ends the restarts: the tuple that first gets there goes to the
-certificate, with no further polishing.  (The second bound keeps a large
-``target_ratio`` from stopping the search at a tuple whose residual fails
-RESIDUAL_TOL.)
+with J exact from the Lie-algebra action of each chart direction
+(``_jacobian``).  The last row keeps the update w of v orthogonal to v, so
+|v| = 1 to first order (Griewank & Reddien, SIAM J. Numer. Anal. 21, 1984;
+Nocedal & Wright, Numerical Optimization, ch. 10).  Near a zero set that F
+meets transversally the step converges quadratically; a backtracking line
+search on sigma_min keeps every accepted step a descent.  A restart stops
+at the first iterate below ``target_ratio`` and DEFAULT_SING_TOL alike,
+and that also ends the restarts: the tuple that first gets there goes to
+the certificate, with no further polishing.  (The second bound keeps a
+large ``target_ratio`` from stopping the search at a tuple whose residual
+fails RESIDUAL_TOL.)
 The objective is the operator's weighted smallest singular value divided
 by r, a dimensionless number in [0, 1]: 1 at the identity tuple, 0 at a
 divisible one.  (The sigma_min/sigma_max ratio is useless as an objective
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import logging
 import math
 import time
@@ -85,7 +86,7 @@ from .divisibility import (
     divisibility_test,
 )
 from .errors import InputDomainError, _check_count
-from .fischer import fischer_frame
+from .fischer import fischer_frame, summed_powers
 from .rotations import Rotation, RotationTuple, _check_rotations, haar_from_gaussian
 from .sampling import _seed, derive_rng, derive_rngs, resolve_seed
 
@@ -420,8 +421,8 @@ class SearchRun:
     ``best_ratio`` and the trace hold the dimensionless objective
     (weighted sigma_min of the operator over r); values are always >= 0 and
     the trace is the nonincreasing best-so-far sequence over operator
-    assemblies, so its length counts them: an iterate's or a line-search
-    trial's assembly adds its value, a Jacobian column's repeats the last.
+    assemblies, so its length counts them: one value per iterate and per
+    line-search trial; a Jacobian takes no assembly.
     A run whose iterate gets below min(``target_ratio``, DEFAULT_SING_TOL)
     ends at that iterate, so its trace's first value below that is its
     last; pass a smaller ``target_ratio`` for a deeper minimum.
@@ -457,64 +458,49 @@ class SearchRun:
         return obj
 
 
-# forward-difference step of the Jacobian's columns, in chart coordinates: about the square root
-# of the double-precision unit, where the truncation error (order h) and the cancellation error
-# (order 2^-53 / h) of (M(x + h e_k) - M(x)) v / h balance near 1e-8 relative
-_JACOBIAN_STEP = 1e-7
-
 # the line search tries x + t delta for t = 1, 1/2, 1/4, ... while t is at least this: ten trials
 _MIN_STEP = 1e-3
 
 
-def _gauss_newton(assemble, columns, dim: int, r: int, stop: float, max_iter: int, max_evals: int, record):
+def _gauss_newton(assemble, dim: int, r: int, stop: float, max_iter: int, max_evals: int, record):
     """One restart's Gauss-Newton iterations on M(x) v = 0 from x = 0; return (ratio, assembly, v, evals, iterations).
 
-    ``assemble(x)`` gives (mats, bound, M) at the chart point x (dim,), and
-    ``columns(points)`` yields the stacks of M at the rows of ``points``
-    (k, dim), block after block in their order; each point of either is one
-    of the at most ``max_evals`` assemblies.  Each iteration holds the
+    ``assemble(x)`` gives (mats, bound, M, jacobian) at the chart point x
+    (dim,), one of the at most ``max_evals`` assemblies, with jacobian(v)
+    the Jacobian J = d(M(x) v)/dx, (N, dim).  Each iteration holds the
     iterate's M and the right-singular vector v of its sigma_min from one
-    SVD.  The dim points x + h e_k, h = _JACOBIAN_STEP, go to ``columns``
-    at once and give the Jacobian's columns (M(x + h e_k) - M) v / h with no
     SVD; one least-squares solve gives the minimum-norm step delta of the
     bordered system [J M; 0 v^T] [delta; w] = [-M v; 0]; and x + t delta for
     t = 1, 1/2, ... down to _MIN_STEP is assembled until one lowers
     sigma_min, which becomes the next iterate.  The iterations end at the
     first iterate whose ratio sigma_min / r is below ``stop``, after
-    ``max_iter`` of them, when the next would pass ``max_evals`` assemblies,
-    or when no step lowers sigma_min.  ``record`` receives one ratio per
-    assembly: an iterate's or a trial's own, and for a Jacobian column None.
+    ``max_iter`` of them, when the assemblies reach ``max_evals``, or when
+    no step lowers sigma_min.  ``record`` receives each assembly's ratio.
     The iterate's (mats, bound, M) is returned with its ratio and its v.
     """
 
     def evaluate(point):
-        """The assembly at ``point``, the right-singular vector of its sigma_min and its ratio."""
-        assembly = assemble(point)
+        """The assembly at ``point``, its Jacobian, the right-singular vector of its sigma_min and its ratio."""
+        *assembly, jacobian = assemble(point)
         svals, vector = _svd_witness(assembly[2])
         ratio = float(svals[-1]) / r
         record(ratio)
-        return assembly, vector, ratio
+        return assembly, jacobian, vector, ratio
 
     x = np.zeros(dim)
-    current, v, val = evaluate(x)
+    current, jacobian, v, val = evaluate(x)
     evals, iterations = 1, 0
-    while val >= stop and iterations < max_iter and evals + dim < max_evals:
+    while val >= stop and iterations < max_iter and evals < max_evals:
         iterations += 1
         matrix = current[2]
-        jac = np.empty((dim, len(v)))  # row k: column k of the Jacobian
-        k = 0
-        for stack in columns(x + np.diag(np.full(dim, _JACOBIAN_STEP))):
-            jac[k:k + len(stack)] = (stack - matrix) @ v / _JACOBIAN_STEP
-            k += len(stack)
-            for _ in stack:
-                record(None)
-        evals += dim
         bordered = np.zeros((len(v) + 1, dim + len(v)))
-        bordered[:-1, :dim], bordered[:-1, dim:], bordered[-1, dim:] = jac.T, matrix, v
+        bordered[:-1, :dim], bordered[:-1, dim:], bordered[-1, dim:] = jacobian(v), matrix, v
         delta = np.linalg.lstsq(bordered, np.append(-(matrix @ v), 0.0), rcond=None)[0][:dim]
         t = 1.0
         while t >= _MIN_STEP and evals < max_evals:
-            trial, trial_v, trial_val = evaluate(x + t * delta)
+            # the last assembly's arrays go before the next one's are built
+            trial = jacobian = None
+            trial, jacobian, trial_v, trial_val = evaluate(x + t * delta)
             evals += 1
             if trial_val < val:
                 x, current, v, val = x + t * delta, trial, trial_v, trial_val
@@ -525,12 +511,43 @@ def _gauss_newton(assemble, columns, dim: int, r: int, stop: float, max_iter: in
     return val, current, v, evals, iterations
 
 
-def _jacobian_block(r: int, size: int) -> int:
-    """Jacobian columns per stacked assembly: as many as keep their r dense copies of S_n within fischer.BLOCK_BYTES, at least one.
+def _assemble(frame, bases: np.ndarray, chart: np.ndarray, x: np.ndarray):
+    """(mats, bound, M, jacobian) at the chart point x: the tuple, its certificate's bound, its operator and J.
 
-    ``size`` is P_n, so a column's copies take 8 r P_n^2 bytes.
+    gamma_1 = bases[0] and gamma_s = bases[s - 1] Q_s, Q_s the Cayley factor
+    of theta_s (``_quotient_chart``).  The recurrence runs once, on
+    h_2 .. h_r as one-rotation tuples, and keeps each Sym^n(h_s) for the
+    Jacobian; S_n = I + sum_s Sym^n(h_s), h_1 = I free, gives M = U^T S_n U
+    and the bound through S_n (``divisibility._translated_bound``), as the
+    Gram route's do.
     """
-    return max(1, fischer.BLOCK_BYTES // (8 * r * size * size))
+    r, d = bases.shape[0], bases.shape[-1]
+    mats = np.empty((r, d, d))
+    mats[0], mats[1:] = bases[0], cayley_rotation(bases[1:], (chart @ x).reshape(r - 1, -1))
+    turns = np.swapaxes(mats[:1], -1, -2) @ mats
+    turns[0] = np.eye(d)
+    *_, (_, powers) = summed_powers(turns[1:, None], frame.n)
+    sums = powers.sum(axis=0)
+    sums[np.diag_indices(frame.size)] += 1.0
+    jacobian = partial(_jacobian, frame, chart, bases, mats, powers)
+    return mats, partial(_translated_bound, frame, sums, turns), frame.operator(sums), jacobian
+
+
+def _jacobian(frame, chart, bases: np.ndarray, mats: np.ndarray, powers: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """J = d(M v)/dx (N, dim), exactly, at the assembly of the tuple ``mats`` with its Sym^n(h_s), (r - 1, P_n, P_n).
+
+    gamma_s = g_s Q_s, Q_s = (I - S)(I + S)^-1 the Cayley factor of theta_s.  Moving theta_s along the
+    packed unit E_j = e_a e_b^T - e_b e_a^T, a < b, moves h_s as h_s e^(tY) to first order, with
+    Y = Q_s^T dQ_s = -2 A E_j A^T, A = (I - S)^-1 = (I + Q_s^T) / 2, so Y = -2 (A_a A_b^T - A_b A_a^T)
+    from A's columns a and b.  So d(M v)/d theta_(s, j) = U^T Sym^n(h_s) dSym^n(Y) U v
+    (``fischer._lie_action``), and the chart C carries those (r - 1) p columns to J = J_theta C.
+    """
+    rows, cols, eye = _chart_constants(mats.shape[-1])
+    inverse = (eye + np.swapaxes(mats[1:], -1, -2) @ bases[1:]) / 2
+    first, second = np.swapaxes(inverse[..., rows], -1, -2), np.swapaxes(inverse[..., cols], -1, -2)
+    ys = 2.0 * (second[..., :, None] * first[..., None, :] - first[..., :, None] * second[..., None, :])
+    moved = powers @ np.swapaxes(fischer._lie_action(ys, frame._lift(v), frame.n), -1, -2)
+    return frame._project(np.swapaxes(moved, 0, 1).reshape(frame.size, -1)) @ chart
 
 
 def search_divisible(
@@ -565,17 +582,13 @@ def search_divisible(
     Each restart draws its r base rotations from one stacked
     ``haar_from_gaussian`` call, unless ``base_tuple`` gives them, and runs
     ``_gauss_newton`` from x = 0: an iteration takes one SVD of the
-    iterate's M, the Jacobian's dim columns from stacked assemblies, one
-    least-squares solve and a backtracking line search on sigma_min.  A
-    stacked assembly takes as many columns as keep their r dense copies of
-    S_n within ``fischer.BLOCK_BYTES`` (``_jacobian_block``): all dim of them
-    at d = 3, n = 2, and one at d = 8, n = 6, assembled as an iterate is.
-    The iterates, the line-search trials and the stacks all go through the
-    Gram route's ``_GramRoute.translated``.
+    iterate's M, its exact Jacobian from the Sym^n(h_s) its assembly kept
+    (``_jacobian``), one least-squares solve and a backtracking line search
+    on sigma_min, each iterate and trial one assembly (``_assemble``).
     A restart ends at the first iterate below both ``target_ratio`` and
-    DEFAULT_SING_TOL, after ``max_iter`` iterations, when the next
-    iteration would pass 4 ``max_iter`` assemblies, or when no step lowers
-    sigma_min; an iterate below the target also ends the restarts.  A
+    DEFAULT_SING_TOL, after ``max_iter`` iterations, when its assemblies
+    reach 4 ``max_iter``, or when no step lowers sigma_min; an iterate
+    below the target also ends the restarts.  A
     larger ``target_ratio`` still decides which tuple counts as found, but
     the search refines it to DEFAULT_SING_TOL so that its residual
     certifies.  A best tuple reaching ``target_ratio`` is certified like a
@@ -606,39 +619,7 @@ def search_divisible(
     settings = settings or SearchSettings()
     seed = resolve_seed(rng)
     frame = fischer_frame(d, n)
-
-    def assemble(bases, chart, points):
-        """The tuples at chart points (dim,) or (k, dim), their h stacks and S_n (``_GramRoute.translated``), and M."""
-        theta = (chart @ points.T).T.reshape(points.shape[:-1] + (r - 1, p))
-        mats = np.empty(points.shape[:-1] + (r, d, d))
-        mats[..., 0, :, :], mats[..., 1:, :, :] = bases[0], cayley_rotation(bases[1:], theta)
-        turns, powers = _GramRoute.translated(mats, n)
-        *_, (_, sums) = powers
-        return mats, turns, sums, frame.operator(sums)
-
-    def iterate(bases, chart, x):
-        """The tuple at chart point x, its certificate's bound through its translated S_n, and its operator M."""
-        mats, turns, sums, matrix = assemble(bases, chart, x)
-        return mats, partial(_translated_bound, frame, sums, turns), matrix
-
-    # a block of one is assembled as an iterate is, so a top-degree S_n too large to stack may
-    # still be streamed (``fischer.summed_powers``)
-    block = _jacobian_block(r, frame.size)
-
-    def columns(bases, chart, points):
-        """The operators at the chart points (k, dim), ``block`` points per stacked assembly."""
-        for lo in range(0, len(points), block):
-            rows = points[lo:lo + block] if block > 1 else points[lo]
-            yield assemble(bases, chart, rows)[3].reshape(-1, frame.dim, frame.dim)
-
-    trace: list = []
-
-    def record(val: Optional[float]) -> None:
-        # the best so far; a Jacobian column (None) has no value of its own and repeats it
-        if trace:
-            val = trace[-1] if val is None else min(trace[-1], val)
-        trace.append(val)
-
+    ratios: list = []  # every assembly's, in order; the trace keeps the best so far
     # The certificate needs a residual <= RESIDUAL_TOL, and a stopped tuple's residual runs at
     # 0.1 to 0.5 times its ratio, so a target above DEFAULT_SING_TOL still counts as met but the
     # search refines on to DEFAULT_SING_TOL, where the residual is far below RESIDUAL_TOL.
@@ -658,8 +639,8 @@ def search_divisible(
             bases = haar_from_gaussian(rng_j.standard_normal((r, d, d)))
         chart = _quotient_chart(bases)
         val, (mats, bound, _), vector, evals, iterations = _gauss_newton(
-            partial(iterate, bases, chart), partial(columns, bases, chart), chart.shape[1], r, stop,
-            settings.max_iter, max_evals, record,
+            partial(_assemble, frame, bases, chart), chart.shape[1], r, stop, settings.max_iter, max_evals,
+            ratios.append,
         )
         restart_ratios.append(val)
         _log.debug(
@@ -687,7 +668,7 @@ def search_divisible(
         settings=settings,
         best_ratio=float(best_ratio),
         best_tuple=best_tuple,
-        trace=tuple(trace),
+        trace=tuple(itertools.accumulate(ratios, min)),
         certified=certified,
         residual_max=residual_max,
         restart_ratios=tuple(restart_ratios),

@@ -377,7 +377,10 @@ class FischerFrame:
         vals = np.ones((len(x), 1))
         for k in range(1, self.n + 1):
             step = _step(self.d, k)
-            vals = vals[:, step.parent] * x[:, step.lead]
+            # in place: a third block-sized array would push a sampled check's heap top past glibc's
+            # trim threshold, and each block of verify_divisor would fault its pages in again
+            vals = vals[:, step.parent]
+            vals *= x[:, step.lead]
         return vals
 
     def function_json(self, coeffs: np.ndarray) -> dict:
@@ -574,6 +577,21 @@ class _StreamedSum:
         if self.identity:
             out += block
         return out.reshape(x.shape)
+
+
+def _lie_action(ys: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """dSym^n(Y) w = d/dt Sym^n(e^(tY)) w at t = 0 for a stack ``ys`` (..., d, d) and one w (P_n,): shape (..., P_n).
+
+    p(x) -> p(e^(tY)^T x) differentiates to sum_(k,l) Y_kl x_k d_l, and in the orthonormal monomial basis
+    d_l is the adjoint of multiplication by x_l: one gather through ``_step``'s ``up`` and ``up_root``
+    gives the d_l w, a product with Y mixes them, and d weighted scatters multiply by the x_k.
+    """
+    step = _step(ys.shape[-1], n)
+    moved = ys @ (step.up_root * w[step.up])  # (..., d, P_(n-1)): row k is sum_l Y_kl d_l w
+    out = np.zeros(ys.shape[:-2] + w.shape)
+    for k, (rows, roots) in enumerate(zip(step.up, step.up_root)):
+        out[..., rows] += moved[..., k, :] * roots
+    return out
 
 
 def summed_powers(mats, n_max: int, identity: bool = False):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -439,7 +440,7 @@ class TestSearch:
         assert run.residual_max <= 1e-8
 
     def test_budget_exhaustion_returns_best(self):
-        # 8 assemblies: the base tuple, a Jacobian of 4 columns and at most 3 line-search trials
+        # two Gauss-Newton iterations, within 8 assemblies, leave this restart short of the target
         settings = SearchSettings(restarts=1, max_iter=2)
         run = search_divisible(3, 3, 1, settings, rng=397)
         assert not run.certified
@@ -496,7 +497,7 @@ class TestSearch:
         assert peak < 1 << 20
 
     def test_debug_line_per_restart(self, caplog):
-        # a budget of 8 assemblies per restart, too few to meet the target, so both restarts run
+        # two iterations per restart, too few to meet the target, so both restarts run
         settings = SearchSettings(restarts=2, max_iter=2)
         with caplog.at_level(logging.DEBUG, logger="spherediv"):
             run = search_divisible(3, 3, 1, settings, rng=421)
@@ -507,11 +508,48 @@ class TestSearch:
         assert sum(counts) == len(run.trace)
         ratios = [float(line.split(", ")[1].split()[-1]) for line in lines]
         assert ratios == [float(f"{ratio:.3e}") for ratio in run.restart_ratios]
-        # the Gauss-Newton iteration count follows the existing fields; each restart's budget
-        # fits one iteration: the base tuple, a Jacobian of 4 columns and 1 to 3 line-search trials
+        # the Gauss-Newton iteration count follows the existing fields; each restart assembles
+        # its base tuple and, per iteration, 1 to 7 line-search trials within its budget of 8
         iterations = [int(line.split(", ")[3].split()[0]) for line in lines]
-        assert iterations == [1, 1]
-        assert all(1 + 4 + 1 <= count <= 8 for count in counts), counts
+        assert iterations == [2, 2]
+        assert all(1 + 2 <= count <= 8 for count in counts), counts
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (8, 3)])
+    def test_max_iter_bounds_iterations(self, d, n, caplog):
+        # max_iter = 1 takes exactly one Gauss-Newton iteration per restart: a Jacobian costs no
+        # assembly, so the budget of 4 assemblies always leaves room for it
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            search_divisible(d, 3, n, SearchSettings(restarts=2, max_iter=1, target_ratio=1e-15), rng=3)
+        lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("restart ")]
+        assert [int(line.split(", ")[3].split()[0]) for line in lines] == [1, 1], lines
+
+    def test_assemblies_are_iterates_and_trials(self, monkeypatch, caplog):
+        # every assembly is an iterate's or a line-search trial's, and every Jacobian is read from
+        # its iterate's assembly once, with no operator of its own
+        from spherediv.fischer import FischerFrame
+
+        assemble, operator = experiments._assemble, FischerFrame.operator
+        assemblies, jacobians, operators = [], [], []
+
+        def counted(*args):
+            *assembly, jacobian = assemble(*args)
+            assemblies.append(args[-1])
+            return (*assembly, lambda v: jacobians.append(v) or jacobian(v))
+
+        def counted_operator(frame, sums):
+            operators.append(frame.n)
+            return operator(frame, sums)
+
+        monkeypatch.setattr(experiments, "_assemble", counted)
+        monkeypatch.setattr(FischerFrame, "operator", counted_operator)
+        with caplog.at_level(logging.DEBUG, logger="spherediv"):
+            run = search_divisible(4, 3, 3, SearchSettings(restarts=2, max_iter=6, target_ratio=1e-300), rng=5)
+        lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("restart ")]
+        iterations = sum(int(line.split(", ")[3].split()[0]) for line in lines)
+        assert len(assemblies) == len(operators) == len(run.trace)
+        assert len(jacobians) == iterations >= 2
+        # per restart: the base tuple at x = 0, then each iteration's trials
+        assert sum(not np.any(x) for x in assemblies) == len(lines) == 2
 
     def test_default_search_stops_at_the_target(self):
         # the search stops at the first iterate that meets target_ratio: the last assembly
@@ -560,21 +598,21 @@ def degree_singular_values(mats, n):
 
 
 def recorded_search(monkeypatch, *args, **kwargs):
-    """Run search_divisible; return it with its events: ("base", bases) per restart and ("eval", tuple) per evaluation."""
+    """Run search_divisible; return it with its events: ("base", bases) per restart and ("eval", tuple) per assembly."""
     events = []
-    chart, translated = experiments._quotient_chart, divisibility._GramRoute.translated
+    chart, assemble = experiments._quotient_chart, experiments._assemble
 
     def charted(bases):
         events.append(("base", bases.copy()))
         return chart(bases)
 
-    def evaluated(mats, n):
-        # one event per tuple: a Jacobian's stacked assembly hands over one tuple per column
-        events.extend(("eval", tup.copy()) for tup in mats.reshape((-1,) + mats.shape[-3:]))
-        return translated(mats, n)
+    def evaluated(*args):
+        assembly = assemble(*args)
+        events.append(("eval", assembly[0].copy()))
+        return assembly
 
     monkeypatch.setattr(experiments, "_quotient_chart", charted)
-    monkeypatch.setattr(divisibility._GramRoute, "translated", staticmethod(evaluated))
+    monkeypatch.setattr(experiments, "_assemble", evaluated)
     return search_divisible(*args, **kwargs), events
 
 
@@ -582,20 +620,20 @@ class TestTranslatedSearch:
     """The search decides the translated tuple h_s = gamma_1^T gamma_s, as divisibility_test's Gram route does."""
 
     def test_recurrence_runs_on_r_minus_one_rotations(self, monkeypatch):
-        # h_1 = I is free: every assembly hands h_2 .. h_r to summed_powers, which adds I to S_n;
-        # a Jacobian's stacked assembly hands one such tuple per column, so tuples are counted
+        # h_1 = I is free: every assembly hands h_2 .. h_r to summed_powers once, as r - 1
+        # one-rotation tuples, and adds I to their sum itself; a Jacobian hands over nothing
         handed = []
-        powers = divisibility.summed_powers
+        powers = experiments.summed_powers
 
         def recorded(mats, n_max, **options):
-            handed.extend([(np.shape(mats)[-3:], options)] * math.prod(np.shape(mats)[:-3]))
+            handed.append((np.shape(mats), options))
             return powers(mats, n_max, **options)
 
-        monkeypatch.setattr(divisibility, "summed_powers", recorded)
+        monkeypatch.setattr(experiments, "summed_powers", recorded)
         for d, r, n in [(3, 3, 2), (4, 4, 1)]:
             handed.clear()
             run = search_divisible(d, r, n, SearchSettings(restarts=1, max_iter=6), rng=563)
-            assert handed == [((r - 1, d, d), {"identity": True})] * len(run.trace)
+            assert handed == [((r - 1, 1, d, d), {})] * len(run.trace)
 
     def test_formed_products_join_the_bound(self, monkeypatch):
         # were the formed h_s off by as much as the residual allows, the certificate could not pass:
@@ -605,63 +643,6 @@ class TestTranslatedSearch:
         run = search_divisible(3, 3, 2, rng=1)
         assert run.best_ratio < DEFAULT_SING_TOL
         assert not run.certified and run.residual_max > 1e-8
-
-
-def one_column_per_assembly(monkeypatch):
-    """Make every Jacobian column an assembly of its own, as when r copies of S_n fill fischer.BLOCK_BYTES."""
-    monkeypatch.setattr(experiments, "_jacobian_block", lambda r, size: 1)
-
-
-class TestStackedJacobian:
-    """A Gauss-Newton iteration assembles its Jacobian's columns in stacks that fit fischer.BLOCK_BYTES."""
-
-    def test_stacks_equal_single_columns(self, monkeypatch):
-        # at (d, r, n) = (3, 3, 2) the stacked columns are the single ones bit for bit
-        stacked = [search_divisible(3, 3, 2, rng=seed) for seed in range(6)]
-        one_column_per_assembly(monkeypatch)
-        for seed, run in enumerate(stacked):
-            single = search_divisible(3, 3, 2, rng=seed)
-            assert run.to_json_obj() == single.to_json_obj() and run.trace == single.trace, seed
-            assert run.residual_max == single.residual_max, seed
-
-    @pytest.mark.parametrize("fill", [1, 2])
-    def test_a_full_block_takes_one_column_per_assembly(self, fill, monkeypatch):
-        # r dense copies of S_n take 8 r P_n^2 bytes: where fill of them fill fischer.BLOCK_BYTES,
-        # each stacked assembly takes fill of the dim = 4 columns, and a lone column is assembled
-        # as an iterate is, one (r, d, d) tuple
-        from spherediv import fischer
-
-        r, size = 3, fischer_frame(3, 2).size
-        assert experiments._jacobian_block(r, fischer_frame(8, 6).size) == 1  # as at d = 8, n = 6
-        monkeypatch.setattr(fischer, "BLOCK_BYTES", fill * 8 * r * size * size)
-        shapes = []
-        translated = divisibility._GramRoute.translated
-
-        def recorded(mats, n):
-            shapes.append(mats.shape)
-            return translated(mats, n)
-
-        monkeypatch.setattr(divisibility._GramRoute, "translated", staticmethod(recorded))
-        run = search_divisible(3, r, 2, SearchSettings(restarts=1, max_iter=40), rng=601)
-        assert {shape[:-3] for shape in shapes} == ({()} if fill == 1 else {(), (2,)})
-        assert sum(math.prod(shape[:-3]) for shape in shapes) == len(run.trace)
-
-    def test_stacks_keep_the_traced_peak(self, monkeypatch):
-        # a stack holds at most fischer.BLOCK_BYTES of S_n copies more than one column does
-        from spherediv import fischer
-
-        def peak():
-            search_divisible(4, 3, 3, rng=0)  # warm every cache first
-            tracemalloc.start()
-            try:
-                search_divisible(4, 3, 3, rng=0)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        stacked = peak()
-        one_column_per_assembly(monkeypatch)
-        assert stacked <= peak() + fischer.BLOCK_BYTES
 
 
 class TestQuotientChart:
@@ -742,9 +723,9 @@ def rosenbrock(x):
 
 
 def spike(x):
-    # 1 + x_0 near the origin, so the step from 0 is -e_1, but 2 for x_0 <= -0.2: the trials
-    # t = 1, 1/2 and 1/4 fail and t = 1/8 lowers sigma_min to about 0.875
-    return np.array([[1.0 + x[0] if x[0] > -0.2 else 2.0]])
+    # 1 + x_0 near the origin, so the step from 0 is -e_1, but 2 for x_0 <= -0.02: the trials
+    # t = 1, 1/2, ..., 1/32 fail and t = 1/64 lowers sigma_min to 1 - 1/64
+    return np.array([[1.0 + x[0] if x[0] > -0.02 else 2.0]])
 
 
 def plateau(x):
@@ -759,16 +740,22 @@ def quadratic(dim, seed, size=3):
     return lambda x: a + np.tensordot(x, b, 1) + np.tensordot(x * x, c, 1)
 
 
+def forward_jacobian(func, point, v, step=1e-7):
+    """d(M v)/dx at ``point`` by forward differences: the harness's stand-in for a search's exact Jacobian."""
+    base = func(point) @ v
+    return np.stack([(func(point + step * e) @ v - base) / step for e in np.eye(len(point))], axis=1)
+
+
 def restart(func, x0, max_iter=20000, max_evals=40000, stop=-math.inf):
     """``_gauss_newton`` on M = func(x0 + x) with r = 1: (ratio, point, evals, iterations, recorded values).
 
-    The Jacobian's columns come as one stack, as a search's do while they fit fischer.BLOCK_BYTES.
+    Each assembly's ``jacobian`` differences ``func`` itself, outside the assemblies, as a
+    search's exact Jacobian costs none.
     """
     x0 = np.asarray(x0, dtype=float)
     recorded = []
     ratio, (point, _, _), _, evals, iterations = experiments._gauss_newton(
-        lambda x: (x0 + x, None, func(x0 + x)),
-        lambda points: [np.array([func(x0 + x) for x in points])],
+        lambda x: (x0 + x, None, func(x0 + x), partial(forward_jacobian, func, x0 + x)),
         len(x0), 1, stop, max_iter, max_evals, recorded.append,
     )
     return ratio, point, evals, iterations, recorded
@@ -803,34 +790,34 @@ class TestNelderMead:
         assert ratio > restart(rosenbrock, [-1.2, 1.0])[0]
 
     def test_budget_below_initial_simplex(self):
-        # an iteration takes 1 + dim assemblies past the iterate's, so 3 for dim = 2 allow none
-        ratio, x, evals, iterations, recorded = restart(rosenbrock, [-1.2, 1.0], max_evals=3)
+        # the iterate's own assembly spends a budget of one, so no iteration starts
+        ratio, x, evals, iterations, recorded = restart(rosenbrock, [-1.2, 1.0], max_evals=1)
         assert (evals, iterations) == (1, 0)
         assert recorded == [ratio] and x.tolist() == [-1.2, 1.0]
 
-    @pytest.mark.parametrize("max_evals", [4 + 2 + 1, 4 + 2 + 2])
+    @pytest.mark.parametrize("max_evals", [1 + 6, 1 + 6 + 1])
     def test_budget_ends_inside_a_shrink(self, max_evals):
-        # dim = 3: the iterate and the Jacobian take 4 assemblies, so the budget runs out after
-        # the line search's third trial, or lets its fourth (t = 1/8) lower sigma_min
+        # the iterate takes 1 assembly and its Jacobian none, so the budget runs out after the
+        # line search's sixth trial, or lets its seventh (t = 1/64) lower sigma_min
         ratio, x, evals, iterations, recorded = restart(spike, np.zeros(3), 100, max_evals)
         assert evals == max_evals == len(recorded) and iterations == 1
         if max_evals == 7:
             assert ratio == 1.0 and not np.any(x)
         else:
-            assert ratio == pytest.approx(0.875, abs=1e-8) and x[0] == pytest.approx(-0.125, abs=1e-8)
+            assert ratio == pytest.approx(1 - 1 / 64, abs=1e-8) and x[0] == pytest.approx(-1 / 64, abs=1e-8)
 
     @pytest.mark.parametrize("max_evals", [6, 2000])
     @pytest.mark.parametrize("dim, x0", [(3, 0.0), (20, 0.0), (20, 0.3)])
     def test_plateau_ties(self, dim, x0, max_evals):
         # a trial that ties with the iterate is no descent, so the restart ends after a line search
-        # of ten ties; 6 assemblies allow no iteration at dim = 20
+        # of ten ties; 6 assemblies run out inside such a line search
         ratio, _, evals, iterations, recorded = restart(plateau, np.full(dim, x0), 300, max_evals)
         assert evals == len(recorded) <= max_evals
-        assert ratio == min(val for val in recorded if val is not None)
+        assert ratio == min(recorded)
         if max_evals == 2000:
             assert recorded[-10:] == [ratio] * 10
-        elif dim == 20:
-            assert (evals, iterations) == (1, 0)
+        else:
+            assert evals == 6 and iterations >= 1 and recorded[-4:] == [ratio] * 4
 
     @pytest.mark.parametrize("dim", [4, 8])
     def test_stop_met_mid_run(self, dim):

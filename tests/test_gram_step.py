@@ -331,8 +331,8 @@ class TestFactorizationCensus:
         assert counts == [(1, 1, 1, 2)] * 3
 
     def test_search_certificate_takes_no_svd(self, monkeypatch, caplog):
-        # one SVD of M per iterate or line-search assembly; the Jacobian's dim = 4 columns per
-        # iteration take none, and the certificate reuses the best iterate's vector
+        # one SVD of M per assembly, each an iterate or a line-search trial; the exact Jacobian
+        # takes none, and the certificate reuses the best iterate's vector
         from spherediv import SearchSettings, search_divisible
 
         shapes = counted_svds(monkeypatch)
@@ -340,9 +340,8 @@ class TestFactorizationCensus:
             run = search_divisible(3, 3, 2, SearchSettings(), rng=3)
         assert run.certified
         lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("restart ")]
-        iterations = sum(int(line.split(", ")[3].split()[0]) for line in lines)
         dim = fischer_frame(3, 2).dim
-        assert shapes.count((dim, dim)) == len(run.trace) - 4 * iterations
+        assert shapes.count((dim, dim)) == len(run.trace)
         assert shapes.count((3, 3)) == len(lines)  # the chart's SVD, one per restart
 
 
@@ -367,17 +366,20 @@ class TestTranslatedTuple:
             assert math.isclose(rec.sigma_min_rel, ratio, rel_tol=1e-10), (rec, ratio)
 
     def test_stacked_tuples_are_translated_alike(self):
-        # a search's Jacobian translates a stack of tuples in one call: h_s bit for bit as one tuple
-        # at a time, S_n up to the round-off of a recurrence summed in another order
-        stack = np.array([[g.matrix for g in haar_tuple(4, 3, 701 + k)] for k in range(5)])
-        turns, powers = divisibility._GramRoute.translated(stack, 3)
-        alone = [divisibility._GramRoute.translated(mats, 3) for mats in stack]
-        assert turns.shape == (5, 3, 4, 4)
-        assert all(turns[k].tobytes() == alone[k][0].tobytes() for k in range(5))
-        for n, sums in powers:
-            for k, (_, single) in enumerate(alone):
-                m, want = next(single)
-                assert m == n and np.max(np.abs(sums[k] - want)) <= 1e-14, (n, k)
+        # a search's assembly runs the recurrence on h_2 .. h_r as a stack of one-rotation tuples:
+        # its h_s bit for bit the Gram route's, its S_n up to the round-off of a sum in another order
+        from spherediv import experiments
+
+        bases = np.array([g.matrix for g in haar_tuple(4, 3, 701)])
+        chart = experiments._quotient_chart(bases)
+        x = np.random.default_rng(703).standard_normal(chart.shape[1]) / 4
+        for n in (1, 3):
+            mats, bound, matrix, _ = experiments._assemble(fischer_frame(4, n), bases, chart, x)
+            route = divisibility._GramRoute(mats, None, n, divisibility.DEFAULT_SING_TOL)
+            assert bound.args[2].tobytes() == route.turns.tobytes()
+            *_, (m, sums) = route.powers
+            assert m == n and np.max(np.abs(bound.args[1] - sums)) <= 1e-14, n
+            assert np.max(np.abs(matrix - fischer_frame(4, n).operator(sums))) <= 1e-14, n
 
     def test_formed_products_are_within_delta(self):
         # the premise of _formed_slack: ||fl(gamma_1^T gamma_s) - gamma_1^T gamma_s||_F <= d gamma_d,
