@@ -51,4 +51,4 @@ f = report.divisor
 vals = f(uniform_sphere(3, 100_000, 13))
 print(f"  divisor range over 1e5 samples: [{vals.min():.4f}, {vals.max():.4f}],"
       f" mean {vals.mean():.4f} (target 1/4)")
-print("  max |sum of translates - 1|:", report.verification.max_residual)
+print("  whole-sphere bound on |sum of translates - 1|:", report.verification.max_residual)

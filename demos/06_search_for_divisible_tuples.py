@@ -19,8 +19,7 @@ degree-3 operator is singular to machine precision (two Gauss-Newton
 iterations from the Haar draw), i.e. a numerically
 certified fractionally-3-dividing tuple of the 2-sphere.  (A candidate: the
 certificate bounds the divisor's residual by 1e-8 over the whole sphere from
-the Fischer frame, with explicit round-off, and one sampled check confirms
-it; it is not a symbolic proof.)
+the Fischer frame, with explicit round-off; it is not a symbolic proof.)
 """
 
 import math
@@ -62,6 +61,6 @@ print("  best objective:", f"{run.best_ratio:.2e}", " certified:", run.certified
 
 report = divisibility_test(run.best_tuple, 4, rng=77)
 print("  independent re-test:", report.overall, "singular degrees", report.singular_degrees())
-print("  divisor residual over fresh samples:", report.verification.max_residual)
+print("  divisor residual bound over the sphere:", report.verification.max_residual)
 moved = max(float(np.max(np.abs(a.matrix - b.matrix))) for a, b in zip(run.best_tuple, near))
 print("  distance moved from the Haar draw (max entry):", f"{moved:.2e}")

@@ -182,6 +182,19 @@ class FormProduct:
         """sup |Re(conj(w) q)| = |w| for w = coeffs[0] + i coeffs[1]: the witness's own sup on the sphere."""
         return float(np.hypot(*coeffs))
 
+    def mean_square(self, coeffs: np.ndarray) -> float:
+        """The integral of g^2 against the normalized measure on the sphere: |w|^2 / 2 mu_a^(2j) mu_b^(2k) j! k! / (2^n (d/2)_n).
+
+        q is harmonic with Fischer norm^2 mu_a^(2j) mu_b^(2k) j! k!, so its L^2 norm^2 is that over
+        2^n (d/2)_n (Stein & Weiss, ch. IV), and q^2 has weight 2j != 0 on the plane, so its integral
+        is 0 and g^2 = (|w|^2 |q|^2 + Re(conj(w)^2 q^2)) / 2 integrates to |w|^2 / 2 times |q|'s.
+        Taken in logarithms; at d = 2 it is |w|^2 / 2.
+        """
+        (mu_a, mu_b), (j, k), n, d = self.scales, self.powers, self.n, self.d
+        log_norm = 2 * j * math.log(mu_a) + 2 * k * math.log(mu_b) + math.lgamma(j + 1) + math.lgamma(k + 1)
+        log_norm += math.lgamma(d / 2) - n * math.log(2.0) - math.lgamma(n + d / 2)
+        return 0.5 * float(coeffs @ coeffs) * math.exp(log_norm)
+
     def function_json(self, coeffs: np.ndarray) -> dict:
         """Versioned JSON of g(x) = Re(conj(w) prod_i (scales[i] forms[i] . x)^powers[i])."""
         kept = [i for i, k in enumerate(self.powers) if k]

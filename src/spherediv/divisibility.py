@@ -13,15 +13,15 @@ degree; each route is described once, on its object (``_Route``):
 The genericity studies decide their trials through the same routes, and
 the searches assemble the Gram route's translated S_n
 (``experiments._assemble``).
-The frames are deterministic, so verdicts do not depend on the seed, which
-drives only the verification points.  Near-zero smallest singular values
+The frames are deterministic and no certificate samples the sphere, so
+nothing in a report depends on the seed.  Near-zero smallest singular values
 only *trigger* certificate extraction (``_near_singular``); the certificate
 itself is the residual of a concrete kernel witness g, propagated into an
 explicit divisor f = 1/r + c g whose rotated copies must sum to 1
 everywhere, and bounded over the whole sphere by the route that decided the
-degree (``_certify``).  The first certified degree, whose divisor a report
-keeps, is also spot-checked on VERIFY_SAMPLES random points.  A report
-never claims divisibility without a passing residual.
+degree (``_certify``), which also reads the divisor's exact variance from
+the witness's frame.  A report never claims divisibility without a passing
+residual.
 
 Zonal bases P_n(v_i . ) of random poles are kept as a reference that tests
 compare against:
@@ -44,7 +44,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from typing import Optional
 
@@ -55,7 +55,7 @@ from .errors import BasisConstructionError, InputDomainError, NotSingularError, 
 from .fischer import fischer_frame, summed_powers
 from .harmonics import GegenbauerTable, dim_harmonic
 from .rotations import Rotation, RotationTuple
-from .sampling import as_rng, derive_rng, resolve_seed, uniform_sphere
+from .sampling import as_rng, resolve_seed, uniform_sphere
 
 __all__ = [
     "DegreeRecord",
@@ -78,16 +78,8 @@ __all__ = [
 DEFAULT_SING_TOL = 1e-10
 DEFAULT_COND_THRESHOLD = 1e8
 DEFAULT_MAX_ATTEMPTS = 50
-# points on which the divisor a report keeps is spot-checked
-VERIFY_SAMPLES = 10_000
 # largest |sum_s f(gamma_s^T x) - 1| a certified divisor may have
 RESIDUAL_TOL = 1e-8
-# byte budget of verify_divisor's largest temporary, one point block's values: glibc's
-# default mmap threshold, so the blocks reuse heap memory instead of faulting in fresh pages
-# on every call.  10 000 points on one BLAS thread of a 2-core Xeon, best of 5 against
-# blocks of fischer.BLOCK_BYTES: 3.8-4.9 -> 1.6-2.5 ms for a d = 3, n = 2 divisor and
-# 4.6-5.6 -> 2.9-3.9 ms for d = 8, n = 1
-_VERIFY_BLOCK_BYTES = 1 << 17
 # share of 1/r a divisor f = 1/r + scale g may move away from 1/r (make_divisor)
 _DIVISOR_MARGIN = 0.5
 # estimated working set (see _peak_bytes) above which a run is refused before
@@ -113,8 +105,8 @@ VERDICT_BORDERLINE = "borderline"
 # d >= 4 needs no cap inside COST_BUDGET_BYTES (d = 4, 3 Haar draws: 1e-13
 # at n = 28; the budget admits n <= 31 for pairs, 29 at r = 3, 28 at r = 4
 # and 25 at r = 8).  A d = 3 pair runs no recurrence but keeps the cap: beyond
-# it a divisor scaled by sum |c_a| loses its sampled variance, until divisors
-# are scaled and measured in L^2.  divisibility_test and the genericity studies
+# it the variance of a divisor scaled by sum |c_a|, read from its frame, collapses
+# towards 0, until divisors are scaled in L^2.  divisibility_test and the genericity studies
 # take every d = 2 tuple on the circle route, which no cap limits; the d = 2
 # entry still caps the searches, whose Gauss-Newton steps assemble M.
 _STABLE_MAX_DEGREE = {2: 50, 3: 34}
@@ -754,13 +746,14 @@ def make_divisor(witness: HarmonicFunction, r: int) -> DivisorFunction:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Residual statistics of a divisor candidate over random sphere samples.
+    """Residual statistics of a divisor candidate: a sampled check's or a certificate's.
 
-    ``residual_bound`` is the whole-sphere bound of a certificate (see
-    ``_certify``) and None for a sampled check alone; when it is set,
-    ``max_residual`` is the larger of the bound and the sampled maximum.  A
-    result with ``n_samples`` 0 rests on the bound alone, and its sample
-    statistics read 0.
+    ``verify_divisor`` fills every field from random sphere samples and
+    leaves ``residual_bound`` None.  A certificate (``_certify``) samples
+    nothing: ``residual_bound`` and ``max_residual`` are its whole-sphere
+    bound, ``function_variance`` is the divisor's exact variance from the
+    witness's frame, and ``n_samples``, ``n_skipped`` and ``mean_residual``
+    read 0.
     """
 
     max_residual: float
@@ -794,13 +787,12 @@ def verify_divisor(
     first translate's values f(gamma_1^T x): gamma_1^T x is uniform on the
     sphere too, so those are f at as many iid uniform points, and f is
     evaluated r times per point.  f is evaluated on blocks of points
-    holding at most _VERIFY_BLOCK_BYTES (128 KiB) of values, taking
-    ``f.size`` values per point where f has one (HarmonicFunction and
-    DivisorFunction do) and d otherwise, so no block's temporaries cross
-    glibc's default mmap threshold; only the per-point sums and first
-    values are kept whole, and the result does not depend on the block
-    size.  This is a sampled check, not a bound over the
-    sphere: divisibility_test certifies its degrees through ``_certify``.
+    holding at most ``fischer.BLOCK_BYTES`` of values, taking ``f.size``
+    values per point where f has one (HarmonicFunction and DivisorFunction
+    do) and d otherwise; only the per-point sums and first values are kept
+    whole, and the result does not depend on the block size.  This is a
+    sampled check, not a bound over the sphere: divisibility_test certifies
+    its degrees through ``_certify`` and calls no sampled check.
     A ``samples`` that is not an integer >= 1, or one above
     COST_BUDGET_BYTES / (8 (2d + 2)), raises InputDomainError: the points
     are held twice where ``skip`` drops some, and the per-point sums and
@@ -816,7 +808,7 @@ def verify_divisor(
         mask = np.asarray(skip(pts), dtype=bool)
         skipped = int(mask.sum())
         pts = pts[~mask]
-    rows = max(1, _VERIFY_BLOCK_BYTES // (8 * getattr(f, "size", d)))
+    rows = max(1, fischer.BLOCK_BYTES // (8 * getattr(f, "size", d)))
     total = np.empty(len(pts))
     first = np.empty(len(pts))  # f(gamma_1^T x), which the sums start from
     for lo in range(0, len(pts), rows):
@@ -840,7 +832,7 @@ def verify_divisor(
     )
 
 
-def _certify(witness, bound, rotations, rng):
+def _certify(witness, bound, rotations):
     """(witness, divisor, certificate) of a degree whose trigger fired, from its kernel ``witness`` g.
 
     The witness is made once per fired degree by the route that decided it
@@ -856,31 +848,19 @@ def _certify(witness, bound, rotations, rng):
 
         sup_{|x| = 1} |sum_s f(gamma_s^T x) - 1| <= scale * bound(c).
 
-    The certificate passes when that is at most RESIDUAL_TOL and the
-    witness's translates cancel, bound(c) <= 1e-6 N_n.  Given ``rng``, a passing
-    bound is also spot-checked by verify_divisor on VERIFY_SAMPLES points
-    from ``rng``: the result then passes only if the samples do too, and its
-    max_residual is the larger of the bound and the sampled maximum.  With
-    ``rng`` None nothing is sampled and the result holds the bound alone.
+    g has mean 0 at n >= 1, so Var f = scale^2 times the integral of g^2,
+    which the witness's frame gives exactly (``mean_square``).  The
+    certificate passes when the bound is at most RESIDUAL_TOL, the
+    witness's translates cancel, bound(c) <= 1e-6 N_n, and Var f > 0.
+    Nothing is sampled.
     """
     divisor = make_divisor(witness, rotations.r)
     sup = bound(witness.coeffs)
     bound = divisor.scale * sup
-    passed = bound <= RESIDUAL_TOL and sup <= 1e-6 * dim_harmonic(rotations.d, witness.basis.n)
-    if passed and rng is not None:
-        ver = verify_divisor(rotations, divisor, VERIFY_SAMPLES, rng)
-        ver = replace(ver, max_residual=max(bound, ver.max_residual), residual_bound=bound)
-    else:
-        ver = VerificationResult(
-            max_residual=bound,
-            mean_residual=0.0,
-            function_variance=0.0,
-            n_samples=0,
-            n_skipped=0,
-            residual_tol=RESIDUAL_TOL,
-            passed=passed,
-            residual_bound=bound,
-        )
+    variance = divisor.scale**2 * witness.basis.mean_square(witness.coeffs)
+    passed = bound <= RESIDUAL_TOL and sup <= 1e-6 * dim_harmonic(rotations.d, witness.basis.n) and variance > 0.0
+    ver = VerificationResult(max_residual=bound, mean_residual=0.0, function_variance=variance, n_samples=0,
+                             n_skipped=0, residual_tol=RESIDUAL_TOL, passed=passed, residual_bound=bound)
     return witness, divisor, ver
 
 
@@ -1155,13 +1135,10 @@ class _CircleRoute(_Route):
         the running extremes, the witness's j and their temporaries, within 8
         doubles per degree.  Each degree's record and its share of the
         report's JSON, _DEGREE_BYTES.  detect's h_s, its stacked h_s - I and
-        their SVD, within 4 r d^2 doubles.  One sampled check,
-        VERIFY_SAMPLES points of 2 d + 2 doubles each (``verify_divisor``),
-        and its block temporaries.  A fired degree's witness and bound take
-        O(r d) more.
+        their SVD, within 4 r d^2 doubles.  A fired degree's witness and
+        bound take O(r d) more.
         """
-        need = 8 * 8 * (n_max + 1) + _DEGREE_BYTES * n_max + 4 * _VERIFY_BLOCK_BYTES
-        need += 8 * (4 * r * d * d + VERIFY_SAMPLES * (2 * d + 2))
+        need = 8 * (8 * (n_max + 1) + 4 * r * d * d) + _DEGREE_BYTES * n_max
         _check_budget(need, f"d={d}, r={r}, n_max={n_max} on the circle route", "n_max")
 
     width = staticmethod(lambda d, n_max: n_max + 1)  # a trial's table of weight sums
@@ -1327,12 +1304,11 @@ def divisibility_test(
     slack, its witness and its certificate's bound (``_Route``).  One
     "spherediv" debug line per degree names the route's path and its wall
     time, which covers the route's work on the degree and not the
-    certificate.  Only the first certified degree, whose divisor the report
-    keeps, is also spot-checked by ``verify_divisor`` on VERIFY_SAMPLES
-    points, so a report makes at most one sampled check in normal runs.  A
+    certificate.  The report keeps the first certified degree's witness,
+    divisor and certificate.  No sphere point is drawn.  A
     trigger that fails certification is downgraded to ``borderline``, and
-    so is a degree within 10x of the trigger.  The verdicts and ratios do
-    not depend on ``rng``, which draws only the verification points.  An
+    so is a degree within 10x of the trigger.  ``rng`` draws nothing: it
+    only names the report's ``seed`` (``resolve_seed``).  An
     n_max that is not an integer >= 1, a seed that ``resolve_seed`` refuses,
     a ``sing_tol`` outside (0, 1), NaN included, and runs over the route's
     price (``_Route.price``) are refused with InputDomainError before
@@ -1360,8 +1336,7 @@ def divisibility_test(
         ratio, fired, near_band = _near_singular(svals, rotations.r, sing_tol, slack)
         residual = None
         if fired:
-            sample_rng = derive_rng(seed, 2, n, 3) if witness is None else None
-            g, f, ver = _certify(witness_of(), bound, rotations, sample_rng)
+            g, f, ver = _certify(witness_of(), bound, rotations)
             residual = ver.residual_bound
             if ver.passed:
                 verdict = VERDICT_SINGULAR

@@ -53,7 +53,7 @@ from derive_rng(seed, 4, j), so results do not depend on execution order
 or block size.  A study seeds all its trials' streams in one vectorized
 pass (``sampling.derive_rngs``), equal bit for bit to derive_rng(seed, 1, k),
 which stays the one-stream reference: any trial can be rebuilt alone from
-it.  Seeds draw rotations and verification points only; no frame is random.
+it.  Seeds draw rotations only; no frame is random and no certificate samples.
 """
 
 from __future__ import annotations
@@ -594,7 +594,7 @@ def search_divisible(
     certifies.  A best tuple reaching ``target_ratio`` is certified like a
     report's first singular degree before the run may claim a divisible
     tuple: its kernel witness's divisor must pass the residual bound through
-    its translated S_n (``divisibility._translated_bound``) and one sampled
+    its translated S_n (``divisibility._translated_bound``), with no sampled
     check (the witness from the right-singular vector that the best
     iterate's own SVD gave, then ``divisibility._certify``, so nothing is
     assembled or factored twice); budget exhaustion returns the best tuple
@@ -657,7 +657,7 @@ def search_divisible(
     residual_max = None
     if best_ratio < settings.target_ratio:
         # best_ratio is sigma_min / r, so this gate is the trigger's dead-operator clause
-        _, _, ver = _certify(_witness(frame, best_vector), best_bound, best_tuple, derive_rng(seed, 6))
+        _, _, ver = _certify(_witness(frame, best_vector), best_bound, best_tuple)
         certified = ver.passed
         residual_max = ver.max_residual
     return SearchRun(

@@ -312,6 +312,16 @@ class FischerFrame:
         coords = coeffs * np.exp(0.5 * (_log_factorials(self.exponents) - log_n))
         return coords, math.ceil((self.d + 16) * 0.5 * log_n) + 9
 
+    def mean_square(self, coeffs: np.ndarray) -> float:
+        """The integral of g^2 against the normalized measure on the sphere, for the harmonic g with coefficients c.
+
+        ||g||^2 = sum_a a! c_a^2 / (2^n (d/2)_n) (Stein & Weiss, ch. IV), that is
+        ||v'||^2 n! / (2^n (d/2)_n) for v' of ``scaled_coordinates``, taken in logarithms.
+        """
+        d, n = self.d, self.n
+        log_ratio = math.lgamma(n + 1) - n * math.log(2.0) - math.lgamma(n + d / 2) + math.lgamma(d / 2)
+        return float(np.sum(self.scaled_coordinates(coeffs)[0] ** 2)) * math.exp(log_ratio)
+
     def residual_bound(self, sums, coeffs: np.ndarray, mats: np.ndarray) -> float:
         """A bound on max_{|x| = 1} |sum_s p(g_s^T x)| for p = sum_k coeffs[k] x^exponents[k].
 
@@ -377,8 +387,7 @@ class FischerFrame:
         vals = np.ones((len(x), 1))
         for k in range(1, self.n + 1):
             step = _step(self.d, k)
-            # in place: a third block-sized array would push a sampled check's heap top past glibc's
-            # trim threshold, and each block of verify_divisor would fault its pages in again
+            # in place: each step holds two arrays of values at a time, not four
             vals = vals[:, step.parent]
             vals *= x[:, step.lead]
         return vals

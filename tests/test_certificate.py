@@ -1,0 +1,143 @@
+"""Certificates rest on the whole-sphere bound alone: these tests sample what the decision path no longer does.
+
+Every fired degree is certified as divisibility_test certifies it, through its route's
+``degree(n)`` and ``divisibility._certify``; its divisor's sampled residual must stay under the
+bound, and its exact variance, read from the witness's frame, must match a sampled one.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from spherediv import (
+    divisibility_test,
+    haar_sample,
+    odd_d4_tuple,
+    planar_division,
+    sampling,
+    search_divisible,
+    verify_divisor,
+)
+from spherediv import circle, divisibility, experiments
+from verdict_panel import _conjugated_half_turn_pair, _two_half_turn_pairs
+
+
+CASES = {
+    "circle planar d=8 r=3": (lambda: planar_division(8, 3).rotations, 6),
+    "pair half-turn d=3": (lambda: _conjugated_half_turn_pair(3, 5, False), 5),
+    "circle half-turn d=6": (lambda: _conjugated_half_turn_pair(6, 7, False), 4),
+    "gram two half-turn pairs d=8": (_two_half_turn_pairs, 3),
+    "gram odd-d four-tuple d=5": (lambda: odd_d4_tuple(5, haar_sample(5, 305))[0], 3),
+}
+# the cases whose witnesses live in a Fischer frame
+FISCHER = ("pair half-turn d=3", "gram two half-turn pairs d=8", "gram odd-d four-tuple d=5")
+
+
+def certificates(tup, n_max):
+    """(n, witness, divisor, certificate) of every fired degree, each certified as divisibility_test certifies it."""
+    mats = np.array([g.matrix for g in tup])
+    plane = circle.detect(mats)
+    kind = divisibility._CircleRoute if plane is not None else divisibility._PairRoute if tup.r == 2 else divisibility._GramRoute
+    route = kind(mats, plane, n_max, divisibility.DEFAULT_SING_TOL)
+    out = []
+    for n in range(1, n_max + 1):
+        _, _, witness_of, bound, _ = route.degree(n)
+        if witness_of is not None:
+            out.append((n, *divisibility._certify(witness_of(), bound, tup)))
+    return out
+
+
+def search_certificates(monkeypatch, seeds):
+    """(tuple, witness, divisor, certificate) of every search_divisible(3, 3, 2) certificate at ``seeds``."""
+    made = []
+    original = experiments._certify
+
+    def recorded(witness, bound, rotations):
+        result = original(witness, bound, rotations)
+        made.append((rotations, *result))
+        return result
+
+    monkeypatch.setattr(experiments, "_certify", recorded)
+    for seed in seeds:
+        assert search_divisible(3, 3, 2, rng=seed).certified, seed
+    return made
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_bound_covers_sampled_residual_at_every_fired_degree(name):
+    build, n_max = CASES[name]
+    tup = build()
+    made = certificates(tup, n_max)
+    assert made
+    # the bound holds whatever the coefficients, so it covers a degree that fires and fails too
+    for n, _, divisor, ver in made:
+        assert ver.max_residual == ver.residual_bound and ver.n_samples == 0, n
+        assert verify_divisor(tup, divisor, 20_000, 100 + n).max_residual <= ver.residual_bound, n
+
+
+def test_bound_covers_sampled_residual_of_search_certificates(monkeypatch):
+    made = search_certificates(monkeypatch, range(4))
+    assert len(made) == 4
+    for tup, _, divisor, ver in made:
+        assert ver.passed and ver.n_samples == 0
+        assert verify_divisor(tup, divisor, 20_000, 3).max_residual <= ver.residual_bound
+
+
+@pytest.mark.parametrize("name", FISCHER)
+def test_fischer_variance_matches_samples(name):
+    build, n_max = CASES[name]
+    tup = build()
+    for n, witness, divisor, ver in certificates(tup, n_max):
+        assert witness.basis.n == n and hasattr(witness.basis, "exponents")
+        sampled = verify_divisor(tup, divisor, 200_000, 200 + n).function_variance
+        assert ver.function_variance > 0.0
+        assert math.isclose(ver.function_variance, sampled, rel_tol=0.03), (n, ver.function_variance, sampled)
+
+
+def test_search_variance_matches_samples(monkeypatch):
+    for tup, _, divisor, ver in search_certificates(monkeypatch, range(2)):
+        sampled = verify_divisor(tup, divisor, 200_000, 5).function_variance
+        assert math.isclose(ver.function_variance, sampled, rel_tol=0.03), (ver.function_variance, sampled)
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_circle_variance_matches_samples(d):
+    # the certificates of witnesses with both forms, j, k >= 1, at every such weight of degrees 2 .. 5
+    tup = planar_division(d, 3).rotations
+    mats = np.array([g.matrix for g in tup])
+    plane = circle.detect(mats)
+    witnesses = circle.Witness(plane, mats)
+    moduli = circle.spectrum(plane, d, 5)[3]
+    for n in range(2, 6):
+        for j in range(1, n):
+            basis, coeffs, bound = witnesses(moduli, n, j)
+            _, divisor, ver = divisibility._certify(divisibility.HarmonicFunction(basis, coeffs), bound, tup)
+            sampled = verify_divisor(tup, divisor, 200_000, 10 * n + j).function_variance
+            assert math.isclose(ver.function_variance, sampled, rel_tol=0.03), (n, j, ver.function_variance, sampled)
+
+
+def test_decision_path_draws_no_sphere_point(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a sphere point was drawn")
+
+    for module in (divisibility, sampling):
+        monkeypatch.setattr(module, "uniform_sphere", refused)
+    monkeypatch.setattr(divisibility, "verify_divisor", refused)
+    for tup, n_max, singular in [
+        (planar_division(8, 3).rotations, 4, [1, 2, 3, 4]),
+        (_conjugated_half_turn_pair(3, 5, False), 3, [1, 2, 3]),
+        (_two_half_turn_pairs(), 3, [2, 3]),
+    ]:
+        report = divisibility_test(tup, n_max, rng=1)
+        assert report.singular_degrees() == singular
+        assert report.verification.passed and report.verification.n_samples == 0
+    assert search_divisible(3, 3, 2, rng=0).certified
+
+
+@pytest.mark.parametrize("build, n_max", [CASES[name] for name in ("circle planar d=8 r=3", "pair half-turn d=3", "gram two half-turn pairs d=8")])
+def test_reports_do_not_depend_on_the_seed(build, n_max):
+    tup = build()
+    first, second = (divisibility_test(tup, n_max, rng=seed).to_json_obj() for seed in (1, 2))
+    assert first.pop("seed") == 1 and second.pop("seed") == 2
+    assert first == second

@@ -295,7 +295,9 @@ def test_witness_above_the_direct_degree_evaluates_through_logarithms(monkeypatc
     pair = RotationTuple((planar_rotation(2, 1, 2, 1.2), planar_rotation(2, 1, 2, 1.2 + math.pi / 2500)))
     report = divisibility_test(pair, 2500, rng=1)
     assert report.singular_degrees() == [2500] and report.verification.passed
-    assert report.verification.n_samples == divisibility.VERIFY_SAMPLES
+    assert verify_divisor(pair, report.divisor, 10_000, 1).passed
+    # its variance, taken in logarithms too, is finite: scale^2 |w|^2 / 2 = 1 / (8 r^2)
+    assert math.isclose(report.verification.function_variance, 1.0 / 32.0, rel_tol=1e-9)
     mats = matrices(planar_division(8, 3).rotations)
     plane = circle.detect(mats)
     basis, coeffs, _ = circle.Witness(plane, mats)(circle.spectrum(plane, 8, 7)[3], 7, 4)

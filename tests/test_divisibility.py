@@ -246,7 +246,7 @@ class TestVerifyDivisor:
         tup = RotationTuple(tuple(haar_sample(4, 271 + k) for k in range(3)))
         mats = np.array([g.matrix for g in tup])
         if whole:  # one block, so each translate is one product and every statistic is exact
-            monkeypatch.setattr(divisibility, "_VERIFY_BLOCK_BYTES", 1 << 30)
+            monkeypatch.setattr(fischer, "BLOCK_BYTES", 1 << 30)
         evaluated = []
 
         def f(x):
@@ -269,26 +269,14 @@ class TestVerifyDivisor:
     def test_blocks_match_one_block(self, monkeypatch):
         tup = half_turn_pair(4, 149)
         report = divisibility_test(tup, 3, rng=163)
-        monkeypatch.setattr(divisibility, "_VERIFY_BLOCK_BYTES", 1 << 30)
+        monkeypatch.setattr(fischer, "BLOCK_BYTES", 1 << 30)
         whole = verify_divisor(tup, report.divisor, 5_000, 167)
-        monkeypatch.setattr(divisibility, "_VERIFY_BLOCK_BYTES", 4096)  # 128 points per block
+        monkeypatch.setattr(fischer, "BLOCK_BYTES", 4096)  # 256 points per block of the witness's 2 values
         blocks = verify_divisor(tup, report.divisor, 5_000, 167)
         assert blocks.max_residual == whole.max_residual
         assert math.isclose(blocks.mean_residual, whole.mean_residual, rel_tol=1e-14)
         assert math.isclose(blocks.function_variance, whole.function_variance, rel_tol=1e-14)
         assert blocks.n_samples == whole.n_samples == 5_000
-
-    @pytest.mark.parametrize("d, n", [(3, 2), (4, 3), (8, 1)])
-    def test_small_blocks_match_the_old_block_size(self, d, n, monkeypatch):
-        # blocks under glibc's mmap threshold give the result blocks of fischer.BLOCK_BYTES gave;
-        # a half-turn pair is singular at every degree, so its degree-n witness makes a divisor
-        tup = half_turn_pair(d, 149 + d)
-        *_, (frame, _, matrix) = degree_operators(tup, n)
-        f = make_divisor(kernel_witness(frame, matrix, tup.r), tup.r)
-        result = verify_divisor(tup, f, divisibility.VERIFY_SAMPLES, 167)
-        monkeypatch.setattr(divisibility, "_VERIFY_BLOCK_BYTES", fischer.BLOCK_BYTES)
-        assert verify_divisor(tup, f, divisibility.VERIFY_SAMPLES, 167) == result
-        assert result.passed
 
 
 class TestResidualBound:
@@ -338,7 +326,7 @@ class TestResidualBound:
             return top, witness(torus, frame, mats, k)[1]
 
         monkeypatch.setattr(divisibility, "_pair_witness", foreign)
-        _, _, ver = divisibility._certify(divisibility._witness(frame, top), bound, tup, 283)
+        _, _, ver = divisibility._certify(divisibility._witness(frame, top), bound, tup)
         assert not ver.passed and ver.n_samples == 0
         assert ver.residual_bound > 1e-2
         report = divisibility_test(tup, 1, rng=283)
@@ -524,7 +512,7 @@ class TestDivisibilityTest:
             iterations = sum(int(line.split(", ")[3].split()[0]) for line in lines)
             assert iterations and vectors == [size] * len(calls)
 
-    def test_one_sampled_check_per_report(self, monkeypatch):
+    def test_no_sampled_check_per_report(self, monkeypatch):
         calls = []
         original = divisibility.verify_divisor
 
@@ -534,11 +522,11 @@ class TestDivisibilityTest:
 
         monkeypatch.setattr(divisibility, "verify_divisor", counted)
         report = divisibility_test(half_turn_pair(6, 263), 4, rng=281)
-        assert len(calls) == 1
+        assert len(calls) == 0
         assert report.singular_degrees() == [1, 2, 3, 4]
         assert all(rec.residual_bound <= 1e-8 for rec in report.degrees)
         assert report.verification.residual_bound == report.degrees[0].residual_bound
-        assert report.verification.n_samples == divisibility.VERIFY_SAMPLES
+        assert report.verification.n_samples == 0
 
     def test_one_values_only_svd_per_degree(self, monkeypatch):
         # every degree of this triple fires on its witness's bound, so none takes an SVD; at d = 3

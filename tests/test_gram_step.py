@@ -668,7 +668,8 @@ def test_warm_peak_of_a_half_turn_pair():
     # every degree fires: with M assembled and a shifted copy of it for inverse iteration the peak
     # was 11.1 MiB (d = 8, n = 5, N_5 = 672), from the torus frame of h 3.3 MiB, the recurrence's two
     # copies of Sym^4 and the streamed top degree; the pair rotates one plane, and on the circle
-    # route, with no frame, it is 1.6 MiB, the one sampled check's points and sums
+    # route, with no frame, it was 1.6 MiB, a sampled check's points and sums, and with no sampled
+    # check it is 11 kB
     code = """
 import math, tracemalloc
 import numpy as np
@@ -684,7 +685,7 @@ assert divisibility_test(tup, 5, rng=659).singular_degrees() == [1, 2, 3, 4, 5]
 print(tracemalloc.get_traced_memory()[1])
 """
     peak = int(run_python(code))
-    assert peak <= 3 << 20, peak
+    assert peak <= 1 << 20, peak
 
 
 def test_gram_step_imports_no_scipy():

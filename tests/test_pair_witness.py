@@ -148,7 +148,7 @@ def test_fired_pair_witnesses(case):
         frame = fischer_frame(tup.d, n)
         assert math.isclose(np.linalg.norm(vector), 1.0, rel_tol=1e-12)
         assert np.linalg.norm(frame.apply(sums[n], vector)) <= 1e-12 * tup.r, n
-        assert divisibility._certify(divisibility._witness(frame, vector), bound, tup, None)[2].passed, n
+        assert divisibility._certify(divisibility._witness(frame, vector), bound, tup)[2].passed, n
     assert report.singular_degrees() == fired
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(circle, "detect", lambda *_: None)
@@ -210,7 +210,7 @@ def test_foreign_vector_refused(case):
         frame = fischer_frame(tup.d, n)
         top = np.linalg.svd(frame.operator(sums[n]))[2][0]
         bound = route.degree(n)[3]
-        _, _, ver = divisibility._certify(divisibility._witness(frame, top), bound, tup, None)
+        _, _, ver = divisibility._certify(divisibility._witness(frame, top), bound, tup)
         assert not ver.passed and ver.residual_bound > 1e-6, n
 
 
