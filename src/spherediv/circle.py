@@ -11,9 +11,9 @@ an isotropic unit form b of F.  M = rho(gamma_1) sum_s rho(h_s) is
 rho(gamma_1) times a normal operator, so the singular values of degree n are
 |lambda_j|, lambda_j = sum_s z_s^j, over 0 <= j <= n (j = n alone at d = 2).
 ``spectrum`` builds that table once per call for every degree, or once for
-a study's trials; ``Witness`` writes down a fired degree's kernel harmonic
-and its whole-sphere residual bound in closed form.  No Fischer frame,
-recurrence or P_n-sized array is built.
+a study's trials; ``Witness`` writes down in closed form a fired degree's
+kernel harmonic and bound, and every fired degree's certificate numbers
+at once.  No Fischer frame, recurrence or P_n-sized array is built.
 
 ``detect`` finds F from one SVD of the stacked h_s - I, rebuilds every h_s
 as the rotation of the plane by z_s, and takes the route only when the
@@ -88,7 +88,9 @@ def detect(mats: np.ndarray) -> Optional[Plane]:
     # Frobenius norm (on a, and on the plane's norm sqrt(2)): the defect refuses it, with no zero to divide by
     phases /= np.maximum(np.abs(phases), 0.5)
     span = frame[..., None, :, :2]
-    blocks = np.stack([np.stack([phases.real, phases.imag], -1), np.stack([-phases.imag, phases.real], -1)], -2)
+    blocks = np.empty(phases.shape + (2, 2))
+    blocks[..., 0, 0] = blocks[..., 1, 1] = phases.real
+    blocks[..., 0, 1], blocks[..., 1, 0] = phases.imag, -phases.imag
     rebuilt = np.eye(d) - span @ np.swapaxes(span, -1, -2) + span @ blocks @ np.swapaxes(span, -1, -2)
     defect = np.linalg.norm(turns - rebuilt, axis=(-2, -1)).max(axis=-1) + d * _gamma(d)
     taken = defect <= DEFECT_ULPS * d * 2.0**-53  # NaN fails too
@@ -224,13 +226,13 @@ def _power(z: np.ndarray, k: int) -> np.ndarray:
 def _log_peak(j: int, k: int) -> float:
     """log c_(j, k), c_(j, k) = (j / n)^(j / 2) (k / n)^(k / 2) = max of s^j t^k on s^2 + t^2 = 1, with 0^0 = 1."""
     n = j + k
-    return 0.5 * sum(m * math.log(m / n) for m in (j, k) if m)
+    return 0.5 * ((j * math.log(j / n) if j else 0.0) + (k * math.log(k / n) if k else 0.0))
 
 
 class Witness:
     """Every fired degree's witness of one circle tuple, with what each certificate reads of the tuple.
 
-    Built once per call, at its first fired degree.  With A and B the
+    Built once per call, by the route's array pass.  With A and B the
     computed gamma_1 a and gamma_1 b, ``slips`` (r, 2) bounds
     ||gamma_s a - z_s A|| and ||gamma_s b - B||, ``spread`` bounds ||C||_2
     for C = sqrt(2) [Re A, Im A] and for C = sqrt(2) [Re A, Im A, Re B, Im B],
@@ -249,6 +251,7 @@ class Witness:
     def __init__(self, plane: Plane, mats: np.ndarray):
         self.plane, self.mats = plane, mats
         d, forms, phases, gamma = mats.shape[-1], plane.forms, plane.phases, _gamma
+        self.turn = np.angle(forms[0, int(np.argmax(np.abs(forms[0])))])  # the weight w's phase per unit j
         images = mats @ forms.real.T + 1j * (mats @ forms.imag.T)  # (r, d, 2): gamma_s a and gamma_s b
         shifts = np.stack([phases, np.ones_like(phases)], axis=-1)
         self.modulus = max(1.0, float(np.abs(phases).max())) * (1.0 + gamma(2))
@@ -262,7 +265,9 @@ class Witness:
             size = float(np.linalg.norm(cols))
             gram = cols.T @ cols - np.eye(2 * kept)
             spread.append(math.sqrt(1.0 + float(np.linalg.norm(gram)) + gamma(d + 2) * size**2) + gamma(3) * size)
-        self.spread = tuple(spread)
+        self.spread, slips, root = tuple(spread), self.slips, math.sqrt(2.0)
+        # sqrt(2) R_s with a alone (k = 0) and with both forms (k > 0)
+        self.radii = (self.modulus * spread[0] + root * slips[:, 0], self.modulus * spread[1] + root * np.hypot(*slips.T))
 
     def __call__(self, moduli: np.ndarray, n: int, j: int):
         """(basis, coeffs, bound) of the degree-n witness g = Re(conj(w) (mu_a a . x)^j (mu_b b . x)^(n - j)).
@@ -309,19 +314,34 @@ class Witness:
         every norm and the arithmetic that sums the terms.
         """
         d, r, k = self.mats.shape[-1], len(self.mats), n - j
-        a = self.plane.forms[0]
         scales = (math.sqrt(2.0 * n / j), math.sqrt(2.0 * n / k) if k else 1.0)
-        weight = np.exp(1j * j * np.angle(a[int(np.argmax(np.abs(a)))]))
-        errs, gamma, root, modulus = self.slips, _gamma, math.sqrt(2.0), self.modulus
-        if k:
-            kappa = self.spread[1]
-            slopes = np.hypot(j * errs[:, 0], k * errs[:, 1]) * math.exp(_log_peak(j - 1, k - 1) - _log_peak(j, k))
-            radii = modulus * kappa + root * np.hypot(errs[:, 0], errs[:, 1])
-        else:
-            kappa = self.spread[0]
-            slopes, radii = j * errs[:, 0], modulus * kappa + root * errs[:, 0]
-        exact = moduli[j] + gamma(3 * j + r) * r * modulus**j
-        total = exact * kappa**n + root * float(radii ** (n - 1) @ slopes)
-        total = float((1.0 + gamma(8 * n + 2 * d + r + 32)) * total)
+        weight = np.exp(1j * j * self.turn)
+        step, powered, lifted, _ = self._scalars(j, k)
+        slopes = np.hypot(j * self.slips[:, 0], k * self.slips[:, 1]) * step  # j e_a at k = 0, exactly
+        summed = math.sqrt(2.0) * float(self.radii[k > 0] ** (n - 1) @ slopes)
+        total = float((1.0 + _gamma(8 * n + 2 * d + r + 32)) * ((moduli[j] + _gamma(3 * j + r) * r * lifted) * powered + summed))
         basis = FormProduct(forms=self.plane.forms, scales=scales, powers=(j, k))
         return basis, np.array([weight.real, weight.imag]), lambda coeffs: float(np.hypot(*coeffs)) * total
+
+    def _scalars(self, j: int, k: int) -> tuple:
+        """(c_(j-1, k-1) / c_(j, k), or 1 at k = 0, kappa^n, m^j, log c_(j, k)) of degree n = j + k, from ``math``'s calls."""
+        peak = _log_peak(j, k)
+        return math.exp(_log_peak(j - 1, k - 1) - peak) if k else 1.0, self.spread[k > 0] ** (j + k), self.modulus**j, peak
+
+    def numbers(self, moduli: np.ndarray, n: np.ndarray, j: np.ndarray):
+        """[(sup |g|, bound(c), mean square of g)] of the witnesses ``__call__`` makes at the integer arrays ``n`` and ``j``.
+
+        ``__call__``'s closed forms on Python floats, its ``math`` calls (``_scalars``) included, so each bound
+        carries its round-off analysis: only the sum over s differs, in its order and in libm's hypot and pow for
+        numpy's.  The mean square is ``FormProduct.mean_square``'s, |w|^2 j! k! / (2 c_(j, k)^2 (d/2)_n).
+        """
+        d, r, root, half = self.mats.shape[-1], len(self.mats), math.sqrt(2.0), math.lgamma(self.mats.shape[-1] / 2)
+        slips, radii, turn = self.slips.tolist(), [row.tolist() for row in self.radii], float(self.turn)
+        def degree(lam, j, k):
+            n, (step, powered, lifted, peak) = j + k, self._scalars(j, k)
+            summed = root * sum(top ** (n - 1) * (math.hypot(j * a, k * b) * step) for top, (a, b) in zip(radii[k > 0], slips))
+            total = (1.0 + _gamma(8 * n + 2 * d + r + 32)) * ((lam + _gamma(3 * j + r) * r * lifted) * powered + summed)
+            sup = math.hypot(math.cos(j * turn), math.sin(j * turn))
+            mean = math.exp(math.lgamma(j + 1) + math.lgamma(k + 1) - math.lgamma(n + d / 2) - 2.0 * peak + half)
+            return sup, sup * total, 0.5 * sup**2 * mean
+        return [degree(*row) for row in zip(moduli[j].tolist(), j.tolist(), (n - j).tolist())]

@@ -832,13 +832,20 @@ def verify_divisor(
     )
 
 
+def _numbers(sup, bound, mean_square, r, dim):
+    """A certificate's (residual bound, Var f, passed) from sup |g|, bound(c), g's mean square, r and N_n (``_certify``)."""
+    scale = _DIVISOR_MARGIN / (r * sup)  # make_divisor's
+    residual, variance = scale * bound, scale**2 * mean_square
+    return residual, variance, residual <= RESIDUAL_TOL and bound <= 1e-6 * dim and variance > 0.0
+
+
 def _certify(witness, bound, rotations):
     """(witness, divisor, certificate) of a degree whose trigger fired, from its kernel ``witness`` g.
 
-    The witness is made once per fired degree by the route that decided it
-    (``_Route.degree``), or from one SVD of the M that search_divisible
-    holds; nothing here reads M.  The divisor f = 1/r + scale * g has the
-    residual sum_s f(gamma_s^T x) - 1 = scale * sum_s g(gamma_s^T x).
+    The witness is made by the route that decided the degree (``_Route``),
+    or from one SVD of the M that search_divisible holds; nothing here
+    reads M.  The divisor f = 1/r + scale * g has the residual
+    sum_s f(gamma_s^T x) - 1 = scale * sum_s g(gamma_s^T x).
     ``bound`` maps the witness's stored coefficients c to a bound on
     sup_{|x| = 1} |sum_s g(gamma_s^T x)|, round-off included, that holds
     whatever c is: ``_translated_bound`` over the degree's S_n for the Gram
@@ -851,17 +858,16 @@ def _certify(witness, bound, rotations):
     g has mean 0 at n >= 1, so Var f = scale^2 times the integral of g^2,
     which the witness's frame gives exactly (``mean_square``).  The
     certificate passes when the bound is at most RESIDUAL_TOL, the
-    witness's translates cancel, bound(c) <= 1e-6 N_n, and Var f > 0.
+    witness's translates cancel, bound(c) <= 1e-6 N_n, and Var f > 0
+    (``_numbers``, which the circle route reads at every fired degree).
     Nothing is sampled.
     """
-    divisor = make_divisor(witness, rotations.r)
-    sup = bound(witness.coeffs)
-    bound = divisor.scale * sup
-    variance = divisor.scale**2 * witness.basis.mean_square(witness.coeffs)
-    passed = bound <= RESIDUAL_TOL and sup <= 1e-6 * dim_harmonic(rotations.d, witness.basis.n) and variance > 0.0
+    coeffs, basis = witness.coeffs, witness.basis
+    bound, variance, passed = _numbers(witness.sup_bound(), bound(coeffs), basis.mean_square(coeffs), len(rotations),
+                                       dim_harmonic(basis.d, basis.n))
     ver = VerificationResult(max_residual=bound, mean_residual=0.0, function_variance=variance, n_samples=0,
                              n_skipped=0, residual_tol=RESIDUAL_TOL, passed=passed, residual_bound=bound)
-    return witness, divisor, ver
+    return witness, make_divisor(witness, len(rotations)), ver
 
 
 @dataclass(frozen=True)
@@ -1055,14 +1061,13 @@ class _Route:
     - ``price(d, r, n_max)`` refuses, before anything is allocated, a run
       over COST_BUDGET_BYTES on the route or above its degree cap; this
       base prices on the Fischer frame (``_check_cost``);
-    - ``degree(n)`` gives (svals, slack, witness, bound, path): the singular
-      values the trigger reads (``_near_singular``); how far the route may
-      have moved them, which widens the near band; at a fired degree
-      witness(), which makes the kernel harmonic, and bound(c), which
-      bounds sup |sum_s g(gamma_s^T x)| over the sphere for the harmonic g
-      with coefficients c (``_certify``), else None for both; and the path
-      its debug line names.  Here they come from ``spectrum(n)``, (svals,
-      slack), and at a fired degree from ``witness(n)``;
+    - ``degree(n)`` gives (ratio, fired, near band, certificate, path): the
+      trigger (``_near_singular``), read once, on the singular values and
+      the slack by which the route may have moved them; at a fired degree
+      (residual bound, passed, make), make() giving ``_certify``'s (witness,
+      divisor, certificate), else None; and the path its debug line names.
+      Here ``spectrum(n)`` gives (svals, slack), and ``witness(n)`` the
+      kernel harmonic g and bound(c) >= sup |sum_s g(gamma_s^T x)|;
     - ``trials(free, suffix, n_max, sing_tol)`` decides a genericity study
       whose trial k is the tuple free[k] followed by suffix: (ratios
       (trials, n_max), rerun (trials,)), every trial's ratios as a
@@ -1086,9 +1091,15 @@ class _Route:
 
     def degree(self, n: int):
         svals, slack = self.spectrum(n)
-        if not _near_singular(svals, self.r, self.sing_tol)[1]:
-            return svals, slack, None, None, self.path
-        return (svals, slack, *self.witness(n), self.path + "→witness")
+        trigger = _near_singular(svals, self.r, self.sing_tol, slack)
+        return self.entry(trigger, self.path + "→witness" * bool(trigger[1]), partial(self.witness, n))
+
+    def entry(self, trigger, path, witness):
+        """``degree``'s entry from its trigger: at a fired degree, the certificate of (g, bound) = witness()."""
+        if not trigger[1]:
+            return (*trigger, None, path)
+        made = _certify(*witness(), self.mats)
+        return (*trigger, (made[2].residual_bound, made[2].passed, lambda: made), path)
 
     @classmethod
     def trials(cls, free: np.ndarray, suffix: np.ndarray, n_max: int, sing_tol: float):
@@ -1117,12 +1128,13 @@ class _CircleRoute(_Route):
     ``circle`` derives it all.  Every degree's singular values |lambda_j|
     come from one table per call (``circle.spectrum``), those of the tuple
     rebuilt from its plane (``circle.detect``), within the slack n r delta
-    of its own, delta the plane's defect.  A fired degree's witness, a
-    product of two linear forms, and its whole-sphere bound are closed form
-    (``circle.Witness``, built at the first fired degree).  No FischerFrame
-    is built and no degree cap applies: a run is priced by its table and
-    records.  A study detects its trials' planes in one stacked call per
-    block, and a trial off the plane fires, so it is re-run.
+    of its own, delta the plane's defect.  One pass (``decide``) reads
+    every degree's trigger from it and every fired degree's certificate
+    from the closed forms of ``circle.Witness``: only the kept degree builds
+    its witness, a product of two linear forms, as an object.  No
+    FischerFrame is built and no degree cap applies: a run is priced by its
+    table, pass and records.  A study detects its trials' planes in one
+    stacked call per block, and a trial off the plane fires, so it is re-run.
     """
 
     path = "circle"
@@ -1133,29 +1145,47 @@ class _CircleRoute(_Route):
 
         The weight sums of every degree (``circle.spectrum``): their moduli,
         the running extremes, the witness's j and their temporaries, within 8
-        doubles per degree.  Each degree's record and its share of the
-        report's JSON, _DEGREE_BYTES.  detect's h_s, its stacked h_s - I and
-        their SVD, within 4 r d^2 doubles.  A fired degree's witness and
-        bound take O(r d) more.
+        doubles per degree.  The pass (``decide``), its results and the
+        records, within 40 + 4 r doubles per degree with the table
+        (tracemalloc's peak: 32 at r = 2, 46 at r = 6); only the records
+        outlive the call, and with the report's JSON take _DEGREE_BYTES.
+        detect's h_s, its h_s - I and their SVD, within 4 r d^2 doubles.
         """
-        need = 8 * (8 * (n_max + 1) + 4 * r * d * d) + _DEGREE_BYTES * n_max
+        need = 8 * (8 * (n_max + 1) + 4 * r * d * d) + max(_DEGREE_BYTES, 8 * (40 + 4 * r)) * n_max
         _check_budget(need, f"d={d}, r={r}, n_max={n_max} on the circle route", "n_max")
 
     width = staticmethod(lambda d, n_max: n_max + 1)  # a trial's table of weight sums
 
     def __init__(self, mats, plane, n_max, sing_tol):
         super().__init__(mats, circle.detect(mats) if plane is None else plane, n_max, sing_tol)
-        self.table, self.witnesses = circle.spectrum(self.plane, self.d, n_max), None
+        self.table = circle.spectrum(self.plane, self.d, n_max)
+        self.decided = self.decide() if mats.ndim == 3 else None  # one tuple, not a study's stack
 
     def spectrum(self, n: int):
         top, low = self.table[:2]
         return np.stack([top[..., n], low[..., n]], axis=-1), n * self.r * self.plane.defect
 
-    def witness(self, n: int):
-        if self.witnesses is None:
+    def decide(self):
+        """What ``degree`` reads, as lists by degree: ratio, fired, near band, and at a fired degree residual bound and passed."""
+        start, (top, low, pick, moduli), n = time.perf_counter(), self.table, np.arange(1, len(self.table[0]))
+        ratio, fired, near = _near_singular(np.array([top[1:], low[1:]]).T, self.r, self.sing_tol, n * self.r * self.plane.defect)
+        shown, residual, passed = n[fired], [None] * len(n), [False] * len(n)
+        if len(shown):
             self.witnesses = circle.Witness(self.plane, self.mats)
+            for m, row in zip(shown.tolist(), self.witnesses.numbers(moduli, shown, pick[shown])):
+                residual[m - 1], _, passed[m - 1] = _numbers(*row, self.r, dim_harmonic(self.d, m))
+        _log.debug("circle pass: %d degrees, %d fired, %.4f s", len(n), len(shown), time.perf_counter() - start)
+        return ratio.tolist(), fired.tolist(), near.tolist(), residual, passed
+
+    def degree(self, n: int):
+        ratio, fired, near, residual, passed = (column[n - 1] for column in self.decided)
+        if not fired:
+            return ratio, fired, near, None, self.path
+        return ratio, fired, near, (residual, passed, lambda: _certify(*self.witness(n), self.mats)), self.path + "→witness"
+
+    def witness(self, n: int):
         basis, coeffs, bound = self.witnesses(self.table[3], n, int(self.table[2][n]))
-        return partial(HarmonicFunction, basis, coeffs), bound
+        return HarmonicFunction(basis, coeffs), bound
 
 
 class _PairRoute(_Route):
@@ -1193,7 +1223,7 @@ class _PairRoute(_Route):
         k = weights[tied[np.argmax(np.abs(weights[tied]).sum(axis=1))]]
         frame = fischer_frame(self.d, n)
         vector, bound = _pair_witness(self.torus, frame, self.mats, k)
-        return partial(_witness, frame, vector), bound
+        return _witness(frame, vector), bound
 
 
 class _GramRoute(_Route):
@@ -1252,16 +1282,16 @@ class _GramRoute(_Route):
         del matrix  # G replaces M (see _peak_bytes)
         sigma_max, sigma_min, vector, resolved = _gram_extremes(frame, sums, gram, self.r)
         del gram
-        svals = None if sigma_min is None else np.array([sigma_max, sigma_min])
+        slack = _formed_slack(self.d, self.r, n)
+        trigger = sigma_min is not None and _near_singular(np.array([sigma_max, sigma_min]), self.r, self.sing_tol, slack)
         path = "gram" if resolved else "gram→witness"
-        if svals is None or not (resolved or _near_singular(svals, self.r, self.sing_tol)[1]):
+        if not trigger or not (resolved or trigger[1]):
             if vector is None:
                 svals, vector = _svd_witness(frame.operator(sums))
             else:
                 svals = weighted_singular_values(frame.operator(sums))
-            path = "gram→svd"
-        bound = partial(_translated_bound, frame, sums, self.turns)
-        return svals, _formed_slack(self.d, self.r, n), partial(_witness, frame, vector), bound, path
+            trigger, path = _near_singular(svals, self.r, self.sing_tol, slack), "gram→svd"
+        return self.entry(trigger, path, lambda: (_witness(frame, vector), partial(_translated_bound, frame, sums, self.turns)))
 
     @staticmethod
     def batch(free, suffix, n_max, sing_tol):
@@ -1300,15 +1330,15 @@ def divisibility_test(
     ``residual_bound``.  Each call picks one route for every degree before
     it prices the run: ``_CircleRoute`` for a tuple whose h_s all rotate one
     plane (``circle.detect``), else ``_PairRoute`` for a pair, else
-    ``_GramRoute``; each degree's route gives its singular values, their
-    slack, its witness and its certificate's bound (``_Route``).  One
-    "spherediv" debug line per degree names the route's path and its wall
-    time, which covers the route's work on the degree and not the
-    certificate.  The report keeps the first certified degree's witness,
-    divisor and certificate.  No sphere point is drawn.  A
-    trigger that fails certification is downgraded to ``borderline``, and
-    so is a degree within 10x of the trigger.  ``rng`` draws nothing: it
-    only names the report's ``seed`` (``resolve_seed``).  An
+    ``_GramRoute``; it gives each degree's trigger, read once, and a fired
+    degree's residual bound and verdict (``_Route``).  One "spherediv" debug
+    line per degree names the route's path and its wall time, certificate
+    included, but for the circle route: it logs its pass before the first
+    line and builds the report's witness, divisor and certificate, its only
+    objects, after the kept degree's.  The report keeps the first certified
+    degree's.  No sphere point is drawn.  A trigger that fails certification
+    is downgraded to ``borderline``, and so is a degree within 10x of the
+    trigger.  ``rng`` draws nothing: it only names the report's ``seed`` (``resolve_seed``).  An
     n_max that is not an integer >= 1, a seed that ``resolve_seed`` refuses,
     a ``sing_tol`` outside (0, 1), NaN included, and runs over the route's
     price (``_Route.price``) are refused with InputDomainError before
@@ -1330,28 +1360,17 @@ def divisibility_test(
     witness = divisor = verification = None
     for n in range(1, n_max + 1):
         start = time.perf_counter()
-        svals, slack, witness_of, bound, path = route.degree(n)
-        dim = dim_harmonic(rotations.d, n)
+        ratio, fired, near_band, certificate, path = route.degree(n)
+        dim = dim_harmonic(route.d, n)
         _log.debug("degree %d: N=%d, %s, %.4f s", n, dim, path, time.perf_counter() - start)
-        ratio, fired, near_band = _near_singular(svals, rotations.r, sing_tol, slack)
-        residual = None
-        if fired:
-            g, f, ver = _certify(witness_of(), bound, rotations)
-            residual = ver.residual_bound
-            if ver.passed:
-                verdict = VERDICT_SINGULAR
-                if witness is None:
-                    witness, divisor, verification = g, f, ver
-            else:
-                verdict = VERDICT_BORDERLINE
-        elif near_band:
-            verdict = VERDICT_BORDERLINE
-        else:
-            verdict = VERDICT_INVERTIBLE
-        records.append(
-            DegreeRecord(n=n, dim=dim, sigma_min_rel=float(ratio), verdict=verdict, residual_bound=residual)
-        )
-        del witness_of, bound  # the bound holds S_n: free it before the recurrence builds degree n + 1 (see _peak_bytes)
+        residual, passed, make = certificate or (None, False, None)
+        if passed and witness is None:  # the kept degree alone builds its witness, divisor and certificate
+            g, f, ver = make()
+            residual, passed = ver.residual_bound, ver.passed
+            if passed:
+                witness, divisor, verification = g, f, ver
+        verdict = VERDICT_SINGULAR if passed else VERDICT_BORDERLINE if fired or near_band else VERDICT_INVERTIBLE
+        records.append(DegreeRecord(n=n, dim=dim, sigma_min_rel=float(ratio), verdict=verdict, residual_bound=residual))
 
     report = DivisibilityReport(
         d=rotations.d,

@@ -25,5 +25,6 @@ class NoFixedPointError(RuntimeError):
 
 def _check_count(name: str, value, minimum: int) -> None:
     """Refuse a count that is not an integer of at least ``minimum``; a bool is no count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    # an exact int first: the abstract Integral check costs about 1 us, and dim_harmonic makes two per degree
+    if not (type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)) or value < minimum:
         raise InputDomainError(f"{name} must be >= {minimum} and an integer, got {value!r}")

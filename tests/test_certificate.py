@@ -19,7 +19,8 @@ from spherediv import (
     search_divisible,
     verify_divisor,
 )
-from spherediv import circle, divisibility, experiments
+from spherediv import RotationTuple, circle, divisibility, experiments, planar_rotation
+from circle_parity import cases, conjugated, planted
 from verdict_panel import _conjugated_half_turn_pair, _two_half_turn_pairs
 
 
@@ -42,10 +43,50 @@ def certificates(tup, n_max):
     route = kind(mats, plane, n_max, divisibility.DEFAULT_SING_TOL)
     out = []
     for n in range(1, n_max + 1):
-        _, _, witness_of, bound, _ = route.degree(n)
-        if witness_of is not None:
-            out.append((n, *divisibility._certify(witness_of(), bound, tup)))
+        certificate = route.degree(n)[3]
+        if certificate is not None:  # (residual bound, passed, make): make() certifies through _certify
+            out.append((n, *certificate[2]()))
     return out
+
+
+def _planar_pair(m):
+    """The planar pair (1.2, 1.2 + pi / m) in SO(2): lambda_n = 0 at the odd multiples of m alone."""
+    return RotationTuple((planar_rotation(2, 1, 2, 1.2), planar_rotation(2, 1, 2, 1.2 + math.pi / m)))
+
+
+# 20 of the parity tuples at sing_tol 0.3, up to degree 24, and 10 tuples whose fired degrees lie on
+# both sides of circle._DIRECT_MAX_DEGREE (2048), above which the witness is evaluated through logarithms
+CIRCLE_BOUNDS = [(name, lambda b=build: (b()[0], min(b()[1], 24)), 0.3) for name, build in cases()[::2]] + [
+    (f"planar pair m={m}", lambda m=m: (_planar_pair(m), m), 1e-10) for m in (2047, 2049, 2051)
+] + [
+    (f"pair d={d} pi/{m}", lambda d=d, m=m: (conjugated(d, [0.0, math.pi / m], 970 + d), m + 7), 1e-10)
+    for d, m in ((4, 2045), (6, 2045), (8, 2043), (7, 2049))
+] + [
+    ("rebuilt pair d=4 pi/2047", lambda: (conjugated(4, [0.0, math.pi / 2047], 980, shift=1e-13), 2052), 1e-10),
+    ("planted d=5 r=3 j=2047", lambda: (conjugated(5, planted(981, 3, 2047), 982), 2050), 1e-10),
+    ("planted d=2 r=3 j=2049", lambda: (conjugated(2, planted(983, 3, 2049), 984), 2049), 1e-10),
+]
+
+
+@pytest.mark.parametrize("name, build, sing_tol", CIRCLE_BOUNDS, ids=[case[0] for case in CIRCLE_BOUNDS])
+def test_circle_bound_covers_sampled_residual_at_every_fired_degree(name, build, sing_tol):
+    # every fired degree's recorded bound, the array pass's but for the kept degree, covers the sampled
+    # residual of the divisor rebuilt from that degree's j and weight
+    tup, n_max = build()
+    mats = np.array([g.matrix for g in tup])
+    plane = circle.detect(mats)
+    report = divisibility_test(tup, n_max, sing_tol, rng=1)
+    pick, moduli = circle.spectrum(plane, tup.d, n_max)[2:]
+    witnesses = circle.Witness(plane, mats)
+    fired = [rec for rec in report.degrees if rec.residual_bound is not None]
+    assert fired
+    for rec in fired:
+        basis, coeffs, _ = witnesses(moduli, rec.n, int(pick[rec.n]))
+        divisor = divisibility.make_divisor(divisibility.HarmonicFunction(basis, coeffs), tup.r)
+        sampled = verify_divisor(tup, divisor, 2000, rec.n).max_residual
+        assert sampled <= rec.residual_bound, (rec.n, sampled, rec.residual_bound)
+    if n_max > circle._DIRECT_MAX_DEGREE:  # the planar pair m = 2047 fires below it, the rest straddle it or lie above
+        assert all(abs(rec.n - circle._DIRECT_MAX_DEGREE) <= 8 for rec in fired)
 
 
 def search_certificates(monkeypatch, seeds):

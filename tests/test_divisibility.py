@@ -320,7 +320,7 @@ class TestResidualBound:
         frame = fischer_frame(3, 1)
         top = np.linalg.svd(frame.operator(sums))[2][0]
         witness = divisibility._pair_witness
-        bound = divisibility._PairRoute(mats, None, 1, divisibility.DEFAULT_SING_TOL).degree(1)[3]
+        bound = divisibility._PairRoute(mats, None, 1, divisibility.DEFAULT_SING_TOL).witness(1)[1]
 
         def foreign(torus, frame, mats, k):
             return top, witness(torus, frame, mats, k)[1]

@@ -701,7 +701,7 @@ from spherediv import Rotation, RotationTuple, divisibility_test, haar_sample
 from spherediv import planar_division, planar_rotation
 lines = []
 handler = logging.Handler()
-handler.emit = lambda record: lines.append(record.getMessage().split(", ")[1])
+handler.emit = lambda record: record.getMessage().startswith("degree ") and lines.append(record.getMessage().split(", ")[1])
 logger = logging.getLogger("spherediv")
 logger.addHandler(handler)
 logger.setLevel(logging.DEBUG)

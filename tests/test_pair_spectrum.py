@@ -219,11 +219,11 @@ class TestPairPath:
         lines = [rec.getMessage() for rec in caplog.records if rec.name == "spherediv"]
         assert [line.split(", ")[:2] for line in lines] == [
             [f"degree {n}: N={dim_harmonic(4, n)}", "pair"] for n in (1, 2, 3)
-        ] + [
+        ] + [["circle pass: 3 degrees", "2 fired"]] + [
             [f"degree {n}: N={dim_harmonic(2, n)}", path]
             for n, path in ((1, "circle→witness"), (2, "circle"), (3, "circle→witness"))
         ]
-        # each line ends in its wall time, the witness's included
+        # each line ends in its wall time: a pair's degree with its witness, the circle's pass with its certificates
         assert all(re.fullmatch(r"\d+\.\d{4} s", line.split(", ")[2]) for line in lines)
 
 

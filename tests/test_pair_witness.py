@@ -185,8 +185,7 @@ def test_product_bound_against_the_dense_bound(case, shaken, seed):
     sums = dict(summed_powers(mats, n_max))
     for n in fired_degrees(mats, n_max):
         frame = fischer_frame(tup.d, n)
-        witness_of, bound = route.degree(n)[2:4]
-        witness = witness_of()
+        witness, bound = route.witness(n)
         scale = divisibility.make_divisor(witness, tup.r).scale
         new, old = bound(witness.coeffs), frame.residual_bound(sums[n], witness.coeffs, mats)
         assert dense_residual(frame, sums[n], witness.coeffs) <= new <= 10.0 * old, n
@@ -209,7 +208,7 @@ def test_foreign_vector_refused(case):
             continue
         frame = fischer_frame(tup.d, n)
         top = np.linalg.svd(frame.operator(sums[n]))[2][0]
-        bound = route.degree(n)[3]
+        bound = route.witness(n)[1]
         _, _, ver = divisibility._certify(divisibility._witness(frame, top), bound, tup)
         assert not ver.passed and ver.residual_bound > 1e-6, n
 
