@@ -11,9 +11,9 @@ an isotropic unit form b of F.  M = rho(gamma_1) sum_s rho(h_s) is
 rho(gamma_1) times a normal operator, so the singular values of degree n are
 |lambda_j|, lambda_j = sum_s z_s^j, over 0 <= j <= n (j = n alone at d = 2).
 ``spectrum`` builds that table once per call for every degree, or once for
-a study's trials; ``Witness`` writes down in closed form a fired degree's
-kernel harmonic and bound, and every fired degree's certificate numbers
-at once.  No Fischer frame, recurrence or P_n-sized array is built.
+a study's trials; ``Witness`` gives every fired degree's certificate
+numbers from one closed form, and writes down the kept degree's kernel
+harmonic.  No Fischer frame, recurrence or P_n-sized array is built.
 
 ``detect`` finds F from one SVD of the stacked h_s - I, rebuilds every h_s
 as the rotation of the plane by z_s, and takes the route only when the
@@ -181,21 +181,8 @@ class FormProduct:
         return out.view(float).reshape(-1, 2)
 
     def sup(self, coeffs: np.ndarray) -> float:
-        """sup |Re(conj(w) q)| = |w| for w = coeffs[0] + i coeffs[1]: the witness's own sup on the sphere."""
-        return float(np.hypot(*coeffs))
-
-    def mean_square(self, coeffs: np.ndarray) -> float:
-        """The integral of g^2 against the normalized measure on the sphere: |w|^2 / 2 mu_a^(2j) mu_b^(2k) j! k! / (2^n (d/2)_n).
-
-        q is harmonic with Fischer norm^2 mu_a^(2j) mu_b^(2k) j! k!, so its L^2 norm^2 is that over
-        2^n (d/2)_n (Stein & Weiss, ch. IV), and q^2 has weight 2j != 0 on the plane, so its integral
-        is 0 and g^2 = (|w|^2 |q|^2 + Re(conj(w)^2 q^2)) / 2 integrates to |w|^2 / 2 times |q|'s.
-        Taken in logarithms; at d = 2 it is |w|^2 / 2.
-        """
-        (mu_a, mu_b), (j, k), n, d = self.scales, self.powers, self.n, self.d
-        log_norm = 2 * j * math.log(mu_a) + 2 * k * math.log(mu_b) + math.lgamma(j + 1) + math.lgamma(k + 1)
-        log_norm += math.lgamma(d / 2) - n * math.log(2.0) - math.lgamma(n + d / 2)
-        return 0.5 * float(coeffs @ coeffs) * math.exp(log_norm)
+        """sup |Re(conj(w) q)| = |w| for w = coeffs[0] + i coeffs[1]: the witness's own sup on the sphere, ``Witness.numbers``'s hypot."""
+        return math.hypot(*coeffs)
 
     def function_json(self, coeffs: np.ndarray) -> dict:
         """Versioned JSON of g(x) = Re(conj(w) prod_i (scales[i] forms[i] . x)^powers[i])."""
@@ -230,9 +217,11 @@ def _log_peak(j: int, k: int) -> float:
 
 
 class Witness:
-    """Every fired degree's witness of one circle tuple, with what each certificate reads of the tuple.
+    """Every fired degree's witness of one circle tuple: its certificate numbers in one closed form (``numbers``).
 
-    Built once per call, by the route's array pass.  With A and B the
+    Built once per call, by the route's array pass, which reads every fired
+    degree's numbers; only the kept degree writes its witness down as a
+    ``FormProduct`` (``__call__``).  With A and B the
     computed gamma_1 a and gamma_1 b, ``slips`` (r, 2) bounds
     ||gamma_s a - z_s A|| and ||gamma_s b - B||, ``spread`` bounds ||C||_2
     for C = sqrt(2) [Re A, Im A] and for C = sqrt(2) [Re A, Im A, Re B, Im B],
@@ -269,20 +258,33 @@ class Witness:
         # sqrt(2) R_s with a alone (k = 0) and with both forms (k > 0)
         self.radii = (self.modulus * spread[0] + root * slips[:, 0], self.modulus * spread[1] + root * np.hypot(*slips.T))
 
-    def __call__(self, moduli: np.ndarray, n: int, j: int):
+    def __call__(self, n: int, j: int, total: float):
         """(basis, coeffs, bound) of the degree-n witness g = Re(conj(w) (mu_a a . x)^j (mu_b b . x)^(n - j)).
 
         The scales make sup |q| = 1 (``FormProduct``).  The weight
         w = (a_i / |a_i|)^j, for the entry a_i of largest modulus, puts g's
         maximum 1 at sqrt(j / n) c + sqrt(k / n) sqrt(2) Re(b), c the unit
         projection of the i-th axis on the plane, whatever basis u, v of the
-        plane the SVD returned.  rho(h_s) (a . x)^j (b . x)^k =
-        ((h_s a) . x)^j ((h_s b) . x)^k = z_s^j (a . x)^j (b . x)^k, so
-        M g = Re(conj(w) lambda_j rho(gamma_1) q), zero where lambda_j is.
-        ``moduli`` are the |fl(lambda_j)| of ``spectrum``.
+        plane the SVD returned.  bound(coeffs) = |w| ``total``, for
+        w = coeffs[0] + i coeffs[1], with the degree's total from ``numbers``.
+        """
+        k = n - j
+        scales = (math.sqrt(2.0 * n / j), math.sqrt(2.0 * n / k) if k else 1.0)
+        weight = np.exp(1j * j * self.turn)
+        basis = FormProduct(forms=self.plane.forms, scales=scales, powers=(j, k))
+        return basis, np.array([weight.real, weight.imag]), lambda coeffs: math.hypot(*coeffs) * total
 
-        bound(coeffs) bounds max_{|x| = 1} |sum_s Re(conj(w) q(gamma_s^T x))|
-        for w = coeffs[0] + i coeffs[1], whatever w is.  Write k = n - j and
+    def numbers(self, moduli: np.ndarray, n: np.ndarray, j: np.ndarray):
+        """[(sup |g|, total, mean square of g)] of the witnesses at the integer arrays ``n`` and ``j``: bound(c) = |w| total.
+
+        ``moduli`` are the |fl(lambda_j)| of ``spectrum``.  rho(h_s)
+        (a . x)^j (b . x)^k = ((h_s a) . x)^j ((h_s b) . x)^k =
+        z_s^j (a . x)^j (b . x)^k, so M g = Re(conj(w) lambda_j rho(gamma_1) q),
+        zero where lambda_j is.  Every number is taken on Python floats, with
+        ``math``'s logarithms, exponentials, powers and hypot.
+
+        The total bounds max_{|x| = 1} |sum_s Re(conj(w) q(gamma_s^T x))| / |w|
+        whatever w is.  Write k = n - j and
         take A and B the computed gamma_1 a and gamma_1 b.  With the exact
         vectors e_s = gamma_s a - z_s A and f_s = gamma_s b - B,
         (gamma_s a) . x = z_s (A . x) + e_s . x, and the sum over s of the
@@ -311,37 +313,25 @@ class Witness:
         |lambda_j| <= |fl(lambda_j)| + gamma_(3j + r) r m^j.  beta <=
         (1 + gamma_2)^n, and one factor 1 + gamma_(8 n + 2 d + r + 32) covers
         it, the logarithms and powers of c, kappa and R_s, the relative error of
-        every norm and the arithmetic that sums the terms.
-        """
-        d, r, k = self.mats.shape[-1], len(self.mats), n - j
-        scales = (math.sqrt(2.0 * n / j), math.sqrt(2.0 * n / k) if k else 1.0)
-        weight = np.exp(1j * j * self.turn)
-        step, powered, lifted, _ = self._scalars(j, k)
-        slopes = np.hypot(j * self.slips[:, 0], k * self.slips[:, 1]) * step  # j e_a at k = 0, exactly
-        summed = math.sqrt(2.0) * float(self.radii[k > 0] ** (n - 1) @ slopes)
-        total = float((1.0 + _gamma(8 * n + 2 * d + r + 32)) * ((moduli[j] + _gamma(3 * j + r) * r * lifted) * powered + summed))
-        basis = FormProduct(forms=self.plane.forms, scales=scales, powers=(j, k))
-        return basis, np.array([weight.real, weight.imag]), lambda coeffs: float(np.hypot(*coeffs)) * total
+        every norm and the arithmetic that sums the terms, the sum over s in
+        any order.
 
-    def _scalars(self, j: int, k: int) -> tuple:
-        """(c_(j-1, k-1) / c_(j, k), or 1 at k = 0, kappa^n, m^j, log c_(j, k)) of degree n = j + k, from ``math``'s calls."""
-        peak = _log_peak(j, k)
-        return math.exp(_log_peak(j - 1, k - 1) - peak) if k else 1.0, self.spread[k > 0] ** (j + k), self.modulus**j, peak
-
-    def numbers(self, moduli: np.ndarray, n: np.ndarray, j: np.ndarray):
-        """[(sup |g|, bound(c), mean square of g)] of the witnesses ``__call__`` makes at the integer arrays ``n`` and ``j``.
-
-        ``__call__``'s closed forms on Python floats, its ``math`` calls (``_scalars``) included, so each bound
-        carries its round-off analysis: only the sum over s differs, in its order and in libm's hypot and pow for
-        numpy's.  The mean square is ``FormProduct.mean_square``'s, |w|^2 j! k! / (2 c_(j, k)^2 (d/2)_n).
+        sup |g| = |w| (``FormProduct.sup``).  The mean square, the integral of g^2 against the normalized
+        measure on the sphere, is |w|^2 j! k! / (2 c_(j, k)^2 (d/2)_n), taken in logarithms: q is harmonic
+        with Fischer norm^2 mu_a^(2j) mu_b^(2k) j! k!, so its L^2 norm^2 is that over 2^n (d/2)_n (Stein &
+        Weiss, ch. IV), and q^2 has weight 2j != 0 on the plane, so its integral is 0 and
+        g^2 = (|w|^2 |q|^2 + Re(conj(w)^2 q^2)) / 2 integrates to |w|^2 / 2 times |q|'s; at d = 2 it is |w|^2 / 2.
         """
         d, r, root, half = self.mats.shape[-1], len(self.mats), math.sqrt(2.0), math.lgamma(self.mats.shape[-1] / 2)
         slips, radii, turn = self.slips.tolist(), [row.tolist() for row in self.radii], float(self.turn)
         def degree(lam, j, k):
-            n, (step, powered, lifted, peak) = j + k, self._scalars(j, k)
+            n, peak = j + k, _log_peak(j, k)
+            step = math.exp(_log_peak(j - 1, k - 1) - peak) if k else 1.0  # c_(j-1, k-1) / c_(j, k)
             summed = root * sum(top ** (n - 1) * (math.hypot(j * a, k * b) * step) for top, (a, b) in zip(radii[k > 0], slips))
-            total = (1.0 + _gamma(8 * n + 2 * d + r + 32)) * ((lam + _gamma(3 * j + r) * r * lifted) * powered + summed)
+            lam += _gamma(3 * j + r) * r * self.modulus**j  # the bound on the exact |lambda_j|
+            total = (1.0 + _gamma(8 * n + 2 * d + r + 32)) * (lam * self.spread[k > 0] ** n + summed)
             sup = math.hypot(math.cos(j * turn), math.sin(j * turn))
             mean = math.exp(math.lgamma(j + 1) + math.lgamma(k + 1) - math.lgamma(n + d / 2) - 2.0 * peak + half)
-            return sup, sup * total, 0.5 * sup**2 * mean
+            return sup, total, 0.5 * sup**2 * mean
+
         return [degree(*row) for row in zip(moduli[j].tolist(), j.tolist(), (n - j).tolist())]

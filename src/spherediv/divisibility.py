@@ -19,9 +19,9 @@ only *trigger* certificate extraction (``_near_singular``); the certificate
 itself is the residual of a concrete kernel witness g, propagated into an
 explicit divisor f = 1/r + c g whose rotated copies must sum to 1
 everywhere, and bounded over the whole sphere by the route that decided the
-degree (``_certify``), which also reads the divisor's exact variance from
-the witness's frame.  A report never claims divisibility without a passing
-residual.
+degree (``_certify``, or a circle tuple's closed form), which also reads the
+divisor's exact variance from the witness's frame, once per fired degree.
+A report never claims divisibility without a passing residual.
 
 Zonal bases P_n(v_i . ) of random poles are kept as a reference that tests
 compare against:
@@ -462,18 +462,17 @@ def _translated_bound(frame, sums, turns: np.ndarray, coeffs: np.ndarray) -> flo
     return frame.residual_bound(sums, coeffs, turns) + (1.0 + fischer._gamma(scaling + frame.size + 4)) * slack
 
 
-def _torus_angles(mats: np.ndarray) -> np.ndarray:
-    """Rotation angles theta_1..theta_m in [0, pi], ascending, of h = g_1^T g_2 for a pair (2, d, d) or a stack (..., 2, d, d).
+def _torus_angles(values: np.ndarray) -> np.ndarray:
+    """Rotation angles theta_1..theta_m in [0, pi], ascending, of h = g_1^T g_2 from its eigenvalues ``values`` (..., d).
 
     h has the eigenvalues e^(+-i theta_j), j = 1..m = d // 2, and one more 1
-    at odd d.  ``eigvals`` returns each conjugate pair exactly conjugate, a
-    real eigenvalue's angle is exactly 0 or pi, and det h = 1 makes the
-    eigenvalues near -1 even in number, so the sorted |angles| come in equal
-    pairs after one 0 at odd d: every second one is theta.
+    at odd d.  ``eig`` and ``eigvals`` return each conjugate pair exactly
+    conjugate, a real eigenvalue's angle is exactly 0 or pi, and det h = 1
+    makes the eigenvalues near -1 even in number, so the sorted |angles|
+    come in equal pairs after one 0 at odd d: every second one is theta.
     """
-    h = np.swapaxes(mats[..., 0, :, :], -1, -2) @ mats[..., 1, :, :]
-    angles = np.sort(np.abs(np.angle(np.linalg.eigvals(h))), axis=-1)
-    return angles[..., mats.shape[-1] % 2::2]
+    angles = np.sort(np.abs(np.angle(values)), axis=-1)
+    return angles[..., values.shape[-1] % 2::2]
 
 
 def _pair_spectrum(angles: np.ndarray, d: int, n: int):
@@ -493,14 +492,15 @@ def _pair_spectrum(angles: np.ndarray, d: int, n: int):
     return np.stack([values.max(axis=-1), values.min(axis=-1)], axis=-1), values
 
 
-def _torus_frame(mats: np.ndarray):
-    """(forms (m, d), angles (m,), axis) of a pair (2, d, d): linear forms a_j with rho(h) a_j = e^(i theta_j) a_j.
+def _torus_frame(values: np.ndarray, vectors: np.ndarray):
+    """(forms (m, d), angles (m,), axis) of a pair from ``eig`` of h: linear forms a_j with rho(h) a_j = e^(i theta_j) a_j.
 
     With h = g_1^T g_2 and rho(h) p = p(h^T .), as in ``_pair_spectrum``,
     the linear form a . x is taken to (h a) . x, so the forms are the
-    eigenvectors of h, from one ``eig``.  An eigenvalue e^(i theta) with
-    Im > 0 gives a_j and theta_j, and its eigenvector is isotropic,
-    a . a = 0, since h is orthogonal and e^(2 i theta) != 1.  The real
+    eigenvectors ``vectors`` of h, of the eigenvalues ``values``.  An
+    eigenvalue e^(i theta) with Im > 0 gives a_j and theta_j, and its
+    eigenvector is isotropic, a . a = 0, since h is orthogonal and
+    e^(2 i theta) != 1.  The real
     eigenvalues are +-1 with eigenvectors that are not isotropic (h = -I
     gives the axes), so each of those two eigenspaces is made orthonormal
     by QR and its vectors u, w are paired into (u + i w) / sqrt(2), with
@@ -508,7 +508,6 @@ def _torus_frame(mats: np.ndarray):
     vector is left over exactly at odd d: the fixed axis, None at even d.
     Every a_j has unit norm, so a_j . conj(a_j) = 1.
     """
-    values, vectors = np.linalg.eig(mats[0].T @ mats[1])
     rising = values.imag > 0
     forms, angles, axis = [vectors[:, rising].T], [np.angle(values[rising])], None
     for sign, angle in ((-1.0, math.pi), (1.0, 0.0)):
@@ -833,14 +832,14 @@ def verify_divisor(
 
 
 def _numbers(sup, bound, mean_square, r, dim):
-    """A certificate's (residual bound, Var f, passed) from sup |g|, bound(c), g's mean square, r and N_n (``_certify``)."""
-    scale = _DIVISOR_MARGIN / (r * sup)  # make_divisor's
+    """A certificate's (divisor scale, make_divisor's, residual bound, Var f, passed) from sup |g|, bound(c), g's mean square, r, N_n."""
+    scale = _DIVISOR_MARGIN / (r * sup)
     residual, variance = scale * bound, scale**2 * mean_square
-    return residual, variance, residual <= RESIDUAL_TOL and bound <= 1e-6 * dim and variance > 0.0
+    return scale, residual, variance, residual <= RESIDUAL_TOL and bound <= 1e-6 * dim and variance > 0.0
 
 
-def _certify(witness, bound, rotations):
-    """(witness, divisor, certificate) of a degree whose trigger fired, from its kernel ``witness`` g.
+def _certify(witness, bound, r: int):
+    """(residual bound, passed, make) of a degree whose trigger fired, from its kernel ``witness`` g in a Fischer frame.
 
     The witness is made by the route that decided the degree (``_Route``),
     or from one SVD of the M that search_divisible holds; nothing here
@@ -849,9 +848,8 @@ def _certify(witness, bound, rotations):
     ``bound`` maps the witness's stored coefficients c to a bound on
     sup_{|x| = 1} |sum_s g(gamma_s^T x)|, round-off included, that holds
     whatever c is: ``_translated_bound`` over the degree's S_n for the Gram
-    route and the search, ``_product_bound`` from the products of h's
-    eigen-forms for a pair, and a closed form in the weight sum lambda_j
-    and the rotated forms for a circle tuple (``circle.Witness``).  So
+    route and the search, and ``_product_bound`` from the products of h's
+    eigen-forms for a pair.  So
 
         sup_{|x| = 1} |sum_s f(gamma_s^T x) - 1| <= scale * bound(c).
 
@@ -859,15 +857,20 @@ def _certify(witness, bound, rotations):
     which the witness's frame gives exactly (``mean_square``).  The
     certificate passes when the bound is at most RESIDUAL_TOL, the
     witness's translates cancel, bound(c) <= 1e-6 N_n, and Var f > 0
-    (``_numbers``, which the circle route reads at every fired degree).
-    Nothing is sampled.
+    (``_numbers``), each number computed here once; make() only builds the
+    (witness, divisor, certificate) of those numbers.  Nothing is sampled.
     """
     coeffs, basis = witness.coeffs, witness.basis
-    bound, variance, passed = _numbers(witness.sup_bound(), bound(coeffs), basis.mean_square(coeffs), len(rotations),
-                                       dim_harmonic(basis.d, basis.n))
-    ver = VerificationResult(max_residual=bound, mean_residual=0.0, function_variance=variance, n_samples=0,
-                             n_skipped=0, residual_tol=RESIDUAL_TOL, passed=passed, residual_bound=bound)
-    return witness, make_divisor(witness, len(rotations)), ver
+    numbers = _numbers(witness.sup_bound(), bound(coeffs), basis.mean_square(coeffs), r, dim_harmonic(basis.d, basis.n))
+    return numbers[1], numbers[3], partial(_certificate, witness, r, numbers)
+
+
+def _certificate(witness, r: int, numbers):
+    """(witness, divisor, certificate) from a certified degree's ``_numbers``: objects only, no arithmetic."""
+    scale, residual, variance, passed = numbers
+    ver = VerificationResult(max_residual=residual, mean_residual=0.0, function_variance=variance, n_samples=0,
+                             n_skipped=0, residual_tol=RESIDUAL_TOL, passed=passed, residual_bound=residual)
+    return witness, DivisorFunction(witness=witness, r=r, scale=scale), ver
 
 
 @dataclass(frozen=True)
@@ -1064,10 +1067,11 @@ class _Route:
     - ``degree(n)`` gives (ratio, fired, near band, certificate, path): the
       trigger (``_near_singular``), read once, on the singular values and
       the slack by which the route may have moved them; at a fired degree
-      (residual bound, passed, make), make() giving ``_certify``'s (witness,
-      divisor, certificate), else None; and the path its debug line names.
-      Here ``spectrum(n)`` gives (svals, slack), and ``witness(n)`` the
-      kernel harmonic g and bound(c) >= sup |sum_s g(gamma_s^T x)|;
+      (residual bound, passed, make) decided once (``_numbers``), make()
+      only building the (witness, divisor, certificate) of those numbers,
+      else None; and the path its debug line names.  Here ``spectrum(n)``
+      gives (svals, slack), and ``witness(n)`` the kernel harmonic g and
+      bound(c) >= sup |sum_s g(gamma_s^T x)|, which ``_certify`` reads;
     - ``trials(free, suffix, n_max, sing_tol)`` decides a genericity study
       whose trial k is the tuple free[k] followed by suffix: (ratios
       (trials, n_max), rerun (trials,)), every trial's ratios as a
@@ -1096,10 +1100,7 @@ class _Route:
 
     def entry(self, trigger, path, witness):
         """``degree``'s entry from its trigger: at a fired degree, the certificate of (g, bound) = witness()."""
-        if not trigger[1]:
-            return (*trigger, None, path)
-        made = _certify(*witness(), self.mats)
-        return (*trigger, (made[2].residual_bound, made[2].passed, lambda: made), path)
+        return (*trigger, _certify(*witness(), self.r) if trigger[1] else None, path)
 
     @classmethod
     def trials(cls, free: np.ndarray, suffix: np.ndarray, n_max: int, sing_tol: float):
@@ -1130,8 +1131,9 @@ class _CircleRoute(_Route):
     rebuilt from its plane (``circle.detect``), within the slack n r delta
     of its own, delta the plane's defect.  One pass (``decide``) reads
     every degree's trigger from it and every fired degree's certificate
-    from the closed forms of ``circle.Witness``: only the kept degree builds
-    its witness, a product of two linear forms, as an object.  No
+    numbers from the one closed form of ``circle.Witness``: only the kept
+    degree builds its witness, a product of two linear forms, its divisor
+    and its certificate, as objects, from those numbers.  No
     FischerFrame is built and no degree cap applies: a run is priced by its
     table, pass and records.  A study detects its trials' planes in one
     stacked call per block, and a trial off the plane fires, so it is re-run.
@@ -1147,7 +1149,8 @@ class _CircleRoute(_Route):
         the running extremes, the witness's j and their temporaries, within 8
         doubles per degree.  The pass (``decide``), its results and the
         records, within 40 + 4 r doubles per degree with the table
-        (tracemalloc's peak: 32 at r = 2, 46 at r = 6); only the records
+        (tracemalloc's peak, at n_max 2e4: 35 at r = 2 and 38 at r = 6 at
+        d = 2, 46 at d = 4 where every degree fires); only the records
         outlive the call, and with the report's JSON take _DEGREE_BYTES.
         detect's h_s, its h_s - I and their SVD, within 4 r d^2 doubles.
         """
@@ -1169,11 +1172,13 @@ class _CircleRoute(_Route):
         """What ``degree`` reads, as lists by degree: ratio, fired, near band, and at a fired degree residual bound and passed."""
         start, (top, low, pick, moduli), n = time.perf_counter(), self.table, np.arange(1, len(self.table[0]))
         ratio, fired, near = _near_singular(np.array([top[1:], low[1:]]).T, self.r, self.sing_tol, n * self.r * self.plane.defect)
-        shown, residual, passed = n[fired], [None] * len(n), [False] * len(n)
+        # numbers: each fired degree's divisor scale, Var f and bound total, three doubles per degree
+        shown, residual, passed, self.numbers = n[fired], [None] * len(n), [False] * len(n), np.empty((len(n), 3))
         if len(shown):
             self.witnesses = circle.Witness(self.plane, self.mats)
-            for m, row in zip(shown.tolist(), self.witnesses.numbers(moduli, shown, pick[shown])):
-                residual[m - 1], _, passed[m - 1] = _numbers(*row, self.r, dim_harmonic(self.d, m))
+            for m, (sup, total, mean) in zip(shown.tolist(), self.witnesses.numbers(moduli, shown, pick[shown])):
+                scale, residual[m - 1], variance, passed[m - 1] = _numbers(sup, sup * total, mean, self.r, dim_harmonic(self.d, m))
+                self.numbers[m - 1] = scale, variance, total
         _log.debug("circle pass: %d degrees, %d fired, %.4f s", len(n), len(shown), time.perf_counter() - start)
         return ratio.tolist(), fired.tolist(), near.tolist(), residual, passed
 
@@ -1181,25 +1186,28 @@ class _CircleRoute(_Route):
         ratio, fired, near, residual, passed = (column[n - 1] for column in self.decided)
         if not fired:
             return ratio, fired, near, None, self.path
-        return ratio, fired, near, (residual, passed, lambda: _certify(*self.witness(n), self.mats)), self.path + "→witness"
+        scale, variance, _ = self.numbers[n - 1].tolist()
+        make = lambda: _certificate(self.witness(n)[0], self.r, (scale, residual, variance, passed))
+        return ratio, fired, near, (residual, passed, make), self.path + "→witness"
 
     def witness(self, n: int):
-        basis, coeffs, bound = self.witnesses(self.table[3], n, int(self.table[2][n]))
+        basis, coeffs, bound = self.witnesses(n, int(self.table[2][n]), float(self.numbers[n - 1, 2]))
         return HarmonicFunction(basis, coeffs), bound
 
 
 class _PairRoute(_Route):
-    """Two rotations off the circle: every degree from the torus angles of h = gamma_1^T gamma_2, with no M.
+    """Two rotations off the circle: every degree from one ``eig`` of h = gamma_1^T gamma_2, with no M.
 
     Every degree's sigma_max and sigma_min are closed form in the rotation
-    angles of h (``_pair_spectrum``), from one ``eigvals`` of h per call
-    (``_torus_angles``); the slack is 0.  The first fired degree takes one
-    ``eig`` of h, its torus frame (``_torus_frame``), whose forms write down
-    every fired degree's witness and bound (``_pair_witness``): the weight
-    k whose phase gives sigma_min in the frame's own angle order, ties
-    within round-off going to the largest |k|_1, names them.  Only a fired
-    degree builds its FischerFrame, and no pair assembles M or runs the
-    recurrence.
+    angles of h (``_pair_spectrum``), sorted from its eigenvalues
+    (``_torus_angles``); the slack is 0.  The same decomposition gives the
+    torus frame (``_torus_frame``), whose forms write down every fired
+    degree's witness and bound (``_pair_witness``): the weight k whose
+    phase gives sigma_min in the frame's own angle order, ties within
+    round-off going to the largest |k|_1, names them.  A study's block of
+    pairs needs no frame: one stacked ``eigvals`` feeds ``_torus_angles``.
+    Only a fired degree builds its FischerFrame, and no pair assembles M or
+    runs the recurrence.
     """
 
     path = "pair"
@@ -1209,14 +1217,16 @@ class _PairRoute(_Route):
 
     def __init__(self, mats, plane, n_max, sing_tol):
         super().__init__(mats, plane, n_max, sing_tol)
-        self.angles, self.torus = _torus_angles(mats), None
+        h = np.swapaxes(mats[..., 0, :, :], -1, -2) @ mats[..., 1, :, :]
+        if mats.ndim == 3:  # one pair; a study's stack needs no frame
+            values, vectors = np.linalg.eig(h)
+            self.torus = _torus_frame(values, vectors)
+        self.angles = _torus_angles(values if mats.ndim == 3 else np.linalg.eigvals(h))
 
     def spectrum(self, n: int):
         return _pair_spectrum(self.angles, self.d, n)[0], 0.0
 
     def witness(self, n: int):
-        if self.torus is None:
-            self.torus = _torus_frame(self.mats)
         weights, _ = fischer._torus_weights(self.d, n)
         values = _pair_spectrum(self.torus[1], self.d, n)[1]
         tied = np.flatnonzero(values <= values.min() + 8.0 * self.d * n * 2.0**-53)
@@ -1243,9 +1253,11 @@ class _GramRoute(_Route):
     trial-independent, a left one by a free gamma_1 does not, so the
     suffix's U^T (sum_s Sym^n) U is built once per study for every degree,
     and each block of trials runs one pass of the recurrence over its free
-    rotations and per degree one stacked operator plus the suffix's and one
-    stacked values-only SVD, which agrees with a standalone run's Gram step
-    within 1e-13.
+    rotations and per degree one stacked operator plus the suffix's (none in
+    an all-free study) and one stacked values-only SVD.  That SVD of the
+    untranslated operator agrees with a standalone run's Gram step of the
+    translated one up to round-off of order u sigma_max in sigma_min, an
+    absolute bound: a small ratio can differ by more than 1e-12 relative.
     """
 
     def __init__(self, mats, plane, n_max, sing_tol):
@@ -1296,7 +1308,8 @@ class _GramRoute(_Route):
     @staticmethod
     def batch(free, suffix, n_max, sing_tol):
         d = free.shape[-1]
-        fixed = [fischer_frame(d, n).operator(sums) for n, sums in summed_powers(suffix, n_max)]
+        # an all-free study (ell = r) has no suffix operator
+        fixed = [fischer_frame(d, n).operator(sums) for n, sums in summed_powers(suffix, n_max)] if len(suffix) else [0.0] * n_max
 
         def spectra(block):
             svals = [
@@ -1331,7 +1344,8 @@ def divisibility_test(
     it prices the run: ``_CircleRoute`` for a tuple whose h_s all rotate one
     plane (``circle.detect``), else ``_PairRoute`` for a pair, else
     ``_GramRoute``; it gives each degree's trigger, read once, and a fired
-    degree's residual bound and verdict (``_Route``).  One "spherediv" debug
+    degree's residual bound and verdict, certified once (``_Route``), whose
+    numbers the kept degree's divisor and certificate carry.  One "spherediv" debug
     line per degree names the route's path and its wall time, certificate
     included, but for the circle route: it logs its pass before the first
     line and builds the report's witness, divisor and certificate, its only
@@ -1365,10 +1379,7 @@ def divisibility_test(
         _log.debug("degree %d: N=%d, %s, %.4f s", n, dim, path, time.perf_counter() - start)
         residual, passed, make = certificate or (None, False, None)
         if passed and witness is None:  # the kept degree alone builds its witness, divisor and certificate
-            g, f, ver = make()
-            residual, passed = ver.residual_bound, ver.passed
-            if passed:
-                witness, divisor, verification = g, f, ver
+            witness, divisor, verification = make()
         verdict = VERDICT_SINGULAR if passed else VERDICT_BORDERLINE if fired or near_band else VERDICT_INVERTIBLE
         records.append(DegreeRecord(n=n, dim=dim, sigma_min_rel=float(ratio), verdict=verdict, residual_bound=residual))
 

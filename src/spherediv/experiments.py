@@ -657,9 +657,7 @@ def search_divisible(
     residual_max = None
     if best_ratio < settings.target_ratio:
         # best_ratio is sigma_min / r, so this gate is the trigger's dead-operator clause
-        _, _, ver = _certify(_witness(frame, best_vector), best_bound, best_tuple)
-        certified = ver.passed
-        residual_max = ver.max_residual
+        residual_max, certified, _ = _certify(_witness(frame, best_vector), best_bound, r)
     return SearchRun(
         d=d,
         r=r,

@@ -607,7 +607,7 @@ def summed_powers(mats, n_max: int, identity: bool = False):
     """Yield (n, sum_s Sym^n(g_s)) for n = 1 .. n_max in one pass of the recurrence, plus I in every sum if ``identity``.
 
     ``mats`` is a stack (..., r, d, d) of rotation tuples; each sum has shape
-    (..., P_n, P_n) in the orthonormal monomial basis, and is zero if r = 0.
+    (..., P_n, P_n) in the orthonormal monomial basis.
     Sym^n(g) is built from Sym^(n-1)(g) by one multiplication by a linear
     form per column: degree n costs d maps of P_n x P_(n-1) per rotation and
     no Gegenbauer evaluation.  While the d maps of every rotation fit in
@@ -637,11 +637,6 @@ def summed_powers(mats, n_max: int, identity: bool = False):
 
     forms = flat.transpose(0, 2, 1).reshape(-1, d)  # row (k, i): the linear form g_i of rotation k
     yield 1, total(mats.sum(axis=-3))
-    if count == 0:  # an empty sum, as for the suffix of an all-free study
-        for n in range(2, n_max + 1):
-            size = len(_exponents(d, n))
-            yield n, total(np.zeros(lead_shape + (size, size)))
-        return
     for n in range(2, n_max + 1):
         step = _step(d, n)
         size, prev = len(step.lead), sym.shape[-1]

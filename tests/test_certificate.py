@@ -1,7 +1,8 @@
 """Certificates rest on the whole-sphere bound alone: these tests sample what the decision path no longer does.
 
 Every fired degree is certified as divisibility_test certifies it, through its route's
-``degree(n)`` and ``divisibility._certify``; its divisor's sampled residual must stay under the
+``degree(n)``: ``divisibility._certify`` for a witness in a Fischer frame, the closed form of
+``circle.Witness.numbers`` on the circle route; its divisor's sampled residual must stay under the
 bound, and its exact variance, read from the witness's frame, must match a sampled one.
 """
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from spherediv import (
+    dim_harmonic,
     divisibility_test,
     haar_sample,
     odd_d4_tuple,
@@ -21,7 +23,7 @@ from spherediv import (
 )
 from spherediv import RotationTuple, circle, divisibility, experiments, planar_rotation
 from circle_parity import cases, conjugated, planted
-from verdict_panel import _conjugated_half_turn_pair, _two_half_turn_pairs
+from verdict_panel import _conjugated_half_turn_pair, _d3_family, _two_half_turn_pairs
 
 
 CASES = {
@@ -44,7 +46,7 @@ def certificates(tup, n_max):
     out = []
     for n in range(1, n_max + 1):
         certificate = route.degree(n)[3]
-        if certificate is not None:  # (residual bound, passed, make): make() certifies through _certify
+        if certificate is not None:  # (residual bound, passed, make): make() builds from those numbers
             out.append((n, *certificate[2]()))
     return out
 
@@ -70,19 +72,18 @@ CIRCLE_BOUNDS = [(name, lambda b=build: (b()[0], min(b()[1], 24)), 0.3) for name
 
 @pytest.mark.parametrize("name, build, sing_tol", CIRCLE_BOUNDS, ids=[case[0] for case in CIRCLE_BOUNDS])
 def test_circle_bound_covers_sampled_residual_at_every_fired_degree(name, build, sing_tol):
-    # every fired degree's recorded bound, the array pass's but for the kept degree, covers the sampled
-    # residual of the divisor rebuilt from that degree's j and weight
+    # every fired degree's recorded bound, the array pass's, covers the sampled residual of the
+    # divisor its route builds from that degree's j, weight and numbers
     tup, n_max = build()
     mats = np.array([g.matrix for g in tup])
-    plane = circle.detect(mats)
     report = divisibility_test(tup, n_max, sing_tol, rng=1)
-    pick, moduli = circle.spectrum(plane, tup.d, n_max)[2:]
-    witnesses = circle.Witness(plane, mats)
+    route = divisibility._CircleRoute(mats, circle.detect(mats), n_max, sing_tol)
     fired = [rec for rec in report.degrees if rec.residual_bound is not None]
     assert fired
     for rec in fired:
-        basis, coeffs, _ = witnesses(moduli, rec.n, int(pick[rec.n]))
-        divisor = divisibility.make_divisor(divisibility.HarmonicFunction(basis, coeffs), tup.r)
+        _, divisor, ver = route.degree(rec.n)[3][2]()
+        assert ver.residual_bound == rec.residual_bound
+        assert divisor.scale == divisibility.make_divisor(divisor.witness, tup.r).scale
         sampled = verify_divisor(tup, divisor, 2000, rec.n).max_residual
         assert sampled <= rec.residual_bound, (rec.n, sampled, rec.residual_bound)
     if n_max > circle._DIRECT_MAX_DEGREE:  # the planar pair m = 2047 fires below it, the rest straddle it or lie above
@@ -91,18 +92,20 @@ def test_circle_bound_covers_sampled_residual_at_every_fired_degree(name, build,
 
 def search_certificates(monkeypatch, seeds):
     """(tuple, witness, divisor, certificate) of every search_divisible(3, 3, 2) certificate at ``seeds``."""
-    made = []
+    made, out = [], []
     original = experiments._certify
 
-    def recorded(witness, bound, rotations):
-        result = original(witness, bound, rotations)
-        made.append((rotations, *result))
+    def recorded(witness, bound, r):
+        result = original(witness, bound, r)
+        made.append(result[2]())
         return result
 
     monkeypatch.setattr(experiments, "_certify", recorded)
     for seed in seeds:
-        assert search_divisible(3, 3, 2, rng=seed).certified, seed
-    return made
+        run = search_divisible(3, 3, 2, rng=seed)
+        assert run.certified and len(made) == 1, seed
+        out.append((run.best_tuple, *made.pop()))
+    return out
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -144,18 +147,21 @@ def test_search_variance_matches_samples(monkeypatch):
 
 @pytest.mark.parametrize("d", [4, 6, 8])
 def test_circle_variance_matches_samples(d):
-    # the certificates of witnesses with both forms, j, k >= 1, at every such weight of degrees 2 .. 5
+    # the closed-form certificates of witnesses with both forms, j, k >= 1, at every such weight of degrees 2 .. 5
     tup = planar_division(d, 3).rotations
     mats = np.array([g.matrix for g in tup])
     plane = circle.detect(mats)
     witnesses = circle.Witness(plane, mats)
     moduli = circle.spectrum(plane, d, 5)[3]
-    for n in range(2, 6):
-        for j in range(1, n):
-            basis, coeffs, bound = witnesses(moduli, n, j)
-            _, divisor, ver = divisibility._certify(divisibility.HarmonicFunction(basis, coeffs), bound, tup)
-            sampled = verify_divisor(tup, divisor, 200_000, 10 * n + j).function_variance
-            assert math.isclose(ver.function_variance, sampled, rel_tol=0.03), (n, j, ver.function_variance, sampled)
+    degrees, weights = np.array([(n, j) for n in range(2, 6) for j in range(1, n)]).T
+    for n, j, (sup, total, mean) in zip(degrees.tolist(), weights.tolist(), witnesses.numbers(moduli, degrees, weights)):
+        basis, coeffs, bound = witnesses(n, j, total)
+        witness = divisibility.HarmonicFunction(basis, coeffs)
+        numbers = divisibility._numbers(sup, sup * total, mean, tup.r, dim_harmonic(d, n))
+        _, divisor, ver = divisibility._certificate(witness, tup.r, numbers)
+        assert sup == witness.sup_bound() and ver.residual_bound == divisor.scale * bound(coeffs)
+        sampled = verify_divisor(tup, divisor, 200_000, 10 * n + j).function_variance
+        assert math.isclose(ver.function_variance, sampled, rel_tol=0.03), (n, j, ver.function_variance, sampled)
 
 
 def test_decision_path_draws_no_sphere_point(monkeypatch):
@@ -182,3 +188,36 @@ def test_reports_do_not_depend_on_the_seed(build, n_max):
     first, second = (divisibility_test(tup, n_max, rng=seed).to_json_obj() for seed in (1, 2))
     assert first.pop("seed") == 1 and second.pop("seed") == 2
     assert first == second
+
+
+KEPT = {
+    "circle planar d=8 r=3": CASES["circle planar d=8 r=3"],
+    "pair half-turn d=3": CASES["pair half-turn d=3"],
+    "pair d=3 family n0=5": (lambda: _d3_family(5), 7),
+    "gram two half-turn pairs d=8": CASES["gram two half-turn pairs d=8"],
+}
+
+
+@pytest.mark.parametrize("name", KEPT)
+def test_kept_degree_built_from_the_numbers_that_decided_it(monkeypatch, name):
+    # every fired degree's numbers are computed once, in degree order, and the kept degree's
+    # record, divisor and certificate carry them bit for bit: no route certifies a degree twice
+    build, n_max = KEPT[name]
+    computed = []
+    numbers = divisibility._numbers
+
+    def recorded(*args):
+        computed.append(numbers(*args))
+        return computed[-1]
+
+    monkeypatch.setattr(divisibility, "_numbers", recorded)
+    report = divisibility_test(build(), n_max, rng=1)
+    fired = [rec for rec in report.degrees if rec.residual_bound is not None]
+    assert len(computed) == len(fired) and report.divisible
+    assert [rec.residual_bound for rec in fired] == [residual for _, residual, _, _ in computed]
+    kept = next(k for k, rec in enumerate(fired) if rec.verdict == "singular")
+    scale, residual, variance, passed = computed[kept]
+    ver = report.verification
+    assert fired[kept].residual_bound == ver.residual_bound == ver.max_residual == residual
+    assert report.divisor.scale == scale and ver.function_variance == variance and ver.passed == passed
+    assert report.divisor.witness is report.witness

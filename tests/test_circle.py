@@ -100,9 +100,11 @@ def reference(tup, n_max, sing_tol=divisibility.DEFAULT_SING_TOL):
 def sampled_residual(tup, report, n, samples=2000):
     """max |sum_s f(gamma_s^T x) - 1| of degree n's divisor, rebuilt from the circle route, on fresh points."""
     mats = matrices(tup)
-    bound, _, make = divisibility._CircleRoute(mats, circle.detect(mats), n, report.sing_tol).degree(n)[3]
-    _, divisor, ver = make()
-    assert math.isclose(ver.residual_bound, bound, rel_tol=1e-14)  # _certify's bound, and the array pass's
+    route = divisibility._CircleRoute(mats, circle.detect(mats), n, report.sing_tol)
+    bound, _, make = route.degree(n)[3]
+    witness, divisor, ver = make()
+    # one closed form: the certificate and the witness's bound closure read the array pass's numbers
+    assert ver.residual_bound == ver.max_residual == bound == divisor.scale * route.witness(n)[1](witness.coeffs)
     return verify_divisor(tup, divisor, samples, 7 * n).max_residual, bound
 
 
@@ -121,10 +123,9 @@ def test_circle_route_matches_todays_routes(case):
         if new.residual_bound is not None:  # fired: both ratios below sing_tol, and the certificate passes
             assert new.sigma_min_rel < report.sing_tol and ref.sigma_min_rel < report.sing_tol
             assert new.residual_bound <= 1e-8
-            # the kept degree records _certify's bound, every other one the array pass's
+            # every fired degree, the kept one included, records the array pass's bound
             sampled, bound = sampled_residual(tup, report, new.n)
-            assert sampled <= min(bound, new.residual_bound)
-            assert math.isclose(bound, new.residual_bound, rel_tol=1e-14)
+            assert sampled <= bound == new.residual_bound
         else:
             assert math.isclose(new.sigma_min_rel, ref.sigma_min_rel, rel_tol=1e-11), (new, ref)
     assert report.singular_degrees() == old.singular_degrees()
@@ -302,7 +303,7 @@ def test_witness_above_the_direct_degree_evaluates_through_logarithms(monkeypatc
     assert math.isclose(report.verification.function_variance, 1.0 / 32.0, rel_tol=1e-9)
     mats = matrices(planar_division(8, 3).rotations)
     plane = circle.detect(mats)
-    basis, coeffs, _ = circle.Witness(plane, mats)(circle.spectrum(plane, 8, 7)[3], 7, 4)
+    basis, coeffs, _ = circle.Witness(plane, mats)(7, 4, 1.0)
     witness = divisibility.HarmonicFunction(basis, coeffs)
     pts = uniform_sphere(8, 300, 17)
     direct = witness(pts)

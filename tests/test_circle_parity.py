@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import circle_parity
+from verdict_panel import _conjugated_half_turn_pair, _d3_family, _two_half_turn_pairs
 from spherediv import divisibility, divisibility_test, planar_division
 from spherediv import circle
 
@@ -69,3 +70,14 @@ def test_one_certificate_built_per_report(monkeypatch):
     report = divisibility_test(circle_parity.conjugated(2, circle_parity.angles(903, 3), 913), 300, 0.3, rng=1)
     assert any(rec.residual_bound is not None for rec in report.degrees) and not report.divisible
     assert made == {"_near_singular": 1}
+    # a pair's and a Gram tuple's fired degrees each read their witness's numbers, and only the kept
+    # degree builds its divisor and certificate from them
+    for tup, n_max, singular in [
+        (_conjugated_half_turn_pair(3, 5, False), 5, [1, 2, 3, 4, 5]),
+        (_d3_family(5), 7, [5, 6, 7]),
+        (_two_half_turn_pairs(), 3, [2, 3]),
+    ]:
+        made.clear()
+        report = divisibility_test(tup, n_max, rng=1)
+        assert report.singular_degrees() == singular
+        assert made["DivisorFunction"] == made["VerificationResult"] == 1

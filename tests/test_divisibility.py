@@ -326,12 +326,13 @@ class TestResidualBound:
             return top, witness(torus, frame, mats, k)[1]
 
         monkeypatch.setattr(divisibility, "_pair_witness", foreign)
-        _, _, ver = divisibility._certify(divisibility._witness(frame, top), bound, tup)
-        assert not ver.passed and ver.n_samples == 0
-        assert ver.residual_bound > 1e-2
+        residual, passed, make = divisibility._certify(divisibility._witness(frame, top), bound, tup.r)
+        ver = make()[2]
+        assert not passed and not ver.passed and ver.n_samples == 0
+        assert residual == ver.residual_bound > 1e-2
         report = divisibility_test(tup, 1, rng=283)
         assert report.degrees[0].verdict == "borderline"
-        assert report.degrees[0].residual_bound == ver.residual_bound
+        assert report.degrees[0].residual_bound == residual
         assert not report.divisible and report.verification is None
 
 

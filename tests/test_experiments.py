@@ -221,13 +221,13 @@ class TestGenericity:
 
     @pytest.mark.parametrize(
         "d, r, ell, trials, n_max, seed",
-        [(3, 3, 1, 40, 4, 443), (4, 4, 2, 12, 3, 449), (3, 2, 2, 10, 3, 461)],
+        [(3, 3, 1, 40, 4, 443), (4, 4, 2, 12, 3, 449), (3, 2, 2, 10, 3, 461), (4, 3, 3, 8, 3, 463)],
     )
     def test_batched_matches_per_trial_test(self, d, r, ell, trials, n_max, seed):
         # each trial's tuple and seed come from derive_rng(seed, 1, k); the
         # batched study must reach the standalone verdicts and ratios, which
         # differ only by round-off (a stacked SVD against the Gram step);
-        # ell == r leaves an empty suffix
+        # ell == r leaves an empty suffix, on the pair route and on the Gram route
         rng = np.random.default_rng(seed)
         suffix = tuple(haar_sample(d, rng) for _ in range(r - ell))
         study = GenericityStudy(d=d, r=r, suffix=suffix, trials=trials, n_max=n_max, seed=seed, ell=ell)

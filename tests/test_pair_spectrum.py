@@ -94,7 +94,7 @@ class TestClosedForm:
         tup = haar_pair(d, seed)
         mats = matrices(tup)
         report = divisibility_test(tup, n_max, rng=seed)
-        angles = divisibility._torus_frame(mats)[1]
+        angles = divisibility._torus_frame(*np.linalg.eig(mats[0].T @ mats[1]))[1]
         for n, svals in enumerate(svd_spectra(mats, n_max), 1):
             closed, _ = divisibility._pair_spectrum(angles, d, n)
             assert math.isclose(closed[0], svals[0], rel_tol=1e-10), (n, closed, svals[0])
@@ -168,9 +168,9 @@ class TestPairPath:
         assert assembled == stepped == []
 
     def test_angles_once_per_call_and_per_block(self, monkeypatch):
-        # h's eigenvalues are solved once per divisibility_test, firing or not, and serve every
-        # degree; h's torus frame, one eig, only where a degree fires, and a fired degree alone
-        # builds its FischerFrame; a study solves h's eigenvalues once per block
+        # h is decomposed once per divisibility_test, firing or not: one eig gives every degree's
+        # angles and the torus frame of every fired degree's witness, and a fired degree alone
+        # builds its FischerFrame; a study solves h's eigenvalues, values only, once per block
         calls, frames, blocks = [], [], []
         for name in ("eig", "eigvals"):
             def counted(a, name=name, original=getattr(np.linalg, name)):
@@ -186,9 +186,9 @@ class TestPairPath:
 
         angles = divisibility._torus_angles
 
-        def counted_angles(mats):
-            blocks.append(mats.shape)
-            return angles(mats)
+        def counted_angles(values):
+            blocks.append(values.shape)
+            return angles(values)
 
         monkeypatch.setattr(divisibility, "fischer_frame", counted_frame)
         monkeypatch.setattr(divisibility, "_torus_angles", counted_angles)
@@ -200,15 +200,16 @@ class TestPairPath:
         ):
             calls.clear()
             frames.clear()
+            blocks.clear()
             report = divisibility_test(tup, n_max, rng=743)
             assert report.singular_degrees() == fired
-            assert calls == [("eigvals", (tup.d, tup.d))] + [("eig", (tup.d, tup.d))] * bool(fired)
+            assert calls == [("eig", (tup.d, tup.d))] and blocks == [(tup.d,)]
             assert sorted(set(frames)) == fired
         calls.clear()
         blocks.clear()
         study = GenericityStudy(d=4, r=2, suffix=(haar_sample(4, 751),), trials=50, n_max=4, seed=757, ell=1)
         run_genericity(study)
-        assert blocks == [(50, 2, 4, 4)]
+        assert blocks == [(50, 4)]
         assert calls == [("eigvals", (50, 4, 4))]
 
     def test_debug_line_names_the_pair_path(self, caplog):

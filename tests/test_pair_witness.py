@@ -99,9 +99,15 @@ def rows(report):
     ]
 
 
+def torus_frame(mats):
+    """The torus frame of the pair ``mats`` from one ``eig`` of h = g_1^T g_2, as the pair route takes it."""
+    return divisibility._torus_frame(*np.linalg.eig(mats[0].T @ mats[1]))
+
+
 def pair_spectrum(mats, n):
     """[sigma_max, sigma_min] of the pair ``mats`` at degree n, from the eigenvalues of h that the pair route decides on."""
-    return divisibility._pair_spectrum(divisibility._torus_angles(mats), mats.shape[-1], n)[0]
+    angles = divisibility._torus_angles(np.linalg.eig(mats[0].T @ mats[1])[0])
+    return divisibility._pair_spectrum(angles, mats.shape[-1], n)[0]
 
 
 def fired_degrees(mats, n_max):
@@ -148,7 +154,7 @@ def test_fired_pair_witnesses(case):
         frame = fischer_frame(tup.d, n)
         assert math.isclose(np.linalg.norm(vector), 1.0, rel_tol=1e-12)
         assert np.linalg.norm(frame.apply(sums[n], vector)) <= 1e-12 * tup.r, n
-        assert divisibility._certify(divisibility._witness(frame, vector), bound, tup)[2].passed, n
+        assert divisibility._certify(divisibility._witness(frame, vector), bound, tup.r)[1], n
     assert report.singular_degrees() == fired
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(circle, "detect", lambda *_: None)
@@ -179,7 +185,6 @@ def test_product_bound_against_the_dense_bound(case, shaken, seed):
     tup, n_max = case
     mats = np.array([g.matrix for g in tup])
     route = divisibility._PairRoute(mats, None, n_max, divisibility.DEFAULT_SING_TOL)
-    route.torus = divisibility._torus_frame(mats)
     if shaken:
         route.torus = perturbed(route.torus, np.random.default_rng(seed))
     sums = dict(summed_powers(mats, n_max))
@@ -209,8 +214,8 @@ def test_foreign_vector_refused(case):
         frame = fischer_frame(tup.d, n)
         top = np.linalg.svd(frame.operator(sums[n]))[2][0]
         bound = route.witness(n)[1]
-        _, _, ver = divisibility._certify(divisibility._witness(frame, top), bound, tup)
-        assert not ver.passed and ver.residual_bound > 1e-6, n
+        residual, passed, _ = divisibility._certify(divisibility._witness(frame, top), bound, tup.r)
+        assert not passed and residual > 1e-6, n
 
 
 @pytest.mark.parametrize("d, n", [(2, 7), (3, 4), (5, 3), (8, 2)])
@@ -229,7 +234,7 @@ def test_frame_of_a_half_turn_in_every_plane(d):
     # h = -I (and -I on the first d - 1 axes at odd d): eig's eigenvalues are exactly real and its
     # eigenvectors the axes, which are paired into isotropic forms at the angle pi
     h = np.diag([-1.0] * (d - d % 2) + [1.0] * (d % 2))
-    forms, angles, axis = divisibility._torus_frame(np.array([np.eye(d), h]))
+    forms, angles, axis = torus_frame(np.array([np.eye(d), h]))
     assert forms.shape == (d // 2, d) and np.all(angles == math.pi)
     assert np.max(np.abs(forms @ forms.T)) <= 1e-15
     assert np.allclose(forms @ forms.conj().T, np.eye(d // 2), atol=1e-15)
@@ -264,7 +269,7 @@ def test_frame_skips_empty_eigenspaces_unchanged(d, family):
         "minus-identity": np.diag([-1.0] * (d - d % 2) + [1.0] * (d % 2)),
     }[family]
     for mats in (np.array([np.eye(d), h]), np.array([first, first @ h])):
-        forms, angles, axis = divisibility._torus_frame(mats)
+        forms, angles, axis = torus_frame(mats)
         ref_forms, ref_angles, ref_axis = reference_torus_frame(mats)
         assert forms.tobytes() == ref_forms.tobytes() and forms.shape == ref_forms.shape
         assert angles.tobytes() == ref_angles.tobytes() and angles.shape == ref_angles.shape
