@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Gauss-Newton search for divisible tuples, including an open-case candidate.
 
-The search drives the degree-n operator toward singularity over tuples
-modulo left and right translations, which change no singular value: each
-restart keeps the first rotation of its base tuple, moves the second only
-along the maximal torus of g_1^T g_2 and charts the rest with full Cayley
-charts.  In that chart it takes Gauss-Newton steps on the kernel equation
-M(x) v = 0, |v| = 1, which is smooth where sigma_min is not, so it
-converges quadratically near a singular tuple.  It then re-verifies any
-optimizer minimum through the witness/divisor residual pipeline.
-Certificates, never raw minima.  In the circle warm-up the first angle
-therefore stays at its base value, 0.3.
+The search drives the degree-n operator toward singularity over rotation
+tuples.  Left and right translations change no singular value, so each
+restart keeps the first rotation of its base tuple and moves the others in
+Cayley charts around theirs.  In that chart it takes Gauss-Newton steps on
+the kernel equation M(x) v = 0, |v| = 1, which is smooth where sigma_min is
+not, so it converges quadratically near a singular tuple.  It then
+re-verifies any optimizer minimum through the witness/divisor residual
+pipeline.  Certificates, never raw minima.  In the circle warm-up the first
+angle therefore stays at its base value, 0.3.
 
 The second part reproduces a find from this package's own genericity runs: a
 Haar-random d=3, r=3 tuple that happened to pass within ~2e-7 of the degree-3

@@ -16,12 +16,12 @@ marks it borderline exactly as a standalone run would, so every trial's
 row is a standalone run's up to round-off.
 
 The search minimizes how singular the degree-n operator is over tuples
-modulo left and right translations, in a Cayley chart of that quotient
-around each restart's base tuple (``_quotient_chart``), with each operator
-assembled from the translated S_n, as the Gram route's (``_assemble``).  It
-does not minimize sigma_min directly: sigma_min is not smooth at its zero
-set (near a simple zero it grows like |x - x*|, a cone), which defeats a
-gradient step.  It solves the kernel equation instead, F(x, v) = M(x) v = 0
+that keep the first rotation of each restart's base tuple, in a Cayley
+chart of the other r - 1 around the base, with each operator assembled
+from the translated S_n, as the Gram route's (``_assemble``).  It does not
+minimize sigma_min directly: sigma_min is not smooth at its zero set (near
+a simple zero it grows like |x - x*|, a cone), which defeats a gradient
+step.  It solves the kernel equation instead, F(x, v) = M(x) v = 0
 with |v| = 1, which is smooth in both x and v.  Each Gauss-Newton step
 linearizes F at the iterate x and the right-singular vector v of its
 sigma_min, and takes the minimum-norm solution of the bordered system
@@ -29,7 +29,7 @@ sigma_min, and takes the minimum-norm solution of the bordered system
     [ J  M  ] [delta]   [-M v]
     [ 0  v^T] [  w  ] = [  0 ],   J = d(M(x) v)/dx,
 
-with J exact from the Lie-algebra action of each chart direction
+with J exact from the Lie-algebra action of each chart coordinate
 (``_jacobian``).  The last row keeps the update w of v orthogonal to v, so
 |v| = 1 to first order (Griewank & Reddien, SIAM J. Numer. Anal. 21, 1984;
 Nocedal & Wright, Numerical Optimization, ch. 10).  Near a zero set that F
@@ -87,6 +87,7 @@ from .divisibility import (
 )
 from .errors import InputDomainError, _check_count
 from .fischer import fischer_frame, summed_powers
+from .harmonics import dim_harmonic
 from .rotations import Rotation, RotationTuple, _check_rotations, haar_from_gaussian
 from .sampling import _seed, derive_rng, derive_rngs, resolve_seed
 
@@ -324,56 +325,31 @@ def cayley_rotation(base: np.ndarray, theta: np.ndarray) -> np.ndarray:
     charts a neighborhood of the base point rationally and cheaply.  Stacks
     broadcast: bases (k, d, d) with parameters (k, d(d-1)/2) give k rotations
     from one stacked solve.  The chart's scatter indices and identity are
-    built once per d (``_chart_constants``), not once per call.
+    built once per d (``_chart_constants``), not once per call.  ``base``
+    must be (..., d, d) with d >= 2, ``theta`` finite, and their stacks
+    must broadcast.
     """
+    base, theta = np.asarray(base, dtype=float), np.asarray(theta, dtype=float)
+    if base.ndim < 2 or base.shape[-1] != base.shape[-2] or base.shape[-1] < 2:
+        raise InputDomainError(f"base has shape {base.shape}, expected (..., d, d) with d >= 2")
     d = base.shape[-1]
-    theta = np.asarray(theta)
     rows, cols, eye = _chart_constants(d)
     if theta.shape[-1:] != rows.shape:  # a scalar has no last axis and fails too
         raise InputDomainError(
             f"Cayley parameters have shape {theta.shape}, expected last axis d(d-1)/2 = {len(rows)}"
         )
+    if not np.isfinite(theta).all():
+        raise InputDomainError("Cayley parameters theta must be finite")
     s = np.zeros(theta.shape[:-1] + (d, d))
     s[..., rows, cols] = theta
     s = s - np.swapaxes(s, -1, -2)
     factor = np.swapaxes(np.linalg.solve(eye - s, eye + s), -1, -2)
-    return base @ factor
-
-
-# a singular value of Z -> h^T Z h - Z at or below this marks a direction of the commutant
-# of h (``_quotient_chart``).  The map is Ad(h) - I with Ad(h) orthogonal on the skew
-# matrices, so its singular values lie in [0, 2] and the threshold is relative to that scale
-_COMMUTANT_TOL = 1e-8
-
-
-def _quotient_chart(bases: np.ndarray) -> np.ndarray:
-    """The chart C ((r - 1) p, dim) of a restart around ``bases`` (r, d, d), p = d(d-1)/2.
-
-    The restart's tuple at x is gamma_1 = bases[0] and
-    gamma_s = bases[s - 1] Cayley(theta_s) for s >= 2, with the stacked
-    theta_2..theta_r = C x.  C is block diagonal: theta_2 ranges over the
-    skew Z that commute with h = bases[0]^T bases[1], the null space of
-    Z -> h^T Z h - Z from one SVD of its p x p matrix (singular values at
-    most _COMMUTANT_TOL), and theta_3..theta_r take the identity.  Cayley(Z)
-    is a rational function of Z, so gamma_1^T gamma_2 = h Cayley(Z) commutes
-    with h.  A Haar h has a commutant of dimension floor(d/2), its maximal
-    torus, so dim = floor(d/2) + (r - 2) p; a degenerate h has a larger one.
-    """
-    r, d = bases.shape[0], bases.shape[-1]
-    rows, cols, _ = _chart_constants(d)
-    p = len(rows)
-    h = bases[0].T @ bases[1]
-    # h^T (e_i e_j^T - e_j e_i^T) h has (a, b) entry h_ia h_jb - h_ja h_ib, a 2 x 2 minor of h, so
-    # column (i, j) of Ad(h) - I is its minors at the packed (a, b), with no d x d unit formed
-    hr, hc = h[rows], h[cols]
-    ad = (hr[:, rows] * hc[:, cols] - hr[:, cols] * hc[:, rows]).T - np.eye(p)
-    _, svals, vt = np.linalg.svd(ad)
-    torus = vt[svals <= _COMMUTANT_TOL].T
-    k = torus.shape[1]
-    chart = np.zeros(((r - 1) * p, k + (r - 2) * p))
-    chart[:p, :k] = torus
-    chart[p:, k:] = np.eye((r - 2) * p)
-    return chart
+    try:
+        return base @ factor
+    except ValueError:  # both are (..., d, d), so only their stacks can disagree
+        raise InputDomainError(
+            f"base stack {base.shape[:-2]} and theta stack {theta.shape[:-1]} do not broadcast"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -466,8 +442,9 @@ def _gauss_newton(assemble, dim: int, r: int, stop: float, max_iter: int, max_ev
     """One restart's Gauss-Newton iterations on M(x) v = 0 from x = 0; return (ratio, assembly, v, evals, iterations).
 
     ``assemble(x)`` gives (mats, bound, M, jacobian) at the chart point x
-    (dim,), one of the at most ``max_evals`` assemblies, with jacobian(v)
-    the Jacobian J = d(M(x) v)/dx, (N, dim).  Each iteration holds the
+    (dim,), (r - 1) d(d-1)/2 coordinates in a search, one of the at most
+    ``max_evals`` assemblies, with jacobian(v) the Jacobian
+    J = d(M(x) v)/dx, (N, dim).  Each iteration holds the
     iterate's M and the right-singular vector v of its sigma_min from one
     SVD; one least-squares solve gives the minimum-norm step delta of the
     bordered system [J M; 0 v^T] [delta; w] = [-M v; 0]; and x + t delta for
@@ -511,43 +488,70 @@ def _gauss_newton(assemble, dim: int, r: int, stop: float, max_iter: int, max_ev
     return val, current, v, evals, iterations
 
 
-def _assemble(frame, bases: np.ndarray, chart: np.ndarray, x: np.ndarray):
+def _assemble(frame, bases: np.ndarray, x: np.ndarray):
     """(mats, bound, M, jacobian) at the chart point x: the tuple, its certificate's bound, its operator and J.
 
-    gamma_1 = bases[0] and gamma_s = bases[s - 1] Q_s, Q_s the Cayley factor
-    of theta_s (``_quotient_chart``).  The recurrence runs once, on
-    h_2 .. h_r as one-rotation tuples, and keeps each Sym^n(h_s) for the
-    Jacobian; S_n = I + sum_s Sym^n(h_s), h_1 = I free, gives M = U^T S_n U
-    and the bound through S_n (``divisibility._translated_bound``), as the
-    Gram route's do.
+    gamma_1 = bases[0] and gamma_s = bases[s - 1] Q_s for s >= 2, Q_s the
+    Cayley factor of theta_s, with x ((r - 1) p,), p = d(d-1)/2, the stacked
+    theta_2 .. theta_r.  The recurrence runs once, on h_2 .. h_r as
+    one-rotation tuples, and keeps each Sym^n(h_s) for the Jacobian;
+    S_n = I + sum_s Sym^n(h_s), h_1 = I free, gives M = U^T S_n U and the
+    bound through S_n (``divisibility._translated_bound``), as the Gram
+    route's do.
     """
     r, d = bases.shape[0], bases.shape[-1]
     mats = np.empty((r, d, d))
-    mats[0], mats[1:] = bases[0], cayley_rotation(bases[1:], (chart @ x).reshape(r - 1, -1))
+    mats[0], mats[1:] = bases[0], cayley_rotation(bases[1:], x.reshape(r - 1, -1))
     turns = np.swapaxes(mats[:1], -1, -2) @ mats
     turns[0] = np.eye(d)
     *_, (_, powers) = summed_powers(turns[1:, None], frame.n)
     sums = powers.sum(axis=0)
     sums[np.diag_indices(frame.size)] += 1.0
-    jacobian = partial(_jacobian, frame, chart, bases, mats, powers)
+    jacobian = partial(_jacobian, frame, bases, mats, powers)
     return mats, partial(_translated_bound, frame, sums, turns), frame.operator(sums), jacobian
 
 
-def _jacobian(frame, chart, bases: np.ndarray, mats: np.ndarray, powers: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """J = d(M v)/dx (N, dim), exactly, at the assembly of the tuple ``mats`` with its Sym^n(h_s), (r - 1, P_n, P_n).
+def _jacobian(frame, bases: np.ndarray, mats: np.ndarray, powers: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """J = d(M v)/dx (N, (r - 1) p), exactly, at the assembly of the tuple ``mats`` with its Sym^n(h_s), (r - 1, P_n, P_n).
 
     gamma_s = g_s Q_s, Q_s = (I - S)(I + S)^-1 the Cayley factor of theta_s.  Moving theta_s along the
     packed unit E_j = e_a e_b^T - e_b e_a^T, a < b, moves h_s as h_s e^(tY) to first order, with
     Y = Q_s^T dQ_s = -2 A E_j A^T, A = (I - S)^-1 = (I + Q_s^T) / 2, so Y = -2 (A_a A_b^T - A_b A_a^T)
-    from A's columns a and b.  So d(M v)/d theta_(s, j) = U^T Sym^n(h_s) dSym^n(Y) U v
-    (``fischer._lie_action``), and the chart C carries those (r - 1) p columns to J = J_theta C.
+    from A's columns a and b.  So column (s, j) of J is U^T Sym^n(h_s) dSym^n(Y) U v
+    (``fischer._lie_action``).  The (r - 1) p generators Y are built in one stack, in place.
     """
-    rows, cols, eye = _chart_constants(mats.shape[-1])
+    d = mats.shape[-1]
+    rows, cols, eye = _chart_constants(d)
     inverse = (eye + np.swapaxes(mats[1:], -1, -2) @ bases[1:]) / 2
     first, second = np.swapaxes(inverse[..., rows], -1, -2), np.swapaxes(inverse[..., cols], -1, -2)
-    ys = 2.0 * (second[..., :, None] * first[..., None, :] - first[..., :, None] * second[..., None, :])
+    ys = second[..., :, None] * first[..., None, :]
+    for k in range(d):
+        ys[..., k, :] -= first[..., k, None] * second
+    ys *= 2.0
     moved = powers @ np.swapaxes(fischer._lie_action(ys, frame._lift(v), frame.n), -1, -2)
-    return frame._project(np.swapaxes(moved, 0, 1).reshape(frame.size, -1)) @ chart
+    return frame._project(np.swapaxes(moved, 0, 1).reshape(frame.size, -1))
+
+
+def _step_bytes(d: int, r: int, n: int) -> int:
+    """Estimated peak bytes of one Gauss-Newton step of a degree-n search, q = (r - 1) d(d-1)/2 coordinates.
+
+    A step holds the iterate's assembly, its r - 1 Sym^n(h_s), S_n and M
+    (r P_n^2 + N_n^2), and the bordered matrix, (N_n + 1)(q + N_n), while
+    ``_jacobian`` builds J; then LAPACK's copy of the bordered matrix and,
+    for a wide one, its square LQ factor, within 1.6 bordered matrices
+    (peak RSS at 41 x 2e5 to 2001 x 4000, numpy 2.4 on OpenBLAS), priced at
+    two.  ``_jacobian`` holds q of each: the generator stack, d^2 entries;
+    A's columns and a loop slab, 3 d; within ``fischer._lie_action``, the d
+    rows of d_l w, d P_(n-1), its output, P_n, and a scatter's product and
+    gather, 2 P_(n-1); then J_theta's product with Sym^n(h_s), its
+    transpose and a projection chunk's rows, 3 P_n, and J and a chunk's
+    product, 2 N_n; plus the blocks' temporaries, within 2
+    ``fischer.BLOCK_BYTES``.
+    """
+    size, below, dim = math.comb(n + d - 1, d - 1), math.comb(n + d - 2, d - 1), dim_harmonic(d, n)
+    q = (r - 1) * d * (d - 1) // 2
+    held = r * size**2 + dim**2 + 3 * (dim + 1) * (q + dim)
+    return 8 * (held + q * (d * d + 3 * d + d * below + 2 * below + 3 * size + 2 * dim)) + 2 * fischer.BLOCK_BYTES
 
 
 def search_divisible(
@@ -560,24 +564,18 @@ def search_divisible(
     """Minimize the degree-n singularity objective over rotation tuples.
 
     Runs Gauss-Newton restarts on the kernel equation M(x) v = 0 (see the
-    module docstring) in a chart of the tuples modulo their symmetries.
-    For rotations k and l, rho_n(k gamma l) =
-    rho_n(k) rho_n(gamma) rho_n(l) with rho_n(k) and rho_n(l) orthogonal
-    in the orthonormal frame, so the tuples (k gamma_s l) and (gamma_s) have
-    operators with the same singular values, and the objective is constant
-    on each orbit.  (Divisibility itself is invariant too: f divides
-    (gamma_s) exactly when f(l .) divides (k gamma_s l).)  Each orbit meets
-    gamma_1 = g_1 for the restart's base tuple g, drawn or ``base_tuple``;
-    what is left is one conjugation of every h_s = g_1^T gamma_s.  Every
-    rotation near a regular h_2 = g_1^T g_2 is conjugate, by a rotation near
-    I, to one in the maximal torus of h_2, so the restart fixes gamma_1 = g_1,
-    moves gamma_2 = g_2 Cayley(Z) only with Z in the commutant of h_2, and
-    gives every other rotation a full Cayley chart (``_quotient_chart``):
-    dim = floor(d/2) + (r - 2) d(d-1)/2 chart coordinates instead of
-    r d(d-1)/2, and x = 0 is the base tuple.  The chart drops only
-    directions along which the objective is constant, and no candidate
-    rests on it: a commutant made too large by a degenerate h_2 only adds
-    dimensions, and every candidate still goes through the certificate.
+    module docstring) in a Cayley chart around each restart's base tuple g,
+    drawn or ``base_tuple``: gamma_1 = g_1 and gamma_s = g_s Cayley(theta_s)
+    for s >= 2, with x = (theta_2, ..., theta_r) in (r - 1) d(d-1)/2
+    coordinates and x = 0 the base tuple.  Fixing gamma_1 loses nothing:
+    for rotations k and l, rho_n(k gamma l) = rho_n(k) rho_n(gamma) rho_n(l)
+    with rho_n(k) and rho_n(l) orthogonal in the orthonormal frame, so the
+    tuples (k gamma_s l) and (gamma_s) have operators with the same singular
+    values, and every orbit meets gamma_1 = g_1.  (Divisibility itself is
+    invariant too: f divides (gamma_s) exactly when f(l .) divides
+    (k gamma_s l).)  The conjugations of h_s = g_1^T gamma_s that remain
+    leave the objective constant as well; their coordinates only add freedom
+    to the minimum-norm step, which needs no quotient chart.
 
     Each restart draws its r base rotations from one stacked
     ``haar_from_gaussian`` call, unless ``base_tuple`` gives them, and runs
@@ -598,9 +596,9 @@ def search_divisible(
     check (the witness from the right-singular vector that the best
     iterate's own SVD gave, then ``divisibility._certify``, so nothing is
     assembled or factored twice); budget exhaustion returns the best tuple
-    found with ``certified=False``.  The chart's SVD of a p x p matrix,
-    p = d(d-1)/2, is priced with the degree's cost on the Gram route, so a
-    search too large for COST_BUDGET_BYTES is refused before it allocates.
+    found with ``certified=False``.  A Gauss-Newton step (``_step_bytes``)
+    is priced beside the degree's cost on the Gram route, so a search too
+    large for COST_BUDGET_BYTES is refused before it allocates.
     Its assemblies run the recurrence, so it keeps the degree cap
     (``divisibility._STABLE_MAX_DEGREE``) at d = 2 too.  An n that is not an
     integer >= 1, or a d or an r that is not one >= 2, is refused.  Logs one debug
@@ -611,11 +609,7 @@ def search_divisible(
     _check_count("n", n, 1)
     _check_count("r", r, 2)
     _GramRoute.price(d, r, n)
-    p = d * (d - 1) // 2
-    # the chart's SVD holds Ad(h) - I, LAPACK's copy of it, both full factors and gesdd's
-    # workspace: its peak RSS was 9.1 to 9.7 p x p arrays of floats at d = 40 and 60 (numpy 2.4,
-    # OpenBLAS), priced at a dozen
-    _check_budget(12 * 8 * p * p, f"a search chart at d={d}", "d")
+    _check_budget(_step_bytes(d, r, n), f"a search step at d={d}, r={r}, n={n}", "d, r or n")
     settings = settings or SearchSettings()
     seed = resolve_seed(rng)
     frame = fischer_frame(d, n)
@@ -637,9 +631,8 @@ def search_divisible(
             bases = np.array([g.matrix for g in settings.base_tuple])
         else:
             bases = haar_from_gaussian(rng_j.standard_normal((r, d, d)))
-        chart = _quotient_chart(bases)
         val, (mats, bound, _), vector, evals, iterations = _gauss_newton(
-            partial(_assemble, frame, bases, chart), chart.shape[1], r, stop, settings.max_iter, max_evals,
+            partial(_assemble, frame, bases), (r - 1) * d * (d - 1) // 2, r, stop, settings.max_iter, max_evals,
             ratios.append,
         )
         restart_ratios.append(val)

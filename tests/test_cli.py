@@ -411,7 +411,7 @@ class TestCmdExperiment:
             ({"r": 3, "restarts": 1e12, "max_iter": 1}, "restarts=1000000000000, max_iter=1 would need"),
             ({"r": 1}, "r must be >= 2 and an integer, got 1"),
             ({"r": 0}, "r must be >= 2 and an integer, got 0"),
-            ({"d": 300, "r": 3, "n": 1}, "a search chart at d=300 would need"),
+            ({"d": 300, "r": 3, "n": 1}, "a search step at d=300, r=3, n=1 would need"),
         ],
         ids=["trace-budget", "one-rotation", "no-rotation", "chart-budget"],
     )

@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -85,6 +86,23 @@ class TestCayleyChart:
         base = haar_sample(d, 337).matrix
         with pytest.raises(InputDomainError, match=f"expected last axis d\\(d-1\\)/2 = {d * (d - 1) // 2}"):
             cayley_rotation(base, np.zeros(shape))
+
+    def test_converts_array_likes(self):
+        assert np.array_equal(cayley_rotation([[1, 0], [0, 1]], [0.5]), cayley_rotation(np.eye(2), np.array([0.5])))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(InputDomainError, match="theta must be finite"):
+            cayley_rotation(np.eye(3), [bad, 0.0, 0.0])
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (1, 1), (2, 3, 2)])
+    def test_rejects_a_base_that_is_not_square(self, shape):
+        with pytest.raises(InputDomainError, match=re.escape(f"base has shape {shape}, expected")):
+            cayley_rotation(np.ones(shape), np.zeros(3))
+
+    def test_rejects_stacks_that_do_not_broadcast(self):
+        with pytest.raises(InputDomainError, match="base stack \\(2,\\) and theta stack \\(3,\\) do not broadcast"):
+            cayley_rotation(np.ones((2, 3, 3)), np.zeros((3, 3)))
 
     def test_one_search_builds_the_chart_indices_once(self, monkeypatch):
         calls = []
@@ -486,15 +504,35 @@ class TestSearch:
         SearchSettings(restarts=4, max_iter=10**5)
 
     def test_rejects_a_chart_over_the_memory_budget(self):
-        # at d = 300 the quotient chart's SVD is of a 44850 x 44850 matrix: refused before it allocates
+        # at d = 300, r = 3 a Gauss-Newton step's 89700 Lie generators of 300 x 300 entries alone
+        # would take 65 GB: refused before it allocates
         tracemalloc.start()
         try:
-            with pytest.raises(InputDomainError, match="a search chart at d=300 would need .* budget"):
+            with pytest.raises(InputDomainError, match="a search step at d=300, r=3, n=1 would need .* budget"):
                 search_divisible(300, 3, 1, rng=431)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "d, r, n, parent_peak",
+        [(20, 20, 1, 193.6e6), (30, 12, 1, 323.4e6), (12, 12, 2, None), (40, 20, 1, None)],
+    )
+    def test_a_warm_search_peaks_within_its_price(self, d, r, n, parent_peak):
+        # the search's price is its degree's and its Gauss-Newton step's; where the quotient chart
+        # priced only its SVD, its dense (r - 1) p x dim matrix took most of the peaks given
+        settings = SearchSettings(restarts=1, max_iter=2)
+        search_divisible(d, r, n, settings, rng=1)
+        tracemalloc.start()
+        try:
+            search_divisible(d, r, n, settings, rng=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(divisibility._peak_bytes(d, r, n), experiments._step_bytes(d, r, n)), peak
+        if parent_peak is not None:
+            assert 4 * peak <= parent_peak, peak
 
     def test_debug_line_per_restart(self, caplog):
         # two iterations per restart, too few to meet the target, so both restarts run
@@ -600,18 +638,18 @@ def degree_singular_values(mats, n):
 def recorded_search(monkeypatch, *args, **kwargs):
     """Run search_divisible; return it with its events: ("base", bases) per restart and ("eval", tuple) per assembly."""
     events = []
-    chart, assemble = experiments._quotient_chart, experiments._assemble
+    gauss_newton, assemble = experiments._gauss_newton, experiments._assemble
 
-    def charted(bases):
-        events.append(("base", bases.copy()))
-        return chart(bases)
+    def restarted(assemble_at, *args):
+        events.append(("base", assemble_at.args[1].copy()))
+        return gauss_newton(assemble_at, *args)
 
     def evaluated(*args):
         assembly = assemble(*args)
         events.append(("eval", assembly[0].copy()))
         return assembly
 
-    monkeypatch.setattr(experiments, "_quotient_chart", charted)
+    monkeypatch.setattr(experiments, "_gauss_newton", restarted)
     monkeypatch.setattr(experiments, "_assemble", evaluated)
     return search_divisible(*args, **kwargs), events
 
@@ -646,12 +684,16 @@ class TestTranslatedSearch:
 
 
 class TestQuotientChart:
-    """The search moves gamma_1 not at all and gamma_2 only along the maximal torus of h_2 = g_1^T g_2."""
+    """The search's chart: gamma_1 stays the base's, gamma_2 .. gamma_r move in full Cayley charts.
+
+    The class keeps the name it had when the chart was of the quotient by
+    translations, with gamma_2 moving only along the maximal torus of g_1^T g_2.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(2, 6), r=st.integers(2, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_translations_keep_the_singular_values(self, d, r, n, seed):
-        # the quotient rests on this: sum_s rho(k gamma_s l) = rho(k) (sum_s rho(gamma_s)) rho(l)
+        # fixing gamma_1 rests on this: sum_s rho(k gamma_s l) = rho(k) (sum_s rho(gamma_s)) rho(l)
         rng = np.random.default_rng(seed)
         mats = np.array([haar_sample(d, rng).matrix for _ in range(r)])
         k, l = haar_sample(d, rng).matrix, haar_sample(d, rng).matrix
@@ -660,8 +702,8 @@ class TestQuotientChart:
 
     @pytest.mark.parametrize("d, r", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 3), (5, 4)])
     def test_simplex_dimension(self, d, r, monkeypatch):
-        # the chart's dimension, once the simplex's, is each Gauss-Newton step's Jacobian column
-        # count: at n = 1, M is d x d, so each bordered system [J M; 0 v^T] is (d + 1) x (dim + d)
+        # the chart's dimension, (r - 1) p, once the simplex's, is each Gauss-Newton step's Jacobian
+        # column count: at n = 1, M is d x d, so each bordered system [J M; 0 v^T] is (d + 1) x (dim + d)
         shapes = []
         lstsq = np.linalg.lstsq
 
@@ -671,21 +713,25 @@ class TestQuotientChart:
 
         monkeypatch.setattr(np.linalg, "lstsq", recorded)
         search_divisible(d, r, 1, SearchSettings(restarts=2, max_iter=8), rng=521)
-        dim = d // 2 + (r - 2) * d * (d - 1) // 2
+        dim = (r - 1) * d * (d - 1) // 2
         assert shapes and set(shapes) == {(d + 1, dim + d)}, shapes
 
     @pytest.mark.parametrize("d, r, n", [(3, 3, 2), (4, 3, 1), (5, 2, 2)])
     def test_every_evaluation_stays_in_the_chart(self, d, r, n, monkeypatch):
         run, events = recorded_search(monkeypatch, d, r, n, SearchSettings(restarts=2, max_iter=60), rng=523)
         evaluations = 0
+        rows, cols = np.triu_indices(d, k=1)
         for kind, mats in events:
             if kind == "base":
-                base, h = mats, mats[0].T @ mats[1]
+                base = mats
                 continue
             evaluations += 1
             assert mats[0].tobytes() == base[0].tobytes()
-            moved = base[0].T @ mats[1]
-            assert np.max(np.abs(moved @ h - h @ moved)) <= 1e-12
+            # gamma_s = g_s Cayley(theta_s): Q = g_s^T gamma_s gives back the skew S = (I + Q)^-1 (I - Q)
+            factors = np.swapaxes(base[1:], -1, -2) @ mats[1:]
+            skew = np.linalg.solve(np.eye(d) + factors, np.eye(d) - factors)
+            assert np.max(np.abs(skew + np.swapaxes(skew, -1, -2))) <= 1e-12
+            assert np.max(np.abs(cayley_rotation(base[1:], skew[:, rows, cols]) - mats[1:])) <= 1e-12
         assert evaluations == len(run.trace)  # the certificate reuses the best iterate's assembly
 
     def test_base_tuple_is_evaluated_first(self, monkeypatch):
@@ -693,6 +739,34 @@ class TestQuotientChart:
         _, events = recorded_search(monkeypatch, 3, 3, 2, SearchSettings(restarts=1, max_iter=5, base_tuple=base), rng=547)
         kind, first = events[1]
         assert kind == "eval" and first.tobytes() == np.array([g.matrix for g in base]).tobytes()
+
+    @pytest.mark.parametrize("d, r, n, twin", [(3, 3, 2, False), (4, 3, 3, False), (5, 4, 2, False), (3, 3, 2, True)])
+    def test_jacobian_matches_central_differences(self, d, r, n, twin):
+        # J = d(M(x) v)/dx against central differences of M(x) v; the twin base has gamma_2 = gamma_1,
+        # so at x = 0 its h_2 = I commutes with all of so(d)
+        rng = np.random.default_rng(557 + d)
+        bases = haar_from_gaussian(rng.standard_normal((r, d, d)))
+        frame = fischer_frame(d, n)
+        x = rng.standard_normal((r - 1) * d * (d - 1) // 2) / 4
+        if twin:
+            bases[1], x = bases[0], np.zeros_like(x)
+        v = rng.standard_normal(frame.dim)
+        v /= np.linalg.norm(v)
+        jacobian = experiments._assemble(frame, bases, x)[3](v)
+
+        def moved(point):
+            return experiments._assemble(frame, bases, point)[2] @ v
+
+        step = 1e-6
+        central = np.stack([(moved(x + step * e) - moved(x - step * e)) / (2 * step) for e in np.eye(len(x))], axis=1)
+        assert np.max(np.abs(jacobian - central)) <= 1e-6 * np.max(np.abs(jacobian))
+
+    @pytest.mark.parametrize("d, r, n", [(4, 3, 3), (5, 3, 4), (3, 4, 2), (4, 5, 2), (6, 3, 2)])
+    def test_larger_searches_certify_over_8_seeds(self, d, r, n):
+        for seed in range(8):
+            run = search_divisible(d, r, n, rng=seed)
+            assert run.certified, seed
+            assert run.residual_max <= 1e-8, seed
 
     def test_default_search_certifies_over_40_seeds(self):
         evaluations = []
