@@ -16,12 +16,12 @@ numbers from one closed form, and writes down the kept degree's kernel
 harmonic.  No Fischer frame, recurrence or P_n-sized array is built.
 
 ``detect`` finds F from one SVD of the stacked h_s - I, rebuilds every h_s
-as the rotation of the plane by z_s, and takes the route only when the
-rebuilt tuple is within DEFECT_ULPS d u of the given one (u = 2^-53).  Its
-defect delta moves every singular value by at most n r delta, since rho_n
-is n-Lipschitz on SO(d) (telescope over the n tensor factors of Sym^n).
-d = 3 never takes the route: there F is a line, and its lift is left to the
-Gegenbauer form of H_n.
+as the rotation of the plane by z_s, and takes the route at d = 2 always,
+else only when the rebuilt tuple is within DEFECT_ULPS d u of the given one
+(u = 2^-53).  Its defect delta moves every singular value by at most
+n r delta (rho_n is n-Lipschitz on SO(d)), and voids no certificate:
+``Witness`` bounds the stored matrices.  d = 3 never takes the route: there
+F is a line, and its lift is left to the Gegenbauer form of H_n.
 """
 
 from __future__ import annotations
@@ -67,13 +67,13 @@ def detect(mats: np.ndarray) -> Optional[Plane]:
     F (the last d - 2).  Each h_s is rebuilt as I - P P^T + P B_s P^T with
     P = [u v] and B_s = [[Re z_s, Im z_s], [-Im z_s, Re z_s]], since
     h_s (u + i v) = z_s (u + i v); the route is taken when every rebuilt h_s
-    is within DEFECT_ULPS d u of the computed one in Frobenius norm.  Forming
-    h_s = fl(gamma_1^T gamma_s) is within gamma_d |gamma_1|^T |gamma_s| of
-    the exact product, at most d gamma_d in Frobenius norm for rotations,
-    which ``defect`` adds.  Returns None at d = 3, and for one tuple off the
-    plane; a stack (leading axes before r) gives one Plane whose tuples off
-    the plane read as ``Plane`` says.  Every tuple of a stack is computed as
-    it would be alone, bit for bit.
+    is within DEFECT_ULPS d u of the computed one in Frobenius norm, and at
+    d = 2 always.  Forming h_s = fl(gamma_1^T gamma_s) is within gamma_d
+    |gamma_1|^T |gamma_s| of the exact product, at most d gamma_d in Frobenius
+    norm for rotations, which ``defect`` adds.  Returns None at d = 3, and for
+    one tuple off the plane; a stack (leading axes before r) gives one Plane
+    whose tuples off the plane read as ``Plane`` says.  Every tuple of a stack
+    is computed as it would be alone, bit for bit.
     """
     d = mats.shape[-1]
     if d == 3:
@@ -93,7 +93,7 @@ def detect(mats: np.ndarray) -> Optional[Plane]:
     blocks[..., 0, 1], blocks[..., 1, 0] = phases.imag, -phases.imag
     rebuilt = np.eye(d) - span @ np.swapaxes(span, -1, -2) + span @ blocks @ np.swapaxes(span, -1, -2)
     defect = np.linalg.norm(turns - rebuilt, axis=(-2, -1)).max(axis=-1) + d * _gamma(d)
-    taken = defect <= DEFECT_ULPS * d * 2.0**-53  # NaN fails too
+    taken = (defect <= DEFECT_ULPS * d * 2.0**-53) | (d == 2)  # NaN fails too at d >= 4
     forms = np.stack([a, b], axis=-2)
     if mats.ndim == 3:
         return Plane(forms, phases, float(defect)) if taken else None
@@ -258,24 +258,22 @@ class Witness:
         # sqrt(2) R_s with a alone (k = 0) and with both forms (k > 0)
         self.radii = (self.modulus * spread[0] + root * slips[:, 0], self.modulus * spread[1] + root * np.hypot(*slips.T))
 
-    def __call__(self, n: int, j: int, total: float):
-        """(basis, coeffs, bound) of the degree-n witness g = Re(conj(w) (mu_a a . x)^j (mu_b b . x)^(n - j)).
+    def __call__(self, n: int, j: int):
+        """(basis, coeffs) of the degree-n witness g = Re(conj(w) (mu_a a . x)^j (mu_b b . x)^(n - j)).
 
         The scales make sup |q| = 1 (``FormProduct``).  The weight
         w = (a_i / |a_i|)^j, for the entry a_i of largest modulus, puts g's
         maximum 1 at sqrt(j / n) c + sqrt(k / n) sqrt(2) Re(b), c the unit
         projection of the i-th axis on the plane, whatever basis u, v of the
-        plane the SVD returned.  bound(coeffs) = |w| ``total``, for
-        w = coeffs[0] + i coeffs[1], with the degree's total from ``numbers``.
+        plane the SVD returned; coeffs = (Re w, Im w).  ``numbers`` gives its bound.
         """
         k = n - j
         scales = (math.sqrt(2.0 * n / j), math.sqrt(2.0 * n / k) if k else 1.0)
         weight = np.exp(1j * j * self.turn)
-        basis = FormProduct(forms=self.plane.forms, scales=scales, powers=(j, k))
-        return basis, np.array([weight.real, weight.imag]), lambda coeffs: math.hypot(*coeffs) * total
+        return FormProduct(forms=self.plane.forms, scales=scales, powers=(j, k)), np.array([weight.real, weight.imag])
 
     def numbers(self, moduli: np.ndarray, n: np.ndarray, j: np.ndarray):
-        """[(sup |g|, total, mean square of g)] of the witnesses at the integer arrays ``n`` and ``j``: bound(c) = |w| total.
+        """[(sup |g|, total, mean square of g)] of the witnesses at the integer arrays ``n`` and ``j``: each bound is |w| total.
 
         ``moduli`` are the |fl(lambda_j)| of ``spectrum``.  rho(h_s)
         (a . x)^j (b . x)^k = ((h_s a) . x)^j ((h_s b) . x)^k =

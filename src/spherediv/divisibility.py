@@ -45,7 +45,7 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -107,8 +107,8 @@ VERDICT_BORDERLINE = "borderline"
 # and 25 at r = 8).  A d = 3 pair runs no recurrence but keeps the cap: beyond
 # it the variance of a divisor scaled by sum |c_a|, read from its frame, collapses
 # towards 0, until divisors are scaled in L^2.  divisibility_test and the genericity studies
-# take every d = 2 tuple on the circle route, which no cap limits; the d = 2
-# entry still caps the searches, whose Gauss-Newton steps assemble M.
+# take every d = 2 tuple, rounded entries included, on the circle route (``circle.detect``),
+# which no cap limits; the d = 2 entry still caps the searches, whose Gauss-Newton steps assemble M.
 _STABLE_MAX_DEGREE = {2: 50, 3: 34}
 
 _log = logging.getLogger("spherediv")
@@ -440,26 +440,46 @@ def _gram_extremes(frame, sums, gram: np.ndarray, r: int):
     return sigma_max, math.sqrt(rayleigh), x, True
 
 
-def _formed_slack(d: int, r: int, n: int) -> float:
-    """How far forming h_s = fl(gamma_1^T gamma_s) may move each singular value of degree n: (r - 1) n (1 + delta)^(n - 1) delta.
+def _translate(mats: np.ndarray):
+    """(turns, drift) of a tuple (r, d, d): the formed h_s = fl(gamma_1^T gamma_s) with h_1 = I exactly, and eps.
 
-    ||fl(h_s) - h_s||_F <= d gamma_d = delta (``circle.detect``), and telescoping over the n factors of
-    A^(tensor n), which Sym^n(A) restricts, moves each Sym^n(h_s), s >= 2, by n (1 + delta)^(n - 1) delta.
+    eps = ``drift`` bounds max_s ||gamma_s^T gamma_s - I||_F for the stored matrices, which ``Rotation`` keeps only
+    within ORTHO_TOL of orthogonal: forming gamma_s^T gamma_s adds at most gamma_d ||gamma_s||_F^2 (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 3), and 1 + gamma_(d^2 + 8) covers the subtraction of I,
+    the norms and the sums.
     """
-    delta = d * fischer._gamma(d)
-    return (r - 1) * n * (1.0 + delta) ** (n - 1) * delta
+    d, gamma, eye = mats.shape[-1], fischer._gamma, np.eye(mats.shape[-1])
+    grams = np.swapaxes(mats, -1, -2) @ mats - eye
+    moved = np.einsum("sij,sij->s", grams, grams) ** 0.5 + gamma(d) * np.einsum("sij,sij->s", mats, mats)
+    turns = np.swapaxes(mats[:1], -1, -2) @ mats
+    turns[0] = eye
+    return turns, float(moved.max()) * (1.0 + gamma(d * d + 8))
 
 
-def _translated_bound(frame, sums, turns: np.ndarray, coeffs: np.ndarray) -> float:
+def _formed_slack(d: int, r: int, n: int, drift: float) -> float:
+    """How far the translated S_n may be from the exact one: n (1 + delta + eps)^(n - 1) ((r - 1) delta + eps).
+
+    The exact sum is sum_s Sym^n(H_s), H_s = gamma_1^T gamma_s for the stored matrices.  With eps = ``drift``,
+    ||H_1 - I||_F <= eps, ||H_s||_2 <= ||gamma_1||_2 ||gamma_s||_2 <= 1 + eps and ||fl(h_s) - H_s||_F <=
+    gamma_d ||gamma_1||_F ||gamma_s||_F <= d gamma_d (1 + eps) = delta; telescoping over the n factors of A^(tensor n),
+    which Sym^n(A) restricts, gives each term.  The near band and ``_translated_bound`` read this slack.
+    """
+    delta = d * fischer._gamma(d) * (1.0 + drift)
+    return n * (1.0 + delta + drift) ** (n - 1) * ((r - 1) * delta + drift)
+
+
+def _translated_bound(frame, sums, turns: np.ndarray, drift: float, coeffs: np.ndarray) -> float:
     """A bound on max_{|x| = 1} |sum_s p(gamma_s^T x)| from S_n = I + sum_s Sym^n(fl(h_s)) over the h stack ``turns``.
 
-    sum_s p(gamma_s^T x) = q(gamma_1^T x) for q = sum_s p(h_s^T .).  ``FischerFrame.residual_bound`` bounds q
-    for the formed h_s; the exact ones move its Fischer coordinates by at most ``_formed_slack`` ||v'|| (v' as
-    there), taken (1 + gamma_(J + P_n + 4)) higher for round-off.
+    With y = gamma_1^-1 x and H_s = gamma_1^T gamma_s for the stored matrices, sum_s p(gamma_s^T x) = q(y) for
+    q = sum_s p(H_s^T .), exactly.  ``FischerFrame.residual_bound`` bounds q for the formed h_s; the exact H_s move
+    its Fischer coordinates by at most ``_formed_slack`` ||v'|| (v' as there), taken (1 + gamma_(J + P_n + 4)) higher.
+    |y|^2 <= 1 / (1 - eps), eps = ``drift``, and q has degree n, so the sum is taken (1 - eps)^(-n/2) (1 + gamma_(n + 4)) higher.
     """
     scaled, scaling = frame.scaled_coordinates(coeffs)
-    slack = _formed_slack(frame.d, len(turns), frame.n) * float(np.linalg.norm(scaled))
-    return frame.residual_bound(sums, coeffs, turns) + (1.0 + fischer._gamma(scaling + frame.size + 4)) * slack
+    slack = _formed_slack(frame.d, len(turns), frame.n, drift) * float(np.linalg.norm(scaled))
+    bound = frame.residual_bound(sums, coeffs, turns) + (1.0 + fischer._gamma(scaling + frame.size + 4)) * slack
+    return bound * (1.0 - drift) ** (-0.5 * frame.n) * (1.0 + fischer._gamma(frame.n + 4))
 
 
 def _torus_angles(values: np.ndarray) -> np.ndarray:
@@ -523,35 +543,16 @@ def _torus_frame(values: np.ndarray, vectors: np.ndarray):
     return np.concatenate(forms), np.concatenate(angles), axis
 
 
-@lru_cache(maxsize=None)
-def _lowering(d: int, m: int) -> np.ndarray:
-    """(d, P_m): the index of b - e_j among the P_(m-1) monomials of degree m - 1, per monomial b and variable j.
-
-    Where b_j = 0 the index is P_(m-1), a zero pad.  It inverts
-    ``fischer._step``'s ``up`` table.
-    """
-    step = fischer._step(d, m)
-    below = np.full((d, len(step.lead)), step.up.shape[1], dtype=np.int32)
-    for j in range(d):
-        below[j, step.up[j]] = np.arange(step.up.shape[1])
-    return below
-
-
 def _form_products(forms: np.ndarray, d: int) -> np.ndarray:
     """Orthonormal-monomial coordinates of prod_j (forms[..., j, :] . x), for a stack (..., m, d) of m linear forms each.
 
-    m multiplications by a linear form: with x_j x^c / sqrt(c!) =
-    sqrt(c_j + 1) x^(c + e_j) / sqrt((c + e_j)!), the product of a . x with
-    coordinates c has sum_j a_j sqrt(b_j) c_(b - e_j) at each monomial b, one
-    gather (``_lowering``) and one product with the forms per step: O(m d P_m)
-    per product, and no Sym^m.
+    m multiplications by a linear form: (a . x) p = sum_j x_j (a_j p), one
+    ``fischer._times_x`` of the d products a_j c per step: O(m d P_m) per
+    product, and no Sym^m.
     """
-    lead = forms.shape[:-2]
-    coords = np.ones(lead + (1,), dtype=forms.dtype)
+    coords = np.ones(forms.shape[:-2] + (1,), dtype=forms.dtype)
     for m in range(1, forms.shape[-2] + 1):
-        padded = np.concatenate([coords, np.zeros(lead + (1,))], axis=-1)
-        roots = np.sqrt(fischer._exponents(d, m).T)
-        coords = (forms[..., m - 1, None, :] @ (padded[..., _lowering(d, m)] * roots))[..., 0, :]
+        coords = fischer._times_x(forms[..., m - 1, :, None] * coords[..., None, :], m)
     return coords
 
 
@@ -1172,13 +1173,13 @@ class _CircleRoute(_Route):
         """What ``degree`` reads, as lists by degree: ratio, fired, near band, and at a fired degree residual bound and passed."""
         start, (top, low, pick, moduli), n = time.perf_counter(), self.table, np.arange(1, len(self.table[0]))
         ratio, fired, near = _near_singular(np.array([top[1:], low[1:]]).T, self.r, self.sing_tol, n * self.r * self.plane.defect)
-        # numbers: each fired degree's divisor scale, Var f and bound total, three doubles per degree
-        shown, residual, passed, self.numbers = n[fired], [None] * len(n), [False] * len(n), np.empty((len(n), 3))
+        # numbers: each fired degree's divisor scale and Var f, two doubles per degree
+        shown, residual, passed, self.numbers = n[fired], [None] * len(n), [False] * len(n), np.empty((len(n), 2))
         if len(shown):
             self.witnesses = circle.Witness(self.plane, self.mats)
             for m, (sup, total, mean) in zip(shown.tolist(), self.witnesses.numbers(moduli, shown, pick[shown])):
                 scale, residual[m - 1], variance, passed[m - 1] = _numbers(sup, sup * total, mean, self.r, dim_harmonic(self.d, m))
-                self.numbers[m - 1] = scale, variance, total
+                self.numbers[m - 1] = scale, variance
         _log.debug("circle pass: %d degrees, %d fired, %.4f s", len(n), len(shown), time.perf_counter() - start)
         return ratio.tolist(), fired.tolist(), near.tolist(), residual, passed
 
@@ -1186,13 +1187,9 @@ class _CircleRoute(_Route):
         ratio, fired, near, residual, passed = (column[n - 1] for column in self.decided)
         if not fired:
             return ratio, fired, near, None, self.path
-        scale, variance, _ = self.numbers[n - 1].tolist()
-        make = lambda: _certificate(self.witness(n)[0], self.r, (scale, residual, variance, passed))
+        (scale, variance), j = self.numbers[n - 1].tolist(), int(self.table[2][n])
+        make = lambda: _certificate(HarmonicFunction(*self.witnesses(n, j)), self.r, (scale, residual, variance, passed))
         return ratio, fired, near, (residual, passed, make), self.path + "→witness"
-
-    def witness(self, n: int):
-        basis, coeffs, bound = self.witnesses(n, int(self.table[2][n]), float(self.numbers[n - 1, 2]))
-        return HarmonicFunction(basis, coeffs), bound
 
 
 class _PairRoute(_Route):
@@ -1263,8 +1260,7 @@ class _GramRoute(_Route):
     def __init__(self, mats, plane, n_max, sing_tol):
         super().__init__(mats, plane, n_max, sing_tol)
         # the formed h_s = gamma_1^T gamma_s, h_1 = I exactly, and (n, S_n) from h_2 .. h_r
-        self.turns = np.swapaxes(mats[:1], -1, -2) @ mats
-        self.turns[0] = np.eye(self.d)
+        self.turns, self.drift = _translate(mats)
         self.powers = summed_powers(self.turns[1:], n_max, identity=True)
 
     def degree(self, n: int):
@@ -1294,7 +1290,7 @@ class _GramRoute(_Route):
         del matrix  # G replaces M (see _peak_bytes)
         sigma_max, sigma_min, vector, resolved = _gram_extremes(frame, sums, gram, self.r)
         del gram
-        slack = _formed_slack(self.d, self.r, n)
+        slack = _formed_slack(self.d, self.r, n, self.drift)
         trigger = sigma_min is not None and _near_singular(np.array([sigma_max, sigma_min]), self.r, self.sing_tol, slack)
         path = "gram" if resolved else "gram→witness"
         if not trigger or not (resolved or trigger[1]):
@@ -1303,7 +1299,7 @@ class _GramRoute(_Route):
             else:
                 svals = weighted_singular_values(frame.operator(sums))
             trigger, path = _near_singular(svals, self.r, self.sing_tol, slack), "gram→svd"
-        return self.entry(trigger, path, lambda: (_witness(frame, vector), partial(_translated_bound, frame, sums, self.turns)))
+        return self.entry(trigger, path, lambda: (_witness(frame, vector), partial(_translated_bound, frame, sums, self.turns, self.drift)))
 
     @staticmethod
     def batch(free, suffix, n_max, sing_tol):

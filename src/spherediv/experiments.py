@@ -81,6 +81,7 @@ from .divisibility import (
     _GramRoute,
     _PairRoute,
     _svd_witness,
+    _translate,
     _translated_bound,
     _witness,
     divisibility_test,
@@ -496,19 +497,17 @@ def _assemble(frame, bases: np.ndarray, x: np.ndarray):
     theta_2 .. theta_r.  The recurrence runs once, on h_2 .. h_r as
     one-rotation tuples, and keeps each Sym^n(h_s) for the Jacobian;
     S_n = I + sum_s Sym^n(h_s), h_1 = I free, gives M = U^T S_n U and the
-    bound through S_n (``divisibility._translated_bound``), as the Gram
-    route's do.
+    bound through S_n, as the Gram route's do (``divisibility._translate``).
     """
     r, d = bases.shape[0], bases.shape[-1]
     mats = np.empty((r, d, d))
     mats[0], mats[1:] = bases[0], cayley_rotation(bases[1:], x.reshape(r - 1, -1))
-    turns = np.swapaxes(mats[:1], -1, -2) @ mats
-    turns[0] = np.eye(d)
+    turns, drift = _translate(mats)
     *_, (_, powers) = summed_powers(turns[1:, None], frame.n)
     sums = powers.sum(axis=0)
     sums[np.diag_indices(frame.size)] += 1.0
     jacobian = partial(_jacobian, frame, bases, mats, powers)
-    return mats, partial(_translated_bound, frame, sums, turns), frame.operator(sums), jacobian
+    return mats, partial(_translated_bound, frame, sums, turns, drift), frame.operator(sums), jacobian
 
 
 def _jacobian(frame, bases: np.ndarray, mats: np.ndarray, powers: np.ndarray, v: np.ndarray) -> np.ndarray:

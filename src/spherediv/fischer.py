@@ -551,8 +551,8 @@ class _StreamedSum:
     (g_i . x) / sqrt(a_i) times column ``parent[a]`` of Sym^(n-1)(g), so per
     lead block i one product of each Sym^(n-1)(g_s) with the block's rows
     of the operand, weighted by g_s[j, i] and summed over s and i, leaves d
-    runs of degree n - 1 rows, and d weighted row scatters (one per shift
-    x_j) give S_n x.  The identity term adds to each slab its diagonal
+    runs of degree n - 1 rows, and multiplying run j by x_j (``_times_x``)
+    gives S_n x.  The identity term adds to each slab its diagonal
     entries and to S_n x the operand itself.
     """
 
@@ -580,12 +580,21 @@ class _StreamedSum:
         for i, (lo, hi, tail) in enumerate(step.blocks):
             parts = self.stack[:, :, tail:tail + hi - lo] @ (block[lo:hi] / step.root_lead[lo:hi, None])
             runs += np.tensordot(self.mats[:, :, i], parts, axes=(0, 0))
-        out = np.zeros(block.shape)
-        for j in range(d):
-            out[step.up[j]] += runs[j] * step.up_root[j][:, None]
-        if self.identity:
-            out += block
-        return out.reshape(x.shape)
+        out = _times_x(np.moveaxis(runs, -1, 0), self.n).T
+        return (out + block if self.identity else out).reshape(x.shape)
+
+
+def _times_x(parts: np.ndarray, n: int) -> np.ndarray:
+    """sum_k x_k p_k for a stack ``parts`` (..., d, P_(n-1)) of the p_k's orthonormal-monomial coordinates: shape (..., P_n).
+
+    x_k moves coordinate c to ``_step``'s ``up[k, c]`` with the weight ``up_root[k, c]``, since x_k x^c / sqrt(c!) =
+    sqrt(c_k + 1) x^(c + e_k) / sqrt((c + e_k)!): d weighted scatters, summed in the order k = 1 .. d.
+    """
+    step = _step(parts.shape[-2], n)
+    out = np.zeros(parts.shape[:-2] + step.lead.shape, dtype=parts.dtype)
+    for k, (rows, roots) in enumerate(zip(step.up, step.up_root)):
+        out[..., rows] += parts[..., k, :] * roots
+    return out
 
 
 def _lie_action(ys: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
@@ -593,14 +602,10 @@ def _lie_action(ys: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
 
     p(x) -> p(e^(tY)^T x) differentiates to sum_(k,l) Y_kl x_k d_l, and in the orthonormal monomial basis
     d_l is the adjoint of multiplication by x_l: one gather through ``_step``'s ``up`` and ``up_root``
-    gives the d_l w, a product with Y mixes them, and d weighted scatters multiply by the x_k.
+    gives the d_l w, a product with Y mixes them, and ``_times_x`` multiplies by the x_k.
     """
     step = _step(ys.shape[-1], n)
-    moved = ys @ (step.up_root * w[step.up])  # (..., d, P_(n-1)): row k is sum_l Y_kl d_l w
-    out = np.zeros(ys.shape[:-2] + w.shape)
-    for k, (rows, roots) in enumerate(zip(step.up, step.up_root)):
-        out[..., rows] += moved[..., k, :] * roots
-    return out
+    return _times_x(ys @ (step.up_root * w[step.up]), n)  # row k of the product is sum_l Y_kl d_l w
 
 
 def summed_powers(mats, n_max: int, identity: bool = False):

@@ -43,9 +43,10 @@ _FIXED_RESIDUAL_TOL = 1e-8
 class Rotation:
     """A validated element of SO(d), stored as a read-only d x d matrix.
 
-    Matrices violating orthogonality by more than 1e-9 but less than 1e-4
+    Matrices violating orthogonality by more than ORTHO_TOL = 1e-9 but less than 1e-4
     are replaced by their nearest orthogonal matrix (polar factor) and
-    flagged ``repaired``; anything worse is rejected.  A determinant of -1
+    flagged ``repaired``; anything worse is rejected.  Others are kept as given, so
+    certificates bound the stored matrices (``divisibility._translate``).  A determinant of -1
     is always rejected: reflections are not repairable into SO(d).  So is a
     NaN or infinite entry, which every tolerance comparison would let pass.
     """

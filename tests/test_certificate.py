@@ -21,7 +21,7 @@ from spherediv import (
     search_divisible,
     verify_divisor,
 )
-from spherediv import RotationTuple, circle, divisibility, experiments, planar_rotation
+from spherediv import Rotation, RotationTuple, SearchSettings, circle, divisibility, experiments, planar_rotation
 from circle_parity import cases, conjugated, planted
 from verdict_panel import _conjugated_half_turn_pair, _d3_family, _two_half_turn_pairs
 
@@ -90,8 +90,8 @@ def test_circle_bound_covers_sampled_residual_at_every_fired_degree(name, build,
         assert all(abs(rec.n - circle._DIRECT_MAX_DEGREE) <= 8 for rec in fired)
 
 
-def search_certificates(monkeypatch, seeds):
-    """(tuple, witness, divisor, certificate) of every search_divisible(3, 3, 2) certificate at ``seeds``."""
+def search_certificates(monkeypatch, seeds, settings=lambda seed: None):
+    """(tuple, witness, divisor, certificate) of every search_divisible(3, 3, 2) certificate at ``seeds``, with ``settings(seed)``."""
     made, out = [], []
     original = experiments._certify
 
@@ -102,7 +102,7 @@ def search_certificates(monkeypatch, seeds):
 
     monkeypatch.setattr(experiments, "_certify", recorded)
     for seed in seeds:
-        run = search_divisible(3, 3, 2, rng=seed)
+        run = search_divisible(3, 3, 2, settings(seed), rng=seed)
         assert run.certified and len(made) == 1, seed
         out.append((run.best_tuple, *made.pop()))
     return out
@@ -125,6 +125,48 @@ def test_bound_covers_sampled_residual_of_search_certificates(monkeypatch):
     assert len(made) == 4
     for tup, _, divisor, ver in made:
         assert ver.passed and ver.n_samples == 0
+        assert verify_divisor(tup, divisor, 20_000, 3).max_residual <= ver.residual_bound
+
+
+def _stretched(mats):
+    """The tuple with gamma_1 <- gamma_1 diag(1 + 4e-10, 1, ..., 1): max |g^T g - I| = 8e-10, which Rotation keeps as it is."""
+    mats = [np.array(m, dtype=float) for m in mats]
+    mats[0][:, 0] *= 1.0 + 4e-10
+    rotations = tuple(Rotation(m) for m in mats)
+    assert not any(g.repaired for g in rotations)
+    return RotationTuple(rotations)
+
+
+def _conjugated_by(tup, c):
+    return [c.matrix @ g.matrix @ c.matrix.T for g in tup]
+
+
+# Gram-route tuples whose gamma_1 is orthogonal only within Rotation's ORTHO_TOL: the planar tuple in
+# SO(4) is pushed off the circle by the stretch
+NEAR_ORTHOGONAL = {
+    "two half-turn pairs d=8": (lambda: [g.matrix for g in _two_half_turn_pairs()], 4),
+    "odd-d four-tuple d=5": (lambda: [g.matrix for g in odd_d4_tuple(5, haar_sample(5, 9))[0]], 1),
+    "planar d=3 r=3": (lambda: _conjugated_by(planar_division(3, 3).rotations, haar_sample(3, 11)), 3),
+    "planar d=4 r=3": (lambda: _conjugated_by(planar_division(4, 3).rotations, haar_sample(4, 12)), 3),
+}
+
+
+@pytest.mark.parametrize("name", NEAR_ORTHOGONAL)
+def test_near_orthogonal_input_certifies_within_its_bound(name):
+    # sum_s p(gamma_s^T x) = q(gamma_1^-1 x) for q = sum_s p(H_s^T .), H_s = gamma_1^T gamma_s: the bound
+    # carries ||gamma_1^T gamma_1 - I|| into the slack and the radius of gamma_1^-1 x
+    build, n_max = NEAR_ORTHOGONAL[name]
+    tup = _stretched(build())
+    report = divisibility_test(tup, n_max, rng=1)
+    assert report.divisible and report.verification.passed
+    assert verify_divisor(tup, report.divisor, 20_000, 3).max_residual <= report.verification.residual_bound
+
+
+def test_near_orthogonal_search_certifies_within_its_bound(monkeypatch):
+    def settings(seed):
+        return SearchSettings(restarts=1, base_tuple=_stretched([haar_sample(3, 10 * seed + k).matrix for k in range(3)]))
+
+    for tup, _, divisor, ver in search_certificates(monkeypatch, range(4), settings):
         assert verify_divisor(tup, divisor, 20_000, 3).max_residual <= ver.residual_bound
 
 
@@ -155,11 +197,11 @@ def test_circle_variance_matches_samples(d):
     moduli = circle.spectrum(plane, d, 5)[3]
     degrees, weights = np.array([(n, j) for n in range(2, 6) for j in range(1, n)]).T
     for n, j, (sup, total, mean) in zip(degrees.tolist(), weights.tolist(), witnesses.numbers(moduli, degrees, weights)):
-        basis, coeffs, bound = witnesses(n, j, total)
-        witness = divisibility.HarmonicFunction(basis, coeffs)
+        witness = divisibility.HarmonicFunction(*witnesses(n, j))
         numbers = divisibility._numbers(sup, sup * total, mean, tup.r, dim_harmonic(d, n))
         _, divisor, ver = divisibility._certificate(witness, tup.r, numbers)
-        assert sup == witness.sup_bound() and ver.residual_bound == divisor.scale * bound(coeffs)
+        # the bound of a witness with weight w is |w| total
+        assert sup == witness.sup_bound() and ver.residual_bound == divisor.scale * (math.hypot(*witness.coeffs) * total)
         sampled = verify_divisor(tup, divisor, 200_000, 10 * n + j).function_variance
         assert math.isclose(ver.function_variance, sampled, rel_tol=0.03), (n, j, ver.function_variance, sampled)
 

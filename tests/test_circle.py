@@ -103,8 +103,11 @@ def sampled_residual(tup, report, n, samples=2000):
     route = divisibility._CircleRoute(mats, circle.detect(mats), n, report.sing_tol)
     bound, _, make = route.degree(n)[3]
     witness, divisor, ver = make()
-    # one closed form: the certificate and the witness's bound closure read the array pass's numbers
-    assert ver.residual_bound == ver.max_residual == bound == divisor.scale * route.witness(n)[1](witness.coeffs)
+    # one closed form: the certificate reads the array pass's numbers, and the bound of a witness with
+    # weight w is |w| times Witness.numbers' total
+    j = route.table[2][n:n + 1]
+    total = route.witnesses.numbers(route.table[3], np.array([n]), j)[0][1]
+    assert ver.residual_bound == ver.max_residual == bound == divisor.scale * (math.hypot(*witness.coeffs) * total)
     return verify_divisor(tup, divisor, samples, 7 * n).max_residual, bound
 
 
@@ -303,8 +306,7 @@ def test_witness_above_the_direct_degree_evaluates_through_logarithms(monkeypatc
     assert math.isclose(report.verification.function_variance, 1.0 / 32.0, rel_tol=1e-9)
     mats = matrices(planar_division(8, 3).rotations)
     plane = circle.detect(mats)
-    basis, coeffs, _ = circle.Witness(plane, mats)(7, 4, 1.0)
-    witness = divisibility.HarmonicFunction(basis, coeffs)
+    witness = divisibility.HarmonicFunction(*circle.Witness(plane, mats)(7, 4))
     pts = uniform_sphere(8, 300, 17)
     direct = witness(pts)
     monkeypatch.setattr(circle, "_DIRECT_MAX_DEGREE", 0)

@@ -132,6 +132,36 @@ class TestCmdTest:
         assert len(lines) == 3
 
 
+def rounded_plane_rotations(angles, digits=12):
+    """SO(2) rotations by ``angles`` as JSON would carry them: every entry rounded to ``digits`` decimals."""
+    def rotation(t):
+        c, s = round(math.cos(t), digits), round(math.sin(t), digits)
+        return {"d": 2, "rows": [[c, -s], [s, c]]}
+
+    return [rotation(t) for t in angles]
+
+
+class TestRoundedPlaneTuples:
+    # an SO(2) tuple rounded to 12 digits misses its rebuilt plane rotations by about 1e-12, far
+    # above the d >= 4 defect test, yet every h_s rotates the plane: it stays on the circle route,
+    # which has no degree cap, and its defect only widens the near band
+    def test_test_above_the_recurrence_cap(self, tmp_path):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps(rounded_plane_rotations((0.3, 1.7, 2.9))))
+        out = tmp_path / "report.json"
+        assert main(["test", "--input", str(path), "--n-max", "60", "--seed", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert len(report["degrees"]) == 60
+
+    def test_study_above_the_recurrence_cap(self, tmp_path):
+        config = {"kind": "genericity", "d": 2, "r": 3, "n_max": 60, "trials": 200, "seed": 1,
+                  "suffix": rounded_plane_rotations((0.7, 2.1))}
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(cpath), "--out", str(tmp_path / "study")]) == 0
+        assert len((tmp_path / "study.csv").read_text().splitlines()) == 1 + 200 * 60
+
+
 class TestCmdConstruct:
     def test_planar(self, tmp_path):
         out = tmp_path / "planar.json"

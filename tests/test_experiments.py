@@ -677,7 +677,7 @@ class TestTranslatedSearch:
         # were the formed h_s off by as much as the residual allows, the certificate could not pass:
         # the search's bound carries _formed_slack
         assert search_divisible(3, 3, 2, rng=1).certified
-        monkeypatch.setattr(divisibility, "_formed_slack", lambda d, r, n: 0.5)
+        monkeypatch.setattr(divisibility, "_formed_slack", lambda d, r, n, drift: 0.5)
         run = search_divisible(3, 3, 2, rng=1)
         assert run.best_ratio < DEFAULT_SING_TOL
         assert not run.certified and run.residual_max > 1e-8

@@ -241,6 +241,23 @@ class TestMonomialTables:
         assert peak <= 2.5 * 8 * x.shape[0] * frame.size
 
 
+class TestTimesX:
+    """``fischer._times_x``: sum_k x_k p_k, the one multiplication by coordinates outside the recurrence's steps."""
+
+    @pytest.mark.parametrize("d, m", [(d, m) for d in range(2, 7) for m in range(1, 6)])
+    def test_matches_the_dense_moves(self, d, m):
+        # _moves(d, m) holds the d dense maps p -> x_k p from degree m - 1 to m; the helper applies all
+        # of them and sums, to a stack of real or complex coordinates
+        rng = np.random.default_rng(100 * d + m)
+        maps = fischer._moves(d, m).reshape(d, math.comb(m + d - 1, d - 1), -1)
+        parts = rng.standard_normal((2, 3, d, maps.shape[-1]))
+        want = np.einsum("kab,...kb->...a", maps, parts)
+        assert np.allclose(fischer._times_x(parts, m), want, rtol=1e-15, atol=1e-15)
+        mixed = parts[0] + 1j * parts[1]
+        got = fischer._times_x(mixed, m)
+        assert got.dtype == complex and np.allclose(got, want[0] + 1j * want[1], rtol=1e-15, atol=1e-15)
+
+
 class TestLieAction:
     """dSym^n(Y), the derivative of Sym^n along a one-parameter subgroup, that the search's exact Jacobian rests on."""
 

@@ -393,7 +393,7 @@ class TestTranslatedTuple:
         # certify: every fired degree's bound and near band carry _formed_slack
         tup = half_turn_pairs(5, haar_sample(5, 698).matrix, haar_sample(5, 699).matrix)
         assert divisibility_test(tup, 3, rng=701).singular_degrees() == [2, 3]
-        monkeypatch.setattr(divisibility, "_formed_slack", lambda d, r, n: 0.5)
+        monkeypatch.setattr(divisibility, "_formed_slack", lambda d, r, n, drift: 0.5)
         report = divisibility_test(tup, 3, rng=701)
         assert [rec.verdict for rec in report.degrees] == ["borderline"] * 3
         assert all(rec.residual_bound > 1e-8 for rec in report.degrees[1:])
